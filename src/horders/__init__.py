@@ -64,11 +64,6 @@ from .scalars import (
     Scalar,
     ScalarKind,
     default_precision,
-    jet_add,
-    jet_inv,
-    jet_mul,
-    jet_residue,
-    jet_valuation,
     quadratic,
     set_default_precision,
 )

@@ -198,6 +198,9 @@ def _cmd_resinv(args) -> int:
 
 def _cmd_aniso(args) -> int:
     spec = _session_object(_load_session(args.session), "involutions", args.inv[0])
+    r = spec.order.sig.r
+    if args.block is not None and not 1 <= args.block <= r:
+        raise HordersError(f"--block must be in 1..{r}, got {args.block}")
     res = residue_involution(spec)
     results = [anisotropy(b.gauge, res.kind, res.epsilon) for b in res.blocks]
     if args.block is not None:
@@ -242,6 +245,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horders",
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled checks (fallback: HORDERS_SEED, then 0)")
-        p.add_argument("--precision", type=int, default=16,
+        p.add_argument("--precision", type=_precision, default=16,
                        help="default jet precision (default 16)")
 
     p = sub.add_parser("check", help="run every check in a session file")

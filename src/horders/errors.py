@@ -60,10 +60,6 @@ class NotStable(HordersError):
     """The twisted involution maps a generator outside the order."""
 
 
-class NotInvolutive(HordersError):
-    """Applying the twisted involution twice does not return the input."""
-
-
 class UnsupportedGaugeShape(HordersError):
     """The gauge is not block-diagonal of the form t^m times a unit block."""
 

@@ -219,7 +219,7 @@ def ss_iso_decide_fixed(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Seeded sampling helpers used by property suites and transport checks.
+# Seeded sampling used by transport checks.
 
 
 def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
@@ -239,31 +239,3 @@ def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
         row = tuple(row)
         rows.append(row)
     return JetMatrix(kind, tuple(rows))
-
-
-def sample_block_unit(order: BlockOrder, rng: Random, *, bound: int = 2) -> JetMatrix:
-    """Random block-diagonal unit of the order.
-
-    Each diagonal block is L * D * U with unipotent triangular factors
-    over the coefficient order and a diagonal of invertible constants,
-    so the inverse is again in the order and all arithmetic stays exact.
-    """
-    kind = order.division.kind
-    n = order.sig.n
-    blocks = []
-    for size in order.sig.parts:
-        lower = JetMatrix.identity(kind, size)
-        upper = JetMatrix.identity(kind, size)
-        for i in range(size):
-            for j in range(size):
-                if i > j:
-                    c = random_scalar(kind, rng, bound)
-                    lower = lower + JetMatrix.unit(kind, size, i, j, LaurentJet.constant(kind, c))
-                elif i < j:
-                    c = random_scalar(kind, rng, bound)
-                    upper = upper + JetMatrix.unit(kind, size, i, j, LaurentJet.constant(kind, c))
-        diag = JetMatrix.diagonal([
-            LaurentJet.constant(kind, random_scalar(kind, rng, bound, nonzero=True))
-            for _ in range(size)])
-        blocks.append(lower @ diag @ upper)
-    return JetMatrix.dsum(*blocks)

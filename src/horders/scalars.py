@@ -630,40 +630,8 @@ def _product_precision(a: LaurentJet, b: LaurentJet) -> int | None:
     return min(cands) if cands else None
 
 
-# ---------------------------------------------------------------------------
-# Operation-style entry points
-
-
-def jet_add(a: LaurentJet, b: LaurentJet) -> LaurentJet:
-    return a + b
-
-
-def jet_mul(a: LaurentJet, b: LaurentJet) -> LaurentJet:
-    return a * b
-
-
-def jet_inv(a: LaurentJet, precision: int | None = None) -> LaurentJet:
-    return a.inverse(precision)
-
-
-def jet_valuation(a: LaurentJet) -> int:
-    return a.valuation()
-
-
-def jet_residue(a: LaurentJet) -> Scalar:
-    return a.residue()
-
-
 def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
     while True:
         s = Scalar(kind, tuple(Q(rng.randint(-bound, bound)) for _ in range(kind.dim)))
         if not nonzero or not s.is_zero():
             return s
-
-
-def random_jet(kind: ScalarKind, rng: Random, *, lowest: int = -2, highest: int = 3,
-               bound: int = 3, precision: int | None = None) -> LaurentJet:
-    lo = rng.randint(lowest, highest - 1)
-    width = rng.randint(1, 3)
-    coeffs = [random_scalar(kind, rng, bound) for _ in range(width)]
-    return LaurentJet(kind, lo, coeffs, precision)

@@ -573,10 +573,15 @@ class _Parser:
                 raise SessionTypeError(
                     f"{func} expects a {want} argument, got {arg[0]}", tok.line, tok.col)
         allowed = _CHECK_KWARGS.get(func, set())
-        for key, _ in kwargs:
+        for key, value in kwargs:
             if key not in allowed:
                 raise SessionTypeError(
                     f"{func} does not take keyword {key!r}", tok.line, tok.col)
+            if key == "block":
+                r = self.symbols[args[0][1]].payload.order.sig.r
+                if value[0] != "int" or not 1 <= value[1] <= r:
+                    raise SessionTypeError(
+                        f"{func} block must be an integer in 1..{r}", tok.line, tok.col)
 
 
 def parse_session(text: str) -> Session:

@@ -40,7 +40,6 @@ from horders.orders import (
     iso_decide,
     pattern_of,
     radical_pattern,
-    sample_block_unit,
     sample_element,
     ss_iso_decide,
 )
@@ -54,6 +53,8 @@ from horders.witness import (
     sh_grid,
     verify_witness,
 )
+
+from helpers import sample_block_unit
 
 KINDS = [BASE, quadratic(-1), QUATERNION]
 

@@ -4,6 +4,8 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from horders.cli import main
 
 
@@ -120,6 +122,17 @@ def test_resinv_and_aniso_and_distinguish(tmp_path, capsys):
     assert payload["verdict"] == "distinguished"
 
 
+@pytest.mark.parametrize("block", ["0", "9"])
+def test_aniso_block_out_of_range(tmp_path, capsys, block):
+    path = corpus_path(tmp_path, "main-counterexample.ho")
+    assert main(["aniso", "--session", path, "--inv", "s1", "--block", block]) == 3
+    assert "--block must be in 1..2" in capsys.readouterr().err
+    bad = tmp_path / "bad.ho"
+    bad.write_text(Path(path).read_text() + f"check a = aniso(s1, block={block}) expect anisotropic\n")
+    assert main(["check", str(bad)]) == 2
+    assert "block must be an integer in 1..2" in capsys.readouterr().err
+
+
 def test_verify_command(tmp_path, capsys):
     path = corpus_path(tmp_path, "main-counterexample.ho")
     assert main(["verify", "--session", path, "--witness", "wF"]) == 0
@@ -144,3 +157,11 @@ def test_precision_flag_controls_default(capsys):
     assert main(["inv", "--sig", "1", "--precision", "16"]) == 0
     assert default_precision() == 16
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["1", "x"])
+def test_precision_below_two_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["inv", "--sig", "4,2", "--precision", value])
+    assert exc.value.code == 2
+    assert "--precision: expected an integer of at least 2" in capsys.readouterr().err

@@ -34,11 +34,21 @@ from horders.orders import (
     DivisionSpec,
     Signature,
     contains,
-    sample_block_unit,
     sample_element,
 )
-from horders.scalars import BASE, QUATERNION, LaurentJet, Scalar, quadratic
+from horders.scalars import (
+    BASE,
+    QUATERNION,
+    LaurentJet,
+    Scalar,
+    default_precision,
+    quadratic,
+    random_scalar,
+    set_default_precision,
+)
 from horders.witness import counterexample_pair
+
+from helpers import sample_block_unit, wellformed_by_products
 
 QUAD = quadratic(-1)
 
@@ -112,6 +122,21 @@ def test_sigma_on_the_bundled_gauge_stays_in_the_order():
     assert image == expected
 
 
+def test_sigma_uses_the_current_precision():
+    # a gauge inverse computed at one working precision must not be
+    # reused after the precision changes
+    a = order(2)
+    gauge = JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1]), LaurentJet.one(BASE)])
+    spec = InvolutionSpec(a, gauge)
+    try:
+        assert wellformed(spec).ok
+        set_default_precision(64)
+        image = apply_sigma(spec, JetMatrix.identity(BASE, 2))
+        assert image.entry(0, 0).precision == 64
+    finally:
+        set_default_precision(16)
+
+
 def test_sigma_squares_to_identity():
     rng = Random(47)
     spec1, spec2, _, _ = counterexample_pair()
@@ -183,6 +208,49 @@ def test_non_hermitian_gauge_is_rejected():
     diagres = wellformed(InvolutionSpec(a, gauge))
     assert not diagres.ok
     assert diagres.code == "NotEpsilonHermitian"
+
+
+def _random_gauge_spec(kind, rng):
+    # tau(u) * D * u with D a diagonal of t-powers; D steps by one from
+    # block to block (well formed for a unit u) or is unbalanced; the
+    # reference's quaternion products limit those cases to n <= 3
+    n = rng.randint(1, 3 if kind == QUATERNION else 4)
+    p = rng.randint(0, n - 1)
+    parts = (p, n - p) if p else (n,)
+    a = order(*parts, kind=kind)
+    if rng.random() < 0.5:
+        powers = [b for b, size in enumerate(parts) for _ in range(size)]
+    else:
+        powers = [rng.randint(-1, 2) for _ in range(n)]
+    d = JetMatrix.diagonal([LaurentJet.t_power(kind, e, rng.choice([-2, -1, 1, 2]))
+                            for e in powers])
+    shape = rng.randrange(3)
+    if shape == 0:
+        u = sample_block_unit(a, rng, bound=1)
+    elif shape == 1:  # non-monomial unit: its inverse is truncated
+        u = sample_block_unit(a, rng, bound=1) + JetMatrix.diagonal(
+            [LaurentJet.t_power(kind, 1, random_scalar(kind, rng, 1)) for _ in range(n)])
+    else:  # dense element of the order, mixing the blocks
+        u = sample_element(a, rng, bound=1)
+    return InvolutionSpec(a, apply_tau(u) @ d @ u)
+
+
+def test_wellformed_matches_the_generator_products():
+    # Working precision 8 keeps the reference's products affordable;
+    # every non-monomial gauge still has a truncated inverse.
+    rng = Random(71)
+    saved = default_precision()
+    set_default_precision(8)
+    try:
+        codes = set()
+        for case in range(45):
+            spec = _random_gauge_spec((BASE, QUAD, QUATERNION)[case % 3], rng)
+            got, want = wellformed(spec), wellformed_by_products(spec)
+            assert (got.code, got.detail) == (want.code, want.detail)
+            codes.add(got.code)
+    finally:
+        set_default_precision(saved)
+    assert codes == {None, "NotStable"}
 
 
 def test_epsilon_minus_one_gauge_is_wellformed():

@@ -23,12 +23,13 @@ from horders.orders import (
     pattern_of,
     pattern_pow,
     radical_pattern,
-    sample_block_unit,
     sample_element,
     ss_iso_decide,
     ss_iso_decide_fixed,
 )
 from horders.scalars import BASE, QUATERNION, LaurentJet
+
+from helpers import sample_block_unit
 
 D = DivisionSpec("D")
 

@@ -19,9 +19,10 @@ from horders.scalars import (
     LaurentJet,
     Scalar,
     quadratic,
-    random_jet,
     random_scalar,
 )
+
+from helpers import random_jet
 
 QUAD = quadratic(-1)
 KINDS = [BASE, QUAD, quadratic(-3), QUATERNION]

@@ -197,3 +197,13 @@ def test_aniso_check_with_block_argument():
         "check i1 = inv(A) expect (2,4)\n")
     report = run_session(parse_session(text))
     assert report.ok, [c for c in report.checks if not c.ok]
+
+
+@pytest.mark.parametrize("block", ["0", "9", "(1)"])
+def test_bad_aniso_block_is_a_type_error(block):
+    text = corpus("main-counterexample.ho") + \
+        f"check a = aniso(s1, block={block}) expect anisotropic\n"
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(text)
+    assert err.value.line == text.count("\n")
+    assert "block must be an integer in 1..2" in str(err.value)
