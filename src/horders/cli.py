@@ -2,15 +2,14 @@
 
 Exit codes: 0 when every expectation holds, 1 when an expectation or
 verdict fails, 2 on session-file errors, 3 on mathematical precondition
-errors.  JSON output is deterministic for a fixed seed: keys are
-sorted, no timings are included, and the schema is versioned.
+errors.  JSON output is deterministic: keys are sorted, no timings
+are included, and the schema is versioned.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -114,13 +113,13 @@ def _write(data: bytes) -> None:
 
 def _cmd_check(args) -> int:
     session = _load_session(args.file)
-    report = run_session(session, seed=args.seed)
+    report = run_session(session)
     _write(emit(report, "json" if args.json else "text"))
     return 0 if report.ok else 1
 
 
 def _cmd_replay(args) -> int:
-    report = replay(args.scenario, seed=args.seed)
+    report = replay(args.scenario)
     _write(_emit_replay(report, args.json))
     return 0 if report.ok else 1
 
@@ -202,15 +201,15 @@ def _cmd_aniso(args) -> int:
     if args.block is not None and not 1 <= args.block <= r:
         raise HordersError(f"--block must be in 1..{r}, got {args.block}")
     res = residue_involution(spec)
-    results = [anisotropy(b.gauge, res.kind, res.epsilon) for b in res.blocks]
+    results = list(enumerate((anisotropy(b.gauge, res.kind, res.epsilon) for b in res.blocks), 1))
     if args.block is not None:
         results = [results[args.block - 1]]
     if args.json:
         _write(_emit_json({"blocks": [
             {"verdict": r.verdict, "signature": list(r.signature),
-             "has_witness": r.witness is not None} for r in results]}))
+             "has_witness": r.witness is not None} for _, r in results]}))
     else:
-        for i, r in enumerate(results, 1):
+        for i, r in results:
             wit = " (witness found)" if r.witness is not None else ""
             _write(f"block {i}: {r.verdict} {r.signature}{wit}\n".encode())
     return 0
@@ -236,7 +235,7 @@ def _cmd_verify(args) -> int:
     diag = verify_witness(w)
     ok = diag.ok
     if ok and args.transport:
-        diag = transport_check(w, args.samples, args.seed)
+        diag = transport_check(w)
         ok = diag.ok
     if args.json:
         _write(_emit_json({"ok": ok, "diagnostics": diag.describe()}))
@@ -245,14 +244,17 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled checks (fallback: HORDERS_SEED, then 0)")
-        p.add_argument("--precision", type=_precision, default=16,
+        p.add_argument("--precision", type=_int_at_least(2), default=16,
                        help="default jet precision (default 16)")
 
     p = sub.add_parser("check", help="run every check in a session file")
@@ -296,16 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sh", help="base-changed signature and permutation witness")
     p.add_argument("--sig", default=None)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--s", type=_int_at_least(1), default=1)
+    p.add_argument("--t", type=_int_at_least(1), default=1)
     p.add_argument("--session", default=None)
     p.add_argument("--order", default=None)
     common(p)
     p.set_defaults(fn=_cmd_sh)
 
     p = sub.add_parser("sh-verify", help="brute-force pattern conjugation check")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--s", type=_int_at_least(1), required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--sig", required=True)
     common(p)
     p.set_defaults(fn=_cmd_sh_verify)
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p.add_argument("--transport", action="store_true",
                    help="also run the conjugation transport check")
-    p.add_argument("--samples", type=int, default=50)
     common(p)
     p.set_defaults(fn=_cmd_verify)
 
@@ -344,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("HORDERS_SEED", "0"))
     set_default_precision(args.precision)
     try:
         return args.fn(args)

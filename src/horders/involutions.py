@@ -46,7 +46,7 @@ from .errors import (
 )
 from .matrices import JetMatrix
 from .orders import BlockOrder, iso_decide, pattern_of
-from .scalars import Q, Scalar, ScalarKind
+from .scalars import Q, Scalar, ScalarKind, smat_invertible
 
 ANISOTROPIC = "anisotropic"
 ISOTROPIC = "isotropic"
@@ -204,7 +204,7 @@ def residue_involution(spec: InvolutionSpec) -> ResidueInvolution:
         res = tuple(
             tuple(a.entry(i, j).coeff(m) for j in range(start, start + size))
             for i in range(start, start + size))
-        if smat_inverse(res) is None:
+        if not smat_invertible(res):
             raise UnsupportedGaugeShape(
                 f"gauge block at row {start + 1} is not t^{m} times a unit block")
         blocks.append(ResidueBlock(size, m, res))
@@ -235,33 +235,6 @@ def smat_conj_transpose(m: SMat) -> SMat:
 
 def smat_is_zero(m: SMat) -> bool:
     return all(e.is_zero() for row in m for e in row)
-
-
-def smat_inverse(m: SMat) -> SMat | None:
-    """Inverse over the scalars, or None when singular."""
-    n = len(m)
-    kind = m[0][0].kind
-    work = [list(row) + list(smat_identity(kind, n)[i]) for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not work[r][col].is_zero():
-                try:
-                    work[r][col].inverse()
-                except NotInvertible:
-                    continue
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [inv * e for e in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import NotInvertible, ScalarKindMismatch, SizeMismatch
-from .scalars import LaurentJet, ScalarKind
+from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
+from .scalars import LaurentJet, Q, Scalar, ScalarKind, smat_invertible
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,10 @@ class JetMatrix:
         kind = self.kind.extended(d)
         return JetMatrix(kind, tuple(tuple(e.extended(d) for e in row) for row in self.rows))
 
+    @property
+    def is_exact(self) -> bool:
+        return all(e.is_exact for row in self.rows for e in row)
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 
@@ -145,21 +149,45 @@ class JetMatrix:
         self._check(other)
         return all(a.agrees(b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
+    def field_invertible(self) -> bool:
+        """Exact invertibility over the Laurent field; all entries exact.
+
+        With row i scaled by t^-(its lowest exponent), the determinant of
+        the left-regular representation over Q is a polynomial of degree
+        at most D = dim * sum over rows of (highest - lowest exponent), so
+        it is nonzero iff it is nonzero at one of t = 1, ..., D + 1.
+        """
+        rows = [[e for e in row if e.coeffs] for row in self.rows]
+        if not all(rows):
+            return False
+        span = sum(max(e.degree() for e in r) - min(e.lowest_exp for e in r) for r in rows)
+        return any(smat_invertible(self._evaluate(Q(x)))
+                   for x in range(1, self.kind.dim * span + 2))
+
+    def _evaluate(self, x: Q) -> list[list[Scalar]]:
+        zero = Scalar.zero(self.kind)
+        return [[sum((c.times(x ** (e.lowest_exp + k)) for k, c in enumerate(e.coeffs)), zero)
+                 for e in row] for row in self.rows]
+
     def inverse(self) -> "JetMatrix":
         """Gauss-Jordan over the Laurent field; left row operations only.
 
         Pivots need a determinate valuation and an invertible leading
         coefficient (extended kinds can contain zero divisors).  Entries
-        that are zero to their precision are treated as zero.
+        that are zero to their precision are never pivots; a column left
+        without a pivot raises InsufficientPrecision if it holds such an
+        entry, unless the matrix is exact and singular over the Laurent
+        field, and NotInvertible otherwise.
         """
         n = self.n
         work = [list(row) + [LaurentJet.one(self.kind) if i == j else LaurentJet.zero(self.kind)
                              for j in range(n)] for i, row in enumerate(self.rows)]
         for col in range(n):
-            best, best_inv = None, None
+            best, best_inv, vague = None, None, False
             for r in range(col, n):
                 e = work[r][col]
                 if not e.coeffs:
+                    vague = vague or not e.is_exact
                     continue
                 if best is not None and e.valuation() >= work[best][col].valuation():
                     continue
@@ -168,6 +196,9 @@ class JetMatrix:
                 except NotInvertible:
                     continue
                 best, best_inv = r, inv
+            if best is None and vague and (not self.is_exact or self.field_invertible()):
+                raise InsufficientPrecision(
+                    f"no usable pivot in column {col}: an entry is zero only to its precision")
             if best is None:
                 raise NotInvertible(f"no usable pivot in column {col}")
             work[col], work[best] = work[best], work[col]

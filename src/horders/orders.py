@@ -12,12 +12,11 @@ division datum it decides isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Iterable
 
 from .errors import ScalarKindMismatch, SizeMismatch
 from .matrices import JetMatrix
-from .scalars import BASE, LaurentJet, ScalarKind, random_scalar
+from .scalars import BASE, ScalarKind
 
 
 @dataclass(frozen=True)
@@ -216,26 +215,3 @@ def ss_iso_decide_fixed(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
     """Componentwise variant: factor k must match factor k."""
     return len(a.components) == len(b.components) and all(
         iso_decide(x, y) for x, y in zip(a.components, b.components))
-
-
-# ---------------------------------------------------------------------------
-# Seeded sampling used by transport checks.
-
-
-def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
-                   bound: int = 3) -> JetMatrix:
-    """Random element of the order (or its radical): entry (i, j) is
-    t^P[i][j] * (c0 + c1*t) with scalar components drawn from [-bound, bound]."""
-    kind = order.division.kind
-    p = radical_pattern(order.sig) if radical else pattern_of(order.sig)
-    n = order.sig.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c0 = random_scalar(kind, rng, bound)
-            c1 = random_scalar(kind, rng, bound)
-            row.append(LaurentJet(kind, p.entries[i][j], (c0, c1)))
-        row = tuple(row)
-        rows.append(row)
-    return JetMatrix(kind, tuple(rows))

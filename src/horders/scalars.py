@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Sequence
 
 from .errors import (
@@ -120,6 +119,20 @@ def quadratic(d: int) -> ScalarKind:
     return ScalarKind("quad", d)
 
 
+def _mul_parts(k: ScalarKind, a: tuple, b: tuple) -> tuple:
+    # product of two coordinate tuples over k; any exact number type
+    m = k.core_dim
+    if k.ext is None:
+        return _core_mul(k.core, k.d, a, b)
+    lo1 = _core_mul(k.core, k.d, a[:m], b[:m])
+    lo2 = _core_mul(k.core, k.d, a[m:], b[m:])
+    hi1 = _core_mul(k.core, k.d, a[:m], b[m:])
+    hi2 = _core_mul(k.core, k.d, a[m:], b[:m])
+    lo = tuple(x + k.ext * y for x, y in zip(lo1, lo2))
+    hi = tuple(x + y for x, y in zip(hi1, hi2))
+    return lo + hi
+
+
 def _core_mul(core: str, d: int | None, a: tuple, b: tuple) -> tuple:
     if core == "base":
         return (a[0] * b[0],)
@@ -207,20 +220,7 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        k = self.kind
-        m = k.core_dim
-        if k.ext is None:
-            return Scalar(k, _core_mul(k.core, k.d, self.parts, other.parts))
-        alo, ahi = self.parts[:m], self.parts[m:]
-        blo, bhi = other.parts[:m], other.parts[m:]
-        lo1 = _core_mul(k.core, k.d, alo, blo)
-        lo2 = _core_mul(k.core, k.d, ahi, bhi)
-        hi1 = _core_mul(k.core, k.d, alo, bhi)
-        hi2 = _core_mul(k.core, k.d, ahi, blo)
-        e = k.ext
-        lo = tuple(a + e * b for a, b in zip(lo1, lo2))
-        hi = tuple(a + b for a, b in zip(hi1, hi2))
-        return Scalar(k, lo + hi)
+        return Scalar(self.kind, _mul_parts(self.kind, self.parts, other.parts))
 
     def times(self, q) -> "Scalar":
         """Multiply by a central rational."""
@@ -254,13 +254,7 @@ class Scalar:
             return self.conj().times(Q(1) / n)
         # The extended algebra can have zero divisors; invert through the
         # left-regular representation over the rational basis.
-        dim = k.dim
-        cols = []
-        for j in range(dim):
-            cols.append((self * Scalar.basis(k, j)).parts)
-        mat = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        rhs = [Q(1)] + [Q(0)] * (dim - 1)
-        sol = _solve_rational(mat, rhs)
+        sol = _solve_rational(left_regular(((self,),)), [Q(1)] + [Q(0)] * (k.dim - 1))
         if sol is None:
             raise NotInvertible(f"scalar {self} is a zero divisor or zero")
         return Scalar(k, tuple(sol))
@@ -316,6 +310,34 @@ def _core_str(kind: ScalarKind, parts: tuple) -> str:
     return out
 
 
+def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[Q]]:
+    """Rational matrix of x -> m * x on A^n, A the scalar algebra: block
+    (i, j) is left multiplication by m[i][j].  m is a unit of M_n(A) iff
+    this matrix is nonsingular, zero divisors in A included."""
+    kind = rows[0][0].kind
+    dim = kind.dim
+    unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
+    # table[a]: (c, r, k) for each nonzero part k of e_a * e_c at index r
+    table = [[(c, r, k) for c in range(dim)
+              for r, k in enumerate(_mul_parts(kind, unit[a], unit[c])) if k]
+             for a in range(dim)]
+    out = [[Q(0)] * (len(rows) * dim) for _ in range(len(rows) * dim)]
+    for i, row in enumerate(rows):
+        for j, s in enumerate(row):
+            for a, x in enumerate(s.parts):
+                if x:
+                    for c, r, k in table[a]:
+                        out[i * dim + r][j * dim + c] += x * k
+    return out
+
+
+def smat_invertible(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Exact invertibility over the scalars, zero divisors included: a
+    unit iff its left-regular representation over Q is nonsingular."""
+    reg = left_regular(rows)
+    return _solve_rational(reg, [Q(0)] * len(reg)) is not None
+
+
 def _solve_rational(mat: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
     """Gaussian elimination over the rationals; None if singular."""
     n = len(mat)
@@ -330,7 +352,7 @@ def _solve_rational(mat: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
 
 
@@ -628,10 +650,3 @@ def _product_precision(a: LaurentJet, b: LaurentJet) -> int | None:
         else:
             return None
     return min(cands) if cands else None
-
-
-def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
-    while True:
-        s = Scalar(kind, tuple(Q(rng.randint(-bound, bound)) for _ in range(kind.dim)))
-        if not nonzero or not s.is_zero():
-            return s

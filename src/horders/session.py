@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from zlib import crc32
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
 from .errors import (
@@ -572,6 +571,10 @@ class _Parser:
             elif arg[0] != want:
                 raise SessionTypeError(
                     f"{func} expects a {want} argument, got {arg[0]}", tok.line, tok.col)
+            elif min(arg[1] if want == "tuple" else (arg[1],)) < 1:
+                text = _format_tuple(arg[1]) if want == "tuple" else str(arg[1])
+                raise SessionTypeError(
+                    f"{func} expects positive integers, got {text}", tok.line, tok.col)
         allowed = _CHECK_KWARGS.get(func, set())
         for key, value in kwargs:
             if key not in allowed:
@@ -690,7 +693,7 @@ def _as_semisimple(obj) -> SemisimpleOrder:
     return obj if isinstance(obj, SemisimpleOrder) else SemisimpleOrder((obj,))
 
 
-def _dispatch(session: Session, decl: CheckDecl, seed: int) -> tuple[str, str]:
+def _dispatch(session: Session, decl: CheckDecl) -> tuple[str, str]:
     """Returns (actual, detail)."""
     table = {**session.orders, **session.involutions, **session.witnesses,
              **session.divisions}
@@ -740,8 +743,7 @@ def _dispatch(session: Session, decl: CheckDecl, seed: int) -> tuple[str, str]:
         diag = verify_witness(arg(0))
         return _fmt_bool(diag.ok), diag.describe()
     if func == "transport":
-        samples = kwargs.get("samples", 50)
-        diag = transport_check(arg(0), samples, seed)
+        diag = transport_check(arg(0))  # samples=n is accepted and has no effect
         return _fmt_bool(diag.ok), diag.describe()
     raise AssertionError(f"unhandled check {func}")
 
@@ -752,13 +754,16 @@ def _fmt_bool(value: bool) -> str:
 
 def run_session(session: Session, seed: int = 0) -> Report:
     """Run every check declaration in order, comparing against its
-    expectation; errors raised by a check match `expect error CODE`."""
+    expectation; errors raised by a check match `expect error CODE`.
+
+    ``seed`` has no effect, since every check is exact; it is still
+    accepted because ``perfbench/workloads.py`` passes it.
+    """
     results = []
     for decl in session.checks:
         start = time.perf_counter()
-        check_seed = seed ^ crc32(decl.name.encode())
         try:
-            actual, detail = _dispatch(session, decl, check_seed)
+            actual, detail = _dispatch(session, decl)
         except HordersError as exc:
             actual, detail = f"error {type(exc).__name__}", str(exc)
         elapsed = time.perf_counter() - start

@@ -8,19 +8,31 @@ unit of the declared ring, conjugation by u transports the first
 twisted involution to the second over that ring.  All identity checks
 demand exact Laurent polynomials on both sides; a precision-limited
 tail is an error, never a pass.
+
+Nothing is inverted and nothing is sampled: every question is an exact
+identity or asks whether a rational matrix is singular.
+
+* Units lift modulo the Jacobson radical (Reiner, *Maximal Orders*,
+  ch. 9), and a block order modulo its radical is the product of its
+  residue diagonal blocks: u in the order is a unit iff the t^0
+  coefficients of every diagonal block form an invertible matrix.
+* The commutant of a full lattice in M_n(D((t))) is the centre: u
+  transports sigma1 to sigma2 (tau(x) * W = W * sigma1(x) on the order,
+  W = tau(u) * a2 * u) iff W = c * a1 with c central.
+
+Invertibility over the Laurent field is decided exactly by
+``JetMatrix.field_invertible``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from random import Random
 
 from .basechange import becomes_iso_after_sh, verify_sh_pattern
 from .errors import (
     Diagnostics,
     InsufficientPrecision,
-    NotInvertible,
     OK,
     ScalarKindMismatch,
     SizeMismatch,
@@ -35,6 +47,7 @@ from .involutions import (
     distinguish,
     residue_involution,
     smat_conj_transpose,
+    smat_invertible,
     smat_is_zero,
     smat_mul,
     wellformed,
@@ -47,7 +60,6 @@ from .orders import (
     Signature,
     meets_pattern,
     pattern_of,
-    sample_element,
     ss_iso_decide,
 )
 from .scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
@@ -112,14 +124,13 @@ def _promote(x, kind: ScalarKind):
     return x if x.kind == kind else x.extended(kind.ext)
 
 
-def _require_exact(w: WitnessCheck) -> None:
-    entries = [e for row in w.u.rows for e in row]
-    entries += [e for row in w.spec1.gauge.rows for e in row]
-    entries += [e for row in w.spec2.gauge.rows for e in row]
-    entries.append(w.alpha)
-    if any(not e.is_exact for e in entries):
+def _exact_operands(w: WitnessCheck):
+    """u, a1, a2 and alpha over the working kind; all must be exact."""
+    if not all(x.is_exact for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha)):
         raise InsufficientPrecision(
             "witness identities are exact polynomial checks; all inputs must be exact")
+    kind = w._work_kind()
+    return tuple(_promote(x, kind) for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha))
 
 
 def _is_mode_coefficient(s: Scalar) -> bool:
@@ -146,15 +157,16 @@ def _alpha_unit(w: WitnessCheck, alpha: LaurentJet) -> Diagnostics:
     return OK
 
 
+def _is_central(s: Scalar) -> bool:
+    # only the quaternion units fail to commute with every scalar
+    return s.kind.core != "quat" or all(p == 0 for p in s.parts[1:4] + s.parts[5:])
+
+
 def verify_witness(w: WitnessCheck) -> Diagnostics:
-    """Check the transport identity exactly, then invertibility of u in
-    the declared ring, then that alpha is a unit of that ring."""
-    _require_exact(w)
-    kind = w._work_kind()
-    u = _promote(w.u, kind)
-    alpha = _promote(w.alpha, kind)
-    a1 = _promote(w.spec1.gauge, kind)
-    a2 = _promote(w.spec2.gauge, kind)
+    """Check the transport identity exactly, then invertibility of u over
+    the Laurent field, then (base and etale modes) that u is a unit of
+    the order, then that alpha is a unit of the declared ring."""
+    u, a1, a2, alpha = _exact_operands(w)
 
     lhs = apply_tau(u) @ a2 @ u
     rhs = a1.lscale(alpha)
@@ -166,70 +178,55 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
             f"tau(u)*a2*u != alpha*a1 at entry {bad[0] + 1},{bad[1] + 1}: "
             f"{lhs.entry(*bad)} vs {rhs.entry(*bad)}")
 
-    try:
-        u_inv = u.inverse()
-    except NotInvertible as exc:
-        return failure("NotInvertible", f"u is not invertible: {exc}")
+    if not u.field_invertible():
+        return failure("NotInvertible", "u is not invertible over the Laurent field")
     if w.mode.ring in (BASE_RING, ETALE):
-        pattern = pattern_of(w.spec1.order.sig)
-        ok, bad = meets_pattern(u, pattern)
+        sig = w.spec1.order.sig
+        ok, bad = meets_pattern(u, pattern_of(sig))
         if not ok:
             return failure(
                 "NotContained",
                 f"u entry {bad[0] + 1},{bad[1] + 1} = {u.entry(*bad)} violates the order pattern")
-        ok, bad = meets_pattern(u_inv, pattern)
-        if not ok:
-            return failure(
-                "NotInvertible",
-                f"u is not a unit of the order: inverse entry {bad[0] + 1},{bad[1] + 1} = "
-                f"{u_inv.entry(*bad)} violates the order pattern")
+        for k, (start, size) in enumerate(zip(sig.block_starts(), sig.parts)):
+            block = tuple(tuple(u.entry(i, j).coeff(0) for j in range(start, start + size))
+                          for i in range(start, start + size))
+            if not smat_invertible(block):
+                return failure(
+                    "NotInvertible",
+                    f"u is not a unit of the order: residue block {k + 1} is singular")
 
     return _alpha_unit(w, alpha)
 
 
-def transport_check(w: WitnessCheck, samples: int = 50, seed: int = 0) -> Diagnostics:
-    """Verify that conjugation by u intertwines the two involutions.
+def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
+    """Decide exactly that a1 and u are invertible and W = tau(u) * a2 * u
+    is c * a1 with c central: with a = a1[p][q] the first nonzero entry,
+    N = a * conj(a) is a nonzero rational, c = m / N for m = W[p][q] *
+    conj(a), so m must be central and N * W = m * a1 entrywise.
 
-    Checks the inverse-free form tau(x) * W = W * sigma1(x) with
-    W = tau(u) * a2 * u, first on every pattern generator and then on
-    ``samples`` seeded random elements of the order; equivalent to the
-    conjugation identity whenever u is invertible.
+    ``samples`` has no effect, since the check is exact; it is still
+    accepted because ``perfbench/baselines.py`` passes it.
     """
-    _require_exact(w)
-    kind = w._work_kind()
-    u = _promote(w.u, kind)
-    a1 = _promote(w.spec1.gauge, kind)
-    a2 = _promote(w.spec2.gauge, kind)
-    try:
-        a1_inv = a1.inverse()
-    except NotInvertible as exc:
-        return failure("NotInvertible", f"first gauge: {exc}")
-    try:
-        u.inverse()
-    except NotInvertible as exc:
-        return failure("NotInvertible", f"u: {exc}")
+    u, a1, a2, _ = _exact_operands(w)
+    if not a1.field_invertible():
+        return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
+    if not u.field_invertible():
+        return failure("NotInvertible", "u is not invertible over the Laurent field")
     big = apply_tau(u) @ a2 @ u
-
-    def holds(x: JetMatrix) -> bool:
-        lhs = apply_tau(x) @ big
-        rhs = big @ (a1_inv @ apply_tau(x) @ a1)
-        return lhs.agrees(rhs)
-
-    order = w.spec1.order
-    pattern = pattern_of(order.sig)
-    n = order.sig.n
-    for i in range(n):
-        for j in range(n):
-            g = JetMatrix.unit(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
-            if not holds(g):
-                return failure(
-                    "TransportFailed",
-                    f"conjugation fails on generator t^{pattern.entries[i][j]}*e[{i + 1},{j + 1}]")
-    rng = Random(seed)
-    for k in range(samples):
-        x = _promote(sample_element(order, rng), kind)
-        if not holds(x):
-            return failure("TransportFailed", f"conjugation fails on sample #{k + 1}")
+    cells = [(i, j) for i in range(u.n) for j in range(u.n)]
+    p, q = next((i, j) for i, j in cells if not a1.entry(i, j).is_zero())
+    abar = a1.entry(p, q).conj()
+    norm = a1.entry(p, q) * abar
+    m = big.entry(p, q) * abar
+    if not all(_is_central(c) for c in m.coeffs):
+        bad = (p, q)
+    else:
+        bad = next(((i, j) for i, j in cells
+                    if norm * big.entry(i, j) != m * a1.entry(i, j)), None)
+    if bad is not None:
+        return failure(
+            "TransportFailed",
+            f"tau(u)*a2*u is not a central multiple of a1 at entry {bad[0] + 1},{bad[1] + 1}")
     return OK
 
 
@@ -406,7 +403,11 @@ def _replay_sh_permutation() -> list[StepResult]:
 
 
 def replay(scenario: str, seed: int = 0) -> ReplayReport:
-    """Run one bundled scenario and report each expectation."""
+    """Run one bundled scenario and report each expectation.
+
+    ``seed`` has no effect, since every step is exact; it is still
+    accepted because ``perfbench/workloads.py`` passes it.
+    """
     start = time.perf_counter()
     if scenario in _MAIN_KINDS:
         steps = _replay_main(scenario)

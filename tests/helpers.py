@@ -5,8 +5,16 @@ from random import Random
 from horders.errors import Diagnostics, NotInvertible, OK, failure
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
-from horders.orders import BlockOrder, meets_pattern, pattern_of
-from horders.scalars import LaurentJet, ScalarKind, random_scalar
+from horders.orders import BlockOrder, meets_pattern, pattern_of, radical_pattern
+from horders.scalars import LaurentJet, Q, Scalar, ScalarKind
+from horders.witness import WitnessCheck
+
+
+def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
+    while True:
+        s = Scalar(kind, tuple(Q(rng.randint(-bound, bound)) for _ in range(kind.dim)))
+        if not nonzero or not s.is_zero():
+            return s
 
 
 def random_jet(kind: ScalarKind, rng: Random, *, lowest: int = -2, highest: int = 3,
@@ -15,6 +23,20 @@ def random_jet(kind: ScalarKind, rng: Random, *, lowest: int = -2, highest: int 
     width = rng.randint(1, 3)
     coeffs = [random_scalar(kind, rng, bound) for _ in range(width)]
     return LaurentJet(kind, lo, coeffs, precision)
+
+
+def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
+                   bound: int = 3) -> JetMatrix:
+    """Random element of the order (or its radical): entry (i, j) is
+    t^P[i][j] * (c0 + c1*t) with scalar components drawn from [-bound, bound]."""
+    kind = order.division.kind
+    p = radical_pattern(order.sig) if radical else pattern_of(order.sig)
+    n = order.sig.n
+    return JetMatrix(kind, tuple(
+        tuple(LaurentJet(kind, p.entries[i][j],
+                         (random_scalar(kind, rng, bound), random_scalar(kind, rng, bound)))
+              for j in range(n))
+        for i in range(n)))
 
 
 def sample_block_unit(order: BlockOrder, rng: Random, *, bound: int = 2) -> JetMatrix:
@@ -73,4 +95,45 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
             twice = ainv @ apply_tau(image) @ a
             if not twice.agrees(g):
                 return failure("NotInvolutive", f"sigma^2 != id on generator e[{i + 1},{j + 1}]")
+    return OK
+
+
+def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> Diagnostics:
+    """Reference for ``transport_check``: the inverse-free identity
+    tau(x) * W = W * sigma1(x), W = tau(u) * a2 * u, on every pattern
+    generator and then on ``samples`` seeded elements of the order.  Only
+    the verdict and code are comparable; the details differ."""
+    kind = w._work_kind()
+
+    def promote(x):
+        return x if x.kind == kind else x.extended(kind.ext)
+
+    u, a1, a2 = promote(w.u), promote(w.spec1.gauge), promote(w.spec2.gauge)
+    try:
+        a1_inv = a1.inverse()
+    except NotInvertible as exc:
+        return failure("NotInvertible", f"first gauge: {exc}")
+    try:
+        u.inverse()
+    except NotInvertible as exc:
+        return failure("NotInvertible", f"u: {exc}")
+    big = apply_tau(u) @ a2 @ u
+
+    def holds(x: JetMatrix) -> bool:
+        return (apply_tau(x) @ big).agrees(big @ (a1_inv @ apply_tau(x) @ a1))
+
+    order = w.spec1.order
+    pattern = pattern_of(order.sig)
+    n = order.sig.n
+    for i in range(n):
+        for j in range(n):
+            g = JetMatrix.unit(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
+            if not holds(g):
+                return failure(
+                    "TransportFailed",
+                    f"conjugation fails on generator t^{pattern.entries[i][j]}*e[{i + 1},{j + 1}]")
+    rng = Random(seed)
+    for k in range(samples):
+        if not holds(promote(sample_element(order, rng))):
+            return failure("TransportFailed", f"conjugation fails on sample #{k + 1}")
     return OK

@@ -40,10 +40,9 @@ from horders.orders import (
     iso_decide,
     pattern_of,
     radical_pattern,
-    sample_element,
     ss_iso_decide,
 )
-from horders.scalars import BASE, QUATERNION, LaurentJet, Scalar, quadratic, random_scalar
+from horders.scalars import BASE, QUATERNION, LaurentJet, Scalar, quadratic
 from horders.witness import (
     MODE_BASE,
     WitnessCheck,
@@ -54,7 +53,7 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import sample_block_unit
+from helpers import random_scalar, sample_block_unit, sample_element
 
 KINDS = [BASE, quadratic(-1), QUATERNION]
 

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from horders.errors import (
+    InsufficientPrecision,
     NotEpsilonHermitian,
     SingularForm,
     UnsupportedFormKind,
@@ -34,7 +35,6 @@ from horders.orders import (
     DivisionSpec,
     Signature,
     contains,
-    sample_element,
 )
 from horders.scalars import (
     BASE,
@@ -43,12 +43,11 @@ from horders.scalars import (
     Scalar,
     default_precision,
     quadratic,
-    random_scalar,
     set_default_precision,
 )
 from horders.witness import counterexample_pair
 
-from helpers import sample_block_unit, wellformed_by_products
+from helpers import random_scalar, sample_block_unit, sample_element, wellformed_by_products
 
 QUAD = quadratic(-1)
 
@@ -137,6 +136,25 @@ def test_sigma_uses_the_current_precision():
         set_default_precision(16)
 
 
+def test_gauge_inverse_at_low_precision_is_insufficient_precision():
+    # at precision 3 the third pivot cancels to a jet known only to be
+    # zero modulo a power of t: missing precision, not a singular gauge
+    t = LaurentJet.t_power
+    z = LaurentJet.zero(BASE)
+    gauge = JetMatrix.of([
+        [t(BASE, 2, -2), z, z],
+        [z, LaurentJet.from_coeffs(BASE, -1, [2, 0, 0, 1]), t(BASE, -1, -2)],
+        [z, t(BASE, -1, -2), t(BASE, -1, 2)],
+    ])
+    try:
+        set_default_precision(3)
+        with pytest.raises(InsufficientPrecision):
+            gauge.inverse()
+    finally:
+        set_default_precision(16)
+    assert (gauge @ gauge.inverse()).agrees(JetMatrix.identity(BASE, 3))
+
+
 def test_sigma_squares_to_identity():
     rng = Random(47)
     spec1, spec2, _, _ = counterexample_pair()
@@ -208,6 +226,21 @@ def test_non_hermitian_gauge_is_rejected():
     diagres = wellformed(InvolutionSpec(a, gauge))
     assert not diagres.ok
     assert diagres.code == "NotEpsilonHermitian"
+
+
+@pytest.mark.parametrize("precision", [4, 16, 64])
+def test_singular_hermitian_gauge_is_not_invertible(precision):
+    # eliminating with the truncated inverse of 1 + t leaves a second
+    # pivot that is zero only to its precision; the gauge is exact and
+    # singular, so more precision would never help
+    a = order(1, 1)
+    e = LaurentJet.from_coeffs(BASE, 0, [1, 1])
+    try:
+        set_default_precision(precision)
+        diagres = wellformed(InvolutionSpec(a, JetMatrix.of([[e, e], [e, e]])))
+    finally:
+        set_default_precision(16)
+    assert diagres.code == "NotInvertible"
 
 
 def _random_gauge_spec(kind, rng):
@@ -405,7 +438,6 @@ def test_congruence_invariance_sampled():
 
 
 def _random_invertible_smat(kind, n, rng):
-    from horders.scalars import random_scalar
     lower = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
     upper = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -23,13 +23,12 @@ from horders.orders import (
     pattern_of,
     pattern_pow,
     radical_pattern,
-    sample_element,
     ss_iso_decide,
     ss_iso_decide_fixed,
 )
 from horders.scalars import BASE, QUATERNION, LaurentJet
 
-from helpers import sample_block_unit
+from helpers import sample_block_unit, sample_element
 
 D = DivisionSpec("D")
 

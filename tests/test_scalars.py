@@ -19,10 +19,9 @@ from horders.scalars import (
     LaurentJet,
     Scalar,
     quadratic,
-    random_scalar,
 )
 
-from helpers import random_jet
+from helpers import random_jet, random_scalar
 
 QUAD = quadratic(-1)
 KINDS = [BASE, QUAD, quadratic(-3), QUATERNION]

@@ -207,3 +207,18 @@ def test_bad_aniso_block_is_a_type_error(block):
         parse_session(text)
     assert err.value.line == text.count("\n")
     assert "block must be an integer in 1..2" in str(err.value)
+
+
+@pytest.mark.parametrize("call", [
+    "sh_verify(1, 1, (0))",
+    "sh_verify(0, 1, (1))",
+    "sh_verify(1, -2, (1))",
+    "descend_sig((2,2), 0, 1)",
+    "descend_sig((2,-2), 1, 1)",
+])
+def test_non_positive_arguments_are_type_errors(call):
+    text = f"division D = base s=1 t=1\ncheck c = {call} expect true\n"
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(text)
+    assert err.value.line == 2
+    assert "expects positive integers" in str(err.value)
