@@ -22,7 +22,7 @@ class JetMatrix:
             if len(row) != n:
                 raise SizeMismatch("matrix must be square")
             for entry in row:
-                if entry.kind != self.kind:
+                if entry.kind is not self.kind and entry.kind != self.kind:
                     raise ScalarKindMismatch(f"entry kind {entry.kind} in a {self.kind} matrix")
 
     @staticmethod
@@ -82,7 +82,7 @@ class JetMatrix:
         return self.rows[i][j]
 
     def _check(self, other: "JetMatrix") -> None:
-        if self.kind != other.kind:
+        if self.kind is not other.kind and self.kind != other.kind:
             raise ScalarKindMismatch(f"{self.kind} vs {other.kind}")
         if self.n != other.n:
             raise SizeMismatch(f"{self.n}x{self.n} vs {other.n}x{other.n}")

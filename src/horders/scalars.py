@@ -10,6 +10,16 @@ central, conjugation-fixed square root (quadratic etale base change of
 the coefficient ring); the extended algebra can contain zero divisors,
 so inversion there may legitimately fail.
 
+A :class:`Scalar` stores its rational coordinates as integer numerators
+over one shared positive denominator, always in lowest terms, so every
+value has exactly one representation and arithmetic runs on integers.
+Linear algebra over the scalars goes through the left-regular
+representation, an integer matrix over Q (each block-row scaled by the
+lcm of its denominators, which does not change singularity), and one
+fraction-free elimination (Bareiss 1968): every intermediate entry is a
+minor of the input, so the integers stay small and every division is
+exact.
+
 A :class:`LaurentJet` is a truncated Laurent series over a single scalar
 kind: a dense coefficient window starting at ``lowest_exp`` together
 with the precision modulo ``t^precision`` to which the value is known.
@@ -20,8 +30,9 @@ never silently treated as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -70,11 +81,15 @@ class ScalarKind:
     ``core`` is ``"base"``, ``"quad"`` or ``"quat"``; quadratic kinds
     carry the negative square-free discriminant ``d``.  ``ext`` adjoins
     a central conjugation-fixed square root of ``ext`` to the core.
+    ``core_dim`` and ``dim`` are the rational dimensions of the core and
+    of the whole algebra, fixed when the kind is made.
     """
 
     core: str
     d: int | None = None
     ext: int | None = None
+    core_dim: int = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.core not in _CORE_DIM:
@@ -87,14 +102,9 @@ class ScalarKind:
         if self.ext is not None:
             if self.ext in (0, 1) or not _is_squarefree(self.ext):
                 raise ValueError("extension discriminant must be square-free and not a square")
-
-    @property
-    def core_dim(self) -> int:
-        return _CORE_DIM[self.core]
-
-    @property
-    def dim(self) -> int:
-        return self.core_dim * (2 if self.ext is not None else 1)
+        core_dim = _CORE_DIM[self.core]
+        object.__setattr__(self, "core_dim", core_dim)
+        object.__setattr__(self, "dim", core_dim * (2 if self.ext is not None else 1))
 
     def extended(self, d: int) -> "ScalarKind":
         if self.ext is not None:
@@ -120,10 +130,10 @@ def quadratic(d: int) -> ScalarKind:
 
 
 def _mul_parts(k: ScalarKind, a: tuple, b: tuple) -> tuple:
-    # product of two coordinate tuples over k; any exact number type
-    m = k.core_dim
+    # product of two integer coordinate tuples over k
     if k.ext is None:
         return _core_mul(k.core, k.d, a, b)
+    m = k.core_dim
     lo1 = _core_mul(k.core, k.d, a[:m], b[:m])
     lo2 = _core_mul(k.core, k.d, a[m:], b[m:])
     hi1 = _core_mul(k.core, k.d, a[:m], b[m:])
@@ -154,37 +164,63 @@ def _core_conj(core: str, a: tuple) -> tuple:
     return (a[0],) + tuple(-c for c in a[1:])
 
 
-@dataclass(frozen=True)
+def _same_kind(a: ScalarKind, b: ScalarKind) -> None:
+    if a is not b and a != b:
+        raise ScalarKindMismatch(f"{a} vs {b}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Scalar:
-    """An exact element of a scalar kind, stored over its rational basis."""
+    """An exact element of a scalar kind: ``num[i] / den`` is its rational
+    coordinate on the i-th basis element.
+
+    The form is canonical: ``den > 0`` and ``gcd(den, *num) == 1``, so
+    zero is ``(0, ..., 0), 1`` and field equality and hashing are value
+    equality.  ``Scalar(kind, parts)`` accepts any exact numbers;
+    ``parts`` reads the coordinates back as fractions.
+    """
 
     kind: ScalarKind
-    parts: tuple[Q, ...]
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, kind: ScalarKind, parts: Sequence) -> None:
+        parts = tuple(parts)
+        if all(type(p) is int for p in parts):
+            num, den = parts, 1
+        else:
+            qs = [Q(p) for p in parts]
+            den = lcm(*(q.denominator for q in qs))
+            num = tuple(q.numerator * (den // q.denominator) for q in qs)
+        _set_kind(self, kind)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    @property
+    def parts(self) -> tuple[Q, ...]:
+        return tuple(Q(x, self.den) for x in self.num)
 
     @staticmethod
     def of(kind: ScalarKind, *parts) -> "Scalar":
-        qs = tuple(Q(p) for p in parts)
-        if len(qs) != kind.dim:
-            qs = qs + (Q(0),) * (kind.dim - len(qs))
-        return Scalar(kind, qs)
+        return Scalar(kind, parts + (0,) * (kind.dim - len(parts)))
 
     @staticmethod
     def rational(kind: ScalarKind, value) -> "Scalar":
-        return Scalar.of(kind, Q(value))
+        return Scalar.of(kind, value)
 
     @staticmethod
     def zero(kind: ScalarKind) -> "Scalar":
-        return Scalar.of(kind)
+        return _raw(kind, (0,) * kind.dim, 1)
 
     @staticmethod
     def one(kind: ScalarKind) -> "Scalar":
-        return Scalar.of(kind, 1)
+        return _raw(kind, (1,) + (0,) * (kind.dim - 1), 1)
 
     @staticmethod
     def basis(kind: ScalarKind, index: int) -> "Scalar":
-        parts = [Q(0)] * kind.dim
-        parts[index] = Q(1)
-        return Scalar(kind, tuple(parts))
+        num = [0] * kind.dim
+        num[index] = 1
+        return _raw(kind, tuple(num), 1)
 
     @staticmethod
     def sqrt_gen(kind: ScalarKind) -> "Scalar":
@@ -200,83 +236,105 @@ class Scalar:
             raise ScalarKindMismatch(f"{kind} is not extended")
         return Scalar.basis(kind, kind.core_dim)
 
-    def _check(self, other: "Scalar") -> None:
-        if self.kind != other.kind:
-            raise ScalarKindMismatch(f"{self.kind} vs {other.kind}")
-
     def is_zero(self) -> bool:
-        return all(p == 0 for p in self.parts)
+        return not any(self.num)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.kind, tuple(a + b for a, b in zip(self.parts, other.parts)))
+        k = self.kind
+        _same_kind(k, other.kind)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(k, tuple(a + b for a, b in zip(self.num, other.num)), d1)
+        return _reduced(k, tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.kind, tuple(a - b for a, b in zip(self.parts, other.parts)))
+        k = self.kind
+        _same_kind(k, other.kind)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(k, tuple(a - b for a, b in zip(self.num, other.num)), d1)
+        return _reduced(k, tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.kind, tuple(-a for a in self.parts))
+        return _raw(self.kind, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.kind, _mul_parts(self.kind, self.parts, other.parts))
+        k = self.kind
+        _same_kind(k, other.kind)
+        return _reduced(k, _mul_parts(k, self.num, other.num), self.den * other.den)
 
     def times(self, q) -> "Scalar":
         """Multiply by a central rational."""
         q = Q(q)
-        return Scalar(self.kind, tuple(q * a for a in self.parts))
+        p = q.numerator
+        return _reduced(self.kind, tuple(p * a for a in self.num), self.den * q.denominator)
 
     def conj(self) -> "Scalar":
         k = self.kind
-        m = k.core_dim
         if k.ext is None:
-            return Scalar(k, _core_conj(k.core, self.parts))
-        return Scalar(k, _core_conj(k.core, self.parts[:m]) + _core_conj(k.core, self.parts[m:]))
+            return _raw(k, _core_conj(k.core, self.num), self.den)
+        m = k.core_dim
+        return _raw(k, _core_conj(k.core, self.num[:m]) + _core_conj(k.core, self.num[m:]),
+                    self.den)
 
-    def norm(self) -> Q:
-        """x * conj(x) as a rational; positive definite on unextended kinds."""
+    def _norm_num(self) -> int:
+        # den^2 * norm, an integer
         k = self.kind
         if k.ext is not None:
             raise ScalarKindMismatch("norm is only rational-valued on unextended kinds")
-        if k.core == "base":
-            return self.parts[0] ** 2
         if k.core == "quad":
-            return self.parts[0] ** 2 - k.d * self.parts[1] ** 2
-        return sum(p * p for p in self.parts)
+            a, b = self.num
+            return a * a - k.d * b * b
+        return sum(p * p for p in self.num)
+
+    def norm(self) -> Q:
+        """x * conj(x) as a rational; positive definite on unextended kinds."""
+        return Q(self._norm_num(), self.den * self.den)
 
     def inverse(self) -> "Scalar":
         k = self.kind
+        den = self.den
         if k.ext is None:
-            n = self.norm()
+            n = self._norm_num()
             if n == 0:
                 raise NotInvertible("zero scalar")
-            return self.conj().times(Q(1) / n)
+            return _reduced(k, tuple(den * c for c in _core_conj(k.core, self.num)), n)
         # The extended algebra can have zero divisors; invert through the
-        # left-regular representation over the rational basis.
-        sol = _solve_rational(left_regular(((self,),)), [Q(1)] + [Q(0)] * (k.dim - 1))
-        if sol is None:
+        # left-regular representation of num = den * self over Q.
+        dim = k.dim
+        rows = [row + [int(i == 0)] for i, row in enumerate(left_regular(((self,),)))]
+        det = _bareiss(rows, dim)
+        if det == 0:
             raise NotInvertible(f"scalar {self} is a zero divisor or zero")
-        return Scalar(k, tuple(sol))
+        # back-substitution for y = det * x; Cramer makes every y[i] an integer
+        y = [0] * dim
+        for i in range(dim - 1, -1, -1):
+            row = rows[i]
+            acc = row[dim] * det - sum(row[j] * y[j] for j in range(i + 1, dim))
+            y[i] = acc // row[i]
+        if det < 0:
+            den, det = -den, -det
+        return _reduced(k, tuple(den * v for v in y), det)
 
     def is_rational(self) -> bool:
-        return all(p == 0 for p in self.parts[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Q:
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
-        return self.parts[0]
+        return Q(self.num[0], self.den)
 
     def extended(self, d: int) -> "Scalar":
         k = self.kind.extended(d)
-        return Scalar(k, self.parts + (Q(0),) * self.kind.core_dim)
+        return _raw(k, self.num + (0,) * self.kind.core_dim, self.den)
 
     def __str__(self) -> str:
         k = self.kind
-        m = k.core_dim
+        parts = self.parts
         if k.ext is None:
-            return _core_str(k, self.parts)
-        lo, hi = self.parts[:m], self.parts[m:]
+            return _core_str(k, parts)
+        m = k.core_dim
+        lo, hi = parts[:m], parts[m:]
         root = f"sqrt({k.ext})"
         if all(p == 0 for p in hi):
             return _core_str(k, lo)
@@ -285,6 +343,31 @@ class Scalar:
         if all(p == 0 for p in lo):
             return hi_part
         return f"{_core_str(k, lo)} + {hi_part}"
+
+
+_set_kind = Scalar.kind.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+_new_scalar = object.__new__
+
+
+def _raw(kind: ScalarKind, num: tuple, den: int) -> Scalar:
+    # a Scalar already in canonical form
+    s = _new_scalar(Scalar)
+    _set_kind(s, kind)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
+
+
+def _reduced(kind: ScalarKind, num: tuple, den: int) -> Scalar:
+    # num / den in lowest terms; den > 0
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return _raw(kind, num, den)
 
 
 def _core_str(kind: ScalarKind, parts: tuple) -> str:
@@ -310,10 +393,12 @@ def _core_str(kind: ScalarKind, parts: tuple) -> str:
     return out
 
 
-def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[Q]]:
-    """Rational matrix of x -> m * x on A^n, A the scalar algebra: block
-    (i, j) is left multiplication by m[i][j].  m is a unit of M_n(A) iff
-    this matrix is nonsingular, zero divisors in A included."""
+def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Integer matrix of x -> m * x on A^n, A the scalar algebra, over
+    the rational basis: block (i, j) is left multiplication by m[i][j],
+    and block-row i is scaled by the lcm of the denominators in row i of
+    m.  Row scaling keeps singularity, so m is a unit of M_n(A) iff this
+    matrix is nonsingular, zero divisors in A included."""
     kind = rows[0][0].kind
     dim = kind.dim
     unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
@@ -321,11 +406,14 @@ def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[Q]]:
     table = [[(c, r, k) for c in range(dim)
               for r, k in enumerate(_mul_parts(kind, unit[a], unit[c])) if k]
              for a in range(dim)]
-    out = [[Q(0)] * (len(rows) * dim) for _ in range(len(rows) * dim)]
+    out = [[0] * (len(rows) * dim) for _ in range(len(rows) * dim)]
     for i, row in enumerate(rows):
+        scale = lcm(*(s.den for s in row))
         for j, s in enumerate(row):
-            for a, x in enumerate(s.parts):
+            f = scale // s.den
+            for a, x in enumerate(s.num):
                 if x:
+                    x *= f
                     for c, r, k in table[a]:
                         out[i * dim + r][j * dim + c] += x * k
     return out
@@ -335,25 +423,37 @@ def smat_invertible(rows: Sequence[Sequence[Scalar]]) -> bool:
     """Exact invertibility over the scalars, zero divisors included: a
     unit iff its left-regular representation over Q is nonsingular."""
     reg = left_regular(rows)
-    return _solve_rational(reg, [Q(0)] * len(reg)) is not None
+    return _bareiss(reg, len(reg)) != 0
 
 
-def _solve_rational(mat: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
-    """Gaussian elimination over the rationals; None if singular."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Q(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free elimination (Bareiss 1968) of the first n columns of
+    the integer rows a, in place, with row swaps for zero pivots.
+
+    Afterwards the leading n x n block of a is upper triangular, the
+    extra columns carry the same row operations, and the result is the
+    last pivot, which is +-det of the leading block: 0 iff it is
+    singular (then a is left part-way).  Each update
+    (pivot * a[i][j] - a[i][k] * a[k][j]) // previous pivot is exact.
+    """
+    prev = 1
+    for k in range(n):
+        p = k
+        while p < n and not a[p][k]:
+            p += 1
+        if p == n:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+        top = a[k]
+        piv = top[k]
+        tail = top[k + 1:]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(piv * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = piv
+    return prev
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +480,7 @@ class LaurentJet:
                  precision: int | None = None):
         coeffs = list(coeffs)
         for c in coeffs:
-            if c.kind != kind:
+            if c.kind is not kind and c.kind != kind:
                 raise ScalarKindMismatch(f"coefficient kind {c.kind} in a {kind} jet")
         if precision is not None:
             keep = precision - lowest_exp
@@ -467,8 +567,7 @@ class LaurentJet:
         return self.coeff(0)
 
     def _check(self, other: "LaurentJet") -> None:
-        if self.kind != other.kind:
-            raise ScalarKindMismatch(f"{self.kind} vs {other.kind}")
+        _same_kind(self.kind, other.kind)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -513,13 +612,11 @@ class LaurentJet:
         return LaurentJet(self.kind, lo, out, prec)
 
     def lscale(self, s: Scalar) -> "LaurentJet":
-        if s.kind != self.kind:
-            raise ScalarKindMismatch(f"{s.kind} vs {self.kind}")
+        _same_kind(s.kind, self.kind)
         return LaurentJet(self.kind, self.lowest_exp, tuple(s * c for c in self.coeffs), self.precision)
 
     def rscale(self, s: Scalar) -> "LaurentJet":
-        if s.kind != self.kind:
-            raise ScalarKindMismatch(f"{s.kind} vs {self.kind}")
+        _same_kind(s.kind, self.kind)
         return LaurentJet(self.kind, self.lowest_exp, tuple(c * s for c in self.coeffs), self.precision)
 
     def shift(self, k: int) -> "LaurentJet":
@@ -571,6 +668,19 @@ class LaurentJet:
         return inv_unit.shift(-v)
 
     def __pow__(self, k: int) -> "LaurentJet":
+        if self.precision is None and len(self.coeffs) == 1:
+            # exact monomial c*t^v: c^k * t^(v*k), by repeated squaring
+            c, v = self.coeffs[0], self.lowest_exp * k
+            if k < 0:
+                c, k = c.inverse(), -k
+            out = Scalar.one(self.kind)
+            while k:
+                if k & 1:
+                    out = out * c
+                k >>= 1
+                if k:
+                    c = c * c
+            return LaurentJet(self.kind, v, (out,), None)
         if k < 0:
             return self.inverse() ** (-k)
         out = LaurentJet.one(self.kind)

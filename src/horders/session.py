@@ -182,7 +182,11 @@ def _parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
     if tok.kind == "INT":
         num = int(tok.value)
         if cur.accept("SYM", "/"):
-            den = int(cur.expect("INT").value)
+            den_tok = cur.expect("INT")
+            den = int(den_tok.value)
+            if den == 0:
+                raise SessionTypeError(
+                    f"zero denominator in {num}/0", den_tok.line, den_tok.col)
             return LaurentJet.constant(kind, Q(num, den))
         return LaurentJet.constant(kind, num)
     if tok.kind == "SYM" and tok.value == "(":
@@ -693,10 +697,9 @@ def _as_semisimple(obj) -> SemisimpleOrder:
     return obj if isinstance(obj, SemisimpleOrder) else SemisimpleOrder((obj,))
 
 
-def _dispatch(session: Session, decl: CheckDecl) -> tuple[str, str]:
-    """Returns (actual, detail)."""
-    table = {**session.orders, **session.involutions, **session.witnesses,
-             **session.divisions}
+def _dispatch(table: dict, decl: CheckDecl) -> tuple[str, str]:
+    """Returns (actual, detail); ``table`` maps every declared name that
+    a check can refer to onto its payload."""
 
     def arg(i):
         a = decl.args[i]
@@ -759,11 +762,13 @@ def run_session(session: Session, seed: int = 0) -> Report:
     ``seed`` has no effect, since every check is exact; it is still
     accepted because ``perfbench/workloads.py`` passes it.
     """
+    table = {**session.orders, **session.involutions, **session.witnesses,
+             **session.divisions}
     results = []
     for decl in session.checks:
         start = time.perf_counter()
         try:
-            actual, detail = _dispatch(session, decl)
+            actual, detail = _dispatch(table, decl)
         except HordersError as exc:
             actual, detail = f"error {type(exc).__name__}", str(exc)
         elapsed = time.perf_counter() - start

@@ -137,11 +137,7 @@ def _is_mode_coefficient(s: Scalar) -> bool:
     # coefficients of elements of the declared ring: rational, plus a
     # rational multiple of the adjoined square root in the etale case
     m = s.kind.core_dim
-    if any(p != 0 for p in s.parts[1:m]):
-        return False
-    if s.kind.ext is not None and any(p != 0 for p in s.parts[m + 1:]):
-        return False
-    return True
+    return not any(s.num[1:m]) and not any(s.num[m + 1:])
 
 
 def _alpha_unit(w: WitnessCheck, alpha: LaurentJet) -> Diagnostics:
@@ -159,7 +155,7 @@ def _alpha_unit(w: WitnessCheck, alpha: LaurentJet) -> Diagnostics:
 
 def _is_central(s: Scalar) -> bool:
     # only the quaternion units fail to commute with every scalar
-    return s.kind.core != "quat" or all(p == 0 for p in s.parts[1:4] + s.parts[5:])
+    return s.kind.core != "quat" or not any(s.num[1:4] + s.num[5:])
 
 
 def verify_witness(w: WitnessCheck) -> Diagnostics:

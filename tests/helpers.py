@@ -137,3 +137,115 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
         if not holds(promote(sample_element(order, rng))):
             return failure("TransportFailed", f"conjugation fails on sample #{k + 1}")
     return OK
+
+
+# ---------------------------------------------------------------------------
+# Fraction-coordinate reference for the integer scalar core: scalars as
+# tuples of Fractions over the rational basis, as they were stored before.
+
+
+def ref_mul(kind: ScalarKind, a: tuple, b: tuple) -> tuple:
+    """Product of two Fraction coordinate tuples over ``kind``."""
+    m = kind.core_dim
+
+    def core(x, y):
+        if kind.core == "base":
+            return (x[0] * y[0],)
+        if kind.core == "quad":
+            return (x[0] * y[0] + kind.d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+        w1, x1, y1, z1 = x
+        w2, x2, y2, z2 = y
+        return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2,
+                w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)
+
+    if kind.ext is None:
+        return core(a, b)
+    lo1, lo2 = core(a[:m], b[:m]), core(a[m:], b[m:])
+    hi1, hi2 = core(a[:m], b[m:]), core(a[m:], b[:m])
+    return (tuple(x + kind.ext * y for x, y in zip(lo1, lo2))
+            + tuple(x + y for x, y in zip(hi1, hi2)))
+
+
+def ref_conj(kind: ScalarKind, a: tuple) -> tuple:
+    m = kind.core_dim
+    if kind.core == "base":
+        return a
+    return tuple(x if i % m == 0 else -x for i, x in enumerate(a))
+
+
+def ref_norm(kind: ScalarKind, a: tuple) -> Q:
+    """a * conj(a) on an unextended kind, read off the product."""
+    return ref_mul(kind, a, ref_conj(kind, a))[0]
+
+
+def ref_left_regular(kind: ScalarKind, rows) -> list[list[Q]]:
+    """Rational matrix of x -> m * x, m a matrix of Fraction tuples."""
+    dim = kind.dim
+    unit = [tuple(Q(int(i == a)) for i in range(dim)) for a in range(dim)]
+    n = len(rows) * dim
+    out = [[Q(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, s in enumerate(row):
+            for c in range(dim):
+                for r, x in enumerate(ref_mul(kind, s, unit[c])):
+                    out[i * dim + r][j * dim + c] += x
+    return out
+
+
+def solve_rational(mat: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
+    """Gauss-Jordan elimination over the rationals; None if singular."""
+    n = len(mat)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Q(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def ref_inverse(kind: ScalarKind, a: tuple) -> tuple | None:
+    """Inverse of a Fraction tuple, None for zero and zero divisors."""
+    sol = solve_rational(ref_left_regular(kind, ((a,),)), [Q(1)] + [Q(0)] * (kind.dim - 1))
+    return None if sol is None else tuple(sol)
+
+
+def ref_invertible(kind: ScalarKind, rows) -> bool:
+    reg = ref_left_regular(kind, rows)
+    return solve_rational(reg, [Q(0)] * len(reg)) is not None
+
+
+def ref_str(kind: ScalarKind, a: tuple) -> str:
+    """The text of a scalar, written from its Fraction coordinates."""
+    def core(parts):
+        units = {"base": [""], "quad": ["", f"sqrt({kind.d})"],
+                 "quat": ["", "qi", "qj", "qk"]}[kind.core]
+        pieces = []
+        for coeff, unit in zip(parts, units):
+            if coeff == 0:
+                continue
+            if unit == "":
+                pieces.append(str(coeff))
+            elif coeff in (1, -1):
+                pieces.append(unit if coeff == 1 else f"-{unit}")
+            else:
+                pieces.append(f"{coeff}*{unit}")
+        if not pieces:
+            return "0"
+        return pieces[0] + "".join(
+            f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in pieces[1:])
+
+    m = kind.core_dim
+    if kind.ext is None or not any(a[m:]):
+        return core(a[:m])
+    hi = core(a[m:])
+    hi = f"sqrt({kind.ext})" if hi == "1" else f"({hi})*sqrt({kind.ext})"
+    return hi if not any(a[:m]) else f"{core(a[:m])} + {hi}"

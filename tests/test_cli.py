@@ -47,6 +47,16 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert "unknown identifier" in err and "line 1" in err
 
 
+def test_zero_denominator_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zero.ho"
+    bad.write_text("division D = base s=1 t=1\n"
+                   "order A = block(D; 1,1)\n"
+                   "involution s1 on A : gauge diag(1/0,1) eps +1 conj none\n")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3, col 35: zero denominator" in err and "Traceback" not in err
+
+
 def test_missing_session_file_exits_2(capsys):
     assert main(["check", "/no/such/session.ho"]) == 2
     assert "cannot read session file" in capsys.readouterr().err

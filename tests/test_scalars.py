@@ -1,5 +1,6 @@
 """Scalar tower and Laurent jet arithmetic."""
 
+import math
 from fractions import Fraction as Q
 from random import Random
 
@@ -19,9 +20,19 @@ from horders.scalars import (
     LaurentJet,
     Scalar,
     quadratic,
+    smat_invertible,
 )
 
-from helpers import random_jet, random_scalar
+from helpers import (
+    random_jet,
+    random_scalar,
+    ref_conj,
+    ref_invertible,
+    ref_inverse,
+    ref_mul,
+    ref_norm,
+    ref_str,
+)
 
 QUAD = quadratic(-1)
 KINDS = [BASE, QUAD, quadratic(-3), QUATERNION]
@@ -130,6 +141,88 @@ def test_extended_inverse_through_regular_representation():
             continue
         assert x * inv == Scalar.one(ext)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# Integer coordinates against the Fraction-coordinate reference
+
+SPLIT_KINDS = [QUAD.extended(-1), QUATERNION.extended(-1)]
+REF_KINDS = KINDS + [BASE.extended(2), quadratic(-3).extended(2), QUATERNION.extended(3)] + SPLIT_KINDS
+
+
+def fraction_parts(kind, rng):
+    return tuple(Q(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.8 else Q(0)
+                 for _ in range(kind.dim))
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_arithmetic_matches_the_fraction_reference(kind):
+    rng = Random(23)
+    for _ in range(60):
+        a, b = fraction_parts(kind, rng), fraction_parts(kind, rng)
+        q = Q(rng.randint(-5, 5), rng.randint(1, 4))
+        x, y = Scalar(kind, a), Scalar(kind, b)
+        assert x.parts == a
+        assert (x + y).parts == tuple(u + v for u, v in zip(a, b))
+        assert (x - y).parts == tuple(u - v for u, v in zip(a, b))
+        assert (-x).parts == tuple(-u for u in a)
+        assert (x * y).parts == ref_mul(kind, a, b)
+        assert x.times(q).parts == tuple(q * u for u in a)
+        assert x.times(q.numerator).parts == tuple(q.numerator * u for u in a)
+        assert x.conj().parts == ref_conj(kind, a)
+        assert str(x) == ref_str(kind, a)
+        if kind.ext is None:
+            assert x.norm() == ref_norm(kind, a)
+        want = ref_inverse(kind, a)
+        if want is None:
+            with pytest.raises(NotInvertible):
+                x.inverse()
+        else:
+            assert x.inverse().parts == want
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS, ids=str)
+def test_split_kinds_keep_their_zero_divisors(kind):
+    # i + sqrt(-1) squares to 2*i*sqrt(-1) and (i + sqrt(-1)) * (i - sqrt(-1)) = 0
+    rng = Random(29)
+    root = Scalar.ext_gen(kind) + Scalar.basis(kind, 1)
+    for _ in range(20):
+        x = root * Scalar(kind, fraction_parts(kind, rng))
+        assert ref_inverse(kind, x.parts) is None
+        with pytest.raises(NotInvertible):
+            x.inverse()
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_scalars_are_stored_in_lowest_terms(kind):
+    a, b = Scalar.of(kind, Q(2, 4)), Scalar.of(kind, Q(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert (a.num[0], a.den) == (1, 2)
+    for x in (Scalar.of(kind, Q(1, 3)).times(Q(-3, 4)), Scalar.of(kind, Q(1, 6)).times(-2),
+              Scalar.of(kind, Q(-5, 6)).inverse()):
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert Scalar.of(kind, Q(1, 3)).times(Q(-3, 4)) == Scalar.of(kind, Q(-1, 4))
+    zero = b - a
+    assert zero.num == (0,) * kind.dim and zero.den == 1 and zero == Scalar.zero(kind)
+
+
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION] + SPLIT_KINDS, ids=str)
+def test_smat_invertible_matches_the_reference(kind):
+    rng = Random(31)
+    seen = set()
+    for trial in range(24):
+        n = 1 + trial % 3
+        rows = [[fraction_parts(kind, rng) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 1 and n > 1:
+            # a left multiple of the first row: singular
+            c = fraction_parts(kind, rng)
+            rows[-1] = [ref_mul(kind, c, s) for s in rows[0]]
+        elif trial % 4 == 2:
+            rows[0] = [(Q(0),) * kind.dim] * n
+        want = ref_invertible(kind, rows)
+        assert smat_invertible(tuple(tuple(Scalar(kind, s) for s in row) for row in rows)) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +373,32 @@ def test_exact_jet_product_matches_polynomial_convolution(xs, ys, ex, ey):
     lo = min(conv) if conv else 0
     expected = jet(BASE, lo, [conv.get(e, 0) for e in range(lo, max(conv) + 1)]) if conv else LaurentJet.zero(BASE)
     assert a * b == expected
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_monomial_powers_equal_repeated_products(kind):
+    rng = Random(37)
+    for _ in range(4):
+        c = Scalar(kind, fraction_parts(kind, rng))
+        if c.is_zero():
+            continue
+        m = LaurentJet.t_power(kind, rng.randint(-2, 2), c)
+        for k in range(-3, 6):
+            try:
+                step = m if k >= 0 else m.inverse()
+            except NotInvertible:
+                with pytest.raises(NotInvertible):
+                    m ** k
+                continue
+            want = LaurentJet.one(kind)
+            for _ in range(abs(k)):
+                want = want * step
+            assert m ** k == want
+
+
+def test_huge_monomial_powers_are_direct():
+    t = LaurentJet.t_power(BASE, 1)
+    assert t ** 99999999 == LaurentJet.t_power(BASE, 99999999)
+    assert t ** -99999999 == LaurentJet.t_power(BASE, -99999999)
+    qi = LaurentJet.t_power(QUATERNION, 3, Scalar.basis(QUATERNION, 1))
+    assert qi ** 99999999 == LaurentJet.t_power(QUATERNION, 299999997, -Scalar.basis(QUATERNION, 1))

@@ -222,3 +222,29 @@ def test_non_positive_arguments_are_type_errors(call):
         parse_session(text)
     assert err.value.line == 2
     assert "expects positive integers" in str(err.value)
+
+
+def test_zero_denominator_is_a_type_error_at_its_token():
+    text = ("division D = base s=1 t=1\n"
+            "order A = block(D; 1,1)\n"
+            "involution s1 on A : gauge diag(1/0,1) eps +1 conj none\n")
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (3, 35)
+    assert "zero denominator" in str(err.value)
+
+
+def test_run_session_builds_the_symbol_table_once(monkeypatch):
+    from horders import session as session_module
+    tables = []
+    dispatch = session_module._dispatch
+
+    def spy(table, decl):
+        tables.append(table)
+        return dispatch(table, decl)
+
+    monkeypatch.setattr(session_module, "_dispatch", spy)
+    s = parse_session(corpus("main-counterexample.ho"))
+    assert run_session(s).ok
+    assert len(tables) == len(s.checks) > 1
+    assert all(t is tables[0] for t in tables)

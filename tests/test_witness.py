@@ -22,6 +22,7 @@ from horders.witness import (
     MODE_F,
     SCENARIOS,
     WitnessCheck,
+    _is_mode_coefficient,
     counterexample_pair,
     mode_etale,
     replay,
@@ -103,6 +104,14 @@ def test_alpha_must_lie_in_the_mode_ring():
     diag = verify_witness(wrong)
     assert not diag.ok
     assert diag.code in ("IdentityMismatch", "NotUnit")
+
+
+def test_mode_coefficients_are_rationals_plus_rational_roots():
+    kind = QUATERNION.extended(-1)
+    ok = Scalar.of(kind, Q(1, 2), 0, 0, 0, 3)  # 1/2 + 3*sqrt(-1)
+    assert _is_mode_coefficient(ok)
+    for index in (1, 5):  # qi and qi*sqrt(-1)
+        assert not _is_mode_coefficient(ok + Scalar.basis(kind, index))
 
 
 @pytest.mark.parametrize("kind,s,t", ALL_KINDS)
@@ -250,6 +259,21 @@ def test_singular_u_is_not_invertible(kind):
     diag = verify_witness(WitnessCheck(u, LaurentJet.zero(kind), mode, s1, s2))
     assert (diag.code, diag.detail) == ("NotInvertible", "u is not invertible over the Laurent field")
     assert transport_check(WitnessCheck(u, one, mode, s1, s2)).code == "NotInvertible"
+
+
+def test_dense_singular_matrix_over_a_split_kind_is_singular():
+    # 6x6 degree-1 u over quaternion+sqrt(-1) whose last row repeats the
+    # first: all D + 1 = 49 evaluations of a 48x48 rational matrix run
+    kind = QUATERNION.extended(-1)
+    rng = Random(5)
+
+    def entry():
+        return LaurentJet(kind, 0, tuple(
+            Scalar(kind, tuple(rng.randint(-3, 3) for _ in range(kind.dim))) for _ in range(2)))
+
+    rows = [[entry() for _ in range(6)] for _ in range(5)]
+    assert not JetMatrix.of(rows + [rows[0]]).field_invertible()
+    assert JetMatrix.of(rows + [[entry() for _ in range(6)]]).field_invertible()
 
 
 def test_invertibility_is_decided_beyond_t_equal_one():
