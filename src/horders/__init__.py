@@ -65,7 +65,6 @@ from .scalars import (
     ScalarKind,
     default_precision,
     quadratic,
-    set_default_precision,
 )
 from .session import Report, Session, parse_session, print_session, run_session
 from .witness import (

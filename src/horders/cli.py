@@ -18,7 +18,6 @@ from .basechange import sh_order, verify_sh_pattern
 from .errors import HordersError, SessionError
 from .involutions import anisotropy, distinguish, residue_involution
 from .orders import BlockOrder, DivisionSpec, Signature, cyclic_normal_form, iso_decide
-from .scalars import set_default_precision
 from .session import Report, Session, parse_session, run_session
 from .witness import SCENARIOS, ReplayReport, replay, transport_check, verify_witness
 
@@ -268,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--precision", type=_int_at_least(2), default=16,
-                       help="default jet precision (default 16)")
+                       help="accepted for compatibility and has no effect: every "
+                            "check is exact (at least 2)")
 
     p = sub.add_parser("check", help="run every check in a session file")
     p.add_argument("file")
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_default_precision(args.precision)
     try:
         return args.fn(args)
     except SessionError as exc:

@@ -25,12 +25,16 @@ kind: a dense coefficient window starting at ``lowest_exp`` together
 with the precision modulo ``t^precision`` to which the value is known.
 ``precision=None`` marks an exact Laurent polynomial.  A jet that is
 zero up to its precision has indeterminate valuation and is flagged,
-never silently treated as zero.
+never silently treated as zero.  An exact jet that is not a monomial
+inverts to a jet known modulo ``t^DEFAULT_PRECISION`` above its
+valuation; ``DEFAULT_PRECISION`` is the constant 16, and nothing in the
+package changes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -41,20 +45,14 @@ from .errors import (
     NegativeValuation,
     NotInvertible,
     ScalarKindMismatch,
+    SizeMismatch,
 )
 
 Q = Fraction
 
-#: Working precision used when inverting an exact, non-monomial jet.
+#: Working precision used when inverting an exact, non-monomial jet; a
+#: constant, so no operation depends on process-wide state.
 DEFAULT_PRECISION = 16
-
-
-def set_default_precision(n: int) -> None:
-    """Set the working precision for operations that must truncate."""
-    if n < 2:
-        raise ValueError("default precision must be at least 2")
-    global DEFAULT_PRECISION
-    DEFAULT_PRECISION = int(n)
 
 
 def default_precision() -> int:
@@ -105,6 +103,21 @@ class ScalarKind:
         core_dim = _CORE_DIM[self.core]
         object.__setattr__(self, "core_dim", core_dim)
         object.__setattr__(self, "dim", core_dim * (2 if self.ext is not None else 1))
+
+    @cached_property
+    def basis_products(self) -> tuple:
+        """``basis_products[a]`` lists ``(c, r, k)`` for each nonzero
+        coordinate ``k``, at index ``r``, of the basis product ``e_a * e_c``.
+
+        Built on first use and kept for the life of the kind: extending a
+        matrix makes a new kind per coefficient, and most never need it.
+        """
+        dim = self.dim
+        unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
+        return tuple(
+            tuple((c, r, k) for c in range(dim)
+                  for r, k in enumerate(_mul_parts(self, unit[a], unit[c])) if k)
+            for a in range(dim))
 
     def extended(self, d: int) -> "ScalarKind":
         if self.ext is not None:
@@ -176,8 +189,9 @@ class Scalar:
 
     The form is canonical: ``den > 0`` and ``gcd(den, *num) == 1``, so
     zero is ``(0, ..., 0), 1`` and field equality and hashing are value
-    equality.  ``Scalar(kind, parts)`` accepts any exact numbers;
-    ``parts`` reads the coordinates back as fractions.
+    equality.  ``Scalar(kind, parts)`` accepts exactly ``kind.dim`` exact
+    numbers, ``Scalar.of`` pads a shorter tuple with zeros, and ``parts``
+    reads the coordinates back as fractions.
     """
 
     kind: ScalarKind
@@ -186,6 +200,8 @@ class Scalar:
 
     def __init__(self, kind: ScalarKind, parts: Sequence) -> None:
         parts = tuple(parts)
+        if len(parts) != kind.dim:
+            raise SizeMismatch(f"a {kind} scalar has {kind.dim} coordinates, got {len(parts)}")
         if all(type(p) is int for p in parts):
             num, den = parts, 1
         else:
@@ -306,12 +322,7 @@ class Scalar:
         det = _bareiss(rows, dim)
         if det == 0:
             raise NotInvertible(f"scalar {self} is a zero divisor or zero")
-        # back-substitution for y = det * x; Cramer makes every y[i] an integer
-        y = [0] * dim
-        for i in range(dim - 1, -1, -1):
-            row = rows[i]
-            acc = row[dim] * det - sum(row[j] * y[j] for j in range(i + 1, dim))
-            y[i] = acc // row[i]
+        y = _back_substitute(rows, dim, det, dim)
         if det < 0:
             den, det = -den, -det
         return _reduced(k, tuple(den * v for v in y), det)
@@ -401,11 +412,7 @@ def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     matrix is nonsingular, zero divisors in A included."""
     kind = rows[0][0].kind
     dim = kind.dim
-    unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
-    # table[a]: (c, r, k) for each nonzero part k of e_a * e_c at index r
-    table = [[(c, r, k) for c in range(dim)
-              for r, k in enumerate(_mul_parts(kind, unit[a], unit[c])) if k]
-             for a in range(dim)]
+    table = kind.basis_products
     out = [[0] * (len(rows) * dim) for _ in range(len(rows) * dim)]
     for i, row in enumerate(rows):
         scale = lcm(*(s.den for s in row))
@@ -454,6 +461,19 @@ def _bareiss(a: list[list[int]], n: int) -> int:
             row[k + 1:] = [(piv * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = piv
     return prev
+
+
+def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int]:
+    """y = det * x for the solution x of the first n columns of a, left
+    upper triangular by :func:`_bareiss` with last pivot ``det`` != 0,
+    against column ``col``.  Cramer makes every y[i] an integer, so each
+    division is exact."""
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = row[col] * det - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ Matrix literals are ``diag(...)``, ``mat[[...],[...]]`` and
 ``dsum(M1, M2, ...)``; entries are sums and products of ``INT[/INT]``,
 ``t`` (with integer powers), ``sqrt(d)`` and the quaternion units
 ``qi``, ``qj``, ``qk``.  Inside a witness declared over ``etale(d)``,
-``sqrt(d)`` denotes the adjoined central square root.  Errors carry the
-first offending source position; there is no recovery.
+``sqrt(d)`` denotes the adjoined central square root.  Numbers are
+ASCII digits and names ASCII letters, digits and underscores; any other
+character is a syntax error at its column.  Errors carry the first
+offending source position; there is no recovery.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
 from .errors import (
@@ -53,46 +57,31 @@ from .scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadra
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | INT | SYM
     value: str
     line: int
     col: int
 
 
-_SYMBOLS = set("()[]=,;:^*/+-")
+# One alternative per token kind; whitespace matches no group, and any
+# other single character (non-ASCII digits and letters included) is BAD.
+_TOKEN = re.compile(r"[ \t\r]+|(?P<COMMENT>#)|(?P<INT>[0-9]+)"
+                    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[()\[\]=,;:^*/+-])|(?P<BAD>.)",
+                    re.DOTALL)
 
 
 def _tokenize_line(text: str, lineno: int) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch == "#":
+        if kind == "COMMENT":
             break
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(Token("INT", text[i:j], lineno, i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("IDENT", text[i:j], lineno, i + 1))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            out.append(Token("SYM", ch, lineno, i + 1))
-            i += 1
-            continue
-        raise SessionSyntaxError(f"unexpected character {ch!r}", lineno, i + 1)
+        if kind == "BAD":
+            raise SessionSyntaxError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+        out.append(Token(kind, m.group(), lineno, m.start() + 1))
     return out
 
 

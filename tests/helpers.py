@@ -1,12 +1,13 @@
 """Seeded samplers and reference implementations used only by the tests."""
 
+from itertools import permutations
 from random import Random
 
 from horders.errors import Diagnostics, NotInvertible, OK, failure
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, meets_pattern, pattern_of, radical_pattern
-from horders.scalars import LaurentJet, Q, Scalar, ScalarKind
+from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind
 from horders.witness import WitnessCheck
 
 
@@ -95,6 +96,86 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
             twice = ainv @ apply_tau(image) @ a
             if not twice.agrees(g):
                 return failure("NotInvolutive", f"sigma^2 != id on generator e[{i + 1},{j + 1}]")
+    return OK
+
+
+# ---------------------------------------------------------------------------
+# Exact adjugate reference for gauge inverses over the base kind: Laurent
+# polynomials as {exponent: Fraction} dicts, determinant and cofactors by
+# the Leibniz formula.
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e, x in p.items():
+        for f, y in q.items():
+            out[e + f] = out.get(e + f, 0) + x * y
+    return {e: x for e, x in out.items() if x}
+
+
+def _poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, x in q.items():
+        out[e] = out.get(e, 0) + x
+    return {e: x for e, x in out.items() if x}
+
+
+def _poly_det(m: list[list[dict]]) -> dict:
+    total: dict = {}
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+        term = {0: Q(-1) ** inversions}
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, m[i][j])
+        total = _poly_add(total, term)
+    return total
+
+
+def ref_inverse_valuations(a: JetMatrix) -> list[list[int | None]] | None:
+    """v(a^-1[k][j]) = v(adj(a)[k][j]) - v(det a) for an exact base-kind
+    gauge of size at most 3; None for an exactly zero entry, and None in
+    place of the matrix when a is singular."""
+    assert a.kind == BASE and a.is_exact and a.n <= 3
+    m = [[{e.lowest_exp + k: c.parts[0] for k, c in enumerate(e.coeffs) if not c.is_zero()}
+          for e in row] for row in a.rows]
+    det = _poly_det(m)
+    if not det:
+        return None
+    n = a.n
+
+    def cofactor(i, j):
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        return _poly_det(minor) if minor else {0: Q(1)}
+
+    # adj(a)[k][j] is the (j, k) cofactor
+    adj = [[cofactor(j, k) for j in range(n)] for k in range(n)]
+    return [[min(c) - min(det) if c else None for c in row] for row in adj]
+
+
+def wellformed_by_adjugate(spec: InvolutionSpec) -> Diagnostics:
+    """Reference for ``wellformed`` on base-kind gauges of size at most 3:
+    the valuation inequality of the involutions module, fed with the
+    adjugate valuations above."""
+    a = spec.gauge
+    want = a if spec.epsilon == 1 else -a
+    if not apply_tau(a).agrees(want):
+        return failure("NotEpsilonHermitian", f"tau(a) != {spec.epsilon:+d}*a")
+    vinv = ref_inverse_valuations(a)
+    if vinv is None:
+        return failure("NotInvertible", "gauge is not invertible over the Laurent field")
+    p = pattern_of(spec.order.sig).entries
+    va = [[e.valuation_floor() for e in row] for row in a.rows]
+    n = a.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if None in (vinv[k][j], va[i][l]):
+                        continue
+                    if vinv[k][j] + p[i][j] + va[i][l] < p[k][l]:
+                        return failure(
+                            "NotStable", f"generator t^{p[i][j]}*e[{i + 1},{j + 1}] leaves the "
+                            f"order at entry {k + 1},{l + 1}")
     return OK
 
 

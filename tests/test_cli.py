@@ -62,6 +62,18 @@ def test_missing_session_file_exits_2(capsys):
     assert "cannot read session file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "order B = block(D; 2\u00b2)",
+    "involution s on A : gauge diag(1, \u00b2) eps +1 conj none",
+])
+def test_non_ascii_digits_exit_2(tmp_path, capsys, line):
+    bad = tmp_path / "digits.ho"
+    bad.write_text("division D = base s=1 t=1\norder A = block(D; 1)\n" + line + "\n",
+                   encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert "line 3, col" in capsys.readouterr().err
+
+
 def test_math_errors_exit_3(capsys):
     assert main(["sh-verify", "--s", "9", "--t", "9", "--sig", "3,3,3"]) == 3
     assert "SizeLimit" in capsys.readouterr().err
@@ -169,13 +181,25 @@ def test_verify_command(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_precision_flag_controls_default(capsys):
-    from horders.scalars import default_precision
-    assert main(["inv", "--sig", "1", "--precision", "24"]) == 0
-    assert default_precision() == 24
-    assert main(["inv", "--sig", "1", "--precision", "16"]) == 0
-    assert default_precision() == 16
-    capsys.readouterr()
+TRUNCATED_GAUGE = """\
+division D = base s=1 t=1
+order A = block(D; 1)
+involution s on A : gauge diag((1+t)^-1) eps +1 conj none
+check w = wellformed(s) expect error InsufficientPrecision
+"""
+
+
+def test_precision_flag_has_no_effect(tmp_path, capsys):
+    truncated = tmp_path / "truncated.ho"
+    truncated.write_text(TRUNCATED_GAUGE)
+    paths = [corpus_path(tmp_path, "main-counterexample.ho"),
+             corpus_path(tmp_path, "semisimple-basechange.ho"), str(truncated)]
+    for path in paths:
+        outputs = set()
+        for precision in ("2", "16", "64"):
+            assert main(["check", path, "--json", "--precision", precision]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("value", ["1", "x"])

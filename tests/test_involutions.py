@@ -7,6 +7,7 @@ import pytest
 from horders.errors import (
     InsufficientPrecision,
     NotEpsilonHermitian,
+    NotInvertible,
     SingularForm,
     UnsupportedFormKind,
     UnsupportedGaugeShape,
@@ -16,6 +17,7 @@ from horders.involutions import (
     INCONCLUSIVE,
     ISOTROPIC,
     InvolutionSpec,
+    _inverse_valuations,
     anisotropy,
     apply_sigma,
     apply_tau,
@@ -41,13 +43,18 @@ from horders.scalars import (
     QUATERNION,
     LaurentJet,
     Scalar,
-    default_precision,
     quadratic,
-    set_default_precision,
 )
 from horders.witness import counterexample_pair
 
-from helpers import random_scalar, sample_block_unit, sample_element, wellformed_by_products
+from helpers import (
+    random_scalar,
+    ref_inverse_valuations,
+    sample_block_unit,
+    sample_element,
+    wellformed_by_adjugate,
+    wellformed_by_products,
+)
 
 QUAD = quadratic(-1)
 
@@ -121,24 +128,10 @@ def test_sigma_on_the_bundled_gauge_stays_in_the_order():
     assert image == expected
 
 
-def test_sigma_uses_the_current_precision():
-    # a gauge inverse computed at one working precision must not be
-    # reused after the precision changes
-    a = order(2)
-    gauge = JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1]), LaurentJet.one(BASE)])
-    spec = InvolutionSpec(a, gauge)
-    try:
-        assert wellformed(spec).ok
-        set_default_precision(64)
-        image = apply_sigma(spec, JetMatrix.identity(BASE, 2))
-        assert image.entry(0, 0).precision == 64
-    finally:
-        set_default_precision(16)
-
-
 def test_gauge_inverse_at_low_precision_is_insufficient_precision():
-    # at precision 3 the third pivot cancels to a jet known only to be
-    # zero modulo a power of t: missing precision, not a singular gauge
+    # with each entry known to three coefficients, the third pivot cancels
+    # to a jet known only to be zero modulo a power of t: missing
+    # precision, not a singular gauge
     t = LaurentJet.t_power
     z = LaurentJet.zero(BASE)
     gauge = JetMatrix.of([
@@ -146,12 +139,10 @@ def test_gauge_inverse_at_low_precision_is_insufficient_precision():
         [z, LaurentJet.from_coeffs(BASE, -1, [2, 0, 0, 1]), t(BASE, -1, -2)],
         [z, t(BASE, -1, -2), t(BASE, -1, 2)],
     ])
-    try:
-        set_default_precision(3)
-        with pytest.raises(InsufficientPrecision):
-            gauge.inverse()
-    finally:
-        set_default_precision(16)
+    truncated = gauge.map(
+        lambda e: LaurentJet(BASE, e.lowest_exp, e.coeffs, e.lowest_exp + 3) if e.coeffs else e)
+    with pytest.raises(InsufficientPrecision, match="column 2"):
+        truncated.inverse()
     assert (gauge @ gauge.inverse()).agrees(JetMatrix.identity(BASE, 3))
 
 
@@ -228,18 +219,13 @@ def test_non_hermitian_gauge_is_rejected():
     assert diagres.code == "NotEpsilonHermitian"
 
 
-@pytest.mark.parametrize("precision", [4, 16, 64])
-def test_singular_hermitian_gauge_is_not_invertible(precision):
+def test_singular_hermitian_gauge_is_not_invertible():
     # eliminating with the truncated inverse of 1 + t leaves a second
     # pivot that is zero only to its precision; the gauge is exact and
     # singular, so more precision would never help
     a = order(1, 1)
     e = LaurentJet.from_coeffs(BASE, 0, [1, 1])
-    try:
-        set_default_precision(precision)
-        diagres = wellformed(InvolutionSpec(a, JetMatrix.of([[e, e], [e, e]])))
-    finally:
-        set_default_precision(16)
+    diagres = wellformed(InvolutionSpec(a, JetMatrix.of([[e, e], [e, e]])))
     assert diagres.code == "NotInvertible"
 
 
@@ -269,21 +255,95 @@ def _random_gauge_spec(kind, rng):
 
 
 def test_wellformed_matches_the_generator_products():
-    # Working precision 8 keeps the reference's products affordable;
-    # every non-monomial gauge still has a truncated inverse.
+    # every non-monomial gauge has a truncated inverse in the reference
     rng = Random(71)
-    saved = default_precision()
-    set_default_precision(8)
-    try:
-        codes = set()
-        for case in range(45):
-            spec = _random_gauge_spec((BASE, QUAD, QUATERNION)[case % 3], rng)
-            got, want = wellformed(spec), wellformed_by_products(spec)
-            assert (got.code, got.detail) == (want.code, want.detail)
-            codes.add(got.code)
-    finally:
-        set_default_precision(saved)
+    codes = set()
+    for case in range(45):
+        spec = _random_gauge_spec((BASE, QUAD, QUATERNION)[case % 3], rng)
+        got, want = wellformed(spec), wellformed_by_products(spec)
+        assert (got.code, got.detail) == (want.code, want.detail)
+        codes.add(got.code)
     assert codes == {None, "NotStable"}
+
+
+def _spread_gauge_spec(rng):
+    # base gauges tau(u) * D * u, n <= 3, D a diagonal of +-t^e with e in
+    # -9..9: wide valuation spreads leave many truncated inverses undecided
+    n = rng.randint(1, 3)
+    p = rng.randint(0, n - 1)
+    a = order(*((p, n - p) if p else (n,)))
+    d = JetMatrix.diagonal([LaurentJet.t_power(BASE, rng.randint(-9, 9), rng.choice([-1, 1]))
+                            for _ in range(n)])
+    shape = rng.randrange(3)
+    if shape == 0:
+        u = sample_block_unit(a, rng)
+    elif shape == 1:
+        u = sample_block_unit(a, rng) + JetMatrix.diagonal(
+            [LaurentJet.t_power(BASE, 1, random_scalar(BASE, rng, 2)) for _ in range(n)])
+    else:
+        u = sample_element(a, rng, bound=2)
+    return InvolutionSpec(a, apply_tau(u) @ d @ u)
+
+
+def test_wellformed_matches_the_exact_adjugate():
+    rng = Random(83)
+    e = LaurentJet.from_coeffs(BASE, 0, [1, 1])
+    specs = [_spread_gauge_spec(rng) for _ in range(400)]
+    specs.append(InvolutionSpec(order(1, 1), JetMatrix.of([[e, e], [e, e]])))
+    codes = set()
+    for spec in specs:
+        want = ref_inverse_valuations(spec.gauge)
+        if want is None:
+            with pytest.raises(NotInvertible):
+                _inverse_valuations(spec.gauge)
+        else:
+            assert _inverse_valuations(spec.gauge) == want
+        got, ref = wellformed(spec), wellformed_by_adjugate(spec)
+        assert (got.code, got.detail) == (ref.code, ref.detail)
+        codes.add(got.code)
+    assert codes == {None, "NotStable", "NotInvertible"}
+    # these gauges' valuations are out of reach of the inverse truncated
+    # at the default precision, which decided well-formedness before
+    for i in (25, 49, 128, 152, 305, 313):
+        with pytest.raises(InsufficientPrecision):
+            specs[i].gauge.inverse()
+
+
+def test_large_coefficients_decode_exactly():
+    # With one nonzero entry per row the lowest coefficient of det is the
+    # whole bound prod(row 1-norms), so a base-2^B digit even one bit
+    # narrower would misread every valuation.
+    big = 2 ** 40
+    t = LaurentJet.t_power
+    z = LaurentJet.zero(BASE)
+    cases = [
+        (order(1, 1), JetMatrix.diagonal([t(BASE, 0, big), t(BASE, 1, big)]),
+         [[0, None], [None, -1]]),
+        (order(1, 1), JetMatrix.of([[z, t(BASE, -1, big)], [t(BASE, -1, big), z]]),
+         [[None, 1], [1, None]]),
+        (order(1, kind=QUATERNION), JetMatrix.diagonal([t(QUATERNION, 3, big)]), [[-3]]),
+    ]
+    for a, gauge, want in cases:
+        assert _inverse_valuations(gauge) == want
+        assert wellformed(InvolutionSpec(a, gauge)).ok
+
+
+def test_stability_needs_no_truncated_inverse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("truncated inverse called")
+
+    monkeypatch.setattr(JetMatrix, "inverse", refuse)
+    monkeypatch.setattr(LaurentJet, "inverse", refuse)
+    spec1, spec2, _, _ = counterexample_pair(QUATERNION, 2, 1)
+    assert wellformed(spec1).ok and wellformed(spec2).ok
+    assert residue_involution(spec1).blocks
+    assert distinguish(spec1, spec2).distinguished
+
+
+def test_truncated_gauge_is_insufficient_precision():
+    gauge = JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1], precision=4)])
+    with pytest.raises(InsufficientPrecision):
+        wellformed(InvolutionSpec(order(1), gauge))
 
 
 def test_epsilon_minus_one_gauge_is_wellformed():

@@ -13,6 +13,7 @@ from horders.errors import (
     NegativeValuation,
     NotInvertible,
     ScalarKindMismatch,
+    SizeMismatch,
 )
 from horders.scalars import (
     BASE,
@@ -106,6 +107,14 @@ def test_kind_mismatch_raises():
         Scalar.one(BASE) + Scalar.one(QUATERNION)
     with pytest.raises(ScalarKindMismatch):
         LaurentJet.one(BASE) * LaurentJet.one(QUAD)
+
+
+def test_a_scalar_has_exactly_dim_coordinates():
+    with pytest.raises(SizeMismatch):
+        Scalar.of(BASE, 1, 2)
+    with pytest.raises(SizeMismatch):
+        Scalar(QUATERNION, (1,))
+    assert Scalar.of(QUATERNION, 1) == Scalar(QUATERNION, (1, 0, 0, 0)) == Scalar.one(QUATERNION)
 
 
 def test_extension_adjoins_a_central_conj_fixed_root():

@@ -49,6 +49,18 @@ def test_syntax_error_has_position():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("line, col", [
+    ("order B = block(D; 2\u00b2)", 21),
+    ("involution s on A : gauge diag(1, \u00b2) eps +1 conj none", 35),
+])
+def test_non_ascii_digits_are_unexpected_characters(line, col):
+    text = "division D = base s=1 t=1\norder A = block(D; 1)\n" + line + "\n"
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (3, col)
+    assert "unexpected character '\u00b2'" in str(err.value)
+
+
 def test_gauge_size_mismatch_is_a_type_error():
     text = ("division D = base s=1 t=1\n"
             "order A = block(D; 1,1)\n"

@@ -15,7 +15,6 @@ from horders.scalars import (
     Q,
     Scalar,
     quadratic,
-    set_default_precision,
 )
 from horders.witness import (
     MODE_BASE,
@@ -178,20 +177,16 @@ def _transport_case(kind, mode, rng, *, perturb):
 @pytest.mark.parametrize("kind", [BASE, quadratic(-1), quadratic(-2), QUATERNION], ids=str)
 @pytest.mark.parametrize("mode", ["F", "base", "etale"])
 def test_transport_agrees_with_the_sampled_reference(kind, mode):
-    # the reference multiplies truncated inverses; working precision 8
-    # keeps it fast and still sees the t^1 perturbation
+    # the reference multiplies truncated inverses, which still see the
+    # t^1 perturbation
     rng = Random(f"transport:{kind}:{mode}")
-    try:
-        set_default_precision(8)
-        for perturb in (False, True, False, True):
-            w = _transport_case(kind, mode, rng, perturb=perturb)
-            exact, sampled = transport_check(w), transport_by_samples(w, samples=3)
-            assert (exact.ok, exact.code) == (sampled.ok, sampled.code)
-            assert exact.code == ("TransportFailed" if perturb else None)
-            if not perturb:
-                assert verify_witness(w).ok
-    finally:
-        set_default_precision(16)
+    for perturb in (False, True, False, True):
+        w = _transport_case(kind, mode, rng, perturb=perturb)
+        exact, sampled = transport_check(w), transport_by_samples(w, samples=3)
+        assert (exact.ok, exact.code) == (sampled.ok, sampled.code)
+        assert exact.code == ("TransportFailed" if perturb else None)
+        if not perturb:
+            assert verify_witness(w).ok
 
 
 def test_transport_needs_a_central_factor():
