@@ -219,12 +219,13 @@ def test_non_hermitian_gauge_is_rejected():
     assert diagres.code == "NotEpsilonHermitian"
 
 
-def test_singular_hermitian_gauge_is_not_invertible():
-    # eliminating with the truncated inverse of 1 + t leaves a second
-    # pivot that is zero only to its precision; the gauge is exact and
-    # singular, so more precision would never help
+@pytest.mark.parametrize("terms", [4, 16, 64])
+def test_singular_hermitian_gauge_is_not_invertible(terms):
+    # the entry 1 + t + ... + t^(terms-1) has no exact inverse, and at 64
+    # terms it runs past the working precision; elimination is exact, so
+    # the singular gauge is found singular whatever the entry's length
     a = order(1, 1)
-    e = LaurentJet.from_coeffs(BASE, 0, [1, 1])
+    e = LaurentJet.from_coeffs(BASE, 0, [1] * terms)
     diagres = wellformed(InvolutionSpec(a, JetMatrix.of([[e, e], [e, e]])))
     assert diagres.code == "NotInvertible"
 
