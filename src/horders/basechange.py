@@ -5,7 +5,8 @@ algebra splits; each block size is multiplied by the residue degree s
 and the whole tuple is repeated t times, where (s, t) are the declared
 residue parameters.  The explicit index permutation that conjugates the
 tensored valuation pattern onto the target block pattern is available as
-a witness and can be verified by brute force at desk scale.
+a witness and is checked, at desk scale, by sorting the indices along
+the tensored order.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .orders import (
     SemisimpleOrder,
     Signature,
     cyclic_normal_form,
-    pattern_of,
-    radical_pattern,
     ss_iso_decide,
 )
 from .scalars import BASE
@@ -76,35 +75,24 @@ def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
 
 
 def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
-    """Brute-force check that conjugating the tensored pattern by the
-    index permutation yields the pattern of the base-changed signature."""
-    n = sig.n
-    big = s * t * n
+    """Decide that conjugating the tensored pattern by the index
+    permutation yields the pattern of the base-changed signature.
+
+    Entry (x, y) of the tensored pattern, x = k * s*t + a, is 1 iff
+    key(x) < key(y) lexicographically, key(x) = (a // s, block of k);
+    entry (i, j) of the target is 1 iff B(i) < B(j), B its block index.
+    So the identity holds iff B(perm(x)) is a strictly increasing
+    function of key(x): one sort, then a comparison of neighbours.
+    """
+    st = s * t
+    big = st * sig.n
     if big > 64:
         raise SizeLimit(f"size {big} exceeds the brute-force bound 64")
-    inner = Signature((s,) * t)
-    cell_order = pattern_of(inner).entries
-    cell_radical = radical_pattern(inner).entries
-    base = pattern_of(sig).entries
-    st = s * t
-
-    tensored = [[0] * big for _ in range(big)]
-    for k in range(n):
-        for l in range(n):
-            cell = cell_radical if base[k][l] else cell_order
-            for a in range(st):
-                for b in range(st):
-                    tensored[k * st + a][l * st + b] = cell[a][b]
-
+    target = sh_signature(sig, s, t)
     perm = sh_permutation(s, t, sig)
-    conjugated = [[0] * big for _ in range(big)]
-    for x in range(big):
-        px = perm[x]
-        for y in range(big):
-            conjugated[px][perm[y]] = tensored[x][y]
-
-    target = pattern_of(sh_signature(sig, s, t)).entries
-    return all(tuple(row) == trow for row, trow in zip(conjugated, target))
+    pairs = sorted(((x % st // s, sig.block_of(x // st)), target.block_of(perm[x]))
+                   for x in range(big))
+    return all((k1 < k2) == (b1 < b2) for (k1, b1), (k2, b2) in zip(pairs, pairs[1:]))
 
 
 def sh_order(order: BlockOrder) -> ShResult:

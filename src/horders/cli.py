@@ -27,8 +27,7 @@ SCHEMA = 1
 def emit(report: Report, fmt: str = "text") -> bytes:
     """Render a session report; JSON is byte-stable for identical runs."""
     if fmt == "json":
-        payload = {
-            "schema": SCHEMA,
+        return _emit_json({
             "ok": report.ok,
             "checks": [
                 {
@@ -41,8 +40,7 @@ def emit(report: Report, fmt: str = "text") -> bytes:
                 }
                 for c in report.checks
             ],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        })
     lines = []
     for c in report.checks:
         mark = "PASS" if c.ok else "FAIL"
@@ -56,16 +54,14 @@ def emit(report: Report, fmt: str = "text") -> bytes:
 
 def _emit_replay(report: ReplayReport, as_json: bool) -> bytes:
     if as_json:
-        payload = {
-            "schema": SCHEMA,
+        return _emit_json({
             "scenario": report.scenario,
             "ok": report.ok,
             "steps": [
                 {"name": s.name, "expected": s.expected, "actual": s.actual, "ok": s.ok}
                 for s in report.steps
             ],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        })
     lines = [f"scenario {report.scenario}"]
     for s in report.steps:
         mark = "PASS" if s.ok else "FAIL"
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_sh)
 
-    p = sub.add_parser("sh-verify", help="brute-force pattern conjugation check")
+    p = sub.add_parser("sh-verify", help="pattern conjugation check (size at most 64)")
     p.add_argument("--s", type=_int_at_least(1), required=True)
     p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--sig", required=True)

@@ -47,7 +47,7 @@ class NotPeriodic(HordersError):
 
 
 class SizeLimit(HordersError):
-    """The requested brute-force verification exceeds the desk-scale bound."""
+    """The requested pattern verification exceeds the desk-scale bound 64."""
 
 
 # -- involutions ---------------------------------------------------------------

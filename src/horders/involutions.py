@@ -24,34 +24,16 @@ to the identity needs no check:
 tau(a) = epsilon * a gives tau(a^-1) = epsilon * a^-1, hence
 sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) * a = x.
 
-The valuations of a^-1 are exact, read from one fraction-free
-elimination per connected component of the nonzero pattern of a (the
-inverse is block-diagonal along the components).  Row i of the
-component is multiplied by s_i * t^-low_i, where low_i is its lowest
-exponent and s_i clears its denominators; then a^-1[k][j] is
-a'^-1[k][j] * s_j * t^-low_j for the scaled gauge a', and the
-left-regular representation M(t) of a' over Q is an integer polynomial
-matrix.  Every minor of M has coefficients of absolute value at most
-P, the product over the rows of M of their 1-norms (the sum of the
-absolute values of all coefficients in the row), so det(M) and the
-entries of adj(M) = det(M) * M^-1 have them too.  Evaluate at X = 2^B,
-B the bit length of P: an integer polynomial p != 0 with lowest term
-p_v * t^v has p(X) = X^v * (p_v + X * q) with 0 < |p_v| < 2^B, so the
-lowest set bit of p(X) lies in [v * B, v * B + B) and v is its index
-divided by B, while p(X) = 0 only for p = 0.  Bareiss elimination of
-[M(X) | e_j] (e_j the coordinate of 1 in block j) gives +-det(M)(X),
-zero exactly when the gauge is singular over the Laurent field, and
-back-substitution gives the coordinates of det * a'^-1[k][j] at X.
-Hence v(a^-1[k][j]) is the least valuation among those coordinates
-minus v(det) minus low_j, and all-zero coordinates are an exactly zero
-entry (+infinity).
+The valuations of a^-1 are exact: ``JetMatrix.inverse_valuations``
+reads them from one fraction-free elimination per connected component
+of the nonzero pattern of a (see the ``matrices`` module docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt
 
 from .errors import (
     Diagnostics,
@@ -69,7 +51,7 @@ from .errors import (
 )
 from .matrices import JetMatrix
 from .orders import BlockOrder, iso_decide, pattern_of
-from .scalars import Q, Scalar, ScalarKind, _back_substitute, _bareiss, left_regular, smat_invertible
+from .scalars import Q, Scalar, ScalarKind, smat_invertible
 
 ANISOTROPIC = "anisotropic"
 ISOTROPIC = "isotropic"
@@ -152,87 +134,6 @@ def apply_sigma(spec: InvolutionSpec, x: JetMatrix) -> JetMatrix:
     return spec.gauge.inverse() @ apply_tau(x) @ spec.gauge
 
 
-def _components(a: JetMatrix) -> list[list[int]]:
-    """Index sets of the connected components of the nonzero pattern of a."""
-    n = a.n
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp, stack = [], [start]
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and (a.rows[i][j].coeffs or a.rows[j][i].coeffs):
-                    seen[j] = True
-                    stack.append(j)
-        out.append(sorted(comp))
-    return out
-
-
-def _inverse_valuations(a: JetMatrix) -> list[list[int | None]]:
-    """v(a^-1[k][j]) for an exact gauge a, None for an exactly zero entry;
-    raises NotInvertible for a singular gauge.  See the module docstring."""
-    kind = a.kind
-    dim = kind.dim
-    out: list[list[int | None]] = [[None] * a.n for _ in range(a.n)]
-    for comp in _components(a):
-        size = len(comp) * dim
-        lows, terms, norms = [], [], [0] * size
-        for ii, i in enumerate(comp):
-            row = [a.rows[i][j] for j in comp]
-            if not any(e.coeffs for e in row):
-                raise NotInvertible("gauge is not invertible over the Laurent field")
-            low = min(e.lowest_exp for e in row if e.coeffs)
-            scale = lcm(*(c.den for e in row for c in e.coeffs))
-            # per entry: (exponent, integer coordinates) of the terms of
-            # t^-low * scale * a[i][j]
-            scaled = [[(e.lowest_exp + k - low, tuple(x * (scale // c.den) for x in c.num))
-                       for k, c in enumerate(e.coeffs) if any(c.num)] for e in row]
-            for entry in scaled:
-                for _, num in entry:
-                    for x, products in zip(num, kind.basis_products):
-                        for _, r, k in products:
-                            norms[ii * dim + r] += abs(x * k)
-            lows.append(low)
-            terms.append(scaled)
-        bits = prod(norms).bit_length()
-        evaluated = []
-        for scaled in terms:
-            values = []
-            for entry in scaled:
-                coords = [0] * dim
-                for e, num in entry:
-                    for c, x in enumerate(num):
-                        coords[c] += x << (bits * e)
-                values.append(Scalar(kind, coords))
-            evaluated.append(values)
-        mat = left_regular(evaluated)
-        for r, row in enumerate(mat):
-            row.extend(int(r == jj * dim) for jj in range(len(comp)))
-        det = _bareiss(mat, size)
-        if det == 0:
-            raise NotInvertible("gauge is not invertible over the Laurent field")
-        vdet = _lowest_digit(det, bits)
-        for jj, j in enumerate(comp):
-            y = _back_substitute(mat, size, det, size + jj)
-            for kk, k in enumerate(comp):
-                either = 0  # its lowest set bit is the lowest among the coordinates
-                for x in y[kk * dim:(kk + 1) * dim]:
-                    either |= x
-                if either:
-                    out[k][j] = _lowest_digit(either, bits) - vdet - lows[jj]
-    return out
-
-
-def _lowest_digit(y: int, bits: int) -> int:
-    # index of the lowest nonzero base-2^bits digit of y != 0
-    return ((y & -y).bit_length() - 1) // bits
-
-
 def _require_wellformed(spec: InvolutionSpec) -> None:
     a = spec.gauge
     ta = apply_tau(a)
@@ -244,7 +145,7 @@ def _require_wellformed(spec: InvolutionSpec) -> None:
             "well-formedness is decided exactly; the gauge must be exact")
     p = pattern_of(spec.order.sig).entries
     va = [[e.valuation_floor() for e in row] for row in a.rows]
-    vinv = _inverse_valuations(a)
+    vinv = a.inverse_valuations()
     n = a.n
     # None is +infinity (an exactly zero entry): that image entry is zero.
     for i in range(n):

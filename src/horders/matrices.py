@@ -1,12 +1,39 @@
-"""Square matrices of Laurent jets over a single scalar kind."""
+"""Square matrices of Laurent jets over a single scalar kind.
+
+Exact questions about an exact matrix a over the Laurent field use one
+integer image per connected component of the nonzero pattern of a (a
+and a^-1 are block-diagonal along the components).  Row i of the
+component is multiplied by s_i * t^-low_i, where low_i is its lowest
+exponent and s_i clears its denominators; then a^-1[k][j] is
+a'^-1[k][j] * s_j * t^-low_j for the scaled matrix a', and the
+left-regular representation M(t) of a' over Q is an integer polynomial
+matrix.  ``field_invertible`` evaluates M at small integers,
+``inverse_valuations`` at one large power of two.
+
+Those valuations are exact.  Every minor of M has coefficients of
+absolute value at most P, the product over the rows of M of their
+1-norms (the sum of the absolute values of all coefficients in the
+row), so det(M) and the entries of adj(M) = det(M) * M^-1 have them too.
+Evaluate at X = 2^B, B the bit length of P: an integer polynomial p != 0
+with lowest term p_v * t^v has p(X) = X^v * (p_v + X * q) with
+0 < |p_v| < 2^B, so the lowest set bit of p(X) lies in [v * B, v * B + B)
+and v is its index divided by B, while p(X) = 0 only for p = 0.  Bareiss
+elimination of [M(X) | e_j] (e_j the coordinate of 1 in block j) gives
++-det(M)(X), zero exactly when a is singular over the Laurent field, and
+back-substitution gives the coordinates of det * a'^-1[k][j] at X.
+Hence v(a^-1[k][j]) is the least valuation among those coordinates minus
+v(det) minus low_j, and all-zero coordinates are an exactly zero entry
+(+infinity).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
-from .scalars import LaurentJet, Q, Scalar, ScalarKind, smat_invertible
+from .scalars import LaurentJet, Scalar, ScalarKind, _back_substitute, _bareiss, left_regular
 
 
 @dataclass(frozen=True)
@@ -152,22 +179,79 @@ class JetMatrix:
     def field_invertible(self) -> bool:
         """Exact invertibility over the Laurent field; all entries exact.
 
-        With row i scaled by t^-(its lowest exponent), the determinant of
-        the left-regular representation over Q is a polynomial of degree
-        at most D = dim * sum over rows of (highest - lowest exponent), so
-        it is nonzero iff it is nonzero at one of t = 1, ..., D + 1.
+        Invertible iff the image M(t) of every component (see the module
+        docstring) is: det M has degree at most D = dim * sum over the rows
+        of (highest - lowest exponent), so it is nonzero iff it is nonzero
+        at one of t = 1, ..., D + 1.
         """
-        rows = [[e for e in row if e.coeffs] for row in self.rows]
-        if not all(rows):
-            return False
-        span = sum(max(e.degree() for e in r) - min(e.lowest_exp for e in r) for r in rows)
-        return any(smat_invertible(self._evaluate(Q(x)))
-                   for x in range(1, self.kind.dim * span + 2))
+        def nonsingular(rows: list) -> bool:
+            bound = self.kind.dim * sum(
+                max((e for entry in row for e, _ in entry), default=0) for row in rows)
+            return any(_bareiss(m := self._regular_at(rows, x), len(m))
+                       for x in range(1, bound + 2))
 
-    def _evaluate(self, x: Q) -> list[list[Scalar]]:
-        zero = Scalar.zero(self.kind)
-        return [[sum((c.times(x ** (e.lowest_exp + k)) for k, c in enumerate(e.coeffs)), zero)
-                 for e in row] for row in self.rows]
+        return all(nonsingular(self._integer_rows(comp)[1]) for comp in self._components())
+
+    def inverse_valuations(self) -> list[list[int | None]]:
+        """v(a^-1[k][j]) for an exact a, None for an exactly zero entry;
+        raises NotInvertible for a singular a.  See the module docstring."""
+        dim = self.kind.dim
+        out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
+        for comp in self._components():
+            lows, rows = self._integer_rows(comp)
+            size = len(comp) * dim
+            norms = [0] * size
+            for ii, row in enumerate(rows):
+                for entry in row:
+                    for _, num in entry:
+                        for x, products in zip(num, self.kind.basis_products):
+                            for _, r, k in products:
+                                norms[ii * dim + r] += abs(x * k)
+            bits = prod(norms).bit_length()
+            mat = self._regular_at(rows, 1 << bits)
+            for r, row in enumerate(mat):
+                row.extend(int(r == jj * dim) for jj in range(len(comp)))
+            det = _bareiss(mat, size)
+            if det == 0:
+                raise NotInvertible("gauge is not invertible over the Laurent field")
+            vdet = _lowest_digit(det, bits)
+            for jj, j in enumerate(comp):
+                y = _back_substitute(mat, size, det, size + jj)
+                for kk, k in enumerate(comp):
+                    digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
+                    if digits:
+                        out[k][j] = min(digits) - vdet - lows[jj]
+        return out
+
+    def _components(self) -> list[list[int]]:
+        """Index sets of the connected components of the nonzero pattern."""
+        label = list(range(self.n))
+        for i in range(self.n):
+            for j in range(i):
+                if self.rows[i][j].coeffs or self.rows[j][i].coeffs:
+                    old = label[i]
+                    label = [label[j] if x == old else x for x in label]
+        return [[i for i, y in enumerate(label) if y == x] for x in dict.fromkeys(label)]
+
+    def _integer_rows(self, comp: list[int]) -> tuple[list[int], list]:
+        """The rows of a component, row i times s_i * t^-low_i: the lows and,
+        per entry, the (exponent, integer coordinates) of its terms.  A
+        zero row stays zero, so its image is singular at every point."""
+        lows, rows = [], []
+        for i in comp:
+            row = [self.rows[i][j] for j in comp]
+            low = min((e.lowest_exp for e in row if e.coeffs), default=0)
+            scale = lcm(*(c.den for e in row for c in e.coeffs))
+            rows.append([[(e.lowest_exp + k - low, tuple(x * (scale // c.den) for x in c.num))
+                          for k, c in enumerate(e.coeffs) if any(c.num)] for e in row])
+            lows.append(low)
+        return lows, rows
+
+    def _regular_at(self, rows: list, x: int) -> list[list[int]]:
+        """The left-regular representation of integer rows at t = x."""
+        return left_regular([[Scalar(self.kind, [sum(num[c] * x ** e for e, num in entry)
+                                                 for c in range(self.kind.dim)])
+                              for entry in row] for row in rows])
 
     def inverse(self) -> "JetMatrix":
         """Gauss-Jordan over the Laurent field; left row operations only.
@@ -219,3 +303,8 @@ class JetMatrix:
         if off_diag_zero and n > 0:
             return "diag(" + ", ".join(str(self.rows[i][i]) for i in range(n)) + ")"
         return "mat[" + ",".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows) + "]"
+
+
+def _lowest_digit(y: int, bits: int) -> int:
+    # index of the lowest nonzero base-2^bits digit of y != 0
+    return ((y & -y).bit_length() - 1) // bits

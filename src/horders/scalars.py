@@ -34,6 +34,7 @@ package changes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -381,6 +382,25 @@ def _reduced(kind: ScalarKind, num: tuple, den: int) -> Scalar:
     return _raw(kind, num, den)
 
 
+def exact_int(digits: str) -> int:
+    """int(digits) past the interpreter's limit on decimal strings, which
+    stays as it is (Decimal converts exactly)."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
+def exact_str(q) -> str:
+    """str(q) of an int or a fraction of any size; see :func:`exact_int`."""
+    try:
+        return str(q)
+    except ValueError:
+        q = Q(q)
+        top = str(Decimal(q.numerator))
+        return top if q.denominator == 1 else f"{top}/{Decimal(q.denominator)}"
+
+
 def _core_str(kind: ScalarKind, parts: tuple) -> str:
     units = {"base": [""], "quad": ["", f"sqrt({kind.d})"], "quat": ["", "qi", "qj", "qk"]}[kind.core]
     pieces = []
@@ -388,13 +408,13 @@ def _core_str(kind: ScalarKind, parts: tuple) -> str:
         if coeff == 0:
             continue
         if unit == "":
-            term = str(coeff)
+            term = exact_str(coeff)
         elif coeff == 1:
             term = unit
         elif coeff == -1:
             term = f"-{unit}"
         else:
-            term = f"{coeff}*{unit}"
+            term = f"{exact_str(coeff)}*{unit}"
         pieces.append(term)
     if not pieces:
         return "0"

@@ -21,7 +21,8 @@ identity or asks whether a rational matrix is singular.
   W = tau(u) * a2 * u) iff W = c * a1 with c central.
 
 Invertibility over the Laurent field is decided exactly by
-``JetMatrix.field_invertible``.
+``JetMatrix.field_invertible``, on the integer image of each connected
+component that the ``matrices`` module docstring describes.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 from itertools import permutations
 from random import Random
 
+from horders import basechange
 from horders.errors import Diagnostics, NotInvertible, OK, failure
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
-from horders.orders import BlockOrder, meets_pattern, pattern_of, radical_pattern
+from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, radical_pattern
 from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind
 from horders.witness import WitnessCheck
 
@@ -330,3 +331,36 @@ def ref_str(kind: ScalarKind, a: tuple) -> str:
     hi = core(a[m:])
     hi = f"sqrt({kind.ext})" if hi == "1" else f"({hi})*sqrt({kind.ext})"
     return hi if not any(a[:m]) else f"{core(a[:m])} + {hi}"
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference for the base-change pattern identity: build the
+# tensored (s*t*n)^2 pattern, conjugate it entry by entry and compare.
+
+
+def ref_verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
+    n = sig.n
+    big = s * t * n
+    inner = Signature((s,) * t)
+    cell_order = pattern_of(inner).entries
+    cell_radical = radical_pattern(inner).entries
+    base = pattern_of(sig).entries
+    st = s * t
+
+    tensored = [[0] * big for _ in range(big)]
+    for k in range(n):
+        for l in range(n):
+            cell = cell_radical if base[k][l] else cell_order
+            for a in range(st):
+                for b in range(st):
+                    tensored[k * st + a][l * st + b] = cell[a][b]
+
+    perm = basechange.sh_permutation(s, t, sig)  # looked up per call, so tests can patch it
+    conjugated = [[0] * big for _ in range(big)]
+    for x in range(big):
+        px = perm[x]
+        for y in range(big):
+            conjugated[px][perm[y]] = tensored[x][y]
+
+    target = pattern_of(basechange.sh_signature(sig, s, t)).entries
+    return all(tuple(row) == trow for row, trow in zip(conjugated, target))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from horders import basechange
 from horders.basechange import (
     becomes_iso_after_sh,
     descend_signature,
@@ -22,6 +23,8 @@ from horders.orders import (
 )
 from horders.scalars import BASE, QUATERNION
 from horders.witness import semisimple_pair, sh_grid
+
+from helpers import ref_verify_sh_pattern
 
 
 def sig(*parts):
@@ -82,8 +85,36 @@ def test_verify_sh_pattern_examples():
 
 
 def test_verify_sh_pattern_size_limit():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="size 81 exceeds the brute-force bound 64"):
         verify_sh_pattern(3, 3, sig(3, 3, 3))
+
+
+def test_verify_sh_pattern_matches_the_brute_force():
+    cases = list(sh_grid())
+    assert all(verify_sh_pattern(*c) and ref_verify_sh_pattern(*c) for c in cases)
+
+
+def test_verify_sh_pattern_rejects_what_the_brute_force_rejects(monkeypatch):
+    # the reversed permutation breaks the identity unless the target
+    # pattern is symmetric under it
+    original = basechange.sh_permutation
+    monkeypatch.setattr(basechange, "sh_permutation",
+                        lambda s, t, sig: tuple(reversed(original(s, t, sig))))
+    verdicts = [(verify_sh_pattern(*c), ref_verify_sh_pattern(*c)) for c in sh_grid()]
+    assert all(got == want for got, want in verdicts)
+    assert sum(not got for got, _ in verdicts) == 296
+
+
+@pytest.mark.parametrize("parts", [
+    lambda size: (size,),  # one block: every pair of indices compares equal
+    lambda size: (1,) * size,  # one block per index: every pair compares strictly
+])
+def test_verify_sh_pattern_matches_the_brute_force_on_other_targets(monkeypatch, parts):
+    monkeypatch.setattr(basechange, "sh_signature",
+                        lambda sig, s, t: Signature(parts(s * t * sig.n)))
+    verdicts = [(verify_sh_pattern(*c), ref_verify_sh_pattern(*c)) for c in sh_grid()]
+    assert all(got == want for got, want in verdicts)
+    assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
 
 
 def test_round_trip_subset():

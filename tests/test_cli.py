@@ -208,3 +208,40 @@ def test_precision_below_two_is_a_usage_error(capsys, value):
         main(["inv", "--sig", "4,2", "--precision", value])
     assert exc.value.code == 2
     assert "--precision: expected an integer of at least 2" in capsys.readouterr().err
+
+
+BIG = "1" + "0" * 5000  # 10^5000: past the interpreter's 4,300-digit string limit
+
+
+def test_integers_past_the_string_limit_print_exactly(tmp_path, capsys):
+    path = tmp_path / "big.ho"
+    path.write_text("division D = base s=1 t=1\n"
+                    "order A = block(D; 2)\n"
+                    "involution s1 on A : gauge diag(1, 10^5000) eps +1 conj none\n"
+                    "involution s2 on A : gauge diag(1, 1) eps +1 conj none\n"
+                    "witness w : from s1 to s2 mode F u diag(1, 1) alpha 1\n"
+                    "check v = verify(w) expect true\n")
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"IdentityMismatch: tau(u)*a2*u != alpha*a1 at entry 2,2: 1 vs {BIG}" in out
+    assert err == ""
+    assert main(["resinv", "--session", str(path), "--inv", "s1"]) == 0
+    assert f"t^0 * [1, 0; 0, {BIG}]" in capsys.readouterr().out
+
+
+def test_a_check_that_raises_is_contained(tmp_path, capsys, monkeypatch):
+    from horders import session as session_module
+
+    def broken(*args):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(session_module, "descend_signature", broken)
+    path = tmp_path / "raise.ho"
+    path.write_text("check a = descend_sig((2,2), 1, 2) expect (2)\n"
+                    "check b = sh_verify(1, 1, (2)) expect true\n")
+    report = session_module.run_session(session_module.parse_session(path.read_text()))
+    assert [(c.actual, c.detail, c.ok) for c in report.checks] == [
+        ("error RuntimeError", "broken check", False), ("true", "", True)]
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL a: error RuntimeError" in out and "Traceback" not in out + err

@@ -17,7 +17,6 @@ from horders.involutions import (
     INCONCLUSIVE,
     ISOTROPIC,
     InvolutionSpec,
-    _inverse_valuations,
     anisotropy,
     apply_sigma,
     apply_tau,
@@ -56,6 +55,7 @@ from helpers import (
     wellformed_by_products,
 )
 
+_inverse_valuations = JetMatrix.inverse_valuations
 QUAD = quadratic(-1)
 
 

@@ -12,7 +12,7 @@ from horders.errors import (
     UnknownIdentifier,
 )
 from horders.orders import BlockOrder, SemisimpleOrder
-from horders.scalars import QUATERNION
+from horders.scalars import QUATERNION, Q
 from horders.session import parse_session, print_session, run_session
 
 
@@ -260,3 +260,14 @@ def test_run_session_builds_the_symbol_table_once(monkeypatch):
     assert run_session(s).ok
     assert len(tables) == len(s.checks) > 1
     assert all(t is tables[0] for t in tables)
+
+
+def test_literals_past_the_string_limit_round_trip():
+    digits = "1" + "0" * 5000  # 5,001 digits
+    text = ("division D = base s=1 t=1\norder A = block(D; 1)\n"
+            f"involution s on A : gauge diag({digits}/3) eps +1 conj none\n")
+    s = parse_session(text)
+    assert s.involutions["s"].gauge.entry(0, 0).coeffs[0].parts == (Q(10 ** 5000, 3),)
+    printed = print_session(s)
+    assert f"diag({digits}/3)" in printed
+    assert parse_session(printed) == s
