@@ -35,6 +35,7 @@ from .involutions import (
     distinguish,
     residually_anisotropic,
     residue_involution,
+    residue_isotropy,
     wellformed,
 )
 from .matrices import JetMatrix

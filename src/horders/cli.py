@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .basechange import sh_order, verify_sh_pattern
 from .errors import HordersError, SessionError
-from .involutions import anisotropy, distinguish, residue_involution
+from .involutions import distinguish, residue_involution, residue_isotropy
 from .orders import BlockOrder, DivisionSpec, Signature, cyclic_normal_form, iso_decide
 from .session import Report, Session, parse_session, run_session
 from .witness import SCENARIOS, ReplayReport, replay, transport_check, verify_witness
@@ -195,8 +195,7 @@ def _cmd_aniso(args) -> int:
     r = spec.order.sig.r
     if args.block is not None and not 1 <= args.block <= r:
         raise HordersError(f"--block must be in 1..{r}, got {args.block}")
-    res = residue_involution(spec)
-    results = list(enumerate((anisotropy(b.gauge, res.kind, res.epsilon) for b in res.blocks), 1))
+    results = list(enumerate(residue_isotropy(spec), 1))
     if args.block is not None:
         results = [results[args.block - 1]]
     if args.json:

@@ -324,7 +324,11 @@ def _represent_int(weights: tuple[int, ...], target: int) -> tuple[int, ...] | N
     return None
 
 
-def represent_norm(kind: ScalarKind, rho: Fraction, cap: int = 500000) -> Scalar | None:
+# Largest num * den of a norm that ``represent_norm`` searches for.
+_NORM_SEARCH_CAP = 500000
+
+
+def represent_norm(kind: ScalarKind, rho: Fraction) -> Scalar | None:
     """A scalar of the given kind with norm rho, or None if the bounded
     search finds no rational representation."""
     if rho <= 0:
@@ -337,7 +341,7 @@ def represent_norm(kind: ScalarKind, rho: Fraction, cap: int = 500000) -> Scalar
         return None
     weights = (1, abs(kind.d)) if kind.core == "quad" else (1, 1, 1, 1)
     target = num * den
-    if target > cap:
+    if target > _NORM_SEARCH_CAP:
         return None
     parts = _represent_int(weights, target)
     if parts is None:
@@ -407,6 +411,12 @@ def residually_anisotropic(spec: InvolutionSpec) -> bool:
         anisotropy(blk.gauge, res.kind, res.epsilon).is_anisotropic for blk in res.blocks)
 
 
+def residue_isotropy(spec: InvolutionSpec) -> list[IsotropyResult]:
+    """The ``anisotropy`` result of each residue block, in block order."""
+    res = residue_involution(spec)
+    return [anisotropy(blk.gauge, res.kind, res.epsilon) for blk in res.blocks]
+
+
 def distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> DistinguishResult:
     """Sound one-sided non-isomorphism test through residue profiles.
 
@@ -419,12 +429,9 @@ def distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> DistinguishResu
         return DistinguishResult(DISTINGUISHED, "underlying orders are non-isomorphic")
 
     def profile(spec: InvolutionSpec):
-        res = residue_involution(spec)
-        items = []
-        for blk in res.blocks:
-            iso = anisotropy(blk.gauge, res.kind, res.epsilon)
-            items.append((blk.size, iso.verdict, iso.signature))
-        return sorted(items)
+        # residue block i has the size of the order's block i
+        return sorted((size, iso.verdict, iso.signature)
+                      for size, iso in zip(spec.order.sig.parts, residue_isotropy(spec)))
 
     p1, p2 = profile(spec1), profile(spec2)
     if p1 != p2:

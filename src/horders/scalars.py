@@ -673,7 +673,9 @@ class LaurentJet:
         Exact monomials with invertible coefficient invert exactly.
         Otherwise the result precision is ``P - 2v`` where ``v`` is the
         valuation and ``P`` the input precision (exact inputs use the
-        default working precision above their valuation).
+        default working precision above their valuation).  An explicit
+        ``precision`` is capped at ``P - 2v``, beyond which a truncated
+        input does not determine its inverse.
         """
         if not self.coeffs:
             raise IndeterminateValuation("cannot invert a jet that is zero to precision")
@@ -682,12 +684,10 @@ class LaurentJet:
         lead_inv = lead.inverse()  # NotInvertible propagates
         if len(self.coeffs) == 1 and self.precision is None and precision is None:
             return LaurentJet(self.kind, -v, (lead_inv,), None)
-        if precision is not None:
-            target = precision
-        elif self.precision is not None:
-            target = self.precision - 2 * v
+        if self.precision is not None:
+            target = _min_prec(precision, self.precision - 2 * v)
         else:
-            target = DEFAULT_PRECISION - v
+            target = DEFAULT_PRECISION - v if precision is None else precision
         unit_prec = target + v  # precision of the valuation-zero unit part
         if unit_prec <= 0:
             raise InsufficientPrecision(
@@ -708,25 +708,16 @@ class LaurentJet:
         return inv_unit.shift(-v)
 
     def __pow__(self, k: int) -> "LaurentJet":
-        if self.precision is None and len(self.coeffs) == 1:
-            # exact monomial c*t^v: c^k * t^(v*k), by repeated squaring
-            c, v = self.coeffs[0], self.lowest_exp * k
-            if k < 0:
-                c, k = c.inverse(), -k
-            out = Scalar.one(self.kind)
-            while k:
-                if k & 1:
-                    out = out * c
-                k >>= 1
-                if k:
-                    c = c * c
-            return LaurentJet(self.kind, v, (out,), None)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = LaurentJet.one(self.kind)
-        for _ in range(k):
-            out = out * self
-        return out
+        """``k``-th power by repeated squaring; ``k < 0`` inverts first."""
+        base = self.inverse() if k < 0 else self
+        k, out = abs(k), None
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return LaurentJet.one(self.kind) if out is None else out
 
     # -- comparison -----------------------------------------------------------
 

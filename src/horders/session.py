@@ -11,12 +11,15 @@ Grammar (one declaration per line, ``#`` starts a comment):
 
 Matrix literals are ``diag(...)``, ``mat[[...],[...]]`` and
 ``dsum(M1, M2, ...)``; entries are sums and products of ``INT[/INT]``,
-``t`` (with integer powers), ``sqrt(d)`` and the quaternion units
-``qi``, ``qj``, ``qk``.  Inside a witness declared over ``etale(d)``,
-``sqrt(d)`` denotes the adjoined central square root.  Numbers are
-ASCII digits and names ASCII letters, digits and underscores; any other
-character is a syntax error at its column.  Errors carry the first
-offending source position; there is no recovery.
+``t``, ``sqrt(d)``, the quaternion units ``qi``, ``qj``, ``qk`` and
+integer powers ``x^k`` of these or of a parenthesised entry (``k < 0``
+inverts, so ``(1+t)^-1`` is known modulo ``t^16``).  An entry may end
+in ``mod t^N``, which truncates it to precision ``min(N, its own)``;
+that is how a truncated entry prints.  Inside a witness declared over
+``etale(d)``, ``sqrt(d)`` denotes the adjoined central square root.
+Numbers are ASCII digits and names ASCII letters, digits and
+underscores; any other character is a syntax error at its column.
+Errors carry the first offending source position; there is no recovery.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
 from .errors import (
@@ -35,11 +38,12 @@ from .errors import (
     UnknownIdentifier,
 )
 from .involutions import (
+    ANISOTROPIC,
+    ISOTROPIC,
     InvolutionSpec,
-    anisotropy,
     distinguish,
-    residue_involution,
     residually_anisotropic,
+    residue_isotropy,
     wellformed,
 )
 from .matrices import JetMatrix
@@ -135,6 +139,24 @@ class _Cursor:
             pass
         return sign * exact_int(self.expect("INT").value)
 
+    def natural(self) -> int:
+        return exact_int(self.expect("INT").value)
+
+    def comma_list(self, item) -> list:
+        """``item()`` once, then again after each ``,``."""
+        items = [item()]
+        while self.accept("SYM", ","):
+            items.append(item())
+        return items
+
+    def int_tuple(self) -> tuple[int, ...] | None:
+        """A parenthesised list of signed integers, or None when no ``(`` follows."""
+        if not self.accept("SYM", "("):
+            return None
+        items = self.comma_list(self.signed_int)
+        self.expect("SYM", ")")
+        return tuple(items)
+
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -147,6 +169,13 @@ def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
             value = value + _parse_term(cur, kind)
         elif cur.accept("SYM", "-"):
             value = value - _parse_term(cur, kind)
+        elif cur.accept("IDENT", "mod"):
+            cur.expect_ident("t")
+            cur.expect("SYM", "^")
+            prec = cur.signed_int()
+            if value.precision is not None:
+                prec = min(prec, value.precision)
+            return LaurentJet(kind, value.lowest_exp, value.coeffs, prec)
         else:
             return value
 
@@ -209,16 +238,12 @@ def _parse_matrix(cur: _Cursor, kind: ScalarKind) -> JetMatrix:
     tok = cur.expect("IDENT")
     if tok.value == "diag":
         cur.expect("SYM", "(")
-        entries = [_parse_expr(cur, kind)]
-        while cur.accept("SYM", ","):
-            entries.append(_parse_expr(cur, kind))
+        entries = cur.comma_list(lambda: _parse_expr(cur, kind))
         cur.expect("SYM", ")")
         return JetMatrix.diagonal(entries)
     if tok.value == "mat":
         cur.expect("SYM", "[")
-        rows = [_parse_matrix_row(cur, kind)]
-        while cur.accept("SYM", ","):
-            rows.append(_parse_matrix_row(cur, kind))
+        rows = cur.comma_list(lambda: _parse_matrix_row(cur, kind))
         cur.expect("SYM", "]")
         if any(len(r) != len(rows) for r in rows):
             raise SessionTypeError(
@@ -227,9 +252,7 @@ def _parse_matrix(cur: _Cursor, kind: ScalarKind) -> JetMatrix:
         return JetMatrix.of(rows)
     if tok.value == "dsum":
         cur.expect("SYM", "(")
-        blocks = [_parse_matrix(cur, kind)]
-        while cur.accept("SYM", ","):
-            blocks.append(_parse_matrix(cur, kind))
+        blocks = cur.comma_list(lambda: _parse_matrix(cur, kind))
         cur.expect("SYM", ")")
         return JetMatrix.dsum(*blocks)
     raise SessionSyntaxError(
@@ -238,9 +261,7 @@ def _parse_matrix(cur: _Cursor, kind: ScalarKind) -> JetMatrix:
 
 def _parse_matrix_row(cur: _Cursor, kind: ScalarKind) -> list[LaurentJet]:
     cur.expect("SYM", "[")
-    row = [_parse_expr(cur, kind)]
-    while cur.accept("SYM", ","):
-        row.append(_parse_expr(cur, kind))
+    row = cur.comma_list(lambda: _parse_expr(cur, kind))
     cur.expect("SYM", "]")
     return row
 
@@ -294,26 +315,10 @@ class Session:
         return tuple(d.payload for d in self.declarations if d.kind == "check")
 
 
-_CHECK_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "iso": ("order", "order"),
-    "ss_iso": ("sorder", "sorder"),
-    "ss_iso_fixed": ("sorder", "sorder"),
-    "inv": ("order",),
-    "sh_sig": ("order",),
-    "descend_sig": ("tuple", "int", "int"),
-    "sh_verify": ("int", "int", "tuple"),
-    "becomes_iso_after_sh": ("sorder", "sorder"),
-    "wellformed": ("involution",),
-    "residually_anisotropic": ("involution",),
-    "aniso": ("involution",),
-    "distinguish": ("involution", "involution"),
-    "verify": ("witness",),
-    "transport": ("witness",),
-}
-
-_CHECK_KWARGS = {"aniso": {"block"}, "transport": {"samples"}}
-
 _VERDICT_WORDS = {"true", "false", "distinguished", "inconclusive", "anisotropic", "isotropic"}
+
+# The ``conj`` word of an involution, by the core of its order's scalar kind.
+_CONJ_WORDS = {"base": "none", "quad": "quadratic", "quat": "quaternion"}
 
 
 class _Parser:
@@ -359,10 +364,10 @@ class _Parser:
                 f"expected base, quadratic or quaternion, got {word!r}", cur.line)
         cur.expect_ident("s")
         cur.expect("SYM", "=")
-        s = exact_int(cur.expect("INT").value)
+        s = cur.natural()
         cur.expect_ident("t")
         cur.expect("SYM", "=")
-        t = exact_int(cur.expect("INT").value)
+        t = cur.natural()
         cur.done()
         try:
             payload = DivisionSpec(name, kind, s, t)
@@ -379,9 +384,7 @@ class _Parser:
             tok = cur.expect("IDENT")
             division = self.lookup(tok.value, ("division",), tok.line, tok.col)
             cur.expect("SYM", ";")
-            parts = [exact_int(cur.expect("INT").value)]
-            while cur.accept("SYM", ","):
-                parts.append(exact_int(cur.expect("INT").value))
+            parts = cur.comma_list(cur.natural)
             cur.expect("SYM", ")")
             cur.done()
             try:
@@ -392,9 +395,7 @@ class _Parser:
             return
         if word == "product":
             cur.expect("SYM", "(")
-            refs = [cur.expect("IDENT")]
-            while cur.accept("SYM", ","):
-                refs.append(cur.expect("IDENT"))
+            refs = cur.comma_list(lambda: cur.expect("IDENT"))
             cur.expect("SYM", ")")
             cur.done()
             components = []
@@ -426,8 +427,7 @@ class _Parser:
         epsilon = cur.signed_int()
         cur.expect_ident("conj")
         word = cur.expect_ident()
-        expected_word = {"base": "none", "quad": "quadratic", "quat": "quaternion"}[
-            order.division.kind.core]
+        expected_word = _CONJ_WORDS[order.division.kind.core]
         if word != expected_word:
             raise SessionTypeError(
                 f"conj {word} does not match the order's scalar kind "
@@ -484,18 +484,16 @@ class _Parser:
         cur.expect("SYM", "=")
         func_tok = cur.expect("IDENT")
         func = func_tok.value
-        if func not in _CHECK_SIGNATURES:
+        if func not in _CHECKS:
             raise SessionSyntaxError(
-                f"unknown check {func!r}; known: {', '.join(sorted(_CHECK_SIGNATURES))}",
+                f"unknown check {func!r}; known: {', '.join(sorted(_CHECKS))}",
                 func_tok.line, func_tok.col)
         cur.expect("SYM", "(")
         args: list = []
         positions: list = []
         kwargs: list = []
         if not cur.accept("SYM", ")"):
-            self._parse_check_arg(cur, args, positions, kwargs)
-            while cur.accept("SYM", ","):
-                self._parse_check_arg(cur, args, positions, kwargs)
+            cur.comma_list(lambda: self._parse_check_arg(cur, args, positions, kwargs))
             cur.expect("SYM", ")")
         cur.expect_ident("expect")
         expected = self._parse_expected(cur)
@@ -520,12 +518,9 @@ class _Parser:
         positions.append((cur.line, None))
 
     def _parse_check_value(self, cur: _Cursor):
-        if cur.accept("SYM", "("):
-            items = [cur.signed_int()]
-            while cur.accept("SYM", ","):
-                items.append(cur.signed_int())
-            cur.expect("SYM", ")")
-            return ("tuple", tuple(items))
+        items = cur.int_tuple()
+        if items is not None:
+            return ("tuple", items)
         return ("int", cur.signed_int())
 
     def _parse_expected(self, cur: _Cursor) -> str:
@@ -537,22 +532,19 @@ class _Parser:
         if tok is not None and tok.kind == "IDENT" and tok.value in _VERDICT_WORDS:
             cur.next()
             return tok.value
-        if cur.accept("SYM", "("):
-            items = [cur.signed_int()]
-            while cur.accept("SYM", ","):
-                items.append(cur.signed_int())
-            cur.expect("SYM", ")")
-            return _format_tuple(tuple(items))
+        items = cur.int_tuple()
+        if items is not None:
+            return _format_tuple(items)
         raise SessionSyntaxError("expected a verdict, a tuple or `error CODE`", cur.line)
 
     def _validate_check(self, func: str, args: list, positions: list,
                         kwargs: list, tok: Token) -> None:
-        sig = _CHECK_SIGNATURES[func]
-        if len(args) != len(sig):
+        check = _CHECKS[func]
+        if len(args) != len(check.params):
             raise SessionTypeError(
-                f"{func} takes {len(sig)} arguments, got {len(args)}", tok.line, tok.col)
-        for arg, pos, want in zip(args, positions, sig):
-            if want in ("order", "sorder", "involution", "witness", "division"):
+                f"{func} takes {len(check.params)} arguments, got {len(args)}", tok.line, tok.col)
+        for arg, pos, want in zip(args, positions, check.params):
+            if want not in ("int", "tuple"):
                 if arg[0] != "ref":
                     raise SessionTypeError(
                         f"{func} expects a declared {want} name", tok.line, tok.col)
@@ -566,12 +558,10 @@ class _Parser:
                 raise SessionTypeError(
                     f"{func} expects a {want} argument, got {arg[0]}", tok.line, tok.col)
             elif min(arg[1] if want == "tuple" else (arg[1],)) < 1:
-                text = _format_tuple(arg[1]) if want == "tuple" else exact_str(arg[1])
                 raise SessionTypeError(
-                    f"{func} expects positive integers, got {text}", tok.line, tok.col)
-        allowed = _CHECK_KWARGS.get(func, set())
+                    f"{func} expects positive integers, got {_format_arg(arg)}", tok.line, tok.col)
         for key, value in kwargs:
-            if key not in allowed:
+            if key not in check.keywords:
                 raise SessionTypeError(
                     f"{func} does not take keyword {key!r}", tok.line, tok.col)
             if key == "block":
@@ -613,14 +603,21 @@ def _format_tuple(tp: tuple[int, ...]) -> str:
     return "(" + ",".join(exact_str(x) for x in tp) + ")"
 
 
+def _format_arg(arg: tuple) -> str:
+    """The source text of a check argument ``("ref" | "int" | "tuple", value)``."""
+    kind, value = arg
+    if kind == "ref":
+        return value
+    return _format_tuple(value) if kind == "tuple" else exact_str(value)
+
+
 def print_session(session: Session) -> str:
     lines = []
     for decl in session.declarations:
         if decl.kind == "division":
             d: DivisionSpec = decl.payload
-            word = {"base": "base", "quad": f"quadratic({d.kind.d})",
-                    "quat": "quaternion"}[d.kind.core]
-            lines.append(f"division {decl.name} = {word} s={exact_str(d.s)} t={exact_str(d.t)}")
+            lines.append(
+                f"division {decl.name} = {d.kind} s={exact_str(d.s)} t={exact_str(d.t)}")
         elif decl.kind == "order":
             if isinstance(decl.payload, BlockOrder):
                 parts = ",".join(exact_str(p) for p in decl.payload.sig.parts)
@@ -629,11 +626,9 @@ def print_session(session: Session) -> str:
                 lines.append(f"order {decl.name} = product({', '.join(decl.refs)})")
         elif decl.kind == "involution":
             spec: InvolutionSpec = decl.payload
-            word = {"base": "none", "quad": "quadratic", "quat": "quaternion"}[
-                spec.order.division.kind.core]
             lines.append(
                 f"involution {decl.name} on {decl.refs[0]} : gauge {spec.gauge} "
-                f"eps {spec.epsilon:+d} conj {word}")
+                f"eps {spec.epsilon:+d} conj {_CONJ_WORDS[spec.order.division.kind.core]}")
         elif decl.kind == "witness":
             w: WitnessCheck = decl.payload
             word = {"generic-fiber": "F", "base": "base",
@@ -643,17 +638,8 @@ def print_session(session: Session) -> str:
                 f"mode {word} u {w.u} alpha {w.alpha}")
         elif decl.kind == "check":
             c: CheckDecl = decl.payload
-            rendered = []
-            for arg in c.args:
-                if arg[0] == "ref":
-                    rendered.append(arg[1])
-                elif arg[0] == "tuple":
-                    rendered.append(_format_tuple(arg[1]))
-                else:
-                    rendered.append(exact_str(arg[1]))
-            for key, value in c.kwargs:
-                text = _format_tuple(value[1]) if value[0] == "tuple" else exact_str(value[1])
-                rendered.append(f"{key}={text}")
+            rendered = [_format_arg(a) for a in c.args]
+            rendered += [f"{key}={_format_arg(value)}" for key, value in c.kwargs]
             lines.append(
                 f"check {decl.name} = {c.func}({', '.join(rendered)}) expect {c.expected}")
     return "\n".join(lines) + "\n"
@@ -687,62 +673,73 @@ def _as_semisimple(obj) -> SemisimpleOrder:
     return obj if isinstance(obj, SemisimpleOrder) else SemisimpleOrder((obj,))
 
 
+def _verdict(value: bool, detail: str = "") -> tuple[str, str]:
+    return ("true" if value else "false"), detail
+
+
+def _described(diag) -> tuple[str, str]:
+    return _verdict(diag.ok, diag.describe())
+
+
+def _run_aniso(spec: InvolutionSpec, block: int | None = None) -> tuple[str, str]:
+    results = residue_isotropy(spec)
+    if block is not None:
+        chosen = results[block - 1]
+        return chosen.verdict, f"signature {chosen.signature}"
+    verdict = ANISOTROPIC if all(r.is_anisotropic for r in results) else ISOTROPIC
+    return verdict, "; ".join(
+        f"block {i + 1}: {r.verdict} {r.signature}" for i, r in enumerate(results))
+
+
+def _run_distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> tuple[str, str]:
+    result = distinguish(spec1, spec2)
+    return result.verdict, result.reason or ""
+
+
+class _Check(NamedTuple):
+    params: tuple[str, ...]  # a declared order|sorder|involution|witness name, or int|tuple
+    run: Callable[..., tuple[str, str]]  # resolved arguments -> (actual, detail)
+    keywords: tuple[str, ...] = ()
+
+
+# One row per check.  An ``sorder`` argument names any order and reaches the
+# runner as a SemisimpleOrder; ``transport`` accepts ``samples=n`` and ignores
+# it.  Runners look the deciding functions up when called, so a wrapper
+# installed on the module later (``perfbench/tracing.py``) sees every call.
+_CHECKS = {
+    "iso": _Check(("order", "order"), lambda a, b: _verdict(iso_decide(a, b))),
+    "ss_iso": _Check(("sorder", "sorder"), lambda a, b: _verdict(ss_iso_decide(a, b))),
+    "ss_iso_fixed": _Check(("sorder", "sorder"),
+                           lambda a, b: _verdict(ss_iso_decide_fixed(a, b))),
+    "inv": _Check(("order",), lambda a: (_format_tuple(inv_of(a)), "")),
+    "sh_sig": _Check(("order",), lambda a: (_format_tuple(sh_order(a).order.sig.parts), "")),
+    "descend_sig": _Check(("tuple", "int", "int"), lambda parts, s, t: (
+        _format_tuple(descend_signature(parts, s, t).parts), "")),
+    "sh_verify": _Check(("int", "int", "tuple"), lambda s, t, parts: _verdict(
+        verify_sh_pattern(s, t, Signature(parts)))),
+    "becomes_iso_after_sh": _Check(("sorder", "sorder"),
+                                   lambda a, b: _verdict(becomes_iso_after_sh(a, b))),
+    "wellformed": _Check(("involution",), lambda spec: _described(wellformed(spec))),
+    "residually_anisotropic": _Check(("involution",),
+                                     lambda spec: _verdict(residually_anisotropic(spec))),
+    "aniso": _Check(("involution",), _run_aniso, ("block",)),
+    "distinguish": _Check(("involution", "involution"), _run_distinguish),
+    "verify": _Check(("witness",), lambda w: _described(verify_witness(w))),
+    "transport": _Check(("witness",), lambda w, samples=None: _described(transport_check(w)),
+                        ("samples",)),
+}
+
+
 def _dispatch(table: dict, decl: CheckDecl) -> tuple[str, str]:
     """Returns (actual, detail); ``table`` maps every declared name that
     a check can refer to onto its payload."""
-
-    def arg(i):
-        a = decl.args[i]
-        if a[0] == "ref":
-            return table[a[1]]
-        return a[1]
-
-    kwargs = {k: (v[1] if v[0] in ("int", "tuple") else v) for k, v in decl.kwargs}
-    func = decl.func
-    if func == "iso":
-        return _fmt_bool(iso_decide(arg(0), arg(1))), ""
-    if func == "ss_iso":
-        return _fmt_bool(ss_iso_decide(_as_semisimple(arg(0)), _as_semisimple(arg(1)))), ""
-    if func == "ss_iso_fixed":
-        return _fmt_bool(ss_iso_decide_fixed(_as_semisimple(arg(0)), _as_semisimple(arg(1)))), ""
-    if func == "inv":
-        return _format_tuple(inv_of(arg(0))), ""
-    if func == "sh_sig":
-        return _format_tuple(sh_order(arg(0)).order.sig.parts), ""
-    if func == "descend_sig":
-        return _format_tuple(descend_signature(arg(0), arg(1), arg(2)).parts), ""
-    if func == "sh_verify":
-        return _fmt_bool(verify_sh_pattern(arg(0), arg(1), Signature(arg(2)))), ""
-    if func == "becomes_iso_after_sh":
-        return _fmt_bool(becomes_iso_after_sh(_as_semisimple(arg(0)), _as_semisimple(arg(1)))), ""
-    if func == "wellformed":
-        diag = wellformed(arg(0))
-        return _fmt_bool(diag.ok), diag.describe()
-    if func == "residually_anisotropic":
-        return _fmt_bool(residually_anisotropic(arg(0))), ""
-    if func == "aniso":
-        res = residue_involution(arg(0))
-        results = [anisotropy(b.gauge, res.kind, res.epsilon) for b in res.blocks]
-        if "block" in kwargs:
-            chosen = results[kwargs["block"] - 1]
-            return chosen.verdict, f"signature {chosen.signature}"
-        verdict = "anisotropic" if all(r.is_anisotropic for r in results) else "isotropic"
-        return verdict, "; ".join(
-            f"block {i + 1}: {r.verdict} {r.signature}" for i, r in enumerate(results))
-    if func == "distinguish":
-        result = distinguish(arg(0), arg(1))
-        return result.verdict, result.reason or ""
-    if func == "verify":
-        diag = verify_witness(arg(0))
-        return _fmt_bool(diag.ok), diag.describe()
-    if func == "transport":
-        diag = transport_check(arg(0))  # samples=n is accepted and has no effect
-        return _fmt_bool(diag.ok), diag.describe()
-    raise AssertionError(f"unhandled check {func}")
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+    check = _CHECKS[decl.func]
+    args = []
+    for (kind, value), want in zip(decl.args, check.params):
+        if kind == "ref":
+            value = table[value]
+        args.append(_as_semisimple(value) if want == "sorder" else value)
+    return check.run(*args, **{key: value[1] for key, value in decl.kwargs})
 
 
 def run_session(session: Session, seed: int = 0) -> Report:

@@ -27,6 +27,16 @@ def random_jet(kind: ScalarKind, rng: Random, *, lowest: int = -2, highest: int 
     return LaurentJet(kind, lo, coeffs, precision)
 
 
+def kfold_power(x: LaurentJet, k: int) -> LaurentJet:
+    """x ** k as |k| successive products of x (of x's inverse when k < 0):
+    the reference for the repeated squaring in ``LaurentJet.__pow__``."""
+    step = x.inverse() if k < 0 else x
+    out = LaurentJet.one(x.kind)
+    for _ in range(abs(k)):
+        out = out * step
+    return out
+
+
 def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
                    bound: int = 3) -> JetMatrix:
     """Random element of the order (or its radical): entry (i, j) is

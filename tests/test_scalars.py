@@ -17,6 +17,7 @@ from horders.errors import (
 )
 from horders.scalars import (
     BASE,
+    DEFAULT_PRECISION,
     QUATERNION,
     LaurentJet,
     Scalar,
@@ -25,6 +26,7 @@ from horders.scalars import (
 )
 
 from helpers import (
+    kfold_power,
     random_jet,
     random_scalar,
     ref_conj,
@@ -284,6 +286,14 @@ def test_jet_inverse_geometric_series():
     assert one_plus_t.inverse() == jet(BASE, 0, [1, -1, 1], 3)
 
 
+def test_explicit_inverse_precision_is_capped_by_what_the_jet_knows():
+    x = jet(BASE, 0, [1, 1], 3)         # 1 + t known mod t^3
+    y = jet(BASE, 0, [1, 1, 0, 5])      # the exact 1 + t + 5t^3, which x agrees with
+    assert x.agrees(y)
+    assert x.inverse(10).precision == 3
+    assert x.inverse(10).agrees(y.inverse(10))
+
+
 def test_jet_inverse_monomial_is_exact():
     t = LaurentJet.t_power(BASE, 1)
     inv = t.inverse()
@@ -394,15 +404,45 @@ def test_monomial_powers_equal_repeated_products(kind):
         m = LaurentJet.t_power(kind, rng.randint(-2, 2), c)
         for k in range(-3, 6):
             try:
-                step = m if k >= 0 else m.inverse()
+                want = kfold_power(m, k)
             except NotInvertible:
                 with pytest.raises(NotInvertible):
                     m ** k
                 continue
-            want = LaurentJet.one(kind)
-            for _ in range(abs(k)):
-                want = want * step
             assert m ** k == want
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_jet_powers_equal_the_kfold_product(kind):
+    rng = Random(41)
+    for _ in range(30):
+        x = random_jet(kind, rng, precision=rng.choice([None, None, 2, 5]))
+        k = rng.randint(-5, 9)
+        try:
+            want = kfold_power(x, k)
+        except (NotInvertible, IndeterminateValuation, InsufficientPrecision) as exc:
+            with pytest.raises(type(exc)):
+                x ** k
+            continue
+        assert x ** k == want
+
+
+def test_huge_negative_power_takes_logarithmically_many_products(monkeypatch):
+    k = 99999999
+    cap = DEFAULT_PRECISION + 2 * k.bit_length()  # the inverse, then square-and-multiply
+    mul, calls = LaurentJet.__mul__, []
+
+    def counted(a, b):
+        calls.append(1)
+        if len(calls) > cap:
+            raise AssertionError(f"more than {cap} jet products")
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentJet, "__mul__", counted)
+    power = jet(BASE, 0, [1, 1]) ** -k
+    # (1 + t)^-k = sum over j of (-1)^j * C(k + j - 1, j) * t^j
+    assert power == jet(BASE, 0, [(-1) ** j * math.comb(k + j - 1, j)
+                                  for j in range(DEFAULT_PRECISION)], DEFAULT_PRECISION)
 
 
 def test_huge_monomial_powers_are_direct():

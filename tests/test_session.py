@@ -121,6 +121,26 @@ def test_laurent_literals_parse():
     assert parse_session(print_session(s)) == s
 
 
+@pytest.mark.parametrize("entry, precision", [
+    ("1 + t mod t^3", 3),
+    ("(1+t)^-1 mod t^5", 5),
+    ("(1+t)^-1 mod t^40", 16),  # the inverse is only known mod t^16
+    ("t^-5 - t^-3 mod t^-4", -4),
+    ("0 mod t^2", 2),
+])
+def test_mod_keeps_the_smaller_precision(entry, precision):
+    from horders.scalars import BASE, LaurentJet
+
+    def gauge_entry(expr):
+        text = ("division D = base s=1 t=1\norder A = block(D; 1)\n"
+                f"involution s on A : gauge diag({expr}) eps +1 conj none\n")
+        return parse_session(text).involutions["s"].gauge.entry(0, 0)
+
+    e, whole = gauge_entry(entry), gauge_entry(entry.split(" mod ")[0])
+    assert e.precision == precision
+    assert e == LaurentJet(BASE, whole.lowest_exp, whole.coeffs, precision)
+
+
 def test_parenthesised_products_parse():
     text = ("division D = quaternion s=2 t=1\n"
             "order A = block(D; 2)\n"
