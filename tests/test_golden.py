@@ -1,0 +1,67 @@
+"""Byte-identity guard: CLI JSON and benchmark corpus outputs must stay
+exactly the bytes recorded under ``tests/golden/``.
+
+The expected files were written from the code before the integer jet
+kernel; any change to them is a change of behaviour and must be stated.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import horders
+from horders.cli import main
+from horders.witness import SCENARIOS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SESSIONS = ("main-counterexample.ho", "semisimple-basechange.ho")
+CORPUS_SEED, CORPUS_OPS = 7, 57
+
+
+def cli_bytes(argv, capsysbinary) -> bytes:
+    main(argv)
+    return capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("name", SESSIONS)
+def test_check_json_is_unchanged(name, capsysbinary):
+    path = resources.files("horders.sessions").joinpath(name)
+    with resources.as_file(path) as file:
+        got = cli_bytes(["check", str(file), "--json"], capsysbinary)
+    assert got == (GOLDEN / f"check-{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_replay_json_is_unchanged(scenario, capsysbinary):
+    got = cli_bytes(["replay", "--scenario", scenario, "--json"], capsysbinary)
+    assert got == (GOLDEN / f"replay-{scenario}.json").read_bytes()
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded read-only with the sibling modules
+    it imports by bare name; nothing is left in sys.modules afterwards."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    for name in ("algebra", "corpus", "patterns"):
+        load(name)
+    return load("workloads")
+
+
+def test_corpus_outputs_are_unchanged(monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    digest = hashlib.sha256()
+    for i in range(CORPUS_OPS):
+        op = workloads.corpus_op(horders, CORPUS_SEED, i)
+        digest.update(op.output(op.run()).encode())
+    want = (GOLDEN / f"corpus-seed{CORPUS_SEED}-{CORPUS_OPS}.sha256").read_text().strip()
+    assert digest.hexdigest() == want
