@@ -33,7 +33,8 @@ from math import lcm, prod
 from typing import Callable, Sequence
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
-from .scalars import LaurentJet, Scalar, ScalarKind, _back_substitute, _bareiss, left_regular
+from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _back_substitute, _bareiss,
+                      _min_prec, _product_precision, left_regular)
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,24 @@ class JetMatrix:
         return JetMatrix(self.kind, tuple(tuple(-a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
+        """Each entry is one accumulated sum of the products a[i][k] * b[k][j]
+        over the k with a[i][k] not exactly zero, known to the least of
+        their product precisions."""
         self._check(other)
-        n = self.n
+        kind = self.kind
         cols = list(zip(*other.rows))
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentJet.zero(self.kind)
-                for a, b in zip(self.rows[i], cols[j]):
-                    if a.is_zero() and a.is_exact:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return JetMatrix(self.kind, tuple(out))
+        for row in self.rows:
+            kept = [(k, a) for k, a in enumerate(row) if a.coeffs or not a.is_exact]
+            out_row = []
+            for col in cols:
+                acc, prec = _Accumulator(kind), None
+                for k, a in kept:
+                    acc.add_product(a, col[k])
+                    prec = _min_prec(prec, _product_precision(a, col[k]))
+                out_row.append(acc.jet(prec))
+            out.append(tuple(out_row))
+        return JetMatrix(kind, tuple(out))
 
     def lscale(self, jet: LaurentJet) -> "JetMatrix":
         return self.map(lambda e: jet * e)

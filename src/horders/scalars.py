@@ -28,7 +28,10 @@ zero up to its precision has indeterminate valuation and is flagged,
 never silently treated as zero.  An exact jet that is not a monomial
 inverts to a jet known modulo ``t^DEFAULT_PRECISION`` above its
 valuation; ``DEFAULT_PRECISION`` is the constant 16, and nothing in the
-package changes it.
+package changes it.  Jet sums and products, and each entry of a
+jet-matrix product, gather their terms on integers exponent by exponent,
+over the lcm of the denominators, and reduce each output coefficient
+once, so no partial product or partial sum is built as a scalar.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -191,8 +195,8 @@ class Scalar:
     The form is canonical: ``den > 0`` and ``gcd(den, *num) == 1``, so
     zero is ``(0, ..., 0), 1`` and field equality and hashing are value
     equality.  ``Scalar(kind, parts)`` accepts exactly ``kind.dim`` exact
-    numbers, ``Scalar.of`` pads a shorter tuple with zeros, and ``parts``
-    reads the coordinates back as fractions.
+    numbers (a float raises TypeError), ``Scalar.of`` pads a shorter tuple
+    with zeros, and ``parts`` reads the coordinates back as fractions.
     """
 
     kind: ScalarKind
@@ -206,7 +210,7 @@ class Scalar:
         if all(type(p) is int for p in parts):
             num, den = parts, 1
         else:
-            qs = [Q(p) for p in parts]
+            qs = [_exact(p) for p in parts]
             den = lcm(*(q.denominator for q in qs))
             num = tuple(q.numerator * (den // q.denominator) for q in qs)
         _set_kind(self, kind)
@@ -282,7 +286,7 @@ class Scalar:
 
     def times(self, q) -> "Scalar":
         """Multiply by a central rational."""
-        q = Q(q)
+        q = _exact(q)
         p = q.numerator
         return _reduced(self.kind, tuple(p * a for a in self.num), self.den * q.denominator)
 
@@ -370,6 +374,13 @@ def _raw(kind: ScalarKind, num: tuple, den: int) -> Scalar:
     _set_num(s, num)
     _set_den(s, den)
     return s
+
+
+def _exact(x) -> Q:
+    # a float has already been rounded to binary, so it is refused
+    if isinstance(x, float):
+        raise TypeError(f"scalars take exact numbers, not the float {x!r}")
+    return Q(x)
 
 
 def _reduced(kind: ScalarKind, num: tuple, den: int) -> Scalar:
@@ -618,16 +629,10 @@ class LaurentJet:
             return LaurentJet(self.kind, other.lowest_exp, other.coeffs, prec)
         if not other.coeffs:
             return LaurentJet(self.kind, self.lowest_exp, self.coeffs, prec)
-        lo = min(self.lowest_exp, other.lowest_exp)
-        hi = max(self.degree(), other.degree()) + 1
-        window = [self.coeff_raw(e) + other.coeff_raw(e) for e in range(lo, hi)]
-        return LaurentJet(self.kind, lo, window, prec)
-
-    def coeff_raw(self, exp: int) -> Scalar:
-        # Window lookup without precision checks; internal use.
-        if self.coeffs and self.lowest_exp <= exp <= self.degree():
-            return self.coeffs[exp - self.lowest_exp]
-        return Scalar.zero(self.kind)
+        acc = _Accumulator(self.kind)
+        acc.add(self)
+        acc.add(other)
+        return acc.jet(prec)
 
     def __neg__(self) -> "LaurentJet":
         return LaurentJet(self.kind, self.lowest_exp, tuple(-c for c in self.coeffs), self.precision)
@@ -637,19 +642,9 @@ class LaurentJet:
 
     def __mul__(self, other: "LaurentJet") -> "LaurentJet":
         self._check(other)
-        prec = _product_precision(self, other)
-        if not self.coeffs or not other.coeffs:
-            return LaurentJet.zero(self.kind, prec)
-        lo = self.lowest_exp + other.lowest_exp
-        out = [Scalar.zero(self.kind) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return LaurentJet(self.kind, lo, out, prec)
+        acc = _Accumulator(self.kind)
+        acc.add_product(self, other)
+        return acc.jet(_product_precision(self, other))
 
     def lscale(self, s: Scalar) -> "LaurentJet":
         _same_kind(s.kind, self.kind)
@@ -765,6 +760,60 @@ class LaurentJet:
         if self.precision is not None:
             body += f" mod t^{self.precision}"
         return body
+
+
+class _Accumulator:
+    """A jet being summed: exponent -> (integer coordinates, denominator)
+    of its coefficient.  Terms are added on integers, unreduced, over the
+    lcm of the denominators; :meth:`jet` reduces each coefficient once."""
+
+    __slots__ = ("kind", "terms")
+
+    def __init__(self, kind: ScalarKind):
+        self.kind = kind
+        self.terms: dict[int, tuple[tuple[int, ...], int]] = {}
+
+    def add(self, x: LaurentJet) -> None:
+        terms = self.terms
+        for e, c in enumerate(x.coeffs, x.lowest_exp):
+            _add_term(terms, e, c.num, c.den)
+
+    def add_product(self, x: LaurentJet, y: LaurentJet) -> None:
+        kind, terms = self.kind, self.terms
+        ys = [(j, b.num, b.den) for j, b in enumerate(y.coeffs, y.lowest_exp) if any(b.num)]
+        for i, a in enumerate(x.coeffs, x.lowest_exp):
+            an, ad = a.num, a.den
+            if any(an):
+                for j, bn, bd in ys:
+                    _add_term(terms, i + j, _mul_parts(kind, an, bn), ad * bd)
+
+    def jet(self, precision: int | None) -> LaurentJet:
+        """The sum, truncated at ``precision``."""
+        kind, terms = self.kind, self.terms
+        if not terms:
+            return LaurentJet(kind, 0, (), precision)
+        lo, hi = min(terms), max(terms)
+        if precision is not None:
+            hi = min(hi, precision - 1)
+        coeffs = [Scalar.zero(kind)] * (hi - lo + 1)
+        for e, (num, den) in terms.items():
+            if e <= hi:
+                coeffs[e - lo] = _reduced(kind, num, den)
+        return LaurentJet(kind, lo, coeffs, precision)
+
+
+def _add_term(terms: dict, e: int, num: tuple, den: int) -> None:
+    cur = terms.get(e)
+    if cur is None:
+        terms[e] = (num, den)
+        return
+    cnum, cden = cur
+    if cden == den:
+        terms[e] = (tuple(map(add, cnum, num)), den)
+    else:
+        g = gcd(cden, den)
+        f, h = den // g, cden // g
+        terms[e] = (tuple(x * f + y * h for x, y in zip(cnum, num)), cden * f)
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:

@@ -8,7 +8,7 @@ from horders.errors import Diagnostics, NotInvertible, OK, failure
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, radical_pattern
-from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind
+from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind, _min_prec, _product_precision
 from horders.witness import WitnessCheck
 
 
@@ -35,6 +35,59 @@ def kfold_power(x: LaurentJet, k: int) -> LaurentJet:
     for _ in range(abs(k)):
         out = out * step
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-Scalar reference for the integer jet kernel: every partial product and
+# partial sum is a reduced Scalar, as jet arithmetic was computed before.
+
+
+def _window_coeff(x: LaurentJet, e: int) -> Scalar:
+    if x.lowest_exp <= e < x.lowest_exp + len(x.coeffs):
+        return x.coeffs[e - x.lowest_exp]
+    return Scalar.zero(x.kind)
+
+
+def ref_jet_add(x: LaurentJet, y: LaurentJet) -> LaurentJet:
+    prec = _min_prec(x.precision, y.precision)
+    if not x.coeffs:
+        return LaurentJet(x.kind, y.lowest_exp, y.coeffs, prec)
+    if not y.coeffs:
+        return LaurentJet(x.kind, x.lowest_exp, x.coeffs, prec)
+    lo = min(x.lowest_exp, y.lowest_exp)
+    hi = max(x.degree(), y.degree()) + 1
+    return LaurentJet(x.kind, lo, [_window_coeff(x, e) + _window_coeff(y, e)
+                                   for e in range(lo, hi)], prec)
+
+
+def ref_jet_mul(x: LaurentJet, y: LaurentJet) -> LaurentJet:
+    prec = _product_precision(x, y)
+    if not x.coeffs or not y.coeffs:
+        return LaurentJet.zero(x.kind, prec)
+    out = [Scalar.zero(x.kind)] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y.coeffs):
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return LaurentJet(x.kind, x.lowest_exp + y.lowest_exp, out, prec)
+
+
+def ref_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
+    """Entry by entry, a running jet sum of jet products, skipping the
+    exactly zero entries of a."""
+    rows = []
+    for row in a.rows:
+        out = []
+        for col in zip(*b.rows):
+            acc = LaurentJet.zero(a.kind)
+            for x, y in zip(row, col):
+                if x.coeffs or not x.is_exact:
+                    acc = ref_jet_add(acc, ref_jet_mul(x, y))
+            out.append(acc)
+        rows.append(out)
+    return JetMatrix.of(rows)
 
 
 def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,

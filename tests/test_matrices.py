@@ -1,10 +1,16 @@
-"""The integer image shared by field_invertible and inverse_valuations."""
+"""Fused jet-matrix products, and the integer image shared by
+field_invertible and inverse_valuations."""
+
+from random import Random
 
 import pytest
 
 from horders.errors import NotInvertible
 from horders.matrices import JetMatrix
 from horders.scalars import BASE, LaurentJet
+
+from helpers import ref_matmul
+from test_scalars import REF_KINDS, kernel_jet
 
 
 def mat(*rows) -> JetMatrix:
@@ -43,3 +49,30 @@ def test_singular(a):
     assert not a.field_invertible()
     with pytest.raises(NotInvertible):
         a.inverse_valuations()
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_matmul_matches_the_per_scalar_reference(kind):
+    # kernel_jet draws exactly zero and zero-to-precision entries too
+    rng = Random(37)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        a, b = (JetMatrix(kind, tuple(tuple(kernel_jet(kind, rng) for _ in range(n))
+                                      for _ in range(n))) for _ in range(2))
+        got, want = a @ b, ref_matmul(a, b)
+        assert got == want
+        assert [e.precision for row in got.rows for e in row] == \
+            [e.precision for row in want.rows for e in row]
+
+
+def test_matmul_precision_is_the_least_kept_product_precision():
+    zero, t = LaurentJet.zero, LaurentJet.t_power
+    a = JetMatrix.of([[zero(BASE), t(BASE, -2)], [zero(BASE, 2), LaurentJet.one(BASE)]])
+    b = JetMatrix.of([[t(BASE, 0, precision=1), zero(BASE)], [zero(BASE, 3), t(BASE, 1)]])
+    got = a @ b
+    # row 0 skips the exactly zero a[0][0]: t^-2 * (0 mod t^3) is 0 mod t^1
+    assert got.rows[0] == (zero(BASE, 1), t(BASE, -1))
+    # (0 mod t^2) * (1 mod t) is 0 mod t^2, and it is kept; times an
+    # exact zero it is exactly zero
+    assert got.rows[1] == (zero(BASE, 2), t(BASE, 1))
+    assert got == ref_matmul(a, b)

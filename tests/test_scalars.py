@@ -34,6 +34,8 @@ from helpers import (
     ref_inverse,
     ref_mul,
     ref_norm,
+    ref_jet_add,
+    ref_jet_mul,
     ref_str,
 )
 
@@ -117,6 +119,21 @@ def test_a_scalar_has_exactly_dim_coordinates():
     with pytest.raises(SizeMismatch):
         Scalar(QUATERNION, (1,))
     assert Scalar.of(QUATERNION, 1) == Scalar(QUATERNION, (1, 0, 0, 0)) == Scalar.one(QUATERNION)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scalar.of(BASE, 0.1),
+    lambda: Scalar(QUAD, (1, 0.5)),
+    lambda: Scalar.rational(QUATERNION, 2.0),
+    lambda: Scalar.one(BASE).times(0.5),
+    lambda: LaurentJet.constant(BASE, 0.1),
+    lambda: LaurentJet.t_power(BASE, 1, 0.5),
+    lambda: LaurentJet.from_coeffs(BASE, 0, [1, 0.25]),
+], ids=["of", "init", "rational", "times", "constant", "t_power", "from_coeffs"])
+def test_float_input_is_refused(make):
+    # Scalar.of(BASE, 0.1) used to store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        make()
 
 
 def test_extension_adjoins_a_central_conj_fixed_root():
@@ -273,6 +290,37 @@ def test_jet_multiplication_noncommutative_scalars():
     qk = LaurentJet.constant(QUATERNION, Scalar.basis(QUATERNION, 3))
     assert qi * qj == qk
     assert qj * qi == -qk
+
+
+def kernel_jet(kind, rng):
+    """An exact, truncated, zero-to-precision or exactly zero jet, from
+    exponent -4 up, with coefficients over differing denominators."""
+    shape = rng.choice(("exact", "exact", "truncated", "truncated", "zero", "exact zero"))
+    if shape == "zero":
+        return LaurentJet.zero(kind, rng.randint(-3, 5))
+    if shape == "exact zero":
+        return LaurentJet.zero(kind)
+    lo = rng.randint(-4, 3)
+    coeffs = [Scalar(kind, fraction_parts(kind, rng)) for _ in range(rng.randint(1, 5))]
+    return LaurentJet(kind, lo, coeffs, None if shape == "exact" else lo + rng.randint(0, 6))
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_jet_kernel_matches_the_per_scalar_reference(kind):
+    rng = Random(31)
+    for _ in range(80):
+        x, y = kernel_jet(kind, rng), kernel_jet(kind, rng)
+        for got, want in ((x * y, ref_jet_mul(x, y)), (x + y, ref_jet_add(x, y)),
+                          (x - y, ref_jet_add(x, -y))):
+            assert got == want
+            assert got.precision == want.precision
+
+
+def test_jet_sums_reduce_over_the_lcm_of_the_denominators():
+    x = jet(BASE, -1, [Q(1, 6), Q(1, 4)])
+    y = jet(BASE, -1, [Q(1, 10), Q(-1, 4), Q(2, 3)], 3)
+    assert x + y == jet(BASE, -1, [Q(4, 15), 0, Q(2, 3)], 3)
+    assert x * y == jet(BASE, -2, [Q(1, 60), Q(-1, 60), Q(7, 144), Q(1, 6)], 2)
 
 
 def test_jet_product_precision_contract():
