@@ -778,6 +778,10 @@ class _Accumulator:
         for e, c in enumerate(x.coeffs, x.lowest_exp):
             _add_term(terms, e, c.num, c.den)
 
+    def add_monomial(self, e: int, num: tuple, den: int) -> None:
+        """Add num / den * t^e; ``den > 0``, not necessarily in lowest terms."""
+        _add_term(self.terms, e, num, den)
+
     def add_product(self, x: LaurentJet, y: LaurentJet) -> None:
         kind, terms = self.kind, self.terms
         ys = [(j, b.num, b.den) for j, b in enumerate(y.coeffs, y.lowest_exp) if any(b.num)]

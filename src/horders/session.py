@@ -17,6 +17,10 @@ inverts, so ``(1+t)^-1`` is known modulo ``t^16``).  An entry may end
 in ``mod t^N``, which truncates it to precision ``min(N, its own)``;
 that is how a truncated entry prints.  Inside a witness declared over
 ``etale(d)``, ``sqrt(d)`` denotes the adjoined central square root.
+Literals are evaluated exactly, as sums of integer monomials, while
+``(...)^-1`` of a sum that is not a monomial still truncates as above; a
+negative power of a value with no inverse (zero, zero to its precision,
+or a zero divisor) is a type error at its ``^``.
 Numbers are ASCII digits and names ASCII letters, digits and
 underscores; any other character is a syntax error at its column.
 Errors carry the first offending source position; there is no recovery.
@@ -33,6 +37,8 @@ from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verif
 from .errors import (
     DuplicateIdentifier,
     HordersError,
+    IndeterminateValuation,
+    NotInvertible,
     SessionSyntaxError,
     SessionTypeError,
     UnknownIdentifier,
@@ -57,8 +63,8 @@ from .orders import (
     ss_iso_decide,
     ss_iso_decide_fixed,
 )
-from .scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
-from .scalars import exact_int, exact_str
+from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
+from .scalars import _Accumulator, _min_prec, _mul_parts, _reduced, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -162,73 +168,137 @@ class _Cursor:
 # Expressions
 
 
+# A term made of numbers, ``t``, ``qi``/``qj``/``qk``, ``sqrt(d)`` and their
+# powers is an exact monomial ``(num, den, exp)``: integer coordinates over
+# one positive denominator, not yet reduced, times t^exp.  Only a factor
+# that is not a monomial (a parenthesised sum, a ``mod t^N``, or a power of
+# such a factor) becomes a LaurentJet, and from there jet arithmetic keeps
+# its precision rules.  Each sum gathers its terms in one accumulator.
+
+
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
-    value = _parse_term(cur, kind)
+    return _as_jet(kind, _parse_sum(cur, kind))
+
+
+def _as_jet(kind: ScalarKind, value) -> LaurentJet:
+    if type(value) is tuple:
+        num, den, exp = value
+        return LaurentJet(kind, exp, (_reduced(kind, num, den),))
+    return value
+
+
+def _parse_sum(cur: _Cursor, kind: ScalarKind):
+    """A sum of terms with an optional ``mod t^N``: its one term when there
+    is no more, else a jet reduced once, to the least precision of its
+    truncated terms."""
+    term = _parse_term(cur, kind)
+    tok = cur.peek()
+    if tok is None or tok.value not in ("+", "-", "mod"):
+        return term
+    acc, prec, negate = _Accumulator(kind), None, False
     while True:
+        if type(term) is tuple:
+            num, den, exp = term
+            acc.add_monomial(exp, tuple(-x for x in num) if negate else num, den)
+        else:
+            acc.add(-term if negate else term)
+            prec = _min_prec(prec, term.precision)
         if cur.accept("SYM", "+"):
-            value = value + _parse_term(cur, kind)
+            negate = False
         elif cur.accept("SYM", "-"):
-            value = value - _parse_term(cur, kind)
+            negate = True
         elif cur.accept("IDENT", "mod"):
             cur.expect_ident("t")
             cur.expect("SYM", "^")
-            prec = cur.signed_int()
-            if value.precision is not None:
-                prec = min(prec, value.precision)
-            return LaurentJet(kind, value.lowest_exp, value.coeffs, prec)
+            return acc.jet(_min_prec(prec, cur.signed_int()))
         else:
-            return value
+            return acc.jet(prec)
+        term = _parse_term(cur, kind)
 
 
-def _parse_term(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+def _parse_term(cur: _Cursor, kind: ScalarKind):
     value = _parse_factor(cur, kind)
     while cur.accept("SYM", "*"):
-        value = value * _parse_factor(cur, kind)
+        other = _parse_factor(cur, kind)
+        if type(value) is tuple and type(other) is tuple:
+            value = (_mul_parts(kind, value[0], other[0]), value[1] * other[1],
+                     value[2] + other[2])
+        else:
+            value = _as_jet(kind, value) * _as_jet(kind, other)
     return value
 
 
-def _parse_factor(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+def _parse_factor(cur: _Cursor, kind: ScalarKind):
     if cur.accept("SYM", "-"):
-        return -_parse_factor(cur, kind)
+        value = _parse_factor(cur, kind)
+        if type(value) is tuple:
+            return tuple(-x for x in value[0]), value[1], value[2]
+        return -value
     value = _parse_atom(cur, kind)
-    if cur.accept("SYM", "^"):
-        return value ** cur.signed_int()
-    return value
+    caret = cur.accept("SYM", "^")
+    if caret is None:
+        return value
+    k = cur.signed_int()
+    try:
+        return _monomial_power(kind, value, k) if type(value) is tuple else value ** k
+    except (IndeterminateValuation, NotInvertible) as exc:
+        raise SessionTypeError(
+            f"power {exact_str(k)} of a value with no inverse: {exc}",
+            caret.line, caret.col) from None
 
 
-def _parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+def _monomial_power(kind: ScalarKind, value: tuple, k: int) -> tuple:
+    """``value ** k`` by repeated squaring; ``k < 0`` inverts the
+    coefficient first (NotInvertible when it is zero)."""
+    num, den, exp = value
+    if k < 0:
+        inv = _reduced(kind, num, den).inverse()
+        num, den, exp, k = inv.num, inv.den, -exp, -k
+    out, out_den, exp = _unit(kind, 0), 1, exp * k
+    while k:
+        if k & 1:
+            out, out_den = _mul_parts(kind, out, num), out_den * den
+        k >>= 1
+        if k:
+            num, den = _mul_parts(kind, num, num), den * den
+    return out, out_den, exp
+
+
+def _unit(kind: ScalarKind, index: int) -> tuple:
+    return (0,) * index + (1,) + (0,) * (kind.dim - index - 1)
+
+
+def _parse_atom(cur: _Cursor, kind: ScalarKind):
     tok = cur.next()
     if tok.kind == "INT":
-        num = exact_int(tok.value)
+        num, den = exact_int(tok.value), 1
         if cur.accept("SYM", "/"):
             den_tok = cur.expect("INT")
             den = exact_int(den_tok.value)
             if den == 0:
                 raise SessionTypeError(
                     f"zero denominator in {exact_str(num)}/0", den_tok.line, den_tok.col)
-            return LaurentJet.constant(kind, Q(num, den))
-        return LaurentJet.constant(kind, num)
+        return (num,) + (0,) * (kind.dim - 1), den, 0
     if tok.kind == "SYM" and tok.value == "(":
-        value = _parse_expr(cur, kind)
+        value = _parse_sum(cur, kind)
         cur.expect("SYM", ")")
         return value
     if tok.kind == "IDENT":
         if tok.value == "t":
-            return LaurentJet.t_power(kind, 1)
+            return _unit(kind, 0), 1, 1
         if tok.value in ("qi", "qj", "qk"):
             if kind.core != "quat":
                 raise SessionTypeError(
                     f"{tok.value} is not a scalar of kind {kind}", tok.line, tok.col)
-            index = {"qi": 1, "qj": 2, "qk": 3}[tok.value]
-            return LaurentJet.constant(kind, Scalar.basis(kind, index))
+            return _unit(kind, {"qi": 1, "qj": 2, "qk": 3}[tok.value]), 1, 0
         if tok.value == "sqrt":
             cur.expect("SYM", "(")
             d = cur.signed_int()
             cur.expect("SYM", ")")
             if kind.ext == d:
-                return LaurentJet.constant(kind, Scalar.ext_gen(kind))
+                return _unit(kind, kind.core_dim), 1, 0
             if kind.core == "quad" and kind.d == d:
-                return LaurentJet.constant(kind, Scalar.sqrt_gen(kind))
+                return _unit(kind, 1), 1, 0
             raise SessionTypeError(
                 f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", tok.line, tok.col)
     raise SessionSyntaxError(f"unexpected token {tok.value!r} in expression", tok.line, tok.col)

@@ -4,11 +4,14 @@ from itertools import permutations
 from random import Random
 
 from horders import basechange
-from horders.errors import Diagnostics, NotInvertible, OK, failure
+from horders.errors import (Diagnostics, NotInvertible, OK, SessionSyntaxError,
+                            SessionTypeError, failure)
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, radical_pattern
 from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind, _min_prec, _product_precision
+from horders.scalars import exact_int, exact_str
+from horders.session import _Cursor
 from horders.witness import WitnessCheck
 
 
@@ -427,3 +430,80 @@ def ref_verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
 
     target = pattern_of(basechange.sh_signature(sig, s, t)).entries
     return all(tuple(row) == trow for row, trow in zip(conjugated, target))
+
+
+# ---------------------------------------------------------------------------
+# Jet-per-atom reference for the session literal evaluator: every number,
+# ``t``, unit and root is its own LaurentJet, and a sum is a running jet sum.
+
+
+def ref_parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+    value = ref_parse_term(cur, kind)
+    while True:
+        if cur.accept("SYM", "+"):
+            value = value + ref_parse_term(cur, kind)
+        elif cur.accept("SYM", "-"):
+            value = value - ref_parse_term(cur, kind)
+        elif cur.accept("IDENT", "mod"):
+            cur.expect_ident("t")
+            cur.expect("SYM", "^")
+            prec = cur.signed_int()
+            if value.precision is not None:
+                prec = min(prec, value.precision)
+            return LaurentJet(kind, value.lowest_exp, value.coeffs, prec)
+        else:
+            return value
+
+
+def ref_parse_term(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+    value = ref_parse_factor(cur, kind)
+    while cur.accept("SYM", "*"):
+        value = value * ref_parse_factor(cur, kind)
+    return value
+
+
+def ref_parse_factor(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+    if cur.accept("SYM", "-"):
+        return -ref_parse_factor(cur, kind)
+    value = ref_parse_atom(cur, kind)
+    if cur.accept("SYM", "^"):
+        return value ** cur.signed_int()
+    return value
+
+
+def ref_parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+    tok = cur.next()
+    if tok.kind == "INT":
+        num = exact_int(tok.value)
+        if cur.accept("SYM", "/"):
+            den_tok = cur.expect("INT")
+            den = exact_int(den_tok.value)
+            if den == 0:
+                raise SessionTypeError(
+                    f"zero denominator in {exact_str(num)}/0", den_tok.line, den_tok.col)
+            return LaurentJet.constant(kind, Q(num, den))
+        return LaurentJet.constant(kind, num)
+    if tok.kind == "SYM" and tok.value == "(":
+        value = ref_parse_expr(cur, kind)
+        cur.expect("SYM", ")")
+        return value
+    if tok.kind == "IDENT":
+        if tok.value == "t":
+            return LaurentJet.t_power(kind, 1)
+        if tok.value in ("qi", "qj", "qk"):
+            if kind.core != "quat":
+                raise SessionTypeError(
+                    f"{tok.value} is not a scalar of kind {kind}", tok.line, tok.col)
+            index = {"qi": 1, "qj": 2, "qk": 3}[tok.value]
+            return LaurentJet.constant(kind, Scalar.basis(kind, index))
+        if tok.value == "sqrt":
+            cur.expect("SYM", "(")
+            d = cur.signed_int()
+            cur.expect("SYM", ")")
+            if kind.ext == d:
+                return LaurentJet.constant(kind, Scalar.ext_gen(kind))
+            if kind.core == "quad" and kind.d == d:
+                return LaurentJet.constant(kind, Scalar.sqrt_gen(kind))
+            raise SessionTypeError(
+                f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", tok.line, tok.col)
+    raise SessionSyntaxError(f"unexpected token {tok.value!r} in expression", tok.line, tok.col)

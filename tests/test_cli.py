@@ -57,6 +57,18 @@ def test_zero_denominator_exits_2(tmp_path, capsys):
     assert "line 3, col 35: zero denominator" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, col", [("0^-1", 34), ("(t mod t^1)^-1", 44)])
+def test_power_of_a_zero_exits_2(tmp_path, capsys, entry, col):
+    bad = tmp_path / "power.ho"
+    bad.write_text("division D = base s=1 t=1\n"
+                   "order A = block(D; 1)\n"
+                   f"involution s1 on A : gauge diag({entry}) eps +1 conj none\n")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 3, col {col}: power -1 of a value with no inverse" in err
+    assert "Traceback" not in err
+
+
 def test_missing_session_file_exits_2(capsys):
     assert main(["check", "/no/such/session.ho"]) == 2
     assert "cannot read session file" in capsys.readouterr().err

@@ -341,6 +341,22 @@ def test_stability_needs_no_truncated_inverse(monkeypatch):
     assert distinguish(spec1, spec2).distinguished
 
 
+def test_distinguish_validates_each_spec_once(monkeypatch):
+    from horders import involutions
+
+    checked = []
+    require = involutions._require_wellformed
+
+    def spy(spec):
+        checked.append(spec)
+        return require(spec)
+
+    monkeypatch.setattr(involutions, "_require_wellformed", spy)
+    spec1, spec2, _, _ = counterexample_pair(QUATERNION, 2, 1)
+    assert distinguish(spec1, spec2).distinguished
+    assert len(checked) == 2 and checked[0] is spec1 and checked[1] is spec2
+
+
 def test_truncated_gauge_is_insufficient_precision():
     gauge = JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1], precision=4)])
     with pytest.raises(InsufficientPrecision):
