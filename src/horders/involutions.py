@@ -127,6 +127,7 @@ def apply_tau(x: JetMatrix) -> JetMatrix:
 
 
 def apply_sigma(spec: InvolutionSpec, x: JetMatrix) -> JetMatrix:
+    """sigma(x) = a^-1 * tau(x) * a for the gauge a, which must be exact."""
     if x.kind != spec.gauge.kind:
         raise ScalarKindMismatch(f"element over {x.kind}, gauge over {spec.gauge.kind}")
     if x.n != spec.gauge.n:

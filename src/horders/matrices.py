@@ -7,23 +7,32 @@ component is multiplied by s_i * t^-low_i, where low_i is its lowest
 exponent and s_i clears its denominators; then a^-1[k][j] is
 a'^-1[k][j] * s_j * t^-low_j for the scaled matrix a', and the
 left-regular representation M(t) of a' over Q is an integer polynomial
-matrix.  ``field_invertible`` evaluates M at small integers,
-``inverse_valuations`` at one large power of two.
+matrix.  ``field_invertible`` evaluates M at small integers;
+``inverse_valuations`` and ``inverse`` share one solve at X = 2^B.
 
-Those valuations are exact.  Every minor of M has coefficients of
-absolute value at most P, the product over the rows of M of their
-1-norms (the sum of the absolute values of all coefficients in the
-row), so det(M) and the entries of adj(M) = det(M) * M^-1 have them too.
-Evaluate at X = 2^B, B the bit length of P: an integer polynomial p != 0
-with lowest term p_v * t^v has p(X) = X^v * (p_v + X * q) with
-0 < |p_v| < 2^B, so the lowest set bit of p(X) lies in [v * B, v * B + B)
-and v is its index divided by B, while p(X) = 0 only for p = 0.  Bareiss
-elimination of [M(X) | e_j] (e_j the coordinate of 1 in block j) gives
-+-det(M)(X), zero exactly when a is singular over the Laurent field, and
-back-substitution gives the coordinates of det * a'^-1[k][j] at X.
-Hence v(a^-1[k][j]) is the least valuation among those coordinates minus
-v(det) minus low_j, and all-zero coordinates are an exactly zero entry
-(+infinity).
+That solve is exact.  Every minor of M has coefficients of absolute
+value at most P, the product over the rows of M of their 1-norms (the
+sum of the absolute values of all coefficients in the row), so det(M)
+and the entries of adj(M) = det(M) * M^-1 have them too.  B is the bit
+length of P plus one, so X > 2P.  Bareiss elimination of
+[M(X) | e_j] (e_j the coordinate of 1 in block j) gives +-det(M)(X),
+zero exactly when a is singular over the Laurent field, and
+back-substitution gives the coordinates y_kj(X) of det * a'^-1[k][j].
+As every coefficient lies in (-X/2, X/2), the balanced base-X digits of
+these integers are exactly the coefficients of det(t) and y_kj(t).
+``inverse_valuations`` reads only the lowest digit: the lowest set bit
+of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in [v * B, v * B + B).
+So v(a^-1[k][j]) is the least valuation among the coordinates of y_kj
+minus v(det) minus low_j, and all-zero coordinates are an exactly zero
+entry (+infinity).  ``inverse`` reads every digit: det is a rational
+polynomial, so it is central, and a^-1[k][j] = y_kj(t) * s_j * t^-low_j
+* det(t)^-1 takes one series inverse per component.  The result is
+exact iff every det is a monomial, that is iff a is a unit over the
+Laurent polynomials; otherwise every nonzero entry is known to exactly
+``DEFAULT_PRECISION`` past its own valuation, and exactly zero entries
+stay exact.  A truncated matrix raises InsufficientPrecision: its
+completions, such as [[1, 0], [0, 1]] and [[1, t], [t, 1]] for
+[[1, 0 mod t], [0 mod t, 1]], can have inverses that disagree.
 """
 
 from __future__ import annotations
@@ -151,9 +160,6 @@ class JetMatrix:
     def lscale(self, jet: LaurentJet) -> "JetMatrix":
         return self.map(lambda e: jet * e)
 
-    def rscale(self, jet: LaurentJet) -> "JetMatrix":
-        return self.map(lambda e: e * jet)
-
     def map(self, fn: Callable[[LaurentJet], LaurentJet]) -> "JetMatrix":
         return JetMatrix.of([[fn(e) for e in row] for row in self.rows])
 
@@ -194,7 +200,7 @@ class JetMatrix:
             return any(_bareiss(m := self._regular_at(rows, x), len(m))
                        for x in range(1, bound + 2))
 
-        return all(nonsingular(self._integer_rows(comp)[1]) for comp in self._components())
+        return all(nonsingular(self._integer_rows(comp)[2]) for comp in self._components())
 
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]) for an exact a, None for an exactly zero entry;
@@ -202,30 +208,54 @@ class JetMatrix:
         dim = self.kind.dim
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
         for comp in self._components():
-            lows, rows = self._integer_rows(comp)
-            size = len(comp) * dim
-            norms = [0] * size
-            for ii, row in enumerate(rows):
-                for entry in row:
-                    for _, num in entry:
-                        for x, products in zip(num, self.kind.basis_products):
-                            for _, r, k in products:
-                                norms[ii * dim + r] += abs(x * k)
-            bits = prod(norms).bit_length()
-            mat = self._regular_at(rows, 1 << bits)
-            for r, row in enumerate(mat):
-                row.extend(int(r == jj * dim) for jj in range(len(comp)))
-            det = _bareiss(mat, size)
-            if det == 0:
-                raise NotInvertible("gauge is not invertible over the Laurent field")
+            lows, _, bits, det, cols = self._solve(comp)
             vdet = _lowest_digit(det, bits)
-            for jj, j in enumerate(comp):
-                y = _back_substitute(mat, size, det, size + jj)
+            for j, low, y in zip(comp, lows, cols):
                 for kk, k in enumerate(comp):
                     digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
                     if digits:
-                        out[k][j] = min(digits) - vdet - lows[jj]
+                        out[k][j] = min(digits) - vdet - low
         return out
+
+    def inverse(self) -> "JetMatrix":
+        """a^-1 of an exact a, exact iff a is a unit over the Laurent
+        polynomials; see the module docstring.  NotInvertible if a is
+        singular, InsufficientPrecision if it is truncated."""
+        if not self.is_exact:
+            raise InsufficientPrecision("matrix inversion is exact; the matrix must be exact")
+        kind, dim = self.kind, self.kind.dim
+        out = [[LaurentJet.zero(kind)] * self.n for _ in range(self.n)]
+        for comp in self._components():
+            lows, scales, bits, det, cols = self._solve(comp)
+            det_inv = _decode(kind, (det,) + (0,) * (dim - 1), bits, 1, 0).inverse()
+            for j, low, scale, y in zip(comp, lows, scales, cols):
+                for kk, k in enumerate(comp):
+                    out[k][j] = _decode(kind, y[kk * dim:(kk + 1) * dim], bits, scale, -low) * det_inv
+        return JetMatrix(kind, tuple(map(tuple, out)))
+
+    def _solve(self, comp: list[int]) -> tuple[list[int], list[int], int, int, list[list[int]]]:
+        """The lows, the row scales s_j, B, the Bareiss pivot +-det(M)(X)
+        and, per column j, the coordinates y_j of det * a'^-1[.][j] at
+        X = 2^B for one component; raises NotInvertible if it is singular."""
+        dim = self.kind.dim
+        lows, scales, rows = self._integer_rows(comp)
+        size = len(comp) * dim
+        norms = [0] * size
+        for ii, row in enumerate(rows):
+            for entry in row:
+                for _, num in entry:
+                    for x, products in zip(num, self.kind.basis_products):
+                        for _, r, k in products:
+                            norms[ii * dim + r] += abs(x * k)
+        bits = prod(norms).bit_length() + 1
+        mat = self._regular_at(rows, 1 << bits)
+        for r, row in enumerate(mat):
+            row.extend(int(r == jj * dim) for jj in range(len(comp)))
+        det = _bareiss(mat, size)
+        if det == 0:
+            raise NotInvertible("gauge is not invertible over the Laurent field")
+        return lows, scales, bits, det, [_back_substitute(mat, size, det, size + jj)
+                                         for jj in range(len(comp))]
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""
@@ -237,11 +267,11 @@ class JetMatrix:
                     label = [label[j] if x == old else x for x in label]
         return [[i for i, y in enumerate(label) if y == x] for x in dict.fromkeys(label)]
 
-    def _integer_rows(self, comp: list[int]) -> tuple[list[int], list]:
-        """The rows of a component, row i times s_i * t^-low_i: the lows and,
-        per entry, the (exponent, integer coordinates) of its terms.  A
-        zero row stays zero, so its image is singular at every point."""
-        lows, rows = [], []
+    def _integer_rows(self, comp: list[int]) -> tuple[list[int], list[int], list]:
+        """The rows of a component, row i times s_i * t^-low_i: the lows, the
+        s_i and, per entry, the (exponent, integer coordinates) of its terms.
+        A zero row stays zero, so its image is singular at every point."""
+        lows, scales, rows = [], [], []
         for i in comp:
             row = [self.rows[i][j] for j in comp]
             low = min((e.lowest_exp for e in row if e.coeffs), default=0)
@@ -249,56 +279,14 @@ class JetMatrix:
             rows.append([[(e.lowest_exp + k - low, tuple(x * (scale // c.den) for x in c.num))
                           for k, c in enumerate(e.coeffs) if any(c.num)] for e in row])
             lows.append(low)
-        return lows, rows
+            scales.append(scale)
+        return lows, scales, rows
 
     def _regular_at(self, rows: list, x: int) -> list[list[int]]:
         """The left-regular representation of integer rows at t = x."""
         return left_regular([[Scalar(self.kind, [sum(num[c] * x ** e for e, num in entry)
                                                  for c in range(self.kind.dim)])
                               for entry in row] for row in rows])
-
-    def inverse(self) -> "JetMatrix":
-        """Gauss-Jordan over the Laurent field; left row operations only.
-
-        Pivots need a determinate valuation and an invertible leading
-        coefficient (extended kinds can contain zero divisors).  Entries
-        that are zero to their precision are never pivots; a column left
-        without a pivot raises InsufficientPrecision if it holds such an
-        entry, unless the matrix is exact and singular over the Laurent
-        field, and NotInvertible otherwise.
-        """
-        n = self.n
-        work = [list(row) + [LaurentJet.one(self.kind) if i == j else LaurentJet.zero(self.kind)
-                             for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            best, best_inv, vague = None, None, False
-            for r in range(col, n):
-                e = work[r][col]
-                if not e.coeffs:
-                    vague = vague or not e.is_exact
-                    continue
-                if best is not None and e.valuation() >= work[best][col].valuation():
-                    continue
-                try:
-                    inv = e.inverse()
-                except NotInvertible:
-                    continue
-                best, best_inv = r, inv
-            if best is None and vague and (not self.is_exact or self.field_invertible()):
-                raise InsufficientPrecision(
-                    f"no usable pivot in column {col}: an entry is zero only to its precision")
-            if best is None:
-                raise NotInvertible(f"no usable pivot in column {col}")
-            work[col], work[best] = work[best], work[col]
-            work[col] = [best_inv * e for e in work[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = work[r][col]
-                if f.is_zero():
-                    continue
-                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-        return JetMatrix.of([row[n:] for row in work])
 
     def __str__(self) -> str:
         n = self.n
@@ -312,3 +300,14 @@ class JetMatrix:
 def _lowest_digit(y: int, bits: int) -> int:
     # index of the lowest nonzero base-2^bits digit of y != 0
     return ((y & -y).bit_length() - 1) // bits
+
+
+def _decode(kind: ScalarKind, coords: Sequence[int], bits: int, scale: int, shift: int) -> LaurentJet:
+    """scale * t^shift * p(t), p the polynomial whose coordinates at
+    t = 2^bits are coords, from their balanced base-2^bits digits."""
+    half, mask, coeffs = 1 << (bits - 1), (1 << bits) - 1, []
+    while any(coords):
+        digits = [((y + half) & mask) - half for y in coords]
+        coeffs.append(Scalar(kind, tuple(d * scale for d in digits)))
+        coords = [(y - d) >> bits for y, d in zip(coords, digits)]
+    return LaurentJet(kind, shift, coeffs)

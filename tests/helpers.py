@@ -4,8 +4,8 @@ from itertools import permutations
 from random import Random
 
 from horders import basechange
-from horders.errors import (Diagnostics, NotInvertible, OK, SessionSyntaxError,
-                            SessionTypeError, failure)
+from horders.errors import (Diagnostics, InsufficientPrecision, NotInvertible, OK,
+                            SessionSyntaxError, SessionTypeError, failure)
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, radical_pattern
@@ -134,6 +134,51 @@ def sample_block_unit(order: BlockOrder, rng: Random, *, bound: int = 2) -> JetM
     return JetMatrix.dsum(*blocks)
 
 
+def ref_gauss_jordan_inverse(a: JetMatrix) -> JetMatrix:
+    """Gauss-Jordan over the Laurent field; left row operations only: the
+    reference for ``JetMatrix.inverse``, which solves on integers instead.
+
+    Pivots need a determinate valuation and an invertible leading
+    coefficient (extended kinds can contain zero divisors).  Entries
+    that are zero to their precision are never pivots; a column left
+    without a pivot raises InsufficientPrecision if it holds such an
+    entry, unless the matrix is exact and singular over the Laurent
+    field, and NotInvertible otherwise.
+    """
+    n = a.n
+    work = [list(row) + [LaurentJet.one(a.kind) if i == j else LaurentJet.zero(a.kind)
+                         for j in range(n)] for i, row in enumerate(a.rows)]
+    for col in range(n):
+        best, best_inv, vague = None, None, False
+        for r in range(col, n):
+            e = work[r][col]
+            if not e.coeffs:
+                vague = vague or not e.is_exact
+                continue
+            if best is not None and e.valuation() >= work[best][col].valuation():
+                continue
+            try:
+                inv = e.inverse()
+            except NotInvertible:
+                continue
+            best, best_inv = r, inv
+        if best is None and vague and (not a.is_exact or a.field_invertible()):
+            raise InsufficientPrecision(
+                f"no usable pivot in column {col}: an entry is zero only to its precision")
+        if best is None:
+            raise NotInvertible(f"no usable pivot in column {col}")
+        work[col], work[best] = work[best], work[col]
+        work[col] = [best_inv * e for e in work[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = work[r][col]
+            if f.is_zero():
+                continue
+            work[r] = [e - f * p for e, p in zip(work[r], work[col])]
+    return JetMatrix.of([row[n:] for row in work])
+
+
 def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
     """Reference for ``wellformed``: applies the involution to every
     order generator with matrix products, checks the image against the
@@ -144,7 +189,7 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
     if not apply_tau(a).agrees(want):
         return failure("NotEpsilonHermitian", f"tau(a) != {spec.epsilon:+d}*a")
     try:
-        ainv = a.inverse()
+        ainv = ref_gauss_jordan_inverse(a)
     except NotInvertible as exc:
         return failure("NotInvertible", f"gauge is not invertible over the Laurent field: {exc}")
     pattern = pattern_of(spec.order.sig)
@@ -258,11 +303,11 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
 
     u, a1, a2 = promote(w.u), promote(w.spec1.gauge), promote(w.spec2.gauge)
     try:
-        a1_inv = a1.inverse()
+        a1_inv = ref_gauss_jordan_inverse(a1)
     except NotInvertible as exc:
         return failure("NotInvertible", f"first gauge: {exc}")
     try:
-        u.inverse()
+        ref_gauss_jordan_inverse(u)
     except NotInvertible as exc:
         return failure("NotInvertible", f"u: {exc}")
     big = apply_tau(u) @ a2 @ u

@@ -41,6 +41,7 @@ from horders.scalars import (
     BASE,
     QUATERNION,
     LaurentJet,
+    Q,
     Scalar,
     quadratic,
 )
@@ -129,9 +130,9 @@ def test_sigma_on_the_bundled_gauge_stays_in_the_order():
 
 
 def test_gauge_inverse_at_low_precision_is_insufficient_precision():
-    # with each entry known to three coefficients, the third pivot cancels
-    # to a jet known only to be zero modulo a power of t: missing
-    # precision, not a singular gauge
+    # with each entry known to three coefficients, a Gauss-Jordan pivot
+    # would cancel to a jet known only to be zero modulo a power of t;
+    # inversion takes exact matrices only, so this one is refused outright
     t = LaurentJet.t_power
     z = LaurentJet.zero(BASE)
     gauge = JetMatrix.of([
@@ -141,9 +142,21 @@ def test_gauge_inverse_at_low_precision_is_insufficient_precision():
     ])
     truncated = gauge.map(
         lambda e: LaurentJet(BASE, e.lowest_exp, e.coeffs, e.lowest_exp + 3) if e.coeffs else e)
-    with pytest.raises(InsufficientPrecision, match="column 2"):
+    with pytest.raises(InsufficientPrecision, match="the matrix must be exact"):
         truncated.inverse()
     assert (gauge @ gauge.inverse()).agrees(JetMatrix.identity(BASE, 3))
+
+
+def test_sigma_with_a_truncated_gauge_is_insufficient_precision():
+    # b = I is the known part of this gauge, but its exact completion
+    # [[1, t], [t, 1]] has the inverse (1 - t^2)^-1 * [[1, -t], [-t, 1]]
+    one, unknown = LaurentJet.one(BASE), LaurentJet.zero(BASE, 1)
+    gauge = JetMatrix.of([[one, unknown], [unknown, one]])
+    with pytest.raises(InsufficientPrecision):
+        gauge.inverse()
+    spec = InvolutionSpec(order(1, 1), gauge)
+    with pytest.raises(InsufficientPrecision):
+        apply_sigma(spec, JetMatrix.identity(BASE, 2))
 
 
 def test_sigma_squares_to_identity():
@@ -303,11 +316,13 @@ def test_wellformed_matches_the_exact_adjugate():
         assert (got.code, got.detail) == (ref.code, ref.detail)
         codes.add(got.code)
     assert codes == {None, "NotStable", "NotInvertible"}
-    # these gauges' valuations are out of reach of the inverse truncated
-    # at the default precision, which decided well-formedness before
+    # these gauges' valuations were out of reach of the Gauss-Jordan
+    # inverse truncated at the default precision; the inverse read from
+    # the integer solve carries them
     for i in (25, 49, 128, 152, 305, 313):
-        with pytest.raises(InsufficientPrecision):
-            specs[i].gauge.inverse()
+        inv = specs[i].gauge.inverse()
+        got = [[None if e.is_zero() else e.valuation() for e in row] for row in inv.rows]
+        assert got == _inverse_valuations(specs[i].gauge)
 
 
 def test_large_coefficients_decode_exactly():
@@ -323,10 +338,16 @@ def test_large_coefficients_decode_exactly():
         (order(1, 1), JetMatrix.of([[z, t(BASE, -1, big)], [t(BASE, -1, big), z]]),
          [[None, 1], [1, None]]),
         (order(1, kind=QUATERNION), JetMatrix.diagonal([t(QUATERNION, 3, big)]), [[-3]]),
+        # det = P = 2^40 exactly: with X = 2^B only 2P, its balanced
+        # base-X digits would read det as t - 2^40
+        (order(1), JetMatrix.diagonal([t(BASE, 0, big)]), [[0]]),
     ]
     for a, gauge, want in cases:
         assert _inverse_valuations(gauge) == want
         assert wellformed(InvolutionSpec(a, gauge)).ok
+        inv = JetMatrix.of([[t(gauge.kind, -e.lowest_exp, Q(1, big)) if e.coeffs else e
+                             for e in row] for row in zip(*gauge.rows)])
+        assert gauge.inverse() == inv
 
 
 def test_stability_needs_no_truncated_inverse(monkeypatch):

@@ -1,5 +1,5 @@
 """Fused jet-matrix products, and the integer image shared by
-field_invertible and inverse_valuations."""
+field_invertible, inverse_valuations and inverse."""
 
 from random import Random
 
@@ -7,9 +7,9 @@ import pytest
 
 from horders.errors import NotInvertible
 from horders.matrices import JetMatrix
-from horders.scalars import BASE, LaurentJet
+from horders.scalars import BASE, DEFAULT_PRECISION, QUATERNION, LaurentJet, Q, Scalar
 
-from helpers import ref_matmul
+from helpers import random_scalar, ref_gauss_jordan_inverse, ref_matmul
 from test_scalars import REF_KINDS, kernel_jet
 
 
@@ -74,3 +74,58 @@ def test_matmul_precision_is_the_least_kept_product_precision():
     # exact zero it is exactly zero
     assert got.rows[1] == (zero(BASE, 2), t(BASE, 1))
     assert got == ref_matmul(a, b)
+
+
+def inverse_case(kind, rng) -> JetMatrix:
+    """An exact matrix of exactly zero, monomial and short polynomial
+    entries; upper triangular a third of the time, so that many are units
+    over the Laurent polynomials and invert exactly."""
+    n = rng.randint(1, 3 if kind.ext is not None else 4)
+    triangular = rng.random() < 1 / 3
+
+    def entry(i, j):
+        r = rng.random()
+        if r < 0.3 or (triangular and i > j):
+            return LaurentJet.zero(kind)
+        width = 1 if r < 0.65 or (triangular and i == j) else rng.randint(2, 3)
+        return LaurentJet(kind, rng.randint(-3, 3), [random_scalar(kind, rng, 2) for _ in range(width)])
+
+    return JetMatrix(kind, tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_inverse_matches_the_gauss_jordan_reference(kind):
+    rng = Random(59)
+    for _ in range(16):
+        a = inverse_case(kind, rng)
+        if not a.field_invertible():
+            with pytest.raises(NotInvertible):
+                a.inverse()
+            continue
+        inv = a.inverse()
+        one = JetMatrix.identity(kind, a.n)
+        assert (a @ inv).agrees(one) and (inv @ a).agrees(one)
+        try:
+            ref = ref_gauss_jordan_inverse(a)
+        except NotInvertible:  # a zero-divisor pivot the reference cannot use
+            ref = None
+        if ref is not None:
+            assert inv.agrees(ref)
+            assert inv.is_exact or not ref.is_exact
+        for e in (e for row in inv.rows for e in row if not e.is_exact):
+            assert e.precision == e.valuation() + DEFAULT_PRECISION
+
+
+def test_inverse_past_a_zero_divisor_pivot():
+    # (qi * sqrt(-1))^2 = 1, so e = (1 + qi*sqrt(-1)) / 2 and 1 - e are
+    # orthogonal idempotents: every entry is a zero divisor, yet
+    # a = 2 * [[e, 1 - e], [1 - e, e]] is a unit with inverse a / 4
+    kind = QUATERNION.extended(-1)
+    r = Scalar.basis(kind, 1) * Scalar.ext_gen(kind)
+    p, m = (LaurentJet.constant(kind, Scalar.one(kind) + s) for s in (r, -r))
+    a = JetMatrix.of([[p, m], [m, p]])
+    assert a.field_invertible()
+    inv = a.inverse()
+    assert inv == a.lscale(LaurentJet.constant(kind, Q(1, 4)))
+    one = JetMatrix.identity(kind, 2)
+    assert a @ inv == one and inv @ a == one
