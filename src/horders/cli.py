@@ -87,6 +87,8 @@ def _load_session(path: str) -> Session:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SessionError(f"cannot read session file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise SessionError(f"session file {path} is not UTF-8: byte {exc.start} ({exc.reason})")
     return parse_session(text)
 
 

@@ -646,14 +646,6 @@ class LaurentJet:
         acc.add_product(self, other)
         return acc.jet(_product_precision(self, other))
 
-    def lscale(self, s: Scalar) -> "LaurentJet":
-        _same_kind(s.kind, self.kind)
-        return LaurentJet(self.kind, self.lowest_exp, tuple(s * c for c in self.coeffs), self.precision)
-
-    def rscale(self, s: Scalar) -> "LaurentJet":
-        _same_kind(s.kind, self.kind)
-        return LaurentJet(self.kind, self.lowest_exp, tuple(c * s for c in self.coeffs), self.precision)
-
     def shift(self, k: int) -> "LaurentJet":
         """Multiply by t^k."""
         prec = None if self.precision is None else self.precision + k
@@ -663,44 +655,41 @@ class LaurentJet:
         return LaurentJet(self.kind, self.lowest_exp, tuple(c.conj() for c in self.coeffs), self.precision)
 
     def inverse(self, precision: int | None = None) -> "LaurentJet":
-        """Invert through the valuation and a geometric series.
+        """Invert by the reciprocal recurrence (Knuth, TAOCP vol. 2, 4.7).
 
         Exact monomials with invertible coefficient invert exactly.
         Otherwise the result precision is ``P - 2v`` where ``v`` is the
         valuation and ``P`` the input precision (exact inputs use the
         default working precision above their valuation).  An explicit
         ``precision`` is capped at ``P - 2v``, beyond which a truncated
-        input does not determine its inverse.
+        input does not determine its inverse.  With ``a_i`` the
+        coefficient of ``t^(v+i)``, the inverse has ``b_0 = a_0^-1`` and
+        ``b_k = -a_0^-1 * sum_{i=1..k} a_i * b_(k-i)`` at ``t^(k-v)``: this
+        solves ``a * b = 1``, the two-sided inverse of a unit even over
+        quaternions and zero divisors.  It reads ``a_i`` only for
+        ``i < target + v <= P - v``, coefficients the jet knows, at a cost
+        of ``(target + v) * len(coeffs)`` scalar products.
         """
         if not self.coeffs:
             raise IndeterminateValuation("cannot invert a jet that is zero to precision")
         v = self.lowest_exp
-        lead = self.coeffs[0]
-        lead_inv = lead.inverse()  # NotInvertible propagates
-        if len(self.coeffs) == 1 and self.precision is None and precision is None:
+        a = self.coeffs
+        lead_inv = a[0].inverse()  # NotInvertible propagates
+        if len(a) == 1 and self.precision is None and precision is None:
             return LaurentJet(self.kind, -v, (lead_inv,), None)
         if self.precision is not None:
             target = _min_prec(precision, self.precision - 2 * v)
         else:
             target = DEFAULT_PRECISION - v if precision is None else precision
-        unit_prec = target + v  # precision of the valuation-zero unit part
-        if unit_prec <= 0:
+        if target + v <= 0:
             raise InsufficientPrecision(
                 f"inverse of a valuation-{v} jet known modulo t^{self.precision} "
                 "would carry no coefficients")
-        unit = self.shift(-v)
-        unit = LaurentJet(self.kind, unit.lowest_exp, unit.coeffs, unit_prec)
-        z = unit.lscale(lead_inv) - LaurentJet.one(self.kind)  # valuation >= 1
-        acc = LaurentJet.one(self.kind)
-        term = LaurentJet.one(self.kind)
-        for _ in range(unit_prec - 1):
-            term = -(term * z)
-            if term.is_zero():
-                break
-            acc = acc + term
-        inv_unit = (acc.rscale(lead_inv))
-        inv_unit = LaurentJet(self.kind, inv_unit.lowest_exp, inv_unit.coeffs, unit_prec)
-        return inv_unit.shift(-v)
+        b, zero = [lead_inv], Scalar.zero(self.kind)
+        for k in range(1, target + v):
+            acc = sum((a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1)), zero)
+            b.append(-(lead_inv * acc))
+        return LaurentJet(self.kind, -v, b, target)
 
     def __pow__(self, k: int) -> "LaurentJet":
         """``k``-th power by repeated squaring; ``k < 0`` inverts first."""

@@ -1,6 +1,6 @@
 """Line-oriented session files describing orders, involutions and checks.
 
-Grammar (one declaration per line, ``#`` starts a comment):
+Grammar (one declaration per line, ended by LF, CR LF or CR; ``#`` starts a comment):
 
     division NAME = base|quaternion|quadratic(d) s=INT t=INT
     order NAME = block(DIVISION; n1,n2,...)
@@ -77,9 +77,10 @@ class Token(NamedTuple):
 
 # One alternative per token kind; whitespace matches no group, and any
 # other single character (non-ASCII digits and letters included) is BAD.
-_TOKEN = re.compile(r"[ \t\r]+|(?P<COMMENT>#)|(?P<INT>[0-9]+)"
-                    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[()\[\]=,;:^*/+-])|(?P<BAD>.)",
-                    re.DOTALL)
+_TOKEN = re.compile(r"[ \t]+|(?P<COMMENT>#)|(?P<INT>[0-9]+)"
+                    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[()\[\]=,;:^*/+-])|(?P<BAD>.)")
+# Lines end at \n, \r\n or \r only (str.splitlines also breaks at \f, \x85, ...).
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def _tokenize_line(text: str, lineno: int) -> list[Token]:
@@ -630,10 +631,13 @@ class _Parser:
             elif min(arg[1] if want == "tuple" else (arg[1],)) < 1:
                 raise SessionTypeError(
                     f"{func} expects positive integers, got {_format_arg(arg)}", tok.line, tok.col)
+        keys = [key for key, _ in kwargs]
         for key, value in kwargs:
             if key not in check.keywords:
                 raise SessionTypeError(
                     f"{func} does not take keyword {key!r}", tok.line, tok.col)
+            if keys.count(key) > 1:
+                raise SessionTypeError(f"{func} repeats keyword {key!r}", tok.line, tok.col)
             if key == "block":
                 r = self.symbols[args[0][1]].payload.order.sig.r
                 if value[0] != "int" or not 1 <= value[1] <= r:
@@ -651,7 +655,7 @@ def parse_session(text: str) -> Session:
         "witness": parser.parse_witness,
         "check": parser.parse_check,
     }
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         tokens = _tokenize_line(raw, lineno)
         if not tokens:
             continue
@@ -661,7 +665,11 @@ def parse_session(text: str) -> Session:
         if handler is None:
             raise SessionSyntaxError(
                 f"unknown declaration {head.value!r}", head.line, head.col)
-        handler(cur)
+        try:
+            handler(cur)
+        except RecursionError:
+            col = getattr(cur.peek(), "col", None)  # the token the parser had reached
+            raise SessionSyntaxError("nested too deeply", lineno, col) from None
     return Session(tuple(parser.declarations))
 
 

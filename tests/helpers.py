@@ -4,13 +4,13 @@ from itertools import permutations
 from random import Random
 
 from horders import basechange
-from horders.errors import (Diagnostics, InsufficientPrecision, NotInvertible, OK,
-                            SessionSyntaxError, SessionTypeError, failure)
+from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPrecision,
+                            NotInvertible, OK, SessionSyntaxError, SessionTypeError, failure)
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, radical_pattern
-from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind, _min_prec, _product_precision
-from horders.scalars import exact_int, exact_str
+from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
+from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
 from horders.witness import WitnessCheck
 
@@ -91,6 +91,43 @@ def ref_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
             out.append(acc)
         rows.append(out)
     return JetMatrix.of(rows)
+
+
+def ref_geometric_inverse(jet: LaurentJet, precision: int | None = None) -> LaurentJet:
+    """The unit part's inverse as the geometric series sum (-z)^k, with
+    z = lead^-1 * unit - 1, one jet product per term: the reference for
+    the coefficient recurrence in ``LaurentJet.inverse``."""
+    if not jet.coeffs:
+        raise IndeterminateValuation("cannot invert a jet that is zero to precision")
+    v = jet.lowest_exp
+    lead = jet.coeffs[0]
+    lead_inv = lead.inverse()  # NotInvertible propagates
+    if len(jet.coeffs) == 1 and jet.precision is None and precision is None:
+        return LaurentJet(jet.kind, -v, (lead_inv,), None)
+    if jet.precision is not None:
+        target = _min_prec(precision, jet.precision - 2 * v)
+    else:
+        target = DEFAULT_PRECISION - v if precision is None else precision
+    unit_prec = target + v  # precision of the valuation-zero unit part
+    if unit_prec <= 0:
+        raise InsufficientPrecision(
+            f"inverse of a valuation-{v} jet known modulo t^{jet.precision} "
+            "would carry no coefficients")
+    unit = jet.shift(-v)
+    unit = LaurentJet(jet.kind, unit.lowest_exp, unit.coeffs, unit_prec)
+    z = LaurentJet(jet.kind, unit.lowest_exp, tuple(lead_inv * c for c in unit.coeffs),
+                   unit.precision) - LaurentJet.one(jet.kind)  # valuation >= 1
+    acc = LaurentJet.one(jet.kind)
+    term = LaurentJet.one(jet.kind)
+    for _ in range(unit_prec - 1):
+        term = -(term * z)
+        if term.is_zero():
+            break
+        acc = acc + term
+    inv_unit = LaurentJet(acc.kind, acc.lowest_exp, tuple(c * lead_inv for c in acc.coeffs),
+                          acc.precision)
+    inv_unit = LaurentJet(jet.kind, inv_unit.lowest_exp, inv_unit.coeffs, unit_prec)
+    return inv_unit.shift(-v)
 
 
 def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,

@@ -74,6 +74,14 @@ def test_missing_session_file_exits_2(capsys):
     assert "cannot read session file" in capsys.readouterr().err
 
 
+def test_a_session_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.ho"
+    bad.write_bytes(b"division D = base s=1 t=1\n\xff\n")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "is not UTF-8: byte 26" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", [
     "order B = block(D; 2\u00b2)",
     "involution s on A : gauge diag(1, \u00b2) eps +1 conj none",

@@ -30,6 +30,7 @@ from helpers import (
     random_jet,
     random_scalar,
     ref_conj,
+    ref_geometric_inverse,
     ref_invertible,
     ref_inverse,
     ref_jet_add,
@@ -366,6 +367,30 @@ def test_jet_inverse_round_trip(kind):
         if a.is_zero():
             continue
         assert (a * a.inverse()).agrees(LaurentJet.one(kind))
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_jet_inverse_matches_the_geometric_series_reference(kind):
+    # the same coefficients exact and truncated at two precisions, inverted
+    # at the default precision and at explicit ones below and above the
+    # most the jet determines (P - 2v; DEFAULT_PRECISION - v when exact)
+    rng = Random(43)
+    for _ in range(12):
+        lo = rng.randint(-3, 3)
+        coeffs = [Scalar(kind, fraction_parts(kind, rng)) for _ in range(rng.randint(1, 5))]
+        if kind in SPLIT_KINDS and rng.random() < 0.3:
+            coeffs[0] = Scalar.ext_gen(kind) + Scalar.basis(kind, 1)  # a zero divisor
+        for prec in (None, lo + 2, lo + 7):
+            x = LaurentJet(kind, lo, coeffs, prec)
+            known = DEFAULT_PRECISION - x.lowest_exp if prec is None else prec - 2 * x.lowest_exp
+            for precision in (None, known - 3, known + 4):
+                try:
+                    want = ref_geometric_inverse(x, precision)
+                except (NotInvertible, IndeterminateValuation, InsufficientPrecision) as exc:
+                    with pytest.raises(type(exc)):
+                        x.inverse(precision)
+                    continue
+                assert x.inverse(precision) == want
 
 
 def test_valuation_multiplicative_on_1000_random_jets():

@@ -61,6 +61,44 @@ def test_non_ascii_digits_are_unexpected_characters(line, col):
     assert "unexpected character '\u00b2'" in str(err.value)
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_line_separator_inside_a_comment_does_not_end_it(sep):
+    text = f"division D = base s=1 t=1\n# retired: {sep}order A = block(D; 1)\n"
+    assert list(parse_session(text).orders) == []
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(text + "order B = %\n")
+    assert (err.value.line, err.value.col) == (3, 11)
+
+
+def test_a_form_feed_mid_line_is_unexpected_on_its_physical_line():
+    text = "division D = base s=1 t=1\norder A = \fblock(D; 1)\norder B = block(D; 1)\n"
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (2, 11)
+    assert "unexpected character '\\x0c'" in str(err.value)
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_carriage_return_line_ends_parse(end):
+    text = end.join(["division D = base s=1 t=1", "order A = block(D; 1,1)",
+                     "involution s on A : gauge diag(1,t) eps +1 conj none", ""])
+    s = parse_session(text)
+    assert [d.name for d in s.declarations] == ["D", "A", "s"]
+    with pytest.raises(UnknownIdentifier) as err:
+        parse_session(text + "order B = block(E; 1)" + end)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("opener", ["(", "-"])
+def test_deep_nesting_is_a_syntax_error_at_its_position(opener):
+    closer = ")" if opener == "(" else ""
+    line = f"involution s on A : gauge diag({opener * 3000}1{closer * 3000}) eps +1 conj none"
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session("division D = base s=1 t=1\norder A = block(D; 1)\n" + line + "\n")
+    assert err.value.line == 3 and "nested too deeply" in str(err.value)
+    assert line[err.value.col - 1] == opener  # the token the parser had reached
+
+
 def test_gauge_size_mismatch_is_a_type_error():
     text = ("division D = base s=1 t=1\n"
             "order A = block(D; 1,1)\n"
@@ -239,6 +277,16 @@ def test_bad_aniso_block_is_a_type_error(block):
         parse_session(text)
     assert err.value.line == text.count("\n")
     assert "block must be an integer in 1..2" in str(err.value)
+
+
+@pytest.mark.parametrize("call", ["aniso(s1, block=1, block=2) expect anisotropic",
+                                  "transport(wF, samples=1, samples=2) expect true"])
+def test_a_repeated_keyword_is_a_type_error(call):
+    text = corpus("main-counterexample.ho") + f"check c = {call}\n"
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (text.count("\n"), 11)
+    assert "repeats keyword" in str(err.value)
 
 
 @pytest.mark.parametrize("call", [
