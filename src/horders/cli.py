@@ -76,8 +76,14 @@ def _emit_json(payload: dict) -> bytes:
 
 
 def _parse_sig(text: str) -> Signature:
+    """Comma separated block sizes, each a run of ASCII decimal digits."""
+    parts = text.split(",")
+    for k, part in enumerate(parts, 1):
+        if not (part.isascii() and part.isdigit()):
+            raise HordersError(f"bad signature {text!r}: part {k} is {part!r}, "
+                               "not a run of the digits 0-9")
     try:
-        return Signature(tuple(int(p) for p in text.split(",")))
+        return Signature(tuple(int(p) for p in parts))
     except ValueError as exc:
         raise HordersError(f"bad signature {text!r}: {exc}")
 
@@ -92,10 +98,13 @@ def _load_session(path: str) -> Session:
     return parse_session(text)
 
 
+_NOUNS = {"orders": "order", "involutions": "involution", "witnesses": "witness"}
+
+
 def _session_object(session: Session, table: str, name: str):
     objects = getattr(session, table)
     if name not in objects:
-        raise HordersError(f"no {table[:-1]} named {name!r} in the session")
+        raise HordersError(f"no {_NOUNS[table]} named {name!r} in the session")
     return objects[name]
 
 
@@ -164,10 +173,10 @@ def _cmd_sh(args) -> int:
 
 
 def _cmd_sh_verify(args) -> int:
-    ok = verify_sh_pattern(args.s, args.t, _parse_sig(args.sig))
+    sig = _parse_sig(args.sig)
+    ok = verify_sh_pattern(args.s, args.t, sig)
     if args.json:
-        _write(_emit_json({"verified": ok, "s": args.s, "t": args.t,
-                           "sig": [int(p) for p in args.sig.split(",")]}))
+        _write(_emit_json({"verified": ok, "s": args.s, "t": args.t, "sig": list(sig.parts)}))
     else:
         _write((f"{'verified' if ok else 'MISMATCH'}\n").encode())
     return 0 if ok else 1

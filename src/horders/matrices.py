@@ -33,17 +33,37 @@ Laurent polynomials; otherwise every nonzero entry is known to exactly
 stay exact.  A truncated matrix raises InsufficientPrecision: its
 completions, such as [[1, 0], [0, 1]] and [[1, t], [t, 1]] for
 [[1, 0 mod t], [0 mod t, 1]], can have inverses that disagree.
+
+Products are compared on the same kind of image (Kronecker substitution;
+von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
+``first_difference`` scales each factor F once, by the lcm s_F of all
+its denominators and by t^-low_F for its lowest exponent, so each side
+is s * t^low times a product of integer polynomial matrices; it
+evaluates those at X = 2^B and multiplies them with ``_mul_parts`` in
+factor order.  Let |F| be the largest row 1-norm of the left-regular
+image of F, as summed for P.  It bounds every coefficient of every entry
+of F, and it is submultiplicative, |FG| <= |F| * |G|, because the images
+multiply and |pq|_1 <= |p|_1 * |q|_1 for integer polynomials; the
+structure constants of the kind are inside |F|.  Scaling the left
+product by s_right * X^(low_left - low) and the right one by s_left *
+X^(low_right - low), for low the smaller of the two, leaves a difference
+whose coefficients have absolute value at most s_right * prod |L_i| +
+s_left * prod |R_i|.  B is the bit length of that bound, so X exceeds
+it.  A polynomial p != 0 whose coefficients lie in (-X, X) has
+p(X) != 0: with c * t^v its lowest term, p(X) / X^v is c mod X and
+0 < |c| < X.  So two entries agree exactly when their packed values do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm, prod
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
 from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _back_substitute, _bareiss,
-                      _min_prec, _product_precision, left_regular)
+                      _min_prec, _mul_parts, _product_precision, _same_kind, left_regular)
 
 
 @dataclass(frozen=True)
@@ -157,9 +177,6 @@ class JetMatrix:
             out.append(tuple(out_row))
         return JetMatrix(kind, tuple(out))
 
-    def lscale(self, jet: LaurentJet) -> "JetMatrix":
-        return self.map(lambda e: jet * e)
-
     def map(self, fn: Callable[[LaurentJet], LaurentJet]) -> "JetMatrix":
         return JetMatrix.of([[fn(e) for e in row] for row in self.rows])
 
@@ -240,14 +257,7 @@ class JetMatrix:
         dim = self.kind.dim
         lows, scales, rows = self._integer_rows(comp)
         size = len(comp) * dim
-        norms = [0] * size
-        for ii, row in enumerate(rows):
-            for entry in row:
-                for _, num in entry:
-                    for x, products in zip(num, self.kind.basis_products):
-                        for _, r, k in products:
-                            norms[ii * dim + r] += abs(x * k)
-        bits = prod(norms).bit_length() + 1
+        bits = prod(_row_norms(self.kind, rows)).bit_length() + 1
         mat = self._regular_at(rows, 1 << bits)
         for r, row in enumerate(mat):
             row.extend(int(r == jj * dim) for jj in range(len(comp)))
@@ -273,11 +283,8 @@ class JetMatrix:
         A zero row stays zero, so its image is singular at every point."""
         lows, scales, rows = [], [], []
         for i in comp:
-            row = [self.rows[i][j] for j in comp]
-            low = min((e.lowest_exp for e in row if e.coeffs), default=0)
-            scale = lcm(*(c.den for e in row for c in e.coeffs))
-            rows.append([[(e.lowest_exp + k - low, tuple(x * (scale // c.den) for x in c.num))
-                          for k, c in enumerate(e.coeffs) if any(c.num)] for e in row])
+            scale, low, (row,) = _integer_terms([[self.rows[i][j] for j in comp]])
+            rows.append(row)
             lows.append(low)
             scales.append(scale)
         return lows, scales, rows
@@ -311,3 +318,93 @@ def _decode(kind: ScalarKind, coords: Sequence[int], bits: int, scale: int, shif
         coeffs.append(Scalar(kind, tuple(d * scale for d in digits)))
         coords = [(y - d) >> bits for y, d in zip(coords, digits)]
     return LaurentJet(kind, shift, coeffs)
+
+
+def _integer_terms(rows: Sequence[Sequence[LaurentJet]]) -> tuple[int, int, list]:
+    """The lcm s of the denominators of the entries, their lowest exponent
+    low and, per entry of s * t^-low * rows, the (exponent, integer
+    coordinates) of its nonzero terms; every exponent is at least 0."""
+    scale = lcm(*(c.den for row in rows for e in row for c in e.coeffs))
+    low = min((e.lowest_exp for row in rows for e in row if e.coeffs), default=0)
+    return scale, low, [[[(e.lowest_exp + k - low, c.num if c.den == scale else
+                           tuple(x * (scale // c.den) for x in c.num))
+                          for k, c in enumerate(e.coeffs) if any(c.num)] for e in row]
+                        for row in rows]
+
+
+def _row_norms(kind: ScalarKind, rows: list) -> list[int]:
+    """Bounds on the row 1-norms of the left-regular image of integer rows:
+    row r of block-row i sums |x| * |k| over the coordinates x, at index
+    a, of the terms in row i and the (c, r, k) in ``basis_products[a]``."""
+    dim = kind.dim
+    norms = [0] * (len(rows) * dim)
+    for ii, row in enumerate(rows):
+        sums = [sum(map(abs, c)) for c in zip(*(num for entry in row for _, num in entry))]
+        for x, products in zip(sums, kind.basis_products):
+            for _, r, k in products:
+                norms[ii * dim + r] += x * abs(k)
+    return norms
+
+
+def first_difference(left: Sequence[JetMatrix | LaurentJet],
+                     right: Sequence[JetMatrix | LaurentJet]) -> tuple[int, int] | None:
+    """The first entry, in row-major order, at which the products of the
+    exact factors ``left`` and ``right`` differ, or None if they are
+    equal.  A jet factor is that scalar times the identity.  Decided on
+    the integers of the module docstring, at X = 2^B."""
+    factors = [*left, *right]
+    kind = factors[0].kind
+    n = next(f.n for f in factors if isinstance(f, JetMatrix))
+    for f in factors:
+        _same_kind(kind, f.kind)
+        if isinstance(f, JetMatrix) and f.n != n:
+            raise SizeMismatch(f"{n}x{n} vs {f.n}x{f.n}")
+        if not f.is_exact:
+            raise InsufficientPrecision("products are compared exactly; every factor must be exact")
+    packed = [_integer_terms(f.rows if isinstance(f, JetMatrix) else ((f,),)) for f in factors]
+    norms = [max(_row_norms(kind, terms)) for _, _, terms in packed]
+    k = len(left)
+    s_l, s_r = prod(s for s, _, _ in packed[:k]), prod(s for s, _, _ in packed[k:])
+    bits = (s_r * prod(norms[:k]) + s_l * prod(norms[k:])).bit_length()
+    low_l, low_r = sum(low for _, low, _ in packed[:k]), sum(low for _, low, _ in packed[k:])
+    low = min(low_l, low_r)
+    scale_l, scale_r = s_r << (low_l - low) * bits, s_l << (low_r - low) * bits
+    values = [_evaluate(terms, bits) for _, _, terms in packed]
+    zero = (0,) * kind.dim
+    for i in range(n):
+        row_l = _product_row(kind, n, i, values[:k])
+        row_r = _product_row(kind, n, i, values[k:])
+        for j, (x, y) in enumerate(zip(row_l, row_r)):
+            if [c * scale_l for c in x or zero] != [c * scale_r for c in y or zero]:
+                return i, j
+    return None
+
+
+def _evaluate(rows: list, bits: int) -> list[list[tuple[int, ...] | None]]:
+    # integer rows at t = 2^bits; None for a zero entry
+    return [[tuple(map(sum, zip(*[[x << e * bits for x in num] for e, num in entry])))
+             if entry else None for entry in row] for row in rows]
+
+
+def _product_row(kind: ScalarKind, n: int, i: int, factors: list) -> list[tuple[int, ...] | None]:
+    """Row i of the product of evaluated factors, multiplied in factor
+    order; a 1 x 1 factor is a scalar, None a zero entry."""
+    row: list = [None] * n
+    row[i] = (1,) + (0,) * (kind.dim - 1)
+    for f in factors:
+        if len(f) == 1:
+            s = f[0][0]
+            row = [None if x is None or s is None else _mul_parts(kind, x, s) for x in row]
+            continue
+        kept = [(x, f[k]) for k, x in enumerate(row) if x is not None]
+        out = []
+        for j in range(n):
+            acc = None
+            for x, f_row in kept:
+                y = f_row[j]
+                if y is not None:
+                    xy = _mul_parts(kind, x, y)
+                    acc = xy if acc is None else tuple(map(add, acc, xy))
+            out.append(acc)
+        row = out
+    return row

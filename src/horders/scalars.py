@@ -652,6 +652,8 @@ class LaurentJet:
         return LaurentJet(self.kind, self.lowest_exp + k, self.coeffs, prec)
 
     def conj(self) -> "LaurentJet":
+        if self.kind.core == "base":  # the conjugation fixes every coefficient
+            return self
         return LaurentJet(self.kind, self.lowest_exp, tuple(c.conj() for c in self.coeffs), self.precision)
 
     def inverse(self, precision: int | None = None) -> "LaurentJet":

@@ -10,7 +10,17 @@ demand exact Laurent polynomials on both sides; a precision-limited
 tail is an error, never a pass.
 
 Nothing is inverted and nothing is sampled: every question is an exact
-identity or asks whether a rational matrix is singular.
+identity or asks whether a rational matrix is singular.  The identities
+are decided on integers by ``matrices.first_difference``: each operand
+is scaled once to integer polynomials (one lcm of its denominators, its
+exponents shifted to start at 0) and evaluated at X = 2^B, the packed
+matrices are multiplied in factor order (quaternions do not commute),
+and each side is scaled by the other's denominator and power of X.  B
+comes from the product bound in the ``matrices`` module docstring.
+Only an entry that a result needs as a polynomial is rebuilt as a jet:
+the first mismatching entry of tau(u) * a2 * u, printed in the
+IdentityMismatch detail, and W[p][q], whose product with conj(a) must
+be central in ``transport_check``.
 
 * Units lift modulo the Jacobson radical (Reiner, *Maximal Orders*,
   ch. 9), and a block order modulo its radical is the product of its
@@ -53,7 +63,7 @@ from .involutions import (
     smat_mul,
     wellformed,
 )
-from .matrices import JetMatrix
+from .matrices import JetMatrix, first_difference
 from .orders import (
     BlockOrder,
     DivisionSpec,
@@ -159,21 +169,28 @@ def _is_central(s: Scalar) -> bool:
     return s.kind.core != "quat" or not any(s.num[1:4] + s.num[5:])
 
 
+def _triple_entry(a: JetMatrix, b: JetMatrix, c: JetMatrix, i: int, j: int) -> LaurentJet:
+    """(a * b * c)[i][j] as a jet, summed over the k and l with a[i][k]
+    and c[l][j] not zero."""
+    zero = LaurentJet.zero(a.kind)
+    ks = [k for k in range(a.n) if a.entry(i, k).coeffs]
+    return sum((sum((a.entry(i, k) * b.entry(k, l) for k in ks), zero) * c.entry(l, j)
+                for l in range(a.n) if c.entry(l, j).coeffs), zero)
+
+
 def verify_witness(w: WitnessCheck) -> Diagnostics:
     """Check the transport identity exactly, then invertibility of u over
     the Laurent field, then (base and etale modes) that u is a unit of
     the order, then that alpha is a unit of the declared ring."""
     u, a1, a2, alpha = _exact_operands(w)
 
-    lhs = apply_tau(u) @ a2 @ u
-    rhs = a1.lscale(alpha)
-    if lhs != rhs:
-        bad = next((i, j) for i in range(u.n) for j in range(u.n)
-                   if lhs.entry(i, j) != rhs.entry(i, j))
+    tu = apply_tau(u)
+    bad = first_difference((tu, a2, u), (alpha, a1))
+    if bad is not None:
         return failure(
             "IdentityMismatch",
             f"tau(u)*a2*u != alpha*a1 at entry {bad[0] + 1},{bad[1] + 1}: "
-            f"{lhs.entry(*bad)} vs {rhs.entry(*bad)}")
+            f"{_triple_entry(tu, a2, u, *bad)} vs {alpha * a1.entry(*bad)}")
 
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
@@ -209,17 +226,15 @@ def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
-    big = apply_tau(u) @ a2 @ u
-    cells = [(i, j) for i in range(u.n) for j in range(u.n)]
-    p, q = next((i, j) for i, j in cells if not a1.entry(i, j).is_zero())
+    tu = apply_tau(u)
+    p, q = next((i, j) for i in range(u.n) for j in range(u.n) if not a1.entry(i, j).is_zero())
     abar = a1.entry(p, q).conj()
     norm = a1.entry(p, q) * abar
-    m = big.entry(p, q) * abar
+    m = _triple_entry(tu, a2, u, p, q) * abar
     if not all(_is_central(c) for c in m.coeffs):
         bad = (p, q)
     else:
-        bad = next(((i, j) for i, j in cells
-                    if norm * big.entry(i, j) != m * a1.entry(i, j)), None)
+        bad = first_difference((norm, tu, a2, u), (m, a1))
     if bad is not None:
         return failure(
             "TransportFailed",

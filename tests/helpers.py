@@ -12,7 +12,7 @@ from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, rad
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
 from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
-from horders.witness import WitnessCheck
+from horders.witness import WitnessCheck, _exact_operands, _is_central
 
 
 def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
@@ -366,6 +366,54 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
     for k in range(samples):
         if not holds(promote(sample_element(order, rng))):
             return failure("TransportFailed", f"conjugation fails on sample #{k + 1}")
+    return OK
+
+
+# ---------------------------------------------------------------------------
+# Jet-product reference for the packed witness identities: tau(u) * a2 * u
+# built as a matrix of jets and compared entry by entry, as the witness
+# checks decided it before they packed their operands into integers.
+
+
+def ref_identity_check(w: WitnessCheck) -> Diagnostics:
+    """The identity step of ``verify_witness``: OK, or IdentityMismatch at
+    the first differing entry with both jets in the detail."""
+    u, a1, a2, alpha = _exact_operands(w)
+    lhs = apply_tau(u) @ a2 @ u
+    rhs = a1.map(lambda e: alpha * e)
+    bad = next(((i, j) for i in range(u.n) for j in range(u.n)
+                if lhs.entry(i, j) != rhs.entry(i, j)), None)
+    if bad is None:
+        return OK
+    return failure(
+        "IdentityMismatch",
+        f"tau(u)*a2*u != alpha*a1 at entry {bad[0] + 1},{bad[1] + 1}: "
+        f"{lhs.entry(*bad)} vs {rhs.entry(*bad)}")
+
+
+def ref_transport_check(w: WitnessCheck) -> Diagnostics:
+    """``transport_check`` with W = tau(u) * a2 * u as a matrix of jets and
+    N * W = m * a1 compared entry by entry."""
+    u, a1, a2, _ = _exact_operands(w)
+    if not a1.field_invertible():
+        return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
+    if not u.field_invertible():
+        return failure("NotInvertible", "u is not invertible over the Laurent field")
+    big = apply_tau(u) @ a2 @ u
+    cells = [(i, j) for i in range(u.n) for j in range(u.n)]
+    p, q = next((i, j) for i, j in cells if not a1.entry(i, j).is_zero())
+    abar = a1.entry(p, q).conj()
+    norm = a1.entry(p, q) * abar
+    m = big.entry(p, q) * abar
+    if not all(_is_central(c) for c in m.coeffs):
+        bad = (p, q)
+    else:
+        bad = next(((i, j) for i, j in cells
+                    if norm * big.entry(i, j) != m * a1.entry(i, j)), None)
+    if bad is not None:
+        return failure(
+            "TransportFailed",
+            f"tau(u)*a2*u is not a central multiple of a1 at entry {bad[0] + 1},{bad[1] + 1}")
     return OK
 
 

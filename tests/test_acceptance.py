@@ -80,7 +80,7 @@ def test_criterion_1_main_replay_with_exact_witnesses():
     spec1, spec2, w_fiber, w_etale = counterexample_pair()
     t = LaurentJet.t_power(BASE, 1)
     lhs = apply_tau(w_fiber.u) @ spec2.gauge @ w_fiber.u
-    fiber_exact = lhs == spec1.gauge.lscale(t)
+    fiber_exact = lhs == spec1.gauge.map(lambda e: t * e)
 
     ext = BASE.extended(-1)
     lhs_e = apply_tau(w_etale.u) @ spec2.gauge.extended(-1) @ w_etale.u

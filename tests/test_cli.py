@@ -265,3 +265,50 @@ def test_a_check_that_raises_is_contained(tmp_path, capsys, monkeypatch):
     assert main(["check", str(path)]) == 1
     out, err = capsys.readouterr()
     assert "FAIL a: error RuntimeError" in out and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv, noun", [
+    (["verify", "--witness", "nope"], "witness"),
+    (["resinv", "--inv", "nope"], "involution"),
+    (["sh", "--order", "nope"], "order"),
+])
+def test_a_missing_session_object_is_named_by_its_kind(tmp_path, capsys, argv, noun):
+    path = corpus_path(tmp_path, "main-counterexample.ho")
+    assert main(argv + ["--session", path]) == 3
+    assert f"error: HordersError: no {noun} named 'nope' in the session" in capsys.readouterr().err
+
+
+SIG_COMMANDS = {
+    "inv": ["inv", "--sig"],
+    "iso": ["iso", "--sig2", "2,4", "--sig"],
+    "iso2": ["iso", "--sig", "4,2", "--sig2"],
+    "sh": ["sh", "--s", "1", "--t", "2", "--sig"],
+    "sh-verify": ["sh-verify", "--s", "1", "--t", "2", "--sig"],
+}
+
+
+@pytest.mark.parametrize("command", SIG_COMMANDS)
+@pytest.mark.parametrize("sig, part", [
+    ("4_0", "part 1 is '4_0'"),
+    ("٤,2", "part 1 is '٤'"),
+    ("+4,2", "part 1 is '+4'"),
+    ("4, 2", "part 2 is ' 2'"),
+    (",,", "part 1 is ''"),
+    ("4,", "part 2 is ''"),
+    ("4,-2", "part 2 is '-2'"),
+])
+def test_a_signature_takes_only_ascii_decimal_parts(capsys, command, sig, part):
+    assert main(SIG_COMMANDS[command] + [sig]) == 3
+    err = capsys.readouterr().err
+    assert f"error: HordersError: bad signature {sig!r}: {part}, not a run of the digits 0-9" in err
+    assert "Traceback" not in err and "int()" not in err
+
+
+def test_a_zero_block_size_is_a_bad_signature(capsys):
+    assert main(["inv", "--sig", "4,0"]) == 3
+    assert "bad signature '4,0': signature parts must be positive integers" in capsys.readouterr().err
+
+
+def test_sh_verify_json_reports_the_parsed_signature(capsys):
+    assert main(["sh-verify", "--s", "1", "--t", "2", "--sig", "01,2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sig"] == [1, 2]

@@ -126,6 +126,7 @@ def test_inverse_past_a_zero_divisor_pivot():
     a = JetMatrix.of([[p, m], [m, p]])
     assert a.field_invertible()
     inv = a.inverse()
-    assert inv == a.lscale(LaurentJet.constant(kind, Q(1, 4)))
+    quarter = LaurentJet.constant(kind, Q(1, 4))
+    assert inv == a.map(lambda e: quarter * e)
     one = JetMatrix.identity(kind, 2)
     assert a @ inv == one and inv @ a == one

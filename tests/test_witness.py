@@ -29,7 +29,8 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import sample_block_unit, transport_by_samples
+from helpers import ref_identity_check, ref_transport_check, sample_block_unit, transport_by_samples
+from test_scalars import REF_KINDS
 
 ALL_KINDS = [(BASE, 1, 1), (quadratic(-1), 1, 2), (QUATERNION, 2, 1)]
 
@@ -165,7 +166,7 @@ def _transport_case(kind, mode, rng, *, perturb):
     spec1, spec2 = InvolutionSpec(order, a1), InvolutionSpec(order, a2)
     if mode == "F":
         half = LaurentJet.from_coeffs(kind, 0, [Q(1, 2), Q(1, 2)])
-        return WitnessCheck(b.lscale(half), half * half, MODE_F, spec1, spec2)
+        return WitnessCheck(b.map(lambda e: half * e), half * half, MODE_F, spec1, spec2)
     if mode == "base":
         return WitnessCheck(b, one, MODE_BASE, spec1, spec2)
     ext = kind.extended(e)
@@ -201,6 +202,134 @@ def test_transport_needs_a_central_factor():
     assert (diag.code, diag.detail) == (
         "TransportFailed", "tau(u)*a2*u is not a central multiple of a1 at entry 1,1")
     assert transport_by_samples(w, samples=5).code == "TransportFailed"
+
+
+# ---------------------------------------------------------------------------
+# Packed identities against the jet-product reference
+
+
+def _mixed_jet(kind, rng, zero=0.3):
+    """1-3 terms from t^-2 up over mixed denominators; exactly zero with
+    probability ``zero``."""
+    if rng.random() < zero:
+        return LaurentJet.zero(kind)
+    return LaurentJet(kind, rng.randint(-2, 2), [
+        Scalar(kind, [Q(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(kind.dim)])
+        for _ in range(rng.randint(1, 3))])
+
+
+def _mixed_matrix(kind, rng, n, zero_row=False):
+    rows = [[_mixed_jet(kind, rng) for _ in range(n)] for _ in range(n)]
+    if zero_row:
+        rows[rng.randrange(n)] = [LaurentJet.zero(kind)] * n
+    return JetMatrix.of(rows)
+
+
+PACKED_CASES = ("random", "holds", "top", "wP", "cancel", "roots", "noncentral")
+
+
+def _packed_case(kind, rng, case):
+    """A witness over the n x n maximal order of the core of ``kind`` in
+    the mode whose working kind is ``kind``, or None if ``case`` needs a
+    quaternion core.  Cases that hold set a1 = alpha^-1 * tau(u) * a2 * u
+    for a rational monomial alpha; ``top`` then changes the top coefficient
+    of a1's highest entry and ``wP`` adds t^20 to a diagonal entry of u;
+    ``cancel`` gives a2 the block [[0, c], [-c, 0]] at rows and columns 0
+    and 1, so c * (u[0][i] * u[1][i] - u[1][i] * u[0][i]) cancels in entry
+    (i, i) of tau(u) * a2 * u over a base core; ``roots`` puts sqrt(ext) on some
+    diagonal entries of u; ``noncentral`` has a2 = qi * a1 and u = 1."""
+    base = kind.unextended()
+    mode = MODE_F if kind.ext is None else mode_etale(kind.ext)
+    n = rng.randint(2, 4 if kind.dim < 4 else 3)  # invertibility tests grow fast with n * dim
+    order = BlockOrder(DivisionSpec("D", base), Signature((n,)))
+    one = LaurentJet.one(base)
+
+    def witness(u, alpha, a1, a2):
+        return WitnessCheck(u, alpha, mode, InvolutionSpec(order, a1), InvolutionSpec(order, a2))
+
+    if case == "random":
+        return witness(_mixed_matrix(kind, rng, n, rng.random() < 0.3), _mixed_jet(kind, rng),
+                       _mixed_matrix(base, rng, n), _mixed_matrix(base, rng, n, rng.random() < 0.3))
+    if case == "noncentral":
+        if base.core != "quat":
+            return None
+        a1 = _mixed_matrix(base, rng, n)
+        qi = LaurentJet.constant(base, Scalar.basis(base, 1))
+        return witness(JetMatrix.identity(base, n), one, a1, a1.map(lambda e: qi * e))
+    if case == "roots" and kind.ext is not None:
+        b = _mixed_matrix(base, rng, n)
+        roots = [rng.random() < 0.5 for _ in range(n)]
+        d = [_mixed_jet(base, rng, zero=0) for _ in range(n)]
+        root = LaurentJet.constant(kind, Scalar.ext_gen(kind))
+        r = JetMatrix.diagonal([root if x else LaurentJet.one(kind) for x in roots])
+        e = LaurentJet.constant(base, kind.ext)
+        a1 = apply_tau(b) @ JetMatrix.diagonal([e * x if y else x for x, y in zip(d, roots)]) @ b
+        return witness(r @ b.extended(kind.ext), LaurentJet.one(kind), a1, JetMatrix.diagonal(d))
+    u, a2 = _mixed_matrix(base, rng, n), _mixed_matrix(base, rng, n)
+    if case == "cancel":
+        c = LaurentJet.constant(base, rng.choice((1, -2, Q(1, 3))))
+        z = LaurentJet.zero(base)
+        a2 = JetMatrix.of([[z, c] + list(a2.rows[0][2:]), [-c, z] + list(a2.rows[1][2:])]
+                          + list(a2.rows[2:]))
+    if case == "wP":
+        i = rng.randrange(n)
+        a2 = a2 + JetMatrix.unit(base, n, i, i, one - a2.entry(i, i))  # a2[i][i] = 1: t^40 survives
+    alpha = LaurentJet.t_power(base, rng.randint(-2, 2), Q(rng.choice((1, -1, 2, -3)), rng.choice((1, 3))))
+    a1 = (apply_tau(u) @ a2 @ u).map(lambda x: alpha.inverse() * x)
+    if case == "wP":
+        u = u + JetMatrix.unit(base, n, i, i, LaurentJet.t_power(base, 20))
+    if case == "top":
+        cells = [(i, j) for i in range(n) for j in range(n) if a1.entry(i, j).coeffs]
+        i, j = max(cells, key=lambda c: a1.entry(*c).degree(), default=(0, 0))
+        top = a1.entry(i, j).degree() if cells else 0
+        a1 = a1 + JetMatrix.unit(base, n, i, j, LaurentJet.t_power(base, top, Q(1, 5)))
+    return witness(u, alpha, a1, a2)
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_packed_identities_match_the_jet_products(kind):
+    rng = Random(f"packed:{kind}")
+    for case in PACKED_CASES:
+        for _ in range(2):
+            w = _packed_case(kind, rng, case)
+            if w is None:
+                continue
+            ref = ref_identity_check(w)
+            if case in ("holds", "cancel", "roots"):
+                assert ref.ok, case
+            elif case in ("top", "wP", "noncentral"):
+                assert ref.code == "IdentityMismatch", case
+            got = verify_witness(w)
+            assert got == ref if not ref.ok else got.code != "IdentityMismatch", case
+            transport = transport_check(w)
+            assert transport == ref_transport_check(w), case
+            if case == "noncentral" and w.spec1.gauge.field_invertible():
+                assert transport.code == "TransportFailed"
+
+
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 200])
+def test_the_packing_point_is_just_large_enough(m):
+    # tau(u) * a2 * u = t against alpha * a1 = 2^m: the difference t - 2^m
+    # has largest coefficient 2^m, so at X = 2^m both sides would be 2^m
+    a = BlockOrder(DivisionSpec("D"), Signature((1,)))
+    one = LaurentJet.one(BASE)
+    w = WitnessCheck(JetMatrix.identity(BASE, 1), one, MODE_F,
+                     InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.constant(BASE, 2 ** m)])),
+                     InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.t_power(BASE, 1)])))
+    diag = verify_witness(w)
+    assert (diag.code, diag.detail) == (
+        "IdentityMismatch", f"tau(u)*a2*u != alpha*a1 at entry 1,1: t vs {2 ** m}")
+
+
+def test_witness_checks_build_no_jet_matrix_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("JetMatrix.__matmul__ called")
+
+    witnesses = [w for kind, s, t in ALL_KINDS for w in counterexample_pair(kind, s, t)[2:]]
+    monkeypatch.setattr(JetMatrix, "__matmul__", refuse)
+    for w in witnesses:
+        assert verify_witness(w).ok
+        assert transport_check(w).ok
 
 
 def _split_idempotents(kind):
