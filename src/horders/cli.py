@@ -75,11 +75,16 @@ def _emit_json(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
+def _is_digits(text: str) -> bool:
+    """A run of the ASCII digits 0-9; ``int()`` also takes ``٤``, ``4_0`` and ``+4``."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_sig(text: str) -> Signature:
     """Comma separated block sizes, each a run of ASCII decimal digits."""
     parts = text.split(",")
     for k, part in enumerate(parts, 1):
-        if not (part.isascii() and part.isdigit()):
+        if not _is_digits(part):
             raise HordersError(f"bad signature {text!r}: part {k} is {part!r}, "
                                "not a run of the digits 0-9")
     try:
@@ -182,8 +187,14 @@ def _cmd_sh_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _one_inv(args) -> str:
+    if len(args.inv) != 1:
+        raise HordersError(f"{args.command} needs exactly one --inv name")
+    return args.inv[0]
+
+
 def _cmd_resinv(args) -> int:
-    spec = _session_object(_load_session(args.session), "involutions", args.inv[0])
+    spec = _session_object(_load_session(args.session), "involutions", _one_inv(args))
     res = residue_involution(spec)
     blocks = [
         {"size": b.size, "t_power": b.t_power,
@@ -202,7 +213,7 @@ def _cmd_resinv(args) -> int:
 
 
 def _cmd_aniso(args) -> int:
-    spec = _session_object(_load_session(args.session), "involutions", args.inv[0])
+    spec = _session_object(_load_session(args.session), "involutions", _one_inv(args))
     r = spec.order.sig.r
     if args.block is not None and not 1 <= args.block <= r:
         raise HordersError(f"--block must be in 1..{r}, got {args.block}")
@@ -249,17 +260,29 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer that ASCII digits after an optional ``-`` spell, or None."""
+    try:
+        return int(text) if _is_digits(text.removeprefix("-")) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
+        value = _ascii_int(text)
         if value is None or value < low:
             raise argparse.ArgumentTypeError(
                 f"expected an integer of at least {low}, got {text!r}")
         return value
     return parse
+
+
+def _block(text: str) -> int:
+    value = _ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aniso", help="isotropy of residue blocks")
     p.add_argument("--session", required=True)
     p.add_argument("--inv", action="append", required=True)
-    p.add_argument("--block", type=int, default=None)
+    p.add_argument("--block", type=_block, default=None)
     common(p)
     p.set_defaults(fn=_cmd_aniso)
 

@@ -188,9 +188,9 @@ class JetMatrix:
     def shift(self, k: int) -> "JetMatrix":
         return self.map(lambda e: e.shift(k))
 
-    def extended(self, d: int) -> "JetMatrix":
-        kind = self.kind.extended(d)
-        return JetMatrix(kind, tuple(tuple(e.extended(d) for e in row) for row in self.rows))
+    def onto(self, kind: ScalarKind) -> "JetMatrix":
+        """This matrix over ``kind``, an extension of its kind by a root."""
+        return JetMatrix(kind, tuple(tuple(e.onto(kind) for e in row) for row in self.rows))
 
     @property
     def is_exact(self) -> bool:
@@ -212,6 +212,8 @@ class JetMatrix:
         at one of t = 1, ..., D + 1.
         """
         def nonsingular(rows: list) -> bool:
+            if not all(any(row) for row in rows):
+                return False  # an exactly zero row is singular at every point
             bound = self.kind.dim * sum(
                 max((e for entry in row for e, _ in entry), default=0) for row in rows)
             return any(_bareiss(m := self._regular_at(rows, x), len(m))

@@ -114,8 +114,7 @@ class ScalarKind:
         """``basis_products[a]`` lists ``(c, r, k)`` for each nonzero
         coordinate ``k``, at index ``r``, of the basis product ``e_a * e_c``.
 
-        Built on first use and kept for the life of the kind: extending a
-        matrix makes a new kind per coefficient, and most never need it.
+        Built on first use and kept for the life of the kind.
         """
         dim = self.dim
         unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
@@ -340,9 +339,9 @@ class Scalar:
             raise ValueError(f"scalar {self} is not rational")
         return Q(self.num[0], self.den)
 
-    def extended(self, d: int) -> "Scalar":
-        k = self.kind.extended(d)
-        return _raw(k, self.num + (0,) * self.kind.core_dim, self.den)
+    def onto(self, kind: ScalarKind) -> "Scalar":
+        """This scalar in ``kind``, an extension of its kind by a root."""
+        return _raw(kind, self.num + (0,) * self.kind.core_dim, self.den)
 
     def __str__(self) -> str:
         k = self.kind
@@ -719,9 +718,10 @@ class LaurentJet:
         diff = self - other
         return not diff.coeffs
 
-    def extended(self, d: int) -> "LaurentJet":
-        kind = self.kind.extended(d)
-        return LaurentJet(kind, self.lowest_exp, tuple(c.extended(d) for c in self.coeffs), self.precision)
+    def onto(self, kind: ScalarKind) -> "LaurentJet":
+        """This jet over ``kind``, an extension of its kind by a root."""
+        return LaurentJet(kind, self.lowest_exp, tuple(c.onto(kind) for c in self.coeffs),
+                          self.precision)
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 import time
+from itertools import islice
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -68,100 +69,102 @@ from .scalars import _Accumulator, _min_prec, _mul_parts, _reduced, exact_int, e
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT | INT | SYM
-    value: str
-    line: int
-    col: int
-
-
-# One alternative per token kind; whitespace matches no group, and any
-# other single character (non-ASCII digits and letters included) is BAD.
-_TOKEN = re.compile(r"[ \t]+|(?P<COMMENT>#)|(?P<INT>[0-9]+)"
-                    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[()\[\]=,;:^*/+-])|(?P<BAD>.)")
+# A token is its text, and its first character gives its kind: an ASCII
+# digit starts a number, a letter or ``_`` a name, anything else is a symbol.
+# Columns are found by rescanning the line (_Cursor.col), and only for an
+# error, so a parse that succeeds stores no positions.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]=,;:^*/+-]")
+_BAD = re.compile(r"[^ \t0-9A-Za-z_()\[\]=,;:^*/+-]")
 # Lines end at \n, \r\n or \r only (str.splitlines also breaks at \f, \x85, ...).
 _LINE_END = re.compile(r"\r\n|\r|\n")
 
 
-def _tokenize_line(text: str, lineno: int) -> list[Token]:
-    out: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "COMMENT":
-            break
-        if kind == "BAD":
-            raise SessionSyntaxError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
-        out.append(Token(kind, m.group(), lineno, m.start() + 1))
-    return out
+def _tokenize_line(text: str, lineno: int) -> list[str]:
+    code = text.partition("#")[0]
+    bad = _BAD.search(code)
+    if bad:
+        raise SessionSyntaxError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
+    return _TOKEN.findall(code)
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], lineno: int):
-        self.tokens = tokens
-        self.pos = 0
+    """The tokens of one line, ended by the sentinel ``""``."""
+
+    def __init__(self, text: str, lineno: int):
+        self.text = text
         self.line = lineno
+        self.tokens = _tokenize_line(text, lineno) + [""]
+        self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def col(self, i: int) -> int | None:
+        """The column of token ``i``, or None for the end of the line."""
+        if i >= len(self.tokens) - 1:
+            return None
+        return next(islice(_TOKEN.finditer(self.text), i, None)).start() + 1
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+    def peek(self) -> str:
+        return self.tokens[self.pos]
+
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok:
             raise SessionSyntaxError("unexpected end of line", self.line)
         self.pos += 1
         return tok
 
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == kind and (value is None or tok.value == value):
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            got = f"{tok.value!r}" if tok is not None else "end of line"
-            col = tok.col if tok is not None else None
-            raise SessionSyntaxError(f"expected {want!r}, got {got}", self.line, col)
+    def expect(self, text: str) -> None:
+        self._take(self.tokens[self.pos] == text, text)
+
+    def expect_ident(self) -> str:
+        return self._take(self.tokens[self.pos].isidentifier(), "IDENT")
+
+    def expect_int(self) -> int:
+        return exact_int(self._take(self.tokens[self.pos].isdigit(), "INT"))
+
+    def _take(self, ok: bool, want: str) -> str:
+        """The next token if ``ok``, else the error that ``want`` was expected."""
+        tok = self.tokens[self.pos]
+        if not ok:
+            got = f"{tok!r}" if tok else "end of line"
+            raise SessionSyntaxError(f"expected {want!r}, got {got}", self.line, self.col(self.pos))
         self.pos += 1
         return tok
 
-    def expect_ident(self, value: str | None = None) -> str:
-        return self.expect("IDENT", value).value
+    def name_index(self) -> int:
+        """Reads a name and returns its token index, for a later lookup."""
+        self.expect_ident()
+        return self.pos - 1
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise SessionSyntaxError(f"trailing input {tok.value!r}", self.line, tok.col)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise SessionSyntaxError(f"trailing input {tok!r}", self.line, self.col(self.pos))
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.accept("SYM", "-"):
-            sign = -1
-        elif self.accept("SYM", "+"):
-            pass
-        return sign * exact_int(self.expect("INT").value)
-
-    def natural(self) -> int:
-        return exact_int(self.expect("INT").value)
+        if self.accept("-"):
+            return -self.expect_int()
+        self.accept("+")
+        return self.expect_int()
 
     def comma_list(self, item) -> list:
         """``item()`` once, then again after each ``,``."""
         items = [item()]
-        while self.accept("SYM", ","):
+        while self.accept(","):
             items.append(item())
         return items
 
     def int_tuple(self) -> tuple[int, ...] | None:
         """A parenthesised list of signed integers, or None when no ``(`` follows."""
-        if not self.accept("SYM", "("):
+        if not self.accept("("):
             return None
         items = self.comma_list(self.signed_int)
-        self.expect("SYM", ")")
+        self.expect(")")
         return tuple(items)
 
 
@@ -193,8 +196,7 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind):
     is no more, else a jet reduced once, to the least precision of its
     truncated terms."""
     term = _parse_term(cur, kind)
-    tok = cur.peek()
-    if tok is None or tok.value not in ("+", "-", "mod"):
+    if cur.peek() not in ("+", "-", "mod"):
         return term
     acc, prec, negate = _Accumulator(kind), None, False
     while True:
@@ -204,13 +206,13 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind):
         else:
             acc.add(-term if negate else term)
             prec = _min_prec(prec, term.precision)
-        if cur.accept("SYM", "+"):
+        if cur.accept("+"):
             negate = False
-        elif cur.accept("SYM", "-"):
+        elif cur.accept("-"):
             negate = True
-        elif cur.accept("IDENT", "mod"):
-            cur.expect_ident("t")
-            cur.expect("SYM", "^")
+        elif cur.accept("mod"):
+            cur.expect("t")
+            cur.expect("^")
             return acc.jet(_min_prec(prec, cur.signed_int()))
         else:
             return acc.jet(prec)
@@ -219,7 +221,7 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind):
 
 def _parse_term(cur: _Cursor, kind: ScalarKind):
     value = _parse_factor(cur, kind)
-    while cur.accept("SYM", "*"):
+    while cur.accept("*"):
         other = _parse_factor(cur, kind)
         if type(value) is tuple and type(other) is tuple:
             value = (_mul_parts(kind, value[0], other[0]), value[1] * other[1],
@@ -230,14 +232,14 @@ def _parse_term(cur: _Cursor, kind: ScalarKind):
 
 
 def _parse_factor(cur: _Cursor, kind: ScalarKind):
-    if cur.accept("SYM", "-"):
+    if cur.accept("-"):
         value = _parse_factor(cur, kind)
         if type(value) is tuple:
             return tuple(-x for x in value[0]), value[1], value[2]
         return -value
     value = _parse_atom(cur, kind)
-    caret = cur.accept("SYM", "^")
-    if caret is None:
+    caret = cur.pos
+    if not cur.accept("^"):
         return value
     k = cur.signed_int()
     try:
@@ -245,7 +247,7 @@ def _parse_factor(cur: _Cursor, kind: ScalarKind):
     except (IndeterminateValuation, NotInvertible) as exc:
         raise SessionTypeError(
             f"power {exact_str(k)} of a value with no inverse: {exc}",
-            caret.line, caret.col) from None
+            cur.line, cur.col(caret)) from None
 
 
 def _monomial_power(kind: ScalarKind, value: tuple, k: int) -> tuple:
@@ -270,70 +272,68 @@ def _unit(kind: ScalarKind, index: int) -> tuple:
 
 
 def _parse_atom(cur: _Cursor, kind: ScalarKind):
+    at = cur.pos
     tok = cur.next()
-    if tok.kind == "INT":
-        num, den = exact_int(tok.value), 1
-        if cur.accept("SYM", "/"):
-            den_tok = cur.expect("INT")
-            den = exact_int(den_tok.value)
+    if tok.isdigit():
+        num, den = exact_int(tok), 1
+        if cur.accept("/"):
+            den = cur.expect_int()
             if den == 0:
                 raise SessionTypeError(
-                    f"zero denominator in {exact_str(num)}/0", den_tok.line, den_tok.col)
+                    f"zero denominator in {exact_str(num)}/0", cur.line, cur.col(cur.pos - 1))
         return (num,) + (0,) * (kind.dim - 1), den, 0
-    if tok.kind == "SYM" and tok.value == "(":
+    if tok == "(":
         value = _parse_sum(cur, kind)
-        cur.expect("SYM", ")")
+        cur.expect(")")
         return value
-    if tok.kind == "IDENT":
-        if tok.value == "t":
-            return _unit(kind, 0), 1, 1
-        if tok.value in ("qi", "qj", "qk"):
-            if kind.core != "quat":
-                raise SessionTypeError(
-                    f"{tok.value} is not a scalar of kind {kind}", tok.line, tok.col)
-            return _unit(kind, {"qi": 1, "qj": 2, "qk": 3}[tok.value]), 1, 0
-        if tok.value == "sqrt":
-            cur.expect("SYM", "(")
-            d = cur.signed_int()
-            cur.expect("SYM", ")")
-            if kind.ext == d:
-                return _unit(kind, kind.core_dim), 1, 0
-            if kind.core == "quad" and kind.d == d:
-                return _unit(kind, 1), 1, 0
-            raise SessionTypeError(
-                f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", tok.line, tok.col)
-    raise SessionSyntaxError(f"unexpected token {tok.value!r} in expression", tok.line, tok.col)
+    if tok == "t":
+        return _unit(kind, 0), 1, 1
+    if tok in ("qi", "qj", "qk"):
+        if kind.core != "quat":
+            raise SessionTypeError(f"{tok} is not a scalar of kind {kind}", cur.line, cur.col(at))
+        return _unit(kind, {"qi": 1, "qj": 2, "qk": 3}[tok]), 1, 0
+    if tok == "sqrt":
+        cur.expect("(")
+        d = cur.signed_int()
+        cur.expect(")")
+        if kind.ext == d:
+            return _unit(kind, kind.core_dim), 1, 0
+        if kind.core == "quad" and kind.d == d:
+            return _unit(kind, 1), 1, 0
+        raise SessionTypeError(
+            f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", cur.line, cur.col(at))
+    raise SessionSyntaxError(f"unexpected token {tok!r} in expression", cur.line, cur.col(at))
 
 
 def _parse_matrix(cur: _Cursor, kind: ScalarKind) -> JetMatrix:
-    tok = cur.expect("IDENT")
-    if tok.value == "diag":
-        cur.expect("SYM", "(")
+    at = cur.pos
+    word = cur.expect_ident()
+    if word == "diag":
+        cur.expect("(")
         entries = cur.comma_list(lambda: _parse_expr(cur, kind))
-        cur.expect("SYM", ")")
+        cur.expect(")")
         return JetMatrix.diagonal(entries)
-    if tok.value == "mat":
-        cur.expect("SYM", "[")
+    if word == "mat":
+        cur.expect("[")
         rows = cur.comma_list(lambda: _parse_matrix_row(cur, kind))
-        cur.expect("SYM", "]")
+        cur.expect("]")
         if any(len(r) != len(rows) for r in rows):
             raise SessionTypeError(
                 f"mat literal must be square, got rows of sizes {[len(r) for r in rows]}",
-                tok.line, tok.col)
+                cur.line, cur.col(at))
         return JetMatrix.of(rows)
-    if tok.value == "dsum":
-        cur.expect("SYM", "(")
+    if word == "dsum":
+        cur.expect("(")
         blocks = cur.comma_list(lambda: _parse_matrix(cur, kind))
-        cur.expect("SYM", ")")
+        cur.expect(")")
         return JetMatrix.dsum(*blocks)
-    raise SessionSyntaxError(
-        f"expected diag, mat or dsum, got {tok.value!r}", tok.line, tok.col)
+    raise SessionSyntaxError(f"expected diag, mat or dsum, got {word!r}", cur.line, cur.col(at))
 
 
 def _parse_matrix_row(cur: _Cursor, kind: ScalarKind) -> list[LaurentJet]:
-    cur.expect("SYM", "[")
+    cur.expect("[")
     row = cur.comma_list(lambda: _parse_expr(cur, kind))
-    cur.expect("SYM", "]")
+    cur.expect("]")
     return row
 
 
@@ -403,29 +403,31 @@ class _Parser:
         self.symbols[decl.name] = decl
         self.declarations.append(decl)
 
-    def lookup(self, name: str, kinds: tuple[str, ...], line: int, col: int | None = None):
+    def lookup(self, cur: _Cursor, i: int, kinds: tuple[str, ...]):
+        """The payload of the declaration that token ``i`` names."""
+        name = cur.tokens[i]
         decl = self.symbols.get(name)
         if decl is None:
-            raise UnknownIdentifier(f"unknown identifier {name!r}", line, col)
+            raise UnknownIdentifier(f"unknown identifier {name!r}", cur.line, cur.col(i))
         if decl.kind not in kinds:
             raise SessionTypeError(
-                f"{name!r} is a {decl.kind}, expected {' or '.join(kinds)}", line, col)
+                f"{name!r} is a {decl.kind}, expected {' or '.join(kinds)}", cur.line, cur.col(i))
         return decl.payload
 
     # -- declaration parsers ------------------------------------------------
 
     def parse_division(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
-        cur.expect("SYM", "=")
+        cur.expect("=")
         word = cur.expect_ident()
         if word == "base":
             kind = BASE
         elif word == "quaternion":
             kind = QUATERNION
         elif word == "quadratic":
-            cur.expect("SYM", "(")
+            cur.expect("(")
             d = cur.signed_int()
-            cur.expect("SYM", ")")
+            cur.expect(")")
             try:
                 kind = quadratic(d)
             except ValueError as exc:
@@ -433,12 +435,12 @@ class _Parser:
         else:
             raise SessionSyntaxError(
                 f"expected base, quadratic or quaternion, got {word!r}", cur.line)
-        cur.expect_ident("s")
-        cur.expect("SYM", "=")
-        s = cur.natural()
-        cur.expect_ident("t")
-        cur.expect("SYM", "=")
-        t = cur.natural()
+        cur.expect("s")
+        cur.expect("=")
+        s = cur.expect_int()
+        cur.expect("t")
+        cur.expect("=")
+        t = cur.expect_int()
         cur.done()
         try:
             payload = DivisionSpec(name, kind, s, t)
@@ -448,55 +450,55 @@ class _Parser:
 
     def parse_order(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
-        cur.expect("SYM", "=")
+        cur.expect("=")
         word = cur.expect_ident()
         if word == "block":
-            cur.expect("SYM", "(")
-            tok = cur.expect("IDENT")
-            division = self.lookup(tok.value, ("division",), tok.line, tok.col)
-            cur.expect("SYM", ";")
-            parts = cur.comma_list(cur.natural)
-            cur.expect("SYM", ")")
+            cur.expect("(")
+            ref = cur.name_index()
+            division = self.lookup(cur, ref, ("division",))
+            cur.expect(";")
+            parts = cur.comma_list(cur.expect_int)
+            cur.expect(")")
             cur.done()
             try:
                 payload = BlockOrder(division, Signature(tuple(parts)))
             except ValueError as exc:
                 raise SessionTypeError(str(exc), cur.line)
-            self.define(Declaration("order", name, payload, (tok.value,)), cur.line)
+            self.define(Declaration("order", name, payload, (cur.tokens[ref],)), cur.line)
             return
         if word == "product":
-            cur.expect("SYM", "(")
-            refs = cur.comma_list(lambda: cur.expect("IDENT"))
-            cur.expect("SYM", ")")
+            cur.expect("(")
+            refs = cur.comma_list(cur.name_index)
+            cur.expect(")")
             cur.done()
             components = []
-            for tok in refs:
-                comp = self.lookup(tok.value, ("order",), tok.line, tok.col)
+            for ref in refs:
+                comp = self.lookup(cur, ref, ("order",))
                 if isinstance(comp, SemisimpleOrder):
                     components.extend(comp.components)
                 else:
                     components.append(comp)
             payload = SemisimpleOrder(tuple(components))
             self.define(Declaration("order", name, payload,
-                                    tuple(t.value for t in refs)), cur.line)
+                                    tuple(cur.tokens[ref] for ref in refs)), cur.line)
             return
         raise SessionSyntaxError(f"expected block or product, got {word!r}", cur.line)
 
     def parse_involution(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
-        cur.expect_ident("on")
-        tok = cur.expect("IDENT")
-        order = self.lookup(tok.value, ("order",), tok.line, tok.col)
+        cur.expect("on")
+        ref = cur.name_index()
+        order = self.lookup(cur, ref, ("order",))
         if not isinstance(order, BlockOrder):
             raise SessionTypeError(
-                f"involutions are declared on block orders, {tok.value!r} is a product",
-                tok.line, tok.col)
-        cur.expect("SYM", ":")
-        cur.expect_ident("gauge")
+                f"involutions are declared on block orders, {cur.tokens[ref]!r} is a product",
+                cur.line, cur.col(ref))
+        cur.expect(":")
+        cur.expect("gauge")
         gauge = _parse_matrix(cur, order.division.kind)
-        cur.expect_ident("eps")
+        cur.expect("eps")
         epsilon = cur.signed_int()
-        cur.expect_ident("conj")
+        cur.expect("conj")
         word = cur.expect_ident()
         expected_word = _CONJ_WORDS[order.division.kind.core]
         if word != expected_word:
@@ -508,85 +510,87 @@ class _Parser:
             payload = InvolutionSpec(order, gauge, epsilon)
         except (HordersError, ValueError) as exc:
             raise SessionTypeError(str(exc), cur.line)
-        self.define(Declaration("involution", name, payload, (tok.value,)), cur.line)
+        self.define(Declaration("involution", name, payload, (cur.tokens[ref],)), cur.line)
 
     def parse_witness(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
-        cur.expect("SYM", ":")
-        cur.expect_ident("from")
-        tok1 = cur.expect("IDENT")
-        spec1 = self.lookup(tok1.value, ("involution",), tok1.line, tok1.col)
-        cur.expect_ident("to")
-        tok2 = cur.expect("IDENT")
-        spec2 = self.lookup(tok2.value, ("involution",), tok2.line, tok2.col)
-        cur.expect_ident("mode")
-        word = cur.expect("IDENT")
-        if word.value == "F":
+        cur.expect(":")
+        cur.expect("from")
+        ref1 = cur.name_index()
+        spec1 = self.lookup(cur, ref1, ("involution",))
+        cur.expect("to")
+        ref2 = cur.name_index()
+        spec2 = self.lookup(cur, ref2, ("involution",))
+        cur.expect("mode")
+        at = cur.pos
+        word = cur.expect_ident()
+        if word == "F":
             mode = MODE_F
-        elif word.value == "base":
+        elif word == "base":
             mode = MODE_BASE
-        elif word.value == "etale":
-            cur.expect("SYM", "(")
+        elif word == "etale":
+            cur.expect("(")
             d = cur.signed_int()
-            cur.expect("SYM", ")")
+            cur.expect(")")
             try:
                 mode = mode_etale(d)
             except ValueError as exc:
                 raise SessionTypeError(str(exc), cur.line)
         else:
             raise SessionSyntaxError(
-                f"expected F, base or etale(d), got {word.value!r}", word.line, word.col)
+                f"expected F, base or etale(d), got {word!r}", cur.line, cur.col(at))
         kind = spec1.order.division.kind
         if mode.ring == "etale":
             kind = kind.extended(mode.d)
-        cur.expect_ident("u")
+        cur.expect("u")
         u = _parse_matrix(cur, kind)
-        cur.expect_ident("alpha")
+        cur.expect("alpha")
         alpha = _parse_expr(cur, kind)
         cur.done()
         try:
             payload = WitnessCheck(u, alpha, mode, spec1, spec2)
         except HordersError as exc:
             raise SessionTypeError(str(exc), cur.line)
-        self.define(Declaration("witness", name, payload, (tok1.value, tok2.value)), cur.line)
+        self.define(Declaration("witness", name, payload,
+                                (cur.tokens[ref1], cur.tokens[ref2])), cur.line)
 
     def parse_check(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
-        cur.expect("SYM", "=")
-        func_tok = cur.expect("IDENT")
-        func = func_tok.value
+        cur.expect("=")
+        at = cur.pos
+        func = cur.expect_ident()
         if func not in _CHECKS:
             raise SessionSyntaxError(
                 f"unknown check {func!r}; known: {', '.join(sorted(_CHECKS))}",
-                func_tok.line, func_tok.col)
-        cur.expect("SYM", "(")
+                cur.line, cur.col(at))
+        cur.expect("(")
         args: list = []
         positions: list = []
         kwargs: list = []
-        if not cur.accept("SYM", ")"):
+        if not cur.accept(")"):
             cur.comma_list(lambda: self._parse_check_arg(cur, args, positions, kwargs))
-            cur.expect("SYM", ")")
-        cur.expect_ident("expect")
+            cur.expect(")")
+        cur.expect("expect")
         expected = self._parse_expected(cur)
         cur.done()
-        self._validate_check(func, args, positions, kwargs, func_tok)
+        self._validate_check(cur, at, args, positions, kwargs)
         decl = CheckDecl(name, func, tuple(args), tuple(kwargs), expected)
         self.define(Declaration("check", name, decl,
                                 tuple(a[1] for a in args if a[0] == "ref")), cur.line)
 
     def _parse_check_arg(self, cur: _Cursor, args: list, positions: list, kwargs: list) -> None:
-        tok = cur.peek()
-        if tok is not None and tok.kind == "IDENT":
-            cur.next()
-            if cur.accept("SYM", "="):
-                value = self._parse_check_value(cur)
-                kwargs.append((tok.value, value))
+        """Appends one argument, and to ``positions`` its token index if it is a name."""
+        at = cur.pos
+        if cur.peek().isidentifier():
+            word = cur.next()
+            if cur.accept("="):
+                kwargs.append((word, self._parse_check_value(cur)))
             else:
-                args.append(("ref", tok.value))
-                positions.append((tok.line, tok.col))
+                args.append(("ref", word))
+                positions.append(at)
             return
         args.append(self._parse_check_value(cur))
-        positions.append((cur.line, None))
+        positions.append(None)
 
     def _parse_check_value(self, cur: _Cursor):
         items = cur.int_tuple()
@@ -595,54 +599,52 @@ class _Parser:
         return ("int", cur.signed_int())
 
     def _parse_expected(self, cur: _Cursor) -> str:
-        tok = cur.peek()
-        if tok is not None and tok.kind == "IDENT" and tok.value == "error":
+        if cur.accept("error"):
+            return f"error {cur.expect_ident()}"
+        word = cur.peek()
+        if word in _VERDICT_WORDS:
             cur.next()
-            code = cur.expect_ident()
-            return f"error {code}"
-        if tok is not None and tok.kind == "IDENT" and tok.value in _VERDICT_WORDS:
-            cur.next()
-            return tok.value
+            return word
         items = cur.int_tuple()
         if items is not None:
             return _format_tuple(items)
         raise SessionSyntaxError("expected a verdict, a tuple or `error CODE`", cur.line)
 
-    def _validate_check(self, func: str, args: list, positions: list,
-                        kwargs: list, tok: Token) -> None:
+    def _validate_check(self, cur: _Cursor, at: int, args: list, positions: list,
+                        kwargs: list) -> None:
+        """Checks the arguments of the check named by token ``at``."""
+        func = cur.tokens[at]
         check = _CHECKS[func]
+
+        def error(message: str) -> SessionTypeError:
+            return SessionTypeError(f"{func} {message}", cur.line, cur.col(at))
+
         if len(args) != len(check.params):
-            raise SessionTypeError(
-                f"{func} takes {len(check.params)} arguments, got {len(args)}", tok.line, tok.col)
+            raise error(f"takes {len(check.params)} arguments, got {len(args)}")
         for arg, pos, want in zip(args, positions, check.params):
             if want not in ("int", "tuple"):
                 if arg[0] != "ref":
-                    raise SessionTypeError(
-                        f"{func} expects a declared {want} name", tok.line, tok.col)
+                    raise error(f"expects a declared {want} name")
                 kinds = ("order",) if want in ("order", "sorder") else (want,)
-                payload = self.lookup(arg[1], kinds, pos[0], pos[1])
+                payload = self.lookup(cur, pos, kinds)
                 if want == "order" and not isinstance(payload, BlockOrder):
                     raise SessionTypeError(
                         f"{func} expects a block order, {arg[1]!r} is a product",
-                        pos[0], pos[1])
+                        cur.line, cur.col(pos))
             elif arg[0] != want:
-                raise SessionTypeError(
-                    f"{func} expects a {want} argument, got {arg[0]}", tok.line, tok.col)
+                raise error(f"expects a {want} argument, got {arg[0]}")
             elif min(arg[1] if want == "tuple" else (arg[1],)) < 1:
-                raise SessionTypeError(
-                    f"{func} expects positive integers, got {_format_arg(arg)}", tok.line, tok.col)
+                raise error(f"expects positive integers, got {_format_arg(arg)}")
         keys = [key for key, _ in kwargs]
         for key, value in kwargs:
             if key not in check.keywords:
-                raise SessionTypeError(
-                    f"{func} does not take keyword {key!r}", tok.line, tok.col)
+                raise error(f"does not take keyword {key!r}")
             if keys.count(key) > 1:
-                raise SessionTypeError(f"{func} repeats keyword {key!r}", tok.line, tok.col)
+                raise error(f"repeats keyword {key!r}")
             if key == "block":
                 r = self.symbols[args[0][1]].payload.order.sig.r
                 if value[0] != "int" or not 1 <= value[1] <= r:
-                    raise SessionTypeError(
-                        f"{func} block must be an integer in 1..{r}", tok.line, tok.col)
+                    raise error(f"block must be an integer in 1..{r}")
 
 
 def parse_session(text: str) -> Session:
@@ -656,20 +658,18 @@ def parse_session(text: str) -> Session:
         "check": parser.parse_check,
     }
     for lineno, raw in enumerate(_LINE_END.split(text), start=1):
-        tokens = _tokenize_line(raw, lineno)
-        if not tokens:
+        cur = _Cursor(raw, lineno)
+        if not cur.peek():
             continue
-        cur = _Cursor(tokens, lineno)
-        head = cur.expect("IDENT")
-        handler = dispatch.get(head.value)
+        handler = dispatch.get(cur.expect_ident())
         if handler is None:
             raise SessionSyntaxError(
-                f"unknown declaration {head.value!r}", head.line, head.col)
+                f"unknown declaration {cur.tokens[0]!r}", lineno, cur.col(0))
         try:
             handler(cur)
         except RecursionError:
-            col = getattr(cur.peek(), "col", None)  # the token the parser had reached
-            raise SessionSyntaxError("nested too deeply", lineno, col) from None
+            # at the token the parser had reached
+            raise SessionSyntaxError("nested too deeply", lineno, cur.col(cur.pos)) from None
     return Session(tuple(parser.declarations))
 
 

@@ -132,7 +132,7 @@ class WitnessCheck:
 
 
 def _promote(x, kind: ScalarKind):
-    return x if x.kind == kind else x.extended(kind.ext)
+    return x if x.kind == kind else x.onto(kind)
 
 
 def _exact_operands(w: WitnessCheck):

@@ -336,7 +336,7 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
     kind = w._work_kind()
 
     def promote(x):
-        return x if x.kind == kind else x.extended(kind.ext)
+        return x if x.kind == kind else x.onto(kind)
 
     u, a1, a2 = promote(w.u), promote(w.spec1.gauge), promote(w.spec2.gauge)
     try:
@@ -570,13 +570,13 @@ def ref_verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
 def ref_parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
     value = ref_parse_term(cur, kind)
     while True:
-        if cur.accept("SYM", "+"):
+        if cur.accept("+"):
             value = value + ref_parse_term(cur, kind)
-        elif cur.accept("SYM", "-"):
+        elif cur.accept("-"):
             value = value - ref_parse_term(cur, kind)
-        elif cur.accept("IDENT", "mod"):
-            cur.expect_ident("t")
-            cur.expect("SYM", "^")
+        elif cur.accept("mod"):
+            cur.expect("t")
+            cur.expect("^")
             prec = cur.signed_int()
             if value.precision is not None:
                 prec = min(prec, value.precision)
@@ -587,53 +587,51 @@ def ref_parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
 
 def ref_parse_term(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
     value = ref_parse_factor(cur, kind)
-    while cur.accept("SYM", "*"):
+    while cur.accept("*"):
         value = value * ref_parse_factor(cur, kind)
     return value
 
 
 def ref_parse_factor(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
-    if cur.accept("SYM", "-"):
+    if cur.accept("-"):
         return -ref_parse_factor(cur, kind)
     value = ref_parse_atom(cur, kind)
-    if cur.accept("SYM", "^"):
+    if cur.accept("^"):
         return value ** cur.signed_int()
     return value
 
 
 def ref_parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
+    at = cur.pos
     tok = cur.next()
-    if tok.kind == "INT":
-        num = exact_int(tok.value)
-        if cur.accept("SYM", "/"):
-            den_tok = cur.expect("INT")
-            den = exact_int(den_tok.value)
+    if tok.isdigit():
+        num = exact_int(tok)
+        if cur.accept("/"):
+            den = cur.expect_int()
             if den == 0:
                 raise SessionTypeError(
-                    f"zero denominator in {exact_str(num)}/0", den_tok.line, den_tok.col)
+                    f"zero denominator in {exact_str(num)}/0", cur.line, cur.col(cur.pos - 1))
             return LaurentJet.constant(kind, Q(num, den))
         return LaurentJet.constant(kind, num)
-    if tok.kind == "SYM" and tok.value == "(":
+    if tok == "(":
         value = ref_parse_expr(cur, kind)
-        cur.expect("SYM", ")")
+        cur.expect(")")
         return value
-    if tok.kind == "IDENT":
-        if tok.value == "t":
-            return LaurentJet.t_power(kind, 1)
-        if tok.value in ("qi", "qj", "qk"):
-            if kind.core != "quat":
-                raise SessionTypeError(
-                    f"{tok.value} is not a scalar of kind {kind}", tok.line, tok.col)
-            index = {"qi": 1, "qj": 2, "qk": 3}[tok.value]
-            return LaurentJet.constant(kind, Scalar.basis(kind, index))
-        if tok.value == "sqrt":
-            cur.expect("SYM", "(")
-            d = cur.signed_int()
-            cur.expect("SYM", ")")
-            if kind.ext == d:
-                return LaurentJet.constant(kind, Scalar.ext_gen(kind))
-            if kind.core == "quad" and kind.d == d:
-                return LaurentJet.constant(kind, Scalar.sqrt_gen(kind))
-            raise SessionTypeError(
-                f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", tok.line, tok.col)
-    raise SessionSyntaxError(f"unexpected token {tok.value!r} in expression", tok.line, tok.col)
+    if tok == "t":
+        return LaurentJet.t_power(kind, 1)
+    if tok in ("qi", "qj", "qk"):
+        if kind.core != "quat":
+            raise SessionTypeError(f"{tok} is not a scalar of kind {kind}", cur.line, cur.col(at))
+        index = {"qi": 1, "qj": 2, "qk": 3}[tok]
+        return LaurentJet.constant(kind, Scalar.basis(kind, index))
+    if tok == "sqrt":
+        cur.expect("(")
+        d = cur.signed_int()
+        cur.expect(")")
+        if kind.ext == d:
+            return LaurentJet.constant(kind, Scalar.ext_gen(kind))
+        if kind.core == "quad" and kind.d == d:
+            return LaurentJet.constant(kind, Scalar.sqrt_gen(kind))
+        raise SessionTypeError(
+            f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", cur.line, cur.col(at))
+    raise SessionSyntaxError(f"unexpected token {tok!r} in expression", cur.line, cur.col(at))

@@ -83,8 +83,8 @@ def test_criterion_1_main_replay_with_exact_witnesses():
     fiber_exact = lhs == spec1.gauge.map(lambda e: t * e)
 
     ext = BASE.extended(-1)
-    lhs_e = apply_tau(w_etale.u) @ spec2.gauge.extended(-1) @ w_etale.u
-    etale_exact = lhs_e == spec1.gauge.extended(-1)
+    lhs_e = apply_tau(w_etale.u) @ spec2.gauge.onto(ext) @ w_etale.u
+    etale_exact = lhs_e == spec1.gauge.onto(ext)
     expected_u = JetMatrix.diagonal([
         LaurentJet.one(ext), LaurentJet.one(ext), LaurentJet.one(ext),
         LaurentJet.constant(ext, Scalar.ext_gen(ext)),

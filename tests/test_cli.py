@@ -312,3 +312,46 @@ def test_a_zero_block_size_is_a_bad_signature(capsys):
 def test_sh_verify_json_reports_the_parsed_signature(capsys):
     assert main(["sh-verify", "--s", "1", "--t", "2", "--sig", "01,2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["sig"] == [1, 2]
+
+
+INT_FLAGS = {
+    "--s": (["sh", "--sig", "1,1", "--t", "2", "--s"], 1),
+    "--t": (["sh", "--sig", "1,1", "--s", "1", "--t"], 1),
+    "sh-verify --s": (["sh-verify", "--sig", "1,1", "--t", "2", "--s"], 1),
+    "--precision": (["inv", "--sig", "4,2", "--precision"], 2),
+}
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS)
+@pytest.mark.parametrize("value", ["١", "2_0", "+3", " 3", "３", "3.0"])
+def test_an_integer_flag_takes_only_ascii_digits(capsys, flag, value):
+    argv, low = INT_FLAGS[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"expected an integer of at least {low}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value", ["١", "1_0", "+1", "--1"])
+def test_block_takes_only_ascii_digits(tmp_path, capsys, value):
+    path = corpus_path(tmp_path, "main-counterexample.ho")
+    with pytest.raises(SystemExit) as exc:
+        main(["aniso", "--session", path, "--inv", "s1", f"--block={value}"])
+    assert exc.value.code == 2
+    assert f"argument --block: expected an integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "3"])
+def test_block_out_of_range_keeps_its_message(tmp_path, capsys, value):
+    path = corpus_path(tmp_path, "main-counterexample.ho")
+    assert main(["aniso", "--session", path, "--inv", "s1", "--block", value]) == 3
+    assert f"--block must be in 1..2, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resinv", "aniso"])
+def test_a_second_inv_is_refused(tmp_path, capsys, command):
+    path = corpus_path(tmp_path, "main-counterexample.ho")
+    assert main([command, "--session", path, "--inv", "s1", "--inv", "s2"]) == 3
+    assert f"error: HordersError: {command} needs exactly one --inv name" in capsys.readouterr().err
+    assert main([command, "--session", path, "--inv", "s1"]) == 0

@@ -1,6 +1,5 @@
 """Session literals: the monomial evaluator against the jet-per-atom reference."""
 
-from importlib import resources
 from random import Random
 
 import pytest
@@ -8,10 +7,10 @@ import pytest
 from horders import session as session_module
 from horders.errors import HordersError, IndeterminateValuation, NotInvertible, SessionTypeError
 from horders.scalars import BASE, QUATERNION, quadratic
-from horders.session import _Cursor, _parse_expr, _tokenize_line, parse_session, print_session
+from horders.session import _Cursor, _parse_expr, parse_session, print_session
 
 from helpers import ref_parse_expr
-from test_golden import CORPUS_OPS, CORPUS_SEED, SESSIONS, load_workloads
+from test_parse_outcomes import base_texts
 
 ETALE = QUATERNION.extended(-1)
 KINDS = {
@@ -54,7 +53,7 @@ CASES = [
 def evaluate(parse, text: str, kind):
     """The jet that ``parse`` reads from ``text``, or its error as
     (type, message); a failed inversion reads as the typed session error."""
-    cur = _Cursor(_tokenize_line(text, 1), 1)
+    cur = _Cursor(text, 1)
     try:
         value = parse(cur, kind)
         cur.done()
@@ -112,11 +111,7 @@ def test_random_expressions_match_the_reference(name):
 
 
 def test_sessions_parse_as_with_the_reference(monkeypatch):
-    workloads = load_workloads(monkeypatch)
-    texts = [resources.files("horders.sessions").joinpath(name).read_text() for name in SESSIONS]
-    schedule = workloads.CORPUS_SCHEDULE
-    texts += [workloads.corpus.make_session(CORPUS_SEED, i, schedule[i % len(schedule)]).text
-              for i in range(CORPUS_OPS)]
+    texts = base_texts(monkeypatch)
     new = [parse_session(text) for text in texts]
     monkeypatch.setattr(session_module, "_parse_expr", ref_parse_expr)
     for text, got in zip(texts, new):

@@ -5,11 +5,12 @@ from random import Random
 
 import pytest
 
+from horders import matrices
 from horders.errors import NotInvertible
 from horders.matrices import JetMatrix
 from horders.scalars import BASE, DEFAULT_PRECISION, QUATERNION, LaurentJet, Q, Scalar
 
-from helpers import random_scalar, ref_gauss_jordan_inverse, ref_matmul
+from helpers import random_jet, random_scalar, ref_gauss_jordan_inverse, ref_matmul
 from test_scalars import REF_KINDS, kernel_jet
 
 
@@ -49,6 +50,22 @@ def test_singular(a):
     assert not a.field_invertible()
     with pytest.raises(NotInvertible):
         a.inverse_valuations()
+
+
+def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):
+    rng = Random(71)
+    drawn = [[random_jet(BASE, rng, lowest=0) for _ in range(6)] for _ in range(6)]
+    zero = [LaurentJet.zero(BASE)] * 6
+    cases = [(JetMatrix.of(drawn), True),
+             (JetMatrix.of([zero] + drawn[1:]), False),
+             (JetMatrix.of(drawn[:3] + [zero] + drawn[4:]), False),
+             (JetMatrix.dsum(mat([[], []], [[1], [1]]), JetMatrix.of(drawn)), False)]
+    real, calls = matrices._bareiss, []
+    monkeypatch.setattr(matrices, "_bareiss", lambda *args: calls.append(1) or real(*args))
+    for a, want in cases:
+        calls.clear()
+        assert a.field_invertible() is want
+        assert bool(calls) is want
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)

@@ -1,0 +1,71 @@
+"""Byte-identity guard for the session parser: a seeded list of edited
+session texts must parse to the same printed sessions, or fail with the
+same error type, message, line and column, as recorded in
+``tests/golden/parse-outcomes-2000.sha256``.
+
+The texts are the bundled sessions and 57 corpus sessions, each with one
+to three random insertions, replacements or deletions; half of the edits
+land on a digit, and the edit characters include every grammar symbol,
+line breaks and characters outside the grammar.  The digest was written
+before the token layer became plain strings, so any change to it is a
+change of behaviour and must be stated.
+"""
+
+import hashlib
+from importlib import resources
+from random import Random
+
+from horders.session import parse_session, print_session
+
+from test_golden import CORPUS_OPS, CORPUS_SEED, GOLDEN, SESSIONS, load_workloads
+
+TEXTS = 2000
+EDIT_CHARS = list("()[]=,;:^*/+-#_ \t\r\n0123456789taqz") + [
+    "²", "٣", "１", "é", "Δ", " ", "\f", "\x85", "\x0b", "mod", "sqrt(", "qi", "1/0"]
+
+
+def base_texts(monkeypatch) -> list[str]:
+    workloads = load_workloads(monkeypatch)
+    texts = [resources.files("horders.sessions").joinpath(name).read_text(encoding="utf-8")
+             for name in SESSIONS]
+    schedule = workloads.CORPUS_SCHEDULE
+    texts += [workloads.corpus.make_session(CORPUS_SEED, i, schedule[i % len(schedule)]).text
+              for i in range(CORPUS_OPS)]
+    return texts
+
+
+def edited(rng: Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            digits = [k for k, c in enumerate(text) if c.isdigit()]
+            i = rng.choice(digits) if digits else 0
+        else:
+            i = rng.randint(0, len(text))
+        op = rng.choice(("insert", "replace", "delete"))
+        if op == "insert":
+            text = text[:i] + rng.choice(EDIT_CHARS) + text[i:]
+        elif op == "replace":
+            text = text[:i] + rng.choice(EDIT_CHARS) + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+def outcome(text: str) -> str:
+    try:
+        session = parse_session(text)
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc), getattr(exc, "line", None),
+                     getattr(exc, "col", None)))
+    return print_session(session)
+
+
+def test_edited_sessions_parse_as_recorded(monkeypatch):
+    texts = base_texts(monkeypatch)
+    rng = Random("parse-outcomes")
+    digest = hashlib.sha256()
+    for i in range(TEXTS):
+        digest.update(outcome(edited(rng, texts[i % len(texts)])).encode())
+        digest.update(b"\0")
+    want = (GOLDEN / f"parse-outcomes-{TEXTS}.sha256").read_text().strip()
+    assert digest.hexdigest() == want

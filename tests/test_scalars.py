@@ -142,14 +142,14 @@ def test_extension_adjoins_a_central_conj_fixed_root():
     zeta = Scalar.ext_gen(ext)
     assert zeta * zeta == Scalar.rational(ext, -1)
     assert zeta.conj() == zeta
-    qi = Scalar.basis(QUATERNION, 1).extended(-1)
+    qi = Scalar.basis(QUATERNION, 1).onto(ext)
     assert zeta * qi == qi * zeta  # central
 
 
 def test_extension_can_have_zero_divisors():
     ext = QUATERNION.extended(-1)
     zeta = Scalar.ext_gen(ext)
-    qi = Scalar.basis(QUATERNION, 1).extended(-1)
+    qi = Scalar.basis(QUATERNION, 1).onto(ext)
     one = Scalar.one(ext)
     a = one + zeta * qi
     b = one - zeta * qi

@@ -14,6 +14,7 @@ from horders.scalars import (
     LaurentJet,
     Q,
     Scalar,
+    ScalarKind,
     quadratic,
 )
 from horders.witness import (
@@ -21,6 +22,7 @@ from horders.witness import (
     MODE_F,
     SCENARIOS,
     WitnessCheck,
+    _exact_operands,
     _is_mode_coefficient,
     counterexample_pair,
     mode_etale,
@@ -47,6 +49,23 @@ def test_etale_witness_identity(kind, s, t):
     _, _, _, w_etale = counterexample_pair(kind, s, t)
     assert verify_witness(w_etale).ok
     assert w_etale.alpha == LaurentJet.one(kind.extended(-1))
+
+
+@pytest.mark.parametrize("kind,s,t", ALL_KINDS)
+def test_etale_operands_are_promoted_onto_one_kind(kind, s, t, monkeypatch):
+    _, _, _, w = counterexample_pair(kind, s, t)
+    made = []
+    post_init = ScalarKind.__post_init__
+    monkeypatch.setattr(ScalarKind, "__post_init__", lambda k: made.append(k) or post_init(k))
+    operands = _exact_operands(w)
+    assert len(made) <= 4  # at most one kind per operand
+    monkeypatch.undo()
+    ext = w._work_kind()
+    given = (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha)
+    promoted = [x for x, y in zip(operands, given) if y.kind != ext]
+    kinds = {id(x.kind) for x in promoted}
+    kinds |= {id(c.kind) for x in promoted for row in x.rows for e in row for c in e.coeffs}
+    assert promoted and len(kinds) == 1
 
 
 def test_generic_fiber_witness_fails_over_the_base_ring():
@@ -172,7 +191,7 @@ def _transport_case(kind, mode, rng, *, perturb):
     ext = kind.extended(e)
     root = LaurentJet.constant(ext, Scalar.ext_gen(ext))
     r = JetMatrix.diagonal([root if x else LaurentJet.one(ext) for x in roots])
-    return WitnessCheck(r @ b.extended(e), LaurentJet.one(ext), mode_etale(e), spec1, spec2)
+    return WitnessCheck(r @ b.onto(ext), LaurentJet.one(ext), mode_etale(e), spec1, spec2)
 
 
 @pytest.mark.parametrize("kind", [BASE, quadratic(-1), quadratic(-2), QUATERNION], ids=str)
@@ -264,7 +283,7 @@ def _packed_case(kind, rng, case):
         r = JetMatrix.diagonal([root if x else LaurentJet.one(kind) for x in roots])
         e = LaurentJet.constant(base, kind.ext)
         a1 = apply_tau(b) @ JetMatrix.diagonal([e * x if y else x for x, y in zip(d, roots)]) @ b
-        return witness(r @ b.extended(kind.ext), LaurentJet.one(kind), a1, JetMatrix.diagonal(d))
+        return witness(r @ b.onto(kind), LaurentJet.one(kind), a1, JetMatrix.diagonal(d))
     u, a2 = _mixed_matrix(base, rng, n), _mixed_matrix(base, rng, n)
     if case == "cancel":
         c = LaurentJet.constant(base, rng.choice((1, -2, Q(1, 3))))
