@@ -11,9 +11,7 @@ the tensored order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotDivisible, NotPeriodic, SizeLimit
+from .errors import NotDivisible, NotPeriodic, SizeLimit, record
 from .orders import (
     BlockOrder,
     DivisionSpec,
@@ -25,7 +23,7 @@ from .orders import (
 from .scalars import BASE
 
 
-@dataclass(frozen=True)
+@record
 class ShResult:
     """A block order over the split coefficient ring, plus the index
     permutation witnessing the pattern identification."""

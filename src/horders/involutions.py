@@ -31,7 +31,6 @@ of the nonzero pattern of a (see the ``matrices`` module docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -48,6 +47,7 @@ from .errors import (
     UnsupportedFormKind,
     UnsupportedGaugeShape,
     failure,
+    record,
 )
 from .matrices import JetMatrix
 from .orders import BlockOrder, iso_decide, pattern_of
@@ -61,7 +61,7 @@ INCONCLUSIVE = "inconclusive"
 SMat = tuple[tuple[Scalar, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionSpec:
     """A gauge and sign defining x -> a^-1 * tau(x) * a on a block order."""
 
@@ -80,14 +80,14 @@ class InvolutionSpec:
                 f"gauge is {self.gauge.n}x{self.gauge.n}, order has size {self.order.sig.n}")
 
 
-@dataclass(frozen=True)
+@record
 class ResidueBlock:
     size: int
     t_power: int
     gauge: SMat
 
 
-@dataclass(frozen=True)
+@record
 class ResidueInvolution:
     """Blockwise data of the induced involution on the semisimple quotient."""
 
@@ -96,7 +96,7 @@ class ResidueInvolution:
     blocks: tuple[ResidueBlock, ...]
 
 
-@dataclass(frozen=True)
+@record
 class IsotropyResult:
     verdict: str
     signature: tuple[int, int]
@@ -107,7 +107,7 @@ class IsotropyResult:
         return self.verdict == ANISOTROPIC
 
 
-@dataclass(frozen=True)
+@record
 class DistinguishResult:
     verdict: str
     reason: str | None = None

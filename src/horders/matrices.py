@@ -56,17 +56,16 @@ p(X) != 0: with c * t^v its lowest term, p(X) / X^v is c mod X and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from math import lcm, prod
 from operator import add
-from typing import Callable, Sequence
 
-from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
+from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
 from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _back_substitute, _bareiss,
                       _min_prec, _mul_parts, _product_precision, _same_kind, left_regular)
 
 
-@dataclass(frozen=True)
+@record
 class JetMatrix:
     """Immutable square matrix with :class:`LaurentJet` entries."""
 

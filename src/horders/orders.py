@@ -11,15 +11,14 @@ division datum it decides isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .errors import ScalarKindMismatch, SizeMismatch
+from .errors import ScalarKindMismatch, SizeMismatch, record
 from .matrices import JetMatrix
 from .scalars import BASE, ScalarKind
 
 
-@dataclass(frozen=True)
+@record
 class DivisionSpec:
     """A coefficient division algebra with declared residue parameters.
 
@@ -41,7 +40,7 @@ class DivisionSpec:
             raise ValueError("division scalars must be an unextended kind")
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Nonempty tuple of positive block sizes."""
 
@@ -76,13 +75,13 @@ class Signature:
         raise IndexError(index)
 
 
-@dataclass(frozen=True)
+@record
 class BlockOrder:
     division: DivisionSpec
     sig: Signature
 
 
-@dataclass(frozen=True)
+@record
 class SemisimpleOrder:
     """A finite product of block orders."""
 
@@ -93,7 +92,7 @@ class SemisimpleOrder:
             raise ValueError("a semisimple order needs at least one component")
 
 
-@dataclass(frozen=True)
+@record
 class PatternMatrix:
     """Integer matrix of minimum required valuations."""
 

@@ -36,13 +36,12 @@ once, so no partial product or partial sum is built as a scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Sequence
 
 from .errors import (
     IndeterminateValuation,
@@ -51,6 +50,7 @@ from .errors import (
     NotInvertible,
     ScalarKindMismatch,
     SizeMismatch,
+    record,
 )
 
 Q = Fraction
@@ -77,7 +77,7 @@ def _is_squarefree(n: int) -> bool:
 _CORE_DIM = {"base": 1, "quad": 2, "quat": 4}
 
 
-@dataclass(frozen=True)
+@record
 class ScalarKind:
     """Which coefficient algebra scalars live in.
 
@@ -85,14 +85,13 @@ class ScalarKind:
     carry the negative square-free discriminant ``d``.  ``ext`` adjoins
     a central conjugation-fixed square root of ``ext`` to the core.
     ``core_dim`` and ``dim`` are the rational dimensions of the core and
-    of the whole algebra, fixed when the kind is made.
+    of the whole algebra, plain attributes set when the kind is made and
+    not fields, so equality, hashing and repr ignore them.
     """
 
     core: str
     d: int | None = None
     ext: int | None = None
-    core_dim: int = field(init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.core not in _CORE_DIM:
@@ -186,7 +185,7 @@ def _same_kind(a: ScalarKind, b: ScalarKind) -> None:
         raise ScalarKindMismatch(f"{a} vs {b}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class Scalar:
     """An exact element of a scalar kind: ``num[i] / den`` is its rational
     coordinate on the i-th basis element.
@@ -198,6 +197,7 @@ class Scalar:
     with zeros, and ``parts`` reads the coordinates back as fractions.
     """
 
+    __slots__ = ("kind", "num", "den")
     kind: ScalarKind
     num: tuple[int, ...]
     den: int
@@ -510,7 +510,7 @@ def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int
 # Laurent jets
 
 
-@dataclass(frozen=True, init=False)
+@record
 class LaurentJet:
     """Truncated Laurent series over one scalar kind.
 

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import re
 import time
+from collections.abc import Callable
 from itertools import islice
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
 from .errors import (
@@ -43,6 +42,7 @@ from .errors import (
     SessionSyntaxError,
     SessionTypeError,
     UnknownIdentifier,
+    record,
 )
 from .involutions import (
     ANISOTROPIC,
@@ -341,7 +341,7 @@ def _parse_matrix_row(cur: _Cursor, kind: ScalarKind) -> list[LaurentJet]:
 # Declarations
 
 
-@dataclass(frozen=True)
+@record
 class CheckDecl:
     name: str
     func: str
@@ -350,7 +350,7 @@ class CheckDecl:
     expected: str
 
 
-@dataclass(frozen=True)
+@record
 class Declaration:
     kind: str
     name: str
@@ -358,7 +358,7 @@ class Declaration:
     refs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Session:
     declarations: tuple[Declaration, ...]
 
@@ -396,6 +396,8 @@ class _Parser:
     def __init__(self):
         self.symbols: dict[str, Declaration] = {}
         self.declarations: list[Declaration] = []
+        # one instance per extended kind, so each builds its basis_products once
+        self.kinds: dict[ScalarKind, ScalarKind] = {}
 
     def define(self, decl: Declaration, line: int) -> None:
         if decl.name in self.symbols:
@@ -542,6 +544,7 @@ class _Parser:
         kind = spec1.order.division.kind
         if mode.ring == "etale":
             kind = kind.extended(mode.d)
+            kind = self.kinds.setdefault(kind, kind)
         cur.expect("u")
         u = _parse_matrix(cur, kind)
         cur.expect("alpha")
@@ -727,7 +730,7 @@ def print_session(session: Session) -> str:
 # Running
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     func: str
@@ -738,7 +741,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     checks: tuple[CheckResult, ...]
 
@@ -774,7 +777,8 @@ def _run_distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> tuple[str,
     return result.verdict, result.reason or ""
 
 
-class _Check(NamedTuple):
+@record
+class _Check:
     params: tuple[str, ...]  # a declared order|sorder|involution|witness name, or int|tuple
     run: Callable[..., tuple[str, str]]  # resolved arguments -> (actual, detail)
     keywords: tuple[str, ...] = ()

@@ -38,7 +38,6 @@ component that the ``matrices`` module docstring describes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .basechange import becomes_iso_after_sh, verify_sh_pattern
 from .errors import (
@@ -49,6 +48,7 @@ from .errors import (
     SizeMismatch,
     UnknownScenario,
     failure,
+    record,
 )
 from .involutions import (
     ISOTROPIC,
@@ -80,7 +80,7 @@ BASE_RING = "base"
 ETALE = "etale"
 
 
-@dataclass(frozen=True)
+@record
 class RingMode:
     """Coefficient ring over which a witness is asserted."""
 
@@ -105,7 +105,7 @@ def mode_etale(d: int) -> RingMode:
     return RingMode(ETALE, d)
 
 
-@dataclass(frozen=True)
+@record
 class WitnessCheck:
     """tau(u) * a2 * u = alpha * a1 between two involutions on one order."""
 
@@ -127,8 +127,14 @@ class WitnessCheck:
                 f"witness entries must live over {self._work_kind()}")
 
     def _work_kind(self) -> ScalarKind:
+        """The division kind, or its etale extension; the instance u or
+        alpha already lives over is reused, so its ``basis_products``
+        table is built once."""
         kind = self.spec1.order.division.kind
-        return kind.extended(self.mode.d) if self.mode.ring == ETALE else kind
+        if self.mode.ring != ETALE:
+            return kind
+        work = kind.extended(self.mode.d)
+        return next((x.kind for x in (self.u, self.alpha) if x.kind == work), work)
 
 
 def _promote(x, kind: ScalarKind):
@@ -246,7 +252,7 @@ def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
 # Bundled replay scenarios
 
 
-@dataclass(frozen=True)
+@record
 class StepResult:
     name: str
     expected: str
@@ -254,7 +260,7 @@ class StepResult:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class ReplayReport:
     scenario: str
     steps: tuple[StepResult, ...]

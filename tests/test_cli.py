@@ -1,12 +1,16 @@
 """Command line behaviour and exit codes."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from horders.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def corpus_path(tmp_path: Path, name: str) -> str:
@@ -355,3 +359,14 @@ def test_a_second_inv_is_refused(tmp_path, capsys, command):
     assert main([command, "--session", path, "--inv", "s1", "--inv", "s2"]) == 3
     assert f"error: HordersError: {command} needs exactly one --inv name" in capsys.readouterr().err
     assert main([command, "--session", path, "--inv", "s1"]) == 0
+
+
+def test_cold_start_imports_no_code_generation_machinery():
+    # -S: site loads nothing, so every module listed came from horders.cli
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import horders.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "horders.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}

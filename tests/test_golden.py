@@ -8,6 +8,8 @@ kernel; any change to them is a change of behaviour and must be stated.
 import hashlib
 import importlib.util
 import sys
+from collections import Counter
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 
 import horders
 from horders.cli import main
+from horders.scalars import ScalarKind
 from horders.witness import SCENARIOS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,3 +68,17 @@ def test_corpus_outputs_are_unchanged(monkeypatch):
         digest.update(op.output(op.run()).encode())
     want = (GOLDEN / f"corpus-seed{CORPUS_SEED}-{CORPUS_OPS}.sha256").read_text().strip()
     assert digest.hexdigest() == want
+
+
+def test_corpus_ops_build_basis_products_once_per_kind(monkeypatch):
+    # one session per op: its witnesses and checks share each kind instance
+    workloads = load_workloads(monkeypatch)
+    built = Counter()
+    table = ScalarKind.__dict__["basis_products"].func
+    counted = cached_property(lambda kind: built.update([kind]) or table(kind))
+    counted.__set_name__(ScalarKind, "basis_products")
+    monkeypatch.setattr(ScalarKind, "basis_products", counted)
+    for i in range(CORPUS_OPS):
+        built.clear()
+        workloads.corpus_op(horders, CORPUS_SEED, i).run()
+        assert max(built.values(), default=1) == 1, (i, built)
