@@ -64,12 +64,7 @@ def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
     (inner position i, unramified copy j, matrix position k) to the
     block layout (i, k, j); returned as image[index]."""
     n = sig.n
-    perm = [0] * (s * t * n)
-    for k in range(n):
-        for j in range(t):
-            for i in range(s):
-                perm[i + s * j + s * t * k] = i + s * k + s * n * j
-    return tuple(perm)
+    return tuple([i + s * k + s * n * j for k in range(n) for j in range(t) for i in range(s)])
 
 
 def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
@@ -80,17 +75,20 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
     key(x) < key(y) lexicographically, key(x) = (a // s, block of k);
     entry (i, j) of the target is 1 iff B(i) < B(j), B its block index.
     So the identity holds iff B(perm(x)) is a strictly increasing
-    function of key(x): one sort, then a comparison of neighbours.
+    function of key(x): one block per key, increasing in key order.
     """
     st = s * t
     big = st * sig.n
     if big > 64:
         raise SizeLimit(f"size {big} exceeds the brute-force bound 64")
-    target = sh_signature(sig, s, t)
+    blk, target = sig.block_index(), sh_signature(sig, s, t).block_index()
     perm = sh_permutation(s, t, sig)
-    pairs = sorted(((x % st // s, sig.block_of(x // st)), target.block_of(perm[x]))
-                   for x in range(big))
-    return all((k1 < k2) == (b1 < b2) for (k1, b1), (k2, b2) in zip(pairs, pairs[1:]))
+    image = {}
+    for x in range(big):
+        if image.setdefault((x % st // s, blk[x // st]), target[perm[x]]) != target[perm[x]]:
+            return False
+    blocks = [image[key] for key in sorted(image)]
+    return all(b1 < b2 for b1, b2 in zip(blocks, blocks[1:]))
 
 
 def sh_order(order: BlockOrder) -> ShResult:

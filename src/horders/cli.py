@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .basechange import sh_order, verify_sh_pattern
@@ -95,7 +94,8 @@ def _parse_sig(text: str) -> Signature:
 
 def _load_session(path: str) -> Session:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise SessionError(f"cannot read session file {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:

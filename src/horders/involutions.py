@@ -27,11 +27,15 @@ sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) * a = x.
 The valuations of a^-1 are exact: ``JetMatrix.inverse_valuations``
 reads them from one fraction-free elimination per connected component
 of the nonzero pattern of a (see the ``matrices`` module docstring).
+
+Each ``InvolutionSpec`` checks well-formedness and computes its residue
+data at most once; a failed check is raised again on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import (
@@ -78,6 +82,10 @@ class InvolutionSpec:
         if self.gauge.n != self.order.sig.n:
             raise SizeMismatch(
                 f"gauge is {self.gauge.n}x{self.gauge.n}, order has size {self.order.sig.n}")
+
+    # Memos outside eq, hash and repr; a call that raises stores nothing.
+    _checked = cached_property(lambda self: _require_wellformed(self) or True)
+    _residue = cached_property(lambda self: self._checked and _residue_of(self))
 
 
 @record
@@ -170,7 +178,7 @@ def wellformed(spec: InvolutionSpec) -> Diagnostics:
     hermitian check.  A truncated gauge raises InsufficientPrecision.
     """
     try:
-        _require_wellformed(spec)
+        spec._checked
     except (NotEpsilonHermitian, NotInvertible, NotStable) as exc:
         return failure(type(exc).__name__, str(exc))
     return OK
@@ -187,17 +195,20 @@ def residue_involution(spec: InvolutionSpec) -> ResidueInvolution:
     unit block over the coefficient order; gauges that mix blocks (and
     would permute the simple factors of the quotient) are rejected.
     """
-    _require_wellformed(spec)
+    return spec._residue
+
+
+def _residue_of(spec: InvolutionSpec) -> ResidueInvolution:
     sig = spec.order.sig
     a = spec.gauge
-    starts = sig.block_starts()
+    blk = sig.block_index()
     for i in range(a.n):
         for j in range(a.n):
-            if sig.block_of(i) != sig.block_of(j) and not a.entry(i, j).is_zero():
+            if blk[i] != blk[j] and not a.entry(i, j).is_zero():
                 raise UnsupportedGaugeShape(
                     f"gauge mixes blocks at entry {i + 1},{j + 1}")
     blocks = []
-    for start, size in zip(starts, sig.parts):
+    for start, size in zip(sig.block_starts(), sig.parts):
         floors = []
         for i in range(start, start + size):
             for j in range(start, start + size):

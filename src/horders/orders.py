@@ -66,6 +66,10 @@ class Signature:
             acc += p
         return tuple(starts)
 
+    def block_index(self) -> tuple[int, ...]:
+        """The block of every position: one pass, where block_of rescans."""
+        return tuple([b for b, p in enumerate(self.parts) for _ in range(p)])
+
     def block_of(self, index: int) -> int:
         acc = 0
         for b, p in enumerate(self.parts):
@@ -111,18 +115,14 @@ class PatternMatrix:
 
 def pattern_of(sig: Signature) -> PatternMatrix:
     """Order pattern: 1 above the block diagonal, 0 on and below it."""
-    n = sig.n
-    blk = [sig.block_of(i) for i in range(n)]
-    return PatternMatrix(tuple(
-        tuple(1 if blk[i] < blk[j] else 0 for j in range(n)) for i in range(n)))
+    blk = sig.block_index()
+    return PatternMatrix(tuple(tuple(1 if bi < bj else 0 for bj in blk) for bi in blk))
 
 
 def radical_pattern(sig: Signature) -> PatternMatrix:
     """Radical pattern: 1 on and above the block diagonal, 0 below it."""
-    n = sig.n
-    blk = [sig.block_of(i) for i in range(n)]
-    return PatternMatrix(tuple(
-        tuple(1 if blk[i] <= blk[j] else 0 for j in range(n)) for i in range(n)))
+    blk = sig.block_index()
+    return PatternMatrix(tuple(tuple(1 if bi <= bj else 0 for bj in blk) for bi in blk))
 
 
 def pattern_mul(p: PatternMatrix, q: PatternMatrix) -> PatternMatrix:

@@ -78,6 +78,17 @@ def test_missing_session_file_exits_2(capsys):
     assert "cannot read session file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix, reason", [("/", "Not a directory"),
+                                            (None, "No such file or directory")])
+def test_session_path_is_opened_as_given(tmp_path, capsys, suffix, reason):
+    # no path normalisation: a trailing slash asks for a directory, and
+    # the empty path names no file
+    path = corpus_path(tmp_path, "main-counterexample.ho") + suffix if suffix else ""
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read session file {path}: {reason}" in err and "Traceback" not in err
+
+
 def test_a_session_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     bad = tmp_path / "latin1.ho"
     bad.write_bytes(b"division D = base s=1 t=1\n\xff\n")
@@ -370,3 +381,4 @@ def test_cold_start_imports_no_code_generation_machinery():
     loaded = set(out.split())
     assert "horders.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert "pathlib" not in loaded  # a session file is read with open()

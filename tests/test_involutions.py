@@ -1,5 +1,9 @@
 """Twisted involutions, residue blocks, isotropy and distinguishing."""
 
+import pickle
+import re
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -8,6 +12,7 @@ from horders.errors import (
     InsufficientPrecision,
     NotEpsilonHermitian,
     NotInvertible,
+    NotStable,
     SingularForm,
     UnsupportedFormKind,
     UnsupportedGaugeShape,
@@ -376,6 +381,93 @@ def test_distinguish_validates_each_spec_once(monkeypatch):
     spec1, spec2, _, _ = counterexample_pair(QUATERNION, 2, 1)
     assert distinguish(spec1, spec2).distinguished
     assert len(checked) == 2 and checked[0] is spec1 and checked[1] is spec2
+
+
+def test_memo_leaves_eq_hash_repr_and_pickle_unchanged():
+    spec, _, _, _ = counterexample_pair(QUAD, 1, 2)
+    twin, _, _, _ = counterexample_pair(QUAD, 1, 2)
+    before = (hash(spec), repr(spec), pickle.loads(pickle.dumps(spec)))
+    res = residue_involution(spec)
+    assert distinguish(spec, twin).verdict == INCONCLUSIVE
+    assert spec == twin and twin == spec and hash(spec) == hash(twin)
+    assert (hash(spec), repr(spec)) == before[:2] == (hash(twin), repr(twin))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec == before[2] and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+    assert residue_involution(copy) == res == residue_involution(twin)
+
+
+def _not_stable_spec():
+    return InvolutionSpec(order(2), diag(BASE, 1, "t"))
+
+
+def _not_hermitian_spec():
+    one, z = LaurentJet.one(BASE), LaurentJet.zero(BASE)
+    return InvolutionSpec(order(2), JetMatrix.of([[one, one], [z, one]]))
+
+
+@pytest.mark.parametrize("make, error", [
+    (_not_stable_spec, NotStable),
+    (_not_hermitian_spec, NotEpsilonHermitian),
+])
+def test_ill_formed_spec_fails_the_same_way_every_call(make, error, monkeypatch):
+    from horders import involutions
+
+    checked = []
+    require = involutions._require_wellformed
+    monkeypatch.setattr(involutions, "_require_wellformed",
+                        lambda spec: checked.append(spec) or require(spec))
+    spec = make()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            residue_involution(spec)
+        messages.append(str(info.value))
+        assert wellformed(spec).describe() == f"{error.__name__}: {messages[0]}"
+    assert len(set(messages)) == 1 and len(checked) == 6
+    with pytest.raises(error, match=re.escape(messages[0])):
+        distinguish(spec, spec)
+
+
+def test_unsupported_shape_fails_every_call_after_one_validation(monkeypatch):
+    from horders import involutions
+
+    checked = []
+    require = involutions._require_wellformed
+    monkeypatch.setattr(involutions, "_require_wellformed",
+                        lambda spec: checked.append(spec) or require(spec))
+    one, z = LaurentJet.one(BASE), LaurentJet.zero(BASE)
+    spec = InvolutionSpec(order(1, 1), JetMatrix.of([[z, one], [one, z]]))
+    for _ in range(3):
+        with pytest.raises(UnsupportedGaugeShape, match="gauge mixes blocks at entry 1,2"):
+            residue_involution(spec)
+        assert wellformed(spec).ok
+    assert len(checked) == 1
+
+
+def test_a_spec_shared_by_eight_threads_gives_equal_results():
+    spec1, spec2, _, _ = counterexample_pair(QUATERNION, 2, 1)
+    fresh1, fresh2, _, _ = counterexample_pair(QUATERNION, 2, 1)
+    want = {0: residue_involution(fresh1), 1: distinguish(fresh1, fresh2)}
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = residue_involution(spec1) if i % 2 == 0 else distinguish(spec1, spec2)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo fills too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(results[i] == want[i % 2] for i in range(8))
+    assert residue_involution(spec1) is residue_involution(spec1) == want[0]
 
 
 def test_truncated_gauge_is_insufficient_precision():

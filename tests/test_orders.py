@@ -69,6 +69,16 @@ def test_pattern_of_4_2_by_block_expansion():
             assert pattern_of(sig).entries[i][j] == (1 if i < 4 and j >= 4 else 0)
 
 
+def test_block_index_is_block_of_every_position():
+    for parts in [(1,), (4, 2), (1, 3, 2), (2, 2, 2, 1), (3,) * 5]:
+        sig = Signature(parts)
+        assert sig.block_index() == tuple(sig.block_of(i) for i in range(sig.n))
+    sig = Signature((2, 1))
+    assert [sig.block_of(i) for i in (-5, -1, 0, 1, 2)] == [0, 0, 0, 0, 1]
+    with pytest.raises(IndexError):
+        sig.block_of(3)
+
+
 def test_radical_patterns():
     assert radical_pattern(Signature((1, 1))).entries == ((1, 1), (0, 1))
     assert radical_pattern(Signature((2,))).entries == ((1, 1), (1, 1))

@@ -1,5 +1,7 @@
 """Transport witnesses: exact identities, ring modes, and replays."""
 
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,6 +35,8 @@ from horders.witness import (
 
 from helpers import ref_identity_check, ref_transport_check, sample_block_unit, transport_by_samples
 from test_scalars import REF_KINDS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ALL_KINDS = [(BASE, 1, 1), (quadratic(-1), 1, 2), (QUATERNION, 2, 1)]
 
@@ -457,3 +461,24 @@ def test_replay_reports_have_the_documented_steps():
     assert "wellformed(sigma1)" in names
     assert "distinguish(sigma1, sigma2)" in names
     assert any("etale witness" in n for n in names)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
+    # each main-* replay validates its two gauges once each; no scenario
+    # rescans a signature's parts through Signature.block_of
+    from horders import involutions
+
+    validated, lookups = [], []
+    require, block_of = involutions._require_wellformed, Signature.block_of
+    monkeypatch.setattr(involutions, "_require_wellformed",
+                        lambda spec: validated.append(spec) or require(spec))
+    monkeypatch.setattr(Signature, "block_of",
+                        lambda sig, index: lookups.append(index) or block_of(sig, index))
+    report = replay(scenario)
+    golden = json.loads((GOLDEN / f"replay-{scenario}.json").read_bytes())
+    assert [(s.name, s.expected, s.actual, s.ok) for s in report.steps] == [
+        (s["name"], s["expected"], s["actual"], s["ok"]) for s in golden["steps"]]
+    assert len(validated) == (2 if scenario.startswith("main-") else 0)
+    assert len({id(spec) for spec in validated}) == len(validated)
+    assert len(lookups) == 0
