@@ -2,11 +2,16 @@
 exactly the bytes recorded under ``tests/golden/``.
 
 The expected files were written from the code before the integer jet
-kernel; any change to them is a change of behaviour and must be stated.
+kernel, and ``cli-subcommands.jsonl`` from the CLI before its handlers
+returned their output to ``main``; any change to them is a change of
+behaviour and must be stated.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import json
+import re
 import sys
 from collections import Counter
 from functools import cached_property
@@ -82,3 +87,33 @@ def test_corpus_ops_build_basis_products_once_per_kind(monkeypatch):
         built.clear()
         workloads.corpus_op(horders, CORPUS_SEED, i).run()
         assert max(built.values(), default=1) == 1, (i, built)
+
+
+# One line per call: argv (with {main} and {semisimple} standing for the
+# bundled session paths), exit code, stdout and stderr.  Text-mode timings
+# are masked; COLUMNS is fixed so argparse wraps usage lines the same way.
+SUBCOMMANDS = [json.loads(line) for line in
+               (GOLDEN / "cli-subcommands.jsonl").read_text(encoding="utf-8").splitlines()]
+TIMINGS = re.compile(rb"(?<=\[)\d+\.\d(?= ms\]$)|(?<= in )\d+(?= ms$)", re.MULTILINE)
+
+
+def cli_call(argv, capsysbinary, monkeypatch) -> dict:
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {}
+    with contextlib.ExitStack() as stack:
+        for key, name in zip(("main", "semisimple"), SESSIONS):
+            file = resources.files("horders.sessions").joinpath(name)
+            paths[key] = str(stack.enter_context(resources.as_file(file)))
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out, err = capsysbinary.readouterr()
+    if "--json" not in argv:
+        out = TIMINGS.sub(b"#", out)
+    return {"argv": argv, "exit": code, "stdout": out.decode(), "stderr": err.decode()}
+
+
+@pytest.mark.parametrize("case", SUBCOMMANDS, ids=lambda case: " ".join(case["argv"]))
+def test_subcommand_output_is_unchanged(case, capsysbinary, monkeypatch):
+    assert cli_call(case["argv"], capsysbinary, monkeypatch) == case
