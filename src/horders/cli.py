@@ -18,28 +18,23 @@ from .errors import HordersError, SessionError
 from .involutions import distinguish, residue_involution, residue_isotropy
 from .orders import BlockOrder, DivisionSpec, Signature, cyclic_normal_form, iso_decide
 from .session import Report, Session, parse_session, run_session
-from .witness import SCENARIOS, ReplayReport, replay, transport_check, verify_witness
+from .witness import SCENARIOS, replay, transport_check, verify_witness
 
 SCHEMA = 1
 
 
-def emit(report: Report, fmt: str = "text") -> bytes:
-    """Render a session report; JSON is byte-stable for identical runs."""
-    if fmt == "json":
-        return _emit_json({
-            "ok": report.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "check": c.func,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "ok": c.ok,
-                    "detail": c.detail,
-                }
-                for c in report.checks
-            ],
-        })
+def _render(payload: dict, text: str, as_json: bool) -> bytes:
+    """The versioned, key-sorted JSON of ``payload``, or ``text`` and a newline."""
+    if as_json:
+        payload = {"schema": SCHEMA, **payload}
+        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return (text + "\n").encode()
+
+
+def _report_output(report: Report) -> tuple[dict, str]:
+    payload = {"ok": report.ok, "checks": [
+        {"name": c.name, "check": c.func, "expected": c.expected, "actual": c.actual,
+         "ok": c.ok, "detail": c.detail} for c in report.checks]}
     lines = []
     for c in report.checks:
         mark = "PASS" if c.ok else "FAIL"
@@ -48,30 +43,12 @@ def emit(report: Report, fmt: str = "text") -> bytes:
                      f"{extra} [{c.elapsed * 1000:.1f} ms]")
     lines.append(f"{'ok' if report.ok else 'FAILED'}: "
                  f"{sum(c.ok for c in report.checks)}/{len(report.checks)} checks passed")
-    return ("\n".join(lines) + "\n").encode()
+    return payload, "\n".join(lines)
 
 
-def _emit_replay(report: ReplayReport, as_json: bool) -> bytes:
-    if as_json:
-        return _emit_json({
-            "scenario": report.scenario,
-            "ok": report.ok,
-            "steps": [
-                {"name": s.name, "expected": s.expected, "actual": s.actual, "ok": s.ok}
-                for s in report.steps
-            ],
-        })
-    lines = [f"scenario {report.scenario}"]
-    for s in report.steps:
-        mark = "PASS" if s.ok else "FAIL"
-        lines.append(f"  {mark} {s.name}: {s.actual} (expected {s.expected})")
-    lines.append(f"{'ok' if report.ok else 'FAILED'} in {report.elapsed * 1000:.0f} ms")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _emit_json(payload: dict) -> bytes:
-    payload = {"schema": SCHEMA, **payload}
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+def emit(report: Report, fmt: str = "text") -> bytes:
+    """Render a session report; JSON is byte-stable for identical runs."""
+    return _render(*_report_output(report), fmt == "json")
 
 
 def _is_digits(text: str) -> bool:
@@ -113,50 +90,59 @@ def _session_object(session: Session, table: str, name: str):
     return objects[name]
 
 
-def _write(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
+_INV_COUNTS = {1: "one --inv name", 2: "two --inv names"}
+
+
+def _involutions(args, count: int) -> list:
+    """The involutions that exactly ``count`` --inv flags name.  distinguish
+    counts the names before it reads the session file, resinv and aniso after."""
+    wrong = len(args.inv) != count
+    if wrong and count == 2:
+        raise HordersError(f"{args.command} needs exactly {_INV_COUNTS[count]}")
+    session = _load_session(args.session)
+    if wrong:
+        raise HordersError(f"{args.command} needs exactly {_INV_COUNTS[count]}")
+    return [_session_object(session, "involutions", name) for name in args.inv]
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its Output, and main prints the payload or the text.
+
+Output = tuple[int, dict, str]  # exit code, JSON payload, text
 
 
-def _cmd_check(args) -> int:
-    session = _load_session(args.file)
-    report = run_session(session)
-    _write(emit(report, "json" if args.json else "text"))
-    return 0 if report.ok else 1
+def _cmd_check(args) -> Output:
+    report = run_session(_load_session(args.file))
+    return (0 if report.ok else 1, *_report_output(report))
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> Output:
     report = replay(args.scenario)
-    _write(_emit_replay(report, args.json))
-    return 0 if report.ok else 1
+    payload = {"scenario": report.scenario, "ok": report.ok, "steps": [
+        {"name": s.name, "expected": s.expected, "actual": s.actual, "ok": s.ok}
+        for s in report.steps]}
+    lines = [f"scenario {report.scenario}"]
+    for s in report.steps:
+        mark = "PASS" if s.ok else "FAIL"
+        lines.append(f"  {mark} {s.name}: {s.actual} (expected {s.expected})")
+    lines.append(f"{'ok' if report.ok else 'FAILED'} in {report.elapsed * 1000:.0f} ms")
+    return 0 if report.ok else 1, payload, "\n".join(lines)
 
 
-def _cmd_inv(args) -> int:
+def _cmd_inv(args) -> Output:
     sig = _parse_sig(args.sig)
     normal = cyclic_normal_form(sig.parts)
-    if args.json:
-        _write(_emit_json({"sig": list(sig.parts), "inv": list(normal)}))
-    else:
-        _write(f"inv{tuple(sig.parts)} = {normal}\n".encode())
-    return 0
+    return 0, {"sig": list(sig.parts), "inv": list(normal)}, f"inv{tuple(sig.parts)} = {normal}"
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> Output:
     a = BlockOrder(DivisionSpec(args.division), _parse_sig(args.sig))
     b = BlockOrder(DivisionSpec(args.division2 or args.division), _parse_sig(args.sig2))
     result = iso_decide(a, b)
-    if args.json:
-        _write(_emit_json({"iso": result}))
-    else:
-        _write(f"{'isomorphic' if result else 'not isomorphic'}\n".encode())
-    return 0
+    return 0, {"iso": result}, "isomorphic" if result else "not isomorphic"
 
 
-def _cmd_sh(args) -> int:
+def _cmd_sh(args) -> Output:
     if args.session and args.order:
         order = _session_object(_load_session(args.session), "orders", args.order)
         if not isinstance(order, BlockOrder):
@@ -166,98 +152,60 @@ def _cmd_sh(args) -> int:
     else:
         raise HordersError("need either --session with --order, or --sig with --s/--t")
     result = sh_order(order)
-    if args.json:
-        _write(_emit_json({
-            "sh_sig": list(result.order.sig.parts),
-            "perm": list(result.perm),
-        }))
-    else:
-        _write((f"sh signature: {result.order.sig.parts}\n"
-                f"permutation: {result.perm}\n").encode())
-    return 0
+    return (0, {"sh_sig": list(result.order.sig.parts), "perm": list(result.perm)},
+            f"sh signature: {result.order.sig.parts}\npermutation: {result.perm}")
 
 
-def _cmd_sh_verify(args) -> int:
+def _cmd_sh_verify(args) -> Output:
     sig = _parse_sig(args.sig)
     ok = verify_sh_pattern(args.s, args.t, sig)
-    if args.json:
-        _write(_emit_json({"verified": ok, "s": args.s, "t": args.t, "sig": list(sig.parts)}))
-    else:
-        _write((f"{'verified' if ok else 'MISMATCH'}\n").encode())
-    return 0 if ok else 1
+    return (0 if ok else 1, {"verified": ok, "s": args.s, "t": args.t, "sig": list(sig.parts)},
+            "verified" if ok else "MISMATCH")
 
 
-def _one_inv(args) -> str:
-    if len(args.inv) != 1:
-        raise HordersError(f"{args.command} needs exactly one --inv name")
-    return args.inv[0]
-
-
-def _cmd_resinv(args) -> int:
-    spec = _session_object(_load_session(args.session), "involutions", _one_inv(args))
+def _cmd_resinv(args) -> Output:
+    [spec] = _involutions(args, 1)
     res = residue_involution(spec)
     blocks = [
         {"size": b.size, "t_power": b.t_power,
          "gauge": [[str(e) for e in row] for row in b.gauge]}
         for b in res.blocks
     ]
-    if args.json:
-        _write(_emit_json({"epsilon": res.epsilon, "kind": str(res.kind), "blocks": blocks}))
-    else:
-        lines = [f"residue involution over {res.kind}, eps {res.epsilon:+d}"]
-        for i, b in enumerate(res.blocks, 1):
-            rows = "; ".join(", ".join(r) for r in blocks[i - 1]["gauge"])
-            lines.append(f"  block {i}: size {b.size}, t^{b.t_power} * [{rows}]")
-        _write(("\n".join(lines) + "\n").encode())
-    return 0
+    lines = [f"residue involution over {res.kind}, eps {res.epsilon:+d}"]
+    for i, b in enumerate(blocks, 1):
+        rows = "; ".join(", ".join(r) for r in b["gauge"])
+        lines.append(f"  block {i}: size {b['size']}, t^{b['t_power']} * [{rows}]")
+    return 0, {"epsilon": res.epsilon, "kind": str(res.kind), "blocks": blocks}, "\n".join(lines)
 
 
-def _cmd_aniso(args) -> int:
-    spec = _session_object(_load_session(args.session), "involutions", _one_inv(args))
+def _cmd_aniso(args) -> Output:
+    [spec] = _involutions(args, 1)
     r = spec.order.sig.r
     if args.block is not None and not 1 <= args.block <= r:
         raise HordersError(f"--block must be in 1..{r}, got {args.block}")
     results = list(enumerate(residue_isotropy(spec), 1))
     if args.block is not None:
         results = [results[args.block - 1]]
-    if args.json:
-        _write(_emit_json({"blocks": [
-            {"verdict": r.verdict, "signature": list(r.signature),
-             "has_witness": r.witness is not None} for _, r in results]}))
-    else:
-        for i, r in results:
-            wit = " (witness found)" if r.witness is not None else ""
-            _write(f"block {i}: {r.verdict} {r.signature}{wit}\n".encode())
-    return 0
+    blocks = [{"verdict": iso.verdict, "signature": list(iso.signature),
+               "has_witness": iso.witness is not None} for _, iso in results]
+    text = "\n".join(f"block {i}: {iso.verdict} {iso.signature}"
+                     f"{' (witness found)' if iso.witness is not None else ''}"
+                     for i, iso in results)
+    return 0, {"blocks": blocks}, text
 
 
-def _cmd_distinguish(args) -> int:
-    if len(args.inv) != 2:
-        raise HordersError("distinguish needs exactly two --inv names")
-    session = _load_session(args.session)
-    s1 = _session_object(session, "involutions", args.inv[0])
-    s2 = _session_object(session, "involutions", args.inv[1])
-    result = distinguish(s1, s2)
-    if args.json:
-        _write(_emit_json({"verdict": result.verdict, "reason": result.reason or ""}))
-    else:
-        reason = f": {result.reason}" if result.reason else ""
-        _write(f"{result.verdict}{reason}\n".encode())
-    return 0
+def _cmd_distinguish(args) -> Output:
+    result = distinguish(*_involutions(args, 2))
+    reason = f": {result.reason}" if result.reason else ""
+    return 0, {"verdict": result.verdict, "reason": result.reason or ""}, result.verdict + reason
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     w = _session_object(_load_session(args.session), "witnesses", args.witness)
     diag = verify_witness(w)
-    ok = diag.ok
-    if ok and args.transport:
+    if diag.ok and args.transport:
         diag = transport_check(w)
-        ok = diag.ok
-    if args.json:
-        _write(_emit_json({"ok": ok, "diagnostics": diag.describe()}))
-    else:
-        _write(f"{diag.describe()}\n".encode())
-    return 0 if ok else 1
+    return 0 if diag.ok else 1, {"ok": diag.ok, "diagnostics": diag.describe()}, diag.describe()
 
 
 def _ascii_int(text: str) -> int | None:
@@ -268,21 +216,15 @@ def _ascii_int(text: str) -> int | None:
         return None
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int | None):
+    """An argparse type: an ASCII integer, at least ``low`` unless that is None."""
     def parse(text: str) -> int:
         value = _ascii_int(text)
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer of at least {low}, got {text!r}")
+        if value is None or low is not None and value < low:
+            bound = "" if low is None else f" of at least {low}"
+            raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {text!r}")
         return value
     return parse
-
-
-def _block(text: str) -> int:
-    value = _ascii_int(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,93 +235,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"horders {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help, *flags):
+        """A sub-command with its own (flag, options) pairs, then the common flags."""
+        p = sub.add_parser(name, help=help)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--precision", type=_int_at_least(2), default=16,
                        help="accepted for compatibility and has no effect: every "
                             "check is exact (at least 2)")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("check", help="run every check in a session file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("replay", help="run a bundled scenario")
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    common(p)
-    p.set_defaults(fn=_cmd_replay)
-
-    p = sub.add_parser("inv", help="cyclic normal form of a signature")
-    p.add_argument("--sig", required=True, help="comma separated block sizes, e.g. 4,2")
-    common(p)
-    p.set_defaults(fn=_cmd_inv)
-
-    p = sub.add_parser("iso", help="isomorphism of two block orders")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--sig2", required=True)
-    p.add_argument("--division", default="D", help="division label of the first order")
-    p.add_argument("--division2", default=None,
-                   help="division label of the second order (default: same)")
-    common(p)
-    p.set_defaults(fn=_cmd_iso)
-
-    p = sub.add_parser("sh", help="base-changed signature and permutation witness")
-    p.add_argument("--sig", default=None)
-    p.add_argument("--s", type=_int_at_least(1), default=1)
-    p.add_argument("--t", type=_int_at_least(1), default=1)
-    p.add_argument("--session", default=None)
-    p.add_argument("--order", default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_sh)
-
-    p = sub.add_parser("sh-verify", help="pattern conjugation check (size at most 64)")
-    p.add_argument("--s", type=_int_at_least(1), required=True)
-    p.add_argument("--t", type=_int_at_least(1), required=True)
-    p.add_argument("--sig", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_sh_verify)
-
-    p = sub.add_parser("resinv", help="residue involution blocks")
-    p.add_argument("--session", required=True)
-    p.add_argument("--inv", action="append", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_resinv)
-
-    p = sub.add_parser("aniso", help="isotropy of residue blocks")
-    p.add_argument("--session", required=True)
-    p.add_argument("--inv", action="append", required=True)
-    p.add_argument("--block", type=_block, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_aniso)
-
-    p = sub.add_parser("distinguish", help="sound non-isomorphism test")
-    p.add_argument("--session", required=True)
-    p.add_argument("--inv", action="append", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_distinguish)
-
-    p = sub.add_parser("verify", help="verify a transport witness")
-    p.add_argument("--session", required=True)
-    p.add_argument("--witness", required=True)
-    p.add_argument("--transport", action="store_true",
-                   help="also run the conjugation transport check")
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
-
+    positive = {"type": _int_at_least(1)}
+    session = ("--session", {"required": True})
+    inv = ("--inv", {"action": "append", "required": True})
+    command("check", _cmd_check, "run every check in a session file", ("file", {}))
+    command("replay", _cmd_replay, "run a bundled scenario",
+            ("--scenario", {"required": True, "choices": SCENARIOS}))
+    command("inv", _cmd_inv, "cyclic normal form of a signature",
+            ("--sig", {"required": True, "help": "comma separated block sizes, e.g. 4,2"}))
+    command("iso", _cmd_iso, "isomorphism of two block orders",
+            ("--sig", {"required": True}), ("--sig2", {"required": True}),
+            ("--division", {"default": "D", "help": "division label of the first order"}),
+            ("--division2", {"default": None,
+                             "help": "division label of the second order (default: same)"}))
+    command("sh", _cmd_sh, "base-changed signature and permutation witness",
+            ("--sig", {"default": None}), ("--s", {**positive, "default": 1}),
+            ("--t", {**positive, "default": 1}), ("--session", {"default": None}),
+            ("--order", {"default": None}))
+    command("sh-verify", _cmd_sh_verify, "pattern conjugation check (size at most 64)",
+            ("--s", {**positive, "required": True}), ("--t", {**positive, "required": True}),
+            ("--sig", {"required": True}))
+    command("resinv", _cmd_resinv, "residue involution blocks", session, inv)
+    command("aniso", _cmd_aniso, "isotropy of residue blocks", session, inv,
+            ("--block", {"type": _int_at_least(None), "default": None}))
+    command("distinguish", _cmd_distinguish, "sound non-isomorphism test", session, inv)
+    command("verify", _cmd_verify, "verify a transport witness", session,
+            ("--witness", {"required": True}),
+            ("--transport", {"action": "store_true",
+                             "help": "also run the conjugation transport check"}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload, text = args.fn(args)
     except SessionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HordersError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.buffer.write(_render(payload, text, args.json))
+    sys.stdout.buffer.flush()
+    return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ reads them from one fraction-free elimination per connected component
 of the nonzero pattern of a (see the ``matrices`` module docstring).
 
 Each ``InvolutionSpec`` checks well-formedness and computes its residue
-data at most once; a failed check is raised again on every call.
+data and residue isotropy at most once; a failed check is raised again
+on every call.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class InvolutionSpec:
     # Memos outside eq, hash and repr; a call that raises stores nothing.
     _checked = cached_property(lambda self: _require_wellformed(self) or True)
     _residue = cached_property(lambda self: self._checked and _residue_of(self))
+    _isotropy = cached_property(lambda self: _isotropy_of(self._residue))
 
 
 @record
@@ -418,15 +420,16 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
 def residually_anisotropic(spec: InvolutionSpec) -> bool:
     """True when every residue block of the induced involution is
     anisotropic; a sound obstruction hypothesis, not a classification."""
-    res = residue_involution(spec)
-    return all(
-        anisotropy(blk.gauge, res.kind, res.epsilon).is_anisotropic for blk in res.blocks)
+    return all(r.is_anisotropic for r in residue_isotropy(spec))
 
 
 def residue_isotropy(spec: InvolutionSpec) -> list[IsotropyResult]:
     """The ``anisotropy`` result of each residue block, in block order."""
-    res = residue_involution(spec)
-    return [anisotropy(blk.gauge, res.kind, res.epsilon) for blk in res.blocks]
+    return list(spec._isotropy)
+
+
+def _isotropy_of(res: ResidueInvolution) -> tuple[IsotropyResult, ...]:
+    return tuple(anisotropy(blk.gauge, res.kind, res.epsilon) for blk in res.blocks)
 
 
 def distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> DistinguishResult:

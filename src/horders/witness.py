@@ -53,10 +53,10 @@ from .errors import (
 from .involutions import (
     ISOTROPIC,
     InvolutionSpec,
-    anisotropy,
     apply_tau,
     distinguish,
     residue_involution,
+    residue_isotropy,
     smat_conj_transpose,
     smat_invertible,
     smat_is_zero,
@@ -361,8 +361,8 @@ def _replay_main(name: str) -> list[StepResult]:
            f"sizes ({res2.blocks[0].size}, {res2.blocks[1].size}), "
            f"t-powers ({res2.blocks[0].t_power}, {res2.blocks[1].t_power})")
 
-    iso1 = anisotropy(res1.blocks[1].gauge, res1.kind, res1.epsilon)
-    iso2 = anisotropy(res2.blocks[1].gauge, res2.kind, res2.epsilon)
+    iso1 = residue_isotropy(spec1)[1]
+    iso2 = residue_isotropy(spec2)[1]
     expect("block 2 of sigma1", "anisotropic {2,0}", _fmt_iso(iso1))
     expect("block 2 of sigma2", "isotropic {1,1} with exact witness", _fmt_iso(iso2))
     if iso2.witness is not None:

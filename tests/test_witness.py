@@ -465,14 +465,19 @@ def test_replay_reports_have_the_documented_steps():
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
-    # each main-* replay validates its two gauges once each; no scenario
-    # rescans a signature's parts through Signature.block_of
+    # each main-* replay validates its two gauges once each and decides each
+    # of their four residue blocks once (every anisotropy call diagonalises
+    # its block once); no scenario rescans a signature's parts through
+    # Signature.block_of
     from horders import involutions
 
-    validated, lookups = [], []
+    validated, decided, lookups = [], [], []
     require, block_of = involutions._require_wellformed, Signature.block_of
+    diagonalize = involutions.diagonalize_form
     monkeypatch.setattr(involutions, "_require_wellformed",
                         lambda spec: validated.append(spec) or require(spec))
+    monkeypatch.setattr(involutions, "diagonalize_form",
+                        lambda *args: decided.append(args) or diagonalize(*args))
     monkeypatch.setattr(Signature, "block_of",
                         lambda sig, index: lookups.append(index) or block_of(sig, index))
     report = replay(scenario)
@@ -481,4 +486,5 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
         (s["name"], s["expected"], s["actual"], s["ok"]) for s in golden["steps"]]
     assert len(validated) == (2 if scenario.startswith("main-") else 0)
     assert len({id(spec) for spec in validated}) == len(validated)
+    assert len(decided) == (4 if scenario.startswith("main-") else 0)
     assert len(lookups) == 0

@@ -11,7 +11,9 @@ not ignored, files as they are on disk) is copied into another, so both
 sides start from fresh directories with no compiled bytecode.  For each
 workload in BENCHMARK.json the benchmark command runs with
 ``--workload W --seed SEED --seconds <run_seconds> --trace 0`` as PAIRS
-pairs; even pairs run the parent first, odd pairs the change.  The file
+pairs; even pairs run the parent first, odd pairs the change.  A run
+whose last line does not read ``"correct": true`` stops the script with
+an error naming the workload, side and pair.  The file
 records every run's metrics and failure counts, the median and quartiles
 of each end-to-end metric per side, how many pairs the change won, the
 seed, both revisions and the Python version.  The temporary directories
@@ -65,7 +67,9 @@ def src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(checkout: Path, command: list[str], workload: str, seconds: int) -> dict:
+def run_once(checkout: Path, command: list[str], workload: str, seconds: int,
+             side: str, pair: int) -> dict:
+    """One benchmark run; a run whose outputs are wrong stops the comparison."""
     argv = command + ["--workload", workload, "--seed", str(SEED),
                       "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -76,6 +80,9 @@ def run_once(checkout: Path, command: list[str], workload: str, seconds: int) ->
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     result = json.loads(lines[-1])
+    if result["correct"] is not True:
+        raise RuntimeError(f"workload {workload}, {side} side, pair {pair}: "
+                           f"the outputs are not correct ({checkout})")
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
@@ -132,7 +139,7 @@ def main(argv: list[str]) -> int:
                 pair = {"first": order[0]}
                 for side in order:
                     pair[side] = run_once(checkouts[side], bench["command"], workload,
-                                          bench["run_seconds"])
+                                          bench["run_seconds"], side, i + 1)
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']:.4g}"
