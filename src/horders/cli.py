@@ -143,12 +143,14 @@ def _cmd_iso(args) -> Output:
 
 
 def _cmd_sh(args) -> Output:
+    if (args.session, args.order) != (None, None) and (args.sig, args.s, args.t) != (None,) * 3:
+        raise HordersError("give either --session with --order, or --sig with --s/--t, not both")
     if args.session and args.order:
         order = _session_object(_load_session(args.session), "orders", args.order)
         if not isinstance(order, BlockOrder):
             raise HordersError(f"{args.order!r} is a product; sh applies to block orders")
     elif args.sig:
-        order = BlockOrder(DivisionSpec("D", s=args.s, t=args.t), _parse_sig(args.sig))
+        order = BlockOrder(DivisionSpec("D", s=args.s or 1, t=args.t or 1), _parse_sig(args.sig))
     else:
         raise HordersError("need either --session with --order, or --sig with --s/--t")
     result = sh_order(order)
@@ -260,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--division2", {"default": None,
                              "help": "division label of the second order (default: same)"}))
     command("sh", _cmd_sh, "base-changed signature and permutation witness",
-            ("--sig", {"default": None}), ("--s", {**positive, "default": 1}),
-            ("--t", {**positive, "default": 1}), ("--session", {"default": None}),
+            ("--sig", {"default": None}), ("--s", {**positive, "default": None}),
+            ("--t", {**positive, "default": None}), ("--session", {"default": None}),
             ("--order", {"default": None}))
     command("sh-verify", _cmd_sh_verify, "pattern conjugation check (size at most 64)",
             ("--s", {**positive, "required": True}), ("--t", {**positive, "required": True}),

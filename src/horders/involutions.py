@@ -390,7 +390,9 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     if pos == 0 or neg == 0:
         return IsotropyResult(ANISOTROPIC, signature)
 
-    witness = None
+    # The candidate's only nonzero column is v = C * (y * e_i + e_j), so
+    # tau(cand) * b * cand vanishes except for its (1, 1) entry v* b v.
+    zero = Scalar.zero(kind)
     for i in range(n):
         if diag[i] <= 0:
             continue
@@ -400,21 +402,14 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
             y = represent_norm(kind, -Q(diag[j]) / Q(diag[i]))
             if y is None:
                 continue
-            coords = [Scalar.zero(kind)] * n
-            coords[i] = y
-            coords[j] = Scalar.one(kind)
-            vec = [sum((trans[r][c] * coords[c] for c in range(n)), Scalar.zero(kind))
-                   for r in range(n)]
-            cand = tuple(
-                tuple(vec[r] if c == 0 else Scalar.zero(kind) for c in range(n))
-                for r in range(n))
-            check = smat_mul(smat_conj_transpose(cand), smat_mul(b, cand))
-            if smat_is_zero(check) and not smat_is_zero(cand):
-                witness = cand
-                break
-        if witness is not None:
-            break
-    return IsotropyResult(ISOTROPIC, signature, witness)
+            vec = [trans[r][i] * y + trans[r][j] for r in range(n)]
+            nz = [r for r in range(n) if not vec[r].is_zero()]
+            value = sum((vec[r].conj() * sum((b[r][s] * vec[s] for s in nz), zero)
+                         for r in nz), zero)
+            if nz and value.is_zero():
+                return IsotropyResult(ISOTROPIC, signature, tuple(
+                    (vec[r],) + (zero,) * (n - 1) for r in range(n)))
+    return IsotropyResult(ISOTROPIC, signature)
 
 
 def residually_anisotropic(spec: InvolutionSpec) -> bool:

@@ -62,7 +62,8 @@ from operator import add
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
 from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _back_substitute, _bareiss,
-                      _min_prec, _mul_parts, _product_precision, _same_kind, left_regular)
+                      _components, _min_prec, _mul_parts, _product_precision, _same_kind,
+                      left_regular)
 
 
 @record
@@ -270,13 +271,8 @@ class JetMatrix:
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""
-        label = list(range(self.n))
-        for i in range(self.n):
-            for j in range(i):
-                if self.rows[i][j].coeffs or self.rows[j][i].coeffs:
-                    old = label[i]
-                    label = [label[j] if x == old else x for x in label]
-        return [[i for i, y in enumerate(label) if y == x] for x in dict.fromkeys(label)]
+        rows = self.rows
+        return _components(self.n, lambda i, j: rows[i][j].coeffs or rows[j][i].coeffs)
 
     def _integer_rows(self, comp: list[int]) -> tuple[list[int], list[int], list]:
         """The rows of a component, row i times s_i * t^-low_i: the lows, the

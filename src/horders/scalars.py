@@ -16,9 +16,9 @@ value has exactly one representation and arithmetic runs on integers.
 Linear algebra over the scalars goes through the left-regular
 representation, an integer matrix over Q (each block-row scaled by the
 lcm of its denominators, which does not change singularity), and one
-fraction-free elimination (Bareiss 1968): every intermediate entry is a
-minor of the input, so the integers stay small and every division is
-exact.
+fraction-free elimination (Bareiss 1968) per connected component of the
+nonzero pattern: every intermediate entry is a minor of the input, so
+the integers stay small and every division is exact.
 
 A :class:`LaurentJet` is a truncated Laurent series over a single scalar
 kind: a dense coefficient window starting at ``lowest_exp`` together
@@ -36,7 +36,7 @@ once, so no partial product or partial sum is built as a scalar.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
@@ -113,14 +113,23 @@ class ScalarKind:
         """``basis_products[a]`` lists ``(c, r, k)`` for each nonzero
         coordinate ``k``, at index ``r``, of the basis product ``e_a * e_c``.
 
-        Built on first use and kept for the life of the kind.
+        Built on first use and kept for the life of the kind.  An extended
+        kind multiplies only its core basis: with m = ``core_dim``,
+        e_a = f_(a mod m) * w^(a div m), w central and w^2 = ``ext``, so
+        each (c, r, k) of f_a * f_c gives (c + m*hc, r + m*((ha + hc) mod 2),
+        k * ext^(ha*hc)) in e_(a + m*ha) * e_(c + m*hc).
         """
-        dim = self.dim
-        unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
+        m = self.core_dim
+        unit = [tuple(int(i == a) for i in range(m)) for a in range(m)]
+        core = tuple(tuple((c, r, k) for c in range(m) for r, k in
+                           enumerate(_core_mul(self.core, self.d, unit[a], unit[c])) if k)
+                     for a in range(m))
+        if self.ext is None:
+            return core
         return tuple(
-            tuple((c, r, k) for c in range(dim)
-                  for r, k in enumerate(_mul_parts(self, unit[a], unit[c])) if k)
-            for a in range(dim))
+            tuple((c + m * hc, r + m * ((ha + hc) % 2), k * self.ext ** (ha * hc))
+                  for hc in (0, 1) for c, r, k in core[a])
+            for ha in (0, 1) for a in range(m))
 
     def extended(self, d: int) -> "ScalarKind":
         if self.ext is not None:
@@ -458,9 +467,37 @@ def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
 
 def smat_invertible(rows: Sequence[Sequence[Scalar]]) -> bool:
     """Exact invertibility over the scalars, zero divisors included: a
-    unit iff its left-regular representation over Q is nonsingular."""
+    unit iff its left-regular representation over Q is nonsingular.
+
+    A matrix that is block-diagonal after a simultaneous permutation of
+    rows and columns is a unit iff each block is, so each connected
+    component of the nonzero pattern is eliminated on its own."""
+    comps = _components(len(rows), lambda i, j: any(rows[i][j].num) or any(rows[j][i].num))
+    if len(comps) > 1:
+        return all(_bareiss(reg := left_regular([[rows[i][j] for j in comp] for i in comp]),
+                            len(reg)) for comp in comps)
     reg = left_regular(rows)
     return _bareiss(reg, len(reg)) != 0
+
+
+def _components(n: int, linked: Callable[[int, int], object]) -> list[list[int]]:
+    """Index sets of the connected components of the graph on range(n)
+    with an edge j - i wherever ``linked(i, j)``, j < i, is true; for the
+    nonzero pattern of a matrix, entry (i, j) or (j, i) is nonzero.  Only
+    pairs not yet known to be connected are asked, and none once all are."""
+    label, count = list(range(n)), n
+    for i in range(n):
+        for j in range(i):
+            if label[i] != label[j] and linked(i, j):
+                count -= 1
+                if count == 1:
+                    return [list(range(n))]
+                old = label[i]
+                if old == i:  # i is joined for the first time: it is alone
+                    label[i] = label[j]
+                else:
+                    label = [label[j] if x == old else x for x in label]
+    return [[i for i, y in enumerate(label) if y == x] for x in dict.fromkeys(label)]
 
 
 def _bareiss(a: list[list[int]], n: int) -> int:

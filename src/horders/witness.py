@@ -200,6 +200,13 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
 
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
+    return _ring_checks(w, u, alpha)
+
+
+def _ring_checks(w: WitnessCheck, u: JetMatrix, alpha: LaurentJet) -> Diagnostics:
+    """The mode-dependent tail of ``verify_witness`` on its operands u and
+    alpha: (base and etale modes) u is a unit of the order, then alpha is
+    a unit of the declared ring."""
     if w.mode.ring in (BASE_RING, ETALE):
         sig = w.spec1.order.sig
         ok, bad = meets_pattern(u, pattern_of(sig))
@@ -344,11 +351,16 @@ def _replay_main(name: str) -> list[StepResult]:
 
     expect("wellformed(sigma1)", "ok", wellformed(spec1).describe())
     expect("wellformed(sigma2)", "ok", wellformed(spec2).describe())
-    expect("verify generic-fiber witness, alpha = t", "ok", verify_witness(w_fiber).describe())
+    fiber_diag = verify_witness(w_fiber)
+    expect("verify generic-fiber witness, alpha = t", "ok", fiber_diag.describe())
     expect("verify etale witness, alpha = 1", "ok", verify_witness(w_etale).describe())
 
+    # Both modes work over the division kind, so once the generic fibre
+    # passes, the identity and field invertibility of these operands are
+    # decided and only the base ring's own checks remain.
     base_mode = WitnessCheck(w_fiber.u, w_fiber.alpha, MODE_BASE, spec1, spec2)
-    base_diag = verify_witness(base_mode)
+    base_diag = (_ring_checks(base_mode, base_mode.u, base_mode.alpha) if fiber_diag.ok
+                 else verify_witness(base_mode))
     expect("generic-fiber witness is rejected over the base ring",
            "rejected", "rejected" if (not base_diag.ok and base_diag.code in ("NotInvertible", "NotContained")) else base_diag.describe())
 

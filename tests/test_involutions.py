@@ -627,6 +627,29 @@ def test_congruence_invariance_sampled():
         assert r1.signature == r2.signature
 
 
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+def test_every_returned_witness_annihilates_its_form(kind):
+    # indefinite forms congruent to a diagonal one, n <= 4; each witness
+    # anisotropy returns must pass the full triple product
+    rng = Random(61)
+    found = 0
+    for trial in range(40):
+        n = 2 + trial % 3
+        diag_vals = [rng.choice([-1, 1]) * rng.randint(1, 6) for _ in range(n - 2)] + [1, -2]
+        b = tuple(tuple(Scalar.rational(kind, diag_vals[i] if i == j else 0)
+                        for j in range(n)) for i in range(n))
+        c = _random_invertible_smat(kind, n, rng)
+        b = smat_mul(smat_conj_transpose(c), smat_mul(b, c))
+        res = anisotropy(b, kind)
+        assert res.verdict == ISOTROPIC
+        if res.witness is not None:
+            found += 1
+            assert not smat_is_zero(res.witness)
+            assert smat_is_zero(smat_mul(smat_conj_transpose(res.witness),
+                                         smat_mul(b, res.witness)))
+    assert found >= 5  # over the base field x^2 = r*y^2 often has no rational solution
+
+
 def _random_invertible_smat(kind, n, rng):
     lower = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
     upper = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]

@@ -148,12 +148,12 @@ def test_core_dim_and_dim_are_not_fields():
 def test_basis_products_is_computed_once_per_instance(monkeypatch):
     import horders.scalars as scalars
     calls = []
-    mul_parts = scalars._mul_parts
-    monkeypatch.setattr(scalars, "_mul_parts", lambda *a: calls.append(a) or mul_parts(*a))
+    core_mul = scalars._core_mul
+    monkeypatch.setattr(scalars, "_core_mul", lambda *a: calls.append(a) or core_mul(*a))
     kind = ScalarKind("quat", None, 3)
     table = kind.basis_products
-    assert len(calls) == kind.dim ** 2
-    assert kind.basis_products is table and len(calls) == kind.dim ** 2
+    assert len(calls) == kind.core_dim ** 2  # an extended table is read off the core's
+    assert kind.basis_products is table and len(calls) == kind.core_dim ** 2
     assert ScalarKind("quat", None, 3).basis_products == table
 
 

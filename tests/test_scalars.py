@@ -21,6 +21,7 @@ from horders.scalars import (
     QUATERNION,
     LaurentJet,
     Scalar,
+    _components,
     quadratic,
     smat_invertible,
 )
@@ -252,6 +253,60 @@ def test_smat_invertible_matches_the_reference(kind):
         assert smat_invertible(tuple(tuple(Scalar(kind, s) for s in row) for row in rows)) == want
         seen.add(want)
     assert seen == {True, False}
+    if kind not in SPLIT_KINDS:
+        return
+    # Block-diagonal after a permutation that scatters each block: a unit
+    # with a zero diagonal, a random 1 x 1 block (zero divisors included)
+    # and, on even trials, a singular block whose diagonal entries are
+    # units, so a wrong split of the components changes the verdict.
+    seen = set()
+    for trial in range(12):
+        q = [Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in range(5)]
+        zero, *r = [(x,) + (Q(0),) * (kind.dim - 1) for x in [Q(0)] + q]
+        last = ([[r[2], r[3]], [ref_mul(kind, r[4], r[2]), ref_mul(kind, r[4], r[3])]]
+                if trial % 2 == 0 else [[zero, r[3]], [r[4], zero]])
+        blocks = [[[zero, r[0]], [r[1], zero]], [[fraction_parts(kind, rng)]], last]
+        place = (0, 3, 1, 4, 2) if trial % 3 == 0 else rng.sample(range(5), 5)
+        rows = [[zero] * 5 for _ in range(5)]
+        off = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                for j, x in enumerate(row):
+                    rows[place[off + i]][place[off + j]] = x
+            off += len(block)
+        want = ref_invertible(kind, rows)
+        assert smat_invertible(tuple(tuple(Scalar(kind, s) for s in row) for row in rows)) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_components_match_a_graph_search():
+    rng = Random(37)
+    for trial in range(300):
+        n = trial % 8
+        density = rng.choice([0.05, 0.15, 0.3, 0.6, 1.0])
+        pattern = [[i == j or rng.random() < density for j in range(n)] for i in range(n)]
+        want, seen = [], set()
+        for start in range(n):
+            if start not in seen:
+                comp, todo = set(), [start]
+                while todo:
+                    i = todo.pop()
+                    if i not in comp:
+                        comp.add(i)
+                        todo.extend(j for j in range(n) if pattern[i][j] or pattern[j][i])
+                seen |= comp
+                want.append(sorted(comp))
+        assert _components(n, lambda i, j: pattern[i][j] or pattern[j][i]) == want
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_basis_products_match_the_unit_vector_products(kind):
+    unit = [tuple(Q(int(i == a)) for i in range(kind.dim)) for a in range(kind.dim)]
+    assert kind.basis_products == tuple(
+        tuple((c, r, k) for c in range(kind.dim)
+              for r, k in enumerate(ref_mul(kind, unit[a], unit[c])) if k)
+        for a in range(kind.dim))
 
 
 # ---------------------------------------------------------------------------

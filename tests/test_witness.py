@@ -465,21 +465,24 @@ def test_replay_reports_have_the_documented_steps():
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
-    # each main-* replay validates its two gauges once each and decides each
+    # each main-* replay validates its two gauges once each, decides each
     # of their four residue blocks once (every anisotropy call diagonalises
-    # its block once); no scenario rescans a signature's parts through
-    # Signature.block_of
-    from horders import involutions
+    # its block once) and checks two transport identities, as the base-ring
+    # verdict reuses the generic-fibre one; no scenario rescans a
+    # signature's parts through Signature.block_of
+    from horders import involutions, witness
 
-    validated, decided, lookups = [], [], []
+    validated, decided, lookups, identities = [], [], [], []
     require, block_of = involutions._require_wellformed, Signature.block_of
-    diagonalize = involutions.diagonalize_form
+    diagonalize, difference = involutions.diagonalize_form, witness.first_difference
     monkeypatch.setattr(involutions, "_require_wellformed",
                         lambda spec: validated.append(spec) or require(spec))
     monkeypatch.setattr(involutions, "diagonalize_form",
                         lambda *args: decided.append(args) or diagonalize(*args))
     monkeypatch.setattr(Signature, "block_of",
                         lambda sig, index: lookups.append(index) or block_of(sig, index))
+    monkeypatch.setattr(witness, "first_difference",
+                        lambda *args: identities.append(args) or difference(*args))
     report = replay(scenario)
     golden = json.loads((GOLDEN / f"replay-{scenario}.json").read_bytes())
     assert [(s.name, s.expected, s.actual, s.ok) for s in report.steps] == [
@@ -487,4 +490,5 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     assert len(validated) == (2 if scenario.startswith("main-") else 0)
     assert len({id(spec) for spec in validated}) == len(validated)
     assert len(decided) == (4 if scenario.startswith("main-") else 0)
+    assert len(identities) == (2 if scenario.startswith("main-") else 0)
     assert len(lookups) == 0
