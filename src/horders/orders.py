@@ -4,14 +4,17 @@ A block order over a complete discretely valued coefficient ring is
 described by a division datum and a tuple of block sizes.  Membership is
 a family of entrywise valuation bounds, encoded as an integer pattern
 matrix; pattern matrices multiply in the min-plus semiring, which is how
-ideal products compose at the level of valuation constraints.  The tuple
-of block sizes matters only up to cyclic rotation, and together with the
-division datum it decides isomorphism.
+ideal products compose at the level of valuation constraints.  A block
+pattern repeats its rows and columns, so a product reduces each distinct
+row against each distinct column once, and powers are taken by repeated
+squaring.  The tuple of block sizes matters only up to cyclic rotation,
+and together with the division datum it decides isomorphism.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import add
 
 from .errors import ScalarKindMismatch, SizeMismatch, record
 from .matrices import JetMatrix
@@ -98,9 +101,14 @@ class SemisimpleOrder:
 
 @record
 class PatternMatrix:
-    """Integer matrix of minimum required valuations."""
+    """Square integer matrix of minimum required valuations."""
 
     entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise SizeMismatch(f"pattern has {n} rows, each must have {n} entries")
 
     @property
     def n(self) -> int:
@@ -113,39 +121,62 @@ class PatternMatrix:
         return self.entries[ij[0]][ij[1]]
 
 
+def _block_pattern(sig: Signature, diagonal: int) -> PatternMatrix:
+    """0 below the block diagonal, 1 above it and ``diagonal`` on it: one
+    row tuple per block, repeated over the block's positions."""
+    n, rows, start = sig.n, [], 0
+    for p in sig.parts:
+        ones = start if diagonal else start + p
+        rows += [(0,) * ones + (1,) * (n - ones)] * p
+        start += p
+    return PatternMatrix(tuple(rows))
+
+
 def pattern_of(sig: Signature) -> PatternMatrix:
     """Order pattern: 1 above the block diagonal, 0 on and below it."""
-    blk = sig.block_index()
-    return PatternMatrix(tuple(tuple(1 if bi < bj else 0 for bj in blk) for bi in blk))
+    return _block_pattern(sig, 0)
 
 
 def radical_pattern(sig: Signature) -> PatternMatrix:
     """Radical pattern: 1 on and above the block diagonal, 0 below it."""
-    blk = sig.block_index()
-    return PatternMatrix(tuple(tuple(1 if bi <= bj else 0 for bj in blk) for bi in blk))
+    return _block_pattern(sig, 1)
 
 
 def pattern_mul(p: PatternMatrix, q: PatternMatrix) -> PatternMatrix:
-    """Min-plus product; composes entrywise valuation constraints."""
+    """Min-plus product; composes entrywise valuation constraints.
+
+    Each distinct row of p is reduced against each distinct column of q
+    once, so a product of block patterns with r blocks takes r*r
+    reductions, not n*n; equal rows of p share one output row."""
     if p.n != q.n:
         raise SizeMismatch(f"{p.n} vs {q.n}")
-    n = p.n
+    index: dict[tuple[int, ...], int] = {}
+    pick = [index.setdefault(col, len(index)) for col in zip(*q.entries)]
+    cols = tuple(index)
+    done: dict[tuple[int, ...], tuple[int, ...]] = {}
     out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            row.append(min(p.entries[i][j] + q.entries[j][k] for j in range(n)))
-        out.append(tuple(row))
+    for row in p.entries:
+        got = done.get(row)
+        if got is None:
+            mins = [min(map(add, row, col)) for col in cols]
+            got = done[row] = tuple([mins[k] for k in pick])
+        out.append(got)
     return PatternMatrix(tuple(out))
 
 
 def pattern_pow(p: PatternMatrix, r: int) -> PatternMatrix:
+    """p^r by repeated squaring: (r.bit_length() - 1) + (r.bit_count() - 1)
+    products, exact because the min-plus product is associative."""
     if r < 1:
         raise ValueError("power must be positive")
-    out = p
-    for _ in range(r - 1):
-        out = pattern_mul(out, p)
-    return out
+    out = None
+    while True:
+        if r & 1:
+            out = p if out is None else pattern_mul(out, p)
+        r >>= 1
+        if not r:
+            return out
+        p = pattern_mul(p, p)
 
 
 def meets_pattern(x: JetMatrix, p: PatternMatrix) -> tuple[bool, tuple[int, int] | None]:

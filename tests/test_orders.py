@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horders.errors import ScalarKindMismatch
+from horders import orders
+from horders.errors import ScalarKindMismatch, SizeMismatch
 from horders.matrices import JetMatrix
 from horders.orders import (
     BlockOrder,
@@ -85,6 +86,19 @@ def test_radical_patterns():
     assert radical_pattern(Signature((1, 2))).entries == ((1, 1, 1), (0, 1, 1), (0, 1, 1))
 
 
+def _random_pattern(rng, n):
+    """A shifted block pattern of n positions, or arbitrary small integers."""
+    if rng.random() < 0.5:
+        parts = []
+        while sum(parts) < n:
+            parts.append(rng.randint(1, n - sum(parts)))
+        sig = Signature(tuple(parts))
+        base = rng.choice((pattern_of, radical_pattern))(sig)
+        return base.shift(rng.randint(-2, 2))
+    return PatternMatrix(tuple(
+        tuple(rng.randint(-3, 5) for _ in range(n)) for _ in range(n)))
+
+
 def test_pattern_mul_matches_oracle():
     rng = Random(3)
     for _ in range(50):
@@ -93,6 +107,62 @@ def test_pattern_mul_matches_oracle():
         b = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
         got = pattern_mul(PatternMatrix(a), PatternMatrix(b)).entries
         assert got == minplus_oracle(a, b)
+    rng = Random(29)
+    for _ in range(120):
+        n = rng.randint(1, 18)
+        a, b = _random_pattern(rng, n), _random_pattern(rng, n)
+        got = pattern_mul(a, b).entries
+        assert got == minplus_oracle(a.entries, b.entries), (a, b)
+
+
+def test_patterns_match_the_block_index_oracle():
+    for n in range(1, 8):
+        for parts in _compositions(n):
+            sig = Signature(parts)
+            blk = sig.block_index()
+            assert pattern_of(sig).entries == tuple(
+                tuple(1 if bi < bj else 0 for bj in blk) for bi in blk), parts
+            assert radical_pattern(sig).entries == tuple(
+                tuple(1 if bi <= bj else 0 for bj in blk) for bi in blk), parts
+
+
+def test_pattern_matrix_rejects_non_square_entries():
+    with pytest.raises(SizeMismatch):
+        PatternMatrix(((0, 1, 2), (1, 0, 3)))
+    with pytest.raises(SizeMismatch):
+        PatternMatrix(((0, 1), (1,)))
+    with pytest.raises(SizeMismatch):
+        PatternMatrix(((0,), (1,)))
+    assert PatternMatrix(()).n == 0
+
+
+def test_pattern_pow_equals_repeated_products():
+    rng = Random(41)
+    for _ in range(40):
+        p = _random_pattern(rng, rng.randint(1, 12))
+        assert pattern_pow(p, 1) == p
+        power = p.entries
+        for r in range(2, 10):
+            power = minplus_oracle(power, p.entries)
+            assert pattern_pow(p, r).entries == power, (p, r)
+    with pytest.raises(ValueError):
+        pattern_pow(p, 0)
+
+
+def test_pattern_pow_squares_through_the_module_level_product(monkeypatch):
+    calls = []
+    product = orders.pattern_mul
+
+    def counting(p, q):
+        calls.append(1)
+        return product(p, q)
+
+    monkeypatch.setattr(orders, "pattern_mul", counting)
+    p = radical_pattern(Signature((2, 1, 3)))
+    for r in range(1, 20):
+        calls.clear()
+        orders.pattern_pow(p, r)
+        assert len(calls) == (r.bit_length() - 1) + (r.bit_count() - 1), r
 
 
 def test_radical_square_frozen_value():
