@@ -17,8 +17,8 @@ from .orders import (
     DivisionSpec,
     SemisimpleOrder,
     Signature,
+    check_residue,
     cyclic_normal_form,
-    ss_iso_decide,
 )
 from .scalars import BASE
 
@@ -34,8 +34,8 @@ class ShResult:
 
 def sh_signature(sig: Signature, s: int, t: int) -> Signature:
     """Concatenate t copies of the s-scaled signature."""
-    scaled = tuple(s * p for p in sig.parts)
-    return Signature(scaled * t)
+    check_residue(s, t)
+    return Signature(tuple([s * p for p in sig.parts]) * t)
 
 
 def descend_signature(m: tuple[int, ...] | Signature, s: int, t: int) -> Signature:
@@ -47,6 +47,7 @@ def descend_signature(m: tuple[int, ...] | Signature, s: int, t: int) -> Signatu
     length of the descended tuple is len(m)/t, not len(m); the inverse
     is read as de-concatenation followed by division by s.
     """
+    check_residue(s, t)
     parts = m.parts if isinstance(m, Signature) else tuple(m)
     if any(p % s for p in parts):
         raise NotDivisible(f"parts {parts} are not all divisible by s={s}")
@@ -63,6 +64,7 @@ def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
     """Index permutation of {0, ..., s*t*n - 1} mapping the tensor layout
     (inner position i, unramified copy j, matrix position k) to the
     block layout (i, k, j); returned as image[index]."""
+    check_residue(s, t)
     n = sig.n
     return tuple([i + s * k + s * n * j for k in range(n) for j in range(t) for i in range(s)])
 
@@ -77,6 +79,7 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
     So the identity holds iff B(perm(x)) is a strictly increasing
     function of key(x): one block per key, increasing in key order.
     """
+    check_residue(s, t)
     st = s * t
     big = st * sig.n
     if big > 64:
@@ -102,9 +105,6 @@ def sh_order(order: BlockOrder) -> ShResult:
     )
 
 
-_SPLIT = DivisionSpec("_split", BASE, 1, 1)
-
-
 def becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
     """Do the two products become isomorphic after unramified base change?
 
@@ -112,9 +112,8 @@ def becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
     base-changed components all live over one and the same coefficient
     ring and are matched by signature alone.
     """
-    def pushed(ss: SemisimpleOrder) -> SemisimpleOrder:
-        return SemisimpleOrder(tuple(
-            BlockOrder(_SPLIT, sh_signature(c.sig, c.division.s, c.division.t))
-            for c in ss.components))
+    def pushed(ss: SemisimpleOrder) -> list[tuple[int, ...]]:
+        return sorted(cyclic_normal_form(tuple([c.division.s * p for p in c.sig.parts])
+                                         * c.division.t) for c in ss.components)
 
-    return ss_iso_decide(pushed(a), pushed(b))
+    return pushed(a) == pushed(b)

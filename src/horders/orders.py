@@ -6,9 +6,9 @@ a family of entrywise valuation bounds, encoded as an integer pattern
 matrix; pattern matrices multiply in the min-plus semiring, which is how
 ideal products compose at the level of valuation constraints.  A block
 pattern repeats its rows and columns, so a product reduces each distinct
-row against each distinct column once, and powers are taken by repeated
-squaring.  The tuple of block sizes matters only up to cyclic rotation,
-and together with the division datum it decides isomorphism.
+row against each distinct column once, and a power is squared on the
+quotient that keeps one position per block.  The block sizes matter
+only up to cyclic rotation, and with the division datum decide isomorphism.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from operator import add
 from .errors import ScalarKindMismatch, SizeMismatch, record
 from .matrices import JetMatrix
 from .scalars import BASE, ScalarKind
+
+
+def check_residue(s: int, t: int) -> None:
+    if s < 1 or t < 1:
+        raise ValueError("residue parameters s, t must be positive")
 
 
 @record
@@ -37,8 +42,7 @@ class DivisionSpec:
     t: int = 1
 
     def __post_init__(self):
-        if self.s < 1 or self.t < 1:
-            raise ValueError("residue parameters s, t must be positive")
+        check_residue(self.s, self.t)
         if self.kind.ext is not None:
             raise ValueError("division scalars must be an unextended kind")
 
@@ -50,9 +54,9 @@ class Signature:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
+        if not self.parts or min(self.parts) < 1:
             raise ValueError("signature parts must be positive integers")
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(map(int, self.parts)))
 
     @property
     def n(self) -> int:
@@ -115,7 +119,9 @@ class PatternMatrix:
         return len(self.entries)
 
     def shift(self, k: int) -> "PatternMatrix":
-        return PatternMatrix(tuple(tuple(e + k for e in row) for row in self.entries))
+        """Add k to every entry; equal rows share one shifted row."""
+        done = {row: tuple([e + k for e in row]) for row in dict.fromkeys(self.entries)}
+        return PatternMatrix(tuple([done[row] for row in self.entries]))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
@@ -165,18 +171,33 @@ def pattern_mul(p: PatternMatrix, q: PatternMatrix) -> PatternMatrix:
 
 
 def pattern_pow(p: PatternMatrix, r: int) -> PatternMatrix:
-    """p^r by repeated squaring: (r.bit_length() - 1) + (r.bit_count() - 1)
-    products, exact because the min-plus product is associative."""
+    """p^r by repeated squaring on the quotient of p.
+
+    Positions i, j share a class, pi(i) = pi(j), when rows i, j and
+    columns i, j are equal; Q is p on one representative per class, so
+    p[i][j] = Q[pi(i)][pi(j)].  By induction (p^k)[i][j] =
+    (Q^k)[pi(i)][pi(j)], since the minimum over positions m of
+    (Q^k)[pi(i)][pi(m)] + Q[pi(m)][pi(j)] is the minimum over the
+    classes, none of which is empty.  So Q (c x c for c blocks) takes the
+    (r.bit_length() - 1) + (r.bit_count() - 1) products (exact: min-plus
+    products associate), and the result is expanded once."""
     if r < 1:
         raise ValueError("power must be positive")
+    if r == 1:
+        return p
+    classes: dict[tuple, int] = {}
+    pi = [classes.setdefault(key, len(classes)) for key in zip(p.entries, zip(*p.entries))]
+    reps = list(map(pi.index, range(len(classes))))
+    q = PatternMatrix(tuple([tuple(map(row.__getitem__, reps)) for row, _ in classes]))
     out = None
-    while True:
+    while r:
         if r & 1:
-            out = p if out is None else pattern_mul(out, p)
+            out = q if out is None else pattern_mul(out, q)
         r >>= 1
-        if not r:
-            return out
-        p = pattern_mul(p, p)
+        if r:
+            q = pattern_mul(q, q)
+    rows = [tuple(map(row.__getitem__, pi)) for row in out.entries]
+    return PatternMatrix(tuple(map(rows.__getitem__, pi)))
 
 
 def meets_pattern(x: JetMatrix, p: PatternMatrix) -> tuple[bool, tuple[int, int] | None]:
@@ -214,7 +235,8 @@ def cyclic_normal_form(parts: Iterable[int]) -> tuple[int, ...]:
     parts = tuple(parts)
     if not parts:
         raise ValueError("empty tuple has no rotations")
-    return min(parts[k:] + parts[:k] for k in range(len(parts)))
+    least = min(parts)  # the least rotation starts with the least part
+    return min(parts[k:] + parts[:k] for k, p in enumerate(parts) if p == least)
 
 
 def cyclic_equal(p: Iterable[int], q: Iterable[int]) -> bool:

@@ -8,7 +8,8 @@ from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPre
                             NotInvertible, OK, SessionSyntaxError, SessionTypeError, failure)
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
-from horders.orders import BlockOrder, Signature, meets_pattern, pattern_of, radical_pattern
+from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
+                            meets_pattern, pattern_of, radical_pattern, ss_iso_decide)
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
 from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
@@ -527,6 +528,23 @@ def ref_str(kind: ScalarKind, a: tuple) -> str:
     hi = core(a[m:])
     hi = f"sqrt({kind.ext})" if hi == "1" else f"({hi})*sqrt({kind.ext})"
     return hi if not any(a[:m]) else f"{core(a[:m])} + {hi}"
+
+
+# ---------------------------------------------------------------------------
+# Record-based reference for becomes_iso_after_sh.
+
+
+def ref_becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
+    """The record-based definition: push every component to a block order
+    over one split division datum, then compare the products."""
+    split = DivisionSpec("_split", BASE, 1, 1)
+
+    def pushed(ss: SemisimpleOrder) -> SemisimpleOrder:
+        return SemisimpleOrder(tuple(
+            BlockOrder(split, basechange.sh_signature(c.sig, c.division.s, c.division.t))
+            for c in ss.components))
+
+    return ss_iso_decide(pushed(a), pushed(b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Base change of invariants, its inverse, and the permutation witness."""
 
+from random import Random
+
 import pytest
 
 from horders import basechange
@@ -24,7 +26,7 @@ from horders.orders import (
 from horders.scalars import BASE, QUATERNION
 from horders.witness import semisimple_pair, sh_grid
 
-from helpers import ref_verify_sh_pattern
+from helpers import ref_becomes_iso_after_sh, ref_verify_sh_pattern
 
 
 def sig(*parts):
@@ -159,6 +161,78 @@ def test_becomes_iso_trivial_cases():
     two = SemisimpleOrder((BlockOrder(d, sig(2)),))
     assert becomes_iso_after_sh(one, one)
     assert not becomes_iso_after_sh(one, two)
+
+
+def _random_product(rng):
+    """A product of one to four components over divisions with s, t in 1..4."""
+    return SemisimpleOrder(tuple(
+        BlockOrder(DivisionSpec(rng.choice("DE"), rng.choice((BASE, QUATERNION)),
+                                rng.randint(1, 4), rng.randint(1, 4)),
+                   sig(*(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))))
+        for _ in range(rng.randint(1, 4))))
+
+
+def _pushed_partner(rng, ss):
+    """A product that becomes isomorphic to ss: each component is replaced
+    by one whose base change is a rotation of the original's, written
+    with other residue parameters, and the components are shuffled; one
+    part is perturbed half of the time."""
+    comps = []
+    for c in ss.components:
+        s, t = c.division.s, c.division.t
+        s2, t2 = rng.choice([(s, t), (1, 1), (s, 1), (1, t)])
+        parts = tuple(s // s2 * p for p in c.sig.parts) * (t // t2)
+        k = rng.randrange(len(c.sig.parts))  # a rotation by whole blocks of c's signature
+        parts = parts[k:] + parts[:k]
+        comps.append(BlockOrder(DivisionSpec(rng.choice("FG"), BASE, s2, t2), sig(*parts)))
+    rng.shuffle(comps)
+    if rng.random() < 0.5:
+        c = comps[0]
+        comps[0] = BlockOrder(c.division, sig(*c.sig.parts[:-1], c.sig.parts[-1] + 1))
+    return SemisimpleOrder(tuple(comps))
+
+
+def test_becomes_iso_after_sh_matches_the_record_based_definition():
+    a1, a2 = semisimple_pair()
+    assert becomes_iso_after_sh(a1, a2) is ref_becomes_iso_after_sh(a1, a2) is True
+    rng = Random(53)
+    verdicts = []
+    for _ in range(240):
+        a = _random_product(rng)
+        b = _pushed_partner(rng, a) if rng.random() < 0.75 else _random_product(rng)
+        got = becomes_iso_after_sh(a, b)
+        assert got == ref_becomes_iso_after_sh(a, b) == ref_becomes_iso_after_sh(b, a), (a, b)
+        assert got == becomes_iso_after_sh(b, a)
+        verdicts.append(got)
+    assert 60 <= sum(verdicts) <= 180
+
+
+RESIDUE = "^residue parameters s, t must be positive$"
+BAD_RESIDUES = [(0, 1), (1, 0), (-1, 2), (0, 0)]
+
+
+@pytest.mark.parametrize("s, t", BAD_RESIDUES)
+def test_sh_signature_rejects_residue_parameters_below_one(s, t):
+    with pytest.raises(ValueError, match=RESIDUE):
+        sh_signature(sig(2, 2), s, t)
+
+
+@pytest.mark.parametrize("s, t", BAD_RESIDUES)
+def test_descend_signature_rejects_residue_parameters_below_one(s, t):
+    with pytest.raises(ValueError, match=RESIDUE):
+        descend_signature((2, 2), s, t)
+
+
+@pytest.mark.parametrize("s, t", BAD_RESIDUES)
+def test_sh_permutation_rejects_residue_parameters_below_one(s, t):
+    with pytest.raises(ValueError, match=RESIDUE):
+        sh_permutation(s, t, sig(2, 2))
+
+
+@pytest.mark.parametrize("s, t", BAD_RESIDUES + [(-9, -9)])
+def test_verify_sh_pattern_rejects_residue_parameters_below_one(s, t):
+    with pytest.raises(ValueError, match=RESIDUE):
+        verify_sh_pattern(s, t, sig(2, 2))
 
 
 def test_grid_has_the_documented_size():

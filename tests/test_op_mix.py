@@ -1,0 +1,24 @@
+"""tools/op_mix.py: one timed patterns cycle lists every query kind."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KINDS = ("inv", "iso_rot", "iso_pert", "roundtrip", "not_divisible", "not_periodic",
+         "ss_perm", "ss_pert", "sh_iso", "sh_pert", "sh_verify", "radical")
+
+
+def test_one_patterns_cycle_reports_every_query_kind():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "op_mix.py"), "patterns",
+                           "--seed", "61", "--cycles", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "patterns, seed 61, median of 1 cycles (ms per cycle)"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert set(rows) == set(KINDS) | {"cycle"}
+    assert rows["roundtrip"][0] == "30" and rows["radical"][0] == "15"
+    assert rows["cycle"][0] == "195"
+    assert all(float(row[-1]) >= 0 for row in rows.values())
+    assert "FAILED" not in proc.stdout

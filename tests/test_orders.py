@@ -1,5 +1,6 @@
 """Patterns, membership, cyclic invariants and isomorphism decisions."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -68,6 +69,22 @@ def test_pattern_of_4_2_by_block_expansion():
     for i in range(6):
         for j in range(6):
             assert pattern_of(sig).entries[i][j] == (1 if i < 4 and j >= 4 else 0)
+
+
+@pytest.mark.parametrize("parts", [(), (0,), (2, -1), (3, 0, 1), [1, -4]])
+def test_signature_rejects_parts_below_one(parts):
+    with pytest.raises(ValueError, match="^signature parts must be positive integers$"):
+        Signature(parts)
+
+
+def test_signature_converts_its_parts_to_an_int_tuple():
+    with pytest.raises(TypeError):
+        Signature(("3",))
+    with pytest.raises(TypeError):
+        Signature((2, "3"))
+    for parts in [(4, 2), [4, 2], (4.0, True + 1)]:
+        sig = Signature(parts)
+        assert sig.parts == (4, 2) and all(type(p) is int for p in sig.parts)
 
 
 def test_block_index_is_block_of_every_position():
@@ -147,6 +164,54 @@ def test_pattern_pow_equals_repeated_products():
             assert pattern_pow(p, r).entries == power, (p, r)
     with pytest.raises(ValueError):
         pattern_pow(p, 0)
+
+
+def _pattern_with_repeats(rng, n):
+    """An n x n pattern with planted equal rows and/or equal columns:
+    either every entry is read off a smaller matrix through a class map
+    (rows and columns repeat together), or rows or columns of an
+    arbitrary pattern are copied onto others (only one side repeats)."""
+    how = rng.choice(("classes", "rows", "columns", "both"))
+    if how == "classes":
+        c = rng.randint(1, n)
+        small = [[rng.randint(-3, 5) for _ in range(c)] for _ in range(c)]
+        cls = [rng.randrange(c) for _ in range(n)]
+        return PatternMatrix(tuple(tuple(small[cls[i]][cls[j]] for j in range(n))
+                                   for i in range(n)))
+    rows = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randint(1, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if how in ("rows", "both"):
+            rows[j] = list(rows[i])
+        if how in ("columns", "both"):
+            for row in rows:
+                row[j] = row[i]
+    return PatternMatrix(tuple(map(tuple, rows)))
+
+
+def test_pattern_pow_matches_oracle_on_repeated_rows_and_columns():
+    rng = Random(43)
+    for _ in range(160):
+        p = _pattern_with_repeats(rng, rng.randint(1, 10))
+        assert pattern_pow(p, 1) == p
+        power = p.entries
+        for r in range(2, 8):
+            power = minplus_oracle(power, p.entries)
+            assert pattern_pow(p, r).entries == power, (p, r)
+
+
+def test_shift_shares_equal_rows_and_adds_to_every_entry():
+    rng = Random(47)
+    for _ in range(60):
+        p = rng.choice((_pattern_with_repeats, _random_pattern))(rng, rng.randint(1, 9))
+        k = rng.randint(-3, 3)
+        got = p.shift(k).entries
+        assert got == tuple(tuple(e + k for e in row) for row in p.entries)
+        for i in range(p.n):
+            for j in range(p.n):
+                if p.entries[i] == p.entries[j]:
+                    assert got[i] is got[j]
+    assert PatternMatrix(()).shift(1) == PatternMatrix(())
 
 
 def test_pattern_pow_squares_through_the_module_level_product(monkeypatch):
@@ -277,6 +342,16 @@ def test_cyclic_normal_form_examples():
     assert cyclic_normal_form((4, 2)) == (2, 4)
     assert cyclic_normal_form((3, 3, 3)) == (3, 3, 3)
     assert cyclic_normal_form((2, 1, 2, 1)) == (1, 2, 1, 2)
+
+
+def test_cyclic_normal_form_is_the_least_of_all_rotations():
+    # every tuple over {1, 2, 3} of length at most 7, repeated minima included
+    for length in range(1, 8):
+        for parts in product((1, 2, 3), repeat=length):
+            assert cyclic_normal_form(parts) == min(parts[k:] + parts[:k]
+                                                    for k in range(length)), parts
+    with pytest.raises(ValueError, match="empty tuple has no rotations"):
+        cyclic_normal_form(())
 
 
 @settings(deadline=None)

@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Median in-process time per op kind in one cycle of a benchmark workload.
+
+Run from the root of a checkout (stdlib only; the package is imported
+from ``src``)::
+
+    python3 tools/op_mix.py patterns --seed 61 --cycles 60
+
+The ops are the ones ``perfbench/run.py`` times, built by
+``perfbench/workloads.py``: ``patterns`` is split by query kind,
+``replay`` by scenario, and ``corpus`` by schedule slot, with
+``parse_session`` and ``run_session`` timed apart.  After one warm-up
+cycle, each cycle's time per kind is the sum over that kind's calls.
+The table prints, per kind, the calls in a cycle and the median of
+those sums over the cycles, in ms, and then the same for the whole
+cycle.  Every op is checked against what its construction predicts,
+and a failed check makes the exit status 1.  Nothing under
+``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+from collections import defaultdict
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _timed(fn):
+    start = perf_counter()
+    try:
+        result = fn()
+    except Exception as exc:  # an op's expected outcome may be an error
+        result = exc
+    return result, perf_counter() - start
+
+
+def corpus_cycle(h, workloads, seed: int, cycle: int):
+    """(kind, seconds, failure or None) of each parse and run in one cycle."""
+    slots = workloads.CORPUS_SCHEDULE
+    for slot, shape in enumerate(slots):
+        session = workloads.corpus.make_session(seed, cycle * len(slots) + slot, shape)
+        kind = f"{slot:2d} {shape.key}"
+        parsed, parse_s = _timed(lambda: h.parse_session(session.text))
+        if isinstance(parsed, BaseException):
+            yield kind + " parse", parse_s, f"raised {type(parsed).__name__}"
+            continue
+        yield kind + " parse", parse_s, None
+        rep, run_s = _timed(lambda: h.run_session(parsed, seed=seed))
+        failure = (f"raised {type(rep).__name__}" if isinstance(rep, BaseException) else
+                   workloads.check_report(session, [(c.name, c.actual, c.detail)
+                                                    for c in rep.checks]))
+        yield kind + " run", run_s, failure
+
+
+def op_cycle(source, cycle: int):
+    for i in range(cycle * source.cycle, (cycle + 1) * source.cycle):
+        op = source[i]
+        result, seconds = _timed(op.run)
+        yield op.key, seconds, op.check(result)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=("patterns", "replay", "corpus"))
+    parser.add_argument("--seed", type=int, default=61)
+    parser.add_argument("--cycles", type=int, default=20)
+    args = parser.parse_args(argv)
+    if args.cycles < 1:
+        parser.error("--cycles must be positive")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import horders as h
+    import workloads
+
+    if args.workload == "corpus":
+        def cycle(k):
+            return corpus_cycle(h, workloads, args.seed, k)
+    else:
+        make = workloads.patterns_ops if args.workload == "patterns" else workloads.replay_ops
+        source = make(h, args.seed)
+
+        def cycle(k):
+            return op_cycle(source, k)
+
+    failures = [f"{kind}: {f}" for kind, _, f in cycle(0) if f]  # warm-up, untimed
+    per_kind: dict[str, list[float]] = defaultdict(list)
+    counts: dict[str, int] = {}
+    totals = []
+    for k in range(1, args.cycles + 1):
+        sums: dict[str, float] = defaultdict(float)
+        calls: dict[str, int] = defaultdict(int)
+        for kind, seconds, failure in cycle(k):
+            sums[kind] += seconds
+            calls[kind] += 1
+            if failure:
+                failures.append(f"{kind}: {failure}")
+        for kind, seconds in sums.items():
+            per_kind[kind].append(seconds)
+        counts = dict(calls)
+        totals.append(sum(sums.values()))
+
+    width = max(map(len, per_kind))
+    print(f"{args.workload}, seed {args.seed}, median of {args.cycles} cycles "
+          f"(ms per cycle)")
+    for kind, samples in per_kind.items():
+        print(f"  {kind:<{width}}  {counts[kind]:4d} calls  {statistics.median(samples) * 1e3:9.3f}")
+    print(f"  {'cycle':<{width}}  {sum(counts.values()):4d} calls  "
+          f"{statistics.median(totals) * 1e3:9.3f}")
+    for failure in failures:
+        print(f"FAILED {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
