@@ -46,11 +46,6 @@ def _report_output(report: Report) -> tuple[dict, str]:
     return payload, "\n".join(lines)
 
 
-def emit(report: Report, fmt: str = "text") -> bytes:
-    """Render a session report; JSON is byte-stable for identical runs."""
-    return _render(*_report_output(report), fmt == "json")
-
-
 def _is_digits(text: str) -> bool:
     """A run of the ASCII digits 0-9; ``int()`` also takes ``٤``, ``4_0`` and ``+4``."""
     return text.isascii() and text.isdigit()

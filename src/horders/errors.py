@@ -109,10 +109,6 @@ class IndeterminateValuation(HordersError):
     """The jet is zero up to its precision, so its valuation is unknown."""
 
 
-class NegativeValuation(HordersError):
-    """A residue was requested for a jet with a pole."""
-
-
 class InsufficientPrecision(HordersError):
     """The requested comparison or coefficient lies beyond the known precision."""
 

@@ -260,15 +260,13 @@ def smat_is_zero(m: SMat) -> bool:
 # Hermitian diagonalisation and isotropy
 
 
-def diagonalize_form(b: SMat, epsilon: int = 1) -> tuple[list[Fraction], SMat]:
+def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     """Congruence-diagonalise a hermitian scalar matrix.
 
     Returns (diagonal entries, C) with conj-transpose(C) * b * C equal
     to the diagonal matrix.  The diagonal entries of a hermitian form
     over these scalar models are conjugation-fixed, hence rational.
     """
-    if epsilon != 1:
-        raise UnsupportedFormKind("only epsilon = +1 forms are diagonalised")
     n = len(b)
     kind = b[0][0].kind
     work = [list(row) for row in b]
@@ -350,7 +348,7 @@ def represent_norm(kind: ScalarKind, rho: Fraction) -> Scalar | None:
     num, den = rho.numerator, rho.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Scalar.rational(kind, Q(rn, rd))
+        return Scalar.of(kind, Q(rn, rd))
     if kind.core == "base":
         return None
     weights = (1, abs(kind.d)) if kind.core == "quad" else (1, 1, 1, 1)
@@ -383,7 +381,7 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
                 raise ScalarKindMismatch(f"form entry over {e.kind}, expected {kind}")
     if smat_conj_transpose(b) != b:
         raise NotEpsilonHermitian("form matrix is not hermitian")
-    diag, trans = diagonalize_form(b, epsilon)
+    diag, trans = diagonalize_form(b)
     pos = sum(1 for d in diag if d > 0)
     neg = n - pos
     signature = tuple(sorted((pos, neg), reverse=True))

@@ -56,7 +56,7 @@ p(X) != 0: with c * t^v its lowest term, p(X) / X^v is c mod X and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from math import lcm, prod
 from operator import add
 
@@ -84,23 +84,15 @@ class JetMatrix:
 
     @staticmethod
     def of(rows: Sequence[Sequence[LaurentJet]]) -> "JetMatrix":
-        if not rows:
+        if not rows or not rows[0]:
             raise SizeMismatch("matrix must be nonempty")
         kind = rows[0][0].kind
         return JetMatrix(kind, tuple(tuple(row) for row in rows))
 
     @staticmethod
-    def zeros(kind: ScalarKind, n: int) -> "JetMatrix":
-        z = LaurentJet.zero(kind)
-        return JetMatrix(kind, tuple(tuple(z for _ in range(n)) for _ in range(n)))
-
-    @staticmethod
-    def identity(kind: ScalarKind, n: int) -> "JetMatrix":
-        z, o = LaurentJet.zero(kind), LaurentJet.one(kind)
-        return JetMatrix(kind, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    @staticmethod
     def diagonal(entries: Sequence[LaurentJet]) -> "JetMatrix":
+        if not entries:
+            raise SizeMismatch("matrix must be nonempty")
         kind = entries[0].kind
         z = LaurentJet.zero(kind)
         n = len(entries)
@@ -109,6 +101,8 @@ class JetMatrix:
 
     @staticmethod
     def dsum(*blocks: "JetMatrix") -> "JetMatrix":
+        if not blocks:
+            raise SizeMismatch("matrix must be nonempty")
         kind = blocks[0].kind
         n = sum(b.n for b in blocks)
         z = LaurentJet.zero(kind)
@@ -123,14 +117,6 @@ class JetMatrix:
             off += b.n
         return JetMatrix.of(rows)
 
-    @staticmethod
-    def unit(kind: ScalarKind, n: int, i: int, j: int, jet: LaurentJet | None = None) -> "JetMatrix":
-        """Matrix with a single entry at (i, j), zero elsewhere."""
-        z = LaurentJet.zero(kind)
-        e = jet if jet is not None else LaurentJet.one(kind)
-        return JetMatrix(kind, tuple(
-            tuple(e if (r, c) == (i, j) else z for c in range(n)) for r in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -143,16 +129,6 @@ class JetMatrix:
             raise ScalarKindMismatch(f"{self.kind} vs {other.kind}")
         if self.n != other.n:
             raise SizeMismatch(f"{self.n}x{self.n} vs {other.n}x{other.n}")
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check(other)
-        return JetMatrix(self.kind, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check(other)
-        return JetMatrix(self.kind, tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "JetMatrix":
         return JetMatrix(self.kind, tuple(tuple(-a for a in row) for row in self.rows))
@@ -177,16 +153,10 @@ class JetMatrix:
             out.append(tuple(out_row))
         return JetMatrix(kind, tuple(out))
 
-    def map(self, fn: Callable[[LaurentJet], LaurentJet]) -> "JetMatrix":
-        return JetMatrix.of([[fn(e) for e in row] for row in self.rows])
-
     def conj_transpose(self) -> "JetMatrix":
         n = self.n
         return JetMatrix(self.kind, tuple(
             tuple(self.rows[j][i].conj() for j in range(n)) for i in range(n)))
-
-    def shift(self, k: int) -> "JetMatrix":
-        return self.map(lambda e: e.shift(k))
 
     def onto(self, kind: ScalarKind) -> "JetMatrix":
         """This matrix over ``kind``, an extension of its kind by a root."""
@@ -195,9 +165,6 @@ class JetMatrix:
     @property
     def is_exact(self) -> bool:
         return all(e.is_exact for row in self.rows for e in row)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
 
     def agrees(self, other: "JetMatrix") -> bool:
         self._check(other)

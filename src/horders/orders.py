@@ -74,16 +74,8 @@ class Signature:
         return tuple(starts)
 
     def block_index(self) -> tuple[int, ...]:
-        """The block of every position: one pass, where block_of rescans."""
+        """The block of every position, in one pass over the parts."""
         return tuple([b for b, p in enumerate(self.parts) for _ in range(p)])
-
-    def block_of(self, index: int) -> int:
-        acc = 0
-        for b, p in enumerate(self.parts):
-            acc += p
-            if index < acc:
-                return b
-        raise IndexError(index)
 
 
 @record
@@ -122,9 +114,6 @@ class PatternMatrix:
         """Add k to every entry; equal rows share one shifted row."""
         done = {row: tuple([e + k for e in row]) for row in dict.fromkeys(self.entries)}
         return PatternMatrix(tuple([done[row] for row in self.entries]))
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
 
 
 def _block_pattern(sig: Signature, diagonal: int) -> PatternMatrix:

@@ -46,7 +46,6 @@ from operator import add
 from .errors import (
     IndeterminateValuation,
     InsufficientPrecision,
-    NegativeValuation,
     NotInvertible,
     ScalarKindMismatch,
     SizeMismatch,
@@ -135,9 +134,6 @@ class ScalarKind:
         if self.ext is not None:
             raise ValueError("kind is already extended")
         return ScalarKind(self.core, self.d, d)
-
-    def unextended(self) -> "ScalarKind":
-        return ScalarKind(self.core, self.d)
 
     def __str__(self) -> str:
         name = {"base": "base", "quad": f"quadratic({self.d})", "quat": "quaternion"}[self.core]
@@ -234,10 +230,6 @@ class Scalar:
         return Scalar(kind, parts + (0,) * (kind.dim - len(parts)))
 
     @staticmethod
-    def rational(kind: ScalarKind, value) -> "Scalar":
-        return Scalar.of(kind, value)
-
-    @staticmethod
     def zero(kind: ScalarKind) -> "Scalar":
         return _raw(kind, (0,) * kind.dim, 1)
 
@@ -250,13 +242,6 @@ class Scalar:
         num = [0] * kind.dim
         num[index] = 1
         return _raw(kind, tuple(num), 1)
-
-    @staticmethod
-    def sqrt_gen(kind: ScalarKind) -> "Scalar":
-        """The quadratic generator sqrt(d) of a quadratic core."""
-        if kind.core != "quad":
-            raise ScalarKindMismatch(f"{kind} has no quadratic generator")
-        return Scalar.basis(kind, 1)
 
     @staticmethod
     def ext_gen(kind: ScalarKind) -> "Scalar":
@@ -307,18 +292,12 @@ class Scalar:
                     self.den)
 
     def _norm_num(self) -> int:
-        # den^2 * norm, an integer
+        # den^2 * x * conj(x), an integer, on an unextended kind
         k = self.kind
-        if k.ext is not None:
-            raise ScalarKindMismatch("norm is only rational-valued on unextended kinds")
         if k.core == "quad":
             a, b = self.num
             return a * a - k.d * b * b
         return sum(p * p for p in self.num)
-
-    def norm(self) -> Q:
-        """x * conj(x) as a rational; positive definite on unextended kinds."""
-        return Q(self._norm_num(), self.den * self.den)
 
     def inverse(self) -> "Scalar":
         k = self.kind
@@ -592,7 +571,7 @@ class LaurentJet:
 
     @staticmethod
     def constant(kind: ScalarKind, value, precision: int | None = None) -> "LaurentJet":
-        s = value if isinstance(value, Scalar) else Scalar.rational(kind, value)
+        s = value if isinstance(value, Scalar) else Scalar.of(kind, value)
         return LaurentJet(kind, 0, (s,), precision)
 
     @staticmethod
@@ -601,12 +580,12 @@ class LaurentJet:
 
     @staticmethod
     def t_power(kind: ScalarKind, exp: int, coeff=1, precision: int | None = None) -> "LaurentJet":
-        s = coeff if isinstance(coeff, Scalar) else Scalar.rational(kind, coeff)
+        s = coeff if isinstance(coeff, Scalar) else Scalar.of(kind, coeff)
         return LaurentJet(kind, exp, (s,), precision)
 
     @staticmethod
     def from_coeffs(kind: ScalarKind, lowest_exp: int, values, precision: int | None = None) -> "LaurentJet":
-        coeffs = [v if isinstance(v, Scalar) else Scalar.rational(kind, v) for v in values]
+        coeffs = [v if isinstance(v, Scalar) else Scalar.of(kind, v) for v in values]
         return LaurentJet(kind, lowest_exp, coeffs, precision)
 
     # -- structure ----------------------------------------------------------
@@ -644,15 +623,6 @@ class LaurentJet:
             return self.coeffs[exp - self.lowest_exp]
         return Scalar.zero(self.kind)
 
-    def residue(self) -> Scalar:
-        """Coefficient at exponent 0 of a pole-free jet."""
-        if not self.coeffs:
-            raise IndeterminateValuation(
-                "jet is zero up to its precision; residue class undetermined")
-        if self.lowest_exp < 0:
-            raise NegativeValuation(f"valuation {self.lowest_exp} < 0")
-        return self.coeff(0)
-
     def _check(self, other: "LaurentJet") -> None:
         _same_kind(self.kind, other.kind)
 
@@ -681,11 +651,6 @@ class LaurentJet:
         acc = _Accumulator(self.kind)
         acc.add_product(self, other)
         return acc.jet(_product_precision(self, other))
-
-    def shift(self, k: int) -> "LaurentJet":
-        """Multiply by t^k."""
-        prec = None if self.precision is None else self.precision + k
-        return LaurentJet(self.kind, self.lowest_exp + k, self.coeffs, prec)
 
     def conj(self) -> "LaurentJet":
         if self.kind.core == "base":  # the conjugation fixes every coefficient

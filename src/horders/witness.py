@@ -38,6 +38,7 @@ component that the ``matrices`` module docstring describes.
 from __future__ import annotations
 
 import time
+from itertools import product
 
 from .basechange import becomes_iso_after_sh, verify_sh_pattern
 from .errors import (
@@ -406,17 +407,21 @@ def _replay_semisimple() -> list[StepResult]:
     ]
 
 
-def sh_grid(max_st: int = 3, max_part: int = 3, max_len: int = 3, max_size: int = 36):
-    """All (s, t, sig) combinations in the desk-scale verification grid."""
+GRID_MAX_ST, GRID_MAX_PART, GRID_MAX_LEN, GRID_MAX_SIZE = 3, 3, 3, 36
+
+
+def sh_grid():
+    """All (s, t, sig) combinations in the desk-scale verification grid:
+    s and t up to GRID_MAX_ST, up to GRID_MAX_LEN parts in
+    1..GRID_MAX_PART, and s * t * n at most GRID_MAX_SIZE."""
     sigs = []
-    parts = range(1, max_part + 1)
-    from itertools import product
-    for length in range(1, max_len + 1):
+    parts = range(1, GRID_MAX_PART + 1)
+    for length in range(1, GRID_MAX_LEN + 1):
         sigs.extend(Signature(p) for p in product(parts, repeat=length))
-    for s in range(1, max_st + 1):
-        for t in range(1, max_st + 1):
+    for s in range(1, GRID_MAX_ST + 1):
+        for t in range(1, GRID_MAX_ST + 1):
             for sig in sigs:
-                if s * t * sig.n <= max_size:
+                if s * t * sig.n <= GRID_MAX_SIZE:
                     yield s, t, sig
 
 

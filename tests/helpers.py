@@ -31,6 +31,18 @@ def random_jet(kind: ScalarKind, rng: Random, *, lowest: int = -2, highest: int 
     return LaurentJet(kind, lo, coeffs, precision)
 
 
+def entrywise(fn, *mats: JetMatrix) -> JetMatrix:
+    """The matrix whose (i, j) entry is fn of the (i, j) entries of mats."""
+    return JetMatrix.of([[fn(*entries) for entries in zip(*rows)]
+                         for rows in zip(*(m.rows for m in mats))])
+
+
+def single_entry(kind: ScalarKind, n: int, i: int, j: int, jet: LaurentJet) -> JetMatrix:
+    """The n x n matrix with jet at (i, j) and exact zeros elsewhere."""
+    zero = LaurentJet.zero(kind)
+    return JetMatrix.of([[jet if (r, c) == (i, j) else zero for c in range(n)] for r in range(n)])
+
+
 def kfold_power(x: LaurentJet, k: int) -> LaurentJet:
     """x ** k as |k| successive products of x (of x's inverse when k < 0):
     the reference for the repeated squaring in ``LaurentJet.__pow__``."""
@@ -114,8 +126,7 @@ def ref_geometric_inverse(jet: LaurentJet, precision: int | None = None) -> Laur
         raise InsufficientPrecision(
             f"inverse of a valuation-{v} jet known modulo t^{jet.precision} "
             "would carry no coefficients")
-    unit = jet.shift(-v)
-    unit = LaurentJet(jet.kind, unit.lowest_exp, unit.coeffs, unit_prec)
+    unit = LaurentJet(jet.kind, 0, jet.coeffs, unit_prec)
     z = LaurentJet(jet.kind, unit.lowest_exp, tuple(lead_inv * c for c in unit.coeffs),
                    unit.precision) - LaurentJet.one(jet.kind)  # valuation >= 1
     acc = LaurentJet.one(jet.kind)
@@ -127,8 +138,7 @@ def ref_geometric_inverse(jet: LaurentJet, precision: int | None = None) -> Laur
         acc = acc + term
     inv_unit = LaurentJet(acc.kind, acc.lowest_exp, tuple(c * lead_inv for c in acc.coeffs),
                           acc.precision)
-    inv_unit = LaurentJet(jet.kind, inv_unit.lowest_exp, inv_unit.coeffs, unit_prec)
-    return inv_unit.shift(-v)
+    return LaurentJet(jet.kind, inv_unit.lowest_exp - v, inv_unit.coeffs, unit_prec - v)
 
 
 def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
@@ -153,22 +163,20 @@ def sample_block_unit(order: BlockOrder, rng: Random, *, bound: int = 2) -> JetM
     so the inverse is again in the order and all arithmetic stays exact.
     """
     kind = order.division.kind
+    one, zero = LaurentJet.one(kind), LaurentJet.zero(kind)
     blocks = []
     for size in order.sig.parts:
-        lower = JetMatrix.identity(kind, size)
-        upper = JetMatrix.identity(kind, size)
+        lower = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        upper = [[one if i == j else zero for j in range(size)] for i in range(size)]
         for i in range(size):
             for j in range(size):
-                if i > j:
+                if i != j:
                     c = random_scalar(kind, rng, bound)
-                    lower = lower + JetMatrix.unit(kind, size, i, j, LaurentJet.constant(kind, c))
-                elif i < j:
-                    c = random_scalar(kind, rng, bound)
-                    upper = upper + JetMatrix.unit(kind, size, i, j, LaurentJet.constant(kind, c))
+                    (lower if i > j else upper)[i][j] = LaurentJet.constant(kind, c)
         diag = JetMatrix.diagonal([
             LaurentJet.constant(kind, random_scalar(kind, rng, bound, nonzero=True))
             for _ in range(size)])
-        blocks.append(lower @ diag @ upper)
+        blocks.append(JetMatrix.of(lower) @ diag @ JetMatrix.of(upper))
     return JetMatrix.dsum(*blocks)
 
 
@@ -235,7 +243,7 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
     n = a.n
     for i in range(n):
         for j in range(n):
-            g = JetMatrix.unit(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
+            g = single_entry(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
             image = ainv @ apply_tau(g) @ a
             ok, bad = meets_pattern(image, pattern)
             if not ok:
@@ -358,7 +366,7 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
     n = order.sig.n
     for i in range(n):
         for j in range(n):
-            g = JetMatrix.unit(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
+            g = single_entry(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
             if not holds(g):
                 return failure(
                     "TransportFailed",
@@ -381,7 +389,7 @@ def ref_identity_check(w: WitnessCheck) -> Diagnostics:
     the first differing entry with both jets in the detail."""
     u, a1, a2, alpha = _exact_operands(w)
     lhs = apply_tau(u) @ a2 @ u
-    rhs = a1.map(lambda e: alpha * e)
+    rhs = entrywise(lambda e: alpha * e, a1)
     bad = next(((i, j) for i in range(u.n) for j in range(u.n)
                 if lhs.entry(i, j) != rhs.entry(i, j)), None)
     if bad is None:
@@ -649,7 +657,7 @@ def ref_parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
         if kind.ext == d:
             return LaurentJet.constant(kind, Scalar.ext_gen(kind))
         if kind.core == "quad" and kind.d == d:
-            return LaurentJet.constant(kind, Scalar.sqrt_gen(kind))
+            return LaurentJet.constant(kind, Scalar.basis(kind, 1))
         raise SessionTypeError(
             f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", cur.line, cur.col(at))
     raise SessionSyntaxError(f"unexpected token {tok!r} in expression", cur.line, cur.col(at))

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import time
+from operator import add
 from random import Random
 
 from horders.basechange import (
@@ -53,7 +54,7 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import random_scalar, sample_block_unit, sample_element
+from helpers import entrywise, random_scalar, sample_block_unit, sample_element
 
 KINDS = [BASE, quadratic(-1), QUATERNION]
 
@@ -80,7 +81,7 @@ def test_criterion_1_main_replay_with_exact_witnesses():
     spec1, spec2, w_fiber, w_etale = counterexample_pair()
     t = LaurentJet.t_power(BASE, 1)
     lhs = apply_tau(w_fiber.u) @ spec2.gauge @ w_fiber.u
-    fiber_exact = lhs == spec1.gauge.map(lambda e: t * e)
+    fiber_exact = lhs == entrywise(lambda e: t * e, spec1.gauge)
 
     ext = BASE.extended(-1)
     lhs_e = apply_tau(w_etale.u) @ spec2.gauge.onto(ext) @ w_etale.u
@@ -200,7 +201,7 @@ def test_criterion_7b_pattern_ring_closure():
         x = sample_element(order, rng)
         y = sample_element(order, rng)
         j = sample_element(order, rng, radical=True)
-        ok = ok and contains(order, x + y) and contains(order, x @ y)
+        ok = ok and contains(order, entrywise(add, x, y)) and contains(order, x @ y)
         ok = ok and in_radical(order, j @ y) and in_radical(order, y @ j)
     _report(7, ok, "7b: sums and products close in the order, radical absorbs (1000 cases)")
 
@@ -238,7 +239,7 @@ def test_criterion_7d_congruence_invariance():
         kind = KINDS[case % 3]
         n = rng.randint(1, 3)
         diag = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
-        b = tuple(tuple(Scalar.rational(kind, diag[i] if i == j else 0)
+        b = tuple(tuple(Scalar.of(kind, diag[i] if i == j else 0)
                         for j in range(n)) for i in range(n))
         c = _random_invertible(kind, n, rng)
         b2 = smat_mul(smat_conj_transpose(c), smat_mul(b, c))
@@ -249,8 +250,8 @@ def test_criterion_7d_congruence_invariance():
 
 
 def _random_invertible(kind, n, rng):
-    lower = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    lower = [[Scalar.of(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    upper = [[Scalar.of(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i > j:

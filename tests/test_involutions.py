@@ -4,6 +4,7 @@ import pickle
 import re
 import sys
 import threading
+from operator import add
 from random import Random
 
 import pytest
@@ -53,10 +54,12 @@ from horders.scalars import (
 from horders.witness import counterexample_pair
 
 from helpers import (
+    entrywise,
     random_scalar,
     ref_inverse_valuations,
     sample_block_unit,
     sample_element,
+    single_entry,
     wellformed_by_adjugate,
     wellformed_by_products,
 )
@@ -84,7 +87,7 @@ def diag(kind, *entries):
 
 
 def smat(kind, rows):
-    return tuple(tuple(Scalar.rational(kind, v) if not isinstance(v, Scalar) else v
+    return tuple(tuple(Scalar.of(kind, v) if not isinstance(v, Scalar) else v
                        for v in row) for row in rows)
 
 
@@ -117,7 +120,7 @@ def test_tau_is_an_involution_on_random_matrices():
 
 def test_sigma_with_identity_gauge_is_tau():
     a = order(2, 1)
-    spec = InvolutionSpec(a, JetMatrix.identity(BASE, 3))
+    spec = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 3))
     rng = Random(43)
     x = sample_element(a, rng)
     assert apply_sigma(spec, x) == apply_tau(x)
@@ -126,11 +129,11 @@ def test_sigma_with_identity_gauge_is_tau():
 def test_sigma_on_the_bundled_gauge_stays_in_the_order():
     spec1, spec2, _, _ = counterexample_pair()
     kind = spec2.order.division.kind
-    g = JetMatrix.unit(kind, 6, 4, 5, LaurentJet.t_power(kind, 1))  # t*e[5,6]
+    g = single_entry(kind, 6, 4, 5, LaurentJet.t_power(kind, 1))  # t*e[5,6]
     image = apply_sigma(spec2, g)
     assert contains(spec2.order, image)
     # direct evaluation: a2^-1 tau(t e[5,6]) a2 = -t e[6,5]
-    expected = JetMatrix.unit(kind, 6, 5, 4, LaurentJet.t_power(kind, 1, -1))
+    expected = single_entry(kind, 6, 5, 4, LaurentJet.t_power(kind, 1, -1))
     assert image == expected
 
 
@@ -145,11 +148,12 @@ def test_gauge_inverse_at_low_precision_is_insufficient_precision():
         [z, LaurentJet.from_coeffs(BASE, -1, [2, 0, 0, 1]), t(BASE, -1, -2)],
         [z, t(BASE, -1, -2), t(BASE, -1, 2)],
     ])
-    truncated = gauge.map(
-        lambda e: LaurentJet(BASE, e.lowest_exp, e.coeffs, e.lowest_exp + 3) if e.coeffs else e)
+    truncated = entrywise(
+        lambda e: LaurentJet(BASE, e.lowest_exp, e.coeffs, e.lowest_exp + 3) if e.coeffs else e,
+        gauge)
     with pytest.raises(InsufficientPrecision, match="the matrix must be exact"):
         truncated.inverse()
-    assert (gauge @ gauge.inverse()).agrees(JetMatrix.identity(BASE, 3))
+    assert (gauge @ gauge.inverse()).agrees(JetMatrix.diagonal([LaurentJet.one(BASE)] * 3))
 
 
 def test_sigma_with_a_truncated_gauge_is_insufficient_precision():
@@ -161,7 +165,7 @@ def test_sigma_with_a_truncated_gauge_is_insufficient_precision():
         gauge.inverse()
     spec = InvolutionSpec(order(1, 1), gauge)
     with pytest.raises(InsufficientPrecision):
-        apply_sigma(spec, JetMatrix.identity(BASE, 2))
+        apply_sigma(spec, JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))
 
 
 def test_sigma_squares_to_identity():
@@ -194,7 +198,7 @@ def test_bundled_gauges_are_wellformed():
 
 def test_identity_gauge_is_wellformed_on_a_maximal_order():
     a = order(2)
-    assert wellformed(InvolutionSpec(a, JetMatrix.identity(BASE, 2))).ok
+    assert wellformed(InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))).ok
 
 
 def test_identity_gauge_fails_on_a_multi_block_order():
@@ -202,7 +206,7 @@ def test_identity_gauge_fails_on_a_multi_block_order():
     # above-diagonal position that demands positive valuation; only the
     # t-powers of a compensating gauge restore stability
     a = order(4, 2)
-    diagres = wellformed(InvolutionSpec(a, JetMatrix.identity(BASE, 6)))
+    diagres = wellformed(InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 6)))
     assert not diagres.ok
     assert diagres.code == "NotStable"
 
@@ -266,8 +270,8 @@ def _random_gauge_spec(kind, rng):
     if shape == 0:
         u = sample_block_unit(a, rng, bound=1)
     elif shape == 1:  # non-monomial unit: its inverse is truncated
-        u = sample_block_unit(a, rng, bound=1) + JetMatrix.diagonal(
-            [LaurentJet.t_power(kind, 1, random_scalar(kind, rng, 1)) for _ in range(n)])
+        u = entrywise(add, sample_block_unit(a, rng, bound=1), JetMatrix.diagonal(
+            [LaurentJet.t_power(kind, 1, random_scalar(kind, rng, 1)) for _ in range(n)]))
     else:  # dense element of the order, mixing the blocks
         u = sample_element(a, rng, bound=1)
     return InvolutionSpec(a, apply_tau(u) @ d @ u)
@@ -297,8 +301,8 @@ def _spread_gauge_spec(rng):
     if shape == 0:
         u = sample_block_unit(a, rng)
     elif shape == 1:
-        u = sample_block_unit(a, rng) + JetMatrix.diagonal(
-            [LaurentJet.t_power(BASE, 1, random_scalar(BASE, rng, 2)) for _ in range(n)])
+        u = entrywise(add, sample_block_unit(a, rng), JetMatrix.diagonal(
+            [LaurentJet.t_power(BASE, 1, random_scalar(BASE, rng, 2)) for _ in range(n)]))
     else:
         u = sample_element(a, rng, bound=2)
     return InvolutionSpec(a, apply_tau(u) @ d @ u)
@@ -504,7 +508,7 @@ def test_residue_blocks_of_the_bundled_involutions():
 
 def test_identity_gauge_residue_block_on_a_maximal_order():
     a = order(3)
-    res = residue_involution(InvolutionSpec(a, JetMatrix.identity(BASE, 3)))
+    res = residue_involution(InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 3)))
     assert len(res.blocks) == 1
     assert res.blocks[0].gauge == smat_identity(BASE, 3)
     assert res.blocks[0].t_power == 0
@@ -618,7 +622,7 @@ def test_congruence_invariance_sampled():
         kind = kinds[rng.randrange(3)]
         n = rng.randint(1, 3)
         diag_vals = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
-        b = tuple(tuple(Scalar.rational(kind, diag_vals[i] if i == j else 0)
+        b = tuple(tuple(Scalar.of(kind, diag_vals[i] if i == j else 0)
                         for j in range(n)) for i in range(n))
         c = _random_invertible_smat(kind, n, rng)
         b2 = smat_mul(smat_conj_transpose(c), smat_mul(b, c))
@@ -636,7 +640,7 @@ def test_every_returned_witness_annihilates_its_form(kind):
     for trial in range(40):
         n = 2 + trial % 3
         diag_vals = [rng.choice([-1, 1]) * rng.randint(1, 6) for _ in range(n - 2)] + [1, -2]
-        b = tuple(tuple(Scalar.rational(kind, diag_vals[i] if i == j else 0)
+        b = tuple(tuple(Scalar.of(kind, diag_vals[i] if i == j else 0)
                         for j in range(n)) for i in range(n))
         c = _random_invertible_smat(kind, n, rng)
         b = smat_mul(smat_conj_transpose(c), smat_mul(b, c))
@@ -651,8 +655,8 @@ def test_every_returned_witness_annihilates_its_form(kind):
 
 
 def _random_invertible_smat(kind, n, rng):
-    lower = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Scalar.rational(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    lower = [[Scalar.of(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    upper = [[Scalar.of(kind, 1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i > j:
@@ -677,7 +681,7 @@ def test_bundled_involutions_are_not_residually_anisotropic():
 
 def test_identity_gauge_is_residually_anisotropic():
     a = order(5)
-    assert residually_anisotropic(InvolutionSpec(a, JetMatrix.identity(BASE, 5)))
+    assert residually_anisotropic(InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 5)))
     b = order(3, 2)
     gauge = JetMatrix.diagonal([LaurentJet.one(BASE)] * 3 + [LaurentJet.t_power(BASE, 1)] * 2)
     assert residually_anisotropic(InvolutionSpec(b, gauge))
@@ -702,8 +706,8 @@ def test_distinguish_ignores_global_gauge_sign():
 
 
 def test_distinguish_on_non_isomorphic_orders():
-    s1 = InvolutionSpec(order(1, 1), JetMatrix.identity(BASE, 2))
-    s2 = InvolutionSpec(order(2), JetMatrix.identity(BASE, 2))
+    s1 = InvolutionSpec(order(1, 1), JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))
+    s2 = InvolutionSpec(order(2), JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))
     assert distinguish(s1, s2).distinguished
 
 

@@ -6,11 +6,11 @@ from random import Random
 import pytest
 
 from horders import matrices
-from horders.errors import NotInvertible
+from horders.errors import NotInvertible, SizeMismatch
 from horders.matrices import JetMatrix
 from horders.scalars import BASE, DEFAULT_PRECISION, QUATERNION, LaurentJet, Q, Scalar
 
-from helpers import random_jet, random_scalar, ref_gauss_jordan_inverse, ref_matmul
+from helpers import entrywise, random_jet, random_scalar, ref_gauss_jordan_inverse, ref_matmul
 from test_scalars import REF_KINDS, kernel_jet
 
 
@@ -19,11 +19,19 @@ def mat(*rows) -> JetMatrix:
     return JetMatrix.of([[LaurentJet.from_coeffs(BASE, 0, e) for e in row] for row in rows])
 
 
-ONE = JetMatrix.identity(BASE, 1)
+ONE = JetMatrix.diagonal([LaurentJet.one(BASE)])
 # [[t, 1], [3t - 2, t]]: det = (t - 1)(t - 2), so D = 2 and t = 3 is the
 # only one of the points 1, ..., D + 1 where it is regular
 TWO_ROOTS = mat([[0, 1], [1]], [[-2, 3], [0, 1]])
 CYCLE = mat([[1], [1], []], [[], [1], [1]], [[1], [], [-1]])
+
+
+@pytest.mark.parametrize("build", [lambda: JetMatrix.of([]), lambda: JetMatrix.of([[]]),
+                                   lambda: JetMatrix.diagonal([]), lambda: JetMatrix.dsum()],
+                         ids=["of([])", "of([[]])", "diagonal([])", "dsum()"])
+def test_an_empty_matrix_is_a_size_mismatch(build):
+    with pytest.raises(SizeMismatch, match="^matrix must be nonempty$"):
+        build()
 
 
 @pytest.mark.parametrize("a, want", [
@@ -40,7 +48,7 @@ def test_invertible_past_the_roots_of_the_determinant(a, want):
 @pytest.mark.parametrize("a", [
     JetMatrix.dsum(ONE, mat([[1, 1], [1, 1]], [[1, 1], [1, 1]])),  # one singular component
     mat([[], []], [[1], [1]]),  # a zero row inside a connected component
-    JetMatrix.zeros(BASE, 1),
+    JetMatrix.diagonal([LaurentJet.zero(BASE)]),
     # det = 0, but the blocks on {1, 3} and {2} are regular: a component
     # follows nonzero entries above and below the diagonal
     CYCLE,
@@ -120,7 +128,7 @@ def test_inverse_matches_the_gauss_jordan_reference(kind):
                 a.inverse()
             continue
         inv = a.inverse()
-        one = JetMatrix.identity(kind, a.n)
+        one = JetMatrix.diagonal([LaurentJet.one(kind)] * a.n)
         assert (a @ inv).agrees(one) and (inv @ a).agrees(one)
         try:
             ref = ref_gauss_jordan_inverse(a)
@@ -144,6 +152,6 @@ def test_inverse_past_a_zero_divisor_pivot():
     assert a.field_invertible()
     inv = a.inverse()
     quarter = LaurentJet.constant(kind, Q(1, 4))
-    assert inv == a.map(lambda e: quarter * e)
-    one = JetMatrix.identity(kind, 2)
+    assert inv == entrywise(lambda e: quarter * e, a)
+    one = JetMatrix.diagonal([LaurentJet.one(kind)] * 2)
     assert a @ inv == one and inv @ a == one

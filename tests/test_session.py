@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from horders.cli import emit
+from horders.cli import main
 from horders.errors import (
     DuplicateIdentifier,
     SessionSyntaxError,
@@ -99,6 +99,20 @@ def test_deep_nesting_is_a_syntax_error_at_its_position(opener):
     assert line[err.value.col - 1] == opener  # the token the parser had reached
 
 
+@pytest.mark.parametrize("gauge, col, message", [
+    ("mat[[]]", 32, "unexpected token ']' in expression"),
+    ("diag()", 32, "unexpected token ')' in expression"),
+    ("dsum()", 32, "expected 'IDENT', got ')'"),
+])
+def test_an_empty_matrix_literal_is_a_syntax_error_at_its_position(gauge, col, message):
+    text = ("division D = base s=1 t=1\norder A = block(D; 2)\n"
+            f"involution s on A : gauge {gauge} eps +1 conj none\n")
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (3, col)
+    assert message in str(err.value)
+
+
 def test_gauge_size_mismatch_is_a_type_error():
     text = ("division D = base s=1 t=1\n"
             "order A = block(D; 1,1)\n"
@@ -186,7 +200,7 @@ def test_parenthesised_products_parse():
     s = parse_session(text)
     g = s.involutions["s1"].gauge
     from horders.scalars import QUATERNION, LaurentJet, Scalar
-    assert g.entry(1, 1) == LaurentJet.constant(QUATERNION, Scalar.rational(QUATERNION, 2))
+    assert g.entry(1, 1) == LaurentJet.constant(QUATERNION, Scalar.of(QUATERNION, 2))
     e = g.entry(0, 0)
     assert e.valuation() == 2
     assert e.coeff(2) == Scalar.of(QUATERNION, 1, -1)
@@ -235,17 +249,23 @@ def test_failed_expectations_are_reported_not_raised():
     assert report.checks[0].actual == "true"
 
 
-def test_emit_json_is_deterministic():
-    s = parse_session(corpus("main-counterexample.ho"))
-    r1 = emit(run_session(s, seed=5), "json")
-    r2 = emit(run_session(parse_session(corpus("main-counterexample.ho")), seed=5), "json")
+def check_output(name: str, capsysbinary, *flags: str) -> bytes:
+    """stdout of ``horders check`` on a bundled session."""
+    with resources.as_file(resources.files("horders.sessions").joinpath(name)) as path:
+        assert main(["check", str(path), *flags]) == 0
+    return capsysbinary.readouterr().out
+
+
+def test_emit_json_is_deterministic(capsysbinary):
+    r1 = check_output("main-counterexample.ho", capsysbinary, "--json")
+    r2 = check_output("main-counterexample.ho", capsysbinary, "--json")
     assert r1 == r2
     assert b'"schema": 1' in r1
 
 
-def test_emit_text_mentions_every_check():
+def test_emit_text_mentions_every_check(capsysbinary):
     s = parse_session(corpus("semisimple-basechange.ho"))
-    text = emit(run_session(s), "text").decode()
+    text = check_output("semisimple-basechange.ho", capsysbinary).decode()
     for check in s.checks:
         assert check.name in text
     assert "5/5 checks passed" in text

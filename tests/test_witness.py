@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from operator import add
 from random import Random
 
 import pytest
@@ -33,7 +34,8 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import ref_identity_check, ref_transport_check, sample_block_unit, transport_by_samples
+from helpers import (entrywise, ref_identity_check, ref_transport_check, sample_block_unit,
+                     single_entry, transport_by_samples)
 from test_scalars import REF_KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -92,7 +94,7 @@ def test_the_top_left_block_determinant_is_t():
 
 def test_trivial_witness():
     spec1, _, _, _ = counterexample_pair()
-    w = WitnessCheck(JetMatrix.identity(BASE, 6), LaurentJet.one(BASE),
+    w = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(BASE)] * 6), LaurentJet.one(BASE),
                      MODE_BASE, spec1, spec1)
     assert verify_witness(w).ok
     assert transport_check(w).ok
@@ -108,15 +110,15 @@ def test_wrong_alpha_is_an_identity_mismatch():
 def test_non_unit_alpha_is_reported():
     # gauges 1 and t^2 on the maximal order differ by the non-unit t^2
     a = BlockOrder(DivisionSpec("D"), Signature((2,)))
-    s_one = InvolutionSpec(a, JetMatrix.identity(BASE, 2))
-    s_t2 = InvolutionSpec(a, JetMatrix.identity(BASE, 2).shift(2))
+    s_one = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))
+    s_t2 = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.t_power(BASE, 2)] * 2))
     alpha = LaurentJet.t_power(BASE, 2)
-    w = WitnessCheck(JetMatrix.identity(BASE, 2), alpha, MODE_BASE, s_one, s_t2)
+    w = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(BASE)] * 2), alpha, MODE_BASE, s_one, s_t2)
     diag = verify_witness(w)
     assert not diag.ok and diag.code == "NotUnit"
     # over the fraction field the same alpha is a unit
     assert verify_witness(WitnessCheck(
-        JetMatrix.identity(BASE, 2), alpha, MODE_F, s_one, s_t2)).ok
+        JetMatrix.diagonal([LaurentJet.one(BASE)] * 2), alpha, MODE_F, s_one, s_t2)).ok
 
 
 def test_alpha_must_lie_in_the_mode_ring():
@@ -148,14 +150,15 @@ def test_verified_witnesses_transport(kind, s, t):
 
 def test_transport_samples_argument_has_no_effect():
     spec1, spec2, w_fiber, _ = counterexample_pair()
-    identity = WitnessCheck(JetMatrix.identity(BASE, 6), LaurentJet.one(BASE), MODE_F, spec1, spec2)
+    identity = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(BASE)] * 6), LaurentJet.one(BASE),
+                            MODE_F, spec1, spec2)
     for w in (w_fiber, identity):
         assert transport_check(w, 50) == transport_check(w)
 
 
 def test_transport_fails_with_a_counterexample_for_the_identity():
     spec1, spec2, _, _ = counterexample_pair()
-    w = WitnessCheck(JetMatrix.identity(BASE, 6), LaurentJet.one(BASE),
+    w = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(BASE)] * 6), LaurentJet.one(BASE),
                      MODE_F, spec1, spec2)
     diag = transport_check(w)
     assert not diag.ok
@@ -172,10 +175,8 @@ def _transport_case(kind, mode, rng, *, perturb):
     factor of a1 by e."""
     order = BlockOrder(DivisionSpec("D", kind), Signature((2, 1)))
     # a block unit times 1 + N, N = t*e[1,3] + e[3,2] in the radical
-    one, t = LaurentJet.one(kind), LaurentJet.t_power(kind, 1)
-    b = sample_block_unit(order, rng) @ (
-        JetMatrix.identity(kind, 3) + JetMatrix.unit(kind, 3, 0, 2, t)
-        + JetMatrix.unit(kind, 3, 2, 1, one))
+    one, t, z = LaurentJet.one(kind), LaurentJet.t_power(kind, 1), LaurentJet.zero(kind)
+    b = sample_block_unit(order, rng) @ JetMatrix.of([[one, z, t], [z, one, z], [z, one, one]])
     signs = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(3)]
     roots = [rng.random() < 0.5 for _ in range(3)]
     e = rng.choice((-1, 2, -3)) if mode == "etale" else 1
@@ -189,7 +190,7 @@ def _transport_case(kind, mode, rng, *, perturb):
     spec1, spec2 = InvolutionSpec(order, a1), InvolutionSpec(order, a2)
     if mode == "F":
         half = LaurentJet.from_coeffs(kind, 0, [Q(1, 2), Q(1, 2)])
-        return WitnessCheck(b.map(lambda e: half * e), half * half, MODE_F, spec1, spec2)
+        return WitnessCheck(entrywise(lambda e: half * e, b), half * half, MODE_F, spec1, spec2)
     if mode == "base":
         return WitnessCheck(b, one, MODE_BASE, spec1, spec2)
     ext = kind.extended(e)
@@ -219,8 +220,8 @@ def test_transport_needs_a_central_factor():
     a = BlockOrder(DivisionSpec("D", QUATERNION, 2, 1), Signature((1,)))
     qj, qk = (JetMatrix.diagonal([LaurentJet.constant(QUATERNION, Scalar.basis(QUATERNION, k))])
               for k in (2, 3))
-    w = WitnessCheck(JetMatrix.identity(QUATERNION, 1), LaurentJet.one(QUATERNION), MODE_F,
-                     InvolutionSpec(a, qj), InvolutionSpec(a, qk))
+    w = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(QUATERNION)]), LaurentJet.one(QUATERNION),
+                     MODE_F, InvolutionSpec(a, qj), InvolutionSpec(a, qk))
     diag = transport_check(w)
     assert (diag.code, diag.detail) == (
         "TransportFailed", "tau(u)*a2*u is not a central multiple of a1 at entry 1,1")
@@ -261,7 +262,7 @@ def _packed_case(kind, rng, case):
     and 1, so c * (u[0][i] * u[1][i] - u[1][i] * u[0][i]) cancels in entry
     (i, i) of tau(u) * a2 * u over a base core; ``roots`` puts sqrt(ext) on some
     diagonal entries of u; ``noncentral`` has a2 = qi * a1 and u = 1."""
-    base = kind.unextended()
+    base = ScalarKind(kind.core, kind.d)
     mode = MODE_F if kind.ext is None else mode_etale(kind.ext)
     n = rng.randint(2, 4 if kind.dim < 4 else 3)  # invertibility tests grow fast with n * dim
     order = BlockOrder(DivisionSpec("D", base), Signature((n,)))
@@ -278,7 +279,7 @@ def _packed_case(kind, rng, case):
             return None
         a1 = _mixed_matrix(base, rng, n)
         qi = LaurentJet.constant(base, Scalar.basis(base, 1))
-        return witness(JetMatrix.identity(base, n), one, a1, a1.map(lambda e: qi * e))
+        return witness(JetMatrix.diagonal([one] * n), one, a1, entrywise(lambda e: qi * e, a1))
     if case == "roots" and kind.ext is not None:
         b = _mixed_matrix(base, rng, n)
         roots = [rng.random() < 0.5 for _ in range(n)]
@@ -296,16 +297,17 @@ def _packed_case(kind, rng, case):
                           + list(a2.rows[2:]))
     if case == "wP":
         i = rng.randrange(n)
-        a2 = a2 + JetMatrix.unit(base, n, i, i, one - a2.entry(i, i))  # a2[i][i] = 1: t^40 survives
+        # a2[i][i] = 1: t^40 survives
+        a2 = entrywise(add, a2, single_entry(base, n, i, i, one - a2.entry(i, i)))
     alpha = LaurentJet.t_power(base, rng.randint(-2, 2), Q(rng.choice((1, -1, 2, -3)), rng.choice((1, 3))))
-    a1 = (apply_tau(u) @ a2 @ u).map(lambda x: alpha.inverse() * x)
+    a1 = entrywise(lambda x: alpha.inverse() * x, apply_tau(u) @ a2 @ u)
     if case == "wP":
-        u = u + JetMatrix.unit(base, n, i, i, LaurentJet.t_power(base, 20))
+        u = entrywise(add, u, single_entry(base, n, i, i, LaurentJet.t_power(base, 20)))
     if case == "top":
         cells = [(i, j) for i in range(n) for j in range(n) if a1.entry(i, j).coeffs]
         i, j = max(cells, key=lambda c: a1.entry(*c).degree(), default=(0, 0))
         top = a1.entry(i, j).degree() if cells else 0
-        a1 = a1 + JetMatrix.unit(base, n, i, j, LaurentJet.t_power(base, top, Q(1, 5)))
+        a1 = entrywise(add, a1, single_entry(base, n, i, j, LaurentJet.t_power(base, top, Q(1, 5))))
     return witness(u, alpha, a1, a2)
 
 
@@ -336,7 +338,7 @@ def test_the_packing_point_is_just_large_enough(m):
     # has largest coefficient 2^m, so at X = 2^m both sides would be 2^m
     a = BlockOrder(DivisionSpec("D"), Signature((1,)))
     one = LaurentJet.one(BASE)
-    w = WitnessCheck(JetMatrix.identity(BASE, 1), one, MODE_F,
+    w = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(BASE)]), one, MODE_F,
                      InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.constant(BASE, 2 ** m)])),
                      InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.t_power(BASE, 1)])))
     diag = verify_witness(w)
@@ -396,9 +398,9 @@ def test_etale_witness_with_zero_divisor_first_column():
 def test_singular_u_is_not_invertible(kind):
     # tau(u) * diag(1,-1) * u = 0 for u = [[1, t], [1, t]], so the identity
     # holds with alpha = 0 and only the invertibility check can fail
-    base = kind.unextended()
+    base = ScalarKind(kind.core, kind.d)
     a = BlockOrder(DivisionSpec("D", base), Signature((2,)))
-    s1 = InvolutionSpec(a, JetMatrix.identity(base, 2))
+    s1 = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(base)] * 2))
     s2 = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(base), -LaurentJet.one(base)]))
     one, t = LaurentJet.one(kind), LaurentJet.t_power(kind, 1)
     u = JetMatrix.of([[one, t], [one, t]])
@@ -429,7 +431,7 @@ def test_invertibility_is_decided_beyond_t_equal_one():
     one, t = LaurentJet.one(BASE), LaurentJet.t_power(BASE, 1)
     u = JetMatrix.of([[t, one], [one, one]])
     s1 = InvolutionSpec(a, apply_tau(u) @ u)
-    s2 = InvolutionSpec(a, JetMatrix.identity(BASE, 2))
+    s2 = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))
     w = WitnessCheck(u, one, MODE_F, s1, s2)
     assert verify_witness(w).ok
     assert transport_check(w).ok
@@ -437,8 +439,7 @@ def test_invertibility_is_decided_beyond_t_equal_one():
 
 def test_inexact_inputs_are_refused():
     spec1, spec2, w_fiber, _ = counterexample_pair()
-    truncated = w_fiber.u.map(
-        lambda e: LaurentJet(e.kind, e.lowest_exp, e.coeffs, 8))
+    truncated = entrywise(lambda e: LaurentJet(e.kind, e.lowest_exp, e.coeffs, 8), w_fiber.u)
     w = WitnessCheck(truncated, w_fiber.alpha, MODE_F, spec1, spec2)
     with pytest.raises(InsufficientPrecision):
         verify_witness(w)
@@ -468,19 +469,16 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     # each main-* replay validates its two gauges once each, decides each
     # of their four residue blocks once (every anisotropy call diagonalises
     # its block once) and checks two transport identities, as the base-ring
-    # verdict reuses the generic-fibre one; no scenario rescans a
-    # signature's parts through Signature.block_of
+    # verdict reuses the generic-fibre one
     from horders import involutions, witness
 
-    validated, decided, lookups, identities = [], [], [], []
-    require, block_of = involutions._require_wellformed, Signature.block_of
+    validated, decided, identities = [], [], []
+    require = involutions._require_wellformed
     diagonalize, difference = involutions.diagonalize_form, witness.first_difference
     monkeypatch.setattr(involutions, "_require_wellformed",
                         lambda spec: validated.append(spec) or require(spec))
     monkeypatch.setattr(involutions, "diagonalize_form",
                         lambda *args: decided.append(args) or diagonalize(*args))
-    monkeypatch.setattr(Signature, "block_of",
-                        lambda sig, index: lookups.append(index) or block_of(sig, index))
     monkeypatch.setattr(witness, "first_difference",
                         lambda *args: identities.append(args) or difference(*args))
     report = replay(scenario)
@@ -491,4 +489,3 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     assert len({id(spec) for spec in validated}) == len(validated)
     assert len(decided) == (4 if scenario.startswith("main-") else 0)
     assert len(identities) == (2 if scenario.startswith("main-") else 0)
-    assert len(lookups) == 0
