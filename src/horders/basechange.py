@@ -5,8 +5,8 @@ algebra splits; each block size is multiplied by the residue degree s
 and the whole tuple is repeated t times, where (s, t) are the declared
 residue parameters.  The explicit index permutation that conjugates the
 tensored valuation pattern onto the target block pattern is available as
-a witness and is checked, at desk scale, by sorting the indices along
-the tensored order.
+a witness and is checked, at desk scale, by comparing the target block
+of every permuted index with the rank of its key in the tensored order.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .orders import (
     DivisionSpec,
     SemisimpleOrder,
     Signature,
+    block_index,
     check_residue,
     cyclic_normal_form,
 )
@@ -32,10 +33,15 @@ class ShResult:
     perm: tuple[int, ...] | None = None
 
 
+def sh_parts(parts: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
+    """t copies of the s-scaled parts, unchecked."""
+    return tuple([s * p for p in parts]) * t
+
+
 def sh_signature(sig: Signature, s: int, t: int) -> Signature:
     """Concatenate t copies of the s-scaled signature."""
     check_residue(s, t)
-    return Signature(tuple([s * p for p in sig.parts]) * t)
+    return Signature(sh_parts(sig.parts, s, t))
 
 
 def descend_signature(m: tuple[int, ...] | Signature, s: int, t: int) -> Signature:
@@ -66,7 +72,8 @@ def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
     block layout (i, k, j); returned as image[index]."""
     check_residue(s, t)
     n = sig.n
-    return tuple([i + s * k + s * n * j for k in range(n) for j in range(t) for i in range(s)])
+    row = [i + s * n * j for j in range(t) for i in range(s)]
+    return tuple([s * k + x for k in range(n) for x in row])
 
 
 def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
@@ -75,23 +82,21 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
 
     Entry (x, y) of the tensored pattern, x = k * s*t + a, is 1 iff
     key(x) < key(y) lexicographically, key(x) = (a // s, block of k);
-    entry (i, j) of the target is 1 iff B(i) < B(j), B its block index.
-    So the identity holds iff B(perm(x)) is a strictly increasing
-    function of key(x): one block per key, increasing in key order.
+    entry (i, j) of the target is 1 iff B(i) < B(j), B the block index
+    of the base-changed parts.  So the identity holds iff B(perm(x)) is
+    a strictly increasing function of key(x).  All t * r keys (j, b)
+    occur and there are t * r target blocks, so that function must send
+    key (j, b) to its rank j * r + b.  B is read from the parts, not from
+    that closed form, so the comparison still tests perm.
     """
     check_residue(s, t)
-    st = s * t
-    big = st * sig.n
+    big = s * t * sig.n
     if big > 64:
         raise SizeLimit(f"size {big} exceeds the brute-force bound 64")
-    blk, target = sig.block_index(), sh_signature(sig, s, t).block_index()
-    perm = sh_permutation(s, t, sig)
-    image = {}
-    for x in range(big):
-        if image.setdefault((x % st // s, blk[x // st]), target[perm[x]]) != target[perm[x]]:
-            return False
-    blocks = [image[key] for key in sorted(image)]
-    return all(b1 < b2 for b1, b2 in zip(blocks, blocks[1:]))
+    target = block_index(sh_parts(sig.parts, s, t))
+    ranks = [a // s * sig.r for a in range(s * t)]
+    return list(map(target.__getitem__, sh_permutation(s, t, sig))) == [
+        j + b for b in sig.block_index() for j in ranks]
 
 
 def sh_order(order: BlockOrder) -> ShResult:
@@ -113,7 +118,7 @@ def becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
     ring and are matched by signature alone.
     """
     def pushed(ss: SemisimpleOrder) -> list[tuple[int, ...]]:
-        return sorted(cyclic_normal_form(tuple([c.division.s * p for p in c.sig.parts])
-                                         * c.division.t) for c in ss.components)
+        return sorted(cyclic_normal_form(sh_parts(c.sig.parts, c.division.s, c.division.t))
+                      for c in ss.components)
 
     return pushed(a) == pushed(b)

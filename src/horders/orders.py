@@ -74,8 +74,12 @@ class Signature:
         return tuple(starts)
 
     def block_index(self) -> tuple[int, ...]:
-        """The block of every position, in one pass over the parts."""
-        return tuple([b for b, p in enumerate(self.parts) for _ in range(p)])
+        return block_index(self.parts)
+
+
+def block_index(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The block of every position, in one pass over the parts."""
+    return tuple([b for b, p in enumerate(parts) for _ in range(p)])
 
 
 @record

@@ -186,9 +186,12 @@ def _triple_entry(a: JetMatrix, b: JetMatrix, c: JetMatrix, i: int, j: int) -> L
 
 
 def verify_witness(w: WitnessCheck) -> Diagnostics:
-    """Check the transport identity exactly, then invertibility of u over
-    the Laurent field, then (base and etale modes) that u is a unit of
-    the order, then that alpha is a unit of the declared ring."""
+    """Check the transport identity exactly, then (base and etale modes)
+    that u is a unit of the order, then that alpha is a unit of the
+    declared ring.  A unit of the order is invertible over the Laurent
+    field (units lift modulo the Jacobson radical), so u is asked over
+    the field only in the generic fibre or after a failed check, and a u
+    singular there is reported so, as if the field had been asked first."""
     u, a1, a2, alpha = _exact_operands(w)
 
     tu = apply_tau(u)
@@ -199,15 +202,16 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
             f"tau(u)*a2*u != alpha*a1 at entry {bad[0] + 1},{bad[1] + 1}: "
             f"{_triple_entry(tu, a2, u, *bad)} vs {alpha * a1.entry(*bad)}")
 
-    if not u.field_invertible():
+    diag = _ring_checks(w, u, alpha)
+    if (not diag.ok or w.mode.ring == GENERIC_FIBER) and not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
-    return _ring_checks(w, u, alpha)
+    return diag
 
 
 def _ring_checks(w: WitnessCheck, u: JetMatrix, alpha: LaurentJet) -> Diagnostics:
-    """The mode-dependent tail of ``verify_witness`` on its operands u and
-    alpha: (base and etale modes) u is a unit of the order, then alpha is
-    a unit of the declared ring."""
+    """The mode-dependent checks of ``verify_witness`` on its operands u
+    and alpha: (base and etale modes) u is a unit of the order, then alpha
+    is a unit of the declared ring."""
     if w.mode.ring in (BASE_RING, ETALE):
         sig = w.spec1.order.sig
         ok, bad = meets_pattern(u, pattern_of(sig))

@@ -13,7 +13,7 @@ from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
 from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
-from horders.witness import WitnessCheck, _exact_operands, _is_central
+from horders.witness import WitnessCheck, _exact_operands, _is_central, _ring_checks
 
 
 def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
@@ -400,6 +400,19 @@ def ref_identity_check(w: WitnessCheck) -> Diagnostics:
         f"{lhs.entry(*bad)} vs {rhs.entry(*bad)}")
 
 
+def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
+    """``verify_witness`` with every check asked in turn: the identity,
+    then invertibility of u over the Laurent field, then (base and etale
+    modes) that u is a unit of the order, then that alpha is a unit."""
+    diag = ref_identity_check(w)
+    if not diag.ok:
+        return diag
+    u, _, _, alpha = _exact_operands(w)
+    if not u.field_invertible():
+        return failure("NotInvertible", "u is not invertible over the Laurent field")
+    return _ring_checks(w, u, alpha)
+
+
 def ref_transport_check(w: WitnessCheck) -> Diagnostics:
     """``transport_check`` with W = tau(u) * a2 * u as a matrix of jets and
     N * W = m * a1 compared entry by entry."""
@@ -558,6 +571,13 @@ def ref_becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
 # ---------------------------------------------------------------------------
 # Brute-force reference for the base-change pattern identity: build the
 # tensored (s*t*n)^2 pattern, conjugate it entry by entry and compare.
+
+
+def ref_sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
+    """The index map (i, j, k) -> (i, k, j) evaluated position by position:
+    the reference for ``basechange.sh_permutation``."""
+    n = sig.n
+    return tuple([i + s * k + s * n * j for k in range(n) for j in range(t) for i in range(s)])
 
 
 def ref_verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:

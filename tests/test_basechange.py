@@ -26,7 +26,7 @@ from horders.orders import (
 from horders.scalars import BASE, QUATERNION
 from horders.witness import semisimple_pair, sh_grid
 
-from helpers import ref_becomes_iso_after_sh, ref_verify_sh_pattern
+from helpers import ref_becomes_iso_after_sh, ref_sh_permutation, ref_verify_sh_pattern
 
 
 def sig(*parts):
@@ -73,6 +73,11 @@ def test_sh_permutation_formula():
                 assert perm[i + s * j + s * t * k] == i + s * k + s * n * j
 
 
+def test_sh_permutation_matches_the_index_map_on_the_grid():
+    for s, t, g in sh_grid():
+        assert sh_permutation(s, t, g) == ref_sh_permutation(s, t, g), (s, t, g)
+
+
 def test_sh_permutation_is_a_bijection():
     for s, t, parts in [(2, 2, (1, 2)), (3, 1, (2, 1)), (2, 3, (1, 1, 1))]:
         perm = sh_permutation(s, t, sig(*parts))
@@ -112,11 +117,38 @@ def test_verify_sh_pattern_rejects_what_the_brute_force_rejects(monkeypatch):
     lambda size: (1,) * size,  # one block per index: every pair compares strictly
 ])
 def test_verify_sh_pattern_matches_the_brute_force_on_other_targets(monkeypatch, parts):
-    monkeypatch.setattr(basechange, "sh_signature",
-                        lambda sig, s, t: Signature(parts(s * t * sig.n)))
+    # sh_signature builds its Signature from sh_parts, so the brute force
+    # sees the same patched target as verify_sh_pattern
+    monkeypatch.setattr(basechange, "sh_parts",
+                        lambda sig_parts, s, t: parts(s * t * sum(sig_parts)))
     verdicts = [(verify_sh_pattern(*c), ref_verify_sh_pattern(*c)) for c in sh_grid()]
     assert all(got == want for got, want in verdicts)
     assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
+
+
+def test_verify_sh_pattern_matches_the_brute_force_on_perturbed_permutations(monkeypatch):
+    # a transposition inside one key's positions that lands in one target
+    # block keeps the identity; most others, and most shuffles, break it
+    rng = Random(23)
+    grid = list(sh_grid())
+    verdicts = []
+    for trial in range(400):
+        s, t, g = rng.choice(grid)
+        perm = list(ref_sh_permutation(s, t, g))
+        if trial % 4 == 0:
+            rng.shuffle(perm)
+        elif trial % 4 == 1:
+            x = rng.randrange(len(perm))
+            y = x - x % s + rng.randrange(s)  # same key: same inner copy and block
+            perm[x], perm[y] = perm[y], perm[x]
+        else:
+            x, y = rng.randrange(len(perm)), rng.randrange(len(perm))
+            perm[x], perm[y] = perm[y], perm[x]
+        monkeypatch.setattr(basechange, "sh_permutation", lambda *_: tuple(perm))
+        got = verify_sh_pattern(s, t, g)
+        assert got == ref_verify_sh_pattern(s, t, g), (s, t, g, perm)
+        verdicts.append(got)
+    assert 100 <= sum(verdicts) <= 300
 
 
 def test_round_trip_subset():

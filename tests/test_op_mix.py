@@ -1,8 +1,10 @@
-"""tools/op_mix.py: one timed patterns cycle lists every query kind."""
+"""tools/op_mix.py: one timed cycle lists every query kind or scenario."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from horders.witness import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("inv", "iso_rot", "iso_pert", "roundtrip", "not_divisible", "not_periodic",
@@ -20,5 +22,19 @@ def test_one_patterns_cycle_reports_every_query_kind():
     assert set(rows) == set(KINDS) | {"cycle"}
     assert rows["roundtrip"][0] == "30" and rows["radical"][0] == "15"
     assert rows["cycle"][0] == "195"
+    assert all(float(row[-1]) >= 0 for row in rows.values())
+    assert "FAILED" not in proc.stdout
+
+
+def test_one_replay_cycle_reports_every_scenario():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "op_mix.py"), "replay",
+                           "--cycles", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "replay, seed 61, median of 1 cycles (ms per cycle)"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert set(rows) == set(SCENARIOS) | {"cycle"}
+    assert all(rows[name][0] == "1" for name in SCENARIOS) and rows["cycle"][0] == "5"
     assert all(float(row[-1]) >= 0 for row in rows.values())
     assert "FAILED" not in proc.stdout

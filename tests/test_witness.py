@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from horders.errors import InsufficientPrecision, UnknownScenario
+from horders.errors import OK, InsufficientPrecision, UnknownScenario, failure
 from horders.involutions import InvolutionSpec, apply_tau, smat_invertible
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, DivisionSpec, Signature
@@ -34,8 +34,8 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import (entrywise, ref_identity_check, ref_transport_check, sample_block_unit,
-                     single_entry, transport_by_samples)
+from helpers import (entrywise, ref_identity_check, ref_transport_check, ref_verify_witness,
+                     sample_block_unit, sample_element, single_entry, transport_by_samples)
 from test_scalars import REF_KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -443,6 +443,123 @@ def test_inexact_inputs_are_refused():
     w = WitnessCheck(truncated, w_fiber.alpha, MODE_F, spec1, spec2)
     with pytest.raises(InsufficientPrecision):
         verify_witness(w)
+
+
+# ---------------------------------------------------------------------------
+# verify_witness asks the order-unit check before the Laurent field; the
+# reference asks identity, field, unit and alpha in turn
+
+
+FIELD_SINGULAR = ("NotInvertible", "u is not invertible over the Laurent field")
+
+
+def _tail_case(rng, kind, mode):
+    """A witness on a random block order over ``kind``, and the shape of
+    its u.  u = E * B: B over ``kind`` is a unit of the order, or one with
+    row i scaled by t (``t``) or by t^-1 (``outside``), or with row i
+    replaced by row j (``copy``) or by t^-1 times it (``copy_outside``);
+    E is diagonal over the working kind, with 1 or the adjoined root on
+    each entry and, over a split etale kind, an idempotent zero divisor
+    on one (shape ``idempotent``).  a2 is a diagonal of rational
+    monomials, so a1 = alpha^-1 * tau(u) * a2 * u stays over ``kind``;
+    one witness in ten then has a1 changed at one entry."""
+    parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    while sum(parts) > (3 if kind.dim > 2 else 5):
+        parts = parts[1:]
+    order = BlockOrder(DivisionSpec("D", kind), Signature(parts))
+    n, one, t = order.sig.n, LaurentJet.one(kind), LaurentJet.t_power(kind, 1)
+    rows = [list(row) for row in entrywise(
+        add, sample_block_unit(order, rng), sample_element(order, rng, radical=True)).rows]
+    shape = rng.choice(["unit"] * 3 + ["t", "outside"] + ["copy", "copy_outside"] * (n > 1))
+    if shape != "unit":
+        i, j = rng.sample(range(n), 2) if shape.startswith("copy") else [rng.randrange(n)] * 2
+        scale = t if shape == "t" else one if shape == "copy" else LaurentJet.t_power(kind, -1)
+        rows[i] = [scale * e for e in rows[j]]
+    b = JetMatrix.of(rows)
+
+    a2 = [LaurentJet.t_power(kind, rng.randint(-1, 1), Q(rng.choice((1, -1, 2, -3)),
+                                                          rng.choice((1, 3))))
+          for _ in range(n)]
+    weights, u = [1] * n, b
+    if mode.ring == "etale":
+        ext = kind.extended(mode.d)
+        root, e = LaurentJet.constant(ext, Scalar.ext_gen(ext)), [LaurentJet.one(ext)] * n
+        for k in range(n):
+            if rng.random() < 0.5:
+                e[k], weights[k] = root, mode.d
+        if mode.d == -1 and kind in (quadratic(-1), QUATERNION) and rng.random() < 0.3:
+            k = rng.randrange(n)
+            e[k], weights[k] = LaurentJet.constant(ext, _split_idempotents(kind)[0]), 0
+            shape = "idempotent"
+        u = JetMatrix.diagonal(e) @ b.onto(ext)
+    middle = JetMatrix.diagonal([x * LaurentJet.constant(kind, w) for x, w in zip(a2, weights)])
+
+    choices = [one, LaurentJet.constant(kind, 2), t, LaurentJet.t_power(kind, -1)]
+    if kind.core == "quat":
+        choices.append(LaurentJet.constant(kind, Scalar.basis(kind, 1)))
+    alpha = rng.choice(choices)
+    a1 = entrywise(lambda x: alpha.inverse() * x, apply_tau(b) @ middle @ b)
+    if rng.random() < 0.1:
+        a1 = entrywise(add, a1, single_entry(kind, n, rng.randrange(n), rng.randrange(n), one))
+    return WitnessCheck(u, alpha, mode, InvolutionSpec(order, a1),
+                        InvolutionSpec(order, JetMatrix.diagonal(a2))), shape
+
+
+TAIL_MODES = [(BASE, MODE_BASE), (BASE, mode_etale(-1)), (BASE, mode_etale(2)),
+              (quadratic(-1), MODE_BASE), (quadratic(-1), mode_etale(-1)),
+              (QUATERNION, MODE_BASE), (QUATERNION, mode_etale(-1)),
+              (QUATERNION, mode_etale(-2))]
+
+
+def test_the_unit_check_first_gives_the_reference_diagnostics():
+    rng = Random(29)
+    seen = set()
+    for _ in range(160):
+        kind, mode = rng.choice(TAIL_MODES)
+        w, shape = _tail_case(rng, kind, mode)
+        got, want = verify_witness(w), ref_verify_witness(w)
+        assert (got.ok, got.code, got.detail) == (want.ok, want.code, want.detail), (shape, w)
+        seen.add((shape, got.code, got.detail.split(":")[0]))
+    outcomes = {(code, detail) for _, code, detail in seen}
+    assert {(None, ""), FIELD_SINGULAR, ("NotInvertible", "u is not a unit of the order")} <= outcomes
+    assert {"NotContained", "NotUnit", "IdentityMismatch"} <= {code for code, _ in outcomes}
+    # a u singular over the Laurent field that the unit check turned away
+    # first, for leaving the order and for a zero-divisor residue entry
+    assert ("copy_outside", *FIELD_SINGULAR) in seen and ("idempotent", *FIELD_SINGULAR) in seen
+
+
+@pytest.mark.parametrize("kind,s,t", ALL_KINDS)
+def test_a_verified_unit_witness_asks_nothing_over_the_laurent_field(kind, s, t, monkeypatch):
+    spec1, _, w_fiber, w_etale = counterexample_pair(kind, s, t)
+    trivial = WitnessCheck(JetMatrix.diagonal([LaurentJet.one(kind)] * 6), LaurentJet.one(kind),
+                           MODE_BASE, spec1, spec1)
+    calls = []
+    field_invertible = JetMatrix.field_invertible
+    monkeypatch.setattr(JetMatrix, "field_invertible",
+                        lambda m: calls.append(m) or field_invertible(m))
+    assert verify_witness(w_etale).ok and verify_witness(trivial).ok
+    assert calls == []
+    assert verify_witness(w_fiber).ok and len(calls) == 1  # the generic fibre still asks
+
+
+def test_diagnostics_are_true_exactly_when_ok():
+    assert bool(OK) is True
+    assert bool(failure("X")) is False
+    assert bool(failure("X", "detail")) is False
+
+
+@pytest.mark.parametrize("mode,name", [(MODE_BASE, "base"), (mode_etale(-1), "etale(-1)"),
+                                       (MODE_F, "generic-fiber")])
+def test_an_alpha_outside_the_mode_ring_is_named_with_the_mode(mode, name):
+    # a1 = qi^-1 * a2, so the identity holds and only alpha fails
+    a = BlockOrder(DivisionSpec("D", QUATERNION, 2, 1), Signature((2,)))
+    one = LaurentJet.one(QUATERNION)
+    qi = LaurentJet.constant(QUATERNION, Scalar.basis(QUATERNION, 1))
+    w = WitnessCheck(JetMatrix.diagonal([one, one]), qi, mode,
+                     InvolutionSpec(a, JetMatrix.diagonal([-qi, -qi])),
+                     InvolutionSpec(a, JetMatrix.diagonal([one, one])))
+    assert str(mode) == name
+    assert verify_witness(w).describe() == f"NotUnit: alpha = qi does not lie in the {name} ring"
 
 
 def test_replay_scenarios_all_pass():
