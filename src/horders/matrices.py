@@ -61,8 +61,8 @@ from math import lcm, prod
 from operator import add
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
-from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _back_substitute, _bareiss,
-                      _components, _min_prec, _mul_parts, _product_precision, _same_kind,
+from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
+                      _min_prec, _mul_parts, _product_precision, _same_kind, _unit_solve,
                       left_regular)
 
 
@@ -183,7 +183,7 @@ class JetMatrix:
                 return False  # an exactly zero row is singular at every point
             bound = self.kind.dim * sum(
                 max((e for entry in row for e, _ in entry), default=0) for row in rows)
-            return any(_bareiss(m := self._regular_at(rows, x), len(m))
+            return any(_bareiss(m := left_regular(self.kind, _evaluate(rows, x)), len(m))
                        for x in range(1, bound + 2))
 
         return all(nonsingular(self._integer_rows(comp)[2]) for comp in self._components())
@@ -223,18 +223,12 @@ class JetMatrix:
         """The lows, the row scales s_j, B, the Bareiss pivot +-det(M)(X)
         and, per column j, the coordinates y_j of det * a'^-1[.][j] at
         X = 2^B for one component; raises NotInvertible if it is singular."""
-        dim = self.kind.dim
         lows, scales, rows = self._integer_rows(comp)
-        size = len(comp) * dim
         bits = prod(_row_norms(self.kind, rows)).bit_length() + 1
-        mat = self._regular_at(rows, 1 << bits)
-        for r, row in enumerate(mat):
-            row.extend(int(r == jj * dim) for jj in range(len(comp)))
-        det = _bareiss(mat, size)
+        det, cols = _unit_solve(self.kind, _evaluate(rows, 1 << bits))
         if det == 0:
             raise NotInvertible("gauge is not invertible over the Laurent field")
-        return lows, scales, bits, det, [_back_substitute(mat, size, det, size + jj)
-                                         for jj in range(len(comp))]
+        return lows, scales, bits, det, cols
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""
@@ -252,12 +246,6 @@ class JetMatrix:
             lows.append(low)
             scales.append(scale)
         return lows, scales, rows
-
-    def _regular_at(self, rows: list, x: int) -> list[list[int]]:
-        """The left-regular representation of integer rows at t = x."""
-        return left_regular([[Scalar(self.kind, [sum(num[c] * x ** e for e, num in entry)
-                                                 for c in range(self.kind.dim)])
-                              for entry in row] for row in rows])
 
     def __str__(self) -> str:
         n = self.n
@@ -317,8 +305,10 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet],
     equal.  A jet factor is that scalar times the identity.  Decided on
     the integers of the module docstring, at X = 2^B."""
     factors = [*left, *right]
+    n = next((f.n for f in factors if isinstance(f, JetMatrix)), None)
+    if n is None:
+        raise SizeMismatch("products are compared as matrices; no factor is a JetMatrix")
     kind = factors[0].kind
-    n = next(f.n for f in factors if isinstance(f, JetMatrix))
     for f in factors:
         _same_kind(kind, f.kind)
         if isinstance(f, JetMatrix) and f.n != n:
@@ -333,7 +323,7 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet],
     low_l, low_r = sum(low for _, low, _ in packed[:k]), sum(low for _, low, _ in packed[k:])
     low = min(low_l, low_r)
     scale_l, scale_r = s_r << (low_l - low) * bits, s_l << (low_r - low) * bits
-    values = [_evaluate(terms, bits) for _, _, terms in packed]
+    values = [_evaluate(terms, 1 << bits) for _, _, terms in packed]
     zero = (0,) * kind.dim
     for i in range(n):
         row_l = _product_row(kind, n, i, values[:k])
@@ -344,9 +334,9 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet],
     return None
 
 
-def _evaluate(rows: list, bits: int) -> list[list[tuple[int, ...] | None]]:
-    # integer rows at t = 2^bits; None for a zero entry
-    return [[tuple(map(sum, zip(*[[x << e * bits for x in num] for e, num in entry])))
+def _evaluate(rows: list, x: int) -> list[list[tuple[int, ...] | None]]:
+    # integer rows at t = x; None for a zero entry
+    return [[tuple(map(sum, zip(*[[c * p for c in num] for e, num in entry for p in (x ** e,)])))
              if entry else None for entry in row] for row in rows]
 
 

@@ -18,7 +18,7 @@ from operator import add
 
 from .errors import ScalarKindMismatch, SizeMismatch, record
 from .matrices import JetMatrix
-from .scalars import BASE, ScalarKind
+from .scalars import BASE, ScalarKind, _power
 
 
 def check_residue(s: int, t: int) -> None:
@@ -182,13 +182,7 @@ def pattern_pow(p: PatternMatrix, r: int) -> PatternMatrix:
     pi = [classes.setdefault(key, len(classes)) for key in zip(p.entries, zip(*p.entries))]
     reps = list(map(pi.index, range(len(classes))))
     q = PatternMatrix(tuple([tuple(map(row.__getitem__, reps)) for row, _ in classes]))
-    out = None
-    while r:
-        if r & 1:
-            out = q if out is None else pattern_mul(out, q)
-        r >>= 1
-        if r:
-            q = pattern_mul(q, q)
+    out = _power(q, r, pattern_mul)
     rows = [tuple(map(row.__getitem__, pi)) for row in out.entries]
     return PatternMatrix(tuple(map(rows.__getitem__, pi)))
 

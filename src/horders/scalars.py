@@ -14,11 +14,12 @@ A :class:`Scalar` stores its rational coordinates as integer numerators
 over one shared positive denominator, always in lowest terms, so every
 value has exactly one representation and arithmetic runs on integers.
 Linear algebra over the scalars goes through the left-regular
-representation, an integer matrix over Q (each block-row scaled by the
-lcm of its denominators, which does not change singularity), and one
-fraction-free elimination (Bareiss 1968) per connected component of the
-nonzero pattern: every intermediate entry is a minor of the input, so
-the integers stay small and every division is exact.
+representation of integer coordinates, whose denominators the caller
+clears (``smat_invertible`` scales each component by the lcm of its
+denominators, which does not change singularity), and one fraction-free
+elimination (Bareiss 1968) per connected component of the nonzero
+pattern: every intermediate entry is a minor of the input, so the
+integers stay small and every division is exact.
 
 A :class:`LaurentJet` is a truncated Laurent series over a single scalar
 kind: a dense coefficient window starting at ``lowest_exp`` together
@@ -41,7 +42,7 @@ from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import (
     IndeterminateValuation,
@@ -262,12 +263,7 @@ class Scalar:
         return _reduced(k, tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        k = self.kind
-        _same_kind(k, other.kind)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _reduced(k, tuple(a - b for a, b in zip(self.num, other.num)), d1)
-        return _reduced(k, tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
+        return self + (-other)
 
     def __neg__(self) -> "Scalar":
         return _raw(self.kind, tuple(-a for a in self.num), self.den)
@@ -291,33 +287,16 @@ class Scalar:
         return _raw(k, _core_conj(k.core, self.num[:m]) + _core_conj(k.core, self.num[m:]),
                     self.den)
 
-    def _norm_num(self) -> int:
-        # den^2 * x * conj(x), an integer, on an unextended kind
-        k = self.kind
-        if k.core == "quad":
-            a, b = self.num
-            return a * a - k.d * b * b
-        return sum(p * p for p in self.num)
-
     def inverse(self) -> "Scalar":
+        """The inverse through the left-regular representation of num =
+        den * self over Q; an extended kind can have zero divisors."""
         k = self.kind
-        den = self.den
-        if k.ext is None:
-            n = self._norm_num()
-            if n == 0:
-                raise NotInvertible("zero scalar")
-            return _reduced(k, tuple(den * c for c in _core_conj(k.core, self.num)), n)
-        # The extended algebra can have zero divisors; invert through the
-        # left-regular representation of num = den * self over Q.
-        dim = k.dim
-        rows = [row + [int(i == 0)] for i, row in enumerate(left_regular(((self,),)))]
-        det = _bareiss(rows, dim)
+        det, cols = _unit_solve(k, [[self.num]])
         if det == 0:
-            raise NotInvertible(f"scalar {self} is a zero divisor or zero")
-        y = _back_substitute(rows, dim, det, dim)
-        if det < 0:
-            den, det = -den, -det
-        return _reduced(k, tuple(den * v for v in y), det)
+            raise NotInvertible("zero scalar" if k.ext is None else
+                                f"scalar {self} is a zero divisor or zero")
+        den = self.den if det > 0 else -self.den
+        return _reduced(k, tuple(den * v for v in cols[0]), abs(det))
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -422,25 +401,21 @@ def _core_str(kind: ScalarKind, parts: tuple) -> str:
     return out
 
 
-def left_regular(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+def left_regular(kind: ScalarKind, rows: Sequence[Sequence[tuple | None]]) -> list[list[int]]:
     """Integer matrix of x -> m * x on A^n, A the scalar algebra, over
-    the rational basis: block (i, j) is left multiplication by m[i][j],
-    and block-row i is scaled by the lcm of the denominators in row i of
-    m.  Row scaling keeps singularity, so m is a unit of M_n(A) iff this
-    matrix is nonsingular, zero divisors in A included."""
-    kind = rows[0][0].kind
-    dim = kind.dim
-    table = kind.basis_products
+    the rational basis, for m given by the integer coordinates of its
+    entries (None for a zero entry): block (i, j) is left multiplication
+    by m[i][j].  m is a unit of M_n(A) iff this matrix is nonsingular,
+    zero divisors in A included."""
+    dim, table = kind.dim, kind.basis_products
     out = [[0] * (len(rows) * dim) for _ in range(len(rows) * dim)]
     for i, row in enumerate(rows):
-        scale = lcm(*(s.den for s in row))
-        for j, s in enumerate(row):
-            f = scale // s.den
-            for a, x in enumerate(s.num):
-                if x:
-                    x *= f
-                    for c, r, k in table[a]:
-                        out[i * dim + r][j * dim + c] += x * k
+        for j, num in enumerate(row):
+            if num is not None:
+                for a, x in enumerate(num):
+                    if x:
+                        for c, r, k in table[a]:
+                            out[i * dim + r][j * dim + c] += x * k
     return out
 
 
@@ -450,13 +425,17 @@ def smat_invertible(rows: Sequence[Sequence[Scalar]]) -> bool:
 
     A matrix that is block-diagonal after a simultaneous permutation of
     rows and columns is a unit iff each block is, so each connected
-    component of the nonzero pattern is eliminated on its own."""
-    comps = _components(len(rows), lambda i, j: any(rows[i][j].num) or any(rows[j][i].num))
-    if len(comps) > 1:
-        return all(_bareiss(reg := left_regular([[rows[i][j] for j in comp] for i in comp]),
-                            len(reg)) for comp in comps)
-    reg = left_regular(rows)
-    return _bareiss(reg, len(reg)) != 0
+    component of the nonzero pattern is scaled by the lcm of its
+    denominators, which keeps singularity, and eliminated on its own."""
+    for comp in _components(len(rows), lambda i, j: any(rows[i][j].num) or any(rows[j][i].num)):
+        block = [[rows[i][j] for j in comp] for i in comp]
+        scale = lcm(*(x.den for row in block for x in row))
+        reg = left_regular(block[0][0].kind, [[tuple(scale // x.den * c for c in x.num)
+                                               if any(x.num) else None for x in row]
+                                              for row in block])
+        if not _bareiss(reg, len(reg)):
+            return False
+    return True
 
 
 def _components(n: int, linked: Callable[[int, int], object]) -> list[list[int]]:
@@ -520,6 +499,32 @@ def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int
         acc = row[col] * det - sum(row[j] * y[j] for j in range(i + 1, n))
         y[i] = acc // row[i]
     return y
+
+
+def _unit_solve(kind: ScalarKind, rows: list) -> tuple[int, list[list[int]]]:
+    """Solve the left-regular image M of integer rows (see
+    :func:`left_regular`) against the coordinate of 1 in each block j:
+    the last Bareiss pivot, +-det(M), and per j the integers y_j = det * x_j
+    for the solution x_j; (0, []) when M is singular."""
+    reg, n, dim = left_regular(kind, rows), len(rows), kind.dim
+    size = n * dim
+    for r, row in enumerate(reg):
+        row.extend(int(r == j * dim) for j in range(n))
+    det = _bareiss(reg, size)
+    return det, [_back_substitute(reg, size, det, size + j) for j in range(n)] if det else []
+
+
+def _power(x, k: int, product: Callable):
+    """x ** k for k >= 1 by repeated squaring: (k.bit_length() - 1) +
+    (k.bit_count() - 1) calls of ``product``, which must associate."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else product(out, x)
+        k >>= 1
+        if k:
+            x = product(x, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -696,15 +701,9 @@ class LaurentJet:
 
     def __pow__(self, k: int) -> "LaurentJet":
         """``k``-th power by repeated squaring; ``k < 0`` inverts first."""
-        base = self.inverse() if k < 0 else self
-        k, out = abs(k), None
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return LaurentJet.one(self.kind) if out is None else out
+        if k == 0:
+            return LaurentJet.one(self.kind)
+        return _power(self.inverse() if k < 0 else self, abs(k), mul)
 
     # -- comparison -----------------------------------------------------------
 

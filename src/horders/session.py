@@ -65,7 +65,7 @@ from .orders import (
     ss_iso_decide_fixed,
 )
 from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
-from .scalars import _Accumulator, _min_prec, _mul_parts, _reduced, exact_int, exact_str
+from .scalars import _Accumulator, _min_prec, _mul_parts, _power, _reduced, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -254,17 +254,13 @@ def _monomial_power(kind: ScalarKind, value: tuple, k: int) -> tuple:
     """``value ** k`` by repeated squaring; ``k < 0`` inverts the
     coefficient first (NotInvertible when it is zero)."""
     num, den, exp = value
+    if k == 0:
+        return _unit(kind, 0), 1, 0
     if k < 0:
         inv = _reduced(kind, num, den).inverse()
         num, den, exp, k = inv.num, inv.den, -exp, -k
-    out, out_den, exp = _unit(kind, 0), 1, exp * k
-    while k:
-        if k & 1:
-            out, out_den = _mul_parts(kind, out, num), out_den * den
-        k >>= 1
-        if k:
-            num, den = _mul_parts(kind, num, num), den * den
-    return out, out_den, exp
+    num, den = _power((num, den), k, lambda x, y: (_mul_parts(kind, x[0], y[0]), x[1] * y[1]))
+    return num, den, exp * k
 
 
 def _unit(kind: ScalarKind, index: int) -> tuple:

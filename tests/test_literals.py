@@ -134,6 +134,13 @@ def test_power_of_a_zero_is_a_type_error_at_the_caret(entry):
     assert "no inverse" in str(err.value)
 
 
+def test_power_of_a_zero_names_the_zero_scalar():
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(session_with("0^-1"))
+    assert (err.value.line, err.value.col) == (3, 33)
+    assert str(err.value) == "line 3, col 33: power -1 of a value with no inverse: zero scalar"
+
+
 def test_power_of_a_zero_divisor_is_a_type_error_at_the_caret():
     witness = "witness w : from s to s mode etale(-1) u diag((1 + qi*sqrt(-1))^-1) alpha 1"
     text = session_with("1", "quaternion", "quaternion") + witness + "\n"

@@ -60,6 +60,13 @@ def test_singular(a):
         a.inverse_valuations()
 
 
+def test_first_difference_of_jets_alone_is_a_size_mismatch():
+    # it used to raise a bare StopIteration looking for a matrix factor
+    t = LaurentJet.t_power(BASE, 1)
+    with pytest.raises(SizeMismatch):
+        matrices.first_difference([t], [t, t])
+
+
 def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):
     rng = Random(71)
     drawn = [[random_jet(BASE, rng, lowest=0) for _ in range(6)] for _ in range(6)]

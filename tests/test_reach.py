@@ -12,7 +12,7 @@ DELETED = ("JetMatrix.zeros", "JetMatrix.identity", "JetMatrix.unit", "JetMatrix
            "JetMatrix.__sub__", "JetMatrix.map", "JetMatrix.shift", "JetMatrix.is_zero",
            "Signature.block_of", "Scalar.sqrt_gen", "Scalar.norm", "Scalar.rational",
            "ScalarKind.unextended", "LaurentJet.residue", "LaurentJet.shift",
-           "PatternMatrix.__getitem__", "emit")
+           "PatternMatrix.__getitem__", "emit", "Scalar._norm_num")
 
 
 def test_reach_lists_what_no_traffic_enters():

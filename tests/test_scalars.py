@@ -21,6 +21,7 @@ from horders.scalars import (
     LaurentJet,
     Scalar,
     _components,
+    left_regular,
     quadratic,
     smat_invertible,
 )
@@ -35,6 +36,7 @@ from helpers import (
     ref_inverse,
     ref_jet_add,
     ref_jet_mul,
+    ref_left_regular,
     ref_mul,
     ref_norm,
     ref_str,
@@ -222,6 +224,31 @@ def test_split_kinds_keep_their_zero_divisors(kind):
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_inverse_names_a_zero_or_a_zero_divisor(kind):
+    with pytest.raises(NotInvertible) as err:
+        Scalar.zero(kind).inverse()
+    want = "zero scalar" if kind.ext is None else "scalar 0 is a zero divisor or zero"
+    assert str(err.value) == want
+    if kind in SPLIT_KINDS:
+        root = Scalar.ext_gen(kind) + Scalar.basis(kind, 1)
+        with pytest.raises(NotInvertible) as err:
+            root.inverse()
+        assert str(err.value) == f"scalar {root} is a zero divisor or zero"
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_left_regular_matches_the_reference(kind):
+    rng = Random(41)
+    for trial in range(12):
+        n = 1 + trial % 3
+        rows = [[None if rng.random() < 0.3 else tuple(rng.randint(-4, 4) for _ in range(kind.dim))
+                 for _ in range(n)] for _ in range(n)]
+        ref = ref_left_regular(kind, [[tuple(map(Q, x or (0,) * kind.dim)) for x in row]
+                                      for row in rows])
+        assert left_regular(kind, rows) == ref
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
 def test_scalars_are_stored_in_lowest_terms(kind):
     a, b = Scalar.of(kind, Q(2, 4)), Scalar.of(kind, Q(1, 2))
     assert a == b and hash(a) == hash(b)
@@ -251,6 +278,7 @@ def test_smat_invertible_matches_the_reference(kind):
         assert smat_invertible(tuple(tuple(Scalar(kind, s) for s in row) for row in rows)) == want
         seen.add(want)
     assert seen == {True, False}
+    assert smat_invertible(())  # the empty matrix is the unit of M_0
     if kind not in SPLIT_KINDS:
         return
     # Block-diagonal after a permutation that scatters each block: a unit
