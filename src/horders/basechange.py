@@ -44,17 +44,16 @@ def sh_signature(sig: Signature, s: int, t: int) -> Signature:
     return Signature(sh_parts(sig.parts, s, t))
 
 
-def descend_signature(m: tuple[int, ...] | Signature, s: int, t: int) -> Signature:
+def descend_signature(parts: tuple[int, ...], s: int, t: int) -> Signature:
     """Invert :func:`sh_signature` on a cyclic class.
 
     The input must be, up to rotation, t repetitions of a block of
-    length len(m)/t, with every part divisible by s.  The result is
+    length len(parts)/t, with every part divisible by s.  The result is
     returned in canonical (least-rotation) form.  Note the de-facto
-    length of the descended tuple is len(m)/t, not len(m); the inverse
-    is read as de-concatenation followed by division by s.
+    length of the descended tuple is len(parts)/t, not len(parts); the
+    inverse is read as de-concatenation followed by division by s.
     """
     check_residue(s, t)
-    parts = m.parts if isinstance(m, Signature) else tuple(m)
     if any(p % s for p in parts):
         raise NotDivisible(f"parts {parts} are not all divisible by s={s}")
     u = len(parts)

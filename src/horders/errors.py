@@ -142,7 +142,7 @@ class NotStable(HordersError):
 
 
 class UnsupportedGaugeShape(HordersError):
-    """The gauge is not block-diagonal of the form t^m times a unit block."""
+    """The gauge is not block-diagonal: it mixes the blocks of the order."""
 
 
 class UnsupportedFormKind(HordersError):
@@ -157,10 +157,6 @@ class SingularForm(HordersError):
 
 class SizeMismatch(HordersError):
     """Matrix sizes or orders do not line up."""
-
-
-class NotUnit(HordersError):
-    """The scaling factor is not a unit of the coefficient ring of the mode."""
 
 
 class UnknownScenario(HordersError):

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .matrices import JetMatrix
 from .orders import BlockOrder, iso_decide, pattern_of
-from .scalars import Q, Scalar, ScalarKind, smat_invertible
+from .scalars import Q, Scalar, ScalarKind
 
 ANISOTROPIC = "anisotropic"
 ISOTROPIC = "isotropic"
@@ -193,9 +193,14 @@ def wellformed(spec: InvolutionSpec) -> Diagnostics:
 def residue_involution(spec: InvolutionSpec) -> ResidueInvolution:
     """Blockwise residue data of a supported gauge.
 
-    The gauge must be block-diagonal with block i equal to t^m times a
-    unit block over the coefficient order; gauges that mix blocks (and
-    would permute the simple factors of the quotient) are rejected.
+    The gauge must be block-diagonal; gauges that mix blocks (and would
+    permute the simple factors of the quotient) are rejected.  A block B
+    of a well-formed gauge is then t^m times a unit, unchecked: with m and
+    m' the least entry valuations of B and of B^-1 (a block of a^-1), the
+    stable diagonal block M(D[[t]]) gives m + m' >= 0, and B * B^-1 = 1
+    gives m + m' <= 0.  So t^-m * B and its inverse lie in M(D[[t]]), as
+    in the normaliser t^Z * GL(D[[t]]) of that maximal order (Reiner,
+    *Maximal Orders*): B is not zero and its t^m coefficients are a unit.
     """
     return spec._residue
 
@@ -211,21 +216,9 @@ def _residue_of(spec: InvolutionSpec) -> ResidueInvolution:
                     f"gauge mixes blocks at entry {i + 1},{j + 1}")
     blocks = []
     for start, size in zip(sig.block_starts(), sig.parts):
-        floors = []
-        for i in range(start, start + size):
-            for j in range(start, start + size):
-                f = a.entry(i, j).valuation_floor()
-                if f is not None:
-                    floors.append(f)
-        if not floors:
-            raise UnsupportedGaugeShape(f"gauge block at row {start + 1} vanishes")
-        m = min(floors)
-        res = tuple(
-            tuple(a.entry(i, j).coeff(m) for j in range(start, start + size))
-            for i in range(start, start + size))
-        if not smat_invertible(res):
-            raise UnsupportedGaugeShape(
-                f"gauge block at row {start + 1} is not t^{m} times a unit block")
+        span = range(start, start + size)
+        m = min(a.entry(i, j).lowest_exp for i in span for j in span if a.entry(i, j).coeffs)
+        res = tuple(tuple(a.entry(i, j).coeff(m) for j in span) for i in span)
         blocks.append(ResidueBlock(size, m, res))
     return ResidueInvolution(a.kind, spec.epsilon, tuple(blocks))
 
@@ -266,6 +259,10 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     Returns (diagonal entries, C) with conj-transpose(C) * b * C equal
     to the diagonal matrix.  The diagonal entries of a hermitian form
     over these scalar models are conjugation-fixed, hence rational.
+    Every returned entry is nonzero: each pivot is nonzero when it is
+    chosen (a zero diagonal with a nonzero entry w at (i, j) first
+    becomes 2 * w * conj(w) > 0 at i), and no later step touches its row
+    or column.  A form with no such pivot raises SingularForm.
     """
     n = len(b)
     kind = b[0][0].kind
@@ -315,15 +312,14 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
                 continue
             col_add(j, k, work[k][j].times(Q(-1) / pivot))
     diag = [work[k][k].rational_value() for k in range(n)]
-    if any(d == 0 for d in diag):
-        raise SingularForm("diagonalised form has a zero entry")
     return diag, tuple(tuple(row) for row in trans)
 
 
 def _represent_int(weights: tuple[int, ...], target: int) -> tuple[int, ...] | None:
-    """One integer solution of sum(w_i * a_i^2) = target, if any."""
-    if target < 0:
-        return None
+    """One integer solution of sum(w_i * a_i^2) = target, if any.
+
+    target >= 0: ``represent_norm`` passes num * den > 0, and each
+    recursive call subtracts w * a^2 <= w * (target // w) <= target."""
     if not weights:
         return () if target == 0 else None
     w = weights[0]

@@ -65,7 +65,11 @@ def default_precision() -> int:
 
 
 def _is_squarefree(n: int) -> bool:
+    """Trial division up to sqrt|n|, about 46,000 steps: a discriminant
+    of 2^31 or more in absolute value raises ValueError first."""
     n = abs(n)
+    if n >> 31:
+        raise ValueError("a discriminant must be less than 2^31 in absolute value")
     p = 2
     while p * p <= n:
         if n % (p * p) == 0:

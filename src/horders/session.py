@@ -522,6 +522,7 @@ class _Parser:
         cur.expect("mode")
         at = cur.pos
         word = cur.expect_ident()
+        kind = spec1.order.division.kind
         if word == "F":
             mode = MODE_F
         elif word == "base":
@@ -530,17 +531,15 @@ class _Parser:
             cur.expect("(")
             d = cur.signed_int()
             cur.expect(")")
+            mode = mode_etale(d)
             try:
-                mode = mode_etale(d)
+                kind = kind.extended(d)
             except ValueError as exc:
                 raise SessionTypeError(str(exc), cur.line)
+            kind = self.kinds.setdefault(kind, kind)
         else:
             raise SessionSyntaxError(
                 f"expected F, base or etale(d), got {word!r}", cur.line, cur.col(at))
-        kind = spec1.order.division.kind
-        if mode.ring == "etale":
-            kind = kind.extended(mode.d)
-            kind = self.kinds.setdefault(kind, kind)
         cur.expect("u")
         u = _parse_matrix(cur, kind)
         cur.expect("alpha")

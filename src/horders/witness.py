@@ -59,7 +59,6 @@ from .involutions import (
     residue_involution,
     residue_isotropy,
     smat_conj_transpose,
-    smat_invertible,
     smat_is_zero,
     smat_mul,
     wellformed,
@@ -74,7 +73,8 @@ from .orders import (
     pattern_of,
     ss_iso_decide,
 )
-from .scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
+from .scalars import (BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic,
+                      smat_invertible)
 
 GENERIC_FIBER = "generic-fiber"
 BASE_RING = "base"

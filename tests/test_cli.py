@@ -73,6 +73,20 @@ def test_power_of_a_zero_exits_2(tmp_path, capsys, entry, col):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", ["4", "0", "1", "-4", "-2147483659"])
+def test_a_bad_etale_discriminant_exits_2(tmp_path, capsys, d):
+    # etale(4) used to end the command with a ValueError traceback
+    bad = tmp_path / "etale.ho"
+    bad.write_text("division D = base s=1 t=1\n"
+                   "order A = block(D; 1)\n"
+                   "involution s on A : gauge diag(1) eps +1 conj none\n"
+                   f"witness w : from s to s mode etale({d}) u diag(1) alpha 1\n")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: ") and "discriminant" in err
+    assert "Traceback" not in err
+
+
 def test_missing_session_file_exits_2(capsys):
     assert main(["check", "/no/such/session.ho"]) == 2
     assert "cannot read session file" in capsys.readouterr().err
@@ -346,6 +360,16 @@ def test_an_integer_flag_takes_only_ascii_digits(capsys, flag, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"expected an integer of at least {low}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_an_integer_flag_past_the_string_limit_is_a_usage_error(capsys, flag):
+    argv, low = INT_FLAGS[flag]
+    value = "1" * 5000  # more digits than int() converts
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert f"expected an integer of at least {low}, got {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["١", "1_0", "+1", "--1"])

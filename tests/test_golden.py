@@ -114,6 +114,19 @@ def cli_call(argv, capsysbinary, monkeypatch) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.decode(), "stderr": err.decode()}
 
 
+# CPython 3.13's argparse wraps a usage line differently: the stderr that
+# call gives there, in full, keyed by its argv.
+STDERR_313 = {("replay",): (
+    "usage: horders replay [-h]\n"
+    "                      --scenario {main-orthogonal,main-unitary,main-symplectic,"
+    "semisimple-sh,sh-permutation}\n"
+    "                      [--json] [--precision PRECISION]\n"
+    "horders replay: error: the following arguments are required: --scenario\n")}
+
+
 @pytest.mark.parametrize("case", SUBCOMMANDS, ids=lambda case: " ".join(case["argv"]))
 def test_subcommand_output_is_unchanged(case, capsysbinary, monkeypatch):
-    assert cli_call(case["argv"], capsysbinary, monkeypatch) == case
+    want = dict(case)
+    if sys.version_info >= (3, 13):
+        want["stderr"] = STDERR_313.get(tuple(case["argv"]), case["stderr"])
+    assert cli_call(case["argv"], capsysbinary, monkeypatch) == want

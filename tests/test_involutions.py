@@ -14,7 +14,9 @@ from horders.errors import (
     NotEpsilonHermitian,
     NotInvertible,
     NotStable,
+    ScalarKindMismatch,
     SingularForm,
+    SizeMismatch,
     UnsupportedFormKind,
     UnsupportedGaugeShape,
 )
@@ -28,6 +30,7 @@ from horders.involutions import (
     apply_tau,
     diagonalize_form,
     distinguish,
+    represent_norm,
     residually_anisotropic,
     residue_involution,
     smat_conj_transpose,
@@ -50,6 +53,7 @@ from horders.scalars import (
     Q,
     Scalar,
     quadratic,
+    smat_invertible,
 )
 from horders.witness import counterexample_pair
 
@@ -523,6 +527,42 @@ def test_block_mixing_gauge_is_rejected():
         residue_involution(InvolutionSpec(a, gauge))
 
 
+def _hermitian(kind, rng, n):
+    """A random nonzero hermitian n x n scalar matrix, entries in -1..1."""
+    while True:
+        rows = [[Scalar.of(kind, rng.randint(-1, 1)) if i == j else None for j in range(n)]
+                for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = random_scalar(kind, rng, 1)
+                rows[i][j], rows[j][i] = c, c.conj()
+        if not smat_is_zero(rows):
+            return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+def test_a_wellformed_block_diagonal_gauge_has_unit_residue_blocks(kind):
+    # residue_involution does not check that each block is t^m times a
+    # unit block: its docstring proves well-formedness implies it.  Block
+    # b is t^m_b * (H_b + t * T_b), H_b nonzero; it is well-formed iff
+    # every H_b is a unit and m_2 = m_1 + 1, and then H_b is its residue.
+    rng = Random(25)
+    for _ in range(100):
+        parts = rng.choice([(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2)])
+        m = rng.randint(-1, 1)
+        powers = [m, m + rng.randint(0, 1)][:len(parts)]
+        heads = [_hermitian(kind, rng, size) for size in parts]
+        blocks = [JetMatrix.of([[LaurentJet(kind, e, (h, t)) for h, t in zip(hs, ts)]
+                                for hs, ts in zip(head, _hermitian(kind, rng, size))])
+                  for size, e, head in zip(parts, powers, heads)]
+        spec = InvolutionSpec(order(*parts, kind=kind), JetMatrix.dsum(*blocks))
+        units = all(smat_invertible(h) for h in heads)
+        assert wellformed(spec).ok == (units and powers == list(range(m, m + len(parts))))
+        if wellformed(spec).ok:
+            assert [(b.size, b.t_power, b.gauge) for b in residue_involution(spec).blocks] == \
+                list(zip(parts, powers, heads))
+
+
 def test_residue_involution_requires_wellformedness():
     # a diagonal gauge whose t-powers do not balance the transpose fails
     # the stability precondition before any shape inspection
@@ -605,6 +645,24 @@ def test_singular_form_is_rejected():
         anisotropy(smat(BASE, [[0, 0], [0, 0]]), BASE)
 
 
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+def test_diagonalize_form_raises_exactly_on_singular_forms(kind):
+    # diagonalize_form does not check its diagonal for zeros: its
+    # docstring proves every entry it returns is a nonzero pivot
+    rng = Random(31)
+    for _ in range(100):
+        b = _hermitian(kind, rng, rng.randint(1, 4))
+        if not smat_invertible(b):
+            with pytest.raises(SingularForm):
+                diagonalize_form(b)
+            continue
+        diag_entries, trans = diagonalize_form(b)
+        assert 0 not in diag_entries
+        assert smat_mul(smat_conj_transpose(trans), smat_mul(b, trans)) == \
+            smat(kind, [[d if i == j else 0 for j in range(len(b))]
+                        for i, d in enumerate(diag_entries)])
+
+
 def test_alternating_forms_are_not_decided():
     with pytest.raises(UnsupportedFormKind):
         anisotropy(smat(BASE, [[0, 1], [-1, 0]]), BASE, epsilon=-1)
@@ -613,6 +671,37 @@ def test_alternating_forms_are_not_decided():
 def test_non_hermitian_form_matrix_is_rejected():
     with pytest.raises(NotEpsilonHermitian):
         anisotropy(smat(BASE, [[1, 1], [0, 1]]), BASE)
+
+
+def _identity_spec(n):
+    return InvolutionSpec(order(n), JetMatrix.diagonal([LaurentJet.one(BASE)] * n))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: InvolutionSpec(order(1), JetMatrix.diagonal([LaurentJet.one(QUAD)])),
+     ScalarKindMismatch, "gauge over quadratic(-1), order over base"),
+    (lambda: apply_sigma(_identity_spec(2), diag(QUAD, 1, 1)),
+     ScalarKindMismatch, "element over quadratic(-1), gauge over base"),
+    (lambda: apply_sigma(_identity_spec(2), diag(BASE, 1, 1, 1)),
+     SizeMismatch, "element is 3x3, gauge 2x2"),
+    # a zero diagonal: the pivot comes from entry (2, 3), then col_swap
+    (lambda: diagonalize_form(smat(BASE, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])),
+     SingularForm, "form vanishes on a nonzero subspace"),
+    (lambda: anisotropy(smat(BASE, [[1]]), BASE.extended(-1)),
+     UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
+    (lambda: anisotropy(smat(BASE, [[1]]), QUAD),
+     ScalarKindMismatch, "form entry over base, expected quadratic(-1)"),
+])
+def test_involution_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+@pytest.mark.parametrize("rho", [Q(0), Q(-1), Q(-4, 9)])
+def test_represent_norm_of_a_non_positive_rational_is_none(kind, rho):
+    assert represent_norm(kind, rho) is None
 
 
 def test_congruence_invariance_sampled():

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from horders import matrices
-from horders.errors import NotInvertible, SizeMismatch
+from horders.errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
 from horders.matrices import JetMatrix
 from horders.scalars import BASE, DEFAULT_PRECISION, QUATERNION, LaurentJet, Q, Scalar
 
@@ -65,6 +65,27 @@ def test_first_difference_of_jets_alone_is_a_size_mismatch():
     t = LaurentJet.t_power(BASE, 1)
     with pytest.raises(SizeMismatch):
         matrices.first_difference([t], [t, t])
+
+
+QUAT_ONE = JetMatrix.diagonal([LaurentJet.one(QUATERNION)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: JetMatrix(BASE, ((LaurentJet.one(QUATERNION),),)),
+     ScalarKindMismatch, "entry kind quaternion in a base matrix"),
+    (lambda: JetMatrix.dsum(ONE, QUAT_ONE),
+     ScalarKindMismatch, "direct summands must share a scalar kind"),
+    (lambda: ONE @ QUAT_ONE, ScalarKindMismatch, "base vs quaternion"),
+    (lambda: ONE @ TWO_ROOTS, SizeMismatch, "1x1 vs 2x2"),
+    (lambda: matrices.first_difference([ONE], [TWO_ROOTS]), SizeMismatch, "1x1 vs 2x2"),
+    (lambda: matrices.first_difference(
+        [ONE], [JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1], precision=3)])]),
+     InsufficientPrecision, "products are compared exactly; every factor must be exact"),
+])
+def test_matrix_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):

@@ -295,6 +295,24 @@ def test_contains_checks_scalar_kind():
         contains(a, JetMatrix.diagonal([LaurentJet.one(QUATERNION)] * 2))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DivisionSpec("D", BASE.extended(-1)),
+     ValueError, "division scalars must be an unextended kind"),
+    (lambda: SemisimpleOrder(()), ValueError, "a semisimple order needs at least one component"),
+    (lambda: pattern_mul(pattern_of(Signature((1,))), pattern_of(Signature((1, 1)))),
+     SizeMismatch, "1 vs 2"),
+    (lambda: orders.meets_pattern(JetMatrix.diagonal([LaurentJet.one(BASE)]),
+                                  pattern_of(Signature((2,)))),
+     SizeMismatch, "matrix is 1x1, pattern is 2x2"),
+    (lambda: in_radical(order(1), JetMatrix.diagonal([LaurentJet.one(QUATERNION)])),
+     ScalarKindMismatch, "matrix over quaternion, order over base"),
+])
+def test_order_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_in_radical():
     t = LaurentJet.t_power(BASE, 1)
     a = order(1, 1)

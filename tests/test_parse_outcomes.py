@@ -1,7 +1,8 @@
 """Byte-identity guard for the session parser: a seeded list of edited
 session texts must parse to the same printed sessions, or fail with the
 same error type, message, line and column, as recorded in
-``tests/golden/parse-outcomes-2000.sha256``.
+``tests/golden/parse-outcomes-2000.sha256``; a text that fails must
+fail with a ``SessionError``.
 
 The texts are the bundled sessions and 57 corpus sessions, each with one
 to three random insertions, replacements or deletions; half of the edits
@@ -15,6 +16,7 @@ import hashlib
 from importlib import resources
 from random import Random
 
+from horders.errors import SessionError
 from horders.session import parse_session, print_session
 
 from test_golden import CORPUS_OPS, CORPUS_SEED, GOLDEN, SESSIONS, load_workloads
@@ -52,9 +54,11 @@ def edited(rng: Random, text: str) -> str:
 
 
 def outcome(text: str) -> str:
+    # every failure must be a positioned SessionError: any other exception
+    # escapes and fails the test instead of being hashed into the digest
     try:
         session = parse_session(text)
-    except Exception as exc:
+    except SessionError as exc:
         return repr((type(exc).__name__, str(exc), getattr(exc, "line", None),
                      getattr(exc, "col", None)))
     return print_session(session)

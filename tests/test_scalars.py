@@ -20,6 +20,7 @@ from horders.scalars import (
     QUATERNION,
     LaurentJet,
     Scalar,
+    ScalarKind,
     _components,
     left_regular,
     quadratic,
@@ -136,6 +137,43 @@ def test_float_input_is_refused(make):
     # Scalar.of(BASE, 0.1) used to store 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="float"):
         make()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: quadratic(-4), ValueError, "quadratic kind needs a negative square-free d"),
+    (lambda: ScalarKind("octonion"), ValueError, "unknown scalar core 'octonion'"),
+    (lambda: ScalarKind("base", -1), ValueError, "only quadratic kinds carry d"),
+    *[(lambda d=d: BASE.extended(d), ValueError,
+       "extension discriminant must be square-free and not a square") for d in (0, 1, 4, -8)],
+    (lambda: BASE.extended(-1).extended(2), ValueError, "kind is already extended"),
+    (lambda: Scalar.ext_gen(QUAD), ScalarKindMismatch, "quadratic(-1) is not extended"),
+    (lambda: Scalar.basis(QUAD, 1).rational_value(), ValueError,
+     "scalar sqrt(-1) is not rational"),
+    (lambda: LaurentJet(BASE, 0, [Scalar.one(QUAD)]), ScalarKindMismatch,
+     "coefficient kind quadratic(-1) in a base jet"),
+    (lambda: LaurentJet.zero(BASE, 3).degree(), IndeterminateValuation, "zero jet has no degree"),
+])
+def test_scalar_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [quadratic, BASE.extended, QUATERNION.extended],
+                         ids=["quadratic", "base.extended", "quaternion.extended"])
+@pytest.mark.parametrize("d", [-2147483659, -2 ** 31, -10 ** 40])
+def test_a_discriminant_of_2_to_the_31_or_more_is_refused(make, d):
+    # square-freeness is decided by trial division up to sqrt|d|, so the
+    # size of d is bounded before that division starts
+    with pytest.raises(ValueError) as err:
+        make(d)
+    assert str(err.value) == "a discriminant must be less than 2^31 in absolute value"
+
+
+def test_a_discriminant_just_below_the_bound_is_decided():
+    # 2^31 - 1 is prime
+    assert quadratic(-(2 ** 31 - 1)).d == -(2 ** 31 - 1)
+    assert BASE.extended(2 ** 31 - 1).ext == 2 ** 31 - 1
 
 
 def test_extension_adjoins_a_central_conj_fixed_root():

@@ -359,3 +359,66 @@ def test_literals_past_the_string_limit_round_trip():
     printed = print_session(s)
     assert f"diag({digits}/3)" in printed
     assert parse_session(printed) == s
+
+
+GUARDED = ("division D = base s=1 t=1\n"
+           "order A = block(D; 1)\n"
+           "order B = block(D; 2)\n"
+           "order E = product(A, B)\n"
+           "involution s on A : gauge diag(1) eps +1 conj none\n"
+           "involution r on B : gauge diag(1,1) eps +1 conj none\n")
+
+
+@pytest.mark.parametrize("line, col, message", [
+    pytest.param("involution x on D : gauge diag(1) eps +1 conj none", 17,
+                 "'D' is a division, expected order", id="division-for-an-order"),
+    pytest.param("division F = base s=0 t=1", None, "residue parameters s, t must be positive",
+                 id="s=0"),
+    pytest.param("involution x on E : gauge diag(1,1,1) eps +1 conj none", 17,
+                 "involutions are declared on block orders, 'E' is a product",
+                 id="involution-on-a-product"),
+    pytest.param("witness w : from s to r mode F u diag(1) alpha 1", None,
+                 "witness endpoints must share one order", id="endpoints-on-two-orders"),
+    pytest.param("check c = iso(A) expect true", 11, "iso takes 2 arguments, got 1",
+                 id="argument-count"),
+    pytest.param("check c = inv(E) expect (1)", 15,
+                 "inv expects a block order, 'E' is a product", id="product-for-a-block-order"),
+    pytest.param("check c = descend_sig(A, 1, 1) expect (1)", 11,
+                 "descend_sig expects a tuple argument, got ref", id="name-for-a-tuple"),
+    *[pytest.param(f"witness w : from s to s mode etale({d}) u diag(1) alpha 1", None,
+                   "extension discriminant must be square-free and not a square",
+                   id=f"etale({d})") for d in (4, 0, 1, -4)],
+    pytest.param("witness w : from s to s mode etale(-2147483659) u diag(1) alpha 1", None,
+                 "a discriminant must be less than 2^31 in absolute value",
+                 id="etale(-2147483659)"),
+    pytest.param("division F = quadratic(-2147483659) s=1 t=1", None,
+                 "a discriminant must be less than 2^31 in absolute value",
+                 id="quadratic(-2147483659)"),
+])
+def test_a_declaration_that_does_not_fit_is_a_type_error_at_its_position(line, col, message):
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(GUARDED + line + "\n")
+    assert (err.value.line, err.value.col) == (7, col)
+    where = "line 7" + ("" if col is None else f", col {col}")
+    assert str(err.value) == f"{where}: {message}"
+
+
+def test_a_quadratic_discriminant_below_the_bound_is_accepted():
+    s = parse_session("division D = quadratic(-2147483647) s=1 t=1\n")  # 2^31 - 1 is prime
+    assert s.divisions["D"].kind.d == -2147483647
+
+
+def test_a_product_of_products_is_flattened():
+    s = parse_session(GUARDED + "order F = product(E, A)\n")
+    assert [c.sig.parts for c in s.orders["F"].components] == [(1,), (2,), (1,)]
+
+
+@pytest.mark.parametrize("text, verdict, detail", [
+    (GUARDED + "check c = aniso(s) expect anisotropic\n",
+     "anisotropic", "block 1: anisotropic (1, 0)"),
+    (corpus("main-counterexample.ho") + "check c = aniso(s1) expect isotropic\n",
+     "isotropic", "block 1: isotropic (2, 2); block 2: anisotropic (2, 0)"),
+])
+def test_aniso_without_block_lists_every_block(text, verdict, detail):
+    result = run_session(parse_session(text)).checks[-1]
+    assert (result.actual, result.ok, result.detail) == (verdict, True, detail)

@@ -7,8 +7,9 @@ from random import Random
 
 import pytest
 
-from horders.errors import OK, InsufficientPrecision, UnknownScenario, failure
-from horders.involutions import InvolutionSpec, apply_tau, smat_invertible
+from horders.errors import (OK, InsufficientPrecision, ScalarKindMismatch, SizeMismatch,
+                            UnknownScenario, failure)
+from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, DivisionSpec, Signature
 from horders.scalars import (
@@ -19,11 +20,13 @@ from horders.scalars import (
     Scalar,
     ScalarKind,
     quadratic,
+    smat_invertible,
 )
 from horders.witness import (
     MODE_BASE,
     MODE_F,
     SCENARIOS,
+    RingMode,
     WitnessCheck,
     _exact_operands,
     _is_mode_coefficient,
@@ -80,6 +83,29 @@ def test_generic_fiber_witness_fails_over_the_base_ring():
     diag = verify_witness(base)
     assert not diag.ok
     assert diag.code in ("NotInvertible", "NotContained")
+
+
+def _witness_with(**changes):
+    spec1, spec2, w, _ = counterexample_pair()
+    fields = {"u": w.u, "alpha": w.alpha, "mode": MODE_F, "spec1": spec1, "spec2": spec2}
+    return WitnessCheck(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RingMode("sheaf"), ValueError, "unknown ring mode 'sheaf'"),
+    (lambda: RingMode("etale"), ValueError, "exactly the etale mode carries a discriminant"),
+    (lambda: RingMode("base", -1), ValueError, "exactly the etale mode carries a discriminant"),
+    (lambda: _witness_with(spec2=counterexample_pair(BASE, 2, 1)[1]),
+     SizeMismatch, "witness endpoints must share one order"),
+    (lambda: _witness_with(u=JetMatrix.diagonal([LaurentJet.one(BASE)])),
+     SizeMismatch, "witness is 1x1, order has size 6"),
+    (lambda: _witness_with(alpha=LaurentJet.one(QUATERNION)),
+     ScalarKindMismatch, "witness entries must live over base"),
+])
+def test_witness_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_the_top_left_block_determinant_is_t():
