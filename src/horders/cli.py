@@ -214,12 +214,14 @@ def _ascii_int(text: str) -> int | None:
 
 
 def _int_at_least(low: int | None):
-    """An argparse type: an ASCII integer, at least ``low`` unless that is None."""
+    """An argparse type: an ASCII integer, at least ``low`` unless that is None.
+    A rejected value is echoed up to 20 characters, then by its length."""
     def parse(text: str) -> int:
         value = _ascii_int(text)
         if value is None or low is not None and value < low:
             bound = "" if low is None else f" of at least {low}"
-            raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {text!r}")
+            got = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {got}")
         return value
     return parse
 

@@ -14,10 +14,9 @@ the verdict stands and the witness is omitted.
 Well-formedness is decided from entry valuations, without matrix
 products.  The involution sends the order generator t^P[i][j] * e_ij to
 the matrix with entries a^-1[k][j] * t^P[i][j] * a[i][l].  Gauges live
-over unextended kinds, which have no zero divisors, so the valuation
-floor of that product is the sum of the factors' floors plus P[i][j]
-(truncated entries included; an exactly zero factor gives +infinity).
-Stability is therefore the integer inequality
+over unextended kinds, which have no zero divisors, so the valuation of
+that product is the sum of the factors' valuations plus P[i][j] (a zero
+factor gives +infinity).  Stability is therefore the integer inequality
 v(a^-1[k][j]) + P[i][j] + v(a[i][l]) >= P[k][l] for all i, j, k, l,
 the min-plus statement V(a^-1) * P^T * V(a) >= P.  That sigma squares
 to the identity needs no check:
@@ -41,7 +40,6 @@ from math import isqrt
 
 from .errors import (
     Diagnostics,
-    InsufficientPrecision,
     NotEpsilonHermitian,
     NotInvertible,
     NotStable,
@@ -137,7 +135,7 @@ def apply_tau(x: JetMatrix) -> JetMatrix:
 
 
 def apply_sigma(spec: InvolutionSpec, x: JetMatrix) -> JetMatrix:
-    """sigma(x) = a^-1 * tau(x) * a for the gauge a, which must be exact."""
+    """sigma(x) = a^-1 * tau(x) * a, for a gauge a that is a unit (else NotInvertible)."""
     if x.kind != spec.gauge.kind:
         raise ScalarKindMismatch(f"element over {x.kind}, gauge over {spec.gauge.kind}")
     if x.n != spec.gauge.n:
@@ -151,9 +149,6 @@ def _require_wellformed(spec: InvolutionSpec) -> None:
     want = a if spec.epsilon == 1 else -a
     if not ta.agrees(want):
         raise NotEpsilonHermitian(f"tau(a) != {spec.epsilon:+d}*a")
-    if not a.is_exact:
-        raise InsufficientPrecision(
-            "well-formedness is decided exactly; the gauge must be exact")
     p = pattern_of(spec.order.sig).entries
     va = [[e.valuation_floor() for e in row] for row in a.rows]
     vinv = a.inverse_valuations()
@@ -177,7 +172,7 @@ def wellformed(spec: InvolutionSpec) -> Diagnostics:
 
     Stability is read off the valuations of a and the exact valuations
     of a^-1 (see the module docstring); sigma^2 = id follows from the
-    hermitian check.  A truncated gauge raises InsufficientPrecision.
+    hermitian check.
     """
     try:
         spec._checked
@@ -361,10 +356,15 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     """Isotropy decision for the residue block gauge b.
 
     The verdict is anisotropic exactly when the diagonalised form is
-    sign-definite.  For an indefinite form an isotropic rank-one matrix
-    witness is constructed from a hyperbolic pair of diagonal entries
-    whenever the two-variable norm equation has a rational solution;
-    the witness is verified exactly before it is returned.
+    sign-definite.  For an indefinite form, with C^* * b * C = diag(d)
+    from ``diagonalize_form``, take d_i > 0 > d_j whose ratio rho =
+    -d_j / d_i is a norm: ``represent_norm`` returns y with N(y) = rho
+    exactly.  Then v = C * (y * e_i + e_j) is isotropic with no check:
+    v^* * b * v = conj(y) * d_i * y + d_j = rho * d_i + d_j = 0, since d_i
+    is rational and so central.  And v != 0, since C is invertible and
+    the e_j coordinate of y * e_i + e_j is 1.  The witness is the rank-one
+    matrix whose only nonzero column is v; it is omitted when no ratio
+    is found to be a norm.
     """
     if epsilon != 1:
         raise UnsupportedFormKind("epsilon = -1 residue forms are not decided")
@@ -383,9 +383,6 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     signature = tuple(sorted((pos, neg), reverse=True))
     if pos == 0 or neg == 0:
         return IsotropyResult(ANISOTROPIC, signature)
-
-    # The candidate's only nonzero column is v = C * (y * e_i + e_j), so
-    # tau(cand) * b * cand vanishes except for its (1, 1) entry v* b v.
     zero = Scalar.zero(kind)
     for i in range(n):
         if diag[i] <= 0:
@@ -394,15 +391,9 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
             if diag[j] >= 0:
                 continue
             y = represent_norm(kind, -Q(diag[j]) / Q(diag[i]))
-            if y is None:
-                continue
-            vec = [trans[r][i] * y + trans[r][j] for r in range(n)]
-            nz = [r for r in range(n) if not vec[r].is_zero()]
-            value = sum((vec[r].conj() * sum((b[r][s] * vec[s] for s in nz), zero)
-                         for r in nz), zero)
-            if nz and value.is_zero():
+            if y is not None:
                 return IsotropyResult(ISOTROPIC, signature, tuple(
-                    (vec[r],) + (zero,) * (n - 1) for r in range(n)))
+                    (trans[r][i] * y + trans[r][j],) + (zero,) * (n - 1) for r in range(n)))
     return IsotropyResult(ISOTROPIC, signature)
 
 

@@ -1,13 +1,14 @@
-"""Square matrices of Laurent jets over a single scalar kind.
+"""Square matrices of exact Laurent polynomials over a single scalar kind.
 
-Exact questions about an exact matrix a over the Laurent field use one
-integer image per connected component of the nonzero pattern of a (a
-and a^-1 are block-diagonal along the components).  Row i of the
-component is multiplied by s_i * t^-low_i, where low_i is its lowest
-exponent and s_i clears its denominators; then a^-1[k][j] is
-a'^-1[k][j] * s_j * t^-low_j for the scaled matrix a', and the
-left-regular representation M(t) of a' over Q is an integer polynomial
-matrix.  ``field_invertible`` evaluates M at small integers;
+A matrix refuses a truncated entry when it is built, so every question
+below is asked of exact entries.  Exact questions about a matrix a over
+the Laurent field use one integer image per connected component of the
+nonzero pattern of a (a and a^-1 are block-diagonal along the
+components).  Row i of the component is multiplied by s_i * t^-low_i,
+where low_i is its lowest exponent and s_i clears its denominators; then
+a^-1[k][j] is a'^-1[k][j] * s_j * t^-low_j for the scaled matrix a', and
+the left-regular representation M(t) of a' over Q is an integer
+polynomial matrix.  ``field_invertible`` evaluates M at small integers;
 ``inverse_valuations`` and ``inverse`` share one solve at X = 2^B.
 
 That solve is exact.  Every minor of M has coefficients of absolute
@@ -24,15 +25,10 @@ these integers are exactly the coefficients of det(t) and y_kj(t).
 of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in [v * B, v * B + B).
 So v(a^-1[k][j]) is the least valuation among the coordinates of y_kj
 minus v(det) minus low_j, and all-zero coordinates are an exactly zero
-entry (+infinity).  ``inverse`` reads every digit: det is a rational
-polynomial, so it is central, and a^-1[k][j] = y_kj(t) * s_j * t^-low_j
-* det(t)^-1 takes one series inverse per component.  The result is
-exact iff every det is a monomial, that is iff a is a unit over the
-Laurent polynomials; otherwise every nonzero entry is known to exactly
-``DEFAULT_PRECISION`` past its own valuation, and exactly zero entries
-stay exact.  A truncated matrix raises InsufficientPrecision: its
-completions, such as [[1, 0], [0, 1]] and [[1, t], [t, 1]] for
-[[1, 0 mod t], [0 mod t, 1]], can have inverses that disagree.
+entry (+infinity).  ``inverse`` reads every digit.  a is a unit over the
+Laurent polynomials iff every det is a monomial c * t^v, that is iff
+det(X) = c * X^v with |c| < X/2; then a^-1[k][j] = y_kj(t) * s_j *
+t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
 
 Products are compared on the same kind of image (Kronecker substitution;
 von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
@@ -61,14 +57,13 @@ from math import lcm, prod
 from operator import add
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
-from .scalars import (LaurentJet, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
-                      _min_prec, _mul_parts, _product_precision, _same_kind, _unit_solve,
-                      left_regular)
+from .scalars import (LaurentJet, Q, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
+                      _mul_parts, _same_kind, _unit_solve, left_regular)
 
 
 @record
 class JetMatrix:
-    """Immutable square matrix with :class:`LaurentJet` entries."""
+    """Immutable square matrix with exact :class:`LaurentJet` entries."""
 
     kind: ScalarKind
     rows: tuple[tuple[LaurentJet, ...], ...]
@@ -81,6 +76,9 @@ class JetMatrix:
             for entry in row:
                 if entry.kind is not self.kind and entry.kind != self.kind:
                     raise ScalarKindMismatch(f"entry kind {entry.kind} in a {self.kind} matrix")
+                if not entry.is_exact:
+                    raise InsufficientPrecision(
+                        f"matrix entries are exact Laurent polynomials, got {entry}")
 
     @staticmethod
     def of(rows: Sequence[Sequence[LaurentJet]]) -> "JetMatrix":
@@ -135,21 +133,19 @@ class JetMatrix:
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         """Each entry is one accumulated sum of the products a[i][k] * b[k][j]
-        over the k with a[i][k] not exactly zero, known to the least of
-        their product precisions."""
+        over the k with a[i][k] not zero."""
         self._check(other)
         kind = self.kind
         cols = list(zip(*other.rows))
         out = []
         for row in self.rows:
-            kept = [(k, a) for k, a in enumerate(row) if a.coeffs or not a.is_exact]
+            kept = [(k, a) for k, a in enumerate(row) if a.coeffs]
             out_row = []
             for col in cols:
-                acc, prec = _Accumulator(kind), None
+                acc = _Accumulator(kind)
                 for k, a in kept:
                     acc.add_product(a, col[k])
-                    prec = _min_prec(prec, _product_precision(a, col[k]))
-                out_row.append(acc.jet(prec))
+                out_row.append(acc.jet(None))
             out.append(tuple(out_row))
         return JetMatrix(kind, tuple(out))
 
@@ -162,16 +158,12 @@ class JetMatrix:
         """This matrix over ``kind``, an extension of its kind by a root."""
         return JetMatrix(kind, tuple(tuple(e.onto(kind) for e in row) for row in self.rows))
 
-    @property
-    def is_exact(self) -> bool:
-        return all(e.is_exact for row in self.rows for e in row)
-
     def agrees(self, other: "JetMatrix") -> bool:
         self._check(other)
-        return all(a.agrees(b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
+        return self.rows == other.rows
 
     def field_invertible(self) -> bool:
-        """Exact invertibility over the Laurent field; all entries exact.
+        """Exact invertibility over the Laurent field.
 
         Invertible iff the image M(t) of every component (see the module
         docstring) is: det M has degree at most D = dim * sum over the rows
@@ -189,7 +181,7 @@ class JetMatrix:
         return all(nonsingular(self._integer_rows(comp)[2]) for comp in self._components())
 
     def inverse_valuations(self) -> list[list[int | None]]:
-        """v(a^-1[k][j]) for an exact a, None for an exactly zero entry;
+        """v(a^-1[k][j]), None for an exactly zero entry;
         raises NotInvertible for a singular a.  See the module docstring."""
         dim = self.kind.dim
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
@@ -204,19 +196,21 @@ class JetMatrix:
         return out
 
     def inverse(self) -> "JetMatrix":
-        """a^-1 of an exact a, exact iff a is a unit over the Laurent
-        polynomials; see the module docstring.  NotInvertible if a is
-        singular, InsufficientPrecision if it is truncated."""
-        if not self.is_exact:
-            raise InsufficientPrecision("matrix inversion is exact; the matrix must be exact")
+        """a^-1, exact; NotInvertible unless a is a unit over the Laurent
+        polynomials (see the module docstring)."""
         kind, dim = self.kind, self.kind.dim
         out = [[LaurentJet.zero(kind)] * self.n for _ in range(self.n)]
         for comp in self._components():
             lows, scales, bits, det, cols = self._solve(comp)
-            det_inv = _decode(kind, (det,) + (0,) * (dim - 1), bits, 1, 0).inverse()
+            v = _lowest_digit(det, bits)
+            c = det >> v * bits
+            if abs(c) >= 1 << (bits - 1):
+                raise NotInvertible("matrix is not a unit over the Laurent polynomials: "
+                                    "its determinant is not a monomial")
             for j, low, scale, y in zip(comp, lows, scales, cols):
                 for kk, k in enumerate(comp):
-                    out[k][j] = _decode(kind, y[kk * dim:(kk + 1) * dim], bits, scale, -low) * det_inv
+                    out[k][j] = _decode(kind, y[kk * dim:(kk + 1) * dim], bits,
+                                        Q(scale, c), -low - v)
         return JetMatrix(kind, tuple(map(tuple, out)))
 
     def _solve(self, comp: list[int]) -> tuple[list[int], list[int], int, int, list[list[int]]]:
@@ -249,8 +243,7 @@ class JetMatrix:
 
     def __str__(self) -> str:
         n = self.n
-        off_diag_zero = all(self.rows[i][j].is_zero() and self.rows[i][j].is_exact
-                            for i in range(n) for j in range(n) if i != j)
+        off_diag_zero = all(self.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
         if off_diag_zero and n > 0:
             return "diag(" + ", ".join(str(self.rows[i][i]) for i in range(n)) + ")"
         return "mat[" + ",".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows) + "]"
@@ -261,7 +254,7 @@ def _lowest_digit(y: int, bits: int) -> int:
     return ((y & -y).bit_length() - 1) // bits
 
 
-def _decode(kind: ScalarKind, coords: Sequence[int], bits: int, scale: int, shift: int) -> LaurentJet:
+def _decode(kind: ScalarKind, coords: Sequence[int], bits: int, scale: Q, shift: int) -> LaurentJet:
     """scale * t^shift * p(t), p the polynomial whose coordinates at
     t = 2^bits are coords, from their balanced base-2^bits digits."""
     half, mask, coeffs = 1 << (bits - 1), (1 << bits) - 1, []
@@ -301,7 +294,7 @@ def _row_norms(kind: ScalarKind, rows: list) -> list[int]:
 def first_difference(left: Sequence[JetMatrix | LaurentJet],
                      right: Sequence[JetMatrix | LaurentJet]) -> tuple[int, int] | None:
     """The first entry, in row-major order, at which the products of the
-    exact factors ``left`` and ``right`` differ, or None if they are
+    factors ``left`` and ``right`` differ, or None if they are
     equal.  A jet factor is that scalar times the identity.  Decided on
     the integers of the module docstring, at X = 2^B."""
     factors = [*left, *right]
@@ -313,8 +306,6 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet],
         _same_kind(kind, f.kind)
         if isinstance(f, JetMatrix) and f.n != n:
             raise SizeMismatch(f"{n}x{n} vs {f.n}x{f.n}")
-        if not f.is_exact:
-            raise InsufficientPrecision("products are compared exactly; every factor must be exact")
     packed = [_integer_terms(f.rows if isinstance(f, JetMatrix) else ((f,),)) for f in factors]
     norms = [max(_row_norms(kind, terms)) for _, _, terms in packed]
     k = len(left)

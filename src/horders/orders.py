@@ -188,8 +188,7 @@ def pattern_pow(p: PatternMatrix, r: int) -> PatternMatrix:
 
 
 def meets_pattern(x: JetMatrix, p: PatternMatrix) -> tuple[bool, tuple[int, int] | None]:
-    """Entrywise valuation check; entries zero to precision are accepted
-    at their precision bound."""
+    """Entrywise valuation check; exactly zero entries pass."""
     if x.n != p.n:
         raise SizeMismatch(f"matrix is {x.n}x{x.n}, pattern is {p.n}x{p.n}")
     for i in range(x.n):

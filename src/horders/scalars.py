@@ -709,20 +709,6 @@ class LaurentJet:
             return LaurentJet.one(self.kind)
         return _power(self.inverse() if k < 0 else self, abs(k), mul)
 
-    # -- comparison -----------------------------------------------------------
-
-    def agrees(self, other: "LaurentJet") -> bool:
-        """Equality up to the smaller precision (floor of one coefficient)."""
-        self._check(other)
-        prec = _min_prec(self.precision, other.precision)
-        if prec is None:
-            return self.lowest_exp == other.lowest_exp and self.coeffs == other.coeffs
-        if prec < 1:
-            raise InsufficientPrecision(
-                f"cannot compare jets below the precision floor (precision {prec})")
-        diff = self - other
-        return not diff.coeffs
-
     def onto(self, kind: ScalarKind) -> "LaurentJet":
         """This jet over ``kind``, an extension of its kind by a root."""
         return LaurentJet(kind, self.lowest_exp, tuple(c.onto(kind) for c in self.coeffs),

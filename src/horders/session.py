@@ -10,17 +10,13 @@ Grammar (one declaration per line, ended by LF, CR LF or CR; ``#`` starts a comm
     check NAME = FUNC(ARGS) expect EXPECTED
 
 Matrix literals are ``diag(...)``, ``mat[[...],[...]]`` and
-``dsum(M1, M2, ...)``; entries are sums and products of ``INT[/INT]``,
-``t``, ``sqrt(d)``, the quaternion units ``qi``, ``qj``, ``qk`` and
-integer powers ``x^k`` of these or of a parenthesised entry (``k < 0``
-inverts, so ``(1+t)^-1`` is known modulo ``t^16``).  An entry may end
-in ``mod t^N``, which truncates it to precision ``min(N, its own)``;
-that is how a truncated entry prints.  Inside a witness declared over
-``etale(d)``, ``sqrt(d)`` denotes the adjoined central square root.
-Literals are evaluated exactly, as sums of integer monomials, while
-``(...)^-1`` of a sum that is not a monomial still truncates as above; a
-negative power of a value with no inverse (zero, zero to its precision,
-or a zero divisor) is a type error at its ``^``.
+``dsum(M1, M2, ...)``; entries are exact Laurent polynomials: sums and
+products of ``INT[/INT]``, ``t``, ``sqrt(d)``, the quaternion units
+``qi``, ``qj``, ``qk`` and integer powers ``x^k`` of these or of a
+parenthesised entry.  Inside a witness declared over ``etale(d)``,
+``sqrt(d)`` denotes the adjoined central square root.  A negative power
+of a value that is not a monomial with an invertible coefficient is a
+type error at its ``^``.
 Numbers are ASCII digits and names ASCII letters, digits and
 underscores; any other character is a syntax error at its column.
 Errors carry the first offending source position; there is no recovery.
@@ -65,7 +61,7 @@ from .orders import (
     ss_iso_decide_fixed,
 )
 from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
-from .scalars import _Accumulator, _min_prec, _mul_parts, _power, _reduced, exact_int, exact_str
+from .scalars import _Accumulator, _mul_parts, _power, _reduced, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -152,6 +148,14 @@ class _Cursor:
         self.accept("+")
         return self.expect_int()
 
+    def build(self, at: int, make: Callable, *args):
+        """``make(*args)``; its ValueError or HordersError is a type error
+        at token ``at``."""
+        try:
+            return make(*args)
+        except (HordersError, ValueError) as exc:
+            raise SessionTypeError(str(exc), self.line, self.col(at)) from None
+
     def comma_list(self, item) -> list:
         """``item()`` once, then again after each ``,``."""
         items = [item()]
@@ -175,9 +179,8 @@ class _Cursor:
 # A term made of numbers, ``t``, ``qi``/``qj``/``qk``, ``sqrt(d)`` and their
 # powers is an exact monomial ``(num, den, exp)``: integer coordinates over
 # one positive denominator, not yet reduced, times t^exp.  Only a factor
-# that is not a monomial (a parenthesised sum, a ``mod t^N``, or a power of
-# such a factor) becomes a LaurentJet, and from there jet arithmetic keeps
-# its precision rules.  Each sum gathers its terms in one accumulator.
+# that is not a monomial (a parenthesised sum, or a power of one) becomes
+# a LaurentJet.  Each sum gathers its terms in one accumulator.
 
 
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
@@ -192,30 +195,24 @@ def _as_jet(kind: ScalarKind, value) -> LaurentJet:
 
 
 def _parse_sum(cur: _Cursor, kind: ScalarKind):
-    """A sum of terms with an optional ``mod t^N``: its one term when there
-    is no more, else a jet reduced once, to the least precision of its
-    truncated terms."""
+    """A sum of terms: its one term when there is no more, else a jet
+    reduced once."""
     term = _parse_term(cur, kind)
-    if cur.peek() not in ("+", "-", "mod"):
+    if cur.peek() not in ("+", "-"):
         return term
-    acc, prec, negate = _Accumulator(kind), None, False
+    acc, negate = _Accumulator(kind), False
     while True:
         if type(term) is tuple:
             num, den, exp = term
             acc.add_monomial(exp, tuple(-x for x in num) if negate else num, den)
         else:
             acc.add(-term if negate else term)
-            prec = _min_prec(prec, term.precision)
         if cur.accept("+"):
             negate = False
         elif cur.accept("-"):
             negate = True
-        elif cur.accept("mod"):
-            cur.expect("t")
-            cur.expect("^")
-            return acc.jet(_min_prec(prec, cur.signed_int()))
         else:
-            return acc.jet(prec)
+            return acc.jet(None)
         term = _parse_term(cur, kind)
 
 
@@ -242,6 +239,11 @@ def _parse_factor(cur: _Cursor, kind: ScalarKind):
     if not cur.accept("^"):
         return value
     k = cur.signed_int()
+    if k < 0 and type(value) is not tuple and len(value.coeffs) > 1:
+        raise SessionTypeError(
+            f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
+            "Laurent polynomials; multiply u by the denominator and alpha by its norm",
+            cur.line, cur.col(caret))
     try:
         return _monomial_power(kind, value, k) if type(value) is tuple else value ** k
     except (IndeterminateValuation, NotInvertible) as exc:
@@ -395,9 +397,10 @@ class _Parser:
         # one instance per extended kind, so each builds its basis_products once
         self.kinds: dict[ScalarKind, ScalarKind] = {}
 
-    def define(self, decl: Declaration, line: int) -> None:
+    def define(self, decl: Declaration, cur: _Cursor) -> None:
+        """Every declaration's name is token 1 of its line."""
         if decl.name in self.symbols:
-            raise DuplicateIdentifier(f"{decl.name!r} is already defined", line)
+            raise DuplicateIdentifier(f"{decl.name!r} is already defined", cur.line, cur.col(1))
         self.symbols[decl.name] = decl
         self.declarations.append(decl)
 
@@ -417,6 +420,7 @@ class _Parser:
     def parse_division(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
         cur.expect("=")
+        at = cur.pos
         word = cur.expect_ident()
         if word == "base":
             kind = BASE
@@ -424,45 +428,43 @@ class _Parser:
             kind = QUATERNION
         elif word == "quadratic":
             cur.expect("(")
+            at = cur.pos
             d = cur.signed_int()
             cur.expect(")")
-            try:
-                kind = quadratic(d)
-            except ValueError as exc:
-                raise SessionTypeError(str(exc), cur.line)
+            kind = cur.build(at, quadratic, d)
         else:
             raise SessionSyntaxError(
-                f"expected base, quadratic or quaternion, got {word!r}", cur.line)
+                f"expected base, quadratic or quaternion, got {word!r}", cur.line, cur.col(at))
         cur.expect("s")
         cur.expect("=")
+        at = cur.pos
         s = cur.expect_int()
         cur.expect("t")
         cur.expect("=")
         t = cur.expect_int()
         cur.done()
-        try:
-            payload = DivisionSpec(name, kind, s, t)
-        except ValueError as exc:
-            raise SessionTypeError(str(exc), cur.line)
-        self.define(Declaration("division", name, payload), cur.line)
+        # only a zero s or t is refused; the value of t is 3 tokens after s's
+        payload = cur.build(at if s < 1 else at + 3, DivisionSpec, name, kind, s, t)
+        self.define(Declaration("division", name, payload), cur)
 
     def parse_order(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
         cur.expect("=")
+        at = cur.pos
         word = cur.expect_ident()
         if word == "block":
             cur.expect("(")
             ref = cur.name_index()
             division = self.lookup(cur, ref, ("division",))
             cur.expect(";")
+            first = cur.pos
             parts = cur.comma_list(cur.expect_int)
             cur.expect(")")
             cur.done()
-            try:
-                payload = BlockOrder(division, Signature(tuple(parts)))
-            except ValueError as exc:
-                raise SessionTypeError(str(exc), cur.line)
-            self.define(Declaration("order", name, payload, (cur.tokens[ref],)), cur.line)
+            # only a zero part is refused, so the first smallest; parts are 2 tokens apart
+            payload = BlockOrder(division, cur.build(first + 2 * parts.index(min(parts)),
+                                                     Signature, tuple(parts)))
+            self.define(Declaration("order", name, payload, (cur.tokens[ref],)), cur)
             return
         if word == "product":
             cur.expect("(")
@@ -478,9 +480,9 @@ class _Parser:
                     components.append(comp)
             payload = SemisimpleOrder(tuple(components))
             self.define(Declaration("order", name, payload,
-                                    tuple(cur.tokens[ref] for ref in refs)), cur.line)
+                                    tuple(cur.tokens[ref] for ref in refs)), cur)
             return
-        raise SessionSyntaxError(f"expected block or product, got {word!r}", cur.line)
+        raise SessionSyntaxError(f"expected block or product, got {word!r}", cur.line, cur.col(at))
 
     def parse_involution(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
@@ -493,22 +495,24 @@ class _Parser:
                 cur.line, cur.col(ref))
         cur.expect(":")
         cur.expect("gauge")
+        at_gauge = cur.pos
         gauge = _parse_matrix(cur, order.division.kind)
         cur.expect("eps")
+        at_eps = cur.pos
         epsilon = cur.signed_int()
         cur.expect("conj")
+        at = cur.pos
         word = cur.expect_ident()
         expected_word = _CONJ_WORDS[order.division.kind.core]
         if word != expected_word:
             raise SessionTypeError(
                 f"conj {word} does not match the order's scalar kind "
-                f"({order.division.kind}, expected conj {expected_word})", cur.line)
+                f"({order.division.kind}, expected conj {expected_word})", cur.line, cur.col(at))
         cur.done()
-        try:
-            payload = InvolutionSpec(order, gauge, epsilon)
-        except (HordersError, ValueError) as exc:
-            raise SessionTypeError(str(exc), cur.line)
-        self.define(Declaration("involution", name, payload, (cur.tokens[ref],)), cur.line)
+        # the gauge is built over the order's kind: only its size or epsilon fail
+        payload = cur.build(at_gauge if epsilon in (1, -1) else at_eps,
+                            InvolutionSpec, order, gauge, epsilon)
+        self.define(Declaration("involution", name, payload, (cur.tokens[ref],)), cur)
 
     def parse_witness(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
@@ -529,28 +533,26 @@ class _Parser:
             mode = MODE_BASE
         elif word == "etale":
             cur.expect("(")
+            at = cur.pos
             d = cur.signed_int()
             cur.expect(")")
             mode = mode_etale(d)
-            try:
-                kind = kind.extended(d)
-            except ValueError as exc:
-                raise SessionTypeError(str(exc), cur.line)
+            kind = cur.build(at, kind.extended, d)
             kind = self.kinds.setdefault(kind, kind)
         else:
             raise SessionSyntaxError(
                 f"expected F, base or etale(d), got {word!r}", cur.line, cur.col(at))
         cur.expect("u")
+        at = cur.pos
         u = _parse_matrix(cur, kind)
         cur.expect("alpha")
         alpha = _parse_expr(cur, kind)
         cur.done()
-        try:
-            payload = WitnessCheck(u, alpha, mode, spec1, spec2)
-        except HordersError as exc:
-            raise SessionTypeError(str(exc), cur.line)
+        # u and alpha are built over the working kind: only the endpoints or u's size fail
+        payload = cur.build(ref2 if spec1.order != spec2.order else at,
+                            WitnessCheck, u, alpha, mode, spec1, spec2)
         self.define(Declaration("witness", name, payload,
-                                (cur.tokens[ref1], cur.tokens[ref2])), cur.line)
+                                (cur.tokens[ref1], cur.tokens[ref2])), cur)
 
     def parse_check(self, cur: _Cursor) -> None:
         name = cur.expect_ident()
@@ -574,7 +576,7 @@ class _Parser:
         self._validate_check(cur, at, args, positions, kwargs)
         decl = CheckDecl(name, func, tuple(args), tuple(kwargs), expected)
         self.define(Declaration("check", name, decl,
-                                tuple(a[1] for a in args if a[0] == "ref")), cur.line)
+                                tuple(a[1] for a in args if a[0] == "ref")), cur)
 
     def _parse_check_arg(self, cur: _Cursor, args: list, positions: list, kwargs: list) -> None:
         """Appends one argument, and to ``positions`` its token index if it is a name."""
@@ -606,7 +608,8 @@ class _Parser:
         items = cur.int_tuple()
         if items is not None:
             return _format_tuple(items)
-        raise SessionSyntaxError("expected a verdict, a tuple or `error CODE`", cur.line)
+        raise SessionSyntaxError("expected a verdict, a tuple or `error CODE`",
+                                 cur.line, cur.col(cur.pos))
 
     def _validate_check(self, cur: _Cursor, at: int, args: list, positions: list,
                         kwargs: list) -> None:

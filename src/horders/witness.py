@@ -5,9 +5,9 @@ tau(u) * a2 * u = alpha * a1 over a declared coefficient ring: the
 generic fibre (Laurent field), the base coefficient ring itself, or a
 quadratic etale extension of it.  When the identity holds and u is a
 unit of the declared ring, conjugation by u transports the first
-twisted involution to the second over that ring.  All identity checks
-demand exact Laurent polynomials on both sides; a precision-limited
-tail is an error, never a pass.
+twisted involution to the second over that ring.  u and the gauges are
+matrices, so exact; a truncated alpha is refused when the witness is
+built.
 
 Nothing is inverted and nothing is sampled: every question is an exact
 identity or asks whether a rational matrix is singular.  The identities
@@ -126,6 +126,8 @@ class WitnessCheck:
         if self.u.kind not in allowed or self.alpha.kind not in allowed:
             raise ScalarKindMismatch(
                 f"witness entries must live over {self._work_kind()}")
+        if not self.alpha.is_exact:
+            raise InsufficientPrecision(f"alpha is an exact Laurent polynomial, got {self.alpha}")
 
     def _work_kind(self) -> ScalarKind:
         """The division kind, or its etale extension; the instance u or
@@ -142,11 +144,8 @@ def _promote(x, kind: ScalarKind):
     return x if x.kind == kind else x.onto(kind)
 
 
-def _exact_operands(w: WitnessCheck):
-    """u, a1, a2 and alpha over the working kind; all must be exact."""
-    if not all(x.is_exact for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha)):
-        raise InsufficientPrecision(
-            "witness identities are exact polynomial checks; all inputs must be exact")
+def _operands(w: WitnessCheck):
+    """u, a1, a2 and alpha over the working kind."""
     kind = w._work_kind()
     return tuple(_promote(x, kind) for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha))
 
@@ -192,7 +191,7 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
     field (units lift modulo the Jacobson radical), so u is asked over
     the field only in the generic fibre or after a failed check, and a u
     singular there is reported so, as if the field had been asked first."""
-    u, a1, a2, alpha = _exact_operands(w)
+    u, a1, a2, alpha = _operands(w)
 
     tu = apply_tau(u)
     bad = first_difference((tu, a2, u), (alpha, a1))
@@ -239,7 +238,7 @@ def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
     ``samples`` has no effect, since the check is exact; it is still
     accepted because ``perfbench/baselines.py`` passes it.
     """
-    u, a1, a2, _ = _exact_operands(w)
+    u, a1, a2, _ = _operands(w)
     if not a1.field_invertible():
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
     if not u.field_invertible():

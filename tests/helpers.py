@@ -9,11 +9,11 @@ from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPre
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
-                            meets_pattern, pattern_of, radical_pattern, ss_iso_decide)
+                            pattern_of, radical_pattern, ss_iso_decide)
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
 from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
-from horders.witness import WitnessCheck, _exact_operands, _is_central, _ring_checks
+from horders.witness import WitnessCheck, _operands, _is_central, _ring_checks
 
 
 def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
@@ -90,20 +90,44 @@ def ref_jet_mul(x: LaurentJet, y: LaurentJet) -> LaurentJet:
     return LaurentJet(x.kind, x.lowest_exp + y.lowest_exp, out, prec)
 
 
-def ref_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
+def jets_agree(x: LaurentJet, y: LaurentJet) -> bool:
+    """Equality up to the smaller precision of the two jets."""
+    if x.precision is None and y.precision is None:
+        return x == y
+    return not (x - y).coeffs
+
+
+# A matrix of jets that may be truncated is a list of rows: a JetMatrix
+# holds only exact entries, and the references below carry truncated
+# inverses through their products.
+
+def rows_agree(a: list, b: list) -> bool:
+    return all(jets_agree(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def rows_tau(a: list) -> list:
+    """The conjugate transpose of a matrix of jets."""
+    return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a))]
+
+
+def ref_rows_mul(a: list, b: list) -> list:
     """Entry by entry, a running jet sum of jet products, skipping the
     exactly zero entries of a."""
     rows = []
-    for row in a.rows:
+    for row in a:
         out = []
-        for col in zip(*b.rows):
-            acc = LaurentJet.zero(a.kind)
+        for col in zip(*b):
+            acc = LaurentJet.zero(row[0].kind)
             for x, y in zip(row, col):
                 if x.coeffs or not x.is_exact:
                     acc = ref_jet_add(acc, ref_jet_mul(x, y))
             out.append(acc)
         rows.append(out)
-    return JetMatrix.of(rows)
+    return rows
+
+
+def ref_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
+    return JetMatrix.of(ref_rows_mul(a.rows, b.rows))
 
 
 def ref_geometric_inverse(jet: LaurentJet, precision: int | None = None) -> LaurentJet:
@@ -180,16 +204,17 @@ def sample_block_unit(order: BlockOrder, rng: Random, *, bound: int = 2) -> JetM
     return JetMatrix.dsum(*blocks)
 
 
-def ref_gauss_jordan_inverse(a: JetMatrix) -> JetMatrix:
+def ref_gauss_jordan_inverse(a: JetMatrix) -> list:
     """Gauss-Jordan over the Laurent field; left row operations only: the
     reference for ``JetMatrix.inverse``, which solves on integers instead.
+    The rows of a^-1, truncated where a pivot is not a monomial.
 
     Pivots need a determinate valuation and an invertible leading
     coefficient (extended kinds can contain zero divisors).  Entries
     that are zero to their precision are never pivots; a column left
     without a pivot raises InsufficientPrecision if it holds such an
-    entry, unless the matrix is exact and singular over the Laurent
-    field, and NotInvertible otherwise.
+    entry, unless a is singular over the Laurent field, and NotInvertible
+    otherwise.
     """
     n = a.n
     work = [list(row) + [LaurentJet.one(a.kind) if i == j else LaurentJet.zero(a.kind)
@@ -208,7 +233,7 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> JetMatrix:
             except NotInvertible:
                 continue
             best, best_inv = r, inv
-        if best is None and vague and (not a.is_exact or a.field_invertible()):
+        if best is None and vague and a.field_invertible():
             raise InsufficientPrecision(
                 f"no usable pivot in column {col}: an entry is zero only to its precision")
         if best is None:
@@ -222,7 +247,7 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> JetMatrix:
             if f.is_zero():
                 continue
             work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    return JetMatrix.of([row[n:] for row in work])
+    return [row[n:] for row in work]
 
 
 def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
@@ -238,21 +263,24 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
         ainv = ref_gauss_jordan_inverse(a)
     except NotInvertible as exc:
         return failure("NotInvertible", f"gauge is not invertible over the Laurent field: {exc}")
-    pattern = pattern_of(spec.order.sig)
+    p = pattern_of(spec.order.sig).entries
     kind = a.kind
     n = a.n
     for i in range(n):
         for j in range(n):
-            g = single_entry(kind, n, i, j, LaurentJet.t_power(kind, pattern.entries[i][j]))
-            image = ainv @ apply_tau(g) @ a
-            ok, bad = meets_pattern(image, pattern)
-            if not ok:
+            g = single_entry(kind, n, i, j, LaurentJet.t_power(kind, p[i][j]))
+            image = ref_rows_mul(ref_rows_mul(ainv, apply_tau(g).rows), a.rows)
+            # as meets_pattern: an entry zero to its precision is read at that bound
+            floors = [[e.valuation_floor() for e in row] for row in image]
+            bad = next(((k, l) for k in range(n) for l in range(n)
+                        if floors[k][l] is not None and floors[k][l] < p[k][l]), None)
+            if bad is not None:
                 return failure(
                     "NotStable",
-                    f"generator t^{pattern.entries[i][j]}*e[{i + 1},{j + 1}] leaves the order "
+                    f"generator t^{p[i][j]}*e[{i + 1},{j + 1}] leaves the order "
                     f"at entry {bad[0] + 1},{bad[1] + 1}")
-            twice = ainv @ apply_tau(image) @ a
-            if not twice.agrees(g):
+            twice = ref_rows_mul(ref_rows_mul(ainv, rows_tau(image)), a.rows)
+            if not rows_agree(twice, g.rows):
                 return failure("NotInvolutive", f"sigma^2 != id on generator e[{i + 1},{j + 1}]")
     return OK
 
@@ -293,7 +321,7 @@ def ref_inverse_valuations(a: JetMatrix) -> list[list[int | None]] | None:
     """v(a^-1[k][j]) = v(adj(a)[k][j]) - v(det a) for an exact base-kind
     gauge of size at most 3; None for an exactly zero entry, and None in
     place of the matrix when a is singular."""
-    assert a.kind == BASE and a.is_exact and a.n <= 3
+    assert a.kind == BASE and a.n <= 3
     m = [[{e.lowest_exp + k: c.parts[0] for k, c in enumerate(e.coeffs) if not c.is_zero()}
           for e in row] for row in a.rows]
     det = _poly_det(m)
@@ -356,10 +384,12 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
         ref_gauss_jordan_inverse(u)
     except NotInvertible as exc:
         return failure("NotInvertible", f"u: {exc}")
-    big = apply_tau(u) @ a2 @ u
+    big = (apply_tau(u) @ a2 @ u).rows
 
     def holds(x: JetMatrix) -> bool:
-        return (apply_tau(x) @ big).agrees(big @ (a1_inv @ apply_tau(x) @ a1))
+        tx = apply_tau(x).rows
+        return rows_agree(ref_rows_mul(tx, big),
+                          ref_rows_mul(big, ref_rows_mul(ref_rows_mul(a1_inv, tx), a1.rows)))
 
     order = w.spec1.order
     pattern = pattern_of(order.sig)
@@ -387,7 +417,7 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
 def ref_identity_check(w: WitnessCheck) -> Diagnostics:
     """The identity step of ``verify_witness``: OK, or IdentityMismatch at
     the first differing entry with both jets in the detail."""
-    u, a1, a2, alpha = _exact_operands(w)
+    u, a1, a2, alpha = _operands(w)
     lhs = apply_tau(u) @ a2 @ u
     rhs = entrywise(lambda e: alpha * e, a1)
     bad = next(((i, j) for i in range(u.n) for j in range(u.n)
@@ -407,7 +437,7 @@ def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
     diag = ref_identity_check(w)
     if not diag.ok:
         return diag
-    u, _, _, alpha = _exact_operands(w)
+    u, _, _, alpha = _operands(w)
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
     return _ring_checks(w, u, alpha)
@@ -416,7 +446,7 @@ def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
 def ref_transport_check(w: WitnessCheck) -> Diagnostics:
     """``transport_check`` with W = tau(u) * a2 * u as a matrix of jets and
     N * W = m * a1 compared entry by entry."""
-    u, a1, a2, _ = _exact_operands(w)
+    u, a1, a2, _ = _operands(w)
     if not a1.field_invertible():
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
     if not u.field_invertible():
@@ -620,13 +650,6 @@ def ref_parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
             value = value + ref_parse_term(cur, kind)
         elif cur.accept("-"):
             value = value - ref_parse_term(cur, kind)
-        elif cur.accept("mod"):
-            cur.expect("t")
-            cur.expect("^")
-            prec = cur.signed_int()
-            if value.precision is not None:
-                prec = min(prec, value.precision)
-            return LaurentJet(kind, value.lowest_exp, value.coeffs, prec)
         else:
             return value
 
@@ -642,8 +665,15 @@ def ref_parse_factor(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
     if cur.accept("-"):
         return -ref_parse_factor(cur, kind)
     value = ref_parse_atom(cur, kind)
+    caret = cur.pos
     if cur.accept("^"):
-        return value ** cur.signed_int()
+        k = cur.signed_int()
+        if k < 0 and len(value.coeffs) > 1:
+            raise SessionTypeError(
+                f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
+                "Laurent polynomials; multiply u by the denominator and alpha by its norm",
+                cur.line, cur.col(caret))
+        return value ** k
     return value
 
 

@@ -61,7 +61,7 @@ def test_zero_denominator_exits_2(tmp_path, capsys):
     assert "line 3, col 35: zero denominator" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("entry, col", [("0^-1", 34), ("(t mod t^1)^-1", 44)])
+@pytest.mark.parametrize("entry, col", [("0^-1", 34), ("(t-t)^-1", 38)])
 def test_power_of_a_zero_exits_2(tmp_path, capsys, entry, col):
     bad = tmp_path / "power.ho"
     bad.write_text("division D = base s=1 t=1\n"
@@ -83,7 +83,7 @@ def test_a_bad_etale_discriminant_exits_2(tmp_path, capsys, d):
                    f"witness w : from s to s mode etale({d}) u diag(1) alpha 1\n")
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: line 4: ") and "discriminant" in err
+    assert err.startswith("error: line 4, col 36: ") and "discriminant" in err
     assert "Traceback" not in err
 
 
@@ -230,19 +230,20 @@ def test_verify_command(tmp_path, capsys):
     capsys.readouterr()
 
 
-TRUNCATED_GAUGE = """\
+NON_MONOMIAL_GAUGE = """\
 division D = base s=1 t=1
 order A = block(D; 1)
-involution s on A : gauge diag((1+t)^-1) eps +1 conj none
-check w = wellformed(s) expect error InsufficientPrecision
+involution s on A : gauge diag(1 + t) eps +1 conj none
+check w = wellformed(s) expect true
 """
 
 
 def test_precision_flag_has_no_effect(tmp_path, capsys):
-    truncated = tmp_path / "truncated.ho"
-    truncated.write_text(TRUNCATED_GAUGE)
+    # entries are exact Laurent polynomials, so no check reads a precision
+    non_monomial = tmp_path / "non-monomial.ho"
+    non_monomial.write_text(NON_MONOMIAL_GAUGE)
     paths = [corpus_path(tmp_path, "main-counterexample.ho"),
-             corpus_path(tmp_path, "semisimple-basechange.ho"), str(truncated)]
+             corpus_path(tmp_path, "semisimple-basechange.ho"), str(non_monomial)]
     for path in paths:
         outputs = set()
         for precision in ("2", "16", "64"):
@@ -369,7 +370,10 @@ def test_an_integer_flag_past_the_string_limit_is_a_usage_error(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + [value])
     assert exc.value.code == 2
-    assert f"expected an integer of at least {low}, got {value!r}" in capsys.readouterr().err
+    # the echo is cut to 20 characters and the length
+    err = capsys.readouterr().err
+    assert f"expected an integer of at least {low}, got '{'1' * 20}'... (5000 characters)" in err
+    assert len(err) < 500
 
 
 @pytest.mark.parametrize("value", ["١", "1_0", "+1", "--1"])

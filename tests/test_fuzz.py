@@ -57,8 +57,8 @@ SESSION_TEXT = _token_soup() | _edited_bundled()
 PREAMBLE = "division D = base s=1 t=1\norder A = block(D; 1)\n"
 SUPERSCRIPT_SIZE = PREAMBLE + "order B = block(D; 2\u00b2)\n"
 SUPERSCRIPT_ENTRY = PREAMBLE + "involution s on A : gauge diag(1, \u00b2) eps +1 conj none\n"
-# the inverse is known mod t^16 and prints with a trailing `mod t^16`
-TRUNCATED_ENTRY = PREAMBLE + "involution s on A : gauge diag((1+t)^-1) eps +1 conj none\n"
+# an exact entry with a negative exponent and a fraction prints as a sum
+LAURENT_ENTRY = PREAMBLE + "involution s on A : gauge diag((1+t)^2*t^-1 - 1/2) eps +1 conj none\n"
 
 
 def _run_cli(argv) -> tuple[int, str]:
@@ -96,7 +96,7 @@ def test_random_session_text_exits_with_a_documented_code(workdir, text):
 @given(text=SESSION_TEXT)
 @example(text=SUPERSCRIPT_SIZE)
 @example(text=SUPERSCRIPT_ENTRY)
-@example(text=TRUNCATED_ENTRY)
+@example(text=LAURENT_ENTRY)
 def test_every_parsed_session_prints_back_to_itself(text):
     try:
         session = parse_session(text)

@@ -6,11 +6,12 @@ from random import Random
 import pytest
 
 from horders import matrices
-from horders.errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch
+from horders.errors import NotInvertible, ScalarKindMismatch, SizeMismatch
 from horders.matrices import JetMatrix
-from horders.scalars import BASE, DEFAULT_PRECISION, QUATERNION, LaurentJet, Q, Scalar
+from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar
 
-from helpers import entrywise, random_jet, random_scalar, ref_gauss_jordan_inverse, ref_matmul
+from helpers import (_poly_det, entrywise, random_jet, random_scalar, ref_gauss_jordan_inverse,
+                     ref_matmul, rows_agree)
 from test_scalars import REF_KINDS, kernel_jet
 
 
@@ -78,9 +79,6 @@ QUAT_ONE = JetMatrix.diagonal([LaurentJet.one(QUATERNION)])
     (lambda: ONE @ QUAT_ONE, ScalarKindMismatch, "base vs quaternion"),
     (lambda: ONE @ TWO_ROOTS, SizeMismatch, "1x1 vs 2x2"),
     (lambda: matrices.first_difference([ONE], [TWO_ROOTS]), SizeMismatch, "1x1 vs 2x2"),
-    (lambda: matrices.first_difference(
-        [ONE], [JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1], precision=3)])]),
-     InsufficientPrecision, "products are compared exactly; every factor must be exact"),
 ])
 def test_matrix_guards(call, error, message):
     with pytest.raises(error) as err:
@@ -104,29 +102,21 @@ def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):
         assert bool(calls) is want
 
 
+def exact_jet(kind, rng) -> LaurentJet:
+    """``kernel_jet`` without its precision: a zero-to-precision jet
+    becomes an exact zero, a truncated one its exact window."""
+    x = kernel_jet(kind, rng)
+    return LaurentJet(kind, x.lowest_exp, x.coeffs)
+
+
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
 def test_matmul_matches_the_per_scalar_reference(kind):
-    # kernel_jet draws exactly zero and zero-to-precision entries too, and
-    # jet equality compares the precision
     rng = Random(37)
     for _ in range(12):
         n = rng.randint(1, 3)
-        a, b = (JetMatrix(kind, tuple(tuple(kernel_jet(kind, rng) for _ in range(n))
+        a, b = (JetMatrix(kind, tuple(tuple(exact_jet(kind, rng) for _ in range(n))
                                       for _ in range(n))) for _ in range(2))
         assert a @ b == ref_matmul(a, b)
-
-
-def test_matmul_precision_is_the_least_kept_product_precision():
-    zero, t = LaurentJet.zero, LaurentJet.t_power
-    a = JetMatrix.of([[zero(BASE), t(BASE, -2)], [zero(BASE, 2), LaurentJet.one(BASE)]])
-    b = JetMatrix.of([[t(BASE, 0, precision=1), zero(BASE)], [zero(BASE, 3), t(BASE, 1)]])
-    got = a @ b
-    # row 0 skips the exactly zero a[0][0]: t^-2 * (0 mod t^3) is 0 mod t^1
-    assert got.rows[0] == (zero(BASE, 1), t(BASE, -1))
-    # (0 mod t^2) * (1 mod t) is 0 mod t^2, and it is kept; times an
-    # exact zero it is exactly zero
-    assert got.rows[1] == (zero(BASE, 2), t(BASE, 1))
-    assert got == ref_matmul(a, b)
 
 
 def inverse_case(kind, rng) -> JetMatrix:
@@ -146,27 +136,78 @@ def inverse_case(kind, rng) -> JetMatrix:
     return JetMatrix(kind, tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
 
 
+def unit_case(kind, rng) -> JetMatrix:
+    """A unit over the Laurent polynomials: L * D * U * P, with L and U
+    unipotent triangular of short polynomial entries, D a diagonal of
+    monomials with invertible coefficients and P a permutation, so its
+    determinant is a monomial."""
+    n = rng.randint(1, 3 if kind.ext is not None else 4)
+    one, zero = LaurentJet.one(kind), LaurentJet.zero(kind)
+
+    def triangular(lower):
+        return JetMatrix.of([[one if i == j else zero if (i > j) != lower else
+                              LaurentJet(kind, rng.randint(-1, 1), [random_scalar(kind, rng, 2)
+                                                                    for _ in range(2)])
+                              for j in range(n)] for i in range(n)])
+
+    def monomial():
+        while True:
+            c = random_scalar(kind, rng, 2, nonzero=True)
+            try:
+                c.inverse()
+            except NotInvertible:  # a zero divisor of a split kind
+                continue
+            return LaurentJet.t_power(kind, rng.randint(-2, 2), c)
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = JetMatrix.of([[one if j == perm[i] else zero for j in range(n)] for i in range(n)])
+    return triangular(True) @ JetMatrix.diagonal([monomial() for _ in range(n)]) @ \
+        triangular(False) @ p
+
+
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
 def test_inverse_matches_the_gauss_jordan_reference(kind):
+    # the reference truncates past a pivot that is not a monomial, so it is
+    # compared up to its precision; the exact inverse is checked exactly
     rng = Random(59)
     for _ in range(16):
-        a = inverse_case(kind, rng)
-        if not a.field_invertible():
-            with pytest.raises(NotInvertible):
-                a.inverse()
-            continue
+        a = unit_case(kind, rng)
         inv = a.inverse()
         one = JetMatrix.diagonal([LaurentJet.one(kind)] * a.n)
-        assert (a @ inv).agrees(one) and (inv @ a).agrees(one)
+        assert a @ inv == one and inv @ a == one
         try:
             ref = ref_gauss_jordan_inverse(a)
         except NotInvertible:  # a zero-divisor pivot the reference cannot use
-            ref = None
-        if ref is not None:
-            assert inv.agrees(ref)
-            assert inv.is_exact or not ref.is_exact
-        for e in (e for row in inv.rows for e in row if not e.is_exact):
-            assert e.precision == e.valuation() + DEFAULT_PRECISION
+            continue
+        assert rows_agree(inv.rows, ref)
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_inverse_is_exact_or_not_invertible(kind):
+    # over the base kind, NotInvertible exactly when det is not a monomial
+    rng = Random(59)
+    for _ in range(16):
+        a = inverse_case(kind, rng)
+        try:
+            inv = a.inverse()
+        except NotInvertible:
+            if kind == BASE:
+                det = _poly_det([[{e.lowest_exp + k: c.parts[0] for k, c in enumerate(e.coeffs)}
+                                  for e in row] for row in a.rows])
+                assert len(det) != 1
+            continue
+        one = JetMatrix.diagonal([LaurentJet.one(kind)] * a.n)
+        assert a @ inv == one and inv @ a == one
+
+
+def test_a_non_monomial_determinant_is_not_invertible():
+    # [[1, t], [t, 1]] has det 1 - t^2: invertible over the Laurent field,
+    # but its inverse is no Laurent polynomial
+    a = mat([[1], [0, 1]], [[0, 1], [1]])
+    assert a.field_invertible()
+    with pytest.raises(NotInvertible, match="not a unit over the Laurent polynomials"):
+        a.inverse()
 
 
 def test_inverse_past_a_zero_divisor_pivot():

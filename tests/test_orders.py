@@ -320,11 +320,14 @@ def test_in_radical():
     assert not in_radical(a, _mat(BASE, [[1, t], [1, t]]))
 
 
-def test_zero_to_precision_entries_are_accepted():
+def test_exactly_zero_entries_are_accepted():
+    # a zero entry has no valuation to compare; a matrix holds no entry
+    # that is zero only to a precision
     a = order(1, 1)
-    z = LaurentJet.zero(BASE, precision=16)
+    z = LaurentJet.zero(BASE)
     one = LaurentJet.one(BASE)
     assert contains(a, JetMatrix.of([[one, z], [one, one]]))
+    assert not contains(a, JetMatrix.of([[one, one], [z, LaurentJet.t_power(BASE, -1)]]))
 
 
 def test_contains_closure_sampled():

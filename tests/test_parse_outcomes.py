@@ -9,7 +9,8 @@ to three random insertions, replacements or deletions; half of the edits
 land on a digit, and the edit characters include every grammar symbol,
 line breaks and characters outside the grammar.  The digest was written
 before the token layer became plain strings, so any change to it is a
-change of behaviour and must be stated.
+change of behaviour and must be stated.  Run as a script, the module
+prints every outcome, one JSON line each, for a diff of two checkouts.
 """
 
 import hashlib
@@ -64,12 +65,31 @@ def outcome(text: str) -> str:
     return print_session(session)
 
 
-def test_edited_sessions_parse_as_recorded(monkeypatch):
+def edited_outcomes(monkeypatch) -> list[tuple[str, str]]:
+    """Each of the TEXTS edited texts with its outcome, in order."""
     texts = base_texts(monkeypatch)
     rng = Random("parse-outcomes")
+    return [(text, outcome(text)) for text in
+            (edited(rng, texts[i % len(texts)]) for i in range(TEXTS))]
+
+
+def test_edited_sessions_parse_as_recorded(monkeypatch):
     digest = hashlib.sha256()
-    for i in range(TEXTS):
-        digest.update(outcome(edited(rng, texts[i % len(texts)])).encode())
+    for _, out in edited_outcomes(monkeypatch):
+        digest.update(out.encode())
         digest.update(b"\0")
     want = (GOLDEN / f"parse-outcomes-{TEXTS}.sha256").read_text().strip()
     assert digest.hexdigest() == want
+
+
+if __name__ == "__main__":
+    # One JSON line per edited text, {"index", "text", "outcome"}, so that
+    # the outcomes of two checkouts can be diffed line by line:
+    #   PYTHONPATH=src python3 tests/test_parse_outcomes.py > outcomes.jsonl
+    import json
+
+    import pytest
+
+    with pytest.MonkeyPatch.context() as mp:
+        for index, (text, out) in enumerate(edited_outcomes(mp)):
+            print(json.dumps({"index": index, "text": text, "outcome": out}))

@@ -12,7 +12,8 @@ DELETED = ("JetMatrix.zeros", "JetMatrix.identity", "JetMatrix.unit", "JetMatrix
            "JetMatrix.__sub__", "JetMatrix.map", "JetMatrix.shift", "JetMatrix.is_zero",
            "Signature.block_of", "Scalar.sqrt_gen", "Scalar.norm", "Scalar.rational",
            "ScalarKind.unextended", "LaurentJet.residue", "LaurentJet.shift",
-           "PatternMatrix.__getitem__", "emit", "Scalar._norm_num")
+           "PatternMatrix.__getitem__", "emit", "Scalar._norm_num", "JetMatrix.is_exact",
+           "LaurentJet.agrees")
 
 
 def test_reach_lists_what_no_traffic_enters():

@@ -7,13 +7,16 @@ import pytest
 from horders.cli import main
 from horders.errors import (
     DuplicateIdentifier,
+    InsufficientPrecision,
     SessionSyntaxError,
     SessionTypeError,
     UnknownIdentifier,
 )
+from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, SemisimpleOrder
-from horders.scalars import QUATERNION, Q
+from horders.scalars import BASE, QUATERNION, LaurentJet, Q
 from horders.session import parse_session, print_session, run_session
+from horders.witness import MODE_F, WitnessCheck
 
 
 def corpus(name: str) -> str:
@@ -40,7 +43,7 @@ def test_redefinition_is_rejected():
     text = "division D = base s=1 t=1\ndivision D = base s=1 t=1\n"
     with pytest.raises(DuplicateIdentifier) as err:
         parse_session(text)
-    assert err.value.line == 2
+    assert (err.value.line, err.value.col) == (2, 10)  # at the name
 
 
 def test_syntax_error_has_position():
@@ -173,24 +176,48 @@ def test_laurent_literals_parse():
     assert parse_session(print_session(s)) == s
 
 
-@pytest.mark.parametrize("entry, precision", [
-    ("1 + t mod t^3", 3),
-    ("(1+t)^-1 mod t^5", 5),
-    ("(1+t)^-1 mod t^40", 16),  # the inverse is only known mod t^16
-    ("t^-5 - t^-3 mod t^-4", -4),
-    ("0 mod t^2", 2),
+_TRUNCATED = LaurentJet.from_coeffs(BASE, 0, [1, 1], precision=3)  # 1 + t mod t^3
+_ONE = LaurentJet.one(BASE)
+_SESSION = ("division D = base s=1 t=1\norder A = block(D; 1)\n"
+            "involution s on A : gauge diag(1) eps +1 conj none\n")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: JetMatrix.of([[_TRUNCATED]]), InsufficientPrecision,
+                 "matrix entries are exact Laurent polynomials, got 1 + t mod t^3",
+                 id="JetMatrix.of"),
+    pytest.param(lambda: JetMatrix.diagonal([_ONE, _TRUNCATED]), InsufficientPrecision,
+                 "matrix entries are exact Laurent polynomials, got 1 + t mod t^3",
+                 id="JetMatrix.diagonal"),
+    pytest.param(lambda: JetMatrix(BASE, ((_ONE, _TRUNCATED), (_ONE, _ONE))),
+                 InsufficientPrecision,
+                 "matrix entries are exact Laurent polynomials, got 1 + t mod t^3",
+                 id="JetMatrix"),
+    # dsum takes built blocks, so the truncated entry stops at its block
+    pytest.param(lambda: JetMatrix.dsum(JetMatrix.diagonal([_ONE]), JetMatrix.of([[_TRUNCATED]])),
+                 InsufficientPrecision,
+                 "matrix entries are exact Laurent polynomials, got 1 + t mod t^3",
+                 id="JetMatrix.dsum"),
+    pytest.param(lambda: WitnessCheck(JetMatrix.diagonal([_ONE]), _TRUNCATED, MODE_F,
+                                      *[parse_session(_SESSION).involutions["s"]] * 2),
+                 InsufficientPrecision, "alpha is an exact Laurent polynomial, got 1 + t mod t^3",
+                 id="WitnessCheck-alpha"),
+    pytest.param(lambda: parse_session(_SESSION.replace("diag(1)", "diag(1 + t mod t^3)")),
+                 SessionSyntaxError, "line 3, col 38: expected ')', got 'mod'", id="session-mod"),
+    pytest.param(lambda: parse_session(_SESSION + "witness w : from s to s mode F u diag(1) "
+                                                  "alpha 1 mod t^2\n"),
+                 SessionSyntaxError, "line 4, col 50: trailing input 'mod'", id="session-alpha-mod"),
+    pytest.param(lambda: parse_session(_SESSION.replace("diag(1)", "diag((1+t)^-1)")),
+                 SessionTypeError, "line 3, col 37: power -1 of a value that is not a monomial: "
+                 "entries are exact Laurent polynomials; multiply u by the denominator and "
+                 "alpha by its norm", id="session-inverse"),
 ])
-def test_mod_keeps_the_smaller_precision(entry, precision):
-    from horders.scalars import BASE, LaurentJet
-
-    def gauge_entry(expr):
-        text = ("division D = base s=1 t=1\norder A = block(D; 1)\n"
-                f"involution s on A : gauge diag({expr}) eps +1 conj none\n")
-        return parse_session(text).involutions["s"].gauge.entry(0, 0)
-
-    e, whole = gauge_entry(entry), gauge_entry(entry.split(" mod ")[0])
-    assert e.precision == precision
-    assert e == LaurentJet(BASE, whole.lowest_exp, whole.coeffs, precision)
+def test_a_truncated_value_is_refused_where_it_is_built(build, error, message):
+    # a matrix entry and alpha are exact Laurent polynomials; a session
+    # literal has no ``mod t^N`` and no inverse of a non-monomial
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_parenthesised_products_parse():
@@ -372,12 +399,27 @@ GUARDED = ("division D = base s=1 t=1\n"
 @pytest.mark.parametrize("line, col, message", [
     pytest.param("involution x on D : gauge diag(1) eps +1 conj none", 17,
                  "'D' is a division, expected order", id="division-for-an-order"),
-    pytest.param("division F = base s=0 t=1", None, "residue parameters s, t must be positive",
+    pytest.param("division F = base s=0 t=1", 21, "residue parameters s, t must be positive",
                  id="s=0"),
+    pytest.param("division F = base s=1 t=0", 25, "residue parameters s, t must be positive",
+                 id="t=0"),
+    pytest.param("division F = quadratic(4) s=1 t=1", 24,
+                 "quadratic kind needs a negative square-free d", id="quadratic(4)"),
+    pytest.param("order F = block(D; 1,0,2)", 22, "signature parts must be positive integers",
+                 id="zero-part"),
+    pytest.param("involution x on A : gauge diag(1) eps +1 conj quaternion", 47,
+                 "conj quaternion does not match the order's scalar kind "
+                 "(base, expected conj none)", id="conj-mismatch"),
+    pytest.param("involution x on A : gauge diag(1) eps +2 conj none", 39,
+                 "epsilon must be +1 or -1", id="epsilon"),
+    pytest.param("involution x on A : gauge diag(1,1) eps +1 conj none", 27,
+                 "gauge is 2x2, order has size 1", id="gauge-size"),
+    pytest.param("witness w : from s to s mode F u diag(1,1) alpha 1", 34,
+                 "witness is 2x2, order has size 1", id="witness-size"),
     pytest.param("involution x on E : gauge diag(1,1,1) eps +1 conj none", 17,
                  "involutions are declared on block orders, 'E' is a product",
                  id="involution-on-a-product"),
-    pytest.param("witness w : from s to r mode F u diag(1) alpha 1", None,
+    pytest.param("witness w : from s to r mode F u diag(1) alpha 1", 23,
                  "witness endpoints must share one order", id="endpoints-on-two-orders"),
     pytest.param("check c = iso(A) expect true", 11, "iso takes 2 arguments, got 1",
                  id="argument-count"),
@@ -385,18 +427,32 @@ GUARDED = ("division D = base s=1 t=1\n"
                  "inv expects a block order, 'E' is a product", id="product-for-a-block-order"),
     pytest.param("check c = descend_sig(A, 1, 1) expect (1)", 11,
                  "descend_sig expects a tuple argument, got ref", id="name-for-a-tuple"),
-    *[pytest.param(f"witness w : from s to s mode etale({d}) u diag(1) alpha 1", None,
+    *[pytest.param(f"witness w : from s to s mode etale({d}) u diag(1) alpha 1", 36,
                    "extension discriminant must be square-free and not a square",
                    id=f"etale({d})") for d in (4, 0, 1, -4)],
-    pytest.param("witness w : from s to s mode etale(-2147483659) u diag(1) alpha 1", None,
+    pytest.param("witness w : from s to s mode etale(-2147483659) u diag(1) alpha 1", 36,
                  "a discriminant must be less than 2^31 in absolute value",
                  id="etale(-2147483659)"),
-    pytest.param("division F = quadratic(-2147483659) s=1 t=1", None,
+    pytest.param("division F = quadratic(-2147483659) s=1 t=1", 24,
                  "a discriminant must be less than 2^31 in absolute value",
                  id="quadratic(-2147483659)"),
 ])
 def test_a_declaration_that_does_not_fit_is_a_type_error_at_its_position(line, col, message):
     with pytest.raises(SessionTypeError) as err:
+        parse_session(GUARDED + line + "\n")
+    assert (err.value.line, err.value.col) == (7, col)
+    assert str(err.value) == f"line 7, col {col}: {message}"
+
+
+@pytest.mark.parametrize("line, col, message", [
+    ("division F = octonion s=1 t=1", 14, "expected base, quadratic or quaternion, got 'octonion'"),
+    ("order F = blocks(D; 1)", 11, "expected block or product, got 'blocks'"),
+    ("check c = iso(A, A) expect maybe", 28, "expected a verdict, a tuple or `error CODE`"),
+    ("check c = iso(A, A) expect", None, "expected a verdict, a tuple or `error CODE`"),
+])
+def test_an_unexpected_word_is_a_syntax_error_at_its_position(line, col, message):
+    # only an error at the end of the line has no column
+    with pytest.raises(SessionSyntaxError) as err:
         parse_session(GUARDED + line + "\n")
     assert (err.value.line, err.value.col) == (7, col)
     where = "line 7" + ("" if col is None else f", col {col}")

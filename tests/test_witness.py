@@ -28,7 +28,7 @@ from horders.witness import (
     SCENARIOS,
     RingMode,
     WitnessCheck,
-    _exact_operands,
+    _operands,
     _is_mode_coefficient,
     counterexample_pair,
     mode_etale,
@@ -66,7 +66,7 @@ def test_etale_operands_are_promoted_onto_one_kind(kind, s, t, monkeypatch):
     made = []
     post_init = ScalarKind.__post_init__
     monkeypatch.setattr(ScalarKind, "__post_init__", lambda k: made.append(k) or post_init(k))
-    operands = _exact_operands(w)
+    operands = _operands(w)
     assert len(made) <= 4  # at most one kind per operand
     monkeypatch.undo()
     ext = w._work_kind()
@@ -464,11 +464,14 @@ def test_invertibility_is_decided_beyond_t_equal_one():
 
 
 def test_inexact_inputs_are_refused():
+    # refused when built: u by JetMatrix, alpha by WitnessCheck
     spec1, spec2, w_fiber, _ = counterexample_pair()
-    truncated = entrywise(lambda e: LaurentJet(e.kind, e.lowest_exp, e.coeffs, 8), w_fiber.u)
-    w = WitnessCheck(truncated, w_fiber.alpha, MODE_F, spec1, spec2)
     with pytest.raises(InsufficientPrecision):
-        verify_witness(w)
+        entrywise(lambda e: LaurentJet(e.kind, e.lowest_exp, e.coeffs, 8), w_fiber.u)
+    alpha = w_fiber.alpha
+    with pytest.raises(InsufficientPrecision):
+        WitnessCheck(w_fiber.u, LaurentJet(alpha.kind, alpha.lowest_exp, alpha.coeffs, 8),
+                     MODE_F, spec1, spec2)
 
 
 # ---------------------------------------------------------------------------
