@@ -179,7 +179,7 @@ def _cmd_aniso(args) -> Output:
     [spec] = _involutions(args, 1)
     r = spec.order.sig.r
     if args.block is not None and not 1 <= args.block <= r:
-        raise HordersError(f"--block must be in 1..{r}, got {args.block}")
+        raise HordersError(f"--block must be in 1..{r}, got {_shown(str(args.block), str)}")
     results = list(enumerate(residue_isotropy(spec), 1))
     if args.block is not None:
         results = [results[args.block - 1]]
@@ -213,15 +213,19 @@ def _ascii_int(text: str) -> int | None:
         return None
 
 
+def _shown(text: str, show=repr) -> str:
+    """``show(text)``, cut to its first 20 characters and its length past that."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
+
+
 def _int_at_least(low: int | None):
     """An argparse type: an ASCII integer, at least ``low`` unless that is None.
-    A rejected value is echoed up to 20 characters, then by its length."""
+    A rejected value is echoed by :func:`_shown`."""
     def parse(text: str) -> int:
         value = _ascii_int(text)
         if value is None or low is not None and value < low:
             bound = "" if low is None else f" of at least {low}"
-            got = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-            raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {got}")
+            raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {_shown(text)}")
         return value
     return parse
 

@@ -683,7 +683,8 @@ class LaurentJet:
         of ``(target + v) * len(coeffs)`` scalar products.
         """
         if not self.coeffs:
-            raise IndeterminateValuation("cannot invert a jet that is zero to precision")
+            raise IndeterminateValuation("cannot invert zero" if self.precision is None else
+                                         "cannot invert a jet that is zero to precision")
         v = self.lowest_exp
         a = self.coeffs
         lead_inv = a[0].inverse()  # NotInvertible propagates
@@ -759,10 +760,6 @@ class _Accumulator:
         terms = self.terms
         for e, c in enumerate(x.coeffs, x.lowest_exp):
             _add_term(terms, e, c.num, c.den)
-
-    def add_monomial(self, e: int, num: tuple, den: int) -> None:
-        """Add num / den * t^e; ``den > 0``, not necessarily in lowest terms."""
-        _add_term(self.terms, e, num, den)
 
     def add_product(self, x: LaurentJet, y: LaurentJet) -> None:
         kind, terms = self.kind, self.terms

@@ -28,6 +28,7 @@ import re
 import time
 from collections.abc import Callable
 from itertools import islice
+from math import gcd
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
 from .errors import (
@@ -176,11 +177,17 @@ class _Cursor:
 # Expressions
 
 
-# A term made of numbers, ``t``, ``qi``/``qj``/``qk``, ``sqrt(d)`` and their
-# powers is an exact monomial ``(num, den, exp)``: integer coordinates over
-# one positive denominator, not yet reduced, times t^exp.  Only a factor
-# that is not a monomial (a parenthesised sum, or a power of one) becomes
-# a LaurentJet.  Each sum gathers its terms in one accumulator.
+# One loop per sum reads the atoms ``INT``, ``INT/INT``, ``t``, ``t^k``,
+# ``qi``/``qj``/``qk`` and ``sqrt(d)`` in place, each after at most one
+# ``-``: a term of them is c/den * e_u * t^k on plain integers, with
+# e_u * e_v = m * e_r from the one (v, r, m) of ``kind.basis_products[u]``.
+# Terms are summed as integer numerators per exponent and basis index over
+# one common denominator, and each coefficient is reduced once, in the jet.
+# Any other factor (``(``, an atom other than ``t`` under ``^``, a doubled
+# ``-`` or an invalid atom) goes with the rest of its term to _parse_factor,
+# which raises every error.  It reads a factor as an exact monomial ``(num,
+# den, exp)`` (integer coordinates over one positive denominator, not yet
+# reduced, times t^exp), or as a LaurentJet when it is not a monomial.
 
 
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
@@ -194,38 +201,104 @@ def _as_jet(kind: ScalarKind, value) -> LaurentJet:
     return value
 
 
+_QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}
+
+
+def _signed_at(toks: list[str], j: int) -> tuple[int, int] | None:
+    """The signed integer at token ``j`` and the index after it, or None."""
+    sign = -1 if toks[j] == "-" else 1
+    j += toks[j] in ("-", "+")
+    return (sign * exact_int(toks[j]), j + 1) if toks[j].isdigit() else None
+
+
 def _parse_sum(cur: _Cursor, kind: ScalarKind):
-    """A sum of terms: its one term when there is no more, else a jet
-    reduced once."""
-    term = _parse_term(cur, kind)
-    if cur.peek() not in ("+", "-"):
-        return term
-    acc, negate = _Accumulator(kind), False
+    """A sum of terms: its one term, a monomial or a jet, when there is no
+    more; else a jet."""
+    toks, table, dim = cur.tokens, kind.basis_products, kind.dim
+    units = _QUAT_UNITS if kind.core == "quat" else {}
+    rows: dict[int, list[int]] = {}  # exponent -> numerators per basis index, over scale
+    scale, sign, first, p = 1, 1, True, cur.pos
     while True:
-        if type(term) is tuple:
-            num, den, exp = term
-            acc.add_monomial(exp, tuple(-x for x in num) if negate else num, den)
+        c, den, u, k, value = sign, 1, 0, 0, None
+        while True:  # the factors of the term c/den * e_u * t^k
+            tok, end = toks[p], p + 1
+            if tok == "-" and toks[end] != "-":
+                c, tok, p, end = -c, toks[end], end, end + 1
+            if tok == "t":
+                e, end = (_signed_at(toks, end + 1) or (0, None)) if toks[end] == "^" else (1, end)
+                k += e
+            elif not tok or toks[end] == "^":
+                end = None
+            elif tok.isdigit():
+                d = 1
+                if toks[end] == "/":
+                    d = exact_int(toks[end + 1]) if toks[end + 1].isdigit() else 0
+                    end += 2
+                if d and toks[end] != "^":
+                    c, den = c * exact_int(tok), den * d
+                else:
+                    end = None
+            else:
+                v = units.get(tok)
+                if tok == "sqrt" and toks[end] == "(":
+                    w, j = _signed_at(toks, end + 1) or (None, end)
+                    if toks[j] == ")":
+                        v, end = (kind.core_dim if w == kind.ext else
+                                  1 if w == kind.d else None), j + 1
+                if v is None or toks[end] == "^":
+                    end = None
+                else:
+                    _, u, m = table[u][v]
+                    c *= m
+            if end is None:  # this factor and the rest of the term
+                cur.pos = p
+                value = (_unit(kind, u, c), den, k)
+                while True:
+                    other = _parse_factor(cur, kind)
+                    if type(value) is tuple and type(other) is tuple:
+                        value = (_mul_parts(kind, value[0], other[0]), value[1] * other[1],
+                                 value[2] + other[2])
+                    else:
+                        value = _as_jet(kind, value) * _as_jet(kind, other)
+                    if not cur.accept("*"):
+                        break
+                p = cur.pos
+                break
+            p = end
+            if toks[p] != "*":
+                break
+            p += 1
+        op = toks[p]
+        if first and op != "+" and op != "-":
+            cur.pos = p
+            return (_unit(kind, u, c), den, k) if value is None else value
+        first = False
+        if value is None:
+            terms = ((k, u, c, den),)
         else:
-            acc.add(-term if negate else term)
-        if cur.accept("+"):
-            negate = False
-        elif cur.accept("-"):
-            negate = True
+            jet = _as_jet(kind, value)
+            terms = [(e, v, x, s.den) for e, s in enumerate(jet.coeffs, jet.lowest_exp)
+                     for v, x in enumerate(s.num) if x]
+        for e, v, x, d in terms:
+            if scale % d:
+                m = d // gcd(scale, d)
+                scale *= m
+                for row in rows.values():
+                    row[:] = [y * m for y in row]
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [0] * dim
+            row[v] += x * (scale // d)
+        if op == "+":
+            sign = 1
+        elif op == "-":
+            sign = -1
         else:
+            cur.pos = p
+            acc = _Accumulator(kind)
+            acc.terms = {e: (tuple(row), scale) for e, row in rows.items()}
             return acc.jet(None)
-        term = _parse_term(cur, kind)
-
-
-def _parse_term(cur: _Cursor, kind: ScalarKind):
-    value = _parse_factor(cur, kind)
-    while cur.accept("*"):
-        other = _parse_factor(cur, kind)
-        if type(value) is tuple and type(other) is tuple:
-            value = (_mul_parts(kind, value[0], other[0]), value[1] * other[1],
-                     value[2] + other[2])
-        else:
-            value = _as_jet(kind, value) * _as_jet(kind, other)
-    return value
+        p += 1
 
 
 def _parse_factor(cur: _Cursor, kind: ScalarKind):
@@ -265,8 +338,8 @@ def _monomial_power(kind: ScalarKind, value: tuple, k: int) -> tuple:
     return num, den, exp * k
 
 
-def _unit(kind: ScalarKind, index: int) -> tuple:
-    return (0,) * index + (1,) + (0,) * (kind.dim - index - 1)
+def _unit(kind: ScalarKind, index: int, coeff: int = 1) -> tuple:
+    return (0,) * index + (coeff,) + (0,) * (kind.dim - index - 1)
 
 
 def _parse_atom(cur: _Cursor, kind: ScalarKind):
@@ -286,10 +359,10 @@ def _parse_atom(cur: _Cursor, kind: ScalarKind):
         return value
     if tok == "t":
         return _unit(kind, 0), 1, 1
-    if tok in ("qi", "qj", "qk"):
+    if tok in _QUAT_UNITS:
         if kind.core != "quat":
             raise SessionTypeError(f"{tok} is not a scalar of kind {kind}", cur.line, cur.col(at))
-        return _unit(kind, {"qi": 1, "qj": 2, "qk": 3}[tok]), 1, 0
+        return _unit(kind, _QUAT_UNITS[tok]), 1, 0
     if tok == "sqrt":
         cur.expect("(")
         d = cur.signed_int()

@@ -73,8 +73,8 @@ from .orders import (
     pattern_of,
     ss_iso_decide,
 )
-from .scalars import (BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic,
-                      smat_invertible)
+from .scalars import (BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, _Accumulator,
+                      quadratic, smat_invertible)
 
 GENERIC_FIBER = "generic-fiber"
 BASE_RING = "base"
@@ -176,12 +176,19 @@ def _is_central(s: Scalar) -> bool:
 
 
 def _triple_entry(a: JetMatrix, b: JetMatrix, c: JetMatrix, i: int, j: int) -> LaurentJet:
-    """(a * b * c)[i][j] as a jet, summed over the k and l with a[i][k]
-    and c[l][j] not zero."""
-    zero = LaurentJet.zero(a.kind)
+    """(a * b * c)[i][j]: entry l of row i of a * b summed in one
+    accumulator, over the k with a[i][k] not zero, then one accumulated
+    sum of those entries times c[l][j], over the l with c[l][j] not zero."""
     ks = [k for k in range(a.n) if a.entry(i, k).coeffs]
-    return sum((sum((a.entry(i, k) * b.entry(k, l) for k in ks), zero) * c.entry(l, j)
-                for l in range(a.n) if c.entry(l, j).coeffs), zero)
+    total = _Accumulator(a.kind)
+    for l in range(a.n):
+        y = c.entry(l, j)
+        if y.coeffs:
+            row = _Accumulator(a.kind)
+            for k in ks:
+                row.add_product(a.entry(i, k), b.entry(k, l))
+            total.add_product(row.jet(None), y)
+    return total.jet(None)
 
 
 def verify_witness(w: WitnessCheck) -> Diagnostics:

@@ -135,7 +135,8 @@ def ref_geometric_inverse(jet: LaurentJet, precision: int | None = None) -> Laur
     z = lead^-1 * unit - 1, one jet product per term: the reference for
     the coefficient recurrence in ``LaurentJet.inverse``."""
     if not jet.coeffs:
-        raise IndeterminateValuation("cannot invert a jet that is zero to precision")
+        raise IndeterminateValuation("cannot invert zero" if jet.precision is None else
+                                     "cannot invert a jet that is zero to precision")
     v = jet.lowest_exp
     lead = jet.coeffs[0]
     lead_inv = lead.inverse()  # NotInvertible propagates
@@ -673,7 +674,12 @@ def ref_parse_factor(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
                 f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
                 "Laurent polynomials; multiply u by the denominator and alpha by its norm",
                 cur.line, cur.col(caret))
-        return value ** k
+        try:
+            return value ** k
+        except (IndeterminateValuation, NotInvertible) as exc:
+            # an exact zero: "cannot invert zero"; a zero divisor: the scalar's message
+            raise SessionTypeError(f"power {exact_str(k)} of a value with no inverse: {exc}",
+                                   cur.line, cur.col(caret)) from None
     return value
 
 

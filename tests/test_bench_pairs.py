@@ -37,3 +37,37 @@ def test_a_run_with_wrong_outputs_stops_the_comparison(tmp_path):
                                            "the outputs are not correct"):
         load_tool().run_once(tmp_path, printing({**RESULT, "correct": False}),
                              "cli", 1, "parent", 3)
+
+
+def test_the_seed_defaults_to_61_and_names_the_output():
+    tool = load_tool()
+    args = tool.parse_args(["cfacd12", "27"])
+    assert (args.parent, args.pr, args.seed, args.workload) == ("cfacd12", 27, 61, None)
+    assert tool.output_name(args.pr, args.seed) == "BENCH_27.json"
+    args = tool.parse_args(["cfacd12", "27", "--seed", "7", "--workload", "corpus"])
+    assert (args.seed, args.workload) == (7, "corpus")
+    assert tool.output_name(args.pr, args.seed) == "BENCH_27-seed7.json"
+
+
+def test_a_run_passes_its_seed_to_the_benchmark(tmp_path):
+    # the command reports the --seed it was given as a metric
+    command = [sys.executable, "-c",
+               "import json, sys; seed = int(sys.argv[sys.argv.index('--seed') + 1]); "
+               "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
+               "'metrics': {'seed': {'value': seed}}}))"]
+    tool = load_tool()
+    assert tool.run_once(tmp_path, command, "corpus", 1, "change", 1)["metrics"] == {"seed": 61}
+    assert tool.run_once(tmp_path, command, "corpus", 1, "change", 1, 7)["metrics"] == {"seed": 7}
+
+
+def test_an_unknown_workload_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.chdir(TOOL.parents[1])
+    assert tool.main(["HEAD", "27", "--workload", "nope"]) == 2
+    assert "unknown workload 'nope'; known: replay, corpus, patterns, cli" in capsys.readouterr().err
+
+
+def test_a_pr_number_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_tool().parse_args(["cfacd12", "x"])
+    assert exc.value.code == 2

@@ -392,6 +392,14 @@ def test_block_out_of_range_keeps_its_message(tmp_path, capsys, value):
     assert f"--block must be in 1..2, got {value}" in capsys.readouterr().err
 
 
+def test_a_long_block_out_of_range_is_echoed_cut(tmp_path, capsys):
+    path = corpus_path(tmp_path, "main-counterexample.ho")
+    value = "9" * 4000  # under the interpreter's 4,300-digit limit, so the flag parses
+    assert main(["aniso", "--session", path, "--inv", "s1", "--block", value]) == 3
+    assert capsys.readouterr().err == (
+        f"error: HordersError: --block must be in 1..2, got {'9' * 20}... (4000 characters)\n")
+
+
 @pytest.mark.parametrize("command", ["resinv", "aniso"])
 def test_a_second_inv_is_refused(tmp_path, capsys, command):
     path = corpus_path(tmp_path, "main-counterexample.ho")

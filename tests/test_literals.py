@@ -1,11 +1,11 @@
-"""Session literals: the monomial evaluator against the jet-per-atom reference."""
+"""Session literals: the one-loop reader against the jet-per-atom reference."""
 
 from random import Random
 
 import pytest
 
 from horders import session as session_module
-from horders.errors import HordersError, IndeterminateValuation, NotInvertible, SessionTypeError
+from horders.errors import HordersError, SessionTypeError
 from horders.scalars import BASE, QUATERNION, quadratic
 from horders.session import _Cursor, _parse_expr, parse_session, print_session
 
@@ -51,18 +51,18 @@ CASES = [
 
 
 def evaluate(parse, text: str, kind):
-    """The jet that ``parse`` reads from ``text``, or its error as
-    (type, message); a failed inversion reads as the typed session error."""
+    """The jet that ``parse`` reads from ``text``, or its error as (type,
+    message).  A failed inversion reads as "no inverse" with its column:
+    the reference builds every atom as a jet, so it says "cannot invert
+    zero" where the reader names the zero scalar of a monomial."""
     cur = _Cursor(text, 1)
     try:
         value = parse(cur, kind)
         cur.done()
         return value
-    except (IndeterminateValuation, NotInvertible):
-        return SessionTypeError, "no inverse"
     except HordersError as exc:
         if isinstance(exc, SessionTypeError) and "no inverse" in str(exc):
-            return SessionTypeError, "no inverse"
+            return SessionTypeError, "no inverse", exc.col
         return type(exc), str(exc)
 
 
@@ -86,6 +86,40 @@ def random_term(rng: Random, atoms: tuple, depth: int) -> str:
     return "*".join(factors)
 
 
+# Atoms the one-loop reader reads in place, and factors it hands over.
+INLINE = ("0", "1", "2", "7", "1/2", "3/6", "5/3", "4/2", "t", "t", "t^0", "t^2", "t^+1",
+          "t^-1", "t^-3")
+HANDED_OVER = ("1/0", "t^", "qi", "sqrt(-5)", "2^3", "qi^-1", "2/3^2", "sqrt(-1)^2",
+               "(1 - t)", "(t - t)^-1", "- -t", "0^-1")
+
+INLINE_CASES = [
+    "qi*qj", "qj*qi", "qi*sqrt(-1)*t^2", "sqrt(-1)*qk", "qk*sqrt(-1)*qk*sqrt(-1)",
+    "sqrt(-3)*sqrt(-3)", "sqrt(-3)*t*sqrt(-3)",
+    "t^0", "3*t^0 - 1", "t^-2", "2*t^-1 + t^-1*3", "t^+2*t^-2",
+    "t^2*qi - t^2*qi", "1/2*t - 3/6*t", "1/6*t + 1/3*t", "1/6 + 1/3 - 1/2", "5/3*qj + 1/3*qj",
+    "-t", "-2*-t", "- -t", "--t*2", "1 - -t", "1 - - -t", "-t^2 - -t^2",
+    "1/0", "t^", "t^-", "t^x", "qi", "sqrt(-5)", "sqrt(-3", "sqrt(+3)", "2^3", "qi^-1",
+    "2*qi^2", "sqrt(-1)^-1", "2/3^2", "1/", "1/x", "1 +", "-", "t^2^3", "0^-1",
+    "2*(0*t)^-1", "(t - t)^-1", "(0)^-1", "1 + (0)^-1", "qi*(1 + t)*qj", "(1 + t)*qi*t",
+]
+
+
+def random_inline_expr(rng: Random, atoms: tuple) -> str:
+    """A sum of products of ``atoms`` (now and then a factor that is handed
+    over), sometimes followed by the same terms subtracted, so that it
+    cancels to an exact zero."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = [rng.choice(HANDED_OVER if rng.random() < 0.08 else atoms)
+                   for _ in range(rng.randint(1, 4))]
+        terms.append("*".join(rng.choice(("", "", "", "-", "- -")) + f for f in factors))
+    ops = [rng.choice(("+", "-")) for _ in terms]
+    if rng.random() < 0.3:
+        terms, ops = terms + terms, ops + [{"+": "-", "-": "+"}[op] for op in ops]
+    text = "".join(f" {op} {term}" for op, term in zip(ops, terms))[3:]
+    return ("-" + text) if ops[0] == "-" else text
+
+
 def usable(text: str, units: tuple) -> bool:
     words = ("qi", "qj", "qk", "sqrt(-1)", "sqrt(-3)")
     return all(w in units for w in words if w in text)
@@ -105,6 +139,23 @@ def test_random_expressions_match_the_reference(name):
     rng = Random(f"literals-{name}")
     for _ in range(150):
         text = random_expr(rng, NUMBERS + units)
+        assert evaluate(_parse_expr, text, kind) == evaluate(ref_parse_expr, text, kind), text
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_inline_cases_match_the_reference_in_every_kind(name):
+    kind, _ = KINDS[name]
+    for text in INLINE_CASES:
+        assert evaluate(_parse_expr, text, kind) == evaluate(ref_parse_expr, text, kind), text
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_random_inline_sums_match_the_reference_in_every_kind(name):
+    kind, units = KINDS[name]
+    rng = Random(f"inline-{name}")
+    atoms = INLINE + units
+    for _ in range(300):
+        text = random_inline_expr(rng, atoms)
         assert evaluate(_parse_expr, text, kind) == evaluate(ref_parse_expr, text, kind), text
 
 
@@ -137,6 +188,17 @@ def test_power_of_a_zero_names_the_zero_scalar():
         parse_session(session_with("0^-1"))
     assert (err.value.line, err.value.col) == (3, 33)
     assert str(err.value) == "line 3, col 33: power -1 of a value with no inverse: zero scalar"
+
+
+def test_power_of_an_exact_zero_says_it_cannot_invert_zero():
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(session_with("(t-t)^-1"))
+    assert (err.value.line, err.value.col) == (3, 37)
+    assert str(err.value) == ("line 3, col 37: power -1 of a value with no inverse: "
+                              "cannot invert zero")
+    with pytest.raises(SessionTypeError) as err:
+        ref_parse_expr(_Cursor("(t-t)^-1", 1), BASE)
+    assert str(err.value) == "line 1, col 6: power -1 of a value with no inverse: cannot invert zero"
 
 
 def test_power_of_a_zero_divisor_is_a_type_error_at_the_caret():

@@ -38,3 +38,19 @@ def test_one_replay_cycle_reports_every_scenario():
     assert all(rows[name][0] == "1" for name in SCENARIOS) and rows["cycle"][0] == "5"
     assert all(float(row[-1]) >= 0 for row in rows.values())
     assert "FAILED" not in proc.stdout
+
+
+def test_one_corpus_cycle_parses_and_runs_every_slot():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "op_mix.py"), "corpus",
+                           "--cycles", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "corpus, seed 61, median of 1 cycles (ms per cycle)"
+    rows = [line.split() for line in lines[1:]]
+    # "slot shape checks parse|run calls ms", then the cycle row
+    steps = {(int(row[0]), row[3]) for row in rows[:-1]}
+    assert steps == {(slot, step) for slot in range(19) for step in ("parse", "run")}
+    assert len(rows) == 39 and rows[-1][:2] == ["cycle", "38"]
+    assert all(float(row[-1]) >= 0 for row in rows)
+    assert "FAILED" not in proc.stdout

@@ -29,6 +29,7 @@ from horders.witness import (
     RingMode,
     WitnessCheck,
     _operands,
+    _triple_entry,
     _is_mode_coefficient,
     counterexample_pair,
     mode_etale,
@@ -37,7 +38,7 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import (entrywise, ref_identity_check, ref_transport_check, ref_verify_witness,
+from helpers import (entrywise, random_jet, ref_identity_check, ref_transport_check, ref_verify_witness,
                      sample_block_unit, sample_element, single_entry, transport_by_samples)
 from test_scalars import REF_KINDS
 
@@ -635,3 +636,21 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     assert len({id(spec) for spec in validated}) == len(validated)
     assert len(decided) == (4 if scenario.startswith("main-") else 0)
     assert len(identities) == (2 if scenario.startswith("main-") else 0)
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_triple_entry_is_the_entry_of_the_triple_product(kind):
+    rng = Random(f"triple-{kind}")
+    zero = LaurentJet.zero(kind)
+
+    def matrix(n):  # about a third of the entries exactly zero
+        return JetMatrix.of([[random_jet(kind, rng) if rng.random() < 0.7 else zero
+                              for _ in range(n)] for _ in range(n)])
+
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            a, b, c = matrix(n), matrix(n), matrix(n)
+            abc = a @ b @ c
+            for i in range(n):
+                for j in range(n):
+                    assert _triple_entry(a, b, c, i, j) == abc.entry(i, j)

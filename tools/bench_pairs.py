@@ -3,25 +3,28 @@
 
 Run from the root of a checkout (stdlib only)::
 
-    python3 tools/bench_pairs.py <parent-revision> <pr-number>
+    python3 tools/bench_pairs.py <parent-revision> <pr-number> [--seed N] [--workload W]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, and the change (the checkout's tracked and untracked,
 not ignored, files as they are on disk) is copied into another, so both
 sides start from fresh directories with no compiled bytecode.  For each
-workload in BENCHMARK.json the benchmark command runs with
-``--workload W --seed SEED --seconds <run_seconds> --trace 0`` as PAIRS
-pairs; even pairs run the parent first, odd pairs the change.  A run
-whose last line does not read ``"correct": true`` stops the script with
-an error naming the workload, side and pair.  The file
-records every run's metrics and failure counts, the median and quartiles
-of each end-to-end metric per side, how many pairs the change won, the
-seed, both revisions and the Python version.  The temporary directories
-are removed afterwards.
+workload in BENCHMARK.json (or only ``--workload W``) the benchmark
+command runs with ``--workload W --seed N --seconds <run_seconds>
+--trace 0`` as PAIRS pairs; even pairs run the parent first, odd pairs
+the change.  N is 61 unless ``--seed`` sets it; at another seed the
+file is ``BENCH_<pr>-seed<N>.json``, so a hold-out seed never overwrites
+the seed-61 file.  A run whose last line does not read ``"correct":
+true`` stops the script with an error naming the workload, side and
+pair.  The file records every run's metrics and failure counts, the
+median and quartiles of each end-to-end metric per side, how many pairs
+the change won, the seed, both revisions and the Python version.  The
+temporary directories are removed afterwards.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -68,9 +71,9 @@ def src_sha256(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seconds: int,
-             side: str, pair: int) -> dict:
+             side: str, pair: int, seed: int = SEED) -> dict:
     """One benchmark run; a run whose outputs are wrong stops the comparison."""
-    argv = command + ["--workload", workload, "--seed", str(SEED),
+    argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
@@ -109,17 +112,34 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(prog="bench_pairs.py", description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="the parent revision")
+    parser.add_argument("pr", type=int, help="the number in the output file's name")
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--workload", help="run only this workload of BENCHMARK.json")
+    return parser.parse_args(argv)
+
+
+def output_name(pr: int, seed: int) -> str:
+    return f"BENCH_{pr}.json" if seed == SEED else f"BENCH_{pr}-seed{seed}.json"
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not argv[1].isdigit():
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
-        return 2
-    parent_rev, pr = argv
+    args = parse_args(argv)
     root = Path.cwd()
     bench = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload is not None:
+        if args.workload not in workloads:
+            print(f"unknown workload {args.workload!r}; known: {', '.join(workloads)}",
+                  file=sys.stderr)
+            return 2
+        workloads = [args.workload]
     record = {
-        "pr": int(pr), "seed": SEED, "pairs": PAIRS, "seconds": bench["run_seconds"],
+        "pr": args.pr, "seed": args.seed, "pairs": PAIRS, "seconds": bench["run_seconds"],
         "python": platform.python_version(), "command": bench["command"],
-        "parent": {"revision": git("rev-parse", parent_rev, root=root).decode().strip()},
+        "parent": {"revision": git("rev-parse", args.parent, root=root).decode().strip()},
         "change": {"revision": git("describe", "--always", "--dirty", "--abbrev=40",
                                    root=root).decode().strip()},
         "workloads": {},
@@ -132,21 +152,21 @@ def main(argv: list[str]) -> int:
         copy_checkout(root, checkouts["change"])
         for side, path in checkouts.items():
             record[side]["src_sha256"] = src_sha256(path)
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in workloads:
             pairs = []
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"first": order[0]}
                 for side in order:
                     pair[side] = run_once(checkouts[side], bench["command"], workload,
-                                          bench["run_seconds"], side, i + 1)
+                                          bench["run_seconds"], side, i + 1, args.seed)
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']:.4g}"
                     for side in order), flush=True)
             record["workloads"][workload] = {
                 "runs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
-    out = root / f"BENCH_{pr}.json"
+    out = root / output_name(args.pr, args.seed)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out.name}")
     return 0
