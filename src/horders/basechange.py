@@ -23,6 +23,8 @@ from .orders import (
 )
 from .scalars import BASE
 
+SH_LIMIT = 1 << 16  # the length s*t*n of a base-changed signature
+
 
 @record
 class ShResult:
@@ -100,8 +102,13 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
 
 def sh_order(order: BlockOrder) -> ShResult:
     """Base-change a block order; the result lives over a split division
-    datum (base scalars, s = t = 1) labelled after the input."""
+    datum (base scalars, s = t = 1) labelled after the input.  A result
+    longer than ``SH_LIMIT`` raises :class:`SizeLimit` before any of it
+    is built."""
     d = order.division
+    size = d.s * d.t * order.sig.n
+    if size > SH_LIMIT:
+        raise SizeLimit(f"base change to size {size} exceeds the bound {SH_LIMIT}")
     split = DivisionSpec(d.label + "_sh", BASE, 1, 1)
     return ShResult(
         order=BlockOrder(split, sh_signature(order.sig, d.s, d.t)),

@@ -128,7 +128,8 @@ class NotPeriodic(HordersError):
 
 
 class SizeLimit(HordersError):
-    """The requested pattern verification exceeds the desk-scale bound 64."""
+    """A requested size exceeds a desk-scale bound: s*t*n above 64 for a
+    brute-force pattern verification, above 2^16 for a base change."""
 
 
 # -- involutions ---------------------------------------------------------------

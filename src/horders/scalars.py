@@ -771,18 +771,28 @@ class _Accumulator:
                     _add_term(terms, i + j, _mul_parts(kind, an, bn), ad * bd)
 
     def jet(self, precision: int | None) -> LaurentJet:
-        """The sum, truncated at ``precision``."""
+        """The sum, truncated at ``precision``.  Every coefficient is of
+        ``kind`` already, so the window is canonical once the exponents
+        whose sum cancelled are left out of its ends."""
         kind, terms = self.kind, self.terms
-        if not terms:
-            return LaurentJet(kind, 0, (), precision)
-        lo, hi = min(terms), max(terms)
-        if precision is not None:
-            hi = min(hi, precision - 1)
-        coeffs = [Scalar.zero(kind)] * (hi - lo + 1)
-        for e, (num, den) in terms.items():
-            if e <= hi:
-                coeffs[e - lo] = _reduced(kind, num, den)
-        return LaurentJet(kind, lo, coeffs, precision)
+        kept = {e: c for e, c in terms.items() if any(c[0]) and (precision is None or e < precision)}
+        if not kept:
+            return _jet(kind, 0 if precision is None else precision, (), precision)
+        lo = min(kept)
+        coeffs = [Scalar.zero(kind)] * (max(kept) - lo + 1)
+        for e, (num, den) in kept.items():
+            coeffs[e - lo] = _reduced(kind, num, den)
+        return _jet(kind, lo, tuple(coeffs), precision)
+
+
+def _jet(kind: ScalarKind, lowest_exp: int, window: tuple, precision: int | None) -> LaurentJet:
+    # a LaurentJet whose window is already canonical
+    x = object.__new__(LaurentJet)
+    object.__setattr__(x, "kind", kind)
+    object.__setattr__(x, "lowest_exp", lowest_exp)
+    object.__setattr__(x, "coeffs", window)
+    object.__setattr__(x, "precision", precision)
+    return x
 
 
 def _add_term(terms: dict, e: int, num: tuple, den: int) -> None:

@@ -170,6 +170,23 @@ def test_sh_order_result_shape():
     assert sorted(res.perm) == list(range(4))
 
 
+def test_sh_order_refuses_a_result_longer_than_its_bound_before_building_it(monkeypatch):
+    limit = basechange.SH_LIMIT
+    assert limit == 1 << 16
+    assert len(sh_order(BlockOrder(DivisionSpec("D", BASE, 2, 2), sig(limit // 4))).perm) == limit
+
+    def unbuilt(*args):
+        raise AssertionError("built a result over the bound")
+
+    monkeypatch.setattr(basechange, "sh_parts", unbuilt)
+    monkeypatch.setattr(basechange, "sh_permutation", unbuilt)
+    for s, t, parts in [(1, 100000, (4, 2)), (1, 1, (limit + 1,)), (2, 2, (limit // 4, 1)),
+                        (1, 1, (10 ** 22,))]:
+        size = s * t * sum(parts)
+        with pytest.raises(SizeLimit, match=f"base change to size {size} exceeds the bound {limit}"):
+            sh_order(BlockOrder(DivisionSpec("D", BASE, s, t), sig(*parts)))
+
+
 def test_sh_preserves_isomorphism():
     d = DivisionSpec("D", QUATERNION, 2, 3)
     for parts in [(1, 2), (2, 2, 1), (3,)]:

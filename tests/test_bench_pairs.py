@@ -71,3 +71,22 @@ def test_a_pr_number_must_be_an_integer(capsys):
     with pytest.raises(SystemExit) as exc:
         load_tool().parse_args(["cfacd12", "x"])
     assert exc.value.code == 2
+
+
+def test_the_report_reads_medians_change_and_pairs_won_per_workload_and_metric():
+    tool = load_tool()
+    end_to_end = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                  {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+    def run(setup_s, ops_per_s):
+        return {"attempted": 4, "failed": 0,
+                "metrics": {"setup_s": setup_s, "ops_per_s": ops_per_s}}
+
+    pairs = [{"parent": run(0.05, 100.0 + i), "change": run(0.03 if i else 0.06, 100.0 + 2 * i)}
+             for i in range(4)]
+    record = {"workloads": {"patterns": {"runs": pairs,
+                                         "summary": tool.summarize(pairs, end_to_end)}}}
+    assert tool.report(record) == [
+        "patterns setup_s: 0.05 -> 0.03 s (-40.0%), change won 3 of 4 pairs",
+        "patterns ops_per_s: 101.5 -> 103 1/s (+1.5%), change won 3 of 4 pairs",
+    ]

@@ -164,6 +164,14 @@ def test_sh_command_json_fields(capsys):
     assert payload["perm"] == [0, 2, 1, 3]
 
 
+@pytest.mark.parametrize("flags", [["--sig", "4,2", "--s", "1", "--t", "100000"],
+                                   ["--sig", "100000"]])
+def test_an_sh_result_over_the_bound_exits_3_and_writes_nothing(capsys, flags):
+    assert main(["sh", *flags, "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "SizeLimit" in err and "Traceback" not in err
+
+
 def test_sh_command_from_session(tmp_path, capsys):
     path = corpus_path(tmp_path, "semisimple-basechange.ho")
     assert main(["sh", "--session", path, "--order", "B1", "--json"]) == 0

@@ -21,6 +21,7 @@ from horders.scalars import (
     LaurentJet,
     Scalar,
     ScalarKind,
+    _Accumulator,
     _components,
     left_regular,
     quadratic,
@@ -435,6 +436,44 @@ def test_jet_kernel_matches_the_per_scalar_reference(kind):
         assert x * y == ref_jet_mul(x, y)
         assert x + y == ref_jet_add(x, y)
         assert x - y == ref_jet_add(x, -y)
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_an_accumulated_jet_is_the_jet_the_constructor_builds(kind):
+    # the reference sums reduced Scalars per exponent and lets the public
+    # constructor check kinds, strip zero ends and truncate
+    rng = Random(47)
+    zero = Scalar.zero(kind)
+    for trial in range(60):
+        acc, sums = _Accumulator(kind), {}
+
+        def added(e, c):
+            sums[e] = sums.get(e, zero) + c
+
+        for _ in range(rng.randint(0, 3)):
+            x, y = kernel_jet(kind, rng), kernel_jet(kind, rng)
+            acc.add_product(x, y)
+            for i, a in enumerate(x.coeffs, x.lowest_exp):
+                for j, b in enumerate(y.coeffs, y.lowest_exp):
+                    added(i + j, a * b)
+        # terms that cancel below and above everything else, or alone
+        # (an exact zero); their denominators are not 1
+        lo, hi = min(sums, default=0) - rng.randint(1, 3), max(sums, default=0) + rng.randint(1, 3)
+        for e in (lo, hi) if trial % 5 else (lo,):
+            c = Scalar(kind, fraction_parts(kind, rng))
+            for term in (c, -c):
+                acc.add(LaurentJet.t_power(kind, e, term))
+                added(e, term)
+        precision = rng.choice((None, None, rng.randint(lo - 1, hi + 1)))
+        if not sums:
+            ref = LaurentJet(kind, 0, (), precision)
+        else:
+            first = min(sums)
+            ref = LaurentJet(kind, first, [sums.get(e, zero) for e in range(first, max(sums) + 1)],
+                             precision)
+        got = acc.jet(precision)
+        assert got == ref
+        assert type(got.coeffs) is tuple and all(c.kind is kind for c in got.coeffs)
 
 
 def test_jet_sums_reduce_over_the_lcm_of_the_denominators():

@@ -269,6 +269,15 @@ def test_expected_error_checks_match():
     assert report.checks[0].actual == "error NotDivisible"
 
 
+def test_an_sh_sig_over_the_bound_is_an_error_and_the_report_runs_on():
+    text = ("division D = base s=1 t=100000\n"
+            "order A = block(D; 4,2)\n"
+            "check big = sh_sig(A) expect error SizeLimit\n"
+            "check after = descend_sig((2,2), 1, 2) expect (2)\n")
+    report = run_session(parse_session(text))
+    assert [(c.actual, c.ok) for c in report.checks] == [("error SizeLimit", True), ("(2)", True)]
+
+
 def test_failed_expectations_are_reported_not_raised():
     text = "check c = sh_verify(2, 2, (1,2)) expect false\n"
     report = run_session(parse_session(text))

@@ -19,7 +19,9 @@ true`` stops the script with an error naming the workload, side and
 pair.  The file records every run's metrics and failure counts, the
 median and quartiles of each end-to-end metric per side, how many pairs
 the change won, the seed, both revisions and the Python version.  The
-temporary directories are removed afterwards.
+temporary directories are removed afterwards.  Last, one line per
+workload and end-to-end metric reads parent median -> change median,
+the relative change and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -112,6 +114,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def report(record: dict) -> list[str]:
+    """One line per workload and end-to-end metric: parent median ->
+    change median, relative change, pairs the change won."""
+    lines = []
+    for workload, result in record["workloads"].items():
+        for name, m in result["summary"].items():
+            if isinstance(m, dict):  # not a failed_share_* number
+                lines.append(f"{workload} {name}: {m['parent']['median']:.4g} -> "
+                             f"{m['change']['median']:.4g} {m['unit']} "
+                             f"({m['relative_change']:+.1%}), change won {m['change_won']} "
+                             f"of {len(result['runs'])} pairs")
+    return lines
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="bench_pairs.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the parent revision")
@@ -169,6 +185,7 @@ def main(argv: list[str]) -> int:
     out = root / output_name(args.pr, args.seed)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out.name}")
+    print("\n".join(report(record)))
     return 0
 
 
