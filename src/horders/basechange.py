@@ -40,9 +40,19 @@ def sh_parts(parts: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
     return tuple([s * p for p in parts]) * t
 
 
+def _check_size(s: int, t: int, n: int) -> None:
+    """Raise :class:`SizeLimit` when a base change to length s*t*n would
+    be longer than ``SH_LIMIT``."""
+    size = s * t * n
+    if size > SH_LIMIT:
+        raise SizeLimit(f"base change to size {size} exceeds the bound {SH_LIMIT}")
+
+
 def sh_signature(sig: Signature, s: int, t: int) -> Signature:
-    """Concatenate t copies of the s-scaled signature."""
+    """Concatenate t copies of the s-scaled signature; a result longer
+    than ``SH_LIMIT`` raises :class:`SizeLimit` before it is built."""
     check_residue(s, t)
+    _check_size(s, t, sig.n)
     return Signature(sh_parts(sig.parts, s, t))
 
 
@@ -106,9 +116,7 @@ def sh_order(order: BlockOrder) -> ShResult:
     longer than ``SH_LIMIT`` raises :class:`SizeLimit` before any of it
     is built."""
     d = order.division
-    size = d.s * d.t * order.sig.n
-    if size > SH_LIMIT:
-        raise SizeLimit(f"base change to size {size} exceeds the bound {SH_LIMIT}")
+    _check_size(d.s, d.t, order.sig.n)
     split = DivisionSpec(d.label + "_sh", BASE, 1, 1)
     return ShResult(
         order=BlockOrder(split, sh_signature(order.sig, d.s, d.t)),
@@ -121,10 +129,16 @@ def becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
 
     Every in-scope division datum splits after the base change, so the
     base-changed components all live over one and the same coefficient
-    ring and are matched by signature alone.
+    ring and are matched by signature alone.  A component whose base
+    change is longer than ``SH_LIMIT`` raises :class:`SizeLimit` before
+    it is built.
     """
     def pushed(ss: SemisimpleOrder) -> list[tuple[int, ...]]:
-        return sorted(cyclic_normal_form(sh_parts(c.sig.parts, c.division.s, c.division.t))
-                      for c in ss.components)
+        out = []
+        for c in ss.components:
+            d, parts = c.division, c.sig.parts
+            _check_size(d.s, d.t, sum(parts))
+            out.append(cyclic_normal_form(sh_parts(parts, d.s, d.t)))
+        return sorted(out)
 
     return pushed(a) == pushed(b)

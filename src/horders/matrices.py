@@ -34,31 +34,60 @@ Products are compared on the same kind of image (Kronecker substitution;
 von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
 ``first_difference`` scales each factor F once, by the lcm s_F of all
 its denominators and by t^-low_F for its lowest exponent, so each side
-is s * t^low times a product of integer polynomial matrices; it
-evaluates those at X = 2^B and multiplies them with ``_mul_parts`` in
-factor order.  Let |F| be the largest row 1-norm of the left-regular
-image of F, as summed for P.  It bounds every coefficient of every entry
-of F, and it is submultiplicative, |FG| <= |F| * |G|, because the images
-multiply and |pq|_1 <= |p|_1 * |q|_1 for integer polynomials; the
-structure constants of the kind are inside |F|.  Scaling the left
-product by s_right * X^(low_left - low) and the right one by s_left *
-X^(low_right - low), for low the smaller of the two, leaves a difference
-whose coefficients have absolute value at most s_right * prod |L_i| +
-s_left * prod |R_i|.  B is the bit length of that bound, so X exceeds
-it.  A polynomial p != 0 whose coefficients lie in (-X, X) has
-p(X) != 0: with c * t^v its lowest term, p(X) / X^v is c mod X and
-0 < |c| < X.  So two entries agree exactly when their packed values do.
+is s * t^low times a product of integer polynomial matrices, and it
+evaluates each distinct matrix once at X = 2^B.  A factor tau(m) is read
+from the image of m: its transpose, each coordinate conjugated.  The
+conjugation fixes t and acts on coefficients only, so it commutes with
+the scaling and with evaluation at X, and the scaled tau(m) is tau of the
+scaled m.  A factor over the core of an extended kind gets zero
+coordinates on the adjoined root, which is its image over the extended
+kind.
+
+B bounds the coefficients.  For an element p of the kind with integer
+polynomial coordinates, let |p| be the sum of the absolute values of all
+their coefficients.  Every basis product is e_a * e_c = k * e_r for one
+r, so |pq| <= kappa * |p| * |q|, kappa the largest |k| of the kind.  For
+a matrix let |F| be the sum of |F[i][j]| over its entries; then |FG| <=
+kappa * |F| * |G|, and |cG| <= kappa * |c| * |G| for a scalar factor c,
+with |c| as above.  Transposing and conjugating keep |F|, so |tau(F)| =
+|F|.  Each coordinate coefficient of the scaled F is a numerator times
+s_F / den, so |F| is at most s_F times the sum of the absolute values of
+F's numerators.  Every coefficient of every entry of a product of k
+factors is at most the |.| of the product, so at most kappa^(k-1) times
+the product of their |F|.  Scaling the left product by s_right *
+X^(low_left - low) and the right one by s_left * X^(low_right - low),
+for low the smaller of the two, leaves a difference whose coefficients
+have absolute value at most s_right * kappa^(k_l-1) * prod |L_i| +
+s_left * kappa^(k_r-1) * prod |R_i|.  B is the bit length of that bound,
+so X exceeds it.  A polynomial p != 0 whose coefficients lie in (-X, X)
+has p(X) != 0: with c * t^v its lowest term, p(X) / X^v is c mod X and
+0 < |c| < X.  So two entries agree exactly when their values at X do.
+
+The products are pushed as one packed column.  With Y = 2^W, the column
+v = sum_j e_j * Y^j (e_j the j-th unit vector) is multiplied by each
+side's factors from the right, so entry i of the result is sum_j
+P[i][j](X) * Y^j for the side's product P, one coordinate tuple of
+integers.  A matrix factor costs one product per nonzero entry, and the
+rightmost one only shifts its rows.  Every difference entry d(t) of the
+scaled sides has degree at most D, the larger over the two sides of
+(low_side - low) plus the sum of the factors' degree spans, and its
+coefficients lie in (-X, X), so |d(X)| <= (X - 1) * (1 + X + ... + X^D)
+< X^(D+1).  W = B * (D + 1), so every base-Y digit of a difference row
+is in (-Y, Y), and by the argument above a row differs exactly when its
+difference is nonzero, first at column j for j the lowest nonzero base-Y
+digit of its coordinates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from math import lcm, prod
-from operator import add
+from operator import add, mul
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
 from .scalars import (LaurentJet, Q, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
-                      _mul_parts, _same_kind, _unit_solve, left_regular)
+                      _conj_parts, _mul_parts, _unit_solve, left_regular)
 
 
 @record
@@ -291,65 +320,155 @@ def _row_norms(kind: ScalarKind, rows: list) -> list[int]:
     return norms
 
 
-def first_difference(left: Sequence[JetMatrix | LaurentJet],
-                     right: Sequence[JetMatrix | LaurentJet]) -> tuple[int, int] | None:
+@record
+class Tau:
+    """tau(m), the conjugate transpose of ``m``, as a factor of
+    :func:`first_difference`, which reads it from the image of ``m``
+    instead of building it."""
+
+    m: JetMatrix
+
+
+def first_difference(left: Sequence[JetMatrix | LaurentJet | Tau],
+                     right: Sequence[JetMatrix | LaurentJet | Tau]) -> tuple[int, int] | None:
     """The first entry, in row-major order, at which the products of the
-    factors ``left`` and ``right`` differ, or None if they are
-    equal.  A jet factor is that scalar times the identity.  Decided on
-    the integers of the module docstring, at X = 2^B."""
-    factors = [*left, *right]
-    n = next((f.n for f in factors if isinstance(f, JetMatrix)), None)
+    factors ``left`` and ``right`` differ, or None if they are equal.  A
+    jet factor is that scalar times the identity.  The factors live over
+    one kind, or over an extended kind and its core.  Decided on the
+    integers of the module docstring, at X = 2^B and Y = 2^W."""
+    sides = [[(f.m, True) if type(f) is Tau else (f, False) for f in side]
+             for side in (left, right)]
+    mats = [f for side in sides for f, _ in side]
+    n = next((f.n for f in mats if isinstance(f, JetMatrix)), None)
     if n is None:
         raise SizeMismatch("products are compared as matrices; no factor is a JetMatrix")
-    kind = factors[0].kind
-    for f in factors:
-        _same_kind(kind, f.kind)
-        if isinstance(f, JetMatrix) and f.n != n:
-            raise SizeMismatch(f"{n}x{n} vs {f.n}x{f.n}")
-    packed = [_integer_terms(f.rows if isinstance(f, JetMatrix) else ((f,),)) for f in factors]
-    norms = [max(_row_norms(kind, terms)) for _, _, terms in packed]
-    k = len(left)
-    s_l, s_r = prod(s for s, _, _ in packed[:k]), prod(s for s, _, _ in packed[k:])
-    bits = (s_r * prod(norms[:k]) + s_l * prod(norms[k:])).bit_length()
-    low_l, low_r = sum(low for _, low, _ in packed[:k]), sum(low for _, low, _ in packed[k:])
+    kind = next((f.kind for f in mats if f.kind.ext is not None), mats[0].kind)
+    kappa = max(abs(k) for products in kind.basis_products for _, _, k in products)
+    bounds = {}  # id of a distinct matrix or jet -> its rows, s, low, span, size and padding
+    for f in mats:
+        if id(f) not in bounds:
+            if isinstance(f, JetMatrix) and f.n != n:
+                raise SizeMismatch(f"{n}x{n} vs {f.n}x{f.n}")
+            pad = _pad(kind, f.kind)
+            bounds[id(f)] = _bounds(f.rows if isinstance(f, JetMatrix) else ((f,),)) + (pad,)
+    sums = []  # per side: its lcm, lowest exponent, degree span and coefficient bound
+    for side in sides:
+        scale, low, span, norm = 1, 0, 0, kappa ** (len(side) - 1)
+        for f, _ in side:
+            _, s, lo, sp, size, _ = bounds[id(f)]
+            scale, low, span, norm = scale * s, low + lo, span + sp, norm * size
+        sums.append((scale, low, span, norm))
+    (s_l, low_l, span_l, norm_l), (s_r, low_r, span_r, norm_r) = sums
+    bits = (s_r * norm_l + s_l * norm_r).bit_length()
     low = min(low_l, low_r)
+    width = bits * (max(low_l - low + span_l, low_r - low + span_r) + 1)
+    images = {key: _image(b, bits) for key, b in bounds.items()}
+    col_l, col_r = (_column(kind, n, [(images[id(f)], tau) for f, tau in side], width)
+                    for side in sides)
     scale_l, scale_r = s_r << (low_l - low) * bits, s_l << (low_r - low) * bits
-    values = [_evaluate(terms, 1 << bits) for _, _, terms in packed]
     zero = (0,) * kind.dim
-    for i in range(n):
-        row_l = _product_row(kind, n, i, values[:k])
-        row_r = _product_row(kind, n, i, values[k:])
-        for j, (x, y) in enumerate(zip(row_l, row_r)):
-            if [c * scale_l for c in x or zero] != [c * scale_r for c in y or zero]:
-                return i, j
+    for i, (x, y) in enumerate(zip(col_l, col_r)):
+        diff = [d for a, b in zip(x or zero, y or zero) if (d := a * scale_l - b * scale_r)]
+        if diff:
+            return i, min(_lowest_digit(d, width) for d in diff)
     return None
+
+
+def _pad(kind: ScalarKind, of: ScalarKind) -> tuple[int, ...]:
+    """The zero coordinates that carry a scalar of kind ``of`` into
+    ``kind``: none for ``kind`` itself, one per core coordinate for the
+    core of an extended ``kind``; ScalarKindMismatch for any other."""
+    if of is kind or of == kind:
+        return ()
+    if kind.ext is not None and of.ext is None and (of.core, of.d) == (kind.core, kind.d):
+        return (0,) * kind.core_dim
+    raise ScalarKindMismatch(f"{kind} vs {of}")
+
+
+def _bounds(rows) -> tuple:
+    """For jet rows: the rows, the lcm s of their denominators, their
+    lowest exponent and degree span, and s times the sum of the absolute
+    values of their numerators."""
+    entries = [e for row in rows for e in row if e.coeffs]
+    if not entries:
+        return rows, 1, 0, 0, 0
+    coeffs = [c for e in entries for c in e.coeffs]
+    scale = lcm(*{c.den for c in coeffs})
+    low = min(e.lowest_exp for e in entries)
+    span = max(e.lowest_exp + len(e.coeffs) for e in entries) - 1 - low
+    size = sum(map(abs, chain.from_iterable([c.num for c in coeffs])))
+    return rows, scale, low, span, scale * size
+
+
+def _image(bounds: tuple, bits: int) -> list[list[tuple[int, ...] | None]]:
+    """The rows of ``_bounds`` times s * t^-low at t = 2^bits, as integer
+    coordinates followed by the padding of :func:`_pad`; None for a zero
+    entry.  Coefficient k of an entry with lowest exponent e weighs
+    s / den * 2^(bits * (e - low + k))."""
+    rows, scale, low, _, _, pad = bounds
+    out = []
+    for row in rows:
+        values = []
+        for e in row:
+            coeffs = e.coeffs
+            if not coeffs:
+                values.append(None)
+                continue
+            shift = (e.lowest_exp - low) * bits
+            if len(coeffs) == 1:
+                c = coeffs[0]
+                m = scale // c.den << shift
+                values.append(tuple([x * m for x in c.num]) + pad)
+                continue
+            weights = [scale // c.den << shift + k * bits for k, c in enumerate(coeffs)]
+            values.append(tuple([sum(map(mul, xs, weights))
+                                 for xs in zip(*[c.num for c in coeffs])]) + pad)
+        out.append(values)
+    return out
+
+
+def _column(kind: ScalarKind, n: int, factors: list, width: int) -> list[tuple[int, ...] | None]:
+    """Entry i of sum_j P[i][j] * 2^(width * j), P the product of the
+    evaluated ``factors`` (rows, and whether the factor is tau of them;
+    1 x 1 rows are a scalar), multiplied onto the packed column from the
+    right; None for a zero entry."""
+    col: list = [(1 << width * i,) + (0,) * (kind.dim - 1) for i in range(n)]
+    for k, (rows, tau) in enumerate(reversed(factors)):
+        if tau:
+            rows = [[x and _conj_parts(kind, x) for x in c] for c in zip(*rows)]
+        if len(rows) == 1:  # a scalar: it multiplies every entry
+            s = rows[0][0]
+            col = [None if s is None or x is None else _mul_parts(kind, s, x) for x in col]
+            continue
+        if k == 0:  # the column is the unit: each row is shifted into place
+            col = [_packed_row(row, width) for row in rows]
+            continue
+        kept = [(j, x) for j, x in enumerate(col) if x is not None]
+        out = []
+        for row in rows:
+            acc = None
+            for j, x in kept:
+                y = row[j]
+                if y is not None:
+                    xy = _mul_parts(kind, y, x)
+                    acc = xy if acc is None else tuple(map(add, acc, xy))
+            out.append(acc)
+        col = out
+    return col
+
+
+def _packed_row(row: list, width: int) -> tuple[int, ...] | None:
+    # sum_j row[j] * 2^(width * j), coordinate by coordinate
+    acc, shift = None, 0
+    for y in row:
+        if y is not None:
+            acc = [v << shift for v in y] if acc is None else [
+                a + (v << shift) for a, v in zip(acc, y)]
+        shift += width
+    return acc and tuple(acc)
 
 
 def _evaluate(rows: list, x: int) -> list[list[tuple[int, ...] | None]]:
     # integer rows at t = x; None for a zero entry
     return [[tuple(map(sum, zip(*[[c * p for c in num] for e, num in entry for p in (x ** e,)])))
              if entry else None for entry in row] for row in rows]
-
-
-def _product_row(kind: ScalarKind, n: int, i: int, factors: list) -> list[tuple[int, ...] | None]:
-    """Row i of the product of evaluated factors, multiplied in factor
-    order; a 1 x 1 factor is a scalar, None a zero entry."""
-    row: list = [None] * n
-    row[i] = (1,) + (0,) * (kind.dim - 1)
-    for f in factors:
-        if len(f) == 1:
-            s = f[0][0]
-            row = [None if x is None or s is None else _mul_parts(kind, x, s) for x in row]
-            continue
-        kept = [(x, f[k]) for k, x in enumerate(row) if x is not None]
-        out = []
-        for j in range(n):
-            acc = None
-            for x, f_row in kept:
-                y = f_row[j]
-                if y is not None:
-                    xy = _mul_parts(kind, x, y)
-                    acc = xy if acc is None else tuple(map(add, acc, xy))
-            out.append(acc)
-        row = out
-    return row

@@ -184,10 +184,13 @@ def _core_mul(core: str, d: int | None, a: tuple, b: tuple) -> tuple:
     )
 
 
-def _core_conj(core: str, a: tuple) -> tuple:
-    if core == "base":
+def _conj_parts(k: ScalarKind, a: tuple) -> tuple:
+    # the conjugate of integer coordinates over k: it negates each
+    # coordinate but the first of every core block (a base core has one)
+    if k.core == "base":
         return a
-    return (a[0],) + tuple(-c for c in a[1:])
+    m = k.core_dim
+    return tuple(-x if i % m else x for i, x in enumerate(a))
 
 
 def _same_kind(a: ScalarKind, b: ScalarKind) -> None:
@@ -284,12 +287,7 @@ class Scalar:
         return _reduced(self.kind, tuple(p * a for a in self.num), self.den * q.denominator)
 
     def conj(self) -> "Scalar":
-        k = self.kind
-        if k.ext is None:
-            return _raw(k, _core_conj(k.core, self.num), self.den)
-        m = k.core_dim
-        return _raw(k, _core_conj(k.core, self.num[:m]) + _core_conj(k.core, self.num[m:]),
-                    self.den)
+        return _raw(self.kind, _conj_parts(self.kind, self.num), self.den)
 
     def inverse(self) -> "Scalar":
         """The inverse through the left-regular representation of num =

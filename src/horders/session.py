@@ -203,6 +203,18 @@ def _as_jet(kind: ScalarKind, value) -> LaurentJet:
 
 _QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}
 
+# A literal builds one coefficient per exponent of its window, so the
+# exponents of a sum's terms, and those of a product of factors, may span
+# at most SPAN_LIMIT.  A power x^k squares windows of up to span(x) * |k|
+# exponents, which may not pass SPAN_LIMIT either, with coefficients of
+# about bits(x) * |k| bits, bits(x) the longest numerator or denominator
+# of x; all of them together, (span(x) * |k| + 1) * bits(x) * |k|, may
+# not pass BITS_LIMIT.  Each limit is checked before its result is built.
+# Corpus and bundled literals span at most 9 exponents and take no power
+# other than t^k.
+SPAN_LIMIT = 1 << 10
+BITS_LIMIT = 1 << 20
+
 
 def _signed_at(toks: list[str], j: int) -> tuple[int, int] | None:
     """The signed integer at token ``j`` and the index after it, or None."""
@@ -218,8 +230,9 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind):
     units = _QUAT_UNITS if kind.core == "quat" else {}
     rows: dict[int, list[int]] = {}  # exponent -> numerators per basis index, over scale
     scale, sign, first, p = 1, 1, True, cur.pos
+    lo = hi = None  # the least and greatest exponent of the terms read
     while True:
-        c, den, u, k, value = sign, 1, 0, 0, None
+        c, den, u, k, value, start = sign, 1, 0, 0, None, p
         while True:  # the factors of the term c/den * e_u * t^k
             tok, end = toks[p], p + 1
             if tok == "-" and toks[end] != "-":
@@ -254,7 +267,12 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind):
                 cur.pos = p
                 value = (_unit(kind, u, c), den, k)
                 while True:
+                    at = cur.pos
                     other = _parse_factor(cur, kind)
+                    if _span(value) + _span(other) > SPAN_LIMIT:
+                        raise SessionTypeError(
+                            f"a product of degree span {_span(value) + _span(other)} is above "
+                            f"the literal limit {SPAN_LIMIT}", cur.line, cur.col(at))
                     if type(value) is tuple and type(other) is tuple:
                         value = (_mul_parts(kind, value[0], other[0]), value[1] * other[1],
                                  value[2] + other[2])
@@ -274,11 +292,23 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind):
             return (_unit(kind, u, c), den, k) if value is None else value
         first = False
         if value is None:
-            terms = ((k, u, c, den),)
+            terms, low, high = ((k, u, c, den),), k, k
         else:
             jet = _as_jet(kind, value)
             terms = [(e, v, x, s.den) for e, s in enumerate(jet.coeffs, jet.lowest_exp)
                      for v, x in enumerate(s.num) if x]
+            low, high = jet.lowest_exp, jet.lowest_exp + len(jet.coeffs) - 1
+        if terms:
+            if lo is None:
+                lo, hi = low, high
+            if low < lo:
+                lo = low
+            if high > hi:
+                hi = high
+            if hi - lo > SPAN_LIMIT:
+                raise SessionTypeError(
+                    f"a sum of degree span {exact_str(hi - lo)} is above the literal limit "
+                    f"{SPAN_LIMIT}", cur.line, cur.col(start))
         for e, v, x, d in terms:
             if scale % d:
                 m = d // gcd(scale, d)
@@ -317,12 +347,33 @@ def _parse_factor(cur: _Cursor, kind: ScalarKind):
             f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
             "Laurent polynomials; multiply u by the denominator and alpha by its norm",
             cur.line, cur.col(caret))
+    span = _span(value) * abs(k)
+    bits = (span + 1) * _bits(value) * abs(k)
+    if span > SPAN_LIMIT or bits > BITS_LIMIT:
+        raise SessionTypeError(
+            f"power {exact_str(k)} would build {exact_str(span + 1)} coefficients and about "
+            f"{exact_str(bits)} bits, above the literal limits of {SPAN_LIMIT} exponents and "
+            f"{BITS_LIMIT} bits", cur.line, cur.col(caret))
     try:
         return _monomial_power(kind, value, k) if type(value) is tuple else value ** k
     except (IndeterminateValuation, NotInvertible) as exc:
         raise SessionTypeError(
             f"power {exact_str(k)} of a value with no inverse: {exc}",
             cur.line, cur.col(caret)) from None
+
+
+def _span(value) -> int:
+    # the degree span of a factor: 0 for a monomial or a zero jet
+    return 0 if type(value) is tuple or not value.coeffs else len(value.coeffs) - 1
+
+
+def _bits(value) -> int:
+    # the longest numerator or denominator of a factor, in bits
+    if type(value) is tuple:
+        num, den, _ = value
+        return max(den.bit_length(), *(abs(x).bit_length() for x in num))
+    return max((max(c.den.bit_length(), *(abs(x).bit_length() for x in c.num))
+                for c in value.coeffs), default=0)
 
 
 def _monomial_power(kind: ScalarKind, value: tuple, k: int) -> tuple:

@@ -11,16 +11,22 @@ built.
 
 Nothing is inverted and nothing is sampled: every question is an exact
 identity or asks whether a rational matrix is singular.  The identities
-are decided on integers by ``matrices.first_difference``: each operand
-is scaled once to integer polynomials (one lcm of its denominators, its
-exponents shifted to start at 0) and evaluated at X = 2^B, the packed
-matrices are multiplied in factor order (quaternions do not commute),
-and each side is scaled by the other's denominator and power of X.  B
-comes from the product bound in the ``matrices`` module docstring.
-Only an entry that a result needs as a polynomial is rebuilt as a jet:
-the first mismatching entry of tau(u) * a2 * u, printed in the
-IdentityMismatch detail, and W[p][q], whose product with conj(a) must
-be central in ``transport_check``.
+are decided on integers by ``matrices.first_difference``: each distinct
+operand is scaled once to integer polynomials (one lcm of its
+denominators, its exponents shifted to start at 0) and evaluated at X =
+2^B, and one packed column sum_j e_j * Y^j, Y = 2^W, is multiplied by
+each side's factors from the right (quaternions do not commute); each
+side is then scaled by the other's denominator and power of X, and the
+first differing column of a row is its lowest nonzero base-Y digit.  B
+and W come from the bounds in the ``matrices`` module docstring.  tau(u)
+is read from u's image, as its transpose with each coordinate
+conjugated, and an operand over the division kind gets zero coordinates
+on the etale root while it is evaluated, so a verified witness builds no
+copy of u, tau(u) or the gauges.  Only an entry that a result needs as a
+polynomial is rebuilt as a jet, from entries promoted one by one: the
+first mismatching entry of tau(u) * a2 * u, printed in the
+IdentityMismatch detail, and W[p][q], whose product with conj(a) must be
+central in ``transport_check``.
 
 * Units lift modulo the Jacobson radical (Reiner, *Maximal Orders*,
   ch. 9), and a block order modulo its radical is the product of its
@@ -54,7 +60,6 @@ from .errors import (
 from .involutions import (
     ISOTROPIC,
     InvolutionSpec,
-    apply_tau,
     distinguish,
     residue_involution,
     residue_isotropy,
@@ -63,7 +68,7 @@ from .involutions import (
     smat_mul,
     wellformed,
 )
-from .matrices import JetMatrix, first_difference
+from .matrices import JetMatrix, Tau, first_difference
 from .orders import (
     BlockOrder,
     DivisionSpec,
@@ -131,23 +136,18 @@ class WitnessCheck:
 
     def _work_kind(self) -> ScalarKind:
         """The division kind, or its etale extension; the instance u or
-        alpha already lives over is reused, so its ``basis_products``
-        table is built once."""
+        alpha already lives over is reused, so no kind is built and its
+        ``basis_products`` table is built once."""
         kind = self.spec1.order.division.kind
         if self.mode.ring != ETALE:
             return kind
-        work = kind.extended(self.mode.d)
-        return next((x.kind for x in (self.u, self.alpha) if x.kind == work), work)
+        key = (kind.core, kind.d, self.mode.d)
+        given = (x.kind for x in (self.u, self.alpha) if (x.kind.core, x.kind.d, x.kind.ext) == key)
+        return next(given, None) or kind.extended(self.mode.d)
 
 
 def _promote(x, kind: ScalarKind):
-    return x if x.kind == kind else x.onto(kind)
-
-
-def _operands(w: WitnessCheck):
-    """u, a1, a2 and alpha over the working kind."""
-    kind = w._work_kind()
-    return tuple(_promote(x, kind) for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha))
+    return x if x.kind is kind or x.kind == kind else x.onto(kind)
 
 
 def _is_mode_coefficient(s: Scalar) -> bool:
@@ -175,19 +175,26 @@ def _is_central(s: Scalar) -> bool:
     return s.kind.core != "quat" or not any(s.num[1:4] + s.num[5:])
 
 
-def _triple_entry(a: JetMatrix, b: JetMatrix, c: JetMatrix, i: int, j: int) -> LaurentJet:
-    """(a * b * c)[i][j]: entry l of row i of a * b summed in one
-    accumulator, over the k with a[i][k] not zero, then one accumulated
-    sum of those entries times c[l][j], over the l with c[l][j] not zero."""
-    ks = [k for k in range(a.n) if a.entry(i, k).coeffs]
-    total = _Accumulator(a.kind)
-    for l in range(a.n):
+def _tau_row(u: JetMatrix, i: int, kind: ScalarKind) -> list[LaurentJet]:
+    """Row i of tau(u) over ``kind``: column i of u, conjugated."""
+    return [_promote(u.entry(k, i), kind).conj() for k in range(u.n)]
+
+
+def _triple_entry(row, b: JetMatrix, c: JetMatrix, j: int) -> LaurentJet:
+    """(row * b * c)[j] over the kind of ``row``, whose entries the entries
+    of b and c are promoted onto: entry l of row * b summed in one
+    accumulator, over the k with row[k] not zero, then one accumulated sum
+    of those entries times c[l][j], over the l with c[l][j] not zero."""
+    kind = row[0].kind
+    ks = [k for k, x in enumerate(row) if x.coeffs]
+    total = _Accumulator(kind)
+    for l in range(c.n):
         y = c.entry(l, j)
         if y.coeffs:
-            row = _Accumulator(a.kind)
+            acc = _Accumulator(kind)
             for k in ks:
-                row.add_product(a.entry(i, k), b.entry(k, l))
-            total.add_product(row.jet(None), y)
+                acc.add_product(row[k], _promote(b.entry(k, l), kind))
+            total.add_product(acc.jet(None), _promote(y, kind))
     return total.jet(None)
 
 
@@ -197,16 +204,22 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
     declared ring.  A unit of the order is invertible over the Laurent
     field (units lift modulo the Jacobson radical), so u is asked over
     the field only in the generic fibre or after a failed check, and a u
-    singular there is reported so, as if the field had been asked first."""
-    u, a1, a2, alpha = _operands(w)
-
-    tu = apply_tau(u)
-    bad = first_difference((tu, a2, u), (alpha, a1))
+    singular there is reported so, as if the field had been asked first.
+    A u or alpha over the division kind is not promoted after the
+    identity: it has the same valuations and text over the etale kind,
+    and a matrix of it is a unit there exactly when it is one over the
+    division kind, since the left-regular image of b + 0 * sqrt(d) is two
+    copies of that of b."""
+    u, a1, a2, alpha = w.u, w.spec1.gauge, w.spec2.gauge, w.alpha
+    bad = first_difference((Tau(u), a2, u), (alpha, a1))
     if bad is not None:
+        kind = w._work_kind()
+        i, j = bad
         return failure(
             "IdentityMismatch",
-            f"tau(u)*a2*u != alpha*a1 at entry {bad[0] + 1},{bad[1] + 1}: "
-            f"{_triple_entry(tu, a2, u, *bad)} vs {alpha * a1.entry(*bad)}")
+            f"tau(u)*a2*u != alpha*a1 at entry {i + 1},{j + 1}: "
+            f"{_triple_entry(_tau_row(u, i, kind), a2, u, j)} vs "
+            f"{_promote(alpha, kind) * _promote(a1.entry(i, j), kind)}")
 
     diag = _ring_checks(w, u, alpha)
     if (not diag.ok or w.mode.ring == GENERIC_FIBER) and not u.field_invertible():
@@ -245,20 +258,20 @@ def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
     ``samples`` has no effect, since the check is exact; it is still
     accepted because ``perfbench/baselines.py`` passes it.
     """
-    u, a1, a2, _ = _operands(w)
+    u, a1, a2 = w.u, w.spec1.gauge, w.spec2.gauge
     if not a1.field_invertible():
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
-    tu = apply_tau(u)
+    kind = w._work_kind()
     p, q = next((i, j) for i in range(u.n) for j in range(u.n) if not a1.entry(i, j).is_zero())
     abar = a1.entry(p, q).conj()
     norm = a1.entry(p, q) * abar
-    m = _triple_entry(tu, a2, u, p, q) * abar
+    m = _triple_entry(_tau_row(u, p, kind), a2, u, q) * _promote(abar, kind)
     if not all(_is_central(c) for c in m.coeffs):
         bad = (p, q)
     else:
-        bad = first_difference((norm, tu, a2, u), (m, a1))
+        bad = first_difference((norm, Tau(u), a2, u), (m, a1))
     if bad is not None:
         return failure(
             "TransportFailed",

@@ -13,7 +13,7 @@ from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
 from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
-from horders.witness import WitnessCheck, _operands, _is_central, _ring_checks
+from horders.witness import WitnessCheck, _is_central, _ring_checks
 
 
 def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
@@ -415,10 +415,18 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
 # checks decided it before they packed their operands into integers.
 
 
+def promoted_operands(w: WitnessCheck) -> tuple:
+    """u, a1, a2 and alpha, each as a copy over the working kind when it
+    lives over the division kind."""
+    kind = w._work_kind()
+    return tuple(x if x.kind == kind else x.onto(kind)
+                 for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha))
+
+
 def ref_identity_check(w: WitnessCheck) -> Diagnostics:
     """The identity step of ``verify_witness``: OK, or IdentityMismatch at
     the first differing entry with both jets in the detail."""
-    u, a1, a2, alpha = _operands(w)
+    u, a1, a2, alpha = promoted_operands(w)
     lhs = apply_tau(u) @ a2 @ u
     rhs = entrywise(lambda e: alpha * e, a1)
     bad = next(((i, j) for i in range(u.n) for j in range(u.n)
@@ -438,7 +446,7 @@ def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
     diag = ref_identity_check(w)
     if not diag.ok:
         return diag
-    u, _, _, alpha = _operands(w)
+    u, _, _, alpha = promoted_operands(w)
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
     return _ring_checks(w, u, alpha)
@@ -447,7 +455,7 @@ def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
 def ref_transport_check(w: WitnessCheck) -> Diagnostics:
     """``transport_check`` with W = tau(u) * a2 * u as a matrix of jets and
     N * W = m * a1 compared entry by entry."""
-    u, a1, a2, _ = _operands(w)
+    u, a1, a2, _ = promoted_operands(w)
     if not a1.field_invertible():
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
     if not u.field_invertible():

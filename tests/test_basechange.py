@@ -187,6 +187,48 @@ def test_sh_order_refuses_a_result_longer_than_its_bound_before_building_it(monk
             sh_order(BlockOrder(DivisionSpec("D", BASE, s, t), sig(*parts)))
 
 
+OVER_THE_BOUND = [(1, 100000, (4, 2)), (1, 1, ((1 << 16) + 1,)), (2, 2, ((1 << 14), 1)),
+                  (1, 1, (10 ** 22,))]
+
+
+def _refuse_over_the_bound(monkeypatch):
+    """Make basechange.sh_parts fail the test when asked for a result
+    longer than SH_LIMIT."""
+    real, limit = basechange.sh_parts, basechange.SH_LIMIT
+
+    def sh_parts(parts, s, t):
+        assert s * t * sum(parts) <= limit, "built a result over the bound"
+        return real(parts, s, t)
+
+    monkeypatch.setattr(basechange, "sh_parts", sh_parts)
+
+
+def test_sh_signature_refuses_a_result_longer_than_its_bound_before_building_it(monkeypatch):
+    limit = basechange.SH_LIMIT
+    assert sh_signature(sig(limit // 4), 2, 2).n == limit
+    _refuse_over_the_bound(monkeypatch)
+    for s, t, parts in OVER_THE_BOUND:
+        size = s * t * sum(parts)
+        with pytest.raises(SizeLimit, match=f"base change to size {size} exceeds the bound {limit}"):
+            sh_signature(sig(*parts), s, t)
+
+
+def test_becomes_iso_after_sh_refuses_a_component_longer_than_its_bound(monkeypatch):
+    limit = basechange.SH_LIMIT
+    at_limit = SemisimpleOrder((BlockOrder(DivisionSpec("D", BASE, 2, 2), sig(limit // 4)),))
+    assert becomes_iso_after_sh(at_limit, at_limit)
+    small = SemisimpleOrder((BlockOrder(DivisionSpec("E", BASE, 1, 1), sig(2)),))
+    _refuse_over_the_bound(monkeypatch)
+    for s, t, parts in OVER_THE_BOUND:
+        size = s * t * sum(parts)
+        big = BlockOrder(DivisionSpec("D", BASE, s, t), sig(*parts))
+        for a, b in [(SemisimpleOrder((big,)), small),
+                     (small, SemisimpleOrder((small.components[0], big)))]:
+            with pytest.raises(SizeLimit,
+                               match=f"base change to size {size} exceeds the bound {limit}"):
+                becomes_iso_after_sh(a, b)
+
+
 def test_sh_preserves_isomorphism():
     d = DivisionSpec("D", QUATERNION, 2, 3)
     for parts in [(1, 2), (2, 2, 1), (3,)]:

@@ -87,6 +87,43 @@ def test_the_report_reads_medians_change_and_pairs_won_per_workload_and_metric()
     record = {"workloads": {"patterns": {"runs": pairs,
                                          "summary": tool.summarize(pairs, end_to_end)}}}
     assert tool.report(record) == [
-        "patterns setup_s: 0.05 -> 0.03 s (-40.0%), change won 3 of 4 pairs",
-        "patterns ops_per_s: 101.5 -> 103 1/s (+1.5%), change won 3 of 4 pairs",
+        "patterns setup_s: 0.05 -> 0.03 s (-40.0%), change won 3 of 4 pairs: unresolved",
+        "patterns ops_per_s: 101.5 -> 103 1/s (+1.5%), change won 3 of 4 pairs: unresolved",
     ]
+
+
+END_TO_END = [{"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+              {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def verdicts(parent_ms, change_ms) -> dict:
+    """The verdict per metric of ten pairs with these op_ms_p50 values and
+    ops_per_s = 1000 / op_ms_p50."""
+    def run(ms):
+        return {"attempted": 1, "failed": 0, "metrics": {"op_ms_p50": ms, "ops_per_s": 1000 / ms}}
+
+    pairs = [{"parent": run(p), "change": run(c)} for p, c in zip(parent_ms, change_ms)]
+    return {name: m["verdict"] for name, m in load_tool().summarize(pairs, END_TO_END).items()
+            if isinstance(m, dict)}
+
+
+PARENT = [3.40, 3.45, 3.50, 3.55, 3.60, 3.40, 3.45, 3.50, 3.55, 3.60]  # quartiles 3.45, 3.56
+
+
+def test_a_change_that_wins_nine_of_ten_pairs_by_more_than_the_spread_is_a_gain():
+    faster = [2.8] * 9 + [3.7]
+    assert verdicts(PARENT, faster) == {"op_ms_p50": "gain", "ops_per_s": "gain"}
+
+
+def test_a_change_worse_by_more_than_its_bound_is_a_regression():
+    slower = [4.5] * 10  # +28.6% op time, -22.2% ops_per_s: only op time passes its bound
+    assert verdicts(PARENT, slower) == {"op_ms_p50": "regression", "ops_per_s": "unresolved"}
+
+
+@pytest.mark.parametrize("change, why", [
+    ([2.8] * 8 + [3.7] * 2, "won only 8 of 10 pairs"),
+    ([p - 0.05 for p in PARENT], "won 10 of 10 pairs, but by less than the parent's spread"),
+    ([3.4] * 5 + [3.6] * 5, "won some, lost some"),
+])
+def test_anything_else_is_unresolved(change, why):
+    assert verdicts(PARENT, change) == {"op_ms_p50": "unresolved", "ops_per_s": "unresolved"}, why

@@ -1,5 +1,6 @@
 """Session literals: the one-loop reader against the jet-per-atom reference."""
 
+import time
 from random import Random
 
 import pytest
@@ -207,3 +208,35 @@ def test_power_of_a_zero_divisor_is_a_type_error_at_the_caret():
     with pytest.raises(SessionTypeError) as err:
         parse_session(text)
     assert (err.value.line, err.value.col) == (4, witness.index("^") + 1)
+
+
+LIMITED = [  # entry, token the error is at, message start
+    ("(1+t)^4000", "^", "power 4000 would build 4001 coefficients"),
+    ("1 + t^4000000", "t", "a sum of degree span 4000000 is above the literal limit 1024"),
+    ("t^-600 + 1 - t^600", "t", "a sum of degree span 1200 is above the literal limit 1024"),
+    ("(1 + t^1000)*(1 + t^1000)", "(", "a product of degree span 2000 is above the literal limit"),
+    ("2^524289", "^", "power 524289 would build 1 coefficients and about 1048578 bits"),
+    ("(3 + t)^800", "^", "power 800 would build 801 coefficients and about 1281600 bits"),
+]
+
+
+@pytest.mark.parametrize("entry, at, message", LIMITED)
+def test_a_literal_over_its_limits_is_a_type_error_before_it_is_built(entry, at, message):
+    text = session_with(entry)
+    line = text.splitlines()[2]
+    times = []
+    for _ in range(3):  # the best of three, so a busy machine does not fail it
+        start = time.perf_counter()
+        with pytest.raises(SessionTypeError) as err:
+            parse_session(text)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+    assert (err.value.line, err.value.col) == (3, line.rindex(at) + 1)
+    assert str(err.value).startswith(f"line 3, col {err.value.col}: {message}")
+
+
+@pytest.mark.parametrize("entry", ["1 + t^1024", "t^-512*(1 + t^512)*(1 + t^512)",
+                                   "2^524288", "(3 + t)^10", "t^99999999999999999999"])
+def test_a_literal_at_its_limits_parses(entry):
+    assert session_module.SPAN_LIMIT == 1 << 10 and session_module.BITS_LIMIT == 1 << 20
+    parse_session(session_with(entry))

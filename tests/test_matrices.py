@@ -7,8 +7,9 @@ import pytest
 
 from horders import matrices
 from horders.errors import NotInvertible, ScalarKindMismatch, SizeMismatch
-from horders.matrices import JetMatrix
-from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar
+from horders.involutions import apply_tau
+from horders.matrices import JetMatrix, Tau, first_difference
+from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind
 
 from helpers import (_poly_det, entrywise, random_jet, random_scalar, ref_gauss_jordan_inverse,
                      ref_matmul, rows_agree)
@@ -224,3 +225,138 @@ def test_inverse_past_a_zero_divisor_pivot():
     assert inv == entrywise(lambda e: quarter * e, a)
     one = JetMatrix.diagonal([LaurentJet.one(kind)] * 2)
     assert a @ inv == one and inv @ a == one
+
+
+# ---------------------------------------------------------------------------
+# first_difference against the jet-level products
+
+
+def _engine_jet(kind, rng, zero=0.3) -> LaurentJet:
+    """1-3 terms from t^-2 up over mixed denominators; exactly zero with
+    probability ``zero``."""
+    if rng.random() < zero:
+        return LaurentJet.zero(kind)
+    return LaurentJet(kind, rng.randint(-2, 2), [
+        Scalar(kind, [Q(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(kind.dim)])
+        for _ in range(rng.randint(1, 3))])
+
+
+def _as_matrix(f, kind, n) -> JetMatrix:
+    """A factor of first_difference as the matrix it stands for, over kind."""
+    if isinstance(f, Tau):
+        f = apply_tau(f.m)
+    if isinstance(f, LaurentJet):
+        f = JetMatrix.diagonal([f] * n)
+    return f if f.kind == kind else f.onto(kind)
+
+
+def ref_product(factors, kind, n) -> JetMatrix:
+    out = JetMatrix.diagonal([LaurentJet.one(kind)] * n)
+    for f in factors:
+        out = out @ _as_matrix(f, kind, n)
+    return out
+
+
+def ref_first_difference(left, right, kind, n):
+    a, b = ref_product(left, kind, n), ref_product(right, kind, n)
+    return next(((i, j) for i in range(n) for j in range(n) if a.entry(i, j) != b.entry(i, j)),
+                None)
+
+
+def _engine_factors(kind, rng, n):
+    """1-3 factors over kind or, for an extended kind, its core: matrices,
+    tau of matrices and jets, at least one of them a matrix."""
+    kinds = [kind] if kind.ext is None else [kind, ScalarKind(kind.core, kind.d)]
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice(kinds)
+        draw = rng.random()
+        if draw < 0.2:
+            out.append(_engine_jet(k, rng, zero=0.05))
+            continue
+        m = JetMatrix.of([[_engine_jet(k, rng) for _ in range(n)] for _ in range(n)])
+        out.append(Tau(m) if draw < 0.45 else m)
+    if not any(isinstance(f, (JetMatrix, Tau)) for f in out):
+        out.append(JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)]))
+    return out
+
+
+def _plant(p: JetMatrix, cells, rng) -> JetMatrix:
+    """p with a nonzero jet added at each of ``cells``."""
+    rows = [list(row) for row in p.rows]
+    for i, j in set(cells):
+        delta = LaurentJet.zero(p.kind)
+        while delta.is_zero():
+            delta = _engine_jet(p.kind, rng, zero=0)
+        rows[i][j] = rows[i][j] + delta
+    return JetMatrix.of(rows)
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_first_difference_matches_the_jet_products(kind):
+    rng = Random(f"engine:{kind}")
+    seen = set()
+    for _ in range(10):
+        n = rng.randint(1, 4 if kind.dim < 8 else 3)
+        left, right = _engine_factors(kind, rng, n), _engine_factors(kind, rng, n)
+        assert first_difference(left, right) == ref_first_difference(left, right, kind, n)
+        product = ref_product(left, kind, n)
+        i, j = rng.randrange(n), rng.randrange(n)
+        plants = {"none": [], "random": [(i, j)], "last column": [(i, n - 1)],
+                  "two in a row": [(i, j), (i, rng.randrange(n))],
+                  "anywhere": [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]}
+        for name, cells in plants.items():
+            planted = _plant(product, cells, rng)
+            want = ref_first_difference(left, [planted], kind, n)
+            assert want == (min(cells) if cells else None)
+            assert first_difference(left, [planted]) == want, name
+            assert first_difference([planted], left) == want, name
+            seen.add(name)
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_tau_is_read_from_the_image_of_its_matrix(kind):
+    rng = Random(f"tau:{kind}")
+    for n in (1, 2, 3):
+        u = JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)])
+        a = JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)])
+        tu = apply_tau(u)
+        assert first_difference([Tau(u)], [tu]) is None
+        assert first_difference([Tau(u), a, u], [tu, a, u]) is None
+        assert first_difference([Tau(u), a], [u, a]) == ref_first_difference([tu, a], [u, a],
+                                                                              kind, n)
+
+
+@pytest.mark.parametrize("kind", [k for k in REF_KINDS if k.ext is not None], ids=str)
+def test_operands_over_the_core_are_padded_onto_the_extended_kind(kind):
+    rng = Random(f"pad:{kind}")
+    core = ScalarKind(kind.core, kind.d)
+    for n in (1, 2, 3):
+        a = JetMatrix.of([[_engine_jet(core, rng) for _ in range(n)] for _ in range(n)])
+        u = JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)])
+        c = _engine_jet(core, rng, zero=0)
+        assert first_difference([a], [a.onto(kind)]) is None
+        assert first_difference([c, Tau(u), a, u],
+                                [c.onto(kind), apply_tau(u), a.onto(kind), u]) is None
+    with pytest.raises(ScalarKindMismatch):
+        first_difference([JetMatrix.diagonal([LaurentJet.one(kind)])],
+                         [JetMatrix.diagonal([LaurentJet.one(QUATERNION if kind.core != "quat"
+                                                             else BASE)])])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m", [1, 7, 31, 64])
+def test_a_difference_at_the_largest_magnitude_is_found_in_its_column(sign, m):
+    # one side is zero and the other has a single entry sign * 2^m * t^e:
+    # the bound is then 2^m, so B = m + 1 and the entry's value at X is
+    # 2^(B-1) * X^D, the most a digit below Y = X^(D+1) can hold
+    n = 4
+    zero = JetMatrix.diagonal([LaurentJet.zero(BASE)] * n)
+    for i, j, e in [(0, n - 1, 3), (2, 1, 0), (n - 1, n - 1, 5)]:
+        rows = [[LaurentJet.zero(BASE)] * n for _ in range(n)]
+        rows[i][j] = LaurentJet.t_power(BASE, e, sign * 2 ** m)
+        big = JetMatrix.of(rows)
+        assert first_difference([big], [zero]) == (i, j)
+        assert first_difference([zero], [big]) == (i, j)
+        assert first_difference([LaurentJet.t_power(BASE, 2), big], [zero]) == (i, j)

@@ -1,5 +1,6 @@
 """Session-file parsing, printing, running, and determinism."""
 
+import time
 from importlib import resources
 
 import pytest
@@ -275,6 +276,21 @@ def test_an_sh_sig_over_the_bound_is_an_error_and_the_report_runs_on():
             "check big = sh_sig(A) expect error SizeLimit\n"
             "check after = descend_sig((2,2), 1, 2) expect (2)\n")
     report = run_session(parse_session(text))
+    assert [(c.actual, c.ok) for c in report.checks] == [("error SizeLimit", True), ("(2)", True)]
+
+
+def test_a_base_change_check_over_the_bound_fails_fast_and_the_report_runs_on():
+    text = ("division D = base s=1 t=100000000\n"
+            "order A = block(D; 4,2)\n"
+            "check big = becomes_iso_after_sh(A, A) expect error SizeLimit\n"
+            "check after = descend_sig((2,2), 1, 2) expect (2)\n")
+    session = parse_session(text)
+    times = []
+    for _ in range(3):  # the best of three, so a busy machine does not fail it
+        start = time.perf_counter()
+        report = run_session(session)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
     assert [(c.actual, c.ok) for c in report.checks] == [("error SizeLimit", True), ("(2)", True)]
 
 

@@ -28,7 +28,6 @@ from horders.witness import (
     SCENARIOS,
     RingMode,
     WitnessCheck,
-    _operands,
     _triple_entry,
     _is_mode_coefficient,
     counterexample_pair,
@@ -63,19 +62,19 @@ def test_etale_witness_identity(kind, s, t):
 
 @pytest.mark.parametrize("kind,s,t", ALL_KINDS)
 def test_etale_operands_are_promoted_onto_one_kind(kind, s, t, monkeypatch):
+    # the identity pads the division-kind gauges onto the etale kind as
+    # coordinates, and a mismatch promotes the entries it prints onto the
+    # kind instance u already lives over, so no check builds a kind
     _, _, _, w = counterexample_pair(kind, s, t)
+    wrong = WitnessCheck(w.u, LaurentJet.constant(kind, 2), w.mode, w.spec1, w.spec2)
     made = []
     post_init = ScalarKind.__post_init__
     monkeypatch.setattr(ScalarKind, "__post_init__", lambda k: made.append(k) or post_init(k))
-    operands = _operands(w)
-    assert len(made) <= 4  # at most one kind per operand
+    assert verify_witness(w).ok and transport_check(w).ok
+    got = verify_witness(wrong)
+    assert made == []
     monkeypatch.undo()
-    ext = w._work_kind()
-    given = (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha)
-    promoted = [x for x, y in zip(operands, given) if y.kind != ext]
-    kinds = {id(x.kind) for x in promoted}
-    kinds |= {id(c.kind) for x in promoted for row in x.rows for e in row for c in e.coeffs}
-    assert promoted and len(kinds) == 1
+    assert got == ref_identity_check(wrong) and got.code == "IdentityMismatch"
 
 
 def test_generic_fiber_witness_fails_over_the_base_ring():
@@ -628,6 +627,7 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
                         lambda *args: decided.append(args) or diagonalize(*args))
     monkeypatch.setattr(witness, "first_difference",
                         lambda *args: identities.append(args) or difference(*args))
+    copies = _count_witness_copies(monkeypatch)
     report = replay(scenario)
     golden = json.loads((GOLDEN / f"replay-{scenario}.json").read_bytes())
     assert [(s.name, s.expected, s.actual, s.ok) for s in report.steps] == [
@@ -636,6 +636,57 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     assert len({id(spec) for spec in validated}) == len(validated)
     assert len(decided) == (4 if scenario.startswith("main-") else 0)
     assert len(identities) == (2 if scenario.startswith("main-") else 0)
+    assert copies == []  # tau(u) is read from u's image; nothing is promoted
+
+
+def _count_witness_copies(monkeypatch) -> list:
+    """The names of the JetMatrix.conj_transpose and JetMatrix.onto calls
+    made inside verify_witness or transport_check, as they are made; both
+    are wrapped where the replay and the session checks look them up."""
+    from horders import session, witness
+
+    inside, copies = [], []
+    for name in ("verify_witness", "transport_check"):
+        def counted(*args, check=getattr(witness, name)):
+            inside.append(1)
+            try:
+                return check(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(witness, name, counted)
+        monkeypatch.setattr(session, name, counted)
+    for name in ("conj_transpose", "onto"):
+        def copy(self, *args, method=getattr(JetMatrix, name), name=name):
+            if inside:
+                copies.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(JetMatrix, name, copy)
+    return copies
+
+
+def test_verified_corpus_witnesses_build_no_copies(monkeypatch):
+    # the corpus checks vB, tB and vE of the golden corpus sessions, through
+    # run_session, which looks the check functions up in the witness module
+    from test_golden import CORPUS_OPS, CORPUS_SEED, load_workloads
+
+    workloads = load_workloads(monkeypatch)
+    schedule = workloads.CORPUS_SCHEDULE
+    sessions = [workloads.corpus.make_session(CORPUS_SEED, i, schedule[i % len(schedule)])
+                for i in range(CORPUS_OPS)]
+    kept = ("verify(wB)", "transport(wB, samples=2)", "verify(wE)")
+    texts = ["\n".join(line for line in s.text.splitlines()
+                       if not line.startswith("check ") or any(k in line for k in kept)) + "\n"
+             for s in sessions]
+    texts = [t for t in texts if "check " in t]
+    assert len(texts) >= 10
+    from horders.session import parse_session, run_session
+
+    parsed = [parse_session(t) for t in texts]
+    copies = _count_witness_copies(monkeypatch)
+    checks = [c for p in parsed for c in run_session(p).checks]
+    assert {c.func for c in checks} == {"verify", "transport"}
+    assert all(c.actual == "true" for c in checks), [c for c in checks if c.actual != "true"]
+    assert copies == []
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
@@ -653,4 +704,4 @@ def test_triple_entry_is_the_entry_of_the_triple_product(kind):
             abc = a @ b @ c
             for i in range(n):
                 for j in range(n):
-                    assert _triple_entry(a, b, c, i, j) == abc.entry(i, j)
+                    assert _triple_entry(a.rows[i], b, c, j) == abc.entry(i, j)

@@ -21,7 +21,12 @@ median and quartiles of each end-to-end metric per side, how many pairs
 the change won, the seed, both revisions and the Python version.  The
 temporary directories are removed afterwards.  Last, one line per
 workload and end-to-end metric reads parent median -> change median,
-the relative change and the pairs the change won.
+the relative change, the pairs the change won and a verdict: "gain"
+when the change won at least nine tenths of the pairs (a tie counts for
+neither side) and its median is better than the parent's by more than
+the parent's quartile spread, "regression" when its median is worse
+than the parent's by more than the metric's ``bound`` in BENCHMARK.json
+(a share of the parent's median), else "unresolved".
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                    ((p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs))
         change = sides["change"]["median"] / sides["parent"]["median"] - 1
         out[name] = {**sides, "unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"], "relative_change": change, "change_won": wins}
+                     "bound": metric["bound"], "relative_change": change, "change_won": wins,
+                     "verdict": verdict(sides, lower, metric["bound"], wins, len(pairs))}
     for side in ("parent", "change"):
         attempted = sum(p[side]["attempted"] for p in pairs)
         failed = sum(p[side]["failed"] for p in pairs)
@@ -114,9 +120,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def verdict(sides: dict, lower: bool, bound: float, wins: int, pairs: int) -> str:
+    """"gain", "regression" or "unresolved"; see the module docstring."""
+    parent, change = sides["parent"]["median"], sides["change"]["median"]
+    better = parent - change if lower else change - parent
+    if wins >= 0.9 * pairs and better > sides["parent"]["q3"] - sides["parent"]["q1"]:
+        return "gain"
+    if -better > bound * abs(parent):
+        return "regression"
+    return "unresolved"
+
+
 def report(record: dict) -> list[str]:
     """One line per workload and end-to-end metric: parent median ->
-    change median, relative change, pairs the change won."""
+    change median, relative change, pairs the change won, verdict."""
     lines = []
     for workload, result in record["workloads"].items():
         for name, m in result["summary"].items():
@@ -124,7 +141,7 @@ def report(record: dict) -> list[str]:
                 lines.append(f"{workload} {name}: {m['parent']['median']:.4g} -> "
                              f"{m['change']['median']:.4g} {m['unit']} "
                              f"({m['relative_change']:+.1%}), change won {m['change_won']} "
-                             f"of {len(result['runs'])} pairs")
+                             f"of {len(result['runs'])} pairs: {m['verdict']}")
     return lines
 
 
