@@ -25,7 +25,21 @@ sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) * a = x.
 
 The valuations of a^-1 are exact: ``JetMatrix.inverse_valuations``
 reads them from one fraction-free elimination per connected component
-of the nonzero pattern of a (see the ``matrices`` module docstring).
+of the nonzero pattern of a (see the ``matrices`` module docstring),
+and a 1 x 1 component needs none.
+
+tau(a) = epsilon * a is compared in place, entry by entry for i <= j:
+tau(a)[i][j] = conj(a[j][i]), and conjugation keeps a coefficient's
+denominator and window, so a[i][j] and a[j][i] must share their lowest
+exponent and length, and each coefficient of a[i][j] must have its
+partner's denominator and the conjugated (for epsilon = -1 also
+negated) numerators.  The pair (j, i) is the conjugate of that
+condition, so no tau(a) and no -a is built.  ``residue_isotropy`` then
+trusts the check: tau(a) = epsilon * a holds entrywise and t is central
+and conjugation-fixed, so the coefficient at t^m of each diagonal block
+is epsilon-hermitian, and its entries are of the gauge's kind, which is
+unextended (a ``DivisionSpec`` refuses any other).  Only the epsilon =
+-1 refusal of ``anisotropy`` is kept on that path.
 
 Each ``InvolutionSpec`` checks well-formedness and computes its residue
 data and residue isotropy at most once; a failed check is raised again
@@ -54,7 +68,7 @@ from .errors import (
 )
 from .matrices import JetMatrix
 from .orders import BlockOrder, iso_decide, pattern_of
-from .scalars import Q, Scalar, ScalarKind
+from .scalars import Q, Scalar, ScalarKind, _conj_parts
 
 ANISOTROPIC = "anisotropic"
 ISOTROPIC = "isotropic"
@@ -143,11 +157,26 @@ def apply_sigma(spec: InvolutionSpec, x: JetMatrix) -> JetMatrix:
     return spec.gauge.inverse() @ apply_tau(x) @ spec.gauge
 
 
+def _is_eps_hermitian(a: JetMatrix, epsilon: int) -> bool:
+    """tau(a) = epsilon * a, compared in place (see the module docstring)."""
+    kind, rows = a.kind, a.rows
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            x, y = row[j], rows[j][i]
+            if x.lowest_exp != y.lowest_exp or len(x.coeffs) != len(y.coeffs):
+                return False
+            for c, d in zip(x.coeffs, y.coeffs):
+                want = _conj_parts(kind, d.num)
+                if epsilon == -1:
+                    want = tuple(-v for v in want)
+                if c.den != d.den or c.num != want:
+                    return False
+    return True
+
+
 def _require_wellformed(spec: InvolutionSpec) -> None:
     a = spec.gauge
-    ta = apply_tau(a)
-    want = a if spec.epsilon == 1 else -a
-    if not ta.agrees(want):
+    if not _is_eps_hermitian(a, spec.epsilon):
         raise NotEpsilonHermitian(f"tau(a) != {spec.epsilon:+d}*a")
     p = pattern_of(spec.order.sig).entries
     va = [[e.valuation_floor() for e in row] for row in a.rows]
@@ -352,6 +381,11 @@ def represent_norm(kind: ScalarKind, rho: Fraction) -> Scalar | None:
     return Scalar.of(kind, *(Q(a, den) for a in parts))
 
 
+def _refuse_alternating(epsilon: int) -> None:
+    if epsilon != 1:
+        raise UnsupportedFormKind("epsilon = -1 residue forms are not decided")
+
+
 def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     """Isotropy decision for the residue block gauge b.
 
@@ -366,17 +400,22 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     matrix whose only nonzero column is v; it is omitted when no ratio
     is found to be a norm.
     """
-    if epsilon != 1:
-        raise UnsupportedFormKind("epsilon = -1 residue forms are not decided")
+    _refuse_alternating(epsilon)
     if kind.ext is not None:
         raise UnsupportedFormKind("residue forms live over unextended scalar kinds")
-    n = len(b)
     for row in b:
         for e in row:
             if e.kind != kind:
                 raise ScalarKindMismatch(f"form entry over {e.kind}, expected {kind}")
     if smat_conj_transpose(b) != b:
         raise NotEpsilonHermitian("form matrix is not hermitian")
+    return _decide_isotropy(b, kind)
+
+
+def _decide_isotropy(b: SMat, kind: ScalarKind) -> IsotropyResult:
+    """The verdict of ``anisotropy`` for a hermitian b over the unextended
+    ``kind``, unchecked: diagonalise, then look for a witness."""
+    n = len(b)
     diag, trans = diagonalize_form(b)
     pos = sum(1 for d in diag if d > 0)
     neg = n - pos
@@ -409,7 +448,10 @@ def residue_isotropy(spec: InvolutionSpec) -> list[IsotropyResult]:
 
 
 def _isotropy_of(res: ResidueInvolution) -> tuple[IsotropyResult, ...]:
-    return tuple(anisotropy(blk.gauge, res.kind, res.epsilon) for blk in res.blocks)
+    # the blocks of a well-formed gauge are hermitian over an unextended
+    # kind (see the module docstring); only epsilon is left to refuse
+    _refuse_alternating(res.epsilon)
+    return tuple(_decide_isotropy(blk.gauge, res.kind) for blk in res.blocks)
 
 
 def distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> DistinguishResult:

@@ -25,7 +25,14 @@ these integers are exactly the coefficients of det(t) and y_kj(t).
 of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in [v * B, v * B + B).
 So v(a^-1[k][j]) is the least valuation among the coordinates of y_kj
 minus v(det) minus low_j, and all-zero coordinates are an exactly zero
-entry (+infinity).  ``inverse`` reads every digit.  a is a unit over the
+entry (+infinity).  A 1 x 1 component [x] over an unextended kind needs
+no solve: that kind is a division algebra (Q; Q(sqrt(d)) with d
+square-free and negative; Hamilton's quaternions over Q, whose norm is
+positive definite), so a nonzero x has an inverse in the Laurent field,
+and the inverse's lowest term is the inverse of x's lowest term, so
+v(x^-1) = -v(x); x = 0 is singular.  An extended kind can have zero
+divisors (quaternion+sqrt(-1) is M_2(Q(i))), so its components keep the
+solve.  ``inverse`` reads every digit.  a is a unit over the
 Laurent polynomials iff every det is a monomial c * t^v, that is iff
 det(X) = c * X^v with |c| < X/2; then a^-1[k][j] = y_kj(t) * s_j *
 t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
@@ -183,10 +190,6 @@ class JetMatrix:
         return JetMatrix(self.kind, tuple(
             tuple(self.rows[j][i].conj() for j in range(n)) for i in range(n)))
 
-    def onto(self, kind: ScalarKind) -> "JetMatrix":
-        """This matrix over ``kind``, an extension of its kind by a root."""
-        return JetMatrix(kind, tuple(tuple(e.onto(kind) for e in row) for row in self.rows))
-
     def agrees(self, other: "JetMatrix") -> bool:
         self._check(other)
         return self.rows == other.rows
@@ -212,9 +215,16 @@ class JetMatrix:
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]), None for an exactly zero entry;
         raises NotInvertible for a singular a.  See the module docstring."""
-        dim = self.kind.dim
+        dim, division = self.kind.dim, self.kind.ext is None
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
         for comp in self._components():
+            if division and len(comp) == 1:
+                (k,) = comp
+                x = self.rows[k][k]
+                if not x.coeffs:
+                    raise NotInvertible("gauge is not invertible over the Laurent field")
+                out[k][k] = -x.lowest_exp
+                continue
             lows, _, bits, det, cols = self._solve(comp)
             vdet = _lowest_digit(det, bits)
             for j, low, y in zip(comp, lows, cols):

@@ -135,10 +135,24 @@ class ScalarKind:
                   for hc in (0, 1) for c, r, k in core[a])
             for ha in (0, 1) for a in range(m))
 
+    @cached_property
+    def _extensions(self) -> dict:
+        # the kinds ``extended`` has made, by the type and value of the
+        # discriminant, so a value the constructor refuses (-1.0) is never
+        # found under an equal one it accepted (-1)
+        return {}
+
     def extended(self, d: int) -> "ScalarKind":
+        """This kind with a square root of ``d`` adjoined.  The kind made
+        for each ``d`` is kept for the life of this one, as
+        ``basis_products`` is, so it builds its table once."""
         if self.ext is not None:
             raise ValueError("kind is already extended")
-        return ScalarKind(self.core, self.d, d)
+        key = (type(d), d)
+        kind = self._extensions.get(key)
+        if kind is None:
+            kind = self._extensions.setdefault(key, ScalarKind(self.core, self.d, d))
+        return kind
 
     def __str__(self) -> str:
         name = {"base": "base", "quad": f"quadratic({self.d})", "quat": "quaternion"}[self.core]

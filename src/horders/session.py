@@ -518,8 +518,6 @@ class _Parser:
     def __init__(self):
         self.symbols: dict[str, Declaration] = {}
         self.declarations: list[Declaration] = []
-        # one instance per extended kind, so each builds its basis_products once
-        self.kinds: dict[ScalarKind, ScalarKind] = {}
 
     def define(self, decl: Declaration, cur: _Cursor) -> None:
         """Every declaration's name is token 1 of its line."""
@@ -661,8 +659,9 @@ class _Parser:
             d = cur.signed_int()
             cur.expect(")")
             mode = mode_etale(d)
+            # the division kind keeps the kinds it extends to, so every
+            # witness of the session shares one and its basis_products
             kind = cur.build(at, kind.extended, d)
-            kind = self.kinds.setdefault(kind, kind)
         else:
             raise SessionSyntaxError(
                 f"expected F, base or etale(d), got {word!r}", cur.line, cur.col(at))

@@ -7,7 +7,7 @@ from horders import basechange
 from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPrecision,
                             NotInvertible, OK, SessionSyntaxError, SessionTypeError, failure)
 from horders.involutions import InvolutionSpec, apply_tau
-from horders.matrices import JetMatrix
+from horders.matrices import JetMatrix, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
                             pattern_of, radical_pattern, ss_iso_decide)
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
@@ -35,6 +35,16 @@ def entrywise(fn, *mats: JetMatrix) -> JetMatrix:
     """The matrix whose (i, j) entry is fn of the (i, j) entries of mats."""
     return JetMatrix.of([[fn(*entries) for entries in zip(*rows)]
                          for rows in zip(*(m.rows for m in mats))])
+
+
+def onto(x, kind: ScalarKind):
+    """The JetMatrix or LaurentJet x over ``kind``, which is its kind or an
+    extension of it by a root; only tests promote a whole matrix."""
+    if x.kind == kind:
+        return x
+    if isinstance(x, JetMatrix):
+        return JetMatrix(kind, tuple(tuple(e.onto(kind) for e in row) for row in x.rows))
+    return x.onto(kind)
 
 
 def single_entry(kind: ScalarKind, n: int, i: int, j: int, jet: LaurentJet) -> JetMatrix:
@@ -251,14 +261,36 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> list:
     return [row[n:] for row in work]
 
 
+def ref_is_eps_hermitian(a: JetMatrix, epsilon: int) -> bool:
+    """tau(a) = epsilon * a with tau(a) and -a built as matrices: the
+    reference for the in-place comparison of ``wellformed``."""
+    return apply_tau(a).agrees(a if epsilon == 1 else -a)
+
+
+def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
+    """``JetMatrix.inverse_valuations`` with every component solved, 1 x 1
+    ones included: the reference for reading v(x^-1) = -v(x) off a 1 x 1
+    component over an unextended kind."""
+    dim = a.kind.dim
+    out: list[list[int | None]] = [[None] * a.n for _ in range(a.n)]
+    for comp in a._components():
+        lows, _, bits, det, cols = a._solve(comp)
+        vdet = _lowest_digit(det, bits)
+        for j, low, y in zip(comp, lows, cols):
+            for kk, k in enumerate(comp):
+                digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
+                if digits:
+                    out[k][j] = min(digits) - vdet - low
+    return out
+
+
 def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
     """Reference for ``wellformed``: applies the involution to every
     order generator with matrix products, checks the image against the
     order pattern and checks that applying it twice gives the generator
     back.  First failure wins."""
     a = spec.gauge
-    want = a if spec.epsilon == 1 else -a
-    if not apply_tau(a).agrees(want):
+    if not ref_is_eps_hermitian(a, spec.epsilon):
         return failure("NotEpsilonHermitian", f"tau(a) != {spec.epsilon:+d}*a")
     try:
         ainv = ref_gauss_jordan_inverse(a)
@@ -344,8 +376,7 @@ def wellformed_by_adjugate(spec: InvolutionSpec) -> Diagnostics:
     the valuation inequality of the involutions module, fed with the
     adjugate valuations above."""
     a = spec.gauge
-    want = a if spec.epsilon == 1 else -a
-    if not apply_tau(a).agrees(want):
+    if not ref_is_eps_hermitian(a, spec.epsilon):
         return failure("NotEpsilonHermitian", f"tau(a) != {spec.epsilon:+d}*a")
     vinv = ref_inverse_valuations(a)
     if vinv is None:
@@ -372,11 +403,7 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
     generator and then on ``samples`` seeded elements of the order.  Only
     the verdict and code are comparable; the details differ."""
     kind = w._work_kind()
-
-    def promote(x):
-        return x if x.kind == kind else x.onto(kind)
-
-    u, a1, a2 = promote(w.u), promote(w.spec1.gauge), promote(w.spec2.gauge)
+    u, a1, a2 = (onto(x, kind) for x in (w.u, w.spec1.gauge, w.spec2.gauge))
     try:
         a1_inv = ref_gauss_jordan_inverse(a1)
     except NotInvertible as exc:
@@ -404,7 +431,7 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
                     f"conjugation fails on generator t^{pattern.entries[i][j]}*e[{i + 1},{j + 1}]")
     rng = Random(seed)
     for k in range(samples):
-        if not holds(promote(sample_element(order, rng))):
+        if not holds(onto(sample_element(order, rng), kind)):
             return failure("TransportFailed", f"conjugation fails on sample #{k + 1}")
     return OK
 
@@ -419,8 +446,7 @@ def promoted_operands(w: WitnessCheck) -> tuple:
     """u, a1, a2 and alpha, each as a copy over the working kind when it
     lives over the division kind."""
     kind = w._work_kind()
-    return tuple(x if x.kind == kind else x.onto(kind)
-                 for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha))
+    return tuple(onto(x, kind) for x in (w.u, w.spec1.gauge, w.spec2.gauge, w.alpha))
 
 
 def ref_identity_check(w: WitnessCheck) -> Diagnostics:

@@ -54,7 +54,7 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import entrywise, random_scalar, sample_block_unit, sample_element
+from helpers import entrywise, onto, random_scalar, sample_block_unit, sample_element
 
 KINDS = [BASE, quadratic(-1), QUATERNION]
 
@@ -84,8 +84,8 @@ def test_criterion_1_main_replay_with_exact_witnesses():
     fiber_exact = lhs == entrywise(lambda e: t * e, spec1.gauge)
 
     ext = BASE.extended(-1)
-    lhs_e = apply_tau(w_etale.u) @ spec2.gauge.onto(ext) @ w_etale.u
-    etale_exact = lhs_e == spec1.gauge.onto(ext)
+    lhs_e = apply_tau(w_etale.u) @ onto(spec2.gauge, ext) @ w_etale.u
+    etale_exact = lhs_e == onto(spec1.gauge, ext)
     expected_u = JetMatrix.diagonal([
         LaurentJet.one(ext), LaurentJet.one(ext), LaurentJet.one(ext),
         LaurentJet.constant(ext, Scalar.ext_gen(ext)),

@@ -4,6 +4,7 @@ import pickle
 import re
 import sys
 import threading
+from math import gcd
 from operator import add
 from random import Random
 
@@ -21,6 +22,7 @@ from horders.errors import (
     UnsupportedGaugeShape,
 )
 from horders.involutions import (
+    _is_eps_hermitian,
     ANISOTROPIC,
     INCONCLUSIVE,
     ISOTROPIC,
@@ -57,10 +59,14 @@ from horders.scalars import (
 )
 from horders.witness import counterexample_pair
 
+from test_scalars import REF_KINDS
+
 from helpers import (
     entrywise,
     random_scalar,
     ref_inverse_valuations,
+    ref_is_eps_hermitian,
+    ref_solve_valuations,
     sample_block_unit,
     sample_element,
     single_entry,
@@ -243,6 +249,154 @@ def test_non_hermitian_gauge_is_rejected():
     assert diagres.code == "NotEpsilonHermitian"
 
 
+def _fraction_jet(kind, rng) -> LaurentJet:
+    # one to three coefficients with denominators 1, 2 or 3
+    return LaurentJet(kind, rng.randint(-2, 2), [
+        Scalar(kind, [Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(kind.dim)])
+        for _ in range(rng.randint(1, 3))])
+
+
+def _hermitian_gauge(kind, rng, n, epsilon) -> JetMatrix:
+    """A seeded gauge with tau(a) = epsilon * a: a[j][i] = epsilon *
+    conj(a[i][j]) for i < j, about a third of those pairs exactly zero,
+    and x + epsilon * conj(x) on the diagonal."""
+    zero = LaurentJet.zero(kind)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        x = _fraction_jet(kind, rng)
+        rows[i][i] = x + x.conj() if epsilon == 1 else x - x.conj()
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                y = _fraction_jet(kind, rng)
+                rows[i][j], rows[j][i] = y, (y.conj() if epsilon == 1 else -y.conj())
+    return JetMatrix.of(rows)
+
+
+def _replace_coeff(x: LaurentJet, k: int, c: Scalar) -> LaurentJet:
+    return LaurentJet(x.kind, x.lowest_exp, x.coeffs[:k] + (c,) + x.coeffs[k + 1:])
+
+
+def _plant(case, x: LaurentJet, rng) -> LaurentJet:
+    """x with one asymmetry of the named kind planted."""
+    kind = x.kind
+    if case == "zero against nonzero":
+        return LaurentJet.zero(kind) if x.coeffs else LaurentJet.one(kind)
+    if case == "shifted lowest_exp":
+        return LaurentJet(kind, x.lowest_exp + rng.choice((-1, 1)), x.coeffs)
+    if case == "longer window":
+        return LaurentJet(kind, x.lowest_exp, x.coeffs + (random_scalar(kind, rng, nonzero=True),))
+    k = rng.choice([k for k, c in enumerate(x.coeffs) if not c.is_zero()])
+    c = x.coeffs[k]
+    if case == "coefficient changed":
+        r = rng.randrange(kind.dim)
+        return _replace_coeff(x, k, Scalar(kind, [p + (r == i) for i, p in enumerate(c.parts)]))
+    if case == "conjugation sign flipped":
+        return _replace_coeff(x, k, c.conj())
+    # "different den": the same numerators over a denominator p times
+    # larger, p a prime that does not divide them all, so nothing cancels
+    g = gcd(*c.num)
+    p = next(p for p in (2, 3, 5, 7) if g % p)
+    return _replace_coeff(x, k, Scalar(kind, [Q(v, c.den * p) for v in c.num]))
+
+
+PLANTS = ("coefficient changed", "conjugation sign flipped", "shifted lowest_exp",
+          "longer window", "different den", "zero against nonzero")
+
+
+def test_hermitian_check_in_place_matches_the_built_tau():
+    # tau(a) = eps * a is compared entry by entry for i <= j; the reference
+    # builds tau(a) and -a.  Each asymmetry is planted in one entry (i, j),
+    # i <= j, and both must agree on every planted gauge.
+    broken = dict.fromkeys(PLANTS, 0)
+    diagonal_broken = 0
+    for kind in REF_KINDS:
+        rng = Random(f"hermitian:{kind}")
+        for epsilon in (1, -1):
+            for _ in range(12):
+                n = rng.randint(1, 4)
+                a = _hermitian_gauge(kind, rng, n, epsilon)
+                assert _is_eps_hermitian(a, epsilon) and ref_is_eps_hermitian(a, epsilon)
+                assert _is_eps_hermitian(a, -epsilon) == ref_is_eps_hermitian(a, -epsilon)
+                for case in PLANTS:
+                    needs_nonzero = case not in ("zero against nonzero", "longer window")
+                    places = [(i, j) for i in range(n) for j in range(i, n)
+                              if a.rows[i][j].coeffs or not needs_nonzero]
+                    if not places:
+                        continue
+                    i, j = rng.choice(places)
+                    rows = [list(row) for row in a.rows]
+                    rows[i][j] = _plant(case, rows[i][j], rng)
+                    b = JetMatrix.of(rows)
+                    want = ref_is_eps_hermitian(b, epsilon)
+                    assert _is_eps_hermitian(b, epsilon) == want, (kind, epsilon, case, i, j)
+                    broken[case] += not want
+                    diagonal_broken += not want and i == j
+                    if not want and kind.ext is None:
+                        spec = InvolutionSpec(order(n, kind=kind), b, epsilon)
+                        assert wellformed(spec).describe() == \
+                            f"NotEpsilonHermitian: tau(a) != {epsilon:+d}*a"
+    assert all(count >= 20 for count in broken.values()), broken
+    assert diagonal_broken >= 20
+
+
+def _component_matrix(kind, rng, n) -> JetMatrix:
+    """A seeded n x n matrix whose nonzero pattern splits, after a random
+    permutation, into components of sizes 1 to 3."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    zero = LaurentJet.zero(kind)
+    rows = [[zero] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = min(rng.choice((1, 1, 2, 3)), n - start)
+        block = perm[start:start + size]
+        for i in block:
+            for j in block:
+                if i == j or rng.random() < 0.8:
+                    rows[i][j] = _fraction_jet(kind, rng)
+        start += size
+    return JetMatrix.of(rows)
+
+
+@pytest.mark.parametrize("kind", [k for k in REF_KINDS if k.ext is None], ids=str)
+def test_one_by_one_components_match_the_solve(kind):
+    rng = Random(f"one-by-one:{kind}")
+    ones = larger = 0
+    for _ in range(40):
+        a = _component_matrix(kind, rng, rng.randint(1, 6))
+        comps = a._components()
+        ones += sum(len(c) == 1 for c in comps)
+        larger += sum(len(c) > 1 for c in comps)
+        try:
+            want = ref_solve_valuations(a)
+        except NotInvertible as exc:
+            with pytest.raises(NotInvertible, match=re.escape(str(exc))):
+                a.inverse_valuations()
+        else:
+            assert a.inverse_valuations() == want
+    assert ones >= 40 and larger >= 10
+    # a zero diagonal entry is a singular 1 x 1 component
+    x, z = _fraction_jet(kind, rng), LaurentJet.zero(kind)
+    for a in (JetMatrix.diagonal([z]), JetMatrix.diagonal([x, z, x])):
+        for valuations in (a.inverse_valuations, lambda: ref_solve_valuations(a)):
+            with pytest.raises(NotInvertible) as info:
+                valuations()
+            assert str(info.value) == "gauge is not invertible over the Laurent field"
+
+
+def test_a_one_by_one_zero_divisor_still_raises():
+    # 1 + qi * sqrt(-1) is a zero divisor over quaternion+sqrt(-1), which is
+    # M_2(Q(i)): (1 + qi * w) * (1 - qi * w) = 1 + qi^2 * w^2 = 0.  Its lowest
+    # term is nonzero, so only the solve finds it singular.
+    ext = QUATERNION.extended(-1)
+    x = LaurentJet.constant(ext, Scalar.of(ext, 1, 0, 0, 0, 0, 1))
+    for a in (JetMatrix.diagonal([x]), JetMatrix.diagonal([LaurentJet.one(ext), x])):
+        assert all(len(c) == 1 for c in a._components())
+        with pytest.raises(NotInvertible) as info:
+            a.inverse_valuations()
+        assert str(info.value) == "gauge is not invertible over the Laurent field"
+
+
 @pytest.mark.parametrize("terms", [4, 16, 64])
 def test_singular_hermitian_gauge_is_not_invertible(terms):
     # the entry 1 + t + ... + t^(terms-1) has no exact inverse, and at 64
@@ -360,6 +514,7 @@ def test_large_coefficients_decode_exactly():
     ]
     for a, gauge, want in cases:
         assert _inverse_valuations(gauge) == want
+        assert ref_solve_valuations(gauge) == want  # 1 x 1 components solved too
         assert wellformed(InvolutionSpec(a, gauge)).ok
         inv = JetMatrix.of([[t(gauge.kind, -e.lowest_exp, Q(1, big)) if e.coeffs else e
                              for e in row] for row in zip(*gauge.rows)])
@@ -694,6 +849,13 @@ def _identity_spec(n):
      UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
     (lambda: anisotropy(smat(BASE, [[1]]), QUAD),
      ScalarKindMismatch, "form entry over base, expected quadratic(-1)"),
+    # a direct call checks its form; residue_isotropy trusts wellformed
+    (lambda: anisotropy(smat(BASE, [[0, 1], [-1, 0]]), BASE, epsilon=-1),
+     UnsupportedFormKind, "epsilon = -1 residue forms are not decided"),
+    (lambda: anisotropy(smat(BASE, [[1, 1], [0, 1]]), BASE),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
+    (lambda: anisotropy(smat(QUAD, [[1, Scalar.of(QUAD, 0, 1)], [Scalar.of(QUAD, 0, 1), 1]]), QUAD),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
 ])
 def test_involution_guards(call, error, message):
     with pytest.raises(error) as err:

@@ -11,8 +11,8 @@ from horders.involutions import apply_tau
 from horders.matrices import JetMatrix, Tau, first_difference
 from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind
 
-from helpers import (_poly_det, entrywise, random_jet, random_scalar, ref_gauss_jordan_inverse,
-                     ref_matmul, rows_agree)
+from helpers import (_poly_det, entrywise, onto, random_jet, random_scalar,
+                     ref_gauss_jordan_inverse, ref_matmul, rows_agree)
 from test_scalars import REF_KINDS, kernel_jet
 
 
@@ -247,7 +247,7 @@ def _as_matrix(f, kind, n) -> JetMatrix:
         f = apply_tau(f.m)
     if isinstance(f, LaurentJet):
         f = JetMatrix.diagonal([f] * n)
-    return f if f.kind == kind else f.onto(kind)
+    return onto(f, kind)
 
 
 def ref_product(factors, kind, n) -> JetMatrix:
@@ -336,9 +336,9 @@ def test_operands_over_the_core_are_padded_onto_the_extended_kind(kind):
         a = JetMatrix.of([[_engine_jet(core, rng) for _ in range(n)] for _ in range(n)])
         u = JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)])
         c = _engine_jet(core, rng, zero=0)
-        assert first_difference([a], [a.onto(kind)]) is None
+        assert first_difference([a], [onto(a, kind)]) is None
         assert first_difference([c, Tau(u), a, u],
-                                [c.onto(kind), apply_tau(u), a.onto(kind), u]) is None
+                                [c.onto(kind), apply_tau(u), onto(a, kind), u]) is None
     with pytest.raises(ScalarKindMismatch):
         first_difference([JetMatrix.diagonal([LaurentJet.one(kind)])],
                          [JetMatrix.diagonal([LaurentJet.one(QUATERNION if kind.core != "quat"

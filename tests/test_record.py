@@ -22,7 +22,8 @@ from horders.involutions import (
     ResidueBlock,
     ResidueInvolution,
 )
-from horders.witness import MODE_F, ReplayReport, RingMode, StepResult, WitnessCheck, mode_etale
+from horders.witness import (MODE_F, ReplayReport, RingMode, StepResult, WitnessCheck,
+                             counterexample_pair, mode_etale)
 from horders.session import CheckDecl, CheckResult, Declaration, Report, Session, _Check
 
 ONE = LaurentJet.one(BASE)
@@ -160,6 +161,26 @@ def test_basis_products_is_computed_once_per_instance(monkeypatch):
     assert len(calls) == kind.core_dim ** 2  # an extended table is read off the core's
     assert kind.basis_products is table and len(calls) == kind.core_dim ** 2
     assert ScalarKind("quat", None, 3).basis_products == table
+
+
+def test_extended_kinds_are_made_once_per_kind():
+    kind = ScalarKind("quat")
+    ext = kind.extended(-1)
+    assert kind.extended(-1) is ext and ext == ScalarKind("quat", None, -1)
+    assert kind.extended(2) is not ext
+    # the memo is no field, and a refused discriminant is refused every time
+    assert (kind, hash(kind), repr(kind)) == (ScalarKind("quat"), hash(ScalarKind("quat")),
+                                             "ScalarKind(core='quat', d=None, ext=None)")
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            kind.extended(-1.0)
+        with pytest.raises(ValueError, match="square-free and not a square"):
+            kind.extended(4)
+        with pytest.raises(ValueError, match="already extended"):
+            ext.extended(-1)
+    assert pickle.loads(pickle.dumps(kind)).extended(-1) == ext
+    # the bundled counterexample builds its etale kind once
+    assert counterexample_pair()[3].u.kind is counterexample_pair()[3].u.kind
 
 
 def test_a_class_keeps_the_methods_it_defines():

@@ -37,8 +37,8 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import (entrywise, random_jet, ref_identity_check, ref_transport_check, ref_verify_witness,
-                     sample_block_unit, sample_element, single_entry, transport_by_samples)
+from helpers import (entrywise, onto, random_jet, ref_identity_check, ref_transport_check,
+                     ref_verify_witness, sample_block_unit, sample_element, single_entry, transport_by_samples)
 from test_scalars import REF_KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -222,7 +222,7 @@ def _transport_case(kind, mode, rng, *, perturb):
     ext = kind.extended(e)
     root = LaurentJet.constant(ext, Scalar.ext_gen(ext))
     r = JetMatrix.diagonal([root if x else LaurentJet.one(ext) for x in roots])
-    return WitnessCheck(r @ b.onto(ext), LaurentJet.one(ext), mode_etale(e), spec1, spec2)
+    return WitnessCheck(r @ onto(b, ext), LaurentJet.one(ext), mode_etale(e), spec1, spec2)
 
 
 @pytest.mark.parametrize("kind", [BASE, quadratic(-1), quadratic(-2), QUATERNION], ids=str)
@@ -314,7 +314,7 @@ def _packed_case(kind, rng, case):
         r = JetMatrix.diagonal([root if x else LaurentJet.one(kind) for x in roots])
         e = LaurentJet.constant(base, kind.ext)
         a1 = apply_tau(b) @ JetMatrix.diagonal([e * x if y else x for x, y in zip(d, roots)]) @ b
-        return witness(r @ b.onto(kind), LaurentJet.one(kind), a1, JetMatrix.diagonal(d))
+        return witness(r @ onto(b, kind), LaurentJet.one(kind), a1, JetMatrix.diagonal(d))
     u, a2 = _mixed_matrix(base, rng, n), _mixed_matrix(base, rng, n)
     if case == "cancel":
         c = LaurentJet.constant(base, rng.choice((1, -2, Q(1, 3))))
@@ -520,7 +520,7 @@ def _tail_case(rng, kind, mode):
             k = rng.randrange(n)
             e[k], weights[k] = LaurentJet.constant(ext, _split_idempotents(kind)[0]), 0
             shape = "idempotent"
-        u = JetMatrix.diagonal(e) @ b.onto(ext)
+        u = JetMatrix.diagonal(e) @ onto(b, ext)
     middle = JetMatrix.diagonal([x * LaurentJet.constant(kind, w) for x, w in zip(a2, weights)])
 
     choices = [one, LaurentJet.constant(kind, 2), t, LaurentJet.t_power(kind, -1)]
@@ -615,19 +615,28 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     # each main-* replay validates its two gauges once each, decides each
     # of their four residue blocks once (every anisotropy call diagonalises
     # its block once) and checks two transport identities, as the base-ring
-    # verdict reuses the generic-fibre one
+    # verdict reuses the generic-fibre one; the gauges are compared with
+    # tau of themselves in place, their 1 x 1 components need no solve, and
+    # the residue blocks are not checked again for being hermitian
     from horders import involutions, witness
 
-    validated, decided, identities = [], [], []
+    validated, decided, identities, solves = [], [], [], []
     require = involutions._require_wellformed
     diagonalize, difference = involutions.diagonalize_form, witness.first_difference
+    solve = JetMatrix._solve
     monkeypatch.setattr(involutions, "_require_wellformed",
                         lambda spec: validated.append(spec) or require(spec))
     monkeypatch.setattr(involutions, "diagonalize_form",
                         lambda *args: decided.append(args) or diagonalize(*args))
     monkeypatch.setattr(witness, "first_difference",
                         lambda *args: identities.append(args) or difference(*args))
+    monkeypatch.setattr(JetMatrix, "_solve",
+                        lambda self, comp: solves.append(comp) or solve(self, comp))
     copies = _count_witness_copies(monkeypatch)
+    rechecks = _count_calls_inside(
+        monkeypatch, [(witness, "wellformed"), (witness, "residue_isotropy"),
+                      (involutions, "residue_isotropy")],
+        [(JetMatrix, "conj_transpose"), (involutions, "smat_conj_transpose")])
     report = replay(scenario)
     golden = json.loads((GOLDEN / f"replay-{scenario}.json").read_bytes())
     assert [(s.name, s.expected, s.actual, s.ok) for s in report.steps] == [
@@ -636,32 +645,44 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     assert len({id(spec) for spec in validated}) == len(validated)
     assert len(decided) == (4 if scenario.startswith("main-") else 0)
     assert len(identities) == (2 if scenario.startswith("main-") else 0)
-    assert copies == []  # tau(u) is read from u's image; nothing is promoted
+    assert copies == []  # tau(u) is read from u's image
+    assert rechecks == []
+    assert solves == []  # every gauge of a replay is diagonal
+
+
+def _count_calls_inside(monkeypatch, outer: list, inner: list) -> list:
+    """The names of the ``inner`` calls made while an ``outer`` call runs,
+    as they are made.  Each outer (module, name) is wrapped in that module,
+    where its callers look it up; each inner (owner, name) on its owner,
+    a class or a module."""
+    inside, calls = [], []
+    for module, name in outer:
+        def counted(*args, call=getattr(module, name)):
+            inside.append(1)
+            try:
+                return call(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(module, name, counted)
+    for owner, name in inner:
+        def made(*args, call=getattr(owner, name), name=name):
+            if inside:
+                calls.append(name)
+            return call(*args)
+        monkeypatch.setattr(owner, name, made)
+    return calls
 
 
 def _count_witness_copies(monkeypatch) -> list:
-    """The names of the JetMatrix.conj_transpose and JetMatrix.onto calls
-    made inside verify_witness or transport_check, as they are made; both
-    are wrapped where the replay and the session checks look them up."""
+    """The JetMatrix.conj_transpose calls made inside verify_witness or
+    transport_check, wrapped where the replay and the session checks look
+    them up."""
     from horders import session, witness
 
-    inside, copies = [], []
-    for name in ("verify_witness", "transport_check"):
-        def counted(*args, check=getattr(witness, name)):
-            inside.append(1)
-            try:
-                return check(*args)
-            finally:
-                inside.pop()
-        monkeypatch.setattr(witness, name, counted)
-        monkeypatch.setattr(session, name, counted)
-    for name in ("conj_transpose", "onto"):
-        def copy(self, *args, method=getattr(JetMatrix, name), name=name):
-            if inside:
-                copies.append(name)
-            return method(self, *args)
-        monkeypatch.setattr(JetMatrix, name, copy)
-    return copies
+    return _count_calls_inside(
+        monkeypatch, [(m, name) for name in ("verify_witness", "transport_check")
+                      for m in (witness, session)],
+        [(JetMatrix, "conj_transpose")])
 
 
 def test_verified_corpus_witnesses_build_no_copies(monkeypatch):
