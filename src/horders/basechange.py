@@ -101,9 +101,7 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
     that closed form, so the comparison still tests perm.
     """
     check_residue(s, t)
-    big = s * t * sig.n
-    if big > 64:
-        raise SizeLimit(f"size {big} exceeds the brute-force bound 64")
+    _check_size(s, t, sig.n)
     target = block_index(sh_parts(sig.parts, s, t))
     ranks = [a // s * sig.r for a in range(s * t)]
     return list(map(target.__getitem__, sh_permutation(s, t, sig))) == [

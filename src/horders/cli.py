@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--sig", {"default": None}), ("--s", {**positive, "default": None}),
             ("--t", {**positive, "default": None}), ("--session", {"default": None}),
             ("--order", {"default": None}))
-    command("sh-verify", _cmd_sh_verify, "pattern conjugation check (size at most 64)",
+    command("sh-verify", _cmd_sh_verify, "pattern conjugation check (size at most 65536)",
             ("--s", {**positive, "required": True}), ("--t", {**positive, "required": True}),
             ("--sig", {"required": True}))
     command("resinv", _cmd_resinv, "residue involution blocks", session, inv)

@@ -13,10 +13,11 @@ Matrix literals are ``diag(...)``, ``mat[[...],[...]]`` and
 ``dsum(M1, M2, ...)``; entries are exact Laurent polynomials: sums and
 products of ``INT[/INT]``, ``t``, ``sqrt(d)``, the quaternion units
 ``qi``, ``qj``, ``qk`` and integer powers ``x^k`` of these or of a
-parenthesised entry.  Inside a witness declared over ``etale(d)``,
-``sqrt(d)`` denotes the adjoined central square root.  A negative power
-of a value that is not a monomial with an invertible coefficient is a
-type error at its ``^``.
+parenthesised entry, read by one reader on integer rows.  Inside a
+witness declared over ``etale(d)``, ``sqrt(d)`` denotes the adjoined
+central square root.  A negative power of a value that is not a monomial
+with an invertible coefficient is a type error at its ``^``, and so is a
+power past ``SPAN_LIMIT``, ``BITS_LIMIT`` or ``WORK_LIMIT``.
 Numbers are ASCII digits and names ASCII letters, digits and
 underscores; any other character is a syntax error at its column.
 Errors carry the first offending source position; there is no recovery.
@@ -28,13 +29,12 @@ import re
 import time
 from collections.abc import Callable
 from itertools import islice
-from math import gcd
+from math import gcd, inf
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
 from .errors import (
     DuplicateIdentifier,
     HordersError,
-    IndeterminateValuation,
     NotInvertible,
     SessionSyntaxError,
     SessionTypeError,
@@ -62,7 +62,7 @@ from .orders import (
     ss_iso_decide_fixed,
 )
 from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
-from .scalars import _Accumulator, _mul_parts, _power, _reduced, exact_int, exact_str
+from .scalars import _Accumulator, _jet, _power, _reduced, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -76,21 +76,17 @@ _BAD = re.compile(r"[^ \t0-9A-Za-z_()\[\]=,;:^*/+-]")
 _LINE_END = re.compile(r"\r\n|\r|\n")
 
 
-def _tokenize_line(text: str, lineno: int) -> list[str]:
-    code = text.partition("#")[0]
-    bad = _BAD.search(code)
-    if bad:
-        raise SessionSyntaxError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
-    return _TOKEN.findall(code)
-
-
 class _Cursor:
     """The tokens of one line, ended by the sentinel ``""``."""
 
     def __init__(self, text: str, lineno: int):
+        code = text.partition("#")[0]
+        bad = _BAD.search(code)
+        if bad:
+            raise SessionSyntaxError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
         self.text = text
         self.line = lineno
-        self.tokens = _tokenize_line(text, lineno) + [""]
+        self.tokens = _TOKEN.findall(code) + [""]
         self.pos = 0
 
     def col(self, i: int) -> int | None:
@@ -101,13 +97,6 @@ class _Cursor:
 
     def peek(self) -> str:
         return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        if not tok:
-            raise SessionSyntaxError("unexpected end of line", self.line)
-        self.pos += 1
-        return tok
 
     def accept(self, text: str) -> bool:
         if self.tokens[self.pos] == text:
@@ -133,6 +122,11 @@ class _Cursor:
         self.pos += 1
         return tok
 
+    def at(self, i: int) -> "_Cursor":
+        """This cursor, moved to token ``i``."""
+        self.pos = i
+        return self
+
     def name_index(self) -> int:
         """Reads a name and returns its token index, for a later lookup."""
         self.expect_ident()
@@ -144,10 +138,8 @@ class _Cursor:
             raise SessionSyntaxError(f"trailing input {tok!r}", self.line, self.col(self.pos))
 
     def signed_int(self) -> int:
-        if self.accept("-"):
-            return -self.expect_int()
-        self.accept("+")
-        return self.expect_int()
+        value, self.pos = _signed_at(self, self.pos)
+        return value
 
     def build(self, at: int, make: Callable, *args):
         """``make(*args)``; its ValueError or HordersError is a type error
@@ -177,267 +169,246 @@ class _Cursor:
 # Expressions
 
 
-# One loop per sum reads the atoms ``INT``, ``INT/INT``, ``t``, ``t^k``,
-# ``qi``/``qj``/``qk`` and ``sqrt(d)`` in place, each after at most one
-# ``-``: a term of them is c/den * e_u * t^k on plain integers, with
-# e_u * e_v = m * e_r from the one (v, r, m) of ``kind.basis_products[u]``.
-# Terms are summed as integer numerators per exponent and basis index over
-# one common denominator, and each coefficient is reduced once, in the jet.
-# Any other factor (``(``, an atom other than ``t`` under ``^``, a doubled
-# ``-`` or an invalid atom) goes with the rest of its term to _parse_factor,
-# which raises every error.  It reads a factor as an exact monomial ``(num,
-# den, exp)`` (integer coordinates over one positive denominator, not yet
-# reduced, times t^exp), or as a LaurentJet when it is not a monomial.
+# One reader, _parse_sum, reads a literal on integer rows: exponent ->
+# numerators per basis index, over one denominator, the scale.  The flat
+# atoms ``INT``, ``INT/INT``, ``t``, ``t^k``, ``qi``/``qj``/``qk`` and
+# ``sqrt(d)``, after at most one ``-``, are read in place: c/den * e_u *
+# t^k, with e_u * e_v = m * e_r from ``kind.basis_products[u]``.  Other
+# factors are values (rows, scale, monomial), multiplied by _times: a
+# parenthesised sum, an atom or such a sum raised by _raised, and after a
+# doubled ``-`` the rest of the term, one call deeper.  A monomial (atoms
+# and their powers) keeps its one row even when zero; other values keep
+# only their nonzero rows.  Each entry's jet is built once.
 
 
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
-    return _as_jet(kind, _parse_sum(cur, kind))
-
-
-def _as_jet(kind: ScalarKind, value) -> LaurentJet:
-    if type(value) is tuple:
-        num, den, exp = value
-        return LaurentJet(kind, exp, (_reduced(kind, num, den),))
-    return value
+    rows, scale, _ = _parse_sum(cur, kind)
+    if len(rows) == 1:  # one monomial, or a sum with one exponent: its window is canonical
+        (e, row), = rows.items()
+        if any(row):
+            return _jet(kind, e, (_reduced(kind, tuple(row), scale),), None)
+    acc = _Accumulator(kind)
+    acc.terms = {e: (tuple(row), scale) for e, row in rows.items()}
+    return acc.jet(None)
 
 
 _QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}
 
 # A literal builds one coefficient per exponent of its window, so the
-# exponents of a sum's terms, and those of a product of factors, may span
-# at most SPAN_LIMIT.  A power x^k squares windows of up to span(x) * |k|
-# exponents, which may not pass SPAN_LIMIT either, with coefficients of
-# about bits(x) * |k| bits, bits(x) the longest numerator or denominator
-# of x; all of them together, (span(x) * |k| + 1) * bits(x) * |k|, may
-# not pass BITS_LIMIT.  Each limit is checked before its result is built.
-# Corpus and bundled literals span at most 9 exponents and take no power
-# other than t^k.
+# exponents of a sum's terms, or of a product's factors, may span at most
+# SPAN_LIMIT.  A power x^k builds n = (span(x) * |k| + 1) * dim numerators
+# of about size = bits(x) * |k| bits, bits(x) the longest numerator or the
+# scale of x.  SPAN_LIMIT, BITS_LIMIT and WORK_LIMIT bound its span, its
+# bits and its work: n^2 products to square and 32 per numerator to reduce
+# over a scale, of max(size, 256) * max(1, size / 4096) steps each.  Each
+# limit is checked before its result is built.
 SPAN_LIMIT = 1 << 10
 BITS_LIMIT = 1 << 20
+WORK_LIMIT = 1 << 28
 
 
-def _signed_at(toks: list[str], j: int) -> tuple[int, int] | None:
-    """The signed integer at token ``j`` and the index after it, or None."""
-    sign = -1 if toks[j] == "-" else 1
-    j += toks[j] in ("-", "+")
-    return (sign * exact_int(toks[j]), j + 1) if toks[j].isdigit() else None
+def _signed_at(cur: _Cursor, j: int) -> tuple[int, int]:
+    """The signed integer at token ``j`` and the index after it."""
+    toks = cur.tokens
+    i = j + (toks[j] in ("-", "+"))
+    if not toks[i].isdigit():
+        cur.at(i).expect_int()  # raises
+    return (-1 if toks[j] == "-" else 1) * exact_int(toks[i]), i + 1
 
 
-def _parse_sum(cur: _Cursor, kind: ScalarKind):
-    """A sum of terms: its one term, a monomial or a jet, when there is no
-    more; else a jet."""
+def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tuple:
+    """The sum at the cursor as a value (rows, scale, monomial); or, given
+    the state (c, den, u, k, prod) of a term that the caller has begun,
+    the rest of that term."""
     toks, table, dim = cur.tokens, kind.basis_products, kind.dim
     units = _QUAT_UNITS if kind.core == "quat" else {}
     rows: dict[int, list[int]] = {}  # exponent -> numerators per basis index, over scale
     scale, sign, first, p = 1, 1, True, cur.pos
-    lo = hi = None  # the least and greatest exponent of the terms read
+    lo, hi = inf, -inf  # the least and greatest exponent of the terms read
     while True:
-        c, den, u, k, value, start = sign, 1, 0, 0, None, p
-        while True:  # the factors of the term c/den * e_u * t^k
+        c, den, u, k, prod = term or (sign, 1, 0, 0, None)
+        start = p
+        while True:  # the factors of the term prod * c/den * e_u * t^k
             tok, end = toks[p], p + 1
             if tok == "-" and toks[end] != "-":
                 c, tok, p, end = -c, toks[end], end, end + 1
             if tok == "t":
-                e, end = (_signed_at(toks, end + 1) or (0, None)) if toks[end] == "^" else (1, end)
+                e, end = _signed_at(cur, end + 1) if toks[end] == "^" else (1, end)
                 k += e
-            elif not tok or toks[end] == "^":
-                end = None
             elif tok.isdigit():
-                d = 1
+                n, d = exact_int(tok), 1
                 if toks[end] == "/":
-                    d = exact_int(toks[end + 1]) if toks[end + 1].isdigit() else 0
+                    if not toks[end + 1].isdigit():
+                        cur.at(end + 1).expect_int()  # raises
+                    d = exact_int(toks[end + 1])
+                    if not d:
+                        raise SessionTypeError(f"zero denominator in {exact_str(n)}/0",
+                                               cur.line, cur.col(end + 1))
                     end += 2
-                if d and toks[end] != "^":
-                    c, den = c * exact_int(tok), den * d
+                if toks[end] != "^":
+                    c, den = c * n, den * d
                 else:
-                    end = None
+                    x, end = _raised(cur, kind, ({0: _unit(kind, 0, n)}, d, True), end), None
             else:
                 v = units.get(tok)
-                if tok == "sqrt" and toks[end] == "(":
-                    w, j = _signed_at(toks, end + 1) or (None, end)
-                    if toks[j] == ")":
-                        v, end = (kind.core_dim if w == kind.ext else
-                                  1 if w == kind.d else None), j + 1
-                if v is None or toks[end] == "^":
-                    end = None
-                else:
-                    _, u, m = table[u][v]
-                    c *= m
-            if end is None:  # this factor and the rest of the term
-                cur.pos = p
-                value = (_unit(kind, u, c), den, k)
-                while True:
-                    at = cur.pos
-                    other = _parse_factor(cur, kind)
-                    if _span(value) + _span(other) > SPAN_LIMIT:
-                        raise SessionTypeError(
-                            f"a product of degree span {_span(value) + _span(other)} is above "
-                            f"the literal limit {SPAN_LIMIT}", cur.line, cur.col(at))
-                    if type(value) is tuple and type(other) is tuple:
-                        value = (_mul_parts(kind, value[0], other[0]), value[1] * other[1],
-                                 value[2] + other[2])
+                if tok == "sqrt":
+                    if toks[end] != "(":
+                        cur.at(end).expect("(")  # raises
+                    w, end = _signed_at(cur, end + 1)
+                    if toks[end] != ")":
+                        cur.at(end).expect(")")  # raises
+                    v, end = kind.core_dim if w == kind.ext else 1 if w == kind.d else None, end + 1
+                    if v is None:
+                        raise SessionTypeError(f"sqrt({exact_str(w)}) is not a scalar of kind {kind}",
+                                               cur.line, cur.col(p))
+                if v is not None:
+                    if toks[end] != "^":
+                        _, u, m = table[u][v]
+                        c *= m
                     else:
-                        value = _as_jet(kind, value) * _as_jet(kind, other)
-                    if not cur.accept("*"):
-                        break
-                p = cur.pos
-                break
+                        x, end = _raised(cur, kind, ({0: _unit(kind, v)}, 1, True), end), None
+                elif tok == "(":
+                    x, end = _parse_sum(cur.at(end), kind), None
+                    cur.expect(")")
+                    if not x[2]:
+                        x = {e: row for e, row in x[0].items() if any(row)}, x[1], False
+                    if toks[cur.pos] == "^":
+                        x = _raised(cur, kind, x, cur.pos)
+                elif tok == "-":  # a doubled -: the term goes on, negated, one call deeper
+                    prod = _parse_sum(cur.at(end), kind, (-c, den, u, k, prod))
+                    c, den, u, k, end = 1, 1, 0, 0, cur.pos
+                elif not tok:
+                    raise SessionSyntaxError("unexpected end of line", cur.line)
+                elif tok in _QUAT_UNITS:
+                    raise SessionTypeError(f"{tok} is not a scalar of kind {kind}",
+                                           cur.line, cur.col(p))
+                else:
+                    raise SessionSyntaxError(f"unexpected token {tok!r} in expression",
+                                             cur.line, cur.col(p))
+            if end is None:  # x, read up to cur.pos, is not a flat atom
+                left = ({k: _unit(kind, u, c)}, den, True)
+                if prod is not None:
+                    left = _times(kind, prod, left)
+                width = _width(left[0]) + _width(x[0])
+                if width > SPAN_LIMIT:  # at the factor's first -, if it has any
+                    while toks[p - 1] == "-":
+                        p -= 1
+                    raise SessionTypeError(
+                        f"a product of degree span {width} is above the literal limit "
+                        f"{SPAN_LIMIT}", cur.line, cur.col(p))
+                prod, c, den, u, k, end = _times(kind, left, x), 1, 1, 0, 0, cur.pos
             p = end
             if toks[p] != "*":
                 break
             p += 1
+        if prod is not None:
+            prod = _times(kind, prod, ({k: _unit(kind, u, c)}, den, True))
         op = toks[p]
-        if first and op != "+" and op != "-":
+        if first and (term or op != "+" and op != "-"):
             cur.pos = p
-            return (_unit(kind, u, c), den, k) if value is None else value
+            return ({k: _unit(kind, u, c)}, den, True) if prod is None else prod
         first = False
-        if value is None:
-            terms, low, high = ((k, u, c, den),), k, k
-        else:
-            jet = _as_jet(kind, value)
-            terms = [(e, v, x, s.den) for e, s in enumerate(jet.coeffs, jet.lowest_exp)
-                     for v, x in enumerate(s.num) if x]
-            low, high = jet.lowest_exp, jet.lowest_exp + len(jet.coeffs) - 1
-        if terms:
-            if lo is None:
-                lo, hi = low, high
-            if low < lo:
-                lo = low
-            if high > hi:
-                hi = high
-            if hi - lo > SPAN_LIMIT:
-                raise SessionTypeError(
-                    f"a sum of degree span {exact_str(hi - lo)} is above the literal limit "
-                    f"{SPAN_LIMIT}", cur.line, cur.col(start))
-        for e, v, x, d in terms:
-            if scale % d:
-                m = d // gcd(scale, d)
-                scale *= m
-                for row in rows.values():
-                    row[:] = [y * m for y in row]
+        # a flat term counts even when its coefficient is zero, a value only its nonzero rows
+        terms, d = (((k, u, c),), den) if prod is None else (
+            [(e, v, x) for e, row in prod[0].items() for v, x in enumerate(row) if x], prod[1])
+        if scale % d:
+            m = d // gcd(scale, d)
+            scale *= m
+            for row in rows.values():
+                row[:] = [y * m for y in row]
+        f = scale // d
+        for e, v, x in terms:
             row = rows.get(e)
             if row is None:
                 row = rows[e] = [0] * dim
-            row[v] += x * (scale // d)
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
-        else:
+                lo, hi = e if e < lo else lo, e if e > hi else hi
+            row[v] += x * f
+        if hi - lo > SPAN_LIMIT:
+            raise SessionTypeError(
+                f"a sum of degree span {exact_str(hi - lo)} is above the literal limit "
+                f"{SPAN_LIMIT}", cur.line, cur.col(start))
+        if op != "+" and op != "-":
             cur.pos = p
-            acc = _Accumulator(kind)
-            acc.terms = {e: (tuple(row), scale) for e, row in rows.items()}
-            return acc.jet(None)
-        p += 1
+            return rows, scale, False
+        sign, p = 1 if op == "+" else -1, p + 1
 
 
-def _parse_factor(cur: _Cursor, kind: ScalarKind):
-    if cur.accept("-"):
-        value = _parse_factor(cur, kind)
-        if type(value) is tuple:
-            return tuple(-x for x in value[0]), value[1], value[2]
-        return -value
-    value = _parse_atom(cur, kind)
-    caret = cur.pos
-    if not cur.accept("^"):
-        return value
-    k = cur.signed_int()
-    if k < 0 and type(value) is not tuple and len(value.coeffs) > 1:
+def _width(rows: dict) -> int:
+    # the degree span of a value's rows: 0 for a monomial or a zero
+    return max(rows) - min(rows) if rows else 0
+
+
+def _times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
+    """The product x * y of two values: their rows convolved through
+    ``kind.basis_products``, over the product of their scales."""
+    (xr, xs, xm), (yr, ys, ym) = x, y
+    table, dim, mono = kind.basis_products, kind.dim, xm and ym
+    out = {min(xr) + min(yr): [0] * dim} if mono else {}
+    for e, a in xr.items():
+        for i, ai in enumerate(a):
+            if ai:
+                for j, r, m in table[i]:
+                    am = ai * m
+                    for f, b in yr.items():
+                        if b[j]:
+                            row = out.get(e + f)
+                            if row is None:
+                                row = out[e + f] = [0] * dim
+                            row[r] += am * b[j]
+    if not mono:
+        out = {e: row for e, row in out.items() if any(row)}
+    return out, xs * ys, mono
+
+
+def _raised(cur: _Cursor, kind: ScalarKind, x: tuple, caret: int) -> tuple:
+    """``x ** k``, k the exponent after the ``^`` at token ``caret``, by
+    repeated squaring; ``k < 0`` inverts the coefficient of a monomial."""
+    k = cur.at(caret + 1).signed_int()
+    rows, scale, mono = x
+    if k < 0 and len(rows) > 1:
         raise SessionTypeError(
             f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
             "Laurent polynomials; multiply u by the denominator and alpha by its norm",
             cur.line, cur.col(caret))
-    span = _span(value) * abs(k)
-    bits = (span + 1) * _bits(value) * abs(k)
-    if span > SPAN_LIMIT or bits > BITS_LIMIT:
+    span = _width(rows) * abs(k)
+    size = max(scale.bit_length(), *(abs(y).bit_length() for row in rows.values()
+                                       for y in row)) * abs(k) if rows else 0
+    n = (span + 1) * kind.dim  # numerators built
+    bits, work = (span + 1) * size, n * max(size, 256) * max(1, size >> 12) * (n + 32 * (scale > 1))
+    if span > SPAN_LIMIT or bits > BITS_LIMIT or work > WORK_LIMIT:
         raise SessionTypeError(
             f"power {exact_str(k)} would build {exact_str(span + 1)} coefficients and about "
-            f"{exact_str(bits)} bits, above the literal limits of {SPAN_LIMIT} exponents and "
-            f"{BITS_LIMIT} bits", cur.line, cur.col(caret))
-    try:
-        return _monomial_power(kind, value, k) if type(value) is tuple else value ** k
-    except (IndeterminateValuation, NotInvertible) as exc:
-        raise SessionTypeError(
-            f"power {exact_str(k)} of a value with no inverse: {exc}",
-            cur.line, cur.col(caret)) from None
-
-
-def _span(value) -> int:
-    # the degree span of a factor: 0 for a monomial or a zero jet
-    return 0 if type(value) is tuple or not value.coeffs else len(value.coeffs) - 1
-
-
-def _bits(value) -> int:
-    # the longest numerator or denominator of a factor, in bits
-    if type(value) is tuple:
-        num, den, _ = value
-        return max(den.bit_length(), *(abs(x).bit_length() for x in num))
-    return max((max(c.den.bit_length(), *(abs(x).bit_length() for x in c.num))
-                for c in value.coeffs), default=0)
-
-
-def _monomial_power(kind: ScalarKind, value: tuple, k: int) -> tuple:
-    """``value ** k`` by repeated squaring; ``k < 0`` inverts the
-    coefficient first (NotInvertible when it is zero)."""
-    num, den, exp = value
-    if k == 0:
-        return _unit(kind, 0), 1, 0
+            f"{exact_str(bits)} bits in about {exact_str(work)} steps, above the literal limits "
+            f"of {SPAN_LIMIT} exponents, {BITS_LIMIT} bits and {WORK_LIMIT} steps",
+            cur.line, cur.col(caret))
     if k < 0:
-        inv = _reduced(kind, num, den).inverse()
-        num, den, exp, k = inv.num, inv.den, -exp, -k
-    num, den = _power((num, den), k, lambda x, y: (_mul_parts(kind, x[0], y[0]), x[1] * y[1]))
-    return num, den, exp * k
+        if not rows:
+            raise SessionTypeError(f"power {exact_str(k)} of a value with no inverse: "
+                                   "cannot invert zero", cur.line, cur.col(caret))
+        (e, row), = rows.items()
+        try:
+            inv = _reduced(kind, tuple(row), scale).inverse()
+        except NotInvertible as exc:
+            raise SessionTypeError(f"power {exact_str(k)} of a value with no inverse: {exc}",
+                                   cur.line, cur.col(caret)) from None
+        rows, scale, k = {-e: inv.num}, inv.den, -k
+    if k == 0:
+        return {0: _unit(kind, 0)}, 1, mono
+    return _power((rows, scale, mono), k, lambda a, b: _times(kind, a, b))
 
 
 def _unit(kind: ScalarKind, index: int, coeff: int = 1) -> tuple:
     return (0,) * index + (coeff,) + (0,) * (kind.dim - index - 1)
 
 
-def _parse_atom(cur: _Cursor, kind: ScalarKind):
-    at = cur.pos
-    tok = cur.next()
-    if tok.isdigit():
-        num, den = exact_int(tok), 1
-        if cur.accept("/"):
-            den = cur.expect_int()
-            if den == 0:
-                raise SessionTypeError(
-                    f"zero denominator in {exact_str(num)}/0", cur.line, cur.col(cur.pos - 1))
-        return (num,) + (0,) * (kind.dim - 1), den, 0
-    if tok == "(":
-        value = _parse_sum(cur, kind)
-        cur.expect(")")
-        return value
-    if tok == "t":
-        return _unit(kind, 0), 1, 1
-    if tok in _QUAT_UNITS:
-        if kind.core != "quat":
-            raise SessionTypeError(f"{tok} is not a scalar of kind {kind}", cur.line, cur.col(at))
-        return _unit(kind, _QUAT_UNITS[tok]), 1, 0
-    if tok == "sqrt":
-        cur.expect("(")
-        d = cur.signed_int()
-        cur.expect(")")
-        if kind.ext == d:
-            return _unit(kind, kind.core_dim), 1, 0
-        if kind.core == "quad" and kind.d == d:
-            return _unit(kind, 1), 1, 0
-        raise SessionTypeError(
-            f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", cur.line, cur.col(at))
-    raise SessionSyntaxError(f"unexpected token {tok!r} in expression", cur.line, cur.col(at))
-
-
 def _parse_matrix(cur: _Cursor, kind: ScalarKind) -> JetMatrix:
     at = cur.pos
     word = cur.expect_ident()
     if word == "diag":
-        cur.expect("(")
-        entries = cur.comma_list(lambda: _parse_expr(cur, kind))
-        cur.expect(")")
-        return JetMatrix.diagonal(entries)
+        return JetMatrix.diagonal(_parse_entries(cur, kind, "()"))
     if word == "mat":
         cur.expect("[")
-        rows = cur.comma_list(lambda: _parse_matrix_row(cur, kind))
+        rows = cur.comma_list(lambda: _parse_entries(cur, kind, "[]"))
         cur.expect("]")
         if any(len(r) != len(rows) for r in rows):
             raise SessionTypeError(
@@ -452,11 +423,12 @@ def _parse_matrix(cur: _Cursor, kind: ScalarKind) -> JetMatrix:
     raise SessionSyntaxError(f"expected diag, mat or dsum, got {word!r}", cur.line, cur.col(at))
 
 
-def _parse_matrix_row(cur: _Cursor, kind: ScalarKind) -> list[LaurentJet]:
-    cur.expect("[")
-    row = cur.comma_list(lambda: _parse_expr(cur, kind))
-    cur.expect("]")
-    return row
+def _parse_entries(cur: _Cursor, kind: ScalarKind, brackets: str) -> list[LaurentJet]:
+    """Entries between ``brackets[0]`` and ``brackets[1]``, split by ``,``."""
+    cur.expect(brackets[0])
+    entries = cur.comma_list(lambda: _parse_expr(cur, kind))
+    cur.expect(brackets[1])
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +677,7 @@ class _Parser:
         """Appends one argument, and to ``positions`` its token index if it is a name."""
         at = cur.pos
         if cur.peek().isidentifier():
-            word = cur.next()
+            word = cur.expect_ident()
             if cur.accept("="):
                 kwargs.append((word, self._parse_check_value(cur)))
             else:
@@ -724,10 +696,8 @@ class _Parser:
     def _parse_expected(self, cur: _Cursor) -> str:
         if cur.accept("error"):
             return f"error {cur.expect_ident()}"
-        word = cur.peek()
-        if word in _VERDICT_WORDS:
-            cur.next()
-            return word
+        if cur.peek() in _VERDICT_WORDS:
+            return cur.expect_ident()
         items = cur.int_tuple()
         if items is not None:
             return _format_tuple(items)

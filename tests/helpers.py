@@ -719,7 +719,10 @@ def ref_parse_factor(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
 
 def ref_parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
     at = cur.pos
-    tok = cur.next()
+    tok = cur.peek()
+    if not tok:
+        raise SessionSyntaxError("unexpected end of line", cur.line)
+    cur.pos += 1
     if tok.isdigit():
         num = exact_int(tok)
         if cur.accept("/"):

@@ -92,8 +92,9 @@ def test_verify_sh_pattern_examples():
 
 
 def test_verify_sh_pattern_size_limit():
-    with pytest.raises(SizeLimit, match="size 81 exceeds the brute-force bound 64"):
-        verify_sh_pattern(3, 3, sig(3, 3, 3))
+    assert verify_sh_pattern(3, 3, sig(3, 3, 3))  # s*t*n = 81
+    with pytest.raises(SizeLimit, match="base change to size 65540 exceeds the bound 65536"):
+        verify_sh_pattern(1, 5, sig(*[1] * 13108))
 
 
 def test_verify_sh_pattern_matches_the_brute_force():

@@ -124,7 +124,7 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys, line):
 
 
 def test_math_errors_exit_3(capsys):
-    assert main(["sh-verify", "--s", "9", "--t", "9", "--sig", "3,3,3"]) == 3
+    assert main(["sh-verify", "--s", "256", "--t", "257", "--sig", "1,1"]) == 3  # size 131584
     assert "SizeLimit" in capsys.readouterr().err
 
 

@@ -1,13 +1,14 @@
-"""Session literals: the one-loop reader against the jet-per-atom reference."""
+"""Session literals: the reader on integer rows against the jet-per-atom reference."""
 
 import time
+from collections import Counter
 from random import Random
 
 import pytest
 
 from horders import session as session_module
-from horders.errors import HordersError, SessionTypeError
-from horders.scalars import BASE, QUATERNION, quadratic
+from horders.errors import HordersError, SessionSyntaxError, SessionTypeError
+from horders.scalars import BASE, QUATERNION, LaurentJet, quadratic
 from horders.session import _Cursor, _parse_expr, parse_session, print_session
 
 from helpers import ref_parse_expr
@@ -87,10 +88,10 @@ def random_term(rng: Random, atoms: tuple, depth: int) -> str:
     return "*".join(factors)
 
 
-# Atoms the one-loop reader reads in place, and factors it hands over.
+# Atoms the reader reads in place, and factors it reads as values.
 INLINE = ("0", "1", "2", "7", "1/2", "3/6", "5/3", "4/2", "t", "t", "t^0", "t^2", "t^+1",
           "t^-1", "t^-3")
-HANDED_OVER = ("1/0", "t^", "qi", "sqrt(-5)", "2^3", "qi^-1", "2/3^2", "sqrt(-1)^2",
+NOT_FLAT = ("1/0", "t^", "qi", "sqrt(-5)", "2^3", "qi^-1", "2/3^2", "sqrt(-1)^2",
                "(1 - t)", "(t - t)^-1", "- -t", "0^-1")
 
 INLINE_CASES = [
@@ -106,12 +107,12 @@ INLINE_CASES = [
 
 
 def random_inline_expr(rng: Random, atoms: tuple) -> str:
-    """A sum of products of ``atoms`` (now and then a factor that is handed
-    over), sometimes followed by the same terms subtracted, so that it
+    """A sum of products of ``atoms`` (now and then a factor that is not a
+    flat atom), sometimes followed by the same terms subtracted, so that it
     cancels to an exact zero."""
     terms = []
     for _ in range(rng.randint(1, 4)):
-        factors = [rng.choice(HANDED_OVER if rng.random() < 0.08 else atoms)
+        factors = [rng.choice(NOT_FLAT if rng.random() < 0.08 else atoms)
                    for _ in range(rng.randint(1, 4))]
         terms.append("*".join(rng.choice(("", "", "", "-", "- -")) + f for f in factors))
     ops = [rng.choice(("+", "-")) for _ in terms]
@@ -212,6 +213,11 @@ def test_power_of_a_zero_divisor_is_a_type_error_at_the_caret():
 
 LIMITED = [  # entry, token the error is at, message start
     ("(1+t)^4000", "^", "power 4000 would build 4001 coefficients"),
+    ("(1+t)^645", "^", "power 645 would build 646 coefficients and about 416670 bits in about "
+                       "269168820 steps, above the literal limits of 1024 exponents, 1048576 bits "
+                       "and 268435456 steps"),
+    ("(7/9)^46080", "^", "power 46080 would build 1 coefficients and about 184320 bits in about "
+                         "273715200 steps"),
     ("1 + t^4000000", "t", "a sum of degree span 4000000 is above the literal limit 1024"),
     ("t^-600 + 1 - t^600", "t", "a sum of degree span 1200 is above the literal limit 1024"),
     ("(1 + t^1000)*(1 + t^1000)", "(", "a product of degree span 2000 is above the literal limit"),
@@ -240,3 +246,74 @@ def test_a_literal_over_its_limits_is_a_type_error_before_it_is_built(entry, at,
 def test_a_literal_at_its_limits_parses(entry):
     assert session_module.SPAN_LIMIT == 1 << 10 and session_module.BITS_LIMIT == 1 << 20
     parse_session(session_with(entry))
+
+
+# One row per error that a factor other than a flat atom can raise, with
+# the text and position that the reader before the one on integer rows
+# gave it: entry (the alpha at the end of line 4), error type, message and
+# column (None at the end of the line).
+NOT_FLAT_ERRORS = [
+    ("- -*t", SessionSyntaxError, "unexpected token '*' in expression", 51),
+    ("2*- -", SessionSyntaxError, "unexpected end of line", None),
+    ("1 + qi", SessionTypeError, "qi is not a scalar of kind base", 52),
+    ("2*sqrt(5)", SessionTypeError, "sqrt(5) is not a scalar of kind base", 50),
+    ("sqrt(-3", SessionSyntaxError, "expected ')', got end of line", None),
+    ("sqrt(x)", SessionSyntaxError, "expected 'INT', got 'x'", 53),
+    ("1/0", SessionTypeError, "zero denominator in 1/0", 50),
+    ("3*1/t", SessionSyntaxError, "expected 'INT', got 't'", 52),
+    ("(1+t", SessionSyntaxError, "expected ')', got end of line", None),
+    ("t^", SessionSyntaxError, "expected 'INT', got end of line", None),
+    ("t^x", SessionSyntaxError, "expected 'INT', got 'x'", 50),
+    ("2*(1 + t)^", SessionSyntaxError, "expected 'INT', got end of line", None),
+    ("(1+t)^-1", SessionTypeError, "power -1 of a value that is not a monomial: entries are exact "
+     "Laurent polynomials; multiply u by the denominator and alpha by its norm", 53),
+    ("0^-1", SessionTypeError, "power -1 of a value with no inverse: zero scalar", 49),
+    ("(t-t)^-1", SessionTypeError, "power -1 of a value with no inverse: cannot invert zero", 53),
+    ("1 + ]", SessionSyntaxError, "unexpected token ']' in expression", 52),
+]
+
+
+@pytest.mark.parametrize("entry, error, message, col", NOT_FLAT_ERRORS)
+def test_an_error_keeps_its_text_and_position(entry, error, message, col):
+    witness = f"witness w : from s to s mode F u diag(1) alpha {entry}\n"
+    with pytest.raises(error) as err:
+        parse_session(session_with("1") + witness)
+    assert type(err.value) is error and (err.value.line, err.value.col) == (4, col)
+    assert str(err.value).split(": ", 1)[1] == message
+
+
+def test_a_nested_powered_literal_builds_no_jet_product_power_or_inverse(monkeypatch):
+    text = "((1 + qi*t)^3 - 2*(qj - t)^2*(2*t*qk)^-1)^2*- -(1/2 + t)*qj^-3 + (qi - qi)^0"
+    want = ref_parse_expr(_Cursor(text, 1), QUATERNION)
+    calls = Counter()
+    for name in ("__mul__", "__pow__", "inverse"):
+        def counted(self, *args, _name=name, _method=getattr(LaurentJet, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(LaurentJet, name, counted)
+    assert _parse_expr(_Cursor(text, 1), QUATERNION) == want
+    assert not calls
+
+
+# The largest power of each shape that the limits admit (one more is
+# refused): the work term holds each to a fraction of a second.
+LARGEST_POWERS = [
+    ("(1+t)", 644, "base"),
+    ("(3+t+t^2)", 322, "base"),
+    ("(1+qi+qj*t+qk*t)", 255, "quaternion"),
+    ("(2+3*qi+5*qj+7*qk)", 87381, "quaternion"),
+    ("(7/9)", 46079, "base"),
+]
+
+
+@pytest.mark.parametrize("x, k, name", LARGEST_POWERS)
+def test_the_largest_power_the_limits_admit_parses_in_well_under_a_second(x, k, name):
+    kind = KINDS[name][0]
+    with pytest.raises(SessionTypeError, match=f"power {k + 1} would build"):
+        _parse_expr(_Cursor(f"{x}^{k + 1}", 1), kind)
+    times = []
+    for _ in range(3):  # the best of three, so a busy machine does not fail it
+        start = time.perf_counter()
+        _parse_expr(_Cursor(f"{x}^{k}", 1), kind)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5

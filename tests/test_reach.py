@@ -13,7 +13,7 @@ DELETED = ("JetMatrix.zeros", "JetMatrix.identity", "JetMatrix.unit", "JetMatrix
            "Signature.block_of", "Scalar.sqrt_gen", "Scalar.norm", "Scalar.rational",
            "ScalarKind.unextended", "LaurentJet.residue", "LaurentJet.shift",
            "PatternMatrix.__getitem__", "emit", "Scalar._norm_num", "JetMatrix.is_exact",
-           "LaurentJet.agrees")
+           "LaurentJet.agrees", "_parse_factor", "_parse_atom", "_monomial_power", "_span", "_bits")
 
 
 def test_reach_lists_what_no_traffic_enters():
