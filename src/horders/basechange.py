@@ -11,6 +11,8 @@ of every permuted index with the rank of its key in the tensored order.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import NotDivisible, NotPeriodic, SizeLimit, record
 from .orders import (
     BlockOrder,
@@ -64,17 +66,24 @@ def descend_signature(parts: tuple[int, ...], s: int, t: int) -> Signature:
     returned in canonical (least-rotation) form.  Note the de-facto
     length of the descended tuple is len(parts)/t, not len(parts); the
     inverse is read as de-concatenation followed by division by s.
+
+    s divides every part exactly when it divides their gcd, since every
+    common divisor of the parts divides the gcd and the gcd divides
+    every part (an empty or all-zero tuple has gcd 0).  With r = u/t,
+    parts[i] = parts[(i + r) % u] for every i exactly when parts equals
+    its rotation parts[r:] + parts[:r], whose entry i is parts[(i + r) % u].
+    Then the tuple is t copies of its r-prefix, so only that is divided.
     """
     check_residue(s, t)
-    if any(p % s for p in parts):
+    if gcd(*parts) % s:
         raise NotDivisible(f"parts {parts} are not all divisible by s={s}")
     u = len(parts)
     if u % t:
         raise NotPeriodic(f"length {u} is not divisible by t={t}")
     r = u // t
-    if any(parts[i] != parts[(i + r) % u] for i in range(u)):
+    if parts[r:] + parts[:r] != parts:
         raise NotPeriodic(f"{parts} is not {t}-periodic up to rotation")
-    return Signature(cyclic_normal_form(p // s for p in parts[:r]))
+    return Signature(cyclic_normal_form(map(s.__rfloordiv__, parts[:r])))
 
 
 def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:

@@ -128,8 +128,8 @@ class NotPeriodic(HordersError):
 
 
 class SizeLimit(HordersError):
-    """A requested size exceeds a desk-scale bound: s*t*n above 64 for a
-    brute-force pattern verification, above 2^16 for a base change."""
+    """A requested size exceeds a desk-scale bound: a base change, or its
+    pattern verification, to length s*t*n above 2^16."""
 
 
 # -- involutions ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import add
 
-from .errors import ScalarKindMismatch, SizeMismatch, record
+from .errors import ScalarKindMismatch, SizeMismatch, _set, record
 from .matrices import JetMatrix
 from .scalars import BASE, ScalarKind, _power
 
@@ -49,14 +49,16 @@ class DivisionSpec:
 
 @record
 class Signature:
-    """Nonempty tuple of positive block sizes."""
+    """Nonempty tuple of positive block sizes, read from any iterable of
+    positive ints; the parts are read once, checked, then converted."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.parts or min(self.parts) < 1:
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
+        if not parts or min(parts) < 1:
             raise ValueError("signature parts must be positive integers")
-        object.__setattr__(self, "parts", tuple(map(int, self.parts)))
+        _set(self, "parts", tuple(map(int, parts)))
 
     @property
     def n(self) -> int:
@@ -107,7 +109,7 @@ class PatternMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+        if list(map(len, self.entries)).count(n) != n:
             raise SizeMismatch(f"pattern has {n} rows, each must have {n} entries")
 
     @property
@@ -217,12 +219,29 @@ def in_radical(order: BlockOrder, x: JetMatrix) -> bool:
 
 
 def cyclic_normal_form(parts: Iterable[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation; canonical cyclic representative."""
+    """Lexicographically least rotation; canonical cyclic representative.
+
+    A rotation that starts above the least part m is greater than one
+    that starts with m, so only the rotations at the ``parts.count(m)``
+    positions that ``parts.index`` finds are compared, in order, each a
+    slice of parts + parts.  When the rotation at k equals the best one
+    so far, at j < k, parts is (k - j)-periodic: every later rotation at
+    k' equals the one at k' - (k - j), a start of m between j and k',
+    already compared."""
     parts = tuple(parts)
     if not parts:
         raise ValueError("empty tuple has no rotations")
-    least = min(parts)  # the least rotation starts with the least part
-    return min(parts[k:] + parts[:k] for k, p in enumerate(parts) if p == least)
+    least = min(parts)
+    n, k, twice = len(parts), parts.index(least), parts + parts
+    best = twice[k:k + n]
+    for _ in range(parts.count(least) - 1):
+        k = parts.index(least, k + 1)
+        rotation = twice[k:k + n]
+        if rotation <= best:  # one comparison when it is greater, as most are
+            if rotation == best:
+                break
+            best = rotation
+    return best
 
 
 def cyclic_equal(p: Iterable[int], q: Iterable[int]) -> bool:

@@ -200,8 +200,11 @@ _QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}
 # of about size = bits(x) * |k| bits, bits(x) the longest numerator or the
 # scale of x.  SPAN_LIMIT, BITS_LIMIT and WORK_LIMIT bound its span, its
 # bits and its work: n^2 products to square and 32 per numerator to reduce
-# over a scale, of max(size, 256) * max(1, size / 4096) steps each.  Each
-# limit is checked before its result is built.
+# over a scale, of max(size, 256) * max(1, size / 4096) steps each.  A
+# product x * y of values takes one such product per pair of nonzero
+# numerators, of size = bits(x) + bits(y), and reduces at most
+# (span(x) + span(y) + 1) * dim numerators; WORK_LIMIT bounds it too.
+# Each limit is checked before its result is built.
 SPAN_LIMIT = 1 << 10
 BITS_LIMIT = 1 << 20
 WORK_LIMIT = 1 << 28
@@ -218,15 +221,17 @@ def _signed_at(cur: _Cursor, j: int) -> tuple[int, int]:
 
 def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tuple:
     """The sum at the cursor as a value (rows, scale, monomial); or, given
-    the state (c, den, u, k, prod) of a term that the caller has begun,
-    the rest of that term."""
+    the state (c, den, u, k, prod, star) of a term that the caller has
+    begun, the rest of that term.  ``star`` is the ``*`` before the first
+    flat factor of c * e_u * t^k / den after prod, where a product of
+    prod with them is refused."""
     toks, table, dim = cur.tokens, kind.basis_products, kind.dim
     units = _QUAT_UNITS if kind.core == "quat" else {}
     rows: dict[int, list[int]] = {}  # exponent -> numerators per basis index, over scale
     scale, sign, first, p = 1, 1, True, cur.pos
     lo, hi = inf, -inf  # the least and greatest exponent of the terms read
     while True:
-        c, den, u, k, prod = term or (sign, 1, 0, 0, None)
+        c, den, u, k, prod, star = term or (sign, 1, 0, 0, None, None)
         start = p
         while True:  # the factors of the term prod * c/den * e_u * t^k
             tok, end = toks[p], p + 1
@@ -275,8 +280,8 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tup
                     if toks[cur.pos] == "^":
                         x = _raised(cur, kind, x, cur.pos)
                 elif tok == "-":  # a doubled -: the term goes on, negated, one call deeper
-                    prod = _parse_sum(cur.at(end), kind, (-c, den, u, k, prod))
-                    c, den, u, k, end = 1, 1, 0, 0, cur.pos
+                    prod = _parse_sum(cur.at(end), kind, (-c, den, u, k, prod, star))
+                    c, den, u, k, star, end = 1, 1, 0, 0, None, cur.pos
                 elif not tok:
                     raise SessionSyntaxError("unexpected end of line", cur.line)
                 elif tok in _QUAT_UNITS:
@@ -288,21 +293,25 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tup
             if end is None:  # x, read up to cur.pos, is not a flat atom
                 left = ({k: _unit(kind, u, c)}, den, True)
                 if prod is not None:
-                    left = _times(kind, prod, left)
+                    left = _product(cur, kind, prod, left, star)
                 width = _width(left[0]) + _width(x[0])
-                if width > SPAN_LIMIT:  # at the factor's first -, if it has any
-                    while toks[p - 1] == "-":
-                        p -= 1
+                while toks[p - 1] == "-":  # the factor's first -, if it has any
+                    p -= 1
+                if width > SPAN_LIMIT:
                     raise SessionTypeError(
                         f"a product of degree span {width} is above the literal limit "
                         f"{SPAN_LIMIT}", cur.line, cur.col(p))
-                prod, c, den, u, k, end = _times(kind, left, x), 1, 1, 0, 0, cur.pos
+                at = p - 1 if toks[p - 1] == "*" else None  # else left is the sign
+                prod, c, den, u, k, star = _product(cur, kind, left, x, at), 1, 1, 0, 0, None
+                end = cur.pos
             p = end
             if toks[p] != "*":
                 break
+            if star is None:
+                star = p
             p += 1
         if prod is not None:
-            prod = _times(kind, prod, ({k: _unit(kind, u, c)}, den, True))
+            prod = _product(cur, kind, prod, ({k: _unit(kind, u, c)}, den, True), star)
         op = toks[p]
         if first and (term or op != "+" and op != "-"):
             cur.pos = p
@@ -338,6 +347,37 @@ def _width(rows: dict) -> int:
     return max(rows) - min(rows) if rows else 0
 
 
+def _size(x: tuple) -> tuple[int, int]:
+    """The nonzero numerators of a value and its bits, the length of its
+    longest numerator or of its scale (0 for a value with no rows)."""
+    rows, scale, _ = x
+    nums = [y for row in rows.values() for y in row if y]
+    bits = max(map(int.bit_length, nums), default=0)
+    return len(nums), max(bits, scale.bit_length()) if rows else 0
+
+
+def _work(products: int, numerators: int, size: int, scaled: bool) -> int:
+    """Steps to multiply ``products`` pairs of numerators of about
+    ``size`` bits and to reduce ``numerators`` of them over a scale."""
+    return max(size, 256) * max(1, size >> 12) * (products + 32 * numerators * scaled)
+
+
+def _product(cur: _Cursor, kind: ScalarKind, x: tuple, y: tuple, star: int | None) -> tuple:
+    """``_times(kind, x, y)``, refused at the ``*`` at token ``star``
+    before it is built when its work is above ``WORK_LIMIT``.  With no
+    ``*`` (``star`` None) one side is the sign of a term, 1 or -1."""
+    if star is not None:
+        (nx, bx), (ny, by) = _size(x), _size(y)
+        n = (_width(x[0]) + _width(y[0]) + 1) * kind.dim  # numerators the product may have
+        size = bx + by
+        work = _work(nx * ny, min(nx * ny, n), size, x[1] > 1 or y[1] > 1)
+        if work > WORK_LIMIT:
+            raise SessionTypeError(
+                f"a product of about {exact_str(size)} bits in about {exact_str(work)} steps is "
+                f"above the literal limit {WORK_LIMIT}", cur.line, cur.col(star))
+    return _times(kind, x, y)
+
+
 def _times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
     """The product x * y of two values: their rows convolved through
     ``kind.basis_products``, over the product of their scales."""
@@ -370,11 +410,9 @@ def _raised(cur: _Cursor, kind: ScalarKind, x: tuple, caret: int) -> tuple:
             f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
             "Laurent polynomials; multiply u by the denominator and alpha by its norm",
             cur.line, cur.col(caret))
-    span = _width(rows) * abs(k)
-    size = max(scale.bit_length(), *(abs(y).bit_length() for row in rows.values()
-                                       for y in row)) * abs(k) if rows else 0
+    span, size = _width(rows) * abs(k), _size(x)[1] * abs(k)
     n = (span + 1) * kind.dim  # numerators built
-    bits, work = (span + 1) * size, n * max(size, 256) * max(1, size >> 12) * (n + 32 * (scale > 1))
+    bits, work = (span + 1) * size, _work(n * n, n, size, scale > 1)
     if span > SPAN_LIMIT or bits > BITS_LIMIT or work > WORK_LIMIT:
         raise SessionTypeError(
             f"power {exact_str(k)} would build {exact_str(span + 1)} coefficients and about "

@@ -5,11 +5,12 @@ from random import Random
 
 from horders import basechange
 from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPrecision,
-                            NotInvertible, OK, SessionSyntaxError, SessionTypeError, failure)
+                            NotDivisible, NotInvertible, NotPeriodic, OK, SessionSyntaxError,
+                            SessionTypeError, failure)
 from horders.involutions import InvolutionSpec, apply_tau
 from horders.matrices import JetMatrix, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
-                            pattern_of, radical_pattern, ss_iso_decide)
+                            check_residue, pattern_of, radical_pattern, ss_iso_decide)
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
 from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
 from horders.session import _Cursor
@@ -631,6 +632,35 @@ def ref_becomes_iso_after_sh(a: SemisimpleOrder, b: SemisimpleOrder) -> bool:
             for c in ss.components))
 
     return ss_iso_decide(pushed(a), pushed(b))
+
+
+# ---------------------------------------------------------------------------
+# Per-element references for the cyclic normal form and descent.
+
+
+def ref_cyclic_normal_form(parts) -> tuple[int, ...]:
+    """The least of the rotations at every position of the least part."""
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError("empty tuple has no rotations")
+    least = min(parts)
+    return min(parts[k:] + parts[:k] for k, p in enumerate(parts) if p == least)
+
+
+def ref_descend_signature(parts: tuple[int, ...], s: int, t: int) -> Signature:
+    """Descent tested part by part: the reference for
+    ``basechange.descend_signature``, with the same errors in the same
+    order."""
+    check_residue(s, t)
+    if any(p % s for p in parts):
+        raise NotDivisible(f"parts {parts} are not all divisible by s={s}")
+    u = len(parts)
+    if u % t:
+        raise NotPeriodic(f"length {u} is not divisible by t={t}")
+    r = u // t
+    if any(parts[i] != parts[(i + r) % u] for i in range(u)):
+        raise NotPeriodic(f"{parts} is not {t}-periodic up to rotation")
+    return Signature(ref_cyclic_normal_form(p // s for p in parts[:r]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Base change of invariants, its inverse, and the permutation witness."""
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -26,7 +27,8 @@ from horders.orders import (
 from horders.scalars import BASE, QUATERNION
 from horders.witness import semisimple_pair, sh_grid
 
-from helpers import ref_becomes_iso_after_sh, ref_sh_permutation, ref_verify_sh_pattern
+from helpers import (ref_becomes_iso_after_sh, ref_descend_signature, ref_sh_permutation,
+                     ref_verify_sh_pattern)
 
 
 def sig(*parts):
@@ -55,6 +57,40 @@ def test_descend_signature_examples():
 def test_descend_accepts_rotated_periodic_tuples():
     # (6, 2, 6, 2) rotated by one is (2, 6, 2, 6); both descend for t = 2
     assert descend_signature((2, 6, 2, 6), 2, 2).parts == (1, 3)
+
+
+def _outcome(descend, parts, s, t):
+    try:
+        return descend(parts, s, t)
+    except Exception as exc:  # the error's type and text are the outcome
+        return type(exc).__name__, str(exc)
+
+
+def test_descend_signature_matches_the_part_by_part_reference():
+    # t copies of an s-scaled block (zero and negative parts included),
+    # rotated, then left whole, bumped off a multiple of s, lengthened
+    # by one part or bumped by s
+    rng = Random(33)
+    seen = Counter()
+    for _ in range(4000):
+        s, t = rng.randint(1, 5), rng.randint(1, 5)
+        block = [s * rng.randint(-2, 5) for _ in range(rng.randint(0, 6))]
+        parts = block * t
+        k = rng.randrange(len(parts)) if parts else 0
+        parts = parts[k:] + parts[:k]
+        change = rng.randrange(4)
+        if change == 1 and parts:
+            parts[rng.randrange(len(parts))] += rng.randint(1, s)
+        elif change == 2:
+            parts.append(s * rng.randint(1, 5))
+        elif change == 3 and parts:
+            parts[rng.randrange(len(parts))] += s
+        parts = tuple(parts)
+        want = _outcome(ref_descend_signature, parts, s, t)
+        assert _outcome(descend_signature, parts, s, t) == want, (parts, s, t)
+        seen[want[0] if isinstance(want, tuple) else "descended"] += 1
+    assert set(seen) == {"descended", "NotDivisible", "NotPeriodic", "ValueError"}
+    assert min(seen.values()) >= 150, seen
 
 
 def test_sh_permutation_identity_cases():

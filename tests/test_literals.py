@@ -241,8 +241,64 @@ def test_a_literal_over_its_limits_is_a_type_error_before_it_is_built(entry, at,
     assert str(err.value).startswith(f"line 3, col {err.value.col}: {message}")
 
 
+# Eight factors, each a power the limits admit: the product is refused at
+# the first * whose work is over the limit, before that product is built.
+# The factors before it are built, so these take longer than a row of
+# LIMITED; the reader before this bound parsed the first for 2 s and the
+# second for 1 s before its span limit stopped it at the fifth factor.
+PRODUCTS = [  # entry, kind, factors before the * the error is at, message
+    ("(7/9)^46079", "base", 1, "a product of about 292134 bits in about 684469962 steps is "
+                               "above the literal limit 268435456"),
+    ("(1+qi+qj*t+qk*t)^255", "quaternion", 2, "a product of about 861 bits in about 449648640 "
+                                              "steps is above the literal limit 268435456"),
+]
+
+
+@pytest.mark.parametrize("x, name, before, message", PRODUCTS)
+def test_a_product_over_the_work_limit_is_a_type_error_at_its_star(x, name, before, message):
+    text = session_with("*".join([x] * 8), name, "quaternion" if name == "quaternion" else "none")
+    line = text.splitlines()[2]
+    times = []
+    for _ in range(2):  # the best of two, so a busy machine does not fail it
+        start = time.perf_counter()
+        with pytest.raises(SessionTypeError) as err:
+            parse_session(text)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
+    col = line.index(x) + before * (len(x) + 1)  # 1-based, after `before` factors
+    assert line[col - 1] == "*" and (err.value.line, err.value.col) == (3, col)
+    assert str(err.value) == f"line 3, col {col}: {message}"
+
+
+BIG = "9" * 20000  # a flat factor of about 66000 bits
+
+# Each product a term takes is charged, at the * before the factors it
+# multiplies in: the flat factors after a value, at the end of the term
+# or before the next value, also past a doubled -, and a value.
+CHARGED = [  # entry, the * of the line (counted from 0) the error is at
+    ("(7/9)^40000*" + BIG, 0),
+    ("(7/9)^40000*" + BIG + "*(1+t)", 0),
+    ("(7/9)^40000*t*- -" + BIG, 0),
+    (BIG + "*(7/9)^40000", 0),
+    ("(7/9)^40000*- -(7/9)^40000", 0),
+    ("(7/9)^20000*2*(7/9)^40000", 1),
+]
+
+
+@pytest.mark.parametrize("entry, star", CHARGED, ids=range(len(CHARGED)))
+def test_every_product_of_a_term_is_charged_at_its_star(entry, star):
+    text = session_with(entry)
+    line = text.splitlines()[2]
+    with pytest.raises(SessionTypeError) as err:
+        parse_session(text)
+    col = [i + 1 for i, ch in enumerate(line) if ch == "*"][star]
+    assert str(err.value).startswith(f"line 3, col {col}: a product of about ")
+    assert str(err.value).endswith(" steps is above the literal limit 268435456")
+
+
 @pytest.mark.parametrize("entry", ["1 + t^1024", "t^-512*(1 + t^512)*(1 + t^512)",
-                                   "2^524288", "(3 + t)^10", "t^99999999999999999999"])
+                                   "2^524288", "(3 + t)^10", "t^99999999999999999999",
+                                   "*".join(["(7/9)^4000"] * 8)])
 def test_a_literal_at_its_limits_parses(entry):
     assert session_module.SPAN_LIMIT == 1 << 10 and session_module.BITS_LIMIT == 1 << 20
     parse_session(session_with(entry))

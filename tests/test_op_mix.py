@@ -1,5 +1,7 @@
-"""tools/op_mix.py: one timed cycle lists every query kind or scenario."""
+"""tools/op_mix.py: one timed cycle lists every query kind or scenario,
+then the per-op median and the kind of the op that holds it."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 from horders.witness import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
+MEDIAN = re.compile(r"per-op median (\d+\.\d{4}) ms, a (.+) op")
 KINDS = ("inv", "iso_rot", "iso_pert", "roundtrip", "not_divisible", "not_periodic",
          "ss_perm", "ss_pert", "sh_iso", "sh_pert", "sh_verify", "radical")
 
@@ -18,8 +21,11 @@ def test_one_patterns_cycle_reports_every_query_kind():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "patterns, seed 61, median of 1 cycles (ms per cycle)"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
     assert set(rows) == set(KINDS) | {"cycle"}
+    median, kind = MEDIAN.fullmatch(lines[-1]).groups()
+    # 195 ops: the median op is the 98th fastest, no slower than a cycle / 98
+    assert kind in KINDS and 0 < float(median) <= float(rows["cycle"][-1]) / 98
     assert rows["roundtrip"][0] == "30" and rows["radical"][0] == "15"
     assert rows["cycle"][0] == "195"
     assert all(float(row[-1]) >= 0 for row in rows.values())
@@ -33,8 +39,11 @@ def test_one_replay_cycle_reports_every_scenario():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "replay, seed 61, median of 1 cycles (ms per cycle)"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
     assert set(rows) == set(SCENARIOS) | {"cycle"}
+    median, kind = MEDIAN.fullmatch(lines[-1]).groups()
+    # one cycle: the median op's time is its scenario's row (3 decimals there)
+    assert kind in SCENARIOS and abs(float(median) - float(rows[kind][-1])) <= 6e-4
     assert all(rows[name][0] == "1" for name in SCENARIOS) and rows["cycle"][0] == "5"
     assert all(float(row[-1]) >= 0 for row in rows.values())
     assert "FAILED" not in proc.stdout
@@ -47,10 +56,15 @@ def test_one_corpus_cycle_parses_and_runs_every_slot():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "corpus, seed 61, median of 1 cycles (ms per cycle)"
-    rows = [line.split() for line in lines[1:]]
+    rows = [line.split() for line in lines[1:-1]]
     # "slot shape checks parse|run calls ms", then the cycle row
     steps = {(int(row[0]), row[3]) for row in rows[:-1]}
     assert steps == {(slot, step) for slot in range(19) for step in ("parse", "run")}
     assert len(rows) == 39 and rows[-1][:2] == ["cycle", "38"]
     assert all(float(row[-1]) >= 0 for row in rows)
+    # a corpus op parses and runs one slot's session
+    median, kind = MEDIAN.fullmatch(lines[-1]).groups()
+    slot = [row for row in rows[:-1] if " ".join(row[:3]) == kind]
+    assert [row[3] for row in slot] == ["parse", "run"]
+    assert abs(float(median) - sum(float(row[-1]) for row in slot)) <= 1.1e-3
     assert "FAILED" not in proc.stdout

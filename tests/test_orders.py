@@ -88,6 +88,19 @@ def test_signature_converts_its_parts_to_an_int_tuple():
         assert sig.parts == (4, 2) and all(type(p) is int for p in sig.parts)
 
 
+def test_signature_reads_an_iterator_once():
+    # the parts are read once: a generator is not consumed by the check
+    assert Signature(x for x in (2, 1)) == Signature((2, 1))
+    assert Signature(iter([3])).n == 3
+    assert Signature(map(int, "412")).parts == (4, 1, 2)
+    assert Signature(parts=[2, 2]).parts == (2, 2)
+    for parts in [(), (2, 0), (3, -1)]:
+        with pytest.raises(ValueError, match="^signature parts must be positive integers$"):
+            Signature(x for x in parts)
+    with pytest.raises(TypeError):
+        Signature(x for x in (2, "3"))
+
+
 def test_block_index_is_block_of_every_position():
     # the block of position i is the last block that starts at or before i
     for parts in [(1,), (4, 2), (1, 3, 2), (2, 2, 2, 1), (3,) * 5]:
@@ -373,6 +386,27 @@ def test_cyclic_normal_form_is_the_least_of_all_rotations():
                                                     for k in range(length)), parts
     with pytest.raises(ValueError, match="empty tuple has no rotations"):
         cyclic_normal_form(())
+
+
+def test_cyclic_normal_form_is_the_least_rotation_with_many_ties_and_periods():
+    # up to 40 parts: a short block over few values repeated, sometimes
+    # with one part changed, then rotated; zero and negative parts too
+    rng = Random(33)
+    tied = periodic = 0
+    for _ in range(3000):
+        values = rng.choice([(1, 1, 1, 2), (1, 2, 3), (0, -1, 0, 2), (5,)])
+        block = [rng.choice(values) for _ in range(rng.randint(1, 8))]
+        parts = block * rng.randint(1, 40 // len(block))
+        if rng.random() < 0.3:
+            parts[rng.randrange(len(parts))] = rng.choice(values)
+        k = rng.randrange(len(parts))
+        parts = tuple(parts[k:] + parts[:k])
+        least = min(parts[j:] + parts[:j] for j in range(len(parts)))
+        assert cyclic_normal_form(parts) == least, parts
+        assert cyclic_normal_form(iter(parts)) == least
+        tied += parts.count(min(parts)) > 1
+        periodic += any(parts[d:] + parts[:d] == parts for d in range(1, len(parts)))
+    assert tied >= 2000 and periodic >= 1000, (tied, periodic)
 
 
 @settings(deadline=None)

@@ -13,8 +13,11 @@ The ops are the ones ``perfbench/run.py`` times, built by
 cycle, each cycle's time per kind is the sum over that kind's calls.
 The table prints, per kind, the calls in a cycle and the median of
 those sums over the cycles, in ms, and then the same for the whole
-cycle.  Every op is checked against what its construction predicts,
-and a failed check makes the exit status 1.  Nothing under
+cycle.  The last line is the (lower) median time of one op over every
+timed op (a corpus op parses and runs one session), the in-process
+analogue of the benchmark's ``op_ms_p50`` without its host scaling,
+and the kind of the op at that rank.  Every op is checked against what
+its construction predicts, and a failed check makes the exit status 1.  Nothing under
 ``perfbench/`` is changed.
 """
 
@@ -40,28 +43,29 @@ def _timed(fn):
 
 
 def corpus_cycle(h, workloads, seed: int, cycle: int):
-    """(kind, seconds, failure or None) of each parse and run in one cycle."""
+    """(op, kind, seconds, failure or None) of each parse and run in one
+    cycle; a slot's parse and run are one op, (slot, slot and shape)."""
     slots = workloads.CORPUS_SCHEDULE
     for slot, shape in enumerate(slots):
         session = workloads.corpus.make_session(seed, cycle * len(slots) + slot, shape)
         kind = f"{slot:2d} {shape.key}"
         parsed, parse_s = _timed(lambda: h.parse_session(session.text))
         if isinstance(parsed, BaseException):
-            yield kind + " parse", parse_s, f"raised {type(parsed).__name__}"
+            yield (slot, kind), kind + " parse", parse_s, f"raised {type(parsed).__name__}"
             continue
-        yield kind + " parse", parse_s, None
+        yield (slot, kind), kind + " parse", parse_s, None
         rep, run_s = _timed(lambda: h.run_session(parsed, seed=seed))
         failure = (f"raised {type(rep).__name__}" if isinstance(rep, BaseException) else
                    workloads.check_report(session, [(c.name, c.actual, c.detail)
                                                     for c in rep.checks]))
-        yield kind + " run", run_s, failure
+        yield (slot, kind), kind + " run", run_s, failure
 
 
 def op_cycle(source, cycle: int):
     for i in range(cycle * source.cycle, (cycle + 1) * source.cycle):
         op = source[i]
         result, seconds = _timed(op.run)
-        yield op.key, seconds, op.check(result)
+        yield (i, op.key), op.key, seconds, op.check(result)
 
 
 def main(argv=None) -> int:
@@ -86,22 +90,26 @@ def main(argv=None) -> int:
         def cycle(k):
             return op_cycle(source, k)
 
-    failures = [f"{kind}: {f}" for kind, _, f in cycle(0) if f]  # warm-up, untimed
+    failures = [f"{kind}: {f}" for _, kind, _, f in cycle(0) if f]  # warm-up, untimed
     per_kind: dict[str, list[float]] = defaultdict(list)
     counts: dict[str, int] = {}
     totals = []
+    per_op: list[tuple[float, str]] = []  # (seconds, kind) of every timed op
     for k in range(1, args.cycles + 1):
         sums: dict[str, float] = defaultdict(float)
         calls: dict[str, int] = defaultdict(int)
-        for kind, seconds, failure in cycle(k):
+        ops: dict = defaultdict(float)
+        for op, kind, seconds, failure in cycle(k):
             sums[kind] += seconds
             calls[kind] += 1
+            ops[op] += seconds
             if failure:
                 failures.append(f"{kind}: {failure}")
         for kind, seconds in sums.items():
             per_kind[kind].append(seconds)
         counts = dict(calls)
         totals.append(sum(sums.values()))
+        per_op += [(seconds, name) for (_, name), seconds in ops.items()]
 
     width = max(map(len, per_kind))
     print(f"{args.workload}, seed {args.seed}, median of {args.cycles} cycles "
@@ -110,6 +118,8 @@ def main(argv=None) -> int:
         print(f"  {kind:<{width}}  {counts[kind]:4d} calls  {statistics.median(samples) * 1e3:9.3f}")
     print(f"  {'cycle':<{width}}  {sum(counts.values()):4d} calls  "
           f"{statistics.median(totals) * 1e3:9.3f}")
+    seconds, kind = statistics.median_low(per_op)  # an op's own time and kind
+    print(f"per-op median {seconds * 1e3:.4f} ms, a {kind.strip()} op")
     for failure in failures:
         print(f"FAILED {failure}")
     return 1 if failures else 0
