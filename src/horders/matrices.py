@@ -1,14 +1,24 @@
 """Square matrices of exact Laurent polynomials over a single scalar kind.
 
 A matrix refuses a truncated entry when it is built, so every question
-below is asked of exact entries.  Exact questions about a matrix a over
-the Laurent field use one integer image per connected component of the
-nonzero pattern of a (a and a^-1 are block-diagonal along the
-components).  Row i of the component is multiplied by s_i * t^-low_i,
-where low_i is its lowest exponent and s_i clears its denominators; then
-a^-1[k][j] is a'^-1[k][j] * s_j * t^-low_j for the scaled matrix a', and
+below is asked of exact entries, on one integer image (Kronecker
+substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
+8.4).  ``_bounds`` scales jet rows by s * t^-low, s the lcm of their
+denominators and low their lowest exponent, into integer polynomials of
+degree at most their span, and lists each entry's nonzero terms once.
+``_image`` evaluates those at any integer x from the powers x^0, ...,
+x^span, one product per term, so 1 + t^200 costs two at each point of
+``field_invertible``.  ``first_difference`` scales each factor F as a
+whole, as a scalar passes through a product and a row scaling does not.
+Questions about a over the Laurent field are asked per connected
+component of its nonzero pattern (a and a^-1 are block-diagonal along
+the components), with each row i scaled on its own, by s_i * t^-low_i;
+then a^-1[k][j] is a'^-1[k][j] * s_j * t^-low_j for the scaled a', and
 the left-regular representation M(t) of a' over Q is an integer
-polynomial matrix.  ``field_invertible`` evaluates M at small integers;
+polynomial matrix.  One scale for all rows would multiply each row by
+the others' denominators and shift it by the spread of their lows,
+raising the row norms behind B and the spans behind D below.
+``field_invertible`` evaluates M at t = 1, ..., D + 1;
 ``inverse_valuations`` and ``inverse`` share one solve at X = 2^B.
 
 That solve is exact.  Every minor of M has coefficients of absolute
@@ -37,18 +47,14 @@ Laurent polynomials iff every det is a monomial c * t^v, that is iff
 det(X) = c * X^v with |c| < X/2; then a^-1[k][j] = y_kj(t) * s_j *
 t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
 
-Products are compared on the same kind of image (Kronecker substitution;
-von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
-``first_difference`` scales each factor F once, by the lcm s_F of all
-its denominators and by t^-low_F for its lowest exponent, so each side
-is s * t^low times a product of integer polynomial matrices, and it
-evaluates each distinct matrix once at X = 2^B.  A factor tau(m) is read
-from the image of m: its transpose, each coordinate conjugated.  The
-conjugation fixes t and acts on coefficients only, so it commutes with
-the scaling and with evaluation at X, and the scaled tau(m) is tau of the
-scaled m.  A factor over the core of an extended kind gets zero
-coordinates on the adjoined root, which is its image over the extended
-kind.
+``first_difference`` evaluates each distinct factor once at X = 2^B, so
+each side is s * t^low times a product of integer polynomial matrices.
+A factor tau(m) is read from the image of m: its transpose, each
+coordinate conjugated.  The conjugation fixes t and acts on coefficients
+only, so it commutes with the scaling and with evaluation at X, and the
+scaled tau(m) is tau of the scaled m.  A factor over the core of an
+extended kind gets zero coordinates on the adjoined root, which is its
+image over the extended kind.
 
 B bounds the coefficients.  For an element p of the kind with integer
 polynomial coordinates, let |p| be the sum of the absolute values of all
@@ -88,7 +94,7 @@ digit of its coordinates.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import lcm, prod
 from operator import add, mul
 
@@ -198,19 +204,19 @@ class JetMatrix:
         """Exact invertibility over the Laurent field.
 
         Invertible iff the image M(t) of every component (see the module
-        docstring) is: det M has degree at most D = dim * sum over the rows
-        of (highest - lowest exponent), so it is nonzero iff it is nonzero
-        at one of t = 1, ..., D + 1.
+        docstring) is: det M has degree at most D = dim * the sum of the
+        row spans, so it is nonzero iff it is nonzero at one of t = 1, ...,
+        D + 1.
         """
-        def nonsingular(rows: list) -> bool:
-            if not all(any(row) for row in rows):
+        def nonsingular(bounds: list) -> bool:
+            _, _, _, spans, sizes, _ = zip(*bounds)
+            if not all(sizes):
                 return False  # an exactly zero row is singular at every point
-            bound = self.kind.dim * sum(
-                max((e for entry in row for e, _ in entry), default=0) for row in rows)
-            return any(_bareiss(m := left_regular(self.kind, _evaluate(rows, x)), len(m))
-                       for x in range(1, bound + 2))
+            points = self.kind.dim * sum(spans) + 1
+            return any(_bareiss(m := left_regular(self.kind, [_image(b, x)[0] for b in bounds]),
+                                len(m)) for x in range(1, points + 1))
 
-        return all(nonsingular(self._integer_rows(comp)[2]) for comp in self._components())
+        return all(nonsingular(self._row_bounds(comp)) for comp in self._components())
 
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]), None for an exactly zero entry;
@@ -225,9 +231,9 @@ class JetMatrix:
                     raise NotInvertible("gauge is not invertible over the Laurent field")
                 out[k][k] = -x.lowest_exp
                 continue
-            lows, _, bits, det, cols = self._solve(comp)
+            bounds, bits, det, cols = self._solve(comp)
             vdet = _lowest_digit(det, bits)
-            for j, low, y in zip(comp, lows, cols):
+            for j, (_, _, low, *_), y in zip(comp, bounds, cols):
                 for kk, k in enumerate(comp):
                     digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
                     if digits:
@@ -240,45 +246,37 @@ class JetMatrix:
         kind, dim = self.kind, self.kind.dim
         out = [[LaurentJet.zero(kind)] * self.n for _ in range(self.n)]
         for comp in self._components():
-            lows, scales, bits, det, cols = self._solve(comp)
+            bounds, bits, det, cols = self._solve(comp)
             v = _lowest_digit(det, bits)
             c = det >> v * bits
             if abs(c) >= 1 << (bits - 1):
                 raise NotInvertible("matrix is not a unit over the Laurent polynomials: "
                                     "its determinant is not a monomial")
-            for j, low, scale, y in zip(comp, lows, scales, cols):
+            for j, (_, scale, low, *_), y in zip(comp, bounds, cols):
                 for kk, k in enumerate(comp):
                     out[k][j] = _decode(kind, y[kk * dim:(kk + 1) * dim], bits,
                                         Q(scale, c), -low - v)
         return JetMatrix(kind, tuple(map(tuple, out)))
 
-    def _solve(self, comp: list[int]) -> tuple[list[int], list[int], int, int, list[list[int]]]:
-        """The lows, the row scales s_j, B, the Bareiss pivot +-det(M)(X)
-        and, per column j, the coordinates y_j of det * a'^-1[.][j] at
-        X = 2^B for one component; raises NotInvertible if it is singular."""
-        lows, scales, rows = self._integer_rows(comp)
-        bits = prod(_row_norms(self.kind, rows)).bit_length() + 1
-        det, cols = _unit_solve(self.kind, _evaluate(rows, 1 << bits))
+    def _solve(self, comp: list[int]) -> tuple[list[tuple], int, int, list[list[int]]]:
+        """The row bounds, B, the Bareiss pivot +-det(M)(X) and, per column
+        j, the coordinates y_j of det * a'^-1[.][j] at X = 2^B for one
+        component; raises NotInvertible if it is singular."""
+        bounds = self._row_bounds(comp)
+        bits = prod(_row_norms(self.kind, bounds)).bit_length() + 1
+        det, cols = _unit_solve(self.kind, [_image(b, 1 << bits)[0] for b in bounds])
         if det == 0:
             raise NotInvertible("gauge is not invertible over the Laurent field")
-        return lows, scales, bits, det, cols
+        return bounds, bits, det, cols
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""
         rows = self.rows
         return _components(self.n, lambda i, j: rows[i][j].coeffs or rows[j][i].coeffs)
 
-    def _integer_rows(self, comp: list[int]) -> tuple[list[int], list[int], list]:
-        """The rows of a component, row i times s_i * t^-low_i: the lows, the
-        s_i and, per entry, the (exponent, integer coordinates) of its terms.
-        A zero row stays zero, so its image is singular at every point."""
-        lows, scales, rows = [], [], []
-        for i in comp:
-            scale, low, (row,) = _integer_terms([[self.rows[i][j] for j in comp]])
-            rows.append(row)
-            lows.append(low)
-            scales.append(scale)
-        return lows, scales, rows
+    def _row_bounds(self, comp: list[int]) -> list[tuple]:
+        # the _bounds of each row of a component, unpadded; a zero row has size 0
+        return [_bounds(([self.rows[i][j] for j in comp],)) + ((),) for i in comp]
 
     def __str__(self) -> str:
         n = self.n
@@ -304,26 +302,16 @@ def _decode(kind: ScalarKind, coords: Sequence[int], bits: int, scale: Q, shift:
     return LaurentJet(kind, shift, coeffs)
 
 
-def _integer_terms(rows: Sequence[Sequence[LaurentJet]]) -> tuple[int, int, list]:
-    """The lcm s of the denominators of the entries, their lowest exponent
-    low and, per entry of s * t^-low * rows, the (exponent, integer
-    coordinates) of its nonzero terms; every exponent is at least 0."""
-    scale = lcm(*(c.den for row in rows for e in row for c in e.coeffs))
-    low = min((e.lowest_exp for row in rows for e in row if e.coeffs), default=0)
-    return scale, low, [[[(e.lowest_exp + k - low, c.num if c.den == scale else
-                           tuple(x * (scale // c.den) for x in c.num))
-                          for k, c in enumerate(e.coeffs) if any(c.num)] for e in row]
-                        for row in rows]
-
-
-def _row_norms(kind: ScalarKind, rows: list) -> list[int]:
-    """Bounds on the row 1-norms of the left-regular image of integer rows:
-    row r of block-row i sums |x| * |k| over the coordinates x, at index
-    a, of the terms in row i and the (c, r, k) in ``basis_products[a]``."""
+def _row_norms(kind: ScalarKind, bounds: list) -> list[int]:
+    """Bounds on the row 1-norms of the left-regular image of scaled rows,
+    one ``_bounds`` each: row r of block-row i sums |x| * |k| over the
+    scaled coordinates x, at index a, of the terms of row i and the
+    (c, r, k) in ``basis_products[a]``."""
     dim = kind.dim
-    norms = [0] * (len(rows) * dim)
-    for ii, row in enumerate(rows):
-        sums = [sum(map(abs, c)) for c in zip(*(num for entry in row for _, num in entry))]
+    norms = [0] * (len(bounds) * dim)
+    for ii, ((row,), scale, *_) in enumerate(bounds):
+        sums = map(sum, zip(*[[abs(y) * (scale // c.den) for y in c.num]
+                              for entry in row if entry for _, c in entry]))
         for x, products in zip(sums, kind.basis_products):
             for _, r, k in products:
                 norms[ii * dim + r] += x * abs(k)
@@ -354,7 +342,7 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet | Tau],
         raise SizeMismatch("products are compared as matrices; no factor is a JetMatrix")
     kind = next((f.kind for f in mats if f.kind.ext is not None), mats[0].kind)
     kappa = max(abs(k) for products in kind.basis_products for _, _, k in products)
-    bounds = {}  # id of a distinct matrix or jet -> its rows, s, low, span, size and padding
+    bounds = {}  # id of a distinct matrix or jet -> its terms, s, low, span, size and padding
     for f in mats:
         if id(f) not in bounds:
             if isinstance(f, JetMatrix) and f.n != n:
@@ -372,7 +360,7 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet | Tau],
     bits = (s_r * norm_l + s_l * norm_r).bit_length()
     low = min(low_l, low_r)
     width = bits * (max(low_l - low + span_l, low_r - low + span_r) + 1)
-    images = {key: _image(b, bits) for key, b in bounds.items()}
+    images = {key: _image(b, 1 << bits) for key, b in bounds.items()}
     col_l, col_r = (_column(kind, n, [(images[id(f)], tau) for f, tau in side], width)
                     for side in sides)
     scale_l, scale_r = s_r << (low_l - low) * bits, s_l << (low_r - low) * bits
@@ -396,43 +384,45 @@ def _pad(kind: ScalarKind, of: ScalarKind) -> tuple[int, ...]:
 
 
 def _bounds(rows) -> tuple:
-    """For jet rows: the rows, the lcm s of their denominators, their
-    lowest exponent and degree span, and s times the sum of the absolute
-    values of their numerators."""
+    """For jet rows: their terms, the lcm s of their denominators, their
+    lowest exponent low and degree span, and s times the sum of the
+    absolute values of their numerators.  The terms of an entry are None
+    if it is zero, else a list of (k, c) for each nonzero coefficient c of
+    t^(low + k), 0 <= k <= span."""
     entries = [e for row in rows for e in row if e.coeffs]
     if not entries:
-        return rows, 1, 0, 0, 0
+        return [[None] * len(row) for row in rows], 1, 0, 0, 0
     coeffs = [c for e in entries for c in e.coeffs]
     scale = lcm(*{c.den for c in coeffs})
     low = min(e.lowest_exp for e in entries)
     span = max(e.lowest_exp + len(e.coeffs) for e in entries) - 1 - low
     size = sum(map(abs, chain.from_iterable([c.num for c in coeffs])))
-    return rows, scale, low, span, scale * size
+    terms = [[[(k, c) for k, c in enumerate(e.coeffs, e.lowest_exp - low) if any(c.num)]
+              if e.coeffs else None for e in row] for row in rows]
+    return terms, scale, low, span, scale * size
 
 
-def _image(bounds: tuple, bits: int) -> list[list[tuple[int, ...] | None]]:
-    """The rows of ``_bounds`` times s * t^-low at t = 2^bits, as integer
-    coordinates followed by the padding of :func:`_pad`; None for a zero
-    entry.  Coefficient k of an entry with lowest exponent e weighs
-    s / den * 2^(bits * (e - low + k))."""
-    rows, scale, low, _, _, pad = bounds
+def _image(bounds: tuple, x: int) -> list[list[tuple[int, ...] | None]]:
+    """The terms of ``_bounds`` times s at t = x, from the powers x^0, ...,
+    x^span, as integer coordinates followed by the padding of
+    :func:`_pad`; None for a zero entry.  A term (k, c) weighs
+    s / den(c) * x^k."""
+    terms, scale, _, span, _, pad = bounds
+    powers = list(accumulate(repeat(x, span), mul, initial=1))
     out = []
-    for row in rows:
+    for row in terms:
         values = []
-        for e in row:
-            coeffs = e.coeffs
-            if not coeffs:
+        for entry in row:
+            if entry is None:
                 values.append(None)
-                continue
-            shift = (e.lowest_exp - low) * bits
-            if len(coeffs) == 1:
-                c = coeffs[0]
-                m = scale // c.den << shift
-                values.append(tuple([x * m for x in c.num]) + pad)
-                continue
-            weights = [scale // c.den << shift + k * bits for k, c in enumerate(coeffs)]
-            values.append(tuple([sum(map(mul, xs, weights))
-                                 for xs in zip(*[c.num for c in coeffs])]) + pad)
+            elif len(entry) == 1:
+                (k, c), = entry
+                m = scale // c.den * powers[k]
+                values.append(tuple([y * m for y in c.num]) + pad)
+            else:
+                weights = [scale // c.den * powers[k] for k, c in entry]
+                values.append(tuple([sum(map(mul, ys, weights))
+                                     for ys in zip(*[c.num for _, c in entry])]) + pad)
         out.append(values)
     return out
 
@@ -476,9 +466,3 @@ def _packed_row(row: list, width: int) -> tuple[int, ...] | None:
                 a + (v << shift) for a, v in zip(acc, y)]
         shift += width
     return acc and tuple(acc)
-
-
-def _evaluate(rows: list, x: int) -> list[list[tuple[int, ...] | None]]:
-    # integer rows at t = x; None for a zero entry
-    return [[tuple(map(sum, zip(*[[c * p for c in num] for e, num in entry for p in (x ** e,)])))
-             if entry else None for entry in row] for row in rows]

@@ -197,12 +197,14 @@ _QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}
 # A literal builds one coefficient per exponent of its window, so the
 # exponents of a sum's terms, or of a product's factors, may span at most
 # SPAN_LIMIT.  A power x^k builds n = (span(x) * |k| + 1) * dim numerators
-# of about size = bits(x) * |k| bits, bits(x) the longest numerator or the
-# scale of x.  SPAN_LIMIT, BITS_LIMIT and WORK_LIMIT bound its span, its
-# bits and its work: n^2 products to square and 32 per numerator to reduce
-# over a scale, of max(size, 256) * max(1, size / 4096) steps each.  A
-# product x * y of values takes one such product per pair of nonzero
-# numerators, of size = bits(x) + bits(y), and reduces at most
+# of about size = (bits(x) + m) * |k| bits, bits(x) the longest numerator
+# or the scale of x and m = ceil(log2 |mu|) for mu the kind's largest basis
+# multiplier (0 over base and quaternion; sqrt(d)^2 = d over quadratic(d)).
+# SPAN_LIMIT, BITS_LIMIT and WORK_LIMIT bound its span, its bits and its
+# work: n^2 products to square and 32 per numerator to reduce over a
+# scale, of max(size, 256) * max(1, size / 4096) steps each.  A product
+# x * y of values takes one such product per pair of nonzero numerators,
+# of size = bits(x) + bits(y) + m, and reduces at most
 # (span(x) + span(y) + 1) * dim numerators; WORK_LIMIT bounds it too.
 # Each limit is checked before its result is built.
 SPAN_LIMIT = 1 << 10
@@ -362,6 +364,11 @@ def _work(products: int, numerators: int, size: int, scaled: bool) -> int:
     return max(size, 256) * max(1, size >> 12) * (products + 32 * numerators * scaled)
 
 
+def _multiplier_bits(kind: ScalarKind) -> int:
+    # m above: ceil(log2 |mu|), mu the largest multiplier in e_u * e_v = mu * e_r
+    return (max(abs(mu) for row in kind.basis_products for _, _, mu in row) - 1).bit_length()
+
+
 def _product(cur: _Cursor, kind: ScalarKind, x: tuple, y: tuple, star: int | None) -> tuple:
     """``_times(kind, x, y)``, refused at the ``*`` at token ``star``
     before it is built when its work is above ``WORK_LIMIT``.  With no
@@ -369,7 +376,7 @@ def _product(cur: _Cursor, kind: ScalarKind, x: tuple, y: tuple, star: int | Non
     if star is not None:
         (nx, bx), (ny, by) = _size(x), _size(y)
         n = (_width(x[0]) + _width(y[0]) + 1) * kind.dim  # numerators the product may have
-        size = bx + by
+        size = bx + by + _multiplier_bits(kind)
         work = _work(nx * ny, min(nx * ny, n), size, x[1] > 1 or y[1] > 1)
         if work > WORK_LIMIT:
             raise SessionTypeError(
@@ -410,7 +417,7 @@ def _raised(cur: _Cursor, kind: ScalarKind, x: tuple, caret: int) -> tuple:
             f"power {exact_str(k)} of a value that is not a monomial: entries are exact "
             "Laurent polynomials; multiply u by the denominator and alpha by its norm",
             cur.line, cur.col(caret))
-    span, size = _width(rows) * abs(k), _size(x)[1] * abs(k)
+    span, size = _width(rows) * abs(k), (_size(x)[1] + _multiplier_bits(kind)) * abs(k)
     n = (span + 1) * kind.dim  # numerators built
     bits, work = (span + 1) * size, _work(n * n, n, size, scale > 1)
     if span > SPAN_LIMIT or bits > BITS_LIMIT or work > WORK_LIMIT:

@@ -10,16 +10,15 @@ matrices, so exact; a truncated alpha is refused when the witness is
 built.
 
 Nothing is inverted and nothing is sampled: every question is an exact
-identity or asks whether a rational matrix is singular.  The identities
-are decided on integers by ``matrices.first_difference``: each distinct
-operand is scaled once to integer polynomials (one lcm of its
-denominators, its exponents shifted to start at 0) and evaluated at X =
-2^B, and one packed column sum_j e_j * Y^j, Y = 2^W, is multiplied by
-each side's factors from the right (quaternions do not commute); each
-side is then scaled by the other's denominator and power of X, and the
-first differing column of a row is its lowest nonzero base-Y digit.  B
-and W come from the bounds in the ``matrices`` module docstring.  tau(u)
-is read from u's image, as its transpose with each coordinate
+identity or asks whether a rational matrix is singular, and each is
+decided on the integer image of the scaling paragraph of the
+``matrices`` module docstring, the image that the gauge's solve and
+``JetMatrix.field_invertible`` use too.  The identities go through
+``matrices.first_difference``: each distinct operand is evaluated once
+at X = 2^B, one packed column sum_j e_j * Y^j, Y = 2^W, is multiplied
+by each side's factors from the right (quaternions do not commute), and
+the first differing column of a row is its lowest nonzero base-Y digit.
+tau(u) is read from u's image, as its transpose with each coordinate
 conjugated, and an operand over the division kind gets zero coordinates
 on the etale root while it is evaluated, so a verified witness builds no
 copy of u, tau(u) or the gauges.  Only an entry that a result needs as a
@@ -35,10 +34,6 @@ central in ``transport_check``.
 * The commutant of a full lattice in M_n(D((t))) is the centre: u
   transports sigma1 to sigma2 (tau(x) * W = W * sigma1(x) on the order,
   W = tau(u) * a2 * u) iff W = c * a1 with c central.
-
-Invertibility over the Laurent field is decided exactly by
-``JetMatrix.field_invertible``, on the integer image of each connected
-component that the ``matrices`` module docstring describes.
 """
 
 from __future__ import annotations

@@ -275,9 +275,9 @@ def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
     dim = a.kind.dim
     out: list[list[int | None]] = [[None] * a.n for _ in range(a.n)]
     for comp in a._components():
-        lows, _, bits, det, cols = a._solve(comp)
+        bounds, bits, det, cols = a._solve(comp)
         vdet = _lowest_digit(det, bits)
-        for j, low, y in zip(comp, lows, cols):
+        for j, (_, _, low, *_), y in zip(comp, bounds, cols):
             for kk, k in enumerate(comp):
                 digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
                 if digits:

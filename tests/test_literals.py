@@ -223,12 +223,16 @@ LIMITED = [  # entry, token the error is at, message start
     ("(1 + t^1000)*(1 + t^1000)", "(", "a product of degree span 2000 is above the literal limit"),
     ("2^524289", "^", "power 524289 would build 1 coefficients and about 1048578 bits"),
     ("(3 + t)^800", "^", "power 800 would build 801 coefficients and about 1281600 bits"),
+    # sqrt(d)^2 = d: each factor may add the bits of |d| to the size
+    ("(1+sqrt(-1000003))^200000", "^", "power 200000 would build 1 coefficients and about "
+                                       "4200000 bits in about 17220000000 steps"),
 ]
+KIND_WORDS = {"(1+sqrt(-1000003))^200000": "quadratic(-1000003)"}  # the rest are base
 
 
 @pytest.mark.parametrize("entry, at, message", LIMITED)
 def test_a_literal_over_its_limits_is_a_type_error_before_it_is_built(entry, at, message):
-    text = session_with(entry)
+    text = session_with(entry, KIND_WORDS.get(entry, "base"))
     line = text.splitlines()[2]
     times = []
     for _ in range(3):  # the best of three, so a busy machine does not fail it

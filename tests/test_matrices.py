@@ -1,6 +1,8 @@
 """Fused jet-matrix products, and the integer image shared by
 field_invertible, inverse_valuations and inverse."""
 
+from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -9,7 +11,7 @@ from horders import matrices
 from horders.errors import NotInvertible, ScalarKindMismatch, SizeMismatch
 from horders.involutions import apply_tau
 from horders.matrices import JetMatrix, Tau, first_difference
-from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind
+from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
 
 from helpers import (_poly_det, entrywise, onto, random_jet, random_scalar,
                      ref_gauss_jordan_inverse, ref_matmul, rows_agree)
@@ -313,6 +315,48 @@ def test_first_difference_matches_the_jet_products(kind):
             assert first_difference([planted], left) == want, name
             seen.add(name)
     assert len(seen) == 5
+
+
+def ref_image(rows, x, pad):
+    """s * x^-low * entry(x) for each entry of the jet rows, in Fractions:
+    s the lcm of the denominators of their coordinates, low their lowest
+    exponent; each value's coordinates, then pad; None for a zero entry."""
+    entries = [e for row in rows for e in row if e.coeffs]
+    scale = lcm(*(Fraction(y, c.den).denominator for e in entries for c in e.coeffs
+                  for y in c.num))
+    low = min((e.lowest_exp for e in entries), default=0)
+    return [[tuple(scale * sum(Fraction(c.num[a], c.den) * Fraction(x) ** (e.lowest_exp + k - low)
+                               for k, c in enumerate(e.coeffs))
+                   for a in range(e.kind.dim)) + pad if e.coeffs else None
+             for e in row] for row in rows]
+
+
+IMAGE_KINDS = [BASE, quadratic(-3), QUATERNION, QUATERNION.extended(3)]
+
+
+@pytest.mark.parametrize("kind", IMAGE_KINDS, ids=str)
+def test_the_image_is_the_scaled_rows_at_every_point(kind):
+    # one _image serves the solve (each row scaled on its own), field_invertible
+    # (at t = 1, ..., D + 1) and first_difference (the whole factor scaled, at
+    # 2^B, a factor over the core of an extended kind padded onto it)
+    rng = Random(f"image:{kind}")
+    kinds = [kind] if kind.ext is None else [kind, ScalarKind(kind.core, kind.d)]
+    for of in kinds:
+        pad = matrices._pad(kind, of)
+        for n in (1, 2, 3, 4):
+            rows = [[_engine_jet(of, rng) for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)][rng.randrange(n)] = LaurentJet.zero(of)
+            # a long window with five zero coefficients inside it
+            ends = [Scalar(of, [Q(rng.randint(1, 5), rng.choice((1, 2, 3))) for _ in range(of.dim)])
+                    for _ in range(2)]
+            rows[rng.randrange(n)][rng.randrange(n)] = LaurentJet(
+                of, -1, ends[:1] + [Scalar(of, [0] * of.dim)] * 5 + ends[1:])
+            for x in (1, 2, 3, 2 ** 61):
+                assert matrices._image(matrices._bounds(rows) + (pad,), x) == ref_image(
+                    rows, x, pad)
+                for row in rows:
+                    assert matrices._image(matrices._bounds((row,)) + (pad,), x) == ref_image(
+                        [row], x, pad)
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)

@@ -1,10 +1,14 @@
 """tools/op_mix.py: one timed cycle lists every query kind or scenario,
-then the per-op median and the kind of the op that holds it."""
+then the per-op median and the kind of the op that holds it; with
+--against, a revision timed against this checkout in one process."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from horders.witness import SCENARIOS
 
@@ -68,3 +72,45 @@ def test_one_corpus_cycle_parses_and_runs_every_slot():
     assert [row[3] for row in slot] == ["parse", "run"]
     assert abs(float(median) - sum(float(row[-1]) for row in slot)) <= 1.1e-3
     assert "FAILED" not in proc.stdout
+
+
+AB = re.compile(r"ratio change/parent (\d+\.\d{3}), change won (\d+) of (\d+) cycles")
+
+
+@pytest.fixture(scope="module")
+def committed(tmp_path_factory):
+    """A git repository holding this checkout's src, perfbench and tools as
+    its HEAD, so --against HEAD runs wherever the tests do."""
+    root = tmp_path_factory.mktemp("op-mix")
+    for name in ("src", "perfbench", "tools"):
+        shutil.copytree(ROOT / name, root / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "_work"))
+    for argv in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "t"]):
+        subprocess.run(["git", *argv], cwd=root, check=True, capture_output=True)
+    return root
+
+
+@pytest.mark.parametrize("workload", ["replay", "corpus"])
+def test_a_revision_against_itself_gives_the_same_reports(committed, workload):
+    proc = subprocess.run([sys.executable, str(committed / "tools" / "op_mix.py"), workload,
+                           "--cycles", "2", "--against", "HEAD"],
+                          cwd=committed, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == (f"{workload}, seed 61, 2 alternating cycles against HEAD "
+                        "(median ms per cycle)")
+    sides = [line.split() for line in lines[1:3]]
+    assert [side[0] for side in sides] == ["parent", "change"]
+    assert all(float(side[1]) > 0 for side in sides)
+    ratio, won, cycles = AB.fullmatch(lines[3]).groups()
+    assert float(ratio) > 0 and 0 <= int(won) <= int(cycles) == 2
+    assert len(lines) == 4  # no REPORTS DIFFER and no FAILED line
+
+
+def test_patterns_is_refused_against_a_revision():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "op_mix.py"), "patterns",
+                           "--against", "HEAD"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--against runs replay or corpus" in proc.stderr

@@ -19,13 +19,31 @@ analogue of the benchmark's ``op_ms_p50`` without its host scaling,
 and the kind of the op at that rank.  Every op is checked against what
 its construction predicts, and a failed check makes the exit status 1.  Nothing under
 ``perfbench/`` is changed.
+
+With ``--against REV`` (``replay`` and ``corpus`` only) the script is a
+same-process A/B instead::
+
+    python3 tools/op_mix.py corpus --cycles 40 --against HEAD~1
+
+REV's ``src/horders`` is exported with ``bench_pairs.export_revision``
+into a temporary directory and imported as the package
+``horders_against``.  After one untimed warm-up cycle per side, the
+parent (REV) and the change (this checkout) run the same cycles in turn,
+the parent first in even cycles; each side's median cycle time, the
+ratio change/parent and the cycles the change won are printed.  The two
+sides' canonical op outputs must agree, and the exit status is 1 if they
+differ or a change op fails its check.  ``patterns`` is refused: its
+checks import ``horders.errors`` by name, so they cannot tell the two
+packages apart.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import statistics
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
@@ -68,17 +86,80 @@ def op_cycle(source, cycle: int):
         yield (i, op.key), op.key, seconds, op.check(result)
 
 
+def import_revision(rev: str, dest: Path):
+    """REV's ``src/horders``, exported into ``dest`` and imported as the
+    package ``horders_against``."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    from bench_pairs import export_revision
+
+    export_revision(ROOT, rev, dest)
+    (dest / "src" / "horders").rename(dest / "horders_against")
+    sys.path.insert(0, str(dest))
+    return importlib.import_module("horders_against")
+
+
+def ab_cycle(source, cycle: int):
+    """The seconds of one cycle of ``source`` and its ops' results."""
+    seconds, results = 0.0, []
+    for i in range(cycle * source.cycle, (cycle + 1) * source.cycle):
+        op = source[i]
+        result, spent = _timed(op.run)
+        seconds += spent
+        results.append((op, result))
+    return seconds, results
+
+
+def against(workload: str, parent, change, workloads, seed: int, cycles: int, rev: str) -> int:
+    make = workloads.replay_ops if workload == "replay" else workloads.corpus_ops
+    sources = {"parent": make(parent, seed), "change": make(change, seed)}
+    times: dict[str, list[float]] = {"parent": [], "change": []}
+    problems = []
+    for k in range(cycles + 1):  # cycle 0 warms both sides up, untimed
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        runs = {side: ab_cycle(sources[side], k) for side in order}
+        for (op, a), (_, b) in zip(runs["parent"][1], runs["change"][1]):
+            if op.output(a) != op.output(b):
+                problems.append(f"REPORTS DIFFER: cycle {k}, {op.key}")
+            if failure := op.check(b):
+                problems.append(f"FAILED {op.key}: {failure}")
+        if k:
+            for side in order:
+                times[side].append(runs[side][0])
+    medians = {side: statistics.median(t) for side, t in times.items()}
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    print(f"{workload}, seed {seed}, {cycles} alternating cycles against {rev} "
+          f"(median ms per cycle)")
+    for side, median in medians.items():
+        print(f"  {side}  {median * 1e3:9.3f}")
+    print(f"ratio change/parent {medians['change'] / medians['parent']:.3f}, "
+          f"change won {wins} of {cycles} cycles")
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=("patterns", "replay", "corpus"))
     parser.add_argument("--seed", type=int, default=61)
     parser.add_argument("--cycles", type=int, default=20)
+    parser.add_argument("--against", metavar="REV",
+                        help="time against revision REV in the same process")
     args = parser.parse_args(argv)
     if args.cycles < 1:
         parser.error("--cycles must be positive")
+    if args.against is not None and args.workload == "patterns":
+        parser.error("--against runs replay or corpus: the patterns checks import "
+                     "horders.errors by name")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import horders as h
     import workloads
+
+    if args.against is not None:
+        with tempfile.TemporaryDirectory(prefix="op-mix-") as tmp:
+            parent = import_revision(args.against, Path(tmp))
+            return against(args.workload, parent, h, workloads, args.seed, args.cycles,
+                           args.against)
 
     if args.workload == "corpus":
         def cycle(k):
