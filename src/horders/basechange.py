@@ -89,9 +89,11 @@ def descend_signature(parts: tuple[int, ...], s: int, t: int) -> Signature:
 def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
     """Index permutation of {0, ..., s*t*n - 1} mapping the tensor layout
     (inner position i, unramified copy j, matrix position k) to the
-    block layout (i, k, j); returned as image[index]."""
+    block layout (i, k, j); returned as image[index].  A permutation
+    longer than ``SH_LIMIT`` raises :class:`SizeLimit` before it is built."""
     check_residue(s, t)
     n = sig.n
+    _check_size(s, t, n)
     row = [i + s * n * j for j in range(t) for i in range(s)]
     return tuple([s * k + x for k in range(n) for x in row])
 
@@ -107,13 +109,13 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
     a strictly increasing function of key(x).  All t * r keys (j, b)
     occur and there are t * r target blocks, so that function must send
     key (j, b) to its rank j * r + b.  B is read from the parts, not from
-    that closed form, so the comparison still tests perm.
+    that closed form, so the comparison still tests perm, which is built
+    first: :func:`sh_permutation` checks s, t and the size.
     """
-    check_residue(s, t)
-    _check_size(s, t, sig.n)
+    perm = sh_permutation(s, t, sig)
     target = block_index(sh_parts(sig.parts, s, t))
     ranks = [a // s * sig.r for a in range(s * t)]
-    return list(map(target.__getitem__, sh_permutation(s, t, sig))) == [
+    return list(map(target.__getitem__, perm)) == [
         j + b for b in sig.block_index() for j in ranks]
 
 

@@ -4,9 +4,9 @@ A block order over a complete discretely valued coefficient ring is
 described by a division datum and a tuple of block sizes.  Membership is
 a family of entrywise valuation bounds, encoded as an integer pattern
 matrix; pattern matrices multiply in the min-plus semiring, which is how
-ideal products compose at the level of valuation constraints.  A block
-pattern repeats its rows and columns, so a product reduces each distinct
-row against each distinct column once, and a power is squared on the
+ideal products compose at the level of valuation constraints.  The
+product is the plain n*n*n kernel; only a power uses block structure: a
+block pattern repeats its rows and columns, so it is squared on the
 quotient that keeps one position per block.  The block sizes matter
 only up to cyclic rotation, and with the division datum decide isomorphism.
 """
@@ -14,7 +14,7 @@ only up to cyclic rotation, and with the division datum decide isomorphism.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import add
+from operator import add, index
 
 from .errors import ScalarKindMismatch, SizeMismatch, _set, record
 from .matrices import JetMatrix
@@ -22,7 +22,7 @@ from .scalars import BASE, ScalarKind, _power
 
 
 def check_residue(s: int, t: int) -> None:
-    if s < 1 or t < 1:
+    if min(index(s), index(t)) < 1:
         raise ValueError("residue parameters s, t must be positive")
 
 
@@ -49,16 +49,16 @@ class DivisionSpec:
 
 @record
 class Signature:
-    """Nonempty tuple of positive block sizes, read from any iterable of
-    positive ints; the parts are read once, checked, then converted."""
+    """Nonempty tuple of positive block sizes, read once from any iterable
+    of positive ints; a part that is not an integer raises TypeError."""
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]) -> None:
-        parts = tuple(parts)
+        parts = tuple(map(index, parts))
         if not parts or min(parts) < 1:
             raise ValueError("signature parts must be positive integers")
-        _set(self, "parts", tuple(map(int, parts)))
+        _set(self, "parts", parts)
 
     @property
     def n(self) -> int:
@@ -117,20 +117,29 @@ class PatternMatrix:
         return len(self.entries)
 
     def shift(self, k: int) -> "PatternMatrix":
-        """Add k to every entry; equal rows share one shifted row."""
+        """Add k to every entry; equal rows share one shifted row.  The
+        rows keep their number and length, so the result is square."""
         done = {row: tuple([e + k for e in row]) for row in dict.fromkeys(self.entries)}
-        return PatternMatrix(tuple([done[row] for row in self.entries]))
+        return _pattern(tuple([done[row] for row in self.entries]))
+
+
+def _pattern(entries: tuple[tuple[int, ...], ...]) -> PatternMatrix:
+    """A PatternMatrix, unchecked: each caller proves its entries square."""
+    p = object.__new__(PatternMatrix)
+    _set(p, "entries", entries)
+    return p
 
 
 def _block_pattern(sig: Signature, diagonal: int) -> PatternMatrix:
-    """0 below the block diagonal, 1 above it and ``diagonal`` on it: one
-    row tuple per block, repeated over the block's positions."""
+    """0 below the block diagonal, 1 above it and ``diagonal`` on it: a
+    block of p positions repeats one row of ones + (n - ones) = n entries
+    (ones <= n) p times, and the parts sum to n, so there are n rows."""
     n, rows, start = sig.n, [], 0
     for p in sig.parts:
         ones = start if diagonal else start + p
         rows += [(0,) * ones + (1,) * (n - ones)] * p
         start += p
-    return PatternMatrix(tuple(rows))
+    return _pattern(tuple(rows))
 
 
 def pattern_of(sig: Signature) -> PatternMatrix:
@@ -146,23 +155,13 @@ def radical_pattern(sig: Signature) -> PatternMatrix:
 def pattern_mul(p: PatternMatrix, q: PatternMatrix) -> PatternMatrix:
     """Min-plus product; composes entrywise valuation constraints.
 
-    Each distinct row of p is reduced against each distinct column of q
-    once, so a product of block patterns with r blocks takes r*r
-    reductions, not n*n; equal rows of p share one output row."""
+    The plain kernel, blind to blocks (:func:`pattern_pow` uses them):
+    each of p's n rows against each of q's n columns, an n x n result."""
     if p.n != q.n:
         raise SizeMismatch(f"{p.n} vs {q.n}")
-    index: dict[tuple[int, ...], int] = {}
-    pick = [index.setdefault(col, len(index)) for col in zip(*q.entries)]
-    cols = tuple(index)
-    done: dict[tuple[int, ...], tuple[int, ...]] = {}
-    out = []
-    for row in p.entries:
-        got = done.get(row)
-        if got is None:
-            mins = [min(map(add, row, col)) for col in cols]
-            got = done[row] = tuple([mins[k] for k in pick])
-        out.append(got)
-    return PatternMatrix(tuple(out))
+    cols = tuple(zip(*q.entries))
+    return _pattern(tuple([tuple([min(map(add, row, col)) for col in cols])
+                           for row in p.entries]))
 
 
 def pattern_pow(p: PatternMatrix, r: int) -> PatternMatrix:
@@ -173,20 +172,21 @@ def pattern_pow(p: PatternMatrix, r: int) -> PatternMatrix:
     p[i][j] = Q[pi(i)][pi(j)].  By induction (p^k)[i][j] =
     (Q^k)[pi(i)][pi(j)], since the minimum over positions m of
     (Q^k)[pi(i)][pi(m)] + Q[pi(m)][pi(j)] is the minimum over the
-    classes, none of which is empty.  So Q (c x c for c blocks) takes the
-    (r.bit_length() - 1) + (r.bit_count() - 1) products (exact: min-plus
-    products associate), and the result is expanded once."""
-    if r < 1:
+    classes, none of which is empty.  So the c x c Q (a row per class,
+    read at the c representatives) takes the (r.bit_length() - 1) +
+    (r.bit_count() - 1) products (exact: min-plus products associate),
+    and is expanded once, to the n rows pi picks, each read at pi."""
+    if index(r) < 1:
         raise ValueError("power must be positive")
     if r == 1:
         return p
     classes: dict[tuple, int] = {}
     pi = [classes.setdefault(key, len(classes)) for key in zip(p.entries, zip(*p.entries))]
     reps = list(map(pi.index, range(len(classes))))
-    q = PatternMatrix(tuple([tuple(map(row.__getitem__, reps)) for row, _ in classes]))
+    q = _pattern(tuple([tuple(map(row.__getitem__, reps)) for row, _ in classes]))
     out = _power(q, r, pattern_mul)
     rows = [tuple(map(row.__getitem__, pi)) for row in out.entries]
-    return PatternMatrix(tuple(map(rows.__getitem__, pi)))
+    return _pattern(tuple(map(rows.__getitem__, pi)))
 
 
 def meets_pattern(x: JetMatrix, p: PatternMatrix) -> tuple[bool, tuple[int, int] | None]:

@@ -224,6 +224,15 @@ def test_sh_order_refuses_a_result_longer_than_its_bound_before_building_it(monk
             sh_order(BlockOrder(DivisionSpec("D", BASE, s, t), sig(*parts)))
 
 
+def test_sh_permutation_refuses_a_result_longer_than_its_bound():
+    limit = basechange.SH_LIMIT
+    assert len(sh_permutation(2, 2, sig(limit // 4))) == limit
+    for s, t, parts in [(1, 1, (limit + 1,)), (2, 2, (limit // 4, 1)), (1, 5, (1,) * 13108)]:
+        size = s * t * sum(parts)
+        with pytest.raises(SizeLimit, match=f"base change to size {size} exceeds the bound {limit}"):
+            sh_permutation(s, t, sig(*parts))
+
+
 OVER_THE_BOUND = [(1, 100000, (4, 2)), (1, 1, ((1 << 16) + 1,)), (2, 2, ((1 << 14), 1)),
                   (1, 1, (10 ** 22,))]
 
@@ -361,6 +370,22 @@ def test_sh_permutation_rejects_residue_parameters_below_one(s, t):
 def test_verify_sh_pattern_rejects_residue_parameters_below_one(s, t):
     with pytest.raises(ValueError, match=RESIDUE):
         verify_sh_pattern(s, t, sig(2, 2))
+
+
+RESIDUE_CALLS = {
+    "sh_signature": lambda s, t: sh_signature(sig(2, 1), s, t),
+    "descend_signature": lambda s, t: descend_signature((2, 2), s, t),
+    "sh_permutation": lambda s, t: sh_permutation(s, t, sig(2, 2)),
+    "verify_sh_pattern": lambda s, t: verify_sh_pattern(s, t, sig(2, 2)),
+    "DivisionSpec": lambda s, t: DivisionSpec("D", BASE, s, t),
+}
+
+
+@pytest.mark.parametrize("call", RESIDUE_CALLS)
+@pytest.mark.parametrize("s, t", [(1.5, 2), (2, 1.0), (0, 1.5)])
+def test_non_integral_residue_parameters_are_refused_not_truncated(call, s, t):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        RESIDUE_CALLS[call](s, t)
 
 
 def test_grid_has_the_documented_size():

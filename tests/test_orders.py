@@ -79,13 +79,13 @@ def test_signature_rejects_parts_below_one(parts):
 
 
 def test_signature_converts_its_parts_to_an_int_tuple():
-    with pytest.raises(TypeError):
-        Signature(("3",))
-    with pytest.raises(TypeError):
-        Signature((2, "3"))
-    for parts in [(4, 2), [4, 2], (4.0, True + 1)]:
+    # a part that is not an integer is refused, not truncated
+    for parts in [("3",), (2, "3"), (2.5, 1), (4.0, 2)]:
+        with pytest.raises(TypeError):
+            Signature(parts)
+    for parts in [(4, 1), [4, 1], (4, True)]:
         sig = Signature(parts)
-        assert sig.parts == (4, 2) and all(type(p) is int for p in sig.parts)
+        assert sig.parts == (4, 1) and all(type(p) is int for p in sig.parts)
 
 
 def test_signature_reads_an_iterator_once():
@@ -116,13 +116,17 @@ def test_radical_patterns():
     assert radical_pattern(Signature((1, 2))).entries == ((1, 1, 1), (0, 1, 1), (0, 1, 1))
 
 
+def _random_parts(rng, n):
+    parts = []
+    while sum(parts) < n:
+        parts.append(rng.randint(1, n - sum(parts)))
+    return tuple(parts)
+
+
 def _random_pattern(rng, n):
     """A shifted block pattern of n positions, or arbitrary small integers."""
     if rng.random() < 0.5:
-        parts = []
-        while sum(parts) < n:
-            parts.append(rng.randint(1, n - sum(parts)))
-        sig = Signature(tuple(parts))
+        sig = Signature(_random_parts(rng, n))
         base = rng.choice((pattern_of, radical_pattern))(sig)
         return base.shift(rng.randint(-2, 2))
     return PatternMatrix(tuple(
@@ -177,6 +181,8 @@ def test_pattern_pow_equals_repeated_products():
             assert pattern_pow(p, r).entries == power, (p, r)
     with pytest.raises(ValueError):
         pattern_pow(p, 0)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        pattern_pow(p, 2.5)
 
 
 def _pattern_with_repeats(rng, n):
@@ -241,6 +247,31 @@ def test_pattern_pow_squares_through_the_module_level_product(monkeypatch):
         calls.clear()
         orders.pattern_pow(p, r)
         assert len(calls) == (r.bit_length() - 1) + (r.bit_count() - 1), r
+
+
+def test_unchecked_patterns_are_square_and_match_the_references():
+    """Patterns built without the row-length check equal the checked
+    construction of their entries, their references, and multiply as the
+    independent min-plus product does."""
+    rng = Random(53)
+    for _ in range(150):
+        n = rng.randint(1, 18)
+        sig = Signature(_random_parts(rng, n))
+        blk = sig.block_index()
+        a, b = _random_pattern(rng, n), _random_pattern(rng, n)
+        k, r = rng.randint(-3, 3), rng.randint(2, 7)
+        power = a.entries
+        for _ in range(r - 1):
+            power = minplus_oracle(power, a.entries)
+        for got, want in [
+            (pattern_of(sig), tuple(tuple(int(bi < bj) for bj in blk) for bi in blk)),
+            (radical_pattern(sig), tuple(tuple(int(bi <= bj) for bj in blk) for bi in blk)),
+            (a.shift(k), tuple(tuple(e + k for e in row) for row in a.entries)),
+            (pattern_mul(a, b), minplus_oracle(a.entries, b.entries)),
+            (pattern_pow(a, r), power),
+        ]:
+            assert PatternMatrix(got.entries) == got and got.entries == want, (sig, a, b, k, r)
+            assert pattern_mul(got, got).entries == minplus_oracle(want, want)
 
 
 def test_radical_square_frozen_value():

@@ -20,8 +20,7 @@ and the kind of the op at that rank.  Every op is checked against what
 its construction predicts, and a failed check makes the exit status 1.  Nothing under
 ``perfbench/`` is changed.
 
-With ``--against REV`` (``replay`` and ``corpus`` only) the script is a
-same-process A/B instead::
+With ``--against REV`` the script is a same-process A/B instead::
 
     python3 tools/op_mix.py corpus --cycles 40 --against HEAD~1
 
@@ -31,10 +30,10 @@ into a temporary directory and imported as the package
 parent (REV) and the change (this checkout) run the same cycles in turn,
 the parent first in even cycles; each side's median cycle time, the
 ratio change/parent and the cycles the change won are printed.  The two
-sides' canonical op outputs must agree, and the exit status is 1 if they
-differ or a change op fails its check.  ``patterns`` is refused: its
-checks import ``horders.errors`` by name, so they cannot tell the two
-packages apart.
+sides' canonical op outputs must agree (an error by its class name), and
+the exit status is 1 if they differ or a change op fails its check.  Only
+the change side's ops are checked: the ``patterns`` checks import
+``horders.errors`` by name, so they cannot judge REV's errors.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def ab_cycle(source, cycle: int):
 
 
 def against(workload: str, parent, change, workloads, seed: int, cycles: int, rev: str) -> int:
-    make = workloads.replay_ops if workload == "replay" else workloads.corpus_ops
+    make = getattr(workloads, f"{workload}_ops")
     sources = {"parent": make(parent, seed), "change": make(change, seed)}
     times: dict[str, list[float]] = {"parent": [], "change": []}
     problems = []
@@ -148,9 +147,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cycles < 1:
         parser.error("--cycles must be positive")
-    if args.against is not None and args.workload == "patterns":
-        parser.error("--against runs replay or corpus: the patterns checks import "
-                     "horders.errors by name")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import horders as h
     import workloads
