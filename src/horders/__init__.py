@@ -25,8 +25,8 @@ _EXPORTS = {
     "involutions": (
         "ANISOTROPIC", "DISTINGUISHED", "INCONCLUSIVE", "ISOTROPIC", "DistinguishResult",
         "InvolutionSpec", "IsotropyResult", "ResidueBlock", "ResidueInvolution", "anisotropy",
-        "apply_sigma", "apply_tau", "diagonalize_form", "distinguish",
-        "residually_anisotropic", "residue_involution", "residue_isotropy", "wellformed",
+        "apply_sigma", "diagonalize_form", "distinguish", "residually_anisotropic",
+        "residue_involution", "residue_isotropy", "wellformed",
     ),
     "matrices": ("JetMatrix",),
     "orders": (

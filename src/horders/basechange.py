@@ -92,8 +92,12 @@ def sh_permutation(s: int, t: int, sig: Signature) -> tuple[int, ...]:
     block layout (i, k, j); returned as image[index].  A permutation
     longer than ``SH_LIMIT`` raises :class:`SizeLimit` before it is built."""
     check_residue(s, t)
-    n = sig.n
-    _check_size(s, t, n)
+    _check_size(s, t, sig.n)
+    return _sh_permutation(s, t, sig.n)
+
+
+def _sh_permutation(s: int, t: int, n: int) -> tuple[int, ...]:
+    """The permutation of :func:`sh_permutation` for size n, unchecked."""
     row = [i + s * n * j for j in range(t) for i in range(s)]
     return tuple([s * k + x for k in range(n) for x in row])
 
@@ -124,12 +128,12 @@ def sh_order(order: BlockOrder) -> ShResult:
     datum (base scalars, s = t = 1) labelled after the input.  A result
     longer than ``SH_LIMIT`` raises :class:`SizeLimit` before any of it
     is built."""
-    d = order.division
-    _check_size(d.s, d.t, order.sig.n)
+    d, n = order.division, order.sig.n
+    _check_size(d.s, d.t, n)  # its DivisionSpec has checked s and t
     split = DivisionSpec(d.label + "_sh", BASE, 1, 1)
     return ShResult(
-        order=BlockOrder(split, sh_signature(order.sig, d.s, d.t)),
-        perm=sh_permutation(d.s, d.t, order.sig),
+        order=BlockOrder(split, Signature(sh_parts(order.sig.parts, d.s, d.t))),
+        perm=_sh_permutation(d.s, d.t, n),
     )
 
 

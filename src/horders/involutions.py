@@ -122,7 +122,7 @@ class ResidueInvolution:
 class IsotropyResult:
     verdict: str
     signature: tuple[int, int]
-    witness: SMat | None = None
+    witness: tuple[Scalar, ...] | None = None
 
     @property
     def is_anisotropic(self) -> bool:
@@ -143,18 +143,13 @@ class DistinguishResult:
 # The involution itself
 
 
-def apply_tau(x: JetMatrix) -> JetMatrix:
-    """Conjugate-transpose with the scalar conjugation."""
-    return x.conj_transpose()
-
-
 def apply_sigma(spec: InvolutionSpec, x: JetMatrix) -> JetMatrix:
     """sigma(x) = a^-1 * tau(x) * a, for a gauge a that is a unit (else NotInvertible)."""
     if x.kind != spec.gauge.kind:
         raise ScalarKindMismatch(f"element over {x.kind}, gauge over {spec.gauge.kind}")
     if x.n != spec.gauge.n:
         raise SizeMismatch(f"element is {x.n}x{x.n}, gauge {spec.gauge.n}x{spec.gauge.n}")
-    return spec.gauge.inverse() @ apply_tau(x) @ spec.gauge
+    return spec.gauge.inverse() @ x.conj_transpose() @ spec.gauge
 
 
 def _is_eps_hermitian(a: JetMatrix, epsilon: int) -> bool:
@@ -248,32 +243,6 @@ def _residue_of(spec: InvolutionSpec) -> ResidueInvolution:
 
 
 # ---------------------------------------------------------------------------
-# Scalar matrices (the residue world)
-
-
-def smat_identity(kind: ScalarKind, n: int) -> SMat:
-    z, o = Scalar.zero(kind), Scalar.one(kind)
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def smat_mul(a: SMat, b: SMat) -> SMat:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                  Scalar.zero(a[0][0].kind)) for j in range(n))
-        for i in range(n))
-
-
-def smat_conj_transpose(m: SMat) -> SMat:
-    n = len(m)
-    return tuple(tuple(m[j][i].conj() for j in range(n)) for i in range(n))
-
-
-def smat_is_zero(m: SMat) -> bool:
-    return all(e.is_zero() for row in m for e in row)
-
-
-# ---------------------------------------------------------------------------
 # Hermitian diagonalisation and isotropy
 
 
@@ -291,7 +260,8 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     n = len(b)
     kind = b[0][0].kind
     work = [list(row) for row in b]
-    trans = [list(row) for row in smat_identity(kind, n)]
+    zero, one = Scalar.zero(kind), Scalar.one(kind)
+    trans = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def col_add(j: int, k: int, c: Scalar) -> None:
         # basis change e_j <- e_j + e_k * c, applied two-sidedly
@@ -396,9 +366,8 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     exactly.  Then v = C * (y * e_i + e_j) is isotropic with no check:
     v^* * b * v = conj(y) * d_i * y + d_j = rho * d_i + d_j = 0, since d_i
     is rational and so central.  And v != 0, since C is invertible and
-    the e_j coordinate of y * e_i + e_j is 1.  The witness is the rank-one
-    matrix whose only nonzero column is v; it is omitted when no ratio
-    is found to be a norm.
+    the e_j coordinate of y * e_i + e_j is 1.  The witness is v, a tuple
+    of n scalars; it is omitted when no ratio is found to be a norm.
     """
     _refuse_alternating(epsilon)
     if kind.ext is not None:
@@ -407,7 +376,9 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
         for e in row:
             if e.kind != kind:
                 raise ScalarKindMismatch(f"form entry over {e.kind}, expected {kind}")
-    if smat_conj_transpose(b) != b:
+    n = len(b)
+    if any(len(row) != n for row in b) or any(
+            b[j][i].conj() != b[i][j] for i in range(n) for j in range(i, n)):
         raise NotEpsilonHermitian("form matrix is not hermitian")
     return _decide_isotropy(b, kind)
 
@@ -422,7 +393,6 @@ def _decide_isotropy(b: SMat, kind: ScalarKind) -> IsotropyResult:
     signature = tuple(sorted((pos, neg), reverse=True))
     if pos == 0 or neg == 0:
         return IsotropyResult(ANISOTROPIC, signature)
-    zero = Scalar.zero(kind)
     for i in range(n):
         if diag[i] <= 0:
             continue
@@ -431,8 +401,8 @@ def _decide_isotropy(b: SMat, kind: ScalarKind) -> IsotropyResult:
                 continue
             y = represent_norm(kind, -Q(diag[j]) / Q(diag[i]))
             if y is not None:
-                return IsotropyResult(ISOTROPIC, signature, tuple(
-                    (trans[r][i] * y + trans[r][j],) + (zero,) * (n - 1) for r in range(n)))
+                return IsotropyResult(ISOTROPIC, signature,
+                                      tuple(row[i] * y + row[j] for row in trans))
     return IsotropyResult(ISOTROPIC, signature)
 
 

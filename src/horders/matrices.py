@@ -213,7 +213,7 @@ class JetMatrix:
             if not all(sizes):
                 return False  # an exactly zero row is singular at every point
             points = self.kind.dim * sum(spans) + 1
-            return any(_bareiss(m := left_regular(self.kind, [_image(b, x)[0] for b in bounds]),
+            return any(_bareiss(m := left_regular(self.kind, [r[0] for r in _image(bounds, x)]),
                                 len(m)) for x in range(1, points + 1))
 
         return all(nonsingular(self._row_bounds(comp)) for comp in self._components())
@@ -264,7 +264,7 @@ class JetMatrix:
         component; raises NotInvertible if it is singular."""
         bounds = self._row_bounds(comp)
         bits = prod(_row_norms(self.kind, bounds)).bit_length() + 1
-        det, cols = _unit_solve(self.kind, [_image(b, 1 << bits)[0] for b in bounds])
+        det, cols = _unit_solve(self.kind, [r[0] for r in _image(bounds, 1 << bits)])
         if det == 0:
             raise NotInvertible("gauge is not invertible over the Laurent field")
         return bounds, bits, det, cols
@@ -360,7 +360,7 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet | Tau],
     bits = (s_r * norm_l + s_l * norm_r).bit_length()
     low = min(low_l, low_r)
     width = bits * (max(low_l - low + span_l, low_r - low + span_r) + 1)
-    images = {key: _image(b, 1 << bits) for key, b in bounds.items()}
+    images = dict(zip(bounds, _image(list(bounds.values()), 1 << bits)))
     col_l, col_r = (_column(kind, n, [(images[id(f)], tau) for f, tau in side], width)
                     for side in sides)
     scale_l, scale_r = s_r << (low_l - low) * bits, s_l << (low_r - low) * bits
@@ -402,28 +402,30 @@ def _bounds(rows) -> tuple:
     return terms, scale, low, span, scale * size
 
 
-def _image(bounds: tuple, x: int) -> list[list[tuple[int, ...] | None]]:
-    """The terms of ``_bounds`` times s at t = x, from the powers x^0, ...,
-    x^span, as integer coordinates followed by the padding of
-    :func:`_pad`; None for a zero entry.  A term (k, c) weighs
-    s / den(c) * x^k."""
-    terms, scale, _, span, _, pad = bounds
-    powers = list(accumulate(repeat(x, span), mul, initial=1))
+def _image(bounds: list, x: int) -> list[list[list[tuple[int, ...] | None]]]:
+    """The terms of each ``_bounds`` in ``bounds`` times its s at t = x,
+    from one list of the powers x^0, ..., x^m, m their largest span, as
+    integer coordinates followed by the padding of :func:`_pad`; None for
+    a zero entry.  A term (k, c) weighs s / den(c) * x^k."""
+    powers = list(accumulate(repeat(x, max(b[3] for b in bounds)), mul, initial=1))  # b[3]: span
     out = []
-    for row in terms:
-        values = []
-        for entry in row:
-            if entry is None:
-                values.append(None)
-            elif len(entry) == 1:
-                (k, c), = entry
-                m = scale // c.den * powers[k]
-                values.append(tuple([y * m for y in c.num]) + pad)
-            else:
-                weights = [scale // c.den * powers[k] for k, c in entry]
-                values.append(tuple([sum(map(mul, ys, weights))
-                                     for ys in zip(*[c.num for _, c in entry])]) + pad)
-        out.append(values)
+    for terms, scale, *_, pad in bounds:
+        rows = []
+        for row in terms:
+            values = []
+            for entry in row:
+                if entry is None:
+                    values.append(None)
+                elif len(entry) == 1:
+                    (k, c), = entry
+                    m = scale // c.den * powers[k]
+                    values.append(tuple([y * m for y in c.num]) + pad)
+                else:
+                    weights = [scale // c.den * powers[k] for k, c in entry]
+                    values.append(tuple([sum(map(mul, ys, weights))
+                                         for ys in zip(*[c.num for _, c in entry])]) + pad)
+            rows.append(values)
+        out.append(rows)
     return out
 
 

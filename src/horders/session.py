@@ -31,7 +31,7 @@ from collections.abc import Callable
 from itertools import islice
 from math import gcd, inf
 
-from .basechange import becomes_iso_after_sh, descend_signature, sh_order, verify_sh_pattern
+from .basechange import becomes_iso_after_sh, descend_signature, sh_signature, verify_sh_pattern
 from .errors import (
     DuplicateIdentifier,
     HordersError,
@@ -930,7 +930,8 @@ _CHECKS = {
     "ss_iso_fixed": _Check(("sorder", "sorder"),
                            lambda a, b: _verdict(ss_iso_decide_fixed(a, b))),
     "inv": _Check(("order",), lambda a: (_format_tuple(inv_of(a)), "")),
-    "sh_sig": _Check(("order",), lambda a: (_format_tuple(sh_order(a).order.sig.parts), "")),
+    "sh_sig": _Check(("order",), lambda a: (
+        _format_tuple(sh_signature(a.sig, a.division.s, a.division.t).parts), "")),
     "descend_sig": _Check(("tuple", "int", "int"), lambda parts, s, t: (
         _format_tuple(descend_signature(parts, s, t).parts), "")),
     "sh_verify": _Check(("int", "int", "tuple"), lambda s, t, parts: _verdict(

@@ -7,7 +7,7 @@ from horders import basechange
 from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPrecision,
                             NotDivisible, NotInvertible, NotPeriodic, OK, SessionSyntaxError,
                             SessionTypeError, failure)
-from horders.involutions import InvolutionSpec, apply_tau
+from horders.involutions import InvolutionSpec
 from horders.matrices import JetMatrix, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
                             check_residue, pattern_of, radical_pattern, ss_iso_decide)
@@ -62,6 +62,39 @@ def kfold_power(x: LaurentJet, k: int) -> LaurentJet:
     for _ in range(abs(k)):
         out = out * step
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar matrices, tuples of rows of Scalars: references for residue forms.
+
+
+def smat_identity(kind: ScalarKind, n: int) -> tuple:
+    z, o = Scalar.zero(kind), Scalar.one(kind)
+    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+
+
+def smat_mul(a: tuple, b: tuple) -> tuple:
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)),
+                  Scalar.zero(a[0][0].kind)) for j in range(n))
+        for i in range(n))
+
+
+def smat_conj_transpose(m: tuple) -> tuple:
+    n = len(m)
+    return tuple(tuple(m[j][i].conj() for j in range(n)) for i in range(n))
+
+
+def smat_is_zero(m: tuple) -> bool:
+    return all(e.is_zero() for row in m for e in row)
+
+
+def form_value(b: tuple, v: tuple) -> Scalar:
+    """v^* * b * v for a scalar matrix b and a vector v of scalars."""
+    n = len(v)
+    return sum((v[i].conj() * b[i][j] * v[j] for i in range(n) for j in range(n)),
+               Scalar.zero(v[0].kind))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +298,7 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> list:
 def ref_is_eps_hermitian(a: JetMatrix, epsilon: int) -> bool:
     """tau(a) = epsilon * a with tau(a) and -a built as matrices: the
     reference for the in-place comparison of ``wellformed``."""
-    return apply_tau(a).agrees(a if epsilon == 1 else -a)
+    return a.conj_transpose().agrees(a if epsilon == 1 else -a)
 
 
 def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
@@ -303,7 +336,7 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
     for i in range(n):
         for j in range(n):
             g = single_entry(kind, n, i, j, LaurentJet.t_power(kind, p[i][j]))
-            image = ref_rows_mul(ref_rows_mul(ainv, apply_tau(g).rows), a.rows)
+            image = ref_rows_mul(ref_rows_mul(ainv, g.conj_transpose().rows), a.rows)
             # as meets_pattern: an entry zero to its precision is read at that bound
             floors = [[e.valuation_floor() for e in row] for row in image]
             bad = next(((k, l) for k in range(n) for l in range(n)
@@ -413,10 +446,10 @@ def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> D
         ref_gauss_jordan_inverse(u)
     except NotInvertible as exc:
         return failure("NotInvertible", f"u: {exc}")
-    big = (apply_tau(u) @ a2 @ u).rows
+    big = (u.conj_transpose() @ a2 @ u).rows
 
     def holds(x: JetMatrix) -> bool:
-        tx = apply_tau(x).rows
+        tx = x.conj_transpose().rows
         return rows_agree(ref_rows_mul(tx, big),
                           ref_rows_mul(big, ref_rows_mul(ref_rows_mul(a1_inv, tx), a1.rows)))
 
@@ -454,7 +487,7 @@ def ref_identity_check(w: WitnessCheck) -> Diagnostics:
     """The identity step of ``verify_witness``: OK, or IdentityMismatch at
     the first differing entry with both jets in the detail."""
     u, a1, a2, alpha = promoted_operands(w)
-    lhs = apply_tau(u) @ a2 @ u
+    lhs = u.conj_transpose() @ a2 @ u
     rhs = entrywise(lambda e: alpha * e, a1)
     bad = next(((i, j) for i in range(u.n) for j in range(u.n)
                 if lhs.entry(i, j) != rhs.entry(i, j)), None)
@@ -487,7 +520,7 @@ def ref_transport_check(w: WitnessCheck) -> Diagnostics:
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
     if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
-    big = apply_tau(u) @ a2 @ u
+    big = u.conj_transpose() @ a2 @ u
     cells = [(i, j) for i in range(u.n) for j in range(u.n)]
     p, q = next((i, j) for i, j in cells if not a1.entry(i, j).is_zero())
     abar = a1.entry(p, q).conj()

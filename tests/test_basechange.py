@@ -224,6 +224,28 @@ def test_sh_order_refuses_a_result_longer_than_its_bound_before_building_it(monk
             sh_order(BlockOrder(DivisionSpec("D", BASE, s, t), sig(*parts)))
 
 
+def test_sh_order_checks_its_size_once_and_sh_sig_builds_no_permutation(monkeypatch):
+    from horders.session import parse_session, run_session
+
+    checked, check_size = [], basechange._check_size
+    monkeypatch.setattr(basechange, "_check_size",
+                        lambda *args: checked.append(args) or check_size(*args))
+    res = sh_order(BlockOrder(DivisionSpec("D", QUATERNION, 2, 3), sig(2, 1)))
+    assert checked == [(2, 3, 3)]
+    assert res.perm == sh_permutation(2, 3, sig(2, 1))
+
+    def unbuilt(*args):
+        raise AssertionError("built a permutation")
+
+    monkeypatch.setattr(basechange, "sh_permutation", unbuilt)
+    monkeypatch.setattr(basechange, "_sh_permutation", unbuilt)
+    text = ("division D = quaternion s=2 t=3\n"
+            "order A = block(D; 2,1)\n"
+            "check c = sh_sig(A) expect (4,2,4,2,4,2)\n")
+    report = run_session(parse_session(text))
+    assert [(c.actual, c.ok) for c in report.checks] == [("(4,2,4,2,4,2)", True)]
+
+
 def test_sh_permutation_refuses_a_result_longer_than_its_bound():
     limit = basechange.SH_LIMIT
     assert len(sh_permutation(2, 2, sig(limit // 4))) == limit

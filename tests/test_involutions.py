@@ -29,16 +29,11 @@ from horders.involutions import (
     InvolutionSpec,
     anisotropy,
     apply_sigma,
-    apply_tau,
     diagonalize_form,
     distinguish,
     represent_norm,
     residually_anisotropic,
     residue_involution,
-    smat_conj_transpose,
-    smat_identity,
-    smat_is_zero,
-    smat_mul,
     wellformed,
 )
 from horders.matrices import JetMatrix
@@ -63,6 +58,7 @@ from test_scalars import REF_KINDS
 
 from helpers import (
     entrywise,
+    form_value,
     random_scalar,
     ref_inverse_valuations,
     ref_is_eps_hermitian,
@@ -70,6 +66,10 @@ from helpers import (
     sample_block_unit,
     sample_element,
     single_entry,
+    smat_conj_transpose,
+    smat_identity,
+    smat_is_zero,
+    smat_mul,
     wellformed_by_adjugate,
     wellformed_by_products,
 )
@@ -107,7 +107,7 @@ def smat(kind, rows):
 
 def test_tau_fixes_real_diagonal_matrices():
     m = diag(BASE, 1, -2, 3)
-    assert apply_tau(m) == m
+    assert m.conj_transpose() == m
 
 
 def test_tau_conjugates_and_transposes():
@@ -115,7 +115,7 @@ def test_tau_conjugates_and_transposes():
     qi = Scalar.basis(kind, 1)
     z = LaurentJet.zero(kind)
     m = JetMatrix.of([[z, LaurentJet.constant(kind, qi)], [z, z]])
-    out = apply_tau(m)
+    out = m.conj_transpose()
     assert out.entry(0, 1).is_zero()
     assert out.entry(1, 0) == LaurentJet.constant(kind, -qi)
 
@@ -125,7 +125,7 @@ def test_tau_is_an_involution_on_random_matrices():
     a = order(2, 1, kind=QUATERNION)
     for _ in range(100):
         x = sample_element(a, rng)
-        assert apply_tau(apply_tau(x)) == x
+        assert x.conj_transpose().conj_transpose() == x
 
 
 def test_sigma_with_identity_gauge_is_tau():
@@ -133,7 +133,7 @@ def test_sigma_with_identity_gauge_is_tau():
     spec = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 3))
     rng = Random(43)
     x = sample_element(a, rng)
-    assert apply_sigma(spec, x) == apply_tau(x)
+    assert apply_sigma(spec, x) == x.conj_transpose()
 
 
 def test_sigma_on_the_bundled_gauge_stays_in_the_order():
@@ -430,7 +430,7 @@ def _random_gauge_spec(kind, rng):
             [LaurentJet.t_power(kind, 1, random_scalar(kind, rng, 1)) for _ in range(n)]))
     else:  # dense element of the order, mixing the blocks
         u = sample_element(a, rng, bound=1)
-    return InvolutionSpec(a, apply_tau(u) @ d @ u)
+    return InvolutionSpec(a, u.conj_transpose() @ d @ u)
 
 
 def test_wellformed_matches_the_generator_products():
@@ -461,7 +461,7 @@ def _spread_gauge_spec(rng):
             [LaurentJet.t_power(BASE, 1, random_scalar(BASE, rng, 2)) for _ in range(n)]))
     else:
         u = sample_element(a, rng, bound=2)
-    return InvolutionSpec(a, apply_tau(u) @ d @ u)
+    return InvolutionSpec(a, u.conj_transpose() @ d @ u)
 
 
 def test_wellformed_matches_the_exact_adjugate():
@@ -748,9 +748,8 @@ def test_hyperbolic_form_has_an_exact_witness():
     assert res.verdict == ISOTROPIC
     assert res.signature == (1, 1)
     assert res.witness is not None
-    prod = smat_mul(smat_conj_transpose(res.witness), smat_mul(b, res.witness))
-    assert smat_is_zero(prod)
-    assert not smat_is_zero(res.witness)
+    assert form_value(b, res.witness).is_zero()
+    assert not all(x.is_zero() for x in res.witness)
 
 
 def test_one_by_one_form():
@@ -763,8 +762,7 @@ def test_hyperbolic_form_over_other_kinds(kind):
     b = smat(kind, [[1, 0], [0, -1]])
     res = anisotropy(b, kind)
     assert res.verdict == ISOTROPIC and res.witness is not None
-    prod = smat_mul(smat_conj_transpose(res.witness), smat_mul(b, res.witness))
-    assert smat_is_zero(prod)
+    assert form_value(b, res.witness).is_zero()
 
 
 def test_indefinite_form_may_lack_a_rational_witness():
@@ -776,9 +774,7 @@ def test_indefinite_form_may_lack_a_rational_witness():
 def test_quaternion_norms_represent_everything_positive():
     res = anisotropy(smat(QUATERNION, [[1, 0], [0, -7]]), QUATERNION)
     assert res.verdict == ISOTROPIC and res.witness is not None
-    b = smat(QUATERNION, [[1, 0], [0, -7]])
-    prod = smat_mul(smat_conj_transpose(res.witness), smat_mul(b, res.witness))
-    assert smat_is_zero(prod)
+    assert form_value(smat(QUATERNION, [[1, 0], [0, -7]]), res.witness).is_zero()
 
 
 def test_quadratic_norm_equation():
@@ -854,6 +850,11 @@ def _identity_spec(n):
      UnsupportedFormKind, "epsilon = -1 residue forms are not decided"),
     (lambda: anisotropy(smat(BASE, [[1, 1], [0, 1]]), BASE),
      NotEpsilonHermitian, "form matrix is not hermitian"),
+    # a form that is not square: a short row, then a long one
+    (lambda: anisotropy(smat(BASE, [[1, 0], [0]]), BASE),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
+    (lambda: anisotropy(smat(BASE, [[1, 0, 0], [0, 1, 0]]), BASE),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
     (lambda: anisotropy(smat(QUAD, [[1, Scalar.of(QUAD, 0, 1)], [Scalar.of(QUAD, 0, 1), 1]]), QUAD),
      NotEpsilonHermitian, "form matrix is not hermitian"),
 ])
@@ -888,8 +889,8 @@ def test_congruence_invariance_sampled():
 @pytest.mark.parametrize("kind", [BASE, QUAD, quadratic(-3), QUATERNION], ids=str)
 def test_every_returned_witness_annihilates_its_form(kind):
     # indefinite forms congruent to a diagonal one, n <= 4; anisotropy
-    # returns its rank-one witness unchecked, by the proof in its
-    # docstring, so each must pass the full triple product here
+    # returns its witness vector v unchecked, by the proof in its
+    # docstring, so each must have v^* * b * v = 0 exactly here
     rng = Random(61)
     found = 0
     for trial in range(40):
@@ -903,10 +904,10 @@ def test_every_returned_witness_annihilates_its_form(kind):
         assert res.verdict == ISOTROPIC
         if res.witness is not None:
             found += 1
-            assert not smat_is_zero(res.witness)
-            assert all(x.is_zero() for row in res.witness for x in row[1:])
-            assert smat_is_zero(smat_mul(smat_conj_transpose(res.witness),
-                                         smat_mul(b, res.witness)))
+            v = res.witness
+            assert type(v) is tuple and len(v) == n and all(type(x) is Scalar for x in v)
+            assert not all(x.is_zero() for x in v)
+            assert form_value(b, v).is_zero()
     assert found >= 5  # over the base field x^2 = r*y^2 often has no rational solution
 
 
@@ -973,6 +974,6 @@ def test_distinguish_is_inconclusive_on_transported_gauges():
     for _ in range(10):
         u = sample_block_unit(spec1.order, rng)
         transported = InvolutionSpec(
-            spec1.order, apply_tau(u) @ spec1.gauge @ u, spec1.epsilon)
+            spec1.order, u.conj_transpose() @ spec1.gauge @ u, spec1.epsilon)
         assert wellformed(transported).ok
         assert distinguish(spec1, transported).verdict == INCONCLUSIVE

@@ -9,7 +9,6 @@ import pytest
 
 from horders import matrices
 from horders.errors import NotInvertible, ScalarKindMismatch, SizeMismatch
-from horders.involutions import apply_tau
 from horders.matrices import JetMatrix, Tau, first_difference
 from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
 
@@ -246,7 +245,7 @@ def _engine_jet(kind, rng, zero=0.3) -> LaurentJet:
 def _as_matrix(f, kind, n) -> JetMatrix:
     """A factor of first_difference as the matrix it stands for, over kind."""
     if isinstance(f, Tau):
-        f = apply_tau(f.m)
+        f = f.m.conj_transpose()
     if isinstance(f, LaurentJet):
         f = JetMatrix.diagonal([f] * n)
     return onto(f, kind)
@@ -351,12 +350,12 @@ def test_the_image_is_the_scaled_rows_at_every_point(kind):
                     for _ in range(2)]
             rows[rng.randrange(n)][rng.randrange(n)] = LaurentJet(
                 of, -1, ends[:1] + [Scalar(of, [0] * of.dim)] * 5 + ends[1:])
+            # the whole matrix and each row, of different spans, at once
+            bounds = [matrices._bounds(rows) + (pad,)] + [
+                matrices._bounds((row,)) + (pad,) for row in rows]
             for x in (1, 2, 3, 2 ** 61):
-                assert matrices._image(matrices._bounds(rows) + (pad,), x) == ref_image(
-                    rows, x, pad)
-                for row in rows:
-                    assert matrices._image(matrices._bounds((row,)) + (pad,), x) == ref_image(
-                        [row], x, pad)
+                assert matrices._image(bounds, x) == [ref_image(rows, x, pad)] + [
+                    ref_image([row], x, pad) for row in rows]
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
@@ -365,7 +364,7 @@ def test_tau_is_read_from_the_image_of_its_matrix(kind):
     for n in (1, 2, 3):
         u = JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)])
         a = JetMatrix.of([[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)])
-        tu = apply_tau(u)
+        tu = u.conj_transpose()
         assert first_difference([Tau(u)], [tu]) is None
         assert first_difference([Tau(u), a, u], [tu, a, u]) is None
         assert first_difference([Tau(u), a], [u, a]) == ref_first_difference([tu, a], [u, a],
@@ -382,7 +381,7 @@ def test_operands_over_the_core_are_padded_onto_the_extended_kind(kind):
         c = _engine_jet(core, rng, zero=0)
         assert first_difference([a], [onto(a, kind)]) is None
         assert first_difference([c, Tau(u), a, u],
-                                [c.onto(kind), apply_tau(u), onto(a, kind), u]) is None
+                                [c.onto(kind), u.conj_transpose(), onto(a, kind), u]) is None
     with pytest.raises(ScalarKindMismatch):
         first_difference([JetMatrix.diagonal([LaurentJet.one(kind)])],
                          [JetMatrix.diagonal([LaurentJet.one(QUATERNION if kind.core != "quat"

@@ -74,7 +74,8 @@ def test_one_corpus_cycle_parses_and_runs_every_slot():
     assert "FAILED" not in proc.stdout
 
 
-AB = re.compile(r"ratio change/parent (\d+\.\d{3}), change won (\d+) of (\d+) cycles")
+AB = re.compile(r"ratio change/parent (\d+\.\d{3}), change won (\d+) of (\d+) cycles, "
+                r"(faster|slower|unresolved)")
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +100,16 @@ def test_a_revision_against_itself_gives_the_same_reports(committed, workload):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == (f"{workload}, seed 61, 2 alternating cycles against HEAD "
-                        "(median ms per cycle)")
+                        "(ms per cycle: median, lower and upper quartile)")
     sides = [line.split() for line in lines[1:3]]
     assert [side[0] for side in sides] == ["parent", "change"]
-    assert all(float(side[1]) > 0 for side in sides)
-    ratio, won, cycles = AB.fullmatch(lines[3]).groups()
+    for _, median, q1, q3 in sides:
+        assert float(median) > 0 and float(q1) <= float(median) <= float(q3)
+    ratio, won, cycles, verdict = AB.fullmatch(lines[3]).groups()
     assert float(ratio) > 0 and 0 <= int(won) <= int(cycles) == 2
+    # medians closer than the parent's quartile spread read unresolved
+    (p, p1, p3), (c, _, _) = [[float(x) for x in side[1:]] for side in sides]
+    if abs(p - c) < p3 - p1 - 2e-3:  # printed to 3 decimals
+        assert verdict == "unresolved"
     assert len(lines) == 4  # no REPORTS DIFFER and no FAILED line
 

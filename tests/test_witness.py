@@ -9,7 +9,7 @@ import pytest
 
 from horders.errors import (OK, InsufficientPrecision, ScalarKindMismatch, SizeMismatch,
                             UnknownScenario, failure)
-from horders.involutions import InvolutionSpec, apply_tau
+from horders.involutions import InvolutionSpec
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, DivisionSpec, Signature
 from horders.scalars import (
@@ -209,7 +209,7 @@ def _transport_case(kind, mode, rng, *, perturb):
     d_target = [LaurentJet.t_power(kind, 1 if i == 2 else 0, x) for i, x in enumerate(signs)]
     d_source = [LaurentJet.t_power(kind, 1 if i == 2 else 0, x * e if r else x)
                 for i, (x, r) in enumerate(zip(signs, roots))]
-    a1 = apply_tau(b) @ JetMatrix.diagonal(d_source) @ b
+    a1 = b.conj_transpose() @ JetMatrix.diagonal(d_source) @ b
     if perturb:
         d_target[0] = d_target[0] + LaurentJet.t_power(kind, 1, rng.choice((1, 2)))
     a2 = JetMatrix.diagonal(d_target)
@@ -313,7 +313,7 @@ def _packed_case(kind, rng, case):
         root = LaurentJet.constant(kind, Scalar.ext_gen(kind))
         r = JetMatrix.diagonal([root if x else LaurentJet.one(kind) for x in roots])
         e = LaurentJet.constant(base, kind.ext)
-        a1 = apply_tau(b) @ JetMatrix.diagonal([e * x if y else x for x, y in zip(d, roots)]) @ b
+        a1 = b.conj_transpose() @ JetMatrix.diagonal([e * x if y else x for x, y in zip(d, roots)]) @ b
         return witness(r @ onto(b, kind), LaurentJet.one(kind), a1, JetMatrix.diagonal(d))
     u, a2 = _mixed_matrix(base, rng, n), _mixed_matrix(base, rng, n)
     if case == "cancel":
@@ -326,7 +326,7 @@ def _packed_case(kind, rng, case):
         # a2[i][i] = 1: t^40 survives
         a2 = entrywise(add, a2, single_entry(base, n, i, i, one - a2.entry(i, i)))
     alpha = LaurentJet.t_power(base, rng.randint(-2, 2), Q(rng.choice((1, -1, 2, -3)), rng.choice((1, 3))))
-    a1 = entrywise(lambda x: alpha.inverse() * x, apply_tau(u) @ a2 @ u)
+    a1 = entrywise(lambda x: alpha.inverse() * x, u.conj_transpose() @ a2 @ u)
     if case == "wP":
         u = entrywise(add, u, single_entry(base, n, i, i, LaurentJet.t_power(base, 20)))
     if case == "top":
@@ -456,7 +456,7 @@ def test_invertibility_is_decided_beyond_t_equal_one():
     a = BlockOrder(DivisionSpec("D"), Signature((2,)))
     one, t = LaurentJet.one(BASE), LaurentJet.t_power(BASE, 1)
     u = JetMatrix.of([[t, one], [one, one]])
-    s1 = InvolutionSpec(a, apply_tau(u) @ u)
+    s1 = InvolutionSpec(a, u.conj_transpose() @ u)
     s2 = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(BASE)] * 2))
     w = WitnessCheck(u, one, MODE_F, s1, s2)
     assert verify_witness(w).ok
@@ -527,7 +527,7 @@ def _tail_case(rng, kind, mode):
     if kind.core == "quat":
         choices.append(LaurentJet.constant(kind, Scalar.basis(kind, 1)))
     alpha = rng.choice(choices)
-    a1 = entrywise(lambda x: alpha.inverse() * x, apply_tau(b) @ middle @ b)
+    a1 = entrywise(lambda x: alpha.inverse() * x, b.conj_transpose() @ middle @ b)
     if rng.random() < 0.1:
         a1 = entrywise(add, a1, single_entry(kind, n, rng.randrange(n), rng.randrange(n), one))
     return WitnessCheck(u, alpha, mode, InvolutionSpec(order, a1),
@@ -610,6 +610,39 @@ def test_replay_reports_have_the_documented_steps():
     assert any("etale witness" in n for n in names)
 
 
+@pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s.startswith("main-")])
+@pytest.mark.parametrize("planted", ["non-isotropic", "zero"])
+def test_replay_fails_a_witness_that_does_not_annihilate_the_form(scenario, planted,
+                                                                  monkeypatch):
+    # the replay checks v^* * b * v = 0 and v != 0 itself, so a block-2
+    # witness that is not isotropic, or is zero, fails that step
+    from horders import involutions, witness
+
+    real = witness.residue_isotropy
+
+    def planted_isotropy(spec):
+        results = real(spec)
+        iso = results[1]
+        if iso.witness is None:
+            return results
+        if planted == "zero":
+            v = tuple(Scalar.zero(x.kind) for x in iso.witness)
+        else:
+            # column 1 of C with C^* * b * C diagonal: v^* * b * v = d_1 != 0
+            b = involutions.residue_involution(spec).blocks[1].gauge
+            v = tuple(row[0] for row in involutions.diagonalize_form(b)[1])
+        return [results[0], involutions.IsotropyResult(iso.verdict, iso.signature, v),
+                *results[2:]]
+
+    monkeypatch.setattr(witness, "residue_isotropy", planted_isotropy)
+    report = replay(scenario)
+    steps = {s.name: s for s in report.steps}
+    step = steps["witness annihilates the form exactly"]
+    assert (step.expected, step.actual, step.ok) == ("ok", "failed", False)
+    assert steps["block 2 of sigma2"].ok
+    assert not report.ok
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     # each main-* replay validates its two gauges once each, decides each
@@ -636,7 +669,7 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     rechecks = _count_calls_inside(
         monkeypatch, [(witness, "wellformed"), (witness, "residue_isotropy"),
                       (involutions, "residue_isotropy")],
-        [(JetMatrix, "conj_transpose"), (involutions, "smat_conj_transpose")])
+        [(JetMatrix, "conj_transpose")])
     report = replay(scenario)
     golden = json.loads((GOLDEN / f"replay-{scenario}.json").read_bytes())
     assert [(s.name, s.expected, s.actual, s.ok) for s in report.steps] == [

@@ -28,8 +28,13 @@ REV's ``src/horders`` is exported with ``bench_pairs.export_revision``
 into a temporary directory and imported as the package
 ``horders_against``.  After one untimed warm-up cycle per side, the
 parent (REV) and the change (this checkout) run the same cycles in turn,
-the parent first in even cycles; each side's median cycle time, the
-ratio change/parent and the cycles the change won are printed.  The two
+the parent first in even cycles; each side's median cycle time and its
+quartiles, the ratio change/parent, the cycles the change won and a
+verdict are printed.  The verdict applies the gain rule of
+``tools/bench_pairs.py`` both ways: "faster" (or "slower") when the
+change won (or lost) at least nine tenths of the cycles and the medians
+differ by more than the parent's quartile spread, else "unresolved".
+``--against`` needs two cycles, so that the quartiles exist.  The two
 sides' canonical op outputs must agree (an error by its class name), and
 the exit status is 1 if they differ or a change op fails its check.  Only
 the change side's ops are checked: the ``patterns`` checks import
@@ -125,13 +130,20 @@ def against(workload: str, parent, change, workloads, seed: int, cycles: int, re
             for side in order:
                 times[side].append(runs[side][0])
     medians = {side: statistics.median(t) for side, t in times.items()}
+    quartiles = {side: statistics.quantiles(t, n=4) for side, t in times.items()}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    losses = sum(c > p for p, c in zip(times["parent"], times["change"]))
+    faster = medians["parent"] - medians["change"]
+    spread = quartiles["parent"][2] - quartiles["parent"][0]
+    verdict = ("faster" if wins >= 0.9 * cycles and faster > spread else
+               "slower" if losses >= 0.9 * cycles and -faster > spread else "unresolved")
     print(f"{workload}, seed {seed}, {cycles} alternating cycles against {rev} "
-          f"(median ms per cycle)")
+          f"(ms per cycle: median, lower and upper quartile)")
     for side, median in medians.items():
-        print(f"  {side}  {median * 1e3:9.3f}")
+        q1, _, q3 = quartiles[side]
+        print(f"  {side}  {median * 1e3:9.3f}  {q1 * 1e3:9.3f}  {q3 * 1e3:9.3f}")
     print(f"ratio change/parent {medians['change'] / medians['parent']:.3f}, "
-          f"change won {wins} of {cycles} cycles")
+          f"change won {wins} of {cycles} cycles, {verdict}")
     for problem in problems:
         print(problem)
     return 1 if problems else 0
@@ -145,8 +157,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="time against revision REV in the same process")
     args = parser.parse_args(argv)
-    if args.cycles < 1:
-        parser.error("--cycles must be positive")
+    if args.cycles < (1 if args.against is None else 2):
+        parser.error("--cycles must be positive, and at least 2 with --against")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import horders as h
     import workloads
