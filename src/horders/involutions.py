@@ -18,8 +18,11 @@ over unextended kinds, which have no zero divisors, so the valuation of
 that product is the sum of the factors' valuations plus P[i][j] (a zero
 factor gives +infinity).  Stability is therefore the integer inequality
 v(a^-1[k][j]) + P[i][j] + v(a[i][l]) >= P[k][l] for all i, j, k, l,
-the min-plus statement V(a^-1) * P^T * V(a) >= P.  That sigma squares
-to the identity needs no check:
+the min-plus statement V(a^-1) * P^T * V(a) >= P, decided in O(n^2) per
+row i: with w[k] the least v(a[i][l]) - P[k][l] over the nonzero a[i][l]
+(a zero row has raised NotInvertible in ``inverse_valuations``), (i, j)
+fails exactly when v(a^-1[k][j]) + P[i][j] + w[k] < 0 for some k.
+That sigma squares to the identity needs no check:
 tau(a) = epsilon * a gives tau(a^-1) = epsilon * a^-1, hence
 sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) * a = x.
 
@@ -174,20 +177,18 @@ def _require_wellformed(spec: InvolutionSpec) -> None:
     if not _is_eps_hermitian(a, spec.epsilon):
         raise NotEpsilonHermitian(f"tau(a) != {spec.epsilon:+d}*a")
     p = pattern_of(spec.order.sig).entries
-    va = [[e.valuation_floor() for e in row] for row in a.rows]
     vinv = a.inverse_valuations()
-    n = a.n
-    # None is +infinity (an exactly zero entry): that image entry is zero.
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if vinv[k][j] is None:
-                    continue
-                for l in range(n):
-                    if va[i][l] is not None and vinv[k][j] + p[i][j] + va[i][l] < p[k][l]:
-                        raise NotStable(
-                            f"generator t^{p[i][j]}*e[{i + 1},{j + 1}] leaves the order "
-                            f"at entry {k + 1},{l + 1}")
+    # the finite v(a^-1[k][j]) of each column j; None is an exactly zero entry
+    cols = [[(k, r[j]) for k, r in enumerate(vinv) if r[j] is not None] for j in range(a.n)]
+    for i, row in enumerate(a.rows):
+        va = [(l, e.lowest_exp) for l, e in enumerate(row) if e.coeffs]
+        w = [min([v - pk[l] for l, v in va]) for pk in p]
+        for j, pij in enumerate(p[i]):
+            for k, vk in cols[j]:
+                if vk + pij + w[k] < 0:
+                    l = next(l for l, v in va if vk + pij + v < p[k][l])
+                    raise NotStable(f"generator t^{pij}*e[{i + 1},{j + 1}] leaves the order "
+                                    f"at entry {k + 1},{l + 1}")
 
 
 def wellformed(spec: InvolutionSpec) -> Diagnostics:
@@ -258,9 +259,10 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     or column.  A form with no such pivot raises SingularForm.
     """
     n = len(b)
-    kind = b[0][0].kind
+    if not n:
+        return [], ()
     work = [list(row) for row in b]
-    zero, one = Scalar.zero(kind), Scalar.one(kind)
+    zero, one = Scalar.zero(b[0][0].kind), Scalar.one(b[0][0].kind)
     trans = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def col_add(j: int, k: int, c: Scalar) -> None:

@@ -172,13 +172,13 @@ class _Cursor:
 # One reader, _parse_sum, reads a literal on integer rows: exponent ->
 # numerators per basis index, over one denominator, the scale.  The flat
 # atoms ``INT``, ``INT/INT``, ``t``, ``t^k``, ``qi``/``qj``/``qk`` and
-# ``sqrt(d)``, after at most one ``-``, are read in place: c/den * e_u *
-# t^k, with e_u * e_v = m * e_r from ``kind.basis_products[u]``.  Other
-# factors are values (rows, scale, monomial), multiplied by _times: a
-# parenthesised sum, an atom or such a sum raised by _raised, and after a
-# doubled ``-`` the rest of the term, one call deeper.  A monomial (atoms
-# and their powers) keeps its one row even when zero; other values keep
-# only their nonzero rows.  Each entry's jet is built once.
+# ``sqrt(d)`` are read in place: c/den * e_u * t^k, with e_u * e_v = m *
+# e_r from ``kind.basis_products[u]``.  Each ``-`` before a factor flips
+# the sign of c.  Other factors are values (rows, scale, monomial),
+# multiplied by _times: a parenthesised sum, or an atom or such a sum
+# raised by _raised.  A monomial (atoms and their powers) keeps its one
+# row even when zero; other values keep only their nonzero rows.  Each
+# entry's jet is built once.
 
 
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
@@ -221,23 +221,21 @@ def _signed_at(cur: _Cursor, j: int) -> tuple[int, int]:
     return (-1 if toks[j] == "-" else 1) * exact_int(toks[i]), i + 1
 
 
-def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tuple:
-    """The sum at the cursor as a value (rows, scale, monomial); or, given
-    the state (c, den, u, k, prod, star) of a term that the caller has
-    begun, the rest of that term.  ``star`` is the ``*`` before the first
-    flat factor of c * e_u * t^k / den after prod, where a product of
-    prod with them is refused."""
+def _parse_sum(cur: _Cursor, kind: ScalarKind) -> tuple:
+    """The sum at the cursor as a value (rows, scale, monomial).  ``star`` is
+    the ``*`` before the first flat factor of a term's c * e_u * t^k / den
+    after prod, where a product of prod with them is refused."""
     toks, table, dim = cur.tokens, kind.basis_products, kind.dim
     units = _QUAT_UNITS if kind.core == "quat" else {}
     rows: dict[int, list[int]] = {}  # exponent -> numerators per basis index, over scale
     scale, sign, first, p = 1, 1, True, cur.pos
     lo, hi = inf, -inf  # the least and greatest exponent of the terms read
     while True:
-        c, den, u, k, prod, star = term or (sign, 1, 0, 0, None, None)
+        c, den, u, k, prod, star = sign, 1, 0, 0, None, None
         start = p
         while True:  # the factors of the term prod * c/den * e_u * t^k
             tok, end = toks[p], p + 1
-            if tok == "-" and toks[end] != "-":
+            while tok == "-":
                 c, tok, p, end = -c, toks[end], end, end + 1
             if tok == "t":
                 e, end = _signed_at(cur, end + 1) if toks[end] == "^" else (1, end)
@@ -281,9 +279,6 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tup
                         x = {e: row for e, row in x[0].items() if any(row)}, x[1], False
                     if toks[cur.pos] == "^":
                         x = _raised(cur, kind, x, cur.pos)
-                elif tok == "-":  # a doubled -: the term goes on, negated, one call deeper
-                    prod = _parse_sum(cur.at(end), kind, (-c, den, u, k, prod, star))
-                    c, den, u, k, star, end = 1, 1, 0, 0, None, cur.pos
                 elif not tok:
                     raise SessionSyntaxError("unexpected end of line", cur.line)
                 elif tok in _QUAT_UNITS:
@@ -315,7 +310,7 @@ def _parse_sum(cur: _Cursor, kind: ScalarKind, term: tuple | None = None) -> tup
         if prod is not None:
             prod = _product(cur, kind, prod, ({k: _unit(kind, u, c)}, den, True), star)
         op = toks[p]
-        if first and (term or op != "+" and op != "-"):
+        if first and op != "+" and op != "-":
             cur.pos = p
             return ({k: _unit(kind, u, c)}, den, True) if prod is None else prod
         first = False

@@ -245,7 +245,11 @@ def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
     """Decide exactly that a1 and u are invertible and W = tau(u) * a2 * u
     is c * a1 with c central: with a = a1[p][q] the first nonzero entry,
     N = a * conj(a) is a nonzero rational, c = m / N for m = W[p][q] *
-    conj(a), so m must be central and N * W = m * a1 entrywise.
+    conj(a), so m must be central and N * W = m * a1 entrywise.  That with
+    m != 0 proves u invertible, so only otherwise is u asked over the field:
+    u * x = 0 gives W * x = 0, and m is a unit unless the centre splits, as
+    over quadratic(d)+sqrt(d), where conjugation swaps its two factors, so a
+    singular u makes W singular in both and m = 0.
 
     ``samples`` has no effect, since the check is exact; it is still
     accepted because ``perfbench/baselines.py`` passes it.
@@ -253,17 +257,15 @@ def transport_check(w: WitnessCheck, samples: int | None = None) -> Diagnostics:
     u, a1, a2 = w.u, w.spec1.gauge, w.spec2.gauge
     if not a1.field_invertible():
         return failure("NotInvertible", "first gauge is not invertible over the Laurent field")
-    if not u.field_invertible():
-        return failure("NotInvertible", "u is not invertible over the Laurent field")
     kind = w._work_kind()
     p, q = next((i, j) for i in range(u.n) for j in range(u.n) if not a1.entry(i, j).is_zero())
     abar = a1.entry(p, q).conj()
     norm = a1.entry(p, q) * abar
     m = _triple_entry(_tau_row(u, p, kind), a2, u, q) * _promote(abar, kind)
-    if not all(_is_central(c) for c in m.coeffs):
-        bad = (p, q)
-    else:
-        bad = first_difference((norm, Tau(u), a2, u), (m, a1))
+    central = all(_is_central(c) for c in m.coeffs)
+    bad = first_difference((norm, Tau(u), a2, u), (m, a1)) if central else (p, q)
+    if (bad is not None or m.is_zero()) and not u.field_invertible():
+        return failure("NotInvertible", "u is not invertible over the Laurent field")
     if bad is not None:
         return failure(
             "TransportFailed",

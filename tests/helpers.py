@@ -415,9 +415,31 @@ def wellformed_by_adjugate(spec: InvolutionSpec) -> Diagnostics:
     vinv = ref_inverse_valuations(a)
     if vinv is None:
         return failure("NotInvertible", "gauge is not invertible over the Laurent field")
+    return stability_by_quadruples(spec, vinv)
+
+
+def wellformed_by_quadruples(spec: InvolutionSpec) -> Diagnostics:
+    """Reference for ``wellformed`` at any size: the built tau(a) compared
+    with epsilon * a, then the library's ``inverse_valuations`` fed to the
+    quadruple loop below."""
+    a = spec.gauge
+    if not ref_is_eps_hermitian(a, spec.epsilon):
+        return failure("NotEpsilonHermitian", f"tau(a) != {spec.epsilon:+d}*a")
+    try:
+        vinv = a.inverse_valuations()
+    except NotInvertible as exc:
+        return failure("NotInvertible", str(exc))
+    return stability_by_quadruples(spec, vinv)
+
+
+def stability_by_quadruples(spec: InvolutionSpec, vinv: list) -> Diagnostics:
+    """The valuation inequality of the involutions module, checked one
+    quadruple (i, j, k, l) at a time in n^4 steps, given v(a^-1) as
+    ``vinv`` (None for an exactly zero entry): the reference for the
+    row-by-row min-plus pass of ``wellformed``."""
     p = pattern_of(spec.order.sig).entries
-    va = [[e.valuation_floor() for e in row] for row in a.rows]
-    n = a.n
+    va = [[e.valuation_floor() for e in row] for row in spec.gauge.rows]
+    n = spec.gauge.n
     for i in range(n):
         for j in range(n):
             for k in range(n):

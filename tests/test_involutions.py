@@ -4,6 +4,7 @@ import pickle
 import re
 import sys
 import threading
+import time
 from math import gcd
 from operator import add
 from random import Random
@@ -27,6 +28,7 @@ from horders.involutions import (
     INCONCLUSIVE,
     ISOTROPIC,
     InvolutionSpec,
+    IsotropyResult,
     anisotropy,
     apply_sigma,
     diagonalize_form,
@@ -72,6 +74,7 @@ from helpers import (
     smat_mul,
     wellformed_by_adjugate,
     wellformed_by_products,
+    wellformed_by_quadruples,
 )
 
 _inverse_valuations = JetMatrix.inverse_valuations
@@ -495,6 +498,72 @@ def test_wellformed_matches_the_exact_adjugate():
     assert units > 100
 
 
+def _chain_gauge_spec(kind, rng):
+    # tau(u) * D * u over one to four blocks, n <= 12.  D is diagonal with
+    # t-powers stepping by one from block to block (up to two blocks) or
+    # antidiagonal over palindromic blocks, which reverses the chain; both
+    # are well formed for a unit u.  Half the time one entry of D (with
+    # its mirror) moves by t^(+-1) or t^(+-2), which plants a NotStable
+    # failure unless n = 1.  u is a block unit, or for n <= 4 a dense
+    # element.  The exact inverse of a dense gauge takes seconds at n = 10
+    # over quaternion, so quaternion gauges keep n <= 6.
+    blocks = rng.randint(1, 4)
+    if blocks == 1:
+        parts = [rng.randint(1, 12)]
+    elif blocks == 2:
+        parts = [rng.randint(1, 6), rng.randint(1, 6)]
+    else:
+        half = [rng.randint(1, 3) for _ in range((blocks + 1) // 2)]
+        parts = half + half[::-1][blocks % 2:]
+    if kind == QUATERNION and sum(parts) > 6:
+        parts = [max(1, size // 2) for size in parts]
+    a = order(*parts, kind=kind)
+    n = a.sig.n
+    anti = blocks > 2 or rng.random() < 0.3 and parts == parts[::-1]
+    powers = [0] * n if anti else [b for b, size in enumerate(parts) for _ in range(size)]
+    signs = [rng.choice([-1, 1]) for _ in range(n)]
+    if anti:
+        signs = [signs[min(i, n - 1 - i)] for i in range(n)]
+    if rng.random() < 0.5:
+        i, shift = rng.randrange(n), rng.choice([-2, -1, 1, 2])
+        for m in {i, n - 1 - i} if anti else {i}:
+            powers[m] += shift
+    z = LaurentJet.zero(kind)
+    d = JetMatrix.of([[LaurentJet.t_power(kind, powers[i], signs[i])
+                       if j == (n - 1 - i if anti else i) else z for j in range(n)]
+                      for i in range(n)])
+    dense = n <= 4 and rng.random() < 0.5
+    u = sample_element(a, rng, bound=1) if dense else sample_block_unit(a, rng, bound=1)
+    return InvolutionSpec(a, u.conj_transpose() @ d @ u)
+
+
+def test_wellformed_matches_the_quadruple_loop():
+    # the row-by-row pass against the n^4 loop over the same inverse
+    # valuations, past the n <= 3 of the adjugate reference
+    rng = Random(37)
+    specs = [_chain_gauge_spec((BASE, quadratic(-3), QUATERNION)[case % 3], rng)
+             for case in range(330)]
+    codes = []
+    for spec in specs:
+        got, want = wellformed(spec), wellformed_by_quadruples(spec)
+        assert (got.code, got.detail) == (want.code, want.detail)
+        codes.append(got.code)
+    assert {spec.gauge.n for spec in specs} == set(range(1, 13))
+    assert {len(spec.order.sig.parts) for spec in specs} == {1, 2, 3, 4}
+    assert codes.count(None) >= 50 and codes.count("NotStable") * 3 >= len(specs)
+
+
+def test_stability_of_a_dense_gauge_is_cubic():
+    # I + J on block(D; 64) has no zero entry, so a check of each
+    # quadruple (i, j, k, l) takes 64^4 steps, seconds; the row-by-row
+    # pass takes 64^3
+    one, two = LaurentJet.one(BASE), LaurentJet.constant(BASE, 2)
+    gauge = JetMatrix.of([[two if i == j else one for j in range(64)] for i in range(64)])
+    start = time.perf_counter()
+    assert wellformed(InvolutionSpec(order(64), gauge)).ok
+    assert time.perf_counter() - start < 1
+
+
 def test_large_coefficients_decode_exactly():
     # With one nonzero entry per row the lowest coefficient of det is the
     # whole bound prod(row 1-norms), so a base-2^B digit even one bit
@@ -740,6 +809,13 @@ def test_identity_form_is_anisotropic():
     assert res.verdict == ANISOTROPIC
     assert res.signature == (2, 0)
     assert res.witness is None
+
+
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+def test_the_empty_form_is_anisotropic(kind):
+    # a 0-dimensional form has no nonzero vector, isotropic or not
+    assert diagonalize_form(()) == ([], ())
+    assert anisotropy((), kind) == IsotropyResult(ANISOTROPIC, (0, 0))
 
 
 def test_hyperbolic_form_has_an_exact_witness():

@@ -23,6 +23,7 @@ from horders.scalars import (
     ScalarKind,
     _Accumulator,
     _components,
+    default_precision,
     left_regular,
     quadratic,
     smat_invertible,
@@ -55,6 +56,10 @@ def jet(kind, lowest, coeffs, precision=None):
 
 # ---------------------------------------------------------------------------
 # Scalars
+
+
+def test_the_default_precision_is_sixteen():
+    assert default_precision() == DEFAULT_PRECISION == 16
 
 
 def test_rational_storage_is_canonical():

@@ -93,14 +93,30 @@ def test_carriage_return_line_ends_parse(end):
     assert err.value.line == 4
 
 
-@pytest.mark.parametrize("opener", ["(", "-"])
+@pytest.mark.parametrize("opener", ["("])  # a run of - is read in a loop and does not nest
 def test_deep_nesting_is_a_syntax_error_at_its_position(opener):
-    closer = ")" if opener == "(" else ""
-    line = f"involution s on A : gauge diag({opener * 3000}1{closer * 3000}) eps +1 conj none"
+    line = f"involution s on A : gauge diag({opener * 3000}1{')' * 3000}) eps +1 conj none"
     with pytest.raises(SessionSyntaxError) as err:
         parse_session("division D = base s=1 t=1\norder A = block(D; 1)\n" + line + "\n")
     assert err.value.line == 3 and "nested too deeply" in str(err.value)
     assert line[err.value.col - 1] == opener  # the token the parser had reached
+
+
+@pytest.mark.parametrize("signs, value", [(3000, "1"), (3001, "-1")])
+def test_a_run_of_minus_signs_flips_the_sign_once_for_each(signs, value):
+    line = f"involution s on A : gauge diag({'-' * signs}1) eps +1 conj none"
+    s = parse_session("division D = base s=1 t=1\norder A = block(D; 1)\n" + line + "\n")
+    assert str(s.declarations[-1].payload.gauge) == f"diag({value})"
+
+
+def test_a_doubled_minus_before_a_zero_term_keeps_its_span():
+    # as for 0*t^2000 + 1, the zero term's exponent counts in the span
+    for expr, col in (("0*t^2000 + 1", 43), ("--0*t^2000 + 1", 45)):
+        line = f"involution s on A : gauge diag({expr}) eps +1 conj none"
+        with pytest.raises(SessionTypeError) as err:
+            parse_session("division D = base s=1 t=1\norder A = block(D; 1)\n" + line + "\n")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "a sum of degree span 2000 is above the literal limit" in str(err.value)
 
 
 @pytest.mark.parametrize("gauge, col, message", [

@@ -436,6 +436,20 @@ def test_singular_u_is_not_invertible(kind):
     assert transport_check(WitnessCheck(u, one, mode, s1, s2)).code == "NotInvertible"
 
 
+def test_a_singular_u_over_a_split_centre_is_not_invertible():
+    # quadratic(-1)+sqrt(-1) has centre Q(i) x Q(i), with the nonzero
+    # idempotent e = (1 + i*sqrt(-1))/2; conjugation swaps the factors, so
+    # tau(u) * u = 0 for u = e * 1 and m = 0, and u is asked and refused
+    base = quadratic(-1)
+    kind = base.extended(-1)
+    e = LaurentJet.constant(kind, Scalar.of(kind, Q(1, 2), 0, 0, Q(1, 2)))
+    assert e * e == e
+    a = BlockOrder(DivisionSpec("D", base), Signature((2,)))
+    s1 = InvolutionSpec(a, JetMatrix.diagonal([LaurentJet.one(base)] * 2))
+    w = WitnessCheck(JetMatrix.diagonal([e, e]), LaurentJet.one(kind), mode_etale(-1), s1, s1)
+    assert transport_check(w).describe() == "NotInvertible: u is not invertible over the Laurent field"
+
+
 def test_dense_singular_matrix_over_a_split_kind_is_singular():
     # 6x6 degree-1 u over quaternion+sqrt(-1) whose last row repeats the
     # first: all D + 1 = 49 evaluations of a 48x48 rational matrix run
@@ -571,6 +585,20 @@ def test_a_verified_unit_witness_asks_nothing_over_the_laurent_field(kind, s, t,
     assert verify_witness(w_fiber).ok and len(calls) == 1  # the generic fibre still asks
 
 
+@pytest.mark.parametrize("kind,s,t", ALL_KINDS)
+def test_a_passing_transport_asks_only_the_first_gauge_over_the_field(kind, s, t, monkeypatch):
+    # N * W = m * a1 with m != 0 and a1 invertible proves u invertible
+    _, _, w_fiber, w_etale = counterexample_pair(kind, s, t)
+    calls = []
+    field_invertible = JetMatrix.field_invertible
+    monkeypatch.setattr(JetMatrix, "field_invertible",
+                        lambda m: calls.append(m) or field_invertible(m))
+    for w in (w_fiber, w_etale):
+        calls.clear()
+        assert transport_check(w).ok
+        assert calls == [w.spec1.gauge]
+
+
 def test_diagnostics_are_true_exactly_when_ok():
     assert bool(OK) is True
     assert bool(failure("X")) is False
@@ -640,6 +668,41 @@ def test_replay_fails_a_witness_that_does_not_annihilate_the_form(scenario, plan
     step = steps["witness annihilates the form exactly"]
     assert (step.expected, step.actual, step.ok) == ("ok", "failed", False)
     assert steps["block 2 of sigma2"].ok
+    assert not report.ok
+
+
+@pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s.startswith("main-")])
+def test_replay_asks_the_base_ring_in_full_when_the_generic_fibre_fails(scenario, monkeypatch):
+    # a failed generic-fibre verdict cannot be reused, so the base-ring
+    # step runs verify_witness itself, and still rejects the witness
+    from horders import witness
+
+    real, modes = witness.verify_witness, []
+
+    def fibre_fails(w):
+        modes.append(w.mode)
+        return failure("IdentityMismatch", "planted") if w.mode == MODE_F else real(w)
+
+    monkeypatch.setattr(witness, "verify_witness", fibre_fails)
+    report = replay(scenario)
+    steps = {s.name: s for s in report.steps}
+    assert not steps["verify generic-fiber witness, alpha = t"].ok
+    step = steps["generic-fiber witness is rejected over the base ring"]
+    assert (step.actual, step.ok) == ("rejected", True)
+    assert modes.count(MODE_BASE) == 1
+    assert not report.ok
+
+
+def test_replay_counts_the_failed_grid_combinations(monkeypatch):
+    from horders import witness
+
+    total = sum(1 for _ in witness.sh_grid())
+    real = witness.verify_sh_pattern
+    monkeypatch.setattr(witness, "verify_sh_pattern", lambda s, t, sig: (
+        (s, t, sig.parts) != (2, 3, (1, 2)) and real(s, t, sig)))
+    report = replay("sh-permutation")
+    assert [(s.expected, s.actual, s.ok) for s in report.steps] == [
+        (f"{total} combinations verified", f"1 of {total} combinations failed", False)]
     assert not report.ok
 
 
