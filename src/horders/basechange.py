@@ -7,6 +7,10 @@ residue parameters.  The explicit index permutation that conjugates the
 tensored valuation pattern onto the target block pattern is available as
 a witness and is checked, at desk scale, by comparing the target block
 of every permuted index with the rank of its key in the tensored order.
+The permutation depends only on (s, t, n), so the check takes it as an
+argument: ``verify_sh_pattern`` builds it and checks one signature, and
+the replay's grid builds it once per shape and checks every signature
+of that shape with the same comparison.
 """
 
 from __future__ import annotations
@@ -106,17 +110,27 @@ def verify_sh_pattern(s: int, t: int, sig: Signature) -> bool:
     """Decide that conjugating the tensored pattern by the index
     permutation yields the pattern of the base-changed signature.
 
+    The permutation is built first, by :func:`sh_permutation`, which
+    checks s, t and the size; :func:`_sh_pattern_holds` then compares it
+    with the target.
+    """
+    return _sh_pattern_holds(sh_permutation(s, t, sig), s, t, sig)
+
+
+def _sh_pattern_holds(perm: tuple[int, ...], s: int, t: int, sig: Signature) -> bool:
+    """Does ``perm`` conjugate the tensored pattern of ``sig`` onto the
+    pattern of its base change?  s and t are not checked.
+
     Entry (x, y) of the tensored pattern, x = k * s*t + a, is 1 iff
     key(x) < key(y) lexicographically, key(x) = (a // s, block of k);
     entry (i, j) of the target is 1 iff B(i) < B(j), B the block index
     of the base-changed parts.  So the identity holds iff B(perm(x)) is
     a strictly increasing function of key(x).  All t * r keys (j, b)
     occur and there are t * r target blocks, so that function must send
-    key (j, b) to its rank j * r + b.  B is read from the parts, not from
-    that closed form, so the comparison still tests perm, which is built
-    first: :func:`sh_permutation` checks s, t and the size.
+    key (j, b) to its rank j * r + b.  B is read from the parts, through
+    ``sh_parts``, not from that closed form, so the comparison tests perm
+    however it was built.
     """
-    perm = sh_permutation(s, t, sig)
     target = block_index(sh_parts(sig.parts, s, t))
     ranks = [a // s * sig.r for a in range(s * t)]
     return list(map(target.__getitem__, perm)) == [

@@ -218,6 +218,14 @@ def _shown(text: str, show=repr) -> str:
     return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
+def _label(text: str) -> str:
+    """An argparse type: a nonempty division label.  An empty one would
+    read as "not given" where --division2 falls back to --division."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a nonempty division label")
+    return text
+
+
 def _int_at_least(low: int | None):
     """An argparse type: an ASCII integer, at least ``low`` unless that is None.
     A rejected value is echoed by :func:`_shown`."""
@@ -259,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("--sig", {"required": True, "help": "comma separated block sizes, e.g. 4,2"}))
     command("iso", _cmd_iso, "isomorphism of two block orders",
             ("--sig", {"required": True}), ("--sig2", {"required": True}),
-            ("--division", {"default": "D", "help": "division label of the first order"}),
-            ("--division2", {"default": None,
+            ("--division", {"type": _label, "default": "D",
+                            "help": "division label of the first order"}),
+            ("--division2", {"type": _label, "default": None,
                              "help": "division label of the second order (default: same)"}))
     command("sh", _cmd_sh, "base-changed signature and permutation witness",
             ("--sig", {"default": None}), ("--s", {**positive, "default": None}),

@@ -36,11 +36,11 @@ of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in [v * B, v * B + B).
 So v(a^-1[k][j]) is the least valuation among the coordinates of y_kj
 minus v(det) minus low_j, and all-zero coordinates are an exactly zero
 entry (+infinity).  A 1 x 1 component [x] over an unextended kind needs
-no solve: that kind is a division algebra (Q; Q(sqrt(d)) with d
-square-free and negative; Hamilton's quaternions over Q, whose norm is
-positive definite), so a nonzero x has an inverse in the Laurent field,
-and the inverse's lowest term is the inverse of x's lowest term, so
-v(x^-1) = -v(x); x = 0 is singular.  An extended kind can have zero
+no solve, here or in ``field_invertible``: that kind is a division
+algebra (Q; Q(sqrt(d)) with d square-free and negative; Hamilton's
+quaternions over Q, whose norm is positive definite), so a nonzero x
+has an inverse in the Laurent field, and the inverse's lowest term is
+the inverse of x's lowest term, so v(x^-1) = -v(x); x = 0 is singular.  An extended kind can have zero
 divisors (quaternion+sqrt(-1) is M_2(Q(i))), so its components keep the
 solve.  ``inverse`` reads every digit.  a is a unit over the
 Laurent polynomials iff every det is a monomial c * t^v, that is iff
@@ -203,12 +203,20 @@ class JetMatrix:
     def field_invertible(self) -> bool:
         """Exact invertibility over the Laurent field.
 
-        Invertible iff the image M(t) of every component (see the module
-        docstring) is: det M has degree at most D = dim * the sum of the
-        row spans, so it is nonzero iff it is nonzero at one of t = 1, ...,
-        D + 1.
+        Invertible iff every component is.  A 1 x 1 component [x] over an
+        unextended kind, a division algebra, is invertible iff x is not
+        zero (see the module docstring).  Any other component is
+        invertible iff its image M(t) is: det M has degree at most D = dim
+        * the sum of the row spans, so it is nonzero iff it is nonzero at
+        one of t = 1, ..., D + 1.  An extended kind can have zero divisors,
+        such as 1 + qi * sqrt(-1), so its 1 x 1 components are solved too.
         """
-        def nonsingular(bounds: list) -> bool:
+        division = self.kind.ext is None
+
+        def nonsingular(comp: list[int]) -> bool:
+            if division and len(comp) == 1:
+                return bool(self.rows[comp[0]][comp[0]].coeffs)
+            bounds = self._row_bounds(comp)
             _, _, _, spans, sizes, _ = zip(*bounds)
             if not all(sizes):
                 return False  # an exactly zero row is singular at every point
@@ -216,7 +224,7 @@ class JetMatrix:
             return any(_bareiss(m := left_regular(self.kind, [r[0] for r in _image(bounds, x)]),
                                 len(m)) for x in range(1, points + 1))
 
-        return all(nonsingular(self._row_bounds(comp)) for comp in self._components())
+        return all(map(nonsingular, self._components()))
 
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]), None for an exactly zero entry;

@@ -34,6 +34,14 @@ central in ``transport_check``.
 * The commutant of a full lattice in M_n(D((t))) is the centre: u
   transports sigma1 to sigma2 (tau(x) * W = W * sigma1(x) on the order,
   W = tau(u) * a2 * u) iff W = c * a1 with c central.
+* A left inverse is two-sided in M_n(D((t))), which is finite-dimensional
+  over the Laurent field: b * u = 1 makes x -> u * x injective, so onto.
+  In the generic fibre, tau(u) * a2 * u = alpha * a1 with alpha a nonzero
+  rational Laurent polynomial and a1 invertible gives u the left inverse
+  (alpha * a1)^-1 * tau(u) * a2, so ``verify_witness`` asks a1 over the
+  field there, and u only when a1 is singular.  Every replay gauge is
+  diagonal, and a 1 x 1 component over a division kind is invertible
+  iff its entry is not zero, so a replay solves nothing for it.
 """
 
 from __future__ import annotations
@@ -41,7 +49,8 @@ from __future__ import annotations
 import time
 from itertools import product
 
-from .basechange import becomes_iso_after_sh, verify_sh_pattern
+from . import basechange
+from .basechange import becomes_iso_after_sh
 from .errors import (
     Diagnostics,
     InsufficientPrecision,
@@ -193,10 +202,15 @@ def _triple_entry(row, b: JetMatrix, c: JetMatrix, j: int) -> LaurentJet:
 def verify_witness(w: WitnessCheck) -> Diagnostics:
     """Check the transport identity exactly, then (base and etale modes)
     that u is a unit of the order, then that alpha is a unit of the
-    declared ring.  A unit of the order is invertible over the Laurent
-    field (units lift modulo the Jacobson radical), so u is asked over
-    the field only in the generic fibre or after a failed check, and a u
-    singular there is reported so, as if the field had been asked first.
+    declared ring.  A u singular over the Laurent field is reported so,
+    as if the field had been asked first, but u is asked only when the
+    passing checks leave its invertibility open.  In the base and etale
+    modes they do not: a unit of the order is invertible over the field
+    (units lift modulo the Jacobson radical).  In the generic fibre they
+    do not when a1 is invertible: the identity with alpha a nonzero
+    rational then gives u a left inverse, which is two-sided (see the
+    module docstring).  So a1 is asked there, and u only when a1 is
+    singular or a check failed.
     A u or alpha over the division kind is not promoted after the
     identity: it has the same valuations and text over the etale kind,
     and a matrix of it is a unit there exactly when it is one over the
@@ -214,7 +228,9 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
             f"{_promote(alpha, kind) * _promote(a1.entry(i, j), kind)}")
 
     diag = _ring_checks(w, u, alpha)
-    if (not diag.ok or w.mode.ring == GENERIC_FIBER) and not u.field_invertible():
+    if diag.ok and (w.mode.ring != GENERIC_FIBER or a1.field_invertible()):
+        return diag
+    if not u.field_invertible():
         return failure("NotInvertible", "u is not invertible over the Laurent field")
     return diag
 
@@ -444,11 +460,17 @@ def sh_grid():
 
 
 def _replay_sh_permutation() -> list[StepResult]:
-    total, failed = 0, 0
+    """Run ``verify_sh_pattern``'s check on every grid case, with each
+    permutation built once per shape (s, t, n): it depends on nothing
+    else.  Both steps are looked up in ``basechange`` when they run."""
+    shapes: dict[tuple[int, int, int], list[Signature]] = {}
     for s, t, sig in sh_grid():
-        total += 1
-        if not verify_sh_pattern(s, t, sig):
-            failed += 1
+        shapes.setdefault((s, t, sig.n), []).append(sig)
+    total, failed = 0, 0
+    for (s, t, _), sigs in shapes.items():
+        perm = basechange.sh_permutation(s, t, sigs[0])
+        total += len(sigs)
+        failed += sum(not basechange._sh_pattern_holds(perm, s, t, sig) for sig in sigs)
     actual = f"{total} combinations verified" if not failed else \
         f"{failed} of {total} combinations failed"
     return [StepResult("pattern conjugation grid", f"{total} combinations verified",

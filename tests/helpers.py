@@ -524,7 +524,9 @@ def ref_identity_check(w: WitnessCheck) -> Diagnostics:
 def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
     """``verify_witness`` with every check asked in turn: the identity,
     then invertibility of u over the Laurent field, then (base and etale
-    modes) that u is a unit of the order, then that alpha is a unit."""
+    modes) that u is a unit of the order, then that alpha is a unit.  So
+    u is asked over the field whenever the identity holds, as the generic
+    fibre did before a1 was asked in its place."""
     diag = ref_identity_check(w)
     if not diag.ok:
         return diag

@@ -25,7 +25,7 @@ from horders.orders import (
     ss_iso_decide,
 )
 from horders.scalars import BASE, QUATERNION
-from horders.witness import semisimple_pair, sh_grid
+from horders.witness import replay, semisimple_pair, sh_grid
 
 from helpers import (ref_becomes_iso_after_sh, ref_descend_signature, ref_sh_permutation,
                      ref_verify_sh_pattern)
@@ -33,6 +33,12 @@ from helpers import (ref_becomes_iso_after_sh, ref_descend_signature, ref_sh_per
 
 def sig(*parts):
     return Signature(parts)
+
+
+def grid_step() -> tuple[str, str, bool]:
+    """(expected, actual, ok) of the replay's one pattern-grid step."""
+    [step] = replay("sh-permutation").steps
+    return step.expected, step.actual, step.ok
 
 
 def test_sh_signature_scales_then_repeats():
@@ -147,6 +153,8 @@ def test_verify_sh_pattern_rejects_what_the_brute_force_rejects(monkeypatch):
     verdicts = [(verify_sh_pattern(*c), ref_verify_sh_pattern(*c)) for c in sh_grid()]
     assert all(got == want for got, want in verdicts)
     assert sum(not got for got, _ in verdicts) == 296
+    # the replay builds each permutation once per shape through the same lookup
+    assert grid_step() == ("305 combinations verified", "296 of 305 combinations failed", False)
 
 
 @pytest.mark.parametrize("parts", [
@@ -161,6 +169,9 @@ def test_verify_sh_pattern_matches_the_brute_force_on_other_targets(monkeypatch,
     verdicts = [(verify_sh_pattern(*c), ref_verify_sh_pattern(*c)) for c in sh_grid()]
     assert all(got == want for got, want in verdicts)
     assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
+    # the replay's per-shape run reads the same patched target
+    rejected = sum(not want for _, want in verdicts)
+    assert grid_step()[1] == f"{rejected} of {len(verdicts)} combinations failed"
 
 
 def test_verify_sh_pattern_matches_the_brute_force_on_perturbed_permutations(monkeypatch):

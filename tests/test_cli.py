@@ -231,6 +231,19 @@ def test_non_positive_residue_parameters_are_usage_errors(capsys, argv):
     assert "expected an integer of at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--division", "D", "--division2", ""],  # read as "same as the first": isomorphic
+    ["--division", ""],
+])
+def test_an_empty_division_label_is_a_usage_error(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", "--sig", "4,2", "--sig2", "4,2", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a nonempty division label" in captured.err
+
+
 def test_verify_command(tmp_path, capsys):
     path = corpus_path(tmp_path, "main-counterexample.ho")
     assert main(["verify", "--session", path, "--witness", "wF"]) == 0

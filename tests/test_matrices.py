@@ -13,8 +13,8 @@ from horders.matrices import JetMatrix, Tau, first_difference
 from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
 
 from helpers import (_poly_det, entrywise, onto, random_jet, random_scalar,
-                     ref_gauss_jordan_inverse, ref_matmul, rows_agree)
-from test_scalars import REF_KINDS, kernel_jet
+                     ref_gauss_jordan_inverse, ref_invertible, ref_matmul, rows_agree)
+from test_scalars import REF_KINDS, SPLIT_KINDS, kernel_jet
 
 
 def mat(*rows) -> JetMatrix:
@@ -403,3 +403,46 @@ def test_a_difference_at_the_largest_magnitude_is_found_in_its_column(sign, m):
         assert first_difference([big], [zero]) == (i, j)
         assert first_difference([zero], [big]) == (i, j)
         assert first_difference([LaurentJet.t_power(BASE, 2), big], [zero]) == (i, j)
+
+
+
+def _by_elimination(x: LaurentJet) -> bool:
+    """[x] invertible over the Laurent field, decided by elimination: the
+    2 x 2 component [[x, 1], [0, 1]] = [[1, 1], [0, 1]] * diag(x, 1) is
+    invertible exactly when x is, and its image is always solved."""
+    one, zero = LaurentJet.one(x.kind), LaurentJet.zero(x.kind)
+    return JetMatrix.of([[x, one], [zero, one]]).field_invertible()
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_a_one_by_one_component_agrees_with_elimination(kind, monkeypatch):
+    # an unextended kind is a division algebra, so its 1 x 1 components
+    # are decided without a solve; an extended kind can hold zero divisors
+    # such as 1 + qi * sqrt(-1), so its components are still eliminated
+    rng = Random(f"one-by-one:{kind}")
+    zero, one, t = LaurentJet.zero(kind), LaurentJet.one(kind), LaurentJet.t_power(kind, 1)
+    entries = [zero, one, t] + [random_jet(kind, rng) for _ in range(12)]
+    divisors = []
+    if kind.ext is not None:
+        root = Scalar.ext_gen(kind)
+        for a in range(1, kind.core_dim) if kind.core_dim > 1 else [0]:
+            e = LaurentJet.constant(kind, Scalar.one(kind) + Scalar.basis(kind, a) * root)
+            divisors.append([e, e * (one + t), e + t])
+    real, solves = matrices._bareiss, []
+    monkeypatch.setattr(matrices, "_bareiss", lambda *args: solves.append(1) or real(*args))
+    verdicts = []
+    for x in entries + [x for triple in divisors for x in triple]:
+        want = _by_elimination(x)
+        if len(x.coeffs) <= 1:  # a monomial c * t^k is invertible iff c is
+            assert want is (bool(x.coeffs) and ref_invertible(
+                kind, [[tuple(map(Q, x.coeffs[0].parts))]])), x
+        for a in (JetMatrix.diagonal([x]), JetMatrix.diagonal([x, one, x])):
+            solves.clear()
+            assert a.field_invertible() is want, (x, a)
+            # a zero x is singular before any solve, and ends the question
+            assert bool(solves) is (kind.ext is not None and bool(x.coeffs))
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+    if kind in SPLIT_KINDS:  # (1 + i * sqrt(-1)) * (1 - i * sqrt(-1)) = 0
+        assert [[_by_elimination(x) for x in triple] for triple in divisors] == [
+            [False, False, True]] * len(divisors)

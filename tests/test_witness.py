@@ -571,6 +571,77 @@ def test_the_unit_check_first_gives_the_reference_diagnostics():
     assert ("copy_outside", *FIELD_SINGULAR) in seen and ("idempotent", *FIELD_SINGULAR) in seen
 
 
+def _fibre_case(rng, kind):
+    """A generic-fibre witness on a random block order over ``kind``, and
+    its shape: u has random entries, with row i copied onto row j when u
+    is singular (``singular_u``, ``singular_both``); a2 is a diagonal of
+    rational monomials with one zero when it is singular (``singular_a2``,
+    ``singular_both``), and zero for a zero alpha (``zero_alpha``); alpha
+    is a nonzero rational Laurent polynomial, or a quaternion or quadratic
+    unit (``irrational_alpha``).  a1 is chosen so the identity holds;
+    one witness in ten then has a1 changed at one entry."""
+    parts = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
+    order = BlockOrder(DivisionSpec("D", kind), Signature(parts))
+    n = order.sig.n
+    one, t, zero = LaurentJet.one(kind), LaurentJet.t_power(kind, 1), LaurentJet.zero(kind)
+    shape = rng.choice(["valid"] * 3 + ["singular_a2", "zero_alpha"]
+                       + ["singular_u", "singular_both"] * (n > 1)
+                       + ["irrational_alpha"] * (kind != BASE))
+    rows = [[random_jet(kind, rng, lowest=-1, highest=2) if rng.random() < 0.7 else zero
+             for _ in range(n)] for _ in range(n)]
+    if shape in ("singular_u", "singular_both"):
+        i, j = rng.sample(range(n), 2)
+        rows[i] = [t * e for e in rows[j]]
+    u = JetMatrix.of(rows)
+    a2 = [LaurentJet.t_power(kind, rng.randint(-1, 1), rng.choice((1, -1, 2))) for _ in range(n)]
+    if shape in ("singular_a2", "singular_both"):
+        a2[rng.randrange(n)] = zero
+    a1 = u.conj_transpose() @ JetMatrix.diagonal(a2) @ u
+    if shape == "zero_alpha":
+        alpha, a2 = zero, [zero] * n
+    elif shape == "irrational_alpha":
+        alpha = LaurentJet.constant(kind, Scalar.basis(kind, 1))
+        a1 = entrywise(lambda x: alpha.inverse() * x, a1)
+    else:
+        alpha = rng.choice([one, LaurentJet.constant(kind, 2), t, LaurentJet.t_power(kind, -1),
+                            one + t])
+        a2 = [alpha * x for x in a2]  # alpha is central, so tau(u) * a2 * u = alpha * a1
+    if rng.random() < 0.1:
+        a1 = entrywise(add, a1, single_entry(kind, n, rng.randrange(n), rng.randrange(n), one))
+    return WitnessCheck(u, alpha, MODE_F, InvolutionSpec(order, a1),
+                        InvolutionSpec(order, JetMatrix.diagonal(a2))), shape
+
+
+def test_the_generic_fibre_asks_u_only_when_a1_leaves_it_open(monkeypatch):
+    # tau(u) * a2 * u = alpha * a1, alpha a nonzero rational and a1
+    # invertible, give u a left inverse, so u is asked only otherwise, and
+    # the diagnostics are those of the reference, which always asks u
+    rng = Random(59)
+    asked = []
+    field_invertible = JetMatrix.field_invertible
+    monkeypatch.setattr(JetMatrix, "field_invertible",
+                        lambda m: asked.append(m) or field_invertible(m))
+    seen, details = set(), set()
+    for _ in range(150):
+        w, shape = _fibre_case(rng, rng.choice([k for k, _, _ in ALL_KINDS]))
+        want = ref_verify_witness(w)
+        asked.clear()
+        got = verify_witness(w)
+        assert (got.ok, got.code, got.detail) == (want.ok, want.code, want.detail), (shape, w)
+        if got.ok:  # u is asked exactly when a1 is singular
+            regular = field_invertible(w.spec1.gauge)
+            assert any(m is w.u for m in asked) is not regular, (shape, w)
+            seen.add((shape, "regular a1" if regular else "singular a1"))
+        seen.add((shape, got.code))
+        details.add(got.detail)
+    assert {("valid", "regular a1"), ("singular_a2", "singular a1"),
+            ("singular_u", FIELD_SINGULAR[0]), ("singular_both", FIELD_SINGULAR[0]),
+            ("zero_alpha", "NotUnit"), ("irrational_alpha", "NotUnit"),
+            ("valid", "IdentityMismatch")} <= seen
+    assert {FIELD_SINGULAR[1], "alpha is zero"} <= details
+    assert any(d.endswith("does not lie in the generic-fiber ring") for d in details)
+
+
 @pytest.mark.parametrize("kind,s,t", ALL_KINDS)
 def test_a_verified_unit_witness_asks_nothing_over_the_laurent_field(kind, s, t, monkeypatch):
     spec1, _, w_fiber, w_etale = counterexample_pair(kind, s, t)
@@ -582,7 +653,8 @@ def test_a_verified_unit_witness_asks_nothing_over_the_laurent_field(kind, s, t,
                         lambda m: calls.append(m) or field_invertible(m))
     assert verify_witness(w_etale).ok and verify_witness(trivial).ok
     assert calls == []
-    assert verify_witness(w_fiber).ok and len(calls) == 1  # the generic fibre still asks
+    # the generic fibre asks a1, whose invertibility the identity carries over to u
+    assert verify_witness(w_fiber).ok and [m is w_fiber.spec1.gauge for m in calls] == [True]
 
 
 @pytest.mark.parametrize("kind,s,t", ALL_KINDS)
@@ -694,12 +766,13 @@ def test_replay_asks_the_base_ring_in_full_when_the_generic_fibre_fails(scenario
 
 
 def test_replay_counts_the_failed_grid_combinations(monkeypatch):
-    from horders import witness
+    # the replay runs verify_sh_pattern's per-case check, looked up in basechange
+    from horders import basechange, witness
 
     total = sum(1 for _ in witness.sh_grid())
-    real = witness.verify_sh_pattern
-    monkeypatch.setattr(witness, "verify_sh_pattern", lambda s, t, sig: (
-        (s, t, sig.parts) != (2, 3, (1, 2)) and real(s, t, sig)))
+    real = basechange._sh_pattern_holds
+    monkeypatch.setattr(basechange, "_sh_pattern_holds", lambda perm, s, t, sig: (
+        (s, t, sig.parts) != (2, 3, (1, 2)) and real(perm, s, t, sig)))
     report = replay("sh-permutation")
     assert [(s.expected, s.actual, s.ok) for s in report.steps] == [
         (f"{total} combinations verified", f"1 of {total} combinations failed", False)]
@@ -713,10 +786,21 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     # its block once) and checks two transport identities, as the base-ring
     # verdict reuses the generic-fibre one; the gauges are compared with
     # tau of themselves in place, their 1 x 1 components need no solve, and
-    # the residue blocks are not checked again for being hermitian
-    from horders import involutions, witness
+    # the residue blocks are not checked again for being hermitian.  No
+    # witness u is asked over the Laurent field: the generic fibre asks a1,
+    # as the identity then proves u invertible.  sh-permutation builds one
+    # permutation per shape (s, t, n) of its grid
+    from horders import basechange, involutions, witness
 
     validated, decided, identities, solves = [], [], [], []
+    asked, witnesses, perms = [], [], []
+    field_invertible, verify, permutation = (
+        JetMatrix.field_invertible, witness.verify_witness, basechange.sh_permutation)
+    monkeypatch.setattr(JetMatrix, "field_invertible",
+                        lambda m: asked.append(m) or field_invertible(m))
+    monkeypatch.setattr(witness, "verify_witness", lambda w: witnesses.append(w) or verify(w))
+    monkeypatch.setattr(basechange, "sh_permutation",
+                        lambda *args: perms.append(args) or permutation(*args))
     require = involutions._require_wellformed
     diagonalize, difference = involutions.diagonalize_form, witness.first_difference
     solve = JetMatrix._solve
@@ -744,6 +828,12 @@ def test_replay_does_each_piece_of_work_once(scenario, monkeypatch):
     assert copies == []  # tau(u) is read from u's image
     assert rechecks == []
     assert solves == []  # every gauge of a replay is diagonal
+    assert len(witnesses) == (2 if scenario.startswith("main-") else 0)
+    assert not any(m is w.u for m in asked for w in witnesses)
+    shapes = {(s, t, sig.n) for s, t, sig in witness.sh_grid()}
+    assert len(shapes) == 70
+    built = shapes if scenario == "sh-permutation" else set()
+    assert len(perms) == len(built) and {(s, t, sig.n) for s, t, sig in perms} == built
 
 
 def _count_calls_inside(monkeypatch, outer: list, inner: list) -> list:
