@@ -28,6 +28,8 @@ from horders.witness import SCENARIOS
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SESSIONS = ("main-counterexample.ho", "semisimple-basechange.ho")
+# one gauge of each well-formedness failure, a test session outside the package
+FAILURES = GOLDEN / "failures.ho"
 CORPUS_SEED, CORPUS_OPS = 7, 57
 
 
@@ -42,6 +44,11 @@ def test_check_json_is_unchanged(name, capsysbinary):
     with resources.as_file(path) as file:
         got = cli_bytes(["check", str(file), "--json"], capsysbinary)
     assert got == (GOLDEN / f"check-{name}.json").read_bytes()
+
+
+def test_check_json_of_the_failure_rows_is_unchanged(capsysbinary):
+    got = cli_bytes(["check", str(FAILURES), "--json"], capsysbinary)
+    assert got == (GOLDEN / f"check-{FAILURES.name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -90,8 +97,9 @@ def test_corpus_ops_build_basis_products_once_per_kind(monkeypatch):
 
 
 # One line per call: argv (with {main} and {semisimple} standing for the
-# bundled session paths), exit code, stdout and stderr.  Text-mode timings
-# are masked; COLUMNS is fixed so argparse wraps usage lines the same way.
+# bundled session paths and {failures} for FAILURES), exit code, stdout and
+# stderr.  Text-mode timings are masked; COLUMNS is fixed so argparse wraps
+# usage lines the same way.
 SUBCOMMANDS = [json.loads(line) for line in
                (GOLDEN / "cli-subcommands.jsonl").read_text(encoding="utf-8").splitlines()]
 TIMINGS = re.compile(rb"(?<=\[)\d+\.\d(?= ms\]$)|(?<= in )\d+(?= ms$)", re.MULTILINE)
@@ -99,7 +107,7 @@ TIMINGS = re.compile(rb"(?<=\[)\d+\.\d(?= ms\]$)|(?<= in )\d+(?= ms$)", re.MULTI
 
 def cli_call(argv, capsysbinary, monkeypatch) -> dict:
     monkeypatch.setenv("COLUMNS", "80")
-    paths = {}
+    paths = {"failures": str(FAILURES)}
     with contextlib.ExitStack() as stack:
         for key, name in zip(("main", "semisimple"), SESSIONS):
             file = resources.files("horders.sessions").joinpath(name)

@@ -25,6 +25,8 @@ def test_reach_lists_what_no_traffic_enters():
     names = {name for name, _ in listed}
     # no workload multiplies jet matrices, so a working trace lists it
     assert "JetMatrix.__matmul__" in names
-    assert not names & {"wellformed", "verify_witness", "pattern_mul"}
+    # the failure rows' NotStable gauge reaches the row-by-row pass
+    assert not names & {"wellformed", "verify_witness", "pattern_mul",
+                        "JetMatrix.inverse_valuations"}
     assert not names & set(DELETED)
     assert total == f"{len(listed)} functions, {sum(int(n) for _, n in listed)} lines never entered"

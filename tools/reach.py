@@ -54,6 +54,7 @@ def run_traffic(h, workloads) -> list[str]:
         paths = {key: str(stack.enter_context(resources.as_file(
                      resources.files("horders.sessions").joinpath(name))))
                  for key, name in SESSIONS.items()}
+        paths["failures"] = str(ROOT / "tests" / "golden" / "failures.ho")
         for line in golden.splitlines():
             case = json.loads(line)
             out = io.TextIOWrapper(io.BytesIO())
