@@ -7,24 +7,57 @@ each block a power of t times a unit block, the involution descends to
 the semisimple quotient blockwise; isotropy of each residue block is
 decided by congruence-diagonalising the residue gauge.  Because every
 scalar model has a positive definite norm form, the verdict is read off
-the signs of the diagonal entries; isotropic vectors are constructed
-exactly whenever the norm equation has a rational solution, otherwise
-the verdict stands and the witness is omitted.
+the signs of the diagonal entries.  An isotropic vector is built when a
+bounded search (``represent_norm``) finds a ratio of diagonal entries to
+be a norm; otherwise the verdict stands and the witness is omitted.
 
 Well-formedness is decided from entry valuations, without matrix
-products.  The involution sends the order generator t^P[i][j] * e_ij to
-the matrix with entries a^-1[k][j] * t^P[i][j] * a[i][l].  Gauges live
-over unextended kinds, which have no zero divisors, so the valuation of
-that product is the sum of the factors' valuations plus P[i][j] (a zero
-factor gives +infinity).  Stability is therefore the integer inequality
-v(a^-1[k][j]) + P[i][j] + v(a[i][l]) >= P[k][l] for all i, j, k, l,
-the min-plus statement V(a^-1) * P^T * V(a) >= P, decided in O(n^2) per
-row i: with w[k] the least v(a[i][l]) - P[k][l] over the nonzero a[i][l]
-(a zero row has raised NotInvertible in ``inverse_valuations``), (i, j)
-fails exactly when v(a^-1[k][j]) + P[i][j] + w[k] < 0 for some k.
-That sigma squares to the identity needs no check:
-tau(a) = epsilon * a gives tau(a^-1) = epsilon * a^-1, hence
-sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) * a = x.
+products, first by lattice-chain duality (Reiner, *Maximal Orders*,
+section 39; Bruhat and Tits, *Bull. Soc. Math. France* 112, 1984).  The
+order has n positions and blocks 0, ..., r - 1; blk(j) is the block of
+position j and S_c the start of block c.  For integers f let L(f) be the
+lattice of columns x with v(x_j) >= f_j, and L(f)^v = L(-f) its dual;
+End L(f) is the x with v(x_ij) >= f_i - f_j, and vol L(f) = sum f
+measures it: for lattices M in N, N / M has length vol M - vol N over
+D[[t]], so an inclusion of lattices of equal volume is an equality.
+L_c = L(f) with f_j = [blk(j) < c], and the largest f_i - f_j over c
+is [blk(i) < blk(j)] = P[i][j], the order pattern, so the order is the
+intersection of the End L_c.  sigma is the adjoint of the form h(v, w)
+= tau(v) * a * w, as h(x * v, w) = h(v, sigma(x) * w); so sigma(End L)
+fixes the dual of L under h, {w : h(L, w) is integral} = a^-1 * L^v,
+that is sigma(End L) is in End(a^-1 * L^v).  With delta = v(det a), the
+valuation of the Dieudonne determinant (``JetMatrix.det_valuation``),
+vol(a * M) = vol M + delta.  For each block b take the one c with S_c
+= -S_b - delta mod n and k = (-S_b - delta - S_c) / n; the test asks
+v(a[i][j]) + k + [blk(j) < c] >= -[blk(i) < b] for every nonzero
+a[i][j], that is a * t^k * L_c in L_b^v.  Both sides have volume -S_b
+(vol L_c = S_c), so a^-1 * L_b^v = t^k * L_c, and sigma(End L_b) is in
+End(t^k * L_c) = End L_c.  Distinct b have distinct S_b, hence distinct
+c: b -> c permutes the blocks, and sigma maps the order into the
+intersection of the End L_c, the order.  The test reads each block of a
+once, through its least valuation, in O(n^2 + r^3) steps, with no a^-1.
+
+Every stable gauge passes it: sigma(Lambda) = Lambda makes the dual
+a^-1 * L_b^v of each L_b a Lambda-lattice (h(L, x * w) = h(sigma(x) * L,
+w)), and the Lambda-lattices are the t^k * L_c, whose volumes give c and
+k as above.  That decides only speed.  A gauge the test refuses takes
+the row-by-row pass below, which alone raises NotStable and names the
+failing generator; if it finds none, the gauge is stable.
+
+The row-by-row pass reads the involution on generators.  It sends the
+order generator t^P[i][j] * e_ij to the matrix with entries a^-1[k][j]
+* t^P[i][j] * a[i][l].  Gauges live over unextended kinds, which have no
+zero divisors, so the valuation of that product is the sum of the
+factors' valuations plus P[i][j] (a zero factor gives +infinity).
+Stability is therefore the integer inequality v(a^-1[k][j]) + P[i][j] +
+v(a[i][l]) >= P[k][l] for all i, j, k, l, the min-plus statement
+V(a^-1) * P^T * V(a) >= P, decided in O(n^2) per row i: with w[k] the
+least v(a[i][l]) - P[k][l] over the nonzero a[i][l] (a zero row has
+raised NotInvertible in ``det_valuation``), (i, j) fails exactly when
+v(a^-1[k][j]) + P[i][j] + w[k] < 0 for some k.  That sigma squares to
+the identity needs no check: tau(a) = epsilon * a gives tau(a^-1) =
+epsilon * a^-1, hence sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) *
+a = x.
 
 The valuations of a^-1 are exact: ``JetMatrix.inverse_valuations``
 reads them from one fraction-free elimination per connected component
@@ -45,15 +78,19 @@ unextended (a ``DivisionSpec`` refuses any other).  Only the epsilon =
 -1 refusal of ``anisotropy`` is kept on that path.
 
 Each ``InvolutionSpec`` checks well-formedness and computes its residue
-data and residue isotropy at most once; a failed check is raised again
-on every call.
+data and the diagonalisation of each residue block at most once; a
+failed check is raised again on every call.  A block's verdict and
+signature are read off the signs of its diagonal, so
+``residually_anisotropic`` and ``distinguish`` never search for a
+witness; ``residue_isotropy`` searches on the same diagonalisations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
+from operator import index
 
 from .errors import (
     Diagnostics,
@@ -70,8 +107,8 @@ from .errors import (
     record,
 )
 from .matrices import JetMatrix
-from .orders import BlockOrder, iso_decide, pattern_of
-from .scalars import Q, Scalar, ScalarKind, _conj_parts
+from .orders import BlockOrder, Signature, iso_decide, pattern_of
+from .scalars import Q, Scalar, ScalarKind, _conj_parts, _mul_parts, _raw
 
 ANISOTROPIC = "anisotropic"
 ISOTROPIC = "isotropic"
@@ -90,7 +127,7 @@ class InvolutionSpec:
     epsilon: int = 1
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
+        if index(self.epsilon) not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
         if self.gauge.kind != self.order.division.kind:
             raise ScalarKindMismatch(
@@ -102,7 +139,9 @@ class InvolutionSpec:
     # Memos outside eq, hash and repr; a call that raises stores nothing.
     _checked = cached_property(lambda self: _require_wellformed(self) or True)
     _residue = cached_property(lambda self: self._checked and _residue_of(self))
-    _isotropy = cached_property(lambda self: _isotropy_of(self._residue))
+    _forms = cached_property(lambda self: _forms_of(self._residue))
+    _isotropy = cached_property(lambda self: tuple(
+        _with_witness(form, self._residue.kind) for form in self._forms))
 
 
 @record
@@ -176,6 +215,35 @@ def _require_wellformed(spec: InvolutionSpec) -> None:
     a = spec.gauge
     if not _is_eps_hermitian(a, spec.epsilon):
         raise NotEpsilonHermitian(f"tau(a) != {spec.epsilon:+d}*a")
+    if not _maps_chain_to_dual(spec.order.sig, a, a.det_valuation()):
+        _require_stable(spec)
+
+
+def _maps_chain_to_dual(sig: Signature, a: JetMatrix, delta: int) -> bool:
+    """a * t^k * L_c = L_b^v for every block b, with c and k read off the
+    volumes, for a gauge a with v(det a) = delta (see the module docstring)."""
+    n, starts = sig.n, sig.block_starts()
+    spans = [(start, start + size) for start, size in zip(starts, sig.parts)]
+    # least[b][c]: the least valuation of a nonzero entry of block (b, c), or None
+    least = [[min([e.lowest_exp for row in a.rows[b_lo:b_hi] for e in row[c_lo:c_hi]
+                   if e.coeffs], default=None) for c_lo, c_hi in spans] for b_lo, b_hi in spans]
+    block_at = {start: c for c, start in enumerate(starts)}
+    for b, start in enumerate(starts):
+        c = block_at.get((-start - delta) % n)
+        if c is None:
+            return False
+        k = (-start - delta - starts[c]) // n
+        for bb, row in enumerate(least):
+            for cc, v in enumerate(row):
+                if v is not None and v + k + (cc < c) + (bb < b) < 0:
+                    return False
+    return True
+
+
+def _require_stable(spec: InvolutionSpec) -> None:
+    """The row-by-row pass of the module docstring: NotStable naming the
+    first generator whose image leaves the order, if any."""
+    a = spec.gauge
     p = pattern_of(spec.order.sig).entries
     vinv = a.inverse_valuations()
     # the finite v(a^-1[k][j]) of each column j; None is an exactly zero entry
@@ -195,9 +263,10 @@ def wellformed(spec: InvolutionSpec) -> Diagnostics:
     """Check the gauge is epsilon-hermitian and invertible and that the
     twisted involution stabilises the order.  First failure wins.
 
-    Stability is read off the valuations of a and the exact valuations
-    of a^-1 (see the module docstring); sigma^2 = id follows from the
-    hermitian check.
+    Stability is read off the valuations of a and of its determinant,
+    and on a gauge that test refuses off the exact valuations of a^-1
+    (see the module docstring); sigma^2 = id follows from the hermitian
+    check.
     """
     try:
         spec._checked
@@ -257,71 +326,88 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     chosen (a zero diagonal with a nonzero entry w at (i, j) first
     becomes 2 * w * conj(w) > 0 at i), and no later step touches its row
     or column.  A form with no such pivot raises SingularForm.
+
+    The work runs on integer pairs (numerators, denominator) in lowest
+    terms, as a :class:`Scalar` stores them, with one gcd per update, so
+    each step builds no Scalar; only the pivots and C become scalars.
     """
     n = len(b)
     if not n:
         return [], ()
-    work = [list(row) for row in b]
-    zero, one = Scalar.zero(b[0][0].kind), Scalar.one(b[0][0].kind)
+    kind = b[0][0].kind
+    zero, one = ((0,) * kind.dim, 1), ((1,) + (0,) * (kind.dim - 1), 1)
+    work = [[(e.num, e.den) for e in row] for row in b]
     trans = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
-    def col_add(j: int, k: int, c: Scalar) -> None:
-        # basis change e_j <- e_j + e_k * c, applied two-sidedly
-        for i in range(n):
-            work[i][j] = work[i][j] + work[i][k] * c
-        cc = c.conj()
-        for m in range(n):
-            work[j][m] = work[j][m] + cc * work[k][m]
-        for i in range(n):
-            trans[i][j] = trans[i][j] + trans[i][k] * c
+    def col_add(j: int, k: int, cn: tuple, cd: int) -> None:
+        # basis change e_j <- e_j + e_k * c, applied two-sidedly, c = cn / cd
+        for rows in (work, trans):
+            for row in rows:
+                xn, xd = row[k]
+                if any(xn):
+                    row[j] = _plus(row[j], _mul_parts(kind, xn, cn), xd * cd)
+        ccn, top = _conj_parts(kind, cn), work[k]
+        work[j] = [_plus(x, _mul_parts(kind, ccn, yn), cd * yd) if any(yn) else x
+                   for x, (yn, yd) in zip(work[j], top)]
 
     def col_swap(j: int, k: int) -> None:
-        for i in range(n):
-            work[i][j], work[i][k] = work[i][k], work[i][j]
+        for rows in (work, trans):
+            for row in rows:
+                row[j], row[k] = row[k], row[j]
         work[j], work[k] = work[k], work[j]
-        for i in range(n):
-            trans[i][j], trans[i][k] = trans[i][k], trans[i][j]
 
+    diag = []
     for k in range(n):
-        if work[k][k].is_zero():
-            swap = next((l for l in range(k + 1, n) if not work[l][l].is_zero()), None)
+        if not any(work[k][k][0]):
+            swap = next((l for l in range(k + 1, n) if any(work[l][l][0])), None)
             if swap is not None:
                 col_swap(k, swap)
             else:
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if not work[i][j].is_zero():
-                            found = (i, j)
-                            break
-                    if found:
-                        break
+                found = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                              if any(work[i][j][0])), None)
                 if found is None:
                     raise SingularForm("form vanishes on a nonzero subspace")
                 i, j = found
-                col_add(i, j, work[i][j].conj())
+                wn, wd = work[i][j]
+                col_add(i, j, _conj_parts(kind, wn), wd)
                 if i != k:
                     col_swap(k, i)
-        pivot = work[k][k].rational_value()
+        pivot = _raw(kind, *work[k][k]).rational_value()
+        diag.append(pivot)
+        f = Q(-1) / pivot
         for j in range(k + 1, n):
-            if work[k][j].is_zero():
-                continue
-            col_add(j, k, work[k][j].times(Q(-1) / pivot))
-    diag = [work[k][k].rational_value() for k in range(n)]
-    return diag, tuple(tuple(row) for row in trans)
+            xn, xd = work[k][j]
+            if any(xn):
+                col_add(j, k, tuple([f.numerator * v for v in xn]), xd * f.denominator)
+    return diag, tuple(tuple([_raw(kind, *x) for x in row]) for row in trans)
+
+
+def _plus(x: tuple, num: tuple, den: int) -> tuple:
+    """The pair of x + num / den in lowest terms, den > 0: one gcd."""
+    xn, xd = x
+    if xd == den:
+        out = tuple([a + b for a, b in zip(xn, num)])
+    else:
+        out = tuple([a * den + b * xd for a, b in zip(xn, num)])
+        den *= xd
+    g = gcd(den, *out)
+    return (tuple([v // g for v in out]), den // g) if g != 1 else (out, den)
 
 
 def _represent_int(weights: tuple[int, ...], target: int) -> tuple[int, ...] | None:
     """One integer solution of sum(w_i * a_i^2) = target, if any.
 
     target >= 0: ``represent_norm`` passes num * den > 0, and each
-    recursive call subtracts w * a^2 <= w * (target // w) <= target."""
-    if not weights:
-        return () if target == 0 else None
-    w = weights[0]
+    recursive call subtracts w * a^2 <= w * (target // w) <= target.  For
+    the last weight only the largest a, isqrt(target // w), can leave no
+    remainder: any smaller a has w * a^2 < w * isqrt(target // w)^2 <=
+    target."""
+    w, others = weights[0], weights[1:]
     a = isqrt(target // w)
+    if not others:
+        return (a,) if w * a * a == target else None
     while a >= 0:
-        rest = _represent_int(weights[1:], target - w * a * a)
+        rest = _represent_int(others, target - w * a * a)
         if rest is not None:
             return (a,) + rest
         a -= 1
@@ -382,19 +468,25 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
     if any(len(row) != n for row in b) or any(
             b[j][i].conj() != b[i][j] for i in range(n) for j in range(i, n)):
         raise NotEpsilonHermitian("form matrix is not hermitian")
-    return _decide_isotropy(b, kind)
+    return _with_witness(diagonalize_form(b), kind)
 
 
-def _decide_isotropy(b: SMat, kind: ScalarKind) -> IsotropyResult:
-    """The verdict of ``anisotropy`` for a hermitian b over the unextended
-    ``kind``, unchecked: diagonalise, then look for a witness."""
-    n = len(b)
-    diag, trans = diagonalize_form(b)
+def _verdict_of(diag: list[Fraction]) -> IsotropyResult:
+    """Verdict and unordered signature pair of a diagonalised form."""
     pos = sum(1 for d in diag if d > 0)
-    neg = n - pos
-    signature = tuple(sorted((pos, neg), reverse=True))
-    if pos == 0 or neg == 0:
-        return IsotropyResult(ANISOTROPIC, signature)
+    neg = len(diag) - pos
+    return IsotropyResult(ANISOTROPIC if pos == 0 or neg == 0 else ISOTROPIC,
+                          tuple(sorted((pos, neg), reverse=True)))
+
+
+def _with_witness(form: tuple[list[Fraction], SMat], kind: ScalarKind) -> IsotropyResult:
+    """The verdict of a diagonalised form (diag, C), with an isotropic
+    vector if the search of ``anisotropy`` finds one."""
+    diag, trans = form
+    result = _verdict_of(diag)
+    if result.is_anisotropic:
+        return result
+    n = len(diag)
     for i in range(n):
         if diag[i] <= 0:
             continue
@@ -403,15 +495,15 @@ def _decide_isotropy(b: SMat, kind: ScalarKind) -> IsotropyResult:
                 continue
             y = represent_norm(kind, -Q(diag[j]) / Q(diag[i]))
             if y is not None:
-                return IsotropyResult(ISOTROPIC, signature,
+                return IsotropyResult(ISOTROPIC, result.signature,
                                       tuple(row[i] * y + row[j] for row in trans))
-    return IsotropyResult(ISOTROPIC, signature)
+    return result
 
 
 def residually_anisotropic(spec: InvolutionSpec) -> bool:
     """True when every residue block of the induced involution is
     anisotropic; a sound obstruction hypothesis, not a classification."""
-    return all(r.is_anisotropic for r in residue_isotropy(spec))
+    return all(r.is_anisotropic for r in _residue_verdicts(spec))
 
 
 def residue_isotropy(spec: InvolutionSpec) -> list[IsotropyResult]:
@@ -419,11 +511,17 @@ def residue_isotropy(spec: InvolutionSpec) -> list[IsotropyResult]:
     return list(spec._isotropy)
 
 
-def _isotropy_of(res: ResidueInvolution) -> tuple[IsotropyResult, ...]:
+def _residue_verdicts(spec: InvolutionSpec) -> list[IsotropyResult]:
+    """The verdict and signature of each residue block, in block order,
+    read off its diagonal: ``residue_isotropy`` without the witnesses."""
+    return [_verdict_of(diag) for diag, _ in spec._forms]
+
+
+def _forms_of(res: ResidueInvolution) -> tuple[tuple[list[Fraction], SMat], ...]:
     # the blocks of a well-formed gauge are hermitian over an unextended
     # kind (see the module docstring); only epsilon is left to refuse
     _refuse_alternating(res.epsilon)
-    return tuple(_decide_isotropy(blk.gauge, res.kind) for blk in res.blocks)
+    return tuple(diagonalize_form(blk.gauge) for blk in res.blocks)
 
 
 def distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> DistinguishResult:
@@ -440,7 +538,7 @@ def distinguish(spec1: InvolutionSpec, spec2: InvolutionSpec) -> DistinguishResu
     def profile(spec: InvolutionSpec):
         # residue block i has the size of the order's block i
         return sorted((size, iso.verdict, iso.signature)
-                      for size, iso in zip(spec.order.sig.parts, residue_isotropy(spec)))
+                      for size, iso in zip(spec.order.sig.parts, _residue_verdicts(spec)))
 
     p1, p2 = profile(spec1), profile(spec2)
     if p1 != p2:

@@ -35,15 +35,23 @@ these integers are exactly the coefficients of det(t) and y_kj(t).
 of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in [v * B, v * B + B).
 So v(a^-1[k][j]) is the least valuation among the coordinates of y_kj
 minus v(det) minus low_j, and all-zero coordinates are an exactly zero
-entry (+infinity).  A 1 x 1 component [x] over an unextended kind needs
-no solve, here or in ``field_invertible``: that kind is a division
-algebra (Q; Q(sqrt(d)) with d square-free and negative; Hamilton's
-quaternions over Q, whose norm is positive definite), so a nonzero x
-has an inverse in the Laurent field, and the inverse's lowest term is
-the inverse of x's lowest term, so v(x^-1) = -v(x); x = 0 is singular.  An extended kind can have zero
-divisors (quaternion+sqrt(-1) is M_2(Q(i))), so its components keep the
-solve.  ``inverse`` reads every digit.  a is a unit over the
-Laurent polynomials iff every det is a monomial c * t^v, that is iff
+entry (+infinity).  ``det_valuation`` stops after the elimination and
+reads the lowest digit of the pivot alone: v(det M) = dim * delta', for
+delta' the valuation of the Dieudonne determinant of a' over D((t)),
+since a -> det M is multiplicative, is 1 on elementary matrices, and on
+diag(d, 1, ..., 1), d = t^v * u with u a unit of D[[t]], is t^(dim * v)
+times a unit of Q[[t]].  Row i of a' is s_i * t^-low_i times row i of a,
+so the component adds v(det M) / dim + sum(low_i) to delta = v(det a).
+A 1 x 1 component [x] over an unextended kind needs no solve, here, in
+``det_valuation`` (which adds v(x)) or in ``field_invertible``: that
+kind is a division algebra (Q; Q(sqrt(d)) with d square-free and
+negative; Hamilton's quaternions over Q, whose norm is positive
+definite), so a nonzero x has an inverse in the Laurent field, and the
+inverse's lowest term is the inverse of x's lowest term, so v(x^-1) =
+-v(x); x = 0 is singular.  An extended kind can have zero divisors
+(quaternion+sqrt(-1) is M_2(Q(i))), so its components keep the solve.
+``inverse`` reads every digit.  a is a unit over the Laurent
+polynomials iff every det is a monomial c * t^v, that is iff
 det(X) = c * X^v with |c| < X/2; then a^-1[k][j] = y_kj(t) * s_j *
 t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
 
@@ -226,6 +234,27 @@ class JetMatrix:
 
         return all(map(nonsingular, self._components()))
 
+    def det_valuation(self) -> int:
+        """The valuation of the Dieudonne determinant over the Laurent
+        field, summed over the components; raises NotInvertible for a
+        singular a.  See the module docstring."""
+        dim, division = self.kind.dim, self.kind.ext is None
+        total = 0
+        for comp in self._components():
+            if division and len(comp) == 1:
+                x = self.rows[comp[0]][comp[0]]
+                if not x.coeffs:
+                    raise NotInvertible(_SINGULAR)
+                total += x.lowest_exp
+                continue
+            bounds, bits, image = self._scaled_image(comp)
+            reg = left_regular(self.kind, image)
+            det = _bareiss(reg, len(reg))
+            if det == 0:
+                raise NotInvertible(_SINGULAR)
+            total += _lowest_digit(det, bits) // dim + sum(low for _, _, low, *_ in bounds)
+        return total
+
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]), None for an exactly zero entry;
         raises NotInvertible for a singular a.  See the module docstring."""
@@ -236,7 +265,7 @@ class JetMatrix:
                 (k,) = comp
                 x = self.rows[k][k]
                 if not x.coeffs:
-                    raise NotInvertible("gauge is not invertible over the Laurent field")
+                    raise NotInvertible(_SINGULAR)
                 out[k][k] = -x.lowest_exp
                 continue
             bounds, bits, det, cols = self._solve(comp)
@@ -270,12 +299,17 @@ class JetMatrix:
         """The row bounds, B, the Bareiss pivot +-det(M)(X) and, per column
         j, the coordinates y_j of det * a'^-1[.][j] at X = 2^B for one
         component; raises NotInvertible if it is singular."""
+        bounds, bits, image = self._scaled_image(comp)
+        det, cols = _unit_solve(self.kind, image)
+        if det == 0:
+            raise NotInvertible(_SINGULAR)
+        return bounds, bits, det, cols
+
+    def _scaled_image(self, comp: list[int]) -> tuple[list[tuple], int, list]:
+        """The row bounds of one component, B, and its scaled rows at X = 2^B."""
         bounds = self._row_bounds(comp)
         bits = prod(_row_norms(self.kind, bounds)).bit_length() + 1
-        det, cols = _unit_solve(self.kind, [r[0] for r in _image(bounds, 1 << bits)])
-        if det == 0:
-            raise NotInvertible("gauge is not invertible over the Laurent field")
-        return bounds, bits, det, cols
+        return bounds, bits, [r[0] for r in _image(bounds, 1 << bits)]
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""
@@ -292,6 +326,9 @@ class JetMatrix:
         if off_diag_zero and n > 0:
             return "diag(" + ", ".join(str(self.rows[i][i]) for i in range(n)) + ")"
         return "mat[" + ",".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows) + "]"
+
+
+_SINGULAR = "gauge is not invertible over the Laurent field"
 
 
 def _lowest_digit(y: int, bits: int) -> int:

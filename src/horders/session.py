@@ -45,9 +45,9 @@ from .involutions import (
     ANISOTROPIC,
     ISOTROPIC,
     InvolutionSpec,
+    _residue_verdicts,
     distinguish,
     residually_anisotropic,
-    residue_isotropy,
     wellformed,
 )
 from .matrices import JetMatrix
@@ -894,7 +894,7 @@ def _described(diag) -> tuple[str, str]:
 
 
 def _run_aniso(spec: InvolutionSpec, block: int | None = None) -> tuple[str, str]:
-    results = residue_isotropy(spec)
+    results = _residue_verdicts(spec)
     if block is not None:
         chosen = results[block - 1]
         return chosen.verdict, f"signature {chosen.signature}"

@@ -1,6 +1,7 @@
 """Seeded samplers and reference implementations used only by the tests."""
 
 from itertools import permutations
+from math import isqrt
 from random import Random
 
 from horders import basechange
@@ -451,6 +452,22 @@ def stability_by_quadruples(spec: InvolutionSpec, vinv: list) -> Diagnostics:
                             "NotStable", f"generator t^{p[i][j]}*e[{i + 1},{j + 1}] leaves the "
                             f"order at entry {k + 1},{l + 1}")
     return OK
+
+
+def ref_represent_int(weights: tuple[int, ...], target: int) -> tuple[int, ...] | None:
+    """The recursion ``involutions._represent_int`` replaced: every value of
+    every weight, the last one included, largest first; the reference for
+    its one check at the last weight."""
+    if not weights:
+        return () if target == 0 else None
+    w = weights[0]
+    a = isqrt(target // w)
+    while a >= 0:
+        rest = ref_represent_int(weights[1:], target - w * a * a)
+        if rest is not None:
+            return (a,) + rest
+        a -= 1
+    return None
 
 
 def transport_by_samples(w: WitnessCheck, samples: int = 50, seed: int = 0) -> Diagnostics:

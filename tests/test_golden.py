@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import horders
+from horders import involutions
 from horders.cli import main
 from horders.scalars import ScalarKind
 from horders.witness import SCENARIOS
@@ -72,7 +73,7 @@ def load_workloads(monkeypatch):
     return load("workloads")
 
 
-def test_corpus_outputs_are_unchanged(monkeypatch):
+def assert_corpus_outputs_are_unchanged(monkeypatch):
     workloads = load_workloads(monkeypatch)
     digest = hashlib.sha256()
     for i in range(CORPUS_OPS):
@@ -80,6 +81,21 @@ def test_corpus_outputs_are_unchanged(monkeypatch):
         digest.update(op.output(op.run()).encode())
     want = (GOLDEN / f"corpus-seed{CORPUS_SEED}-{CORPUS_OPS}.sha256").read_text().strip()
     assert digest.hexdigest() == want
+
+
+def test_corpus_outputs_are_unchanged(monkeypatch):
+    assert_corpus_outputs_are_unchanged(monkeypatch)
+
+
+def test_no_session_verdict_searches_for_a_witness(capsysbinary, monkeypatch):
+    # residue verdicts and signatures are read off the diagonals alone
+    def refuse(*args):
+        raise AssertionError("represent_norm called")
+
+    monkeypatch.setattr(involutions, "represent_norm", refuse)
+    for name in SESSIONS:
+        test_check_json_is_unchanged(name, capsysbinary)
+    assert_corpus_outputs_are_unchanged(monkeypatch)
 
 
 def test_corpus_ops_build_basis_products_once_per_kind(monkeypatch):

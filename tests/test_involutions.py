@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from horders import involutions
 from horders.errors import (
     InsufficientPrecision,
     NotEpsilonHermitian,
@@ -63,6 +64,7 @@ from helpers import (
     form_value,
     random_scalar,
     ref_inverse_valuations,
+    ref_represent_int,
     ref_is_eps_hermitian,
     ref_solve_valuations,
     sample_block_unit,
@@ -537,20 +539,80 @@ def _chain_gauge_spec(kind, rng):
     return InvolutionSpec(a, u.conj_transpose() @ d @ u)
 
 
-def test_wellformed_matches_the_quadruple_loop():
-    # the row-by-row pass against the n^4 loop over the same inverse
-    # valuations, past the n <= 3 of the adjugate reference
+def _codes_matching_the_quadruple_loop(specs, monkeypatch) -> list:
+    """The wellformed codes of specs, each with the code and detail of the
+    n^4 loop.  The row-by-row pass runs exactly on the NotStable gauges:
+    the chain test settles every stable one."""
+    passes = []
+    stable = involutions._require_stable
+    monkeypatch.setattr(involutions, "_require_stable",
+                        lambda spec: passes.append(spec) or stable(spec))
+    codes = []
+    for spec in specs:
+        passes.clear()
+        got, want = wellformed(spec), wellformed_by_quadruples(spec)
+        assert (got.code, got.detail) == (want.code, want.detail)
+        assert bool(passes) == (got.code == "NotStable"), spec
+        codes.append(got.code)
+    return codes
+
+
+def test_wellformed_matches_the_quadruple_loop(monkeypatch):
+    # the chain test and the row-by-row pass against the n^4 loop over the
+    # same inverse valuations, past the n <= 3 of the adjugate reference
     rng = Random(37)
     specs = [_chain_gauge_spec((BASE, quadratic(-3), QUATERNION)[case % 3], rng)
              for case in range(330)]
-    codes = []
-    for spec in specs:
-        got, want = wellformed(spec), wellformed_by_quadruples(spec)
-        assert (got.code, got.detail) == (want.code, want.detail)
-        codes.append(got.code)
+    codes = _codes_matching_the_quadruple_loop(specs, monkeypatch)
     assert {spec.gauge.n for spec in specs} == set(range(1, 13))
     assert {len(spec.order.sig.parts) for spec in specs} == {1, 2, 3, 4}
     assert codes.count(None) >= 50 and codes.count("NotStable") * 3 >= len(specs)
+
+
+def _paired_gauge_spec(kind, rng):
+    # tau(u) * D * u with D pairing the positions by the reversal or by
+    # adjacent swaps: c * t^m at (i, j) and epsilon * c * t^m at (j, i),
+    # c in {+-1, 2}, m in -1..2.  A fixed position carries c * t^m, or for
+    # epsilon = -1 a pure unit times it (the base kind has none, so it
+    # keeps epsilon = +1 there).  u is a block unit, or for n <= 4 a dense
+    # element of the order, which may be singular.
+    n = rng.randint(1, 4 if kind == QUATERNION else 6)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+    a = order(*[hi - lo for lo, hi in zip([0] + cuts, cuts + [n])], kind=kind)
+    if rng.random() < 0.5:
+        partner = [n - 1 - i for i in range(n)]
+    else:
+        partner = [i ^ 1 if i ^ 1 < n else i for i in range(n)]
+    fixed = any(partner[i] == i for i in range(n))
+    epsilon = 1 if kind == BASE and fixed else rng.choice([1, -1])
+    rows = [[LaurentJet.zero(kind)] * n for _ in range(n)]
+    for i, j in enumerate(partner):
+        if i > j:
+            continue
+        c, m = rng.choice([-1, 1, 2]), rng.randint(-1, 2)
+        if i == j:
+            unit = Scalar.basis(kind, 1) if epsilon == -1 else Scalar.one(kind)
+            rows[i][i] = LaurentJet.t_power(kind, m, unit.times(c))
+        else:
+            rows[i][j] = LaurentJet.t_power(kind, m, c)
+            rows[j][i] = LaurentJet.t_power(kind, m, epsilon * c)
+    dense = n <= 4 and rng.random() < 0.5
+    u = sample_element(a, rng, bound=1) if dense else sample_block_unit(a, rng, bound=1)
+    return InvolutionSpec(a, u.conj_transpose() @ JetMatrix.of(rows) @ u, epsilon)
+
+
+def test_wellformed_matches_the_quadruple_loop_on_paired_gauges(monkeypatch):
+    # epsilon = +-1, and gauges that swap positions and blocks
+    rng = Random(53)
+    kinds = (BASE, quadratic(-1), quadratic(-3), QUATERNION)
+    specs = [_paired_gauge_spec(kinds[case % 4], rng) for case in range(400)]
+    codes = _codes_matching_the_quadruple_loop(specs, monkeypatch)
+    ok = [spec for spec, code in zip(specs, codes) if code is None]
+    assert {spec.epsilon for spec in ok} == {1, -1}
+    assert {spec.gauge.kind for spec in ok} == set(kinds)
+    # on three or more blocks only a gauge that swaps blocks is stable
+    assert {len(spec.order.sig.parts) for spec in ok} == {1, 2, 3, 4}
+    assert codes.count("NotStable") >= 100 and len(ok) >= 50
 
 
 def test_stability_of_a_dense_gauge_is_cubic():
@@ -603,8 +665,6 @@ def test_stability_needs_no_truncated_inverse(monkeypatch):
 
 
 def test_distinguish_validates_each_spec_once(monkeypatch):
-    from horders import involutions
-
     checked = []
     require = involutions._require_wellformed
 
@@ -645,8 +705,6 @@ def _not_hermitian_spec():
     (_not_hermitian_spec, NotEpsilonHermitian),
 ])
 def test_ill_formed_spec_fails_the_same_way_every_call(make, error, monkeypatch):
-    from horders import involutions
-
     checked = []
     require = involutions._require_wellformed
     monkeypatch.setattr(involutions, "_require_wellformed",
@@ -664,8 +722,6 @@ def test_ill_formed_spec_fails_the_same_way_every_call(make, error, monkeypatch)
 
 
 def test_unsupported_shape_fails_every_call_after_one_validation(monkeypatch):
-    from horders import involutions
-
     checked = []
     require = involutions._require_wellformed
     monkeypatch.setattr(involutions, "_require_wellformed",
@@ -709,6 +765,14 @@ def test_truncated_gauge_is_insufficient_precision():
     # refused when the gauge is built, before any involution is declared
     with pytest.raises(InsufficientPrecision):
         JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1], precision=4)])
+
+
+@pytest.mark.parametrize("epsilon", [1.0, -1.0])
+def test_a_float_epsilon_is_refused_when_the_spec_is_built(epsilon):
+    # read through operator.index, so wellformed never formats a float
+    one, z = LaurentJet.one(BASE), LaurentJet.zero(BASE)
+    with pytest.raises(TypeError):
+        InvolutionSpec(order(2), JetMatrix.of([[one, one], [z, one]]), epsilon)
 
 
 def test_epsilon_minus_one_gauge_is_wellformed():
@@ -944,6 +1008,20 @@ def test_involution_guards(call, error, message):
 @pytest.mark.parametrize("rho", [Q(0), Q(-1), Q(-4, 9)])
 def test_represent_norm_of_a_non_positive_rational_is_none(kind, rho):
     assert represent_norm(kind, rho) is None
+
+
+def test_the_norm_search_checks_one_value_of_its_last_weight():
+    # the same first solution as the full loop, up to the search cap
+    rng = Random(19)
+    cap = involutions._NORM_SEARCH_CAP
+    targets = list(range(300)) + [rng.randint(300, cap) for _ in range(8)] + [cap - 1, cap]
+    found = 0
+    for weights in ((1, 1), (1, 2), (1, 3), (1, 7), (1, 1, 1, 1)):
+        for target in targets:
+            got = involutions._represent_int(weights, target)
+            assert got == ref_represent_int(weights, target), (weights, target)
+            found += got is not None
+    assert 0 < found < 5 * len(targets)
 
 
 def test_congruence_invariance_sampled():

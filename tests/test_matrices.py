@@ -59,8 +59,30 @@ def test_invertible_past_the_roots_of_the_determinant(a, want):
 ])
 def test_singular(a):
     assert not a.field_invertible()
-    with pytest.raises(NotInvertible):
-        a.inverse_valuations()
+    for valuations in (a.inverse_valuations, a.det_valuation):
+        with pytest.raises(NotInvertible, match="^gauge is not invertible over the Laurent field$"):
+            valuations()
+
+
+def test_det_valuation_is_the_least_exponent_of_the_leibniz_determinant():
+    rng = Random(67)
+    shifted = JetMatrix.dsum(JetMatrix.diagonal([LaurentJet.t_power(BASE, 5)]), TWO_ROOTS)
+    cases = [TWO_ROOTS, JetMatrix.dsum(ONE, TWO_ROOTS), shifted, CYCLE] + [
+        JetMatrix.of([[random_jet(BASE, rng, lowest=-2, highest=2, bound=1)
+                       for _ in range(n)] for _ in range(n)])
+        for n in (rng.randint(1, 3) for _ in range(200))]
+    assert shifted.det_valuation() == 5
+    singular = 0
+    for a in cases:
+        det = _poly_det([[{e.lowest_exp + k: c.parts[0] for k, c in enumerate(e.coeffs)}
+                          for e in row] for row in a.rows])
+        if not det:
+            singular += 1
+            with pytest.raises(NotInvertible):
+                a.det_valuation()
+        else:
+            assert a.det_valuation() == min(det)
+    assert 0 < singular < 100
 
 
 def test_first_difference_of_jets_alone_is_a_size_mismatch():
