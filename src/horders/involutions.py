@@ -90,7 +90,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
-from operator import index
+from operator import attrgetter, index
 
 from .errors import (
     Diagnostics,
@@ -295,21 +295,25 @@ def residue_involution(spec: InvolutionSpec) -> ResidueInvolution:
 
 
 def _residue_of(spec: InvolutionSpec) -> ResidueInvolution:
-    sig = spec.order.sig
-    a = spec.gauge
-    blk = sig.block_index()
-    for i in range(a.n):
-        for j in range(a.n):
-            if blk[i] != blk[j] and not a.entry(i, j).is_zero():
-                raise UnsupportedGaugeShape(
-                    f"gauge mixes blocks at entry {i + 1},{j + 1}")
-    blocks = []
+    sig, rows = spec.order.sig, spec.gauge.rows
+    squares = []  # the rows of each diagonal block, which cover the rows in order
     for start, size in zip(sig.block_starts(), sig.parts):
-        span = range(start, start + size)
-        m = min(a.entry(i, j).lowest_exp for i in span for j in span if a.entry(i, j).coeffs)
-        res = tuple(tuple(a.entry(i, j).coeff(m) for j in span) for i in span)
-        blocks.append(ResidueBlock(size, m, res))
-    return ResidueInvolution(a.kind, spec.epsilon, tuple(blocks))
+        end = start + size
+        for i in range(start, end):
+            row = rows[i]
+            if any(map(_coeffs, row[:start])) or any(map(_coeffs, row[end:])):
+                j = next(j for j, x in enumerate(row) if x.coeffs and not start <= j < end)
+                raise UnsupportedGaugeShape(f"gauge mixes blocks at entry {i + 1},{j + 1}")
+        squares.append([row[start:end] for row in rows[start:end]])
+    blocks = []
+    for square in squares:
+        m = min(x.lowest_exp for row in square for x in row if x.coeffs)
+        res = tuple(tuple(x.coeff(m) for x in row) for row in square)
+        blocks.append(ResidueBlock(len(square), m, res))
+    return ResidueInvolution(spec.gauge.kind, spec.epsilon, tuple(blocks))
+
+
+_coeffs = attrgetter("coeffs")
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +325,12 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
 
     Returns (diagonal entries, C) with conj-transpose(C) * b * C equal
     to the diagonal matrix.  The diagonal entries of a hermitian form
-    over these scalar models are conjugation-fixed, hence rational.
-    Every returned entry is nonzero: each pivot is nonzero when it is
-    chosen (a zero diagonal with a nonzero entry w at (i, j) first
-    becomes 2 * w * conj(w) > 0 at i), and no later step touches its row
-    or column.  A form with no such pivot raises SingularForm.
+    over these unextended scalar models are conjugation-fixed, hence
+    rational; an extended kind raises UnsupportedFormKind.  Every
+    returned entry is nonzero: each pivot is nonzero when it is chosen (a
+    zero diagonal with a nonzero entry w at (i, j) first becomes
+    2 * w * conj(w) > 0 at i), and no later step touches its row or
+    column.  A form with no such pivot raises SingularForm.
 
     The work runs on integer pairs (numerators, denominator) in lowest
     terms, as a :class:`Scalar` stores them, with one gcd per update, so
@@ -335,6 +340,8 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     if not n:
         return [], ()
     kind = b[0][0].kind
+    if kind.ext is not None:
+        raise UnsupportedFormKind("residue forms live over unextended scalar kinds")
     zero, one = ((0,) * kind.dim, 1), ((1,) + (0,) * (kind.dim - 1), 1)
     work = [[(e.num, e.den) for e in row] for row in b]
     trans = [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -19,41 +19,42 @@ polynomial matrix.  One scale for all rows would multiply each row by
 the others' denominators and shift it by the spread of their lows,
 raising the row norms behind B and the spans behind D below.
 ``field_invertible`` evaluates M at t = 1, ..., D + 1;
-``inverse_valuations`` and ``inverse`` share one solve at X = 2^B.
+``det_valuation``, ``inverse_valuations`` and ``inverse`` read one
+elimination at X = 2^B, ``_solve``.
 
-That solve is exact.  Every minor of M has coefficients of absolute
-value at most P, the product over the rows of M of their 1-norms (the
-sum of the absolute values of all coefficients in the row), so det(M)
-and the entries of adj(M) = det(M) * M^-1 have them too.  B is the bit
-length of P plus one, so X > 2P.  Bareiss elimination of
-[M(X) | e_j] (e_j the coordinate of 1 in block j) gives +-det(M)(X),
-zero exactly when a is singular over the Laurent field, and
-back-substitution gives the coordinates y_kj(X) of det * a'^-1[k][j].
-As every coefficient lies in (-X/2, X/2), the balanced base-X digits of
-these integers are exactly the coefficients of det(t) and y_kj(t).
+That elimination is exact.  Every minor of M has coefficients of
+absolute value at most P, the product over the rows of M of their
+1-norms (the sum of the absolute values of all coefficients in a row),
+so det(M) and the entries of adj(M) = det(M) * M^-1 have them too.
+B is the bit length of P plus one, so X > 2P.  Bareiss elimination of
+[M(X) | e_j] (e_j the coordinate of 1 in block j) gives +-det(M)(X), zero
+exactly when a is singular over the Laurent field, and back-substitution
+gives the coordinates y_kj(X) of det * a'^-1[k][j].  As every
+coefficient lies in (-X/2, X/2), the balanced base-X digits of these
+integers are exactly the coefficients of det(t) and y_kj(t).
 ``inverse_valuations`` reads only the lowest digit: the lowest set bit
-of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in [v * B, v * B + B).
-So v(a^-1[k][j]) is the least valuation among the coordinates of y_kj
-minus v(det) minus low_j, and all-zero coordinates are an exactly zero
-entry (+infinity).  ``det_valuation`` stops after the elimination and
-reads the lowest digit of the pivot alone: v(det M) = dim * delta', for
-delta' the valuation of the Dieudonne determinant of a' over D((t)),
+of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in
+[v * B, v * B + B).  So v(a^-1[k][j]) is the least valuation among the coordinates of
+y_kj minus v(det) minus low_j, and all-zero coordinates are an exactly
+zero entry (+infinity).  ``det_valuation`` stops after the elimination
+and reads the lowest digit of the pivot alone: v(det M) = dim * delta',
+for delta' the valuation of the Dieudonne determinant of a' over D((t)),
 since a -> det M is multiplicative, is 1 on elementary matrices, and on
 diag(d, 1, ..., 1), d = t^v * u with u a unit of D[[t]], is t^(dim * v)
 times a unit of Q[[t]].  Row i of a' is s_i * t^-low_i times row i of a,
 so the component adds v(det M) / dim + sum(low_i) to delta = v(det a).
 A 1 x 1 component [x] over an unextended kind needs no solve, here, in
-``det_valuation`` (which adds v(x)) or in ``field_invertible``: that
-kind is a division algebra (Q; Q(sqrt(d)) with d square-free and
-negative; Hamilton's quaternions over Q, whose norm is positive
-definite), so a nonzero x has an inverse in the Laurent field, and the
-inverse's lowest term is the inverse of x's lowest term, so v(x^-1) =
--v(x); x = 0 is singular.  An extended kind can have zero divisors
-(quaternion+sqrt(-1) is M_2(Q(i))), so its components keep the solve.
-``inverse`` reads every digit.  a is a unit over the Laurent
-polynomials iff every det is a monomial c * t^v, that is iff
-det(X) = c * X^v with |c| < X/2; then a^-1[k][j] = y_kj(t) * s_j *
-t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
+``det_valuation`` (which adds v(x)) or in ``field_invertible``; each
+reads x from ``_divided``.  That kind is a division algebra (Q;
+Q(sqrt(d)) with d square-free and negative; Hamilton's quaternions over
+Q, whose norm is positive definite), so a nonzero x has an inverse in
+the Laurent field, and the inverse's lowest term is the inverse of x's
+lowest term, so v(x^-1) = -v(x); x = 0 is singular.  An extended kind
+can have zero divisors (quaternion+sqrt(-1) is M_2(Q(i))), so its
+components keep the solve.  ``inverse`` reads every digit.  a is a unit
+over the Laurent polynomials iff every det is a monomial c * t^v, that
+is iff det(X) = c * X^v with |c| < X/2; then a^-1[k][j] =
+y_kj(t) * s_j * t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
 
 ``first_difference`` evaluates each distinct factor once at X = 2^B, so
 each side is s * t^low times a product of integer polynomial matrices.
@@ -101,14 +102,14 @@ digit of its coordinates.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import accumulate, chain, repeat
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, repeat, starmap
 from math import lcm, prod
 from operator import add, mul
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
 from .scalars import (LaurentJet, Q, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
-                      _conj_parts, _mul_parts, _unit_solve, left_regular)
+                      _conj_parts, _eliminate, _mul_parts, _solutions, left_regular)
 
 
 @record
@@ -219,11 +220,9 @@ class JetMatrix:
         one of t = 1, ..., D + 1.  An extended kind can have zero divisors,
         such as 1 + qi * sqrt(-1), so its 1 x 1 components are solved too.
         """
-        division = self.kind.ext is None
-
-        def nonsingular(comp: list[int]) -> bool:
-            if division and len(comp) == 1:
-                return bool(self.rows[comp[0]][comp[0]].coeffs)
+        def nonsingular(comp: list[int], entry: LaurentJet | None) -> bool:
+            if entry is not None:
+                return bool(entry.coeffs)
             bounds = self._row_bounds(comp)
             _, _, _, spans, sizes, _ = zip(*bounds)
             if not all(sizes):
@@ -232,45 +231,34 @@ class JetMatrix:
             return any(_bareiss(m := left_regular(self.kind, [r[0] for r in _image(bounds, x)]),
                                 len(m)) for x in range(1, points + 1))
 
-        return all(map(nonsingular, self._components()))
+        return all(starmap(nonsingular, self._divided(False)))
 
     def det_valuation(self) -> int:
         """The valuation of the Dieudonne determinant over the Laurent
         field, summed over the components; raises NotInvertible for a
         singular a.  See the module docstring."""
-        dim, division = self.kind.dim, self.kind.ext is None
         total = 0
-        for comp in self._components():
-            if division and len(comp) == 1:
-                x = self.rows[comp[0]][comp[0]]
-                if not x.coeffs:
-                    raise NotInvertible(_SINGULAR)
+        for comp, x in self._divided(True):
+            if x is not None:
                 total += x.lowest_exp
                 continue
-            bounds, bits, image = self._scaled_image(comp)
-            reg = left_regular(self.kind, image)
-            det = _bareiss(reg, len(reg))
-            if det == 0:
-                raise NotInvertible(_SINGULAR)
-            total += _lowest_digit(det, bits) // dim + sum(low for _, _, low, *_ in bounds)
+            bounds, bits, det, _ = self._solve(comp)
+            total += _lowest_digit(det, bits) // self.kind.dim + sum(low for _, _, low, *_ in bounds)
         return total
 
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]), None for an exactly zero entry;
         raises NotInvertible for a singular a.  See the module docstring."""
-        dim, division = self.kind.dim, self.kind.ext is None
+        dim = self.kind.dim
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
-        for comp in self._components():
-            if division and len(comp) == 1:
+        for comp, x in self._divided(True):
+            if x is not None:
                 (k,) = comp
-                x = self.rows[k][k]
-                if not x.coeffs:
-                    raise NotInvertible(_SINGULAR)
                 out[k][k] = -x.lowest_exp
                 continue
-            bounds, bits, det, cols = self._solve(comp)
+            bounds, bits, det, rows = self._solve(comp)
             vdet = _lowest_digit(det, bits)
-            for j, (_, _, low, *_), y in zip(comp, bounds, cols):
+            for j, (_, _, low, *_), y in zip(comp, bounds, _solutions(rows, det)):
                 for kk, k in enumerate(comp):
                     digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
                     if digits:
@@ -283,33 +271,42 @@ class JetMatrix:
         kind, dim = self.kind, self.kind.dim
         out = [[LaurentJet.zero(kind)] * self.n for _ in range(self.n)]
         for comp in self._components():
-            bounds, bits, det, cols = self._solve(comp)
+            bounds, bits, det, rows = self._solve(comp)
             v = _lowest_digit(det, bits)
             c = det >> v * bits
             if abs(c) >= 1 << (bits - 1):
                 raise NotInvertible("matrix is not a unit over the Laurent polynomials: "
                                     "its determinant is not a monomial")
-            for j, (_, scale, low, *_), y in zip(comp, bounds, cols):
+            for j, (_, scale, low, *_), y in zip(comp, bounds, _solutions(rows, det)):
                 for kk, k in enumerate(comp):
                     out[k][j] = _decode(kind, y[kk * dim:(kk + 1) * dim], bits,
                                         Q(scale, c), -low - v)
         return JetMatrix(kind, tuple(map(tuple, out)))
 
     def _solve(self, comp: list[int]) -> tuple[list[tuple], int, int, list[list[int]]]:
-        """The row bounds, B, the Bareiss pivot +-det(M)(X) and, per column
-        j, the coordinates y_j of det * a'^-1[.][j] at X = 2^B for one
-        component; raises NotInvertible if it is singular."""
-        bounds, bits, image = self._scaled_image(comp)
-        det, cols = _unit_solve(self.kind, image)
-        if det == 0:
-            raise NotInvertible(_SINGULAR)
-        return bounds, bits, det, cols
-
-    def _scaled_image(self, comp: list[int]) -> tuple[list[tuple], int, list]:
-        """The row bounds of one component, B, and its scaled rows at X = 2^B."""
+        """The row bounds of one component, B, and ``_eliminate`` of its
+        scaled rows at X = 2^B: the Bareiss pivot +-det(M)(X) and the
+        eliminated rows, whose ``_solutions`` are, per column j, the
+        coordinates y_j of det * a'^-1[.][j]; raises NotInvertible if the
+        component is singular."""
         bounds = self._row_bounds(comp)
         bits = prod(_row_norms(self.kind, bounds)).bit_length() + 1
-        return bounds, bits, [r[0] for r in _image(bounds, 1 << bits)]
+        det, rows = _eliminate(self.kind, [r[0] for r in _image(bounds, 1 << bits)])
+        if det == 0:
+            raise NotInvertible(_SINGULAR)
+        return bounds, bits, det, rows
+
+    def _divided(self, nonzero: bool) -> Iterator[tuple[list[int], LaurentJet | None]]:
+        """Each component of the nonzero pattern, with its entry x if it is
+        1 x 1 over an unextended kind, else None.  That kind is a division
+        algebra, so such a component needs no solve (see the module
+        docstring); if ``nonzero``, x = 0 raises NotInvertible."""
+        division = self.kind.ext is None
+        for comp in self._components():
+            x = self.rows[comp[0]][comp[0]] if division and len(comp) == 1 else None
+            if nonzero and x is not None and not x.coeffs:
+                raise NotInvertible(_SINGULAR)
+            yield comp, x
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""

@@ -19,7 +19,8 @@ clears (``smat_invertible`` scales each component by the lcm of its
 denominators, which does not change singularity), and one fraction-free
 elimination (Bareiss 1968) per connected component of the nonzero
 pattern: every intermediate entry is a minor of the input, so the
-integers stay small and every division is exact.
+integers stay small and every division is exact.  Every exact solve
+eliminates through ``_eliminate``; ``_solutions`` back-substitutes.
 
 A :class:`LaurentJet` is a truncated Laurent series over a single scalar
 kind: a dense coefficient window starting at ``lowest_exp`` together
@@ -42,7 +43,7 @@ from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 
 from .errors import (
     IndeterminateValuation,
@@ -87,7 +88,8 @@ class ScalarKind:
 
     ``core`` is ``"base"``, ``"quad"`` or ``"quat"``; quadratic kinds
     carry the negative square-free discriminant ``d``.  ``ext`` adjoins
-    a central conjugation-fixed square root of ``ext`` to the core.
+    a central conjugation-fixed square root of ``ext`` to the core.  Both
+    are integers (``operator.index``): a float raises TypeError.
     ``core_dim`` and ``dim`` are the rational dimensions of the core and
     of the whole algebra, plain attributes set when the kind is made and
     not fields, so equality, hashing and repr ignore them.
@@ -101,12 +103,12 @@ class ScalarKind:
         if self.core not in _CORE_DIM:
             raise ValueError(f"unknown scalar core {self.core!r}")
         if self.core == "quad":
-            if self.d is None or self.d >= 0 or not _is_squarefree(self.d):
+            if self.d is None or index(self.d) >= 0 or not _is_squarefree(self.d):
                 raise ValueError("quadratic kind needs a negative square-free d")
         elif self.d is not None:
             raise ValueError("only quadratic kinds carry d")
         if self.ext is not None:
-            if self.ext in (0, 1) or not _is_squarefree(self.ext):
+            if index(self.ext) in (0, 1) or not _is_squarefree(self.ext):
                 raise ValueError("extension discriminant must be square-free and not a square")
         core_dim = _CORE_DIM[self.core]
         object.__setattr__(self, "core_dim", core_dim)
@@ -307,12 +309,13 @@ class Scalar:
         """The inverse through the left-regular representation of num =
         den * self over Q; an extended kind can have zero divisors."""
         k = self.kind
-        det, cols = _unit_solve(k, [[self.num]])
+        det, rows = _eliminate(k, [[self.num]])
         if det == 0:
             raise NotInvertible("zero scalar" if k.ext is None else
                                 f"scalar {self} is a zero divisor or zero")
+        (y,) = _solutions(rows, det)
         den = self.den if det > 0 else -self.den
-        return _reduced(k, tuple(den * v for v in cols[0]), abs(det))
+        return _reduced(k, tuple(den * v for v in y), abs(det))
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -504,30 +507,28 @@ def _bareiss(a: list[list[int]], n: int) -> int:
     return prev
 
 
-def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int]:
-    """y = det * x for the solution x of the first n columns of a, left
-    upper triangular by :func:`_bareiss` with last pivot ``det`` != 0,
-    against column ``col``.  Cramer makes every y[i] an integer, so each
-    division is exact."""
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = row[col] * det - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // row[i]
-    return y
-
-
-def _unit_solve(kind: ScalarKind, rows: list) -> tuple[int, list[list[int]]]:
-    """Solve the left-regular image M of integer rows (see
-    :func:`left_regular`) against the coordinate of 1 in each block j:
-    the last Bareiss pivot, +-det(M), and per j the integers y_j = det * x_j
-    for the solution x_j; (0, []) when M is singular."""
+def _eliminate(kind: ScalarKind, rows: list) -> tuple[int, list[list[int]]]:
+    """The last pivot, +-det(M), and the rows of :func:`_bareiss` on the
+    left-regular image M of integer rows with the coordinate of 1 in each
+    block j appended (see :func:`left_regular`); 0 iff M is singular."""
     reg, n, dim = left_regular(kind, rows), len(rows), kind.dim
-    size = n * dim
     for r, row in enumerate(reg):
         row.extend(int(r == j * dim) for j in range(n))
-    det = _bareiss(reg, size)
-    return det, [_back_substitute(reg, size, det, size + j) for j in range(n)] if det else []
+    return _bareiss(reg, n * dim), reg
+
+
+def _solutions(rows: list[list[int]], det: int) -> list[list[int]]:
+    """Per appended column j of rows that :func:`_eliminate` left with
+    pivot ``det`` != 0, y_j = det * x_j for the solution x_j against it;
+    Cramer makes every y_j[i] an integer, so each division is exact."""
+    n, out = len(rows), []
+    for col in range(n, len(rows[0])):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            y[i] = (row[col] * det - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        out.append(y)
+    return out
 
 
 def _power(x, k: int, product: Callable):

@@ -30,6 +30,7 @@ import time
 from collections.abc import Callable
 from itertools import islice
 from math import gcd, inf
+from operator import add
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_signature, verify_sh_pattern
 from .errors import (
@@ -62,7 +63,7 @@ from .orders import (
     ss_iso_decide_fixed,
 )
 from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
-from .scalars import _Accumulator, _jet, _power, _reduced, exact_int, exact_str
+from .scalars import _Accumulator, _jet, _mul_parts, _power, _reduced, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -381,22 +382,14 @@ def _product(cur: _Cursor, kind: ScalarKind, x: tuple, y: tuple, star: int | Non
 
 
 def _times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
-    """The product x * y of two values: their rows convolved through
-    ``kind.basis_products``, over the product of their scales."""
+    """The product x * y of two values: their rows convolved, one
+    ``_mul_parts`` per pair of rows, over the product of their scales."""
     (xr, xs, xm), (yr, ys, ym) = x, y
-    table, dim, mono = kind.basis_products, kind.dim, xm and ym
-    out = {min(xr) + min(yr): [0] * dim} if mono else {}
+    mono, out = xm and ym, {}
     for e, a in xr.items():
-        for i, ai in enumerate(a):
-            if ai:
-                for j, r, m in table[i]:
-                    am = ai * m
-                    for f, b in yr.items():
-                        if b[j]:
-                            row = out.get(e + f)
-                            if row is None:
-                                row = out[e + f] = [0] * dim
-                            row[r] += am * b[j]
+        for f, b in yr.items():
+            ab, row = _mul_parts(kind, a, b), out.get(e + f)
+            out[e + f] = ab if row is None else tuple(map(add, row, ab))
     if not mono:
         out = {e: row for e, row in out.items() if any(row)}
     return out, xs * ys, mono

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import time
 from itertools import product
+from operator import index
 
 from . import basechange
 from .basechange import becomes_iso_after_sh
@@ -89,7 +90,8 @@ ETALE = "etale"
 
 @record
 class RingMode:
-    """Coefficient ring over which a witness is asserted."""
+    """Coefficient ring over which a witness is asserted; the etale
+    discriminant ``d`` is an integer, and a float raises TypeError."""
 
     ring: str
     d: int | None = None
@@ -99,6 +101,8 @@ class RingMode:
             raise ValueError(f"unknown ring mode {self.ring!r}")
         if (self.ring == ETALE) != (self.d is not None):
             raise ValueError("exactly the etale mode carries a discriminant")
+        if self.d is not None:
+            index(self.d)
 
     def __str__(self) -> str:
         return f"etale({self.d})" if self.ring == ETALE else self.ring
@@ -136,15 +140,11 @@ class WitnessCheck:
             raise InsufficientPrecision(f"alpha is an exact Laurent polynomial, got {self.alpha}")
 
     def _work_kind(self) -> ScalarKind:
-        """The division kind, or its etale extension; the instance u or
-        alpha already lives over is reused, so no kind is built and its
-        ``basis_products`` table is built once."""
+        """The division kind, or its etale extension, the one kind that
+        ``extended`` makes for each discriminant, so its ``basis_products``
+        table is built once."""
         kind = self.spec1.order.division.kind
-        if self.mode.ring != ETALE:
-            return kind
-        key = (kind.core, kind.d, self.mode.d)
-        given = (x.kind for x in (self.u, self.alpha) if (x.kind.core, x.kind.d, x.kind.ext) == key)
-        return next(given, None) or kind.extended(self.mode.d)
+        return kind.extended(self.mode.d) if self.mode.ring == ETALE else kind
 
 
 def _promote(x, kind: ScalarKind):

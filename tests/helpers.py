@@ -13,7 +13,7 @@ from horders.matrices import JetMatrix, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
                             check_residue, pattern_of, radical_pattern, ss_iso_decide)
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
-from horders.scalars import _min_prec, _product_precision, exact_int, exact_str
+from horders.scalars import _min_prec, _product_precision, _solutions, exact_int, exact_str
 from horders.session import _Cursor
 from horders.witness import WitnessCheck, _is_central, _ring_checks
 
@@ -309,9 +309,9 @@ def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
     dim = a.kind.dim
     out: list[list[int | None]] = [[None] * a.n for _ in range(a.n)]
     for comp in a._components():
-        bounds, bits, det, cols = a._solve(comp)
+        bounds, bits, det, rows = a._solve(comp)
         vdet = _lowest_digit(det, bits)
-        for j, (_, _, low, *_), y in zip(comp, bounds, cols):
+        for j, (_, _, low, *_), y in zip(comp, bounds, _solutions(rows, det)):
             for kk, k in enumerate(comp):
                 digits = [_lowest_digit(x, bits) for x in y[kk * dim:(kk + 1) * dim] if x]
                 if digits:
@@ -858,3 +858,26 @@ def ref_parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
         raise SessionTypeError(
             f"sqrt({exact_str(d)}) is not a scalar of kind {kind}", cur.line, cur.col(at))
     raise SessionSyntaxError(f"unexpected token {tok!r} in expression", cur.line, cur.col(at))
+
+
+def ref_times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
+    """The literal reader's product of two values (rows, scale, monomial),
+    their rows convolved coordinate by coordinate through
+    ``kind.basis_products``: the reference for ``session._times``."""
+    (xr, xs, xm), (yr, ys, ym) = x, y
+    table, dim, mono = kind.basis_products, kind.dim, xm and ym
+    out = {min(xr) + min(yr): [0] * dim} if mono else {}
+    for e, a in xr.items():
+        for i, ai in enumerate(a):
+            if ai:
+                for j, r, m in table[i]:
+                    am = ai * m
+                    for f, b in yr.items():
+                        if b[j]:
+                            row = out.get(e + f)
+                            if row is None:
+                                row = out[e + f] = [0] * dim
+                            row[r] += am * b[j]
+    if not mono:
+        out = {e: row for e, row in out.items() if any(row)}
+    return out, xs * ys, mono

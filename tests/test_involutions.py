@@ -983,6 +983,12 @@ def _identity_spec(n):
      SingularForm, "form vanishes on a nonzero subspace"),
     (lambda: anisotropy(smat(BASE, [[1]]), BASE.extended(-1)),
      UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
+    # a pivot sqrt(2) over base+sqrt(2) is conjugation-fixed but not rational
+    (lambda: diagonalize_form(smat(BASE.extended(2), [[Scalar.ext_gen(BASE.extended(2)), 1],
+                                                      [1, 0]])),
+     UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
+    (lambda: diagonalize_form(smat(BASE.extended(2), [[1]])),
+     UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
     (lambda: anisotropy(smat(BASE, [[1]]), QUAD),
      ScalarKindMismatch, "form entry over base, expected quadratic(-1)"),
     # a direct call checks its form; residue_isotropy trusts wellformed

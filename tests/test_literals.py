@@ -11,7 +11,7 @@ from horders.errors import HordersError, SessionSyntaxError, SessionTypeError
 from horders.scalars import BASE, QUATERNION, LaurentJet, quadratic
 from horders.session import _Cursor, _parse_expr, parse_session, print_session
 
-from helpers import ref_parse_expr
+from helpers import ref_parse_expr, ref_times
 from test_parse_outcomes import base_texts
 
 ETALE = QUATERNION.extended(-1)
@@ -377,3 +377,29 @@ def test_the_largest_power_the_limits_admit_parses_in_well_under_a_second(x, k, 
         _parse_expr(_Cursor(f"{x}^{k}", 1), kind)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.5
+
+
+@pytest.mark.parametrize("kind", [BASE, quadratic(-1), QUATERNION, ETALE], ids=str)
+def test_products_of_values_match_the_coordinate_loop(kind):
+    # values as the reader builds them: monomials (one row, even a zero
+    # one) and sums (their nonzero rows), over a scale
+    rng = Random(f"times:{kind}")
+
+    def row():
+        return [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(kind.dim)]
+
+    def value():
+        if rng.random() < 0.4:
+            mono = [0] * kind.dim if rng.random() < 0.2 else row()
+            return {rng.randint(-3, 3): mono}, rng.randint(1, 6), True
+        rows = {e: r for e in rng.sample(range(-4, 5), rng.randint(0, 4)) if any(r := row())}
+        return rows, rng.randint(1, 6), False
+
+    flags = Counter()
+    for _ in range(300):
+        x, y = value(), value()
+        got, want = session_module._times(kind, x, y), ref_times(kind, x, y)
+        assert ({e: tuple(r) for e, r in got[0].items()}, got[1], got[2]) == (
+            {e: tuple(r) for e, r in want[0].items()}, want[1], want[2]), (x, y)
+        flags[got[2], any(map(any, got[0].values()))] += 1
+    assert set(flags) == {(True, True), (True, False), (False, True), (False, False)}

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from horders import matrices
+from horders import matrices, scalars
 from horders.errors import NotInvertible, ScalarKindMismatch, SizeMismatch
 from horders.matrices import JetMatrix, Tau, first_difference
 from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
@@ -468,3 +468,30 @@ def test_a_one_by_one_component_agrees_with_elimination(kind, monkeypatch):
     if kind in SPLIT_KINDS:  # (1 + i * sqrt(-1)) * (1 - i * sqrt(-1)) = 0
         assert [[_by_elimination(x) for x in triple] for triple in divisors] == [
             [False, False, True]] * len(divisors)
+
+
+def test_every_solve_goes_through_one_elimination(monkeypatch):
+    # a 1 x 1 component [t] and a 2 x 2 one, [[1, t], [0, 1]], over base
+    a = JetMatrix.dsum(mat([[0, 1]]), mat([[1], [0, 1]], [[], [1]]))
+    assert a._components() == [[0], [1, 2]]
+    real, sizes = scalars._eliminate, []
+
+    def spy(kind, rows):
+        sizes.append(len(rows))
+        return real(kind, rows)
+
+    monkeypatch.setattr(matrices, "_eliminate", spy)
+    monkeypatch.setattr(scalars, "_eliminate", spy)
+    assert a.det_valuation() == 1 and sizes == [2]
+    sizes.clear()
+    assert a.inverse_valuations() == [[-1, None, None], [None, 0, 1], [None, None, 0]]
+    assert sizes == [2]
+    sizes.clear()
+    # inverse keeps no 1 x 1 shortcut: every component is eliminated
+    assert a.inverse() == JetMatrix.dsum(JetMatrix.diagonal([LaurentJet.t_power(BASE, -1)]),
+                                         mat([[1], [0, -1]], [[], [1]]))
+    assert sizes == [1, 2]
+    sizes.clear()
+    assert Scalar.of(QUATERNION, 1, 2, 0, 2).inverse() == Scalar.of(
+        QUATERNION, Q(1, 9), Q(-2, 9), 0, Q(-2, 9))
+    assert sizes == [1]

@@ -76,6 +76,8 @@ def test_one_corpus_cycle_parses_and_runs_every_slot():
 
 AB = re.compile(r"ratio change/parent (\d+\.\d{3}), change won (\d+) of (\d+) cycles, "
                 r"(faster|slower|unresolved)")
+PER_OP = re.compile(r"per-op median: parent (\d+\.\d{4}) ms, change (\d+\.\d{4}) ms, "
+                    r"ratio change/parent (\d+\.\d{3})")
 
 
 @pytest.fixture(scope="module")
@@ -111,5 +113,9 @@ def test_a_revision_against_itself_gives_the_same_reports(committed, workload):
     (p, p1, p3), (c, _, _) = [[float(x) for x in side[1:]] for side in sides]
     if abs(p - c) < p3 - p1 - 2e-3:  # printed to 3 decimals
         assert verdict == "unresolved"
-    assert len(lines) == 4  # no REPORTS DIFFER and no FAILED line
+    # each side's median op is one op, no slower than its slowest cycle
+    op_p, op_c, op_ratio = map(float, PER_OP.fullmatch(lines[4]).groups())
+    assert 0 < op_p <= p3 + 1e-3 and 0 < op_c <= float(sides[1][3]) + 1e-3
+    assert op_ratio == pytest.approx(op_c / op_p, rel=0.05)  # of the printed, rounded times
+    assert len(lines) == 5  # no REPORTS DIFFER and no FAILED line
 

@@ -101,6 +101,13 @@ def _witness_with(**changes):
      SizeMismatch, "witness is 1x1, order has size 6"),
     (lambda: _witness_with(alpha=LaurentJet.one(QUATERNION)),
      ScalarKindMismatch, "witness entries must live over base"),
+    # a discriminant is an integer: -1.0 is not read as -1, nor 2.5 truncated
+    (lambda: mode_etale(2.5), TypeError, "'float' object cannot be interpreted as an integer"),
+    (lambda: mode_etale(-1.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    (lambda: ScalarKind("quad", -1.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: ScalarKind("quat", None, 2.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ])
 def test_witness_guards(call, error, message):
     with pytest.raises(error) as err:

@@ -30,7 +30,9 @@ into a temporary directory and imported as the package
 parent (REV) and the change (this checkout) run the same cycles in turn,
 the parent first in even cycles; each side's median cycle time and its
 quartiles, the ratio change/parent, the cycles the change won and a
-verdict are printed.  The verdict applies the gain rule of
+verdict are printed, and then each side's per-op median (the lower
+median of every timed op's own time, as above) and their ratio
+change/parent.  The verdict applies the gain rule of
 ``tools/bench_pairs.py`` both ways: "faster" (or "slower") when the
 change won (or lost) at least nine tenths of the cycles and the medians
 differ by more than the parent's quartile spread, else "unresolved".
@@ -103,32 +105,33 @@ def import_revision(rev: str, dest: Path):
 
 
 def ab_cycle(source, cycle: int):
-    """The seconds of one cycle of ``source`` and its ops' results."""
-    seconds, results = 0.0, []
+    """(op, result, seconds) of each op of one cycle of ``source``."""
+    out = []
     for i in range(cycle * source.cycle, (cycle + 1) * source.cycle):
         op = source[i]
-        result, spent = _timed(op.run)
-        seconds += spent
-        results.append((op, result))
-    return seconds, results
+        out.append((op, *_timed(op.run)))
+    return out
 
 
 def against(workload: str, parent, change, workloads, seed: int, cycles: int, rev: str) -> int:
     make = getattr(workloads, f"{workload}_ops")
     sources = {"parent": make(parent, seed), "change": make(change, seed)}
     times: dict[str, list[float]] = {"parent": [], "change": []}
+    per_op: dict[str, list[float]] = {"parent": [], "change": []}  # every timed op's own time
     problems = []
     for k in range(cycles + 1):  # cycle 0 warms both sides up, untimed
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         runs = {side: ab_cycle(sources[side], k) for side in order}
-        for (op, a), (_, b) in zip(runs["parent"][1], runs["change"][1]):
+        for (op, a, _), (_, b, _) in zip(runs["parent"], runs["change"]):
             if op.output(a) != op.output(b):
                 problems.append(f"REPORTS DIFFER: cycle {k}, {op.key}")
             if failure := op.check(b):
                 problems.append(f"FAILED {op.key}: {failure}")
         if k:
             for side in order:
-                times[side].append(runs[side][0])
+                spent = [seconds for *_, seconds in runs[side]]
+                times[side].append(sum(spent))
+                per_op[side] += spent
     medians = {side: statistics.median(t) for side, t in times.items()}
     quartiles = {side: statistics.quantiles(t, n=4) for side, t in times.items()}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
@@ -144,6 +147,9 @@ def against(workload: str, parent, change, workloads, seed: int, cycles: int, re
         print(f"  {side}  {median * 1e3:9.3f}  {q1 * 1e3:9.3f}  {q3 * 1e3:9.3f}")
     print(f"ratio change/parent {medians['change'] / medians['parent']:.3f}, "
           f"change won {wins} of {cycles} cycles, {verdict}")
+    op_p, op_c = (statistics.median_low(per_op[side]) for side in ("parent", "change"))
+    print(f"per-op median: parent {op_p * 1e3:.4f} ms, change {op_c * 1e3:.4f} ms, "
+          f"ratio change/parent {op_c / op_p:.3f}")
     for problem in problems:
         print(problem)
     return 1 if problems else 0
