@@ -957,6 +957,15 @@ def test_diagonalize_form_raises_exactly_on_singular_forms(kind):
                         for i, d in enumerate(diag_entries)])
 
 
+def test_a_form_over_an_extended_kind_is_refused_before_any_work():
+    # a pivot sqrt(2) over base+sqrt(2) is conjugation-fixed but not rational
+    ext = BASE.extended(2)
+    for b in (smat(ext, [[Scalar.ext_gen(ext), 1], [1, 0]]), smat(ext, [[1]])):
+        with pytest.raises(UnsupportedFormKind) as err:
+            diagonalize_form(b)
+        assert str(err.value) == "residue forms live over unextended scalar kinds"
+
+
 def test_alternating_forms_are_not_decided():
     with pytest.raises(UnsupportedFormKind):
         anisotropy(smat(BASE, [[0, 1], [-1, 0]]), BASE, epsilon=-1)
@@ -982,12 +991,6 @@ def _identity_spec(n):
     (lambda: diagonalize_form(smat(BASE, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])),
      SingularForm, "form vanishes on a nonzero subspace"),
     (lambda: anisotropy(smat(BASE, [[1]]), BASE.extended(-1)),
-     UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
-    # a pivot sqrt(2) over base+sqrt(2) is conjugation-fixed but not rational
-    (lambda: diagonalize_form(smat(BASE.extended(2), [[Scalar.ext_gen(BASE.extended(2)), 1],
-                                                      [1, 0]])),
-     UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
-    (lambda: diagonalize_form(smat(BASE.extended(2), [[1]])),
      UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
     (lambda: anisotropy(smat(BASE, [[1]]), QUAD),
      ScalarKindMismatch, "form entry over base, expected quadratic(-1)"),
