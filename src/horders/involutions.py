@@ -34,8 +34,9 @@ a[i][j], that is a * t^k * L_c in L_b^v.  Both sides have volume -S_b
 (vol L_c = S_c), so a^-1 * L_b^v = t^k * L_c, and sigma(End L_b) is in
 End(t^k * L_c) = End L_c.  Distinct b have distinct S_b, hence distinct
 c: b -> c permutes the blocks, and sigma maps the order into the
-intersection of the End L_c, the order.  The test reads each block of a
-once, through its least valuation, in O(n^2 + r^3) steps, with no a^-1.
+intersection of the End L_c, the order.  The test reads least[b][c], the
+least valuation of a nonzero entry of block (b, c), in O(r^3) steps,
+with no a^-1.
 
 Every stable gauge passes it: sigma(Lambda) = Lambda makes the dual
 a^-1 * L_b^v of each L_b a Lambda-lattice (h(L, x * w) = h(sigma(x) * L,
@@ -70,17 +71,18 @@ denominator and window, so a[i][j] and a[j][i] must share their lowest
 exponent and length, and each coefficient of a[i][j] must have its
 partner's denominator and the conjugated (for epsilon = -1 also
 negated) numerators.  The pair (j, i) is the conjugate of that
-condition, so no tau(a) and no -a is built.  ``residue_isotropy`` then
-trusts the check: tau(a) = epsilon * a holds entrywise and t is central
-and conjugation-fixed, so the coefficient at t^m of each diagonal block
-is epsilon-hermitian, and its entries are of the gauge's kind, which is
-unextended (a ``DivisionSpec`` refuses any other).  Only the epsilon =
--1 refusal of ``anisotropy`` is kept on that path.
+condition, so no tau(a) and no -a is built.  The same pass records the
+block table least[b][c] from both entries of a pair, and the chain test
+and the residue data read it instead of the gauge.  The coefficient at
+t^m of each diagonal block is then epsilon-hermitian (t is central and
+conjugation-fixed) over the gauge's kind, which is unextended (a
+``DivisionSpec`` refuses any other); ``diagonalize_form`` checks it
+again on the integer pairs it builds anyway.
 
-Each ``InvolutionSpec`` checks well-formedness and computes its residue
-data and the diagonalisation of each residue block at most once; a
-failed check is raised again on every call.  A block's verdict and
-signature are read off the signs of its diagonal, so
+Each ``InvolutionSpec`` checks well-formedness, keeping the block table,
+and computes its residue data and the diagonalisation of each residue
+block at most once; a failed check is raised again on every call.  A
+block's verdict and signature are read off the signs of its diagonal, so
 ``residually_anisotropic`` and ``distinguish`` never search for a
 witness; ``residue_isotropy`` searches on the same diagonalisations.
 """
@@ -90,7 +92,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
-from operator import attrgetter, index
+from operator import index
 
 from .errors import (
     Diagnostics,
@@ -137,8 +139,8 @@ class InvolutionSpec:
                 f"gauge is {self.gauge.n}x{self.gauge.n}, order has size {self.order.sig.n}")
 
     # Memos outside eq, hash and repr; a call that raises stores nothing.
-    _checked = cached_property(lambda self: _require_wellformed(self) or True)
-    _residue = cached_property(lambda self: self._checked and _residue_of(self))
+    _checked = cached_property(lambda self: _require_wellformed(self))
+    _residue = cached_property(lambda self: _residue_of(self, self._checked))
     _forms = cached_property(lambda self: _forms_of(self._residue))
     _isotropy = cached_property(lambda self: tuple(
         _with_witness(form, self._residue.kind) for form in self._forms))
@@ -194,39 +196,46 @@ def apply_sigma(spec: InvolutionSpec, x: JetMatrix) -> JetMatrix:
     return spec.gauge.inverse() @ x.conj_transpose() @ spec.gauge
 
 
-def _is_eps_hermitian(a: JetMatrix, epsilon: int) -> bool:
-    """tau(a) = epsilon * a, compared in place (see the module docstring)."""
+def _hermitian_blocks(a: JetMatrix, epsilon: int, sig: Signature) -> tuple | None:
+    """The block table least[b][c] of the module docstring (None for a zero
+    block) if tau(a) = epsilon * a, compared in place, else None.  The
+    pass reads i <= j: a hermitian a has v(a[j][i]) = v(a[i][j])."""
     kind, rows = a.kind, a.rows
+    blk = [b for b, size in enumerate(sig.parts) for _ in range(size)]
+    least = [[None] * len(sig.parts) for _ in sig.parts]
     for i, row in enumerate(rows):
+        bi = blk[i]
         for j in range(i, len(rows)):
             x, y = row[j], rows[j][i]
             if x.lowest_exp != y.lowest_exp or len(x.coeffs) != len(y.coeffs):
-                return False
+                return None
             for c, d in zip(x.coeffs, y.coeffs):
                 want = _conj_parts(kind, d.num)
                 if epsilon == -1:
                     want = tuple(-v for v in want)
                 if c.den != d.den or c.num != want:
-                    return False
-    return True
+                    return None
+            bj, v = blk[j], x.lowest_exp
+            if x.coeffs and (least[bi][bj] is None or v < least[bi][bj]):
+                least[bi][bj] = least[bj][bi] = v
+    return tuple(map(tuple, least))
 
 
-def _require_wellformed(spec: InvolutionSpec) -> None:
-    a = spec.gauge
-    if not _is_eps_hermitian(a, spec.epsilon):
+def _require_wellformed(spec: InvolutionSpec) -> tuple:
+    """The block table of a well-formed gauge; the first failure raises."""
+    a, sig = spec.gauge, spec.order.sig
+    least = _hermitian_blocks(a, spec.epsilon, sig)
+    if least is None:
         raise NotEpsilonHermitian(f"tau(a) != {spec.epsilon:+d}*a")
-    if not _maps_chain_to_dual(spec.order.sig, a, a.det_valuation()):
+    if not _maps_chain_to_dual(sig, least, a.det_valuation()):
         _require_stable(spec)
+    return least
 
 
-def _maps_chain_to_dual(sig: Signature, a: JetMatrix, delta: int) -> bool:
+def _maps_chain_to_dual(sig: Signature, least: tuple, delta: int) -> bool:
     """a * t^k * L_c = L_b^v for every block b, with c and k read off the
-    volumes, for a gauge a with v(det a) = delta (see the module docstring)."""
+    volumes, from v(det a) = delta and the block table (module docstring)."""
     n, starts = sig.n, sig.block_starts()
-    spans = [(start, start + size) for start, size in zip(starts, sig.parts)]
-    # least[b][c]: the least valuation of a nonzero entry of block (b, c), or None
-    least = [[min([e.lowest_exp for row in a.rows[b_lo:b_hi] for e in row[c_lo:c_hi]
-                   if e.coeffs], default=None) for c_lo, c_hi in spans] for b_lo, b_hi in spans]
     block_at = {start: c for c, start in enumerate(starts)}
     for b, start in enumerate(starts):
         c = block_at.get((-start - delta) % n)
@@ -294,26 +303,19 @@ def residue_involution(spec: InvolutionSpec) -> ResidueInvolution:
     return spec._residue
 
 
-def _residue_of(spec: InvolutionSpec) -> ResidueInvolution:
+def _residue_of(spec: InvolutionSpec, least: tuple) -> ResidueInvolution:
     sig, rows = spec.order.sig, spec.gauge.rows
-    squares = []  # the rows of each diagonal block, which cover the rows in order
-    for start, size in zip(sig.block_starts(), sig.parts):
+    blocks = []  # the diagonal blocks cover the rows in order
+    for b, (start, size) in enumerate(zip(sig.block_starts(), sig.parts)):
         end = start + size
-        for i in range(start, end):
-            row = rows[i]
-            if any(map(_coeffs, row[:start])) or any(map(_coeffs, row[end:])):
-                j = next(j for j, x in enumerate(row) if x.coeffs and not start <= j < end)
-                raise UnsupportedGaugeShape(f"gauge mixes blocks at entry {i + 1},{j + 1}")
-        squares.append([row[start:end] for row in rows[start:end]])
-    blocks = []
-    for square in squares:
-        m = min(x.lowest_exp for row in square for x in row if x.coeffs)
-        res = tuple(tuple(x.coeff(m) for x in row) for row in square)
-        blocks.append(ResidueBlock(len(square), m, res))
+        if any(v is not None for c, v in enumerate(least[b]) if c != b):
+            i, j = next((i, j) for i in range(start, end) for j, x in enumerate(rows[i])
+                        if x.coeffs and not start <= j < end)
+            raise UnsupportedGaugeShape(f"gauge mixes blocks at entry {i + 1},{j + 1}")
+        m = least[b][b]
+        blocks.append(ResidueBlock(size, m, tuple(tuple(x.coeff(m) for x in row[start:end])
+                                                  for row in rows[start:end])))
     return ResidueInvolution(spec.gauge.kind, spec.epsilon, tuple(blocks))
-
-
-_coeffs = attrgetter("coeffs")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +332,8 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     returned entry is nonzero: each pivot is nonzero when it is chosen (a
     zero diagonal with a nonzero entry w at (i, j) first becomes
     2 * w * conj(w) > 0 at i), and no later step touches its row or
-    column.  A form with no such pivot raises SingularForm.
+    column.  A form with no such pivot raises SingularForm, and a matrix
+    that is not square or not hermitian raises NotEpsilonHermitian.
 
     The work runs on integer pairs (numerators, denominator) in lowest
     terms, as a :class:`Scalar` stores them, with one gcd per update, so
@@ -339,11 +342,17 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     n = len(b)
     if not n:
         return [], ()
+    if any(len(row) != n for row in b):
+        raise NotEpsilonHermitian("form matrix is not hermitian")
     kind = b[0][0].kind
     if kind.ext is not None:
         raise UnsupportedFormKind("residue forms live over unextended scalar kinds")
     zero, one = ((0,) * kind.dim, 1), ((1,) + (0,) * (kind.dim - 1), 1)
     work = [[(e.num, e.den) for e in row] for row in b]
+    # conjugation keeps a pair in lowest terms, so pairs compare exactly
+    if any(work[i][j] != (_conj_parts(kind, work[j][i][0]), work[j][i][1])
+           for i in range(n) for j in range(i, n)):
+        raise NotEpsilonHermitian("form matrix is not hermitian")
     trans = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def col_add(j: int, k: int, cn: tuple, cd: int) -> None:
@@ -471,10 +480,6 @@ def anisotropy(b: SMat, kind: ScalarKind, epsilon: int = 1) -> IsotropyResult:
         for e in row:
             if e.kind != kind:
                 raise ScalarKindMismatch(f"form entry over {e.kind}, expected {kind}")
-    n = len(b)
-    if any(len(row) != n for row in b) or any(
-            b[j][i].conj() != b[i][j] for i in range(n) for j in range(i, n)):
-        raise NotEpsilonHermitian("form matrix is not hermitian")
     return _with_witness(diagonalize_form(b), kind)
 
 
@@ -526,7 +531,7 @@ def _residue_verdicts(spec: InvolutionSpec) -> list[IsotropyResult]:
 
 def _forms_of(res: ResidueInvolution) -> tuple[tuple[list[Fraction], SMat], ...]:
     # the blocks of a well-formed gauge are hermitian over an unextended
-    # kind (see the module docstring); only epsilon is left to refuse
+    # kind (see the module docstring); epsilon is left to refuse
     _refuse_alternating(res.epsilon)
     return tuple(diagonalize_form(blk.gauge) for blk in res.blocks)
 

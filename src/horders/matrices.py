@@ -150,21 +150,16 @@ class JetMatrix:
 
     @staticmethod
     def dsum(*blocks: "JetMatrix") -> "JetMatrix":
-        if not blocks:
+        kind, n = blocks[0].kind if blocks else None, sum(b.n for b in blocks)
+        if any(b.kind != kind for b in blocks):
+            raise ScalarKindMismatch("direct summands must share a scalar kind")
+        if not n:
             raise SizeMismatch("matrix must be nonempty")
-        kind = blocks[0].kind
-        n = sum(b.n for b in blocks)
-        z = LaurentJet.zero(kind)
-        rows = [[z] * n for _ in range(n)]
-        off = 0
-        for b in blocks:
-            if b.kind != kind:
-                raise ScalarKindMismatch("direct summands must share a scalar kind")
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[off + i][off + j] = b.rows[i][j]
-            off += b.n
-        return JetMatrix.of(rows)
+        z, rows = LaurentJet.zero(kind), []
+        for b in blocks:  # each row of b, padded with zeros on both sides
+            off = len(rows)
+            rows += [(z,) * off + tuple(row) + (z,) * (n - off - b.n) for row in b.rows]
+        return JetMatrix(kind, tuple(rows))
 
     @property
     def n(self) -> int:
@@ -376,6 +371,8 @@ def first_difference(left: Sequence[JetMatrix | LaurentJet | Tau],
     jet factor is that scalar times the identity.  The factors live over
     one kind, or over an extended kind and its core.  Decided on the
     integers of the module docstring, at X = 2^B and Y = 2^W."""
+    if not left or not right:
+        raise SizeMismatch("products are compared as matrices; a side has no factor")
     sides = [[(f.m, True) if type(f) is Tau else (f, False) for f in side]
              for side in (left, right)]
     mats = [f for side in sides for f, _ in side]

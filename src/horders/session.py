@@ -62,8 +62,8 @@ from .orders import (
     ss_iso_decide,
     ss_iso_decide_fixed,
 )
-from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
-from .scalars import _Accumulator, _jet, _mul_parts, _power, _reduced, exact_int, exact_str
+from .scalars import BASE, QUATERNION, LaurentJet, Scalar, ScalarKind, quadratic
+from .scalars import _jet, _mul_parts, _power, _reduced, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -184,13 +184,14 @@ class _Cursor:
 
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
     rows, scale, _ = _parse_sum(cur, kind)
-    if len(rows) == 1:  # one monomial, or a sum with one exponent: its window is canonical
-        (e, row), = rows.items()
-        if any(row):
-            return _jet(kind, e, (_reduced(kind, tuple(row), scale),), None)
-    acc = _Accumulator(kind)
-    acc.terms = {e: (tuple(row), scale) for e, row in rows.items()}
-    return acc.jet(None)
+    kept = [e for e, row in rows.items() if any(row)]
+    if not kept:
+        return _jet(kind, 0, (), None)
+    lo = min(kept)
+    coeffs = [Scalar.zero(kind)] * (max(kept) - lo + 1)
+    for e in kept:  # each nonzero row reduced once, zero between them: a canonical window
+        coeffs[e - lo] = _reduced(kind, tuple(rows[e]), scale)
+    return _jet(kind, lo, tuple(coeffs), None)
 
 
 _QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}

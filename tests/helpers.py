@@ -302,6 +302,29 @@ def ref_is_eps_hermitian(a: JetMatrix, epsilon: int) -> bool:
     return a.conj_transpose().agrees(a if epsilon == 1 else -a)
 
 
+def ref_block_least(a: JetMatrix, sig: Signature) -> list[list[int | None]]:
+    """The least valuation of a nonzero entry of each block (b, c) of a,
+    None for a zero block, one minimum over each block's slice of the
+    rows: the reference for the block table of the hermitian check."""
+    spans = [(start, start + size) for start, size in zip(sig.block_starts(), sig.parts)]
+    return [[min([e.lowest_exp for row in a.rows[b_lo:b_hi] for e in row[c_lo:c_hi]
+                  if e.coeffs], default=None) for c_lo, c_hi in spans] for b_lo, b_hi in spans]
+
+
+def ref_mixing_text(spec: InvolutionSpec) -> str | None:
+    """The ``UnsupportedGaugeShape`` text of a gauge that mixes blocks,
+    None for a block-diagonal one, from a scan of the rows in order: the
+    first nonzero entry outside the diagonal block of its row."""
+    sig, rows = spec.order.sig, spec.gauge.rows
+    for start, size in zip(sig.block_starts(), sig.parts):
+        for i in range(start, start + size):
+            j = next((j for j, x in enumerate(rows[i])
+                      if x.coeffs and not start <= j < start + size), None)
+            if j is not None:
+                return f"gauge mixes blocks at entry {i + 1},{j + 1}"
+    return None
+
+
 def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
     """``JetMatrix.inverse_valuations`` with every component solved, 1 x 1
     ones included: the reference for reading v(x^-1) = -v(x) off a 1 x 1

@@ -24,7 +24,8 @@ from horders.errors import (
     UnsupportedGaugeShape,
 )
 from horders.involutions import (
-    _is_eps_hermitian,
+    _hermitian_blocks,
+    _residue_of,
     ANISOTROPIC,
     INCONCLUSIVE,
     ISOTROPIC,
@@ -63,9 +64,11 @@ from helpers import (
     entrywise,
     form_value,
     random_scalar,
+    ref_block_least,
     ref_inverse_valuations,
     ref_represent_int,
     ref_is_eps_hermitian,
+    ref_mixing_text,
     ref_solve_valuations,
     sample_block_unit,
     sample_element,
@@ -308,6 +311,16 @@ PLANTS = ("coefficient changed", "conjugation sign flipped", "shifted lowest_exp
           "longer window", "different den", "zero against nonzero")
 
 
+def _random_sig(rng, n, most=4) -> Signature:
+    """A seeded signature of size n with 1 to min(n, most) blocks."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n, most)) - 1))
+    return Signature(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+
+
+def _is_eps_hermitian(a, epsilon, sig) -> bool:
+    return _hermitian_blocks(a, epsilon, sig) is not None
+
+
 def test_hermitian_check_in_place_matches_the_built_tau():
     # tau(a) = eps * a is compared entry by entry for i <= j; the reference
     # builds tau(a) and -a.  Each asymmetry is planted in one entry (i, j),
@@ -315,13 +328,14 @@ def test_hermitian_check_in_place_matches_the_built_tau():
     broken = dict.fromkeys(PLANTS, 0)
     diagonal_broken = 0
     for kind in REF_KINDS:
-        rng = Random(f"hermitian:{kind}")
+        rng, sig_rng = Random(f"hermitian:{kind}"), Random(f"hermitian-sig:{kind}")
         for epsilon in (1, -1):
             for _ in range(12):
                 n = rng.randint(1, 4)
                 a = _hermitian_gauge(kind, rng, n, epsilon)
-                assert _is_eps_hermitian(a, epsilon) and ref_is_eps_hermitian(a, epsilon)
-                assert _is_eps_hermitian(a, -epsilon) == ref_is_eps_hermitian(a, -epsilon)
+                sig = _random_sig(sig_rng, n)
+                assert _is_eps_hermitian(a, epsilon, sig) and ref_is_eps_hermitian(a, epsilon)
+                assert _is_eps_hermitian(a, -epsilon, sig) == ref_is_eps_hermitian(a, -epsilon)
                 for case in PLANTS:
                     needs_nonzero = case not in ("zero against nonzero", "longer window")
                     places = [(i, j) for i in range(n) for j in range(i, n)
@@ -333,7 +347,7 @@ def test_hermitian_check_in_place_matches_the_built_tau():
                     rows[i][j] = _plant(case, rows[i][j], rng)
                     b = JetMatrix.of(rows)
                     want = ref_is_eps_hermitian(b, epsilon)
-                    assert _is_eps_hermitian(b, epsilon) == want, (kind, epsilon, case, i, j)
+                    assert _is_eps_hermitian(b, epsilon, sig) == want, (kind, epsilon, case, i, j)
                     broken[case] += not want
                     diagonal_broken += not want and i == j
                     if not want and kind.ext is None:
@@ -342,6 +356,81 @@ def test_hermitian_check_in_place_matches_the_built_tau():
                             f"NotEpsilonHermitian: tau(a) != {epsilon:+d}*a"
     assert all(count >= 20 for count in broken.values()), broken
     assert diagonal_broken >= 20
+
+
+def _sparse_hermitian_gauge(kind, rng, n, epsilon, density) -> JetMatrix:
+    """``_hermitian_gauge`` with each pair off the diagonal nonzero with
+    probability ``density``, and a nonzero diagonal when epsilon = 1."""
+    zero = LaurentJet.zero(kind)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        x = _fraction_jet(kind, rng)
+        rows[i][i] = x + x.conj() if epsilon == 1 else x - x.conj()
+        if epsilon == 1 and not rows[i][i].coeffs:
+            rows[i][i] = LaurentJet.t_power(kind, rng.randint(-2, 2))
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                y = _fraction_jet(kind, rng)
+                rows[i][j], rows[j][i] = y, (y.conj() if epsilon == 1 else -y.conj())
+    return JetMatrix.of(rows)
+
+
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+def test_block_table_matches_the_per_block_minimum(kind):
+    # one pass over i <= j fills least[b][c] and least[c][b]; the reference
+    # takes one minimum over each block's slice of the rows
+    rng = Random(f"blocks:{kind}")
+    zero_blocks = mixing = 0
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        sig = _random_sig(rng, n)
+        epsilon = rng.choice((1, -1))
+        a = _sparse_hermitian_gauge(kind, rng, n, epsilon, rng.choice((0.2, 0.5, 0.9)))
+        want = ref_block_least(a, sig)
+        assert _hermitian_blocks(a, epsilon, sig) == tuple(map(tuple, want)), (a, sig)
+        zero_blocks += any(v is None for row in want for v in row)
+        mixing += any(v is not None for b, row in enumerate(want)
+                      for c, v in enumerate(row) if c != b)
+    assert zero_blocks >= 20 and mixing >= 20
+
+
+@pytest.mark.parametrize("kind", [BASE, QUAD, QUATERNION], ids=str)
+def test_mixing_text_matches_the_row_scan(kind):
+    # _residue_of finds a mixing block in the table and only then scans its
+    # rows; the blocks cover the rows in order, so the first entry found is
+    # the one a scan of every row finds
+    rng = Random(f"mixing:{kind}")
+    texts = set()
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        sig = _random_sig(rng, n)
+        a = _sparse_hermitian_gauge(kind, rng, n, 1, rng.choice((0.1, 0.3)))
+        spec = InvolutionSpec(order(*sig.parts, kind=kind), a)
+        want = ref_mixing_text(spec)
+        least = _hermitian_blocks(a, 1, sig)
+        if want is None:
+            assert [blk.t_power for blk in _residue_of(spec, least).blocks] == [
+                least[b][b] for b in range(len(sig.parts))]
+            continue
+        with pytest.raises(UnsupportedGaugeShape) as err:
+            _residue_of(spec, least)
+        assert str(err.value) == want
+        texts.add(want)
+    assert len(texts) >= 8, texts
+
+
+def test_one_hermitian_pass_serves_every_residue_question(monkeypatch):
+    passes = []
+    hermitian_blocks = involutions._hermitian_blocks
+    monkeypatch.setattr(involutions, "_hermitian_blocks",
+                        lambda a, *args: passes.append(a) or hermitian_blocks(a, *args))
+    spec1, spec2, _, _ = counterexample_pair(QUATERNION, 2, 1)
+    assert wellformed(spec1).ok and residue_involution(spec1).blocks
+    assert involutions.residue_isotropy(spec1)
+    residually_anisotropic(spec1)
+    assert distinguish(spec1, spec2).distinguished
+    assert distinguish(spec2, spec1).distinguished
+    assert len(passes) == 2 and passes[0] is spec1.gauge and passes[1] is spec2.gauge
 
 
 def _component_matrix(kind, rng, n) -> JetMatrix:
@@ -994,7 +1083,7 @@ def _identity_spec(n):
      UnsupportedFormKind, "residue forms live over unextended scalar kinds"),
     (lambda: anisotropy(smat(BASE, [[1]]), QUAD),
      ScalarKindMismatch, "form entry over base, expected quadratic(-1)"),
-    # a direct call checks its form; residue_isotropy trusts wellformed
+    # a direct call checks its form and refuses epsilon = -1
     (lambda: anisotropy(smat(BASE, [[0, 1], [-1, 0]]), BASE, epsilon=-1),
      UnsupportedFormKind, "epsilon = -1 residue forms are not decided"),
     (lambda: anisotropy(smat(BASE, [[1, 1], [0, 1]]), BASE),
@@ -1005,6 +1094,15 @@ def _identity_spec(n):
     (lambda: anisotropy(smat(BASE, [[1, 0, 0], [0, 1, 0]]), BASE),
      NotEpsilonHermitian, "form matrix is not hermitian"),
     (lambda: anisotropy(smat(QUAD, [[1, Scalar.of(QUAD, 0, 1)], [Scalar.of(QUAD, 0, 1), 1]]), QUAD),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
+    # diagonalize_form checks the form it is given: not square, then not
+    # hermitian (C = [[1, -2], [0, 1]] would not diagonalise [[1, 2], [0, 1]])
+    (lambda: diagonalize_form(((),)), NotEpsilonHermitian, "form matrix is not hermitian"),
+    (lambda: diagonalize_form(smat(BASE, [[1], [2]])),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
+    (lambda: diagonalize_form(smat(BASE, [[1, 2], [0, 1]])),
+     NotEpsilonHermitian, "form matrix is not hermitian"),
+    (lambda: diagonalize_form(smat(QUAD, [[Scalar.of(QUAD, 0, 1)]])),
      NotEpsilonHermitian, "form matrix is not hermitian"),
 ])
 def test_involution_guards(call, error, message):

@@ -103,6 +103,11 @@ QUAT_ONE = JetMatrix.diagonal([LaurentJet.one(QUATERNION)])
     (lambda: ONE @ QUAT_ONE, ScalarKindMismatch, "base vs quaternion"),
     (lambda: ONE @ TWO_ROOTS, SizeMismatch, "1x1 vs 2x2"),
     (lambda: matrices.first_difference([ONE], [TWO_ROOTS]), SizeMismatch, "1x1 vs 2x2"),
+    # an empty side is refused before any work (its bound used to be a float)
+    (lambda: matrices.first_difference([], [ONE]),
+     SizeMismatch, "products are compared as matrices; a side has no factor"),
+    (lambda: matrices.first_difference([ONE, ONE], ()),
+     SizeMismatch, "products are compared as matrices; a side has no factor"),
 ])
 def test_matrix_guards(call, error, message):
     with pytest.raises(error) as err:
