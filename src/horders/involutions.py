@@ -26,8 +26,10 @@ intersection of the End L_c.  sigma is the adjoint of the form h(v, w)
 = tau(v) * a * w, as h(x * v, w) = h(v, sigma(x) * w); so sigma(End L)
 fixes the dual of L under h, {w : h(L, w) is integral} = a^-1 * L^v,
 that is sigma(End L) is in End(a^-1 * L^v).  With delta = v(det a), the
-valuation of the Dieudonne determinant (``JetMatrix.det_valuation``),
-vol(a * M) = vol M + delta.  For each block b take the one c with S_c
+valuation of the Dieudonne determinant (``JetMatrix.det_valuation``,
+read off the leading coefficients of a when they form a unit, else from
+one elimination; see the ``matrices`` module docstring), vol(a * M) =
+vol M + delta.  For each block b take the one c with S_c
 = -S_b - delta mod n and k = (-S_b - delta - S_c) / n; the test asks
 v(a[i][j]) + k + [blk(j) < c] >= -[blk(i) < b] for every nonzero
 a[i][j], that is a * t^k * L_c in L_b^v.  Both sides have volume -S_b
@@ -328,7 +330,8 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     Returns (diagonal entries, C) with conj-transpose(C) * b * C equal
     to the diagonal matrix.  The diagonal entries of a hermitian form
     over these unextended scalar models are conjugation-fixed, hence
-    rational; an extended kind raises UnsupportedFormKind.  Every
+    rational; an extended kind raises UnsupportedFormKind, and an entry
+    of another kind than the first raises ScalarKindMismatch.  Every
     returned entry is nonzero: each pivot is nonzero when it is chosen (a
     zero diagonal with a nonzero entry w at (i, j) first becomes
     2 * w * conj(w) > 0 at i), and no later step touches its row or
@@ -347,6 +350,10 @@ def diagonalize_form(b: SMat) -> tuple[list[Fraction], SMat]:
     kind = b[0][0].kind
     if kind.ext is not None:
         raise UnsupportedFormKind("residue forms live over unextended scalar kinds")
+    for row in b:
+        for e in row:
+            if e.kind is not kind and e.kind != kind:
+                raise ScalarKindMismatch(f"form entry over {e.kind}, expected {kind}")
     zero, one = ((0,) * kind.dim, 1), ((1,) + (0,) * (kind.dim - 1), 1)
     work = [[(e.num, e.den) for e in row] for row in b]
     # conjugation keeps a pair in lowest terms, so pairs compare exactly

@@ -18,11 +18,31 @@ the left-regular representation M(t) of a' over Q is an integer
 polynomial matrix.  One scale for all rows would multiply each row by
 the others' denominators and shift it by the spread of their lows,
 raising the row norms behind B and the spans behind D below.
-``field_invertible`` evaluates M at t = 1, ..., D + 1;
-``det_valuation``, ``inverse_valuations`` and ``inverse`` read one
-elimination at X = 2^B, ``_solve``.
+``det_valuation`` and ``field_invertible`` first read the leading matrix
+of each component (``_leading_unit``, below).  Only a component with a
+zero row or a singular leading matrix goes on: ``field_invertible``
+evaluates M at t = 1, ..., D + 1, and ``det_valuation``,
+``inverse_valuations`` and ``inverse`` read one elimination at X = 2^B,
+``_solve``.
 
-That elimination is exact.  Every minor of M has coefficients of
+The leading matrix decides most components with no elimination (units
+lift modulo the radical; Reiner, *Maximal Orders*, ch. 9).  Let low_i be
+the least exponent of a nonzero entry in row i of a component; then the
+scaled a' has polynomial entries, and a'(0) = diag(s_i) * A0, for A0 the
+matrix of the coefficients at t^low_i of each row i, a unit exactly when
+A0 is.  Evaluation at t = 0 is a ring map that commutes with the
+left-regular image, so det M(a')(0) = det M(a'(0)).  If A0 is a unit of
+M_r(K), K the scalar algebra, which ``smat_invertible`` decides exactly
+from its left-regular image, zero divisors of an extended kind included,
+that constant term is nonzero.  Then det M(a') != 0, so a is invertible
+over the Laurent field, and v(det M(a')) = 0, so the component adds
+sum(low_i) to delta (see below).  That constant term is the lowest
+base-X digit that the elimination reads, here computed on the small
+integers of A0 instead of at X = 2^B.  A leading matrix can be singular
+while a is not: [[1, 1], [1, 1 + t]] has leading matrix [[1, 1], [1, 1]]
+and det t.
+
+The elimination at X = 2^B is exact.  Every minor of M has coefficients of
 absolute value at most P, the product over the rows of M of their
 1-norms (the sum of the absolute values of all coefficients in a row),
 so det(M) and the entries of adj(M) = det(M) * M^-1 have them too.
@@ -51,9 +71,10 @@ Q, whose norm is positive definite), so a nonzero x has an inverse in
 the Laurent field, and the inverse's lowest term is the inverse of x's
 lowest term, so v(x^-1) = -v(x); x = 0 is singular.  An extended kind
 can have zero divisors (quaternion+sqrt(-1) is M_2(Q(i))), so its
-components keep the solve.  ``inverse`` reads every digit.  a is a unit
-over the Laurent polynomials iff every det is a monomial c * t^v, that
-is iff det(X) = c * X^v with |c| < X/2; then a^-1[k][j] =
+components are read off the leading matrix or solved.  ``inverse``
+reads every digit.  a is a unit over the Laurent polynomials iff every
+det is a monomial c * t^v, that is iff det(X) = c * X^v with |c| < X/2;
+then a^-1[k][j] =
 y_kj(t) * s_j * t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
 
 ``first_difference`` evaluates each distinct factor once at X = 2^B, so
@@ -109,7 +130,8 @@ from operator import add, mul
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
 from .scalars import (LaurentJet, Q, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
-                      _conj_parts, _eliminate, _mul_parts, _solutions, left_regular)
+                      _conj_parts, _eliminate, _mul_parts, _solutions, left_regular,
+                      smat_invertible)
 
 
 @record
@@ -210,14 +232,17 @@ class JetMatrix:
         Invertible iff every component is.  A 1 x 1 component [x] over an
         unextended kind, a division algebra, is invertible iff x is not
         zero (see the module docstring).  Any other component is
-        invertible iff its image M(t) is: det M has degree at most D = dim
-        * the sum of the row spans, so it is nonzero iff it is nonzero at
-        one of t = 1, ..., D + 1.  An extended kind can have zero divisors,
-        such as 1 + qi * sqrt(-1), so its 1 x 1 components are solved too.
+        invertible if its leading matrix is a unit, and else iff its image
+        M(t) is: det M has degree at most D = dim * the sum of the row
+        spans, so it is nonzero iff it is nonzero at one of t = 1, ...,
+        D + 1.  An extended kind can have zero divisors, such as 1 + qi *
+        sqrt(-1), so its 1 x 1 components take that path too.
         """
         def nonsingular(comp: list[int], entry: LaurentJet | None) -> bool:
             if entry is not None:
                 return bool(entry.coeffs)
+            if self._leading_unit(comp) is not None:
+                return True
             bounds = self._row_bounds(comp)
             _, _, _, spans, sizes, _ = zip(*bounds)
             if not all(sizes):
@@ -236,9 +261,12 @@ class JetMatrix:
         for comp, x in self._divided(True):
             if x is not None:
                 total += x.lowest_exp
-                continue
-            bounds, bits, det, _ = self._solve(comp)
-            total += _lowest_digit(det, bits) // self.kind.dim + sum(low for _, _, low, *_ in bounds)
+            elif (lows := self._leading_unit(comp)) is not None:
+                total += sum(lows)
+            else:
+                bounds, bits, det, _ = self._solve(comp)
+                total += (_lowest_digit(det, bits) // self.kind.dim
+                          + sum(low for _, _, low, *_ in bounds))
         return total
 
     def inverse_valuations(self) -> list[list[int | None]]:
@@ -302,6 +330,21 @@ class JetMatrix:
             if nonzero and x is not None and not x.coeffs:
                 raise NotInvertible(_SINGULAR)
             yield comp, x
+
+    def _leading_unit(self, comp: list[int]) -> list[int] | None:
+        """The row lows of a component whose leading matrix, the
+        coefficients at t^low_i of each row i, is a unit over the scalars;
+        None if a row is zero or that matrix is singular.  Such a
+        component is invertible over the Laurent field and adds sum(low_i)
+        to delta (see the module docstring)."""
+        rows = [[self.rows[i][j] for j in comp] for i in comp]
+        lows = [min([x.lowest_exp for x in row if x.coeffs], default=None) for row in rows]
+        if None in lows:
+            return None
+        zero = Scalar.zero(self.kind)
+        lead = [[x.coeffs[0] if x.coeffs and x.lowest_exp == low else zero for x in row]
+                for row, low in zip(rows, lows)]
+        return lows if smat_invertible(lead) else None
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""

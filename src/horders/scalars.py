@@ -445,7 +445,10 @@ def smat_invertible(rows: Sequence[Sequence[Scalar]]) -> bool:
     A matrix that is block-diagonal after a simultaneous permutation of
     rows and columns is a unit iff each block is, so each connected
     component of the nonzero pattern is scaled by the lcm of its
-    denominators, which keeps singularity, and eliminated on its own."""
+    denominators, which keeps singularity, and eliminated on its own.
+    Rows of another length than their count raise SizeMismatch."""
+    if any(len(row) != len(rows) for row in rows):
+        raise SizeMismatch("matrix must be square")
     for comp in _components(len(rows), lambda i, j: any(rows[i][j].num) or any(rows[j][i].num)):
         block = [[rows[i][j] for j in comp] for i in comp]
         scale = lcm(*(x.den for row in block for x in row))

@@ -9,11 +9,12 @@ from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPre
                             NotDivisible, NotInvertible, NotPeriodic, OK, SessionSyntaxError,
                             SessionTypeError, failure)
 from horders.involutions import InvolutionSpec
-from horders.matrices import JetMatrix, _lowest_digit
+from horders.matrices import JetMatrix, _image, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
                             check_residue, pattern_of, radical_pattern, ss_iso_decide)
 from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
-from horders.scalars import _min_prec, _product_precision, _solutions, exact_int, exact_str
+from horders.scalars import (_bareiss, _min_prec, _product_precision, _solutions, exact_int,
+                             exact_str, left_regular)
 from horders.session import _Cursor
 from horders.witness import WitnessCheck, _is_central, _ring_checks
 
@@ -340,6 +341,33 @@ def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
                 if digits:
                     out[k][j] = min(digits) - vdet - low
     return out
+
+
+def ref_det_valuation(a: JetMatrix) -> int:
+    """``JetMatrix.det_valuation`` with every component eliminated at
+    X = 2^B, 1 x 1 ones and unit leading matrices included: the reference
+    for reading delta off the leading coefficients."""
+    total = 0
+    for comp in a._components():
+        bounds, bits, det, _ = a._solve(comp)
+        total += _lowest_digit(det, bits) // a.kind.dim + sum(low for _, _, low, *_ in bounds)
+    return total
+
+
+def ref_field_invertible(a: JetMatrix) -> bool:
+    """``JetMatrix.field_invertible`` with every component evaluated at
+    t = 1, ..., D + 1, D = dim * the sum of its row spans, one
+    elimination each: the reference for the leading-coefficient test."""
+    for comp in a._components():
+        bounds = a._row_bounds(comp)
+        _, _, _, spans, sizes, _ = zip(*bounds)
+        if not all(sizes):
+            return False
+        points = a.kind.dim * sum(spans) + 1
+        if not any(_bareiss(m := left_regular(a.kind, [r[0] for r in _image(bounds, x)]), len(m))
+                   for x in range(1, points + 1)):
+            return False
+    return True
 
 
 def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:

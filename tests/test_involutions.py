@@ -1055,6 +1055,19 @@ def test_a_form_over_an_extended_kind_is_refused_before_any_work():
         assert str(err.value) == "residue forms live over unextended scalar kinds"
 
 
+def test_a_form_with_entries_of_mixed_kinds_is_refused():
+    # each entry's coordinates were multiplied under the first entry's
+    # rule: sqrt(-2) in a quadratic(-1) form read as SingularForm, and a
+    # base entry ran out of coordinates (IndexError)
+    root = Scalar.of(quadratic(-2), 0, 1)
+    one, zero = Scalar.one(QUAD), Scalar.zero(QUAD)
+    for b, text in [(((one, root), (-root, one)), "quadratic(-2)"),
+                    (((one, zero), (zero, Scalar.one(BASE))), "base")]:
+        with pytest.raises(ScalarKindMismatch) as err:
+            diagonalize_form(b)
+        assert str(err.value) == f"form entry over {text}, expected quadratic(-1)"
+
+
 def test_alternating_forms_are_not_decided():
     with pytest.raises(UnsupportedFormKind):
         anisotropy(smat(BASE, [[0, 1], [-1, 0]]), BASE, epsilon=-1)

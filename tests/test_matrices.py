@@ -12,8 +12,9 @@ from horders.errors import NotInvertible, ScalarKindMismatch, SizeMismatch
 from horders.matrices import JetMatrix, Tau, first_difference
 from horders.scalars import BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, quadratic
 
-from helpers import (_poly_det, entrywise, onto, random_jet, random_scalar,
-                     ref_gauss_jordan_inverse, ref_invertible, ref_matmul, rows_agree)
+from helpers import (_poly_det, entrywise, onto, random_jet, random_scalar, ref_det_valuation,
+                     ref_field_invertible, ref_gauss_jordan_inverse, ref_invertible, ref_matmul,
+                     rows_agree)
 from test_scalars import REF_KINDS, SPLIT_KINDS, kernel_jet
 
 
@@ -445,7 +446,8 @@ def _by_elimination(x: LaurentJet) -> bool:
 def test_a_one_by_one_component_agrees_with_elimination(kind, monkeypatch):
     # an unextended kind is a division algebra, so its 1 x 1 components
     # are decided without a solve; an extended kind can hold zero divisors
-    # such as 1 + qi * sqrt(-1), so its components are still eliminated
+    # such as 1 + qi * sqrt(-1), so its components are eliminated unless
+    # their leading coefficient is a unit
     rng = Random(f"one-by-one:{kind}")
     zero, one, t = LaurentJet.zero(kind), LaurentJet.one(kind), LaurentJet.t_power(kind, 1)
     entries = [zero, one, t] + [random_jet(kind, rng) for _ in range(12)]
@@ -457,28 +459,34 @@ def test_a_one_by_one_component_agrees_with_elimination(kind, monkeypatch):
             divisors.append([e, e * (one + t), e + t])
     real, solves = matrices._bareiss, []
     monkeypatch.setattr(matrices, "_bareiss", lambda *args: solves.append(1) or real(*args))
-    verdicts = []
+    verdicts, solved = [], []  # solved: whether x took the elimination
     for x in entries + [x for triple in divisors for x in triple]:
         want = _by_elimination(x)
+        lead = bool(x.coeffs) and ref_invertible(kind, [[tuple(map(Q, x.coeffs[0].parts))]])
         if len(x.coeffs) <= 1:  # a monomial c * t^k is invertible iff c is
-            assert want is (bool(x.coeffs) and ref_invertible(
-                kind, [[tuple(map(Q, x.coeffs[0].parts))]])), x
+            assert want is lead, x
         for a in (JetMatrix.diagonal([x]), JetMatrix.diagonal([x, one, x])):
             solves.clear()
             assert a.field_invertible() is want, (x, a)
-            # a zero x is singular before any solve, and ends the question
-            assert bool(solves) is (kind.ext is not None and bool(x.coeffs))
+            # a zero x is singular before any solve, and ends the question;
+            # a unit leading coefficient proves x invertible without one
+            assert bool(solves) is (kind.ext is not None and bool(x.coeffs) and not lead)
         verdicts.append(want)
+        solved.append(bool(solves))
     assert True in verdicts and False in verdicts
     if kind in SPLIT_KINDS:  # (1 + i * sqrt(-1)) * (1 - i * sqrt(-1)) = 0
         assert [[_by_elimination(x) for x in triple] for triple in divisors] == [
             [False, False, True]] * len(divisors)
+        assert set(solved) == {False, True}  # a zero divisor leads each triple
 
 
 def test_every_solve_goes_through_one_elimination(monkeypatch):
-    # a 1 x 1 component [t] and a 2 x 2 one, [[1, t], [0, 1]], over base
-    a = JetMatrix.dsum(mat([[0, 1]]), mat([[1], [0, 1]], [[], [1]]))
-    assert a._components() == [[0], [1, 2]]
+    # a 1 x 1 component [t] and two 2 x 2 ones over base: [[1, t], [0, 1]],
+    # whose leading matrix is the identity, and [[1, 1], [1, 1 + t]], whose
+    # leading matrix [[1, 1], [1, 1]] is singular though det = t is not
+    lead_singular = mat([[1], [1]], [[1], [1, 1]])
+    a = JetMatrix.dsum(mat([[0, 1]]), mat([[1], [0, 1]], [[], [1]]), lead_singular)
+    assert a._components() == [[0], [1, 2], [3, 4]]
     real, sizes = scalars._eliminate, []
 
     def spy(kind, rows):
@@ -487,16 +495,91 @@ def test_every_solve_goes_through_one_elimination(monkeypatch):
 
     monkeypatch.setattr(matrices, "_eliminate", spy)
     monkeypatch.setattr(scalars, "_eliminate", spy)
-    assert a.det_valuation() == 1 and sizes == [2]
+    # delta: only the component with a singular leading matrix is eliminated
+    assert a.det_valuation() == 2 and sizes == [2]
     sizes.clear()
-    assert a.inverse_valuations() == [[-1, None, None], [None, 0, 1], [None, None, 0]]
-    assert sizes == [2]
+    assert a.field_invertible() and sizes == []
+    assert a.inverse_valuations() == [[-1, None, None, None, None], [None, 0, 1, None, None],
+                                      [None, None, 0, None, None], [None] * 3 + [-1, -1],
+                                      [None] * 3 + [-1, -1]]
+    assert sizes == [2, 2]
     sizes.clear()
     # inverse keeps no 1 x 1 shortcut: every component is eliminated
-    assert a.inverse() == JetMatrix.dsum(JetMatrix.diagonal([LaurentJet.t_power(BASE, -1)]),
-                                         mat([[1], [0, -1]], [[], [1]]))
-    assert sizes == [1, 2]
+    inv_t = LaurentJet.t_power(BASE, -1)
+    assert a.inverse() == JetMatrix.dsum(
+        JetMatrix.diagonal([inv_t]), mat([[1], [0, -1]], [[], [1]]),
+        JetMatrix.of([[LaurentJet.from_coeffs(BASE, -1, [1, 1]), -inv_t], [-inv_t, inv_t]]))
+    assert sizes == [1, 2, 2]
     sizes.clear()
     assert Scalar.of(QUATERNION, 1, 2, 0, 2).inverse() == Scalar.of(
         QUATERNION, Q(1, 9), Q(-2, 9), 0, Q(-2, 9))
     assert sizes == [1]
+
+
+def _leading_case(kind, rng, n) -> JetMatrix:
+    """A seeded n x n matrix for the leading-coefficient test: drawn
+    entries; E * diag(t^k_i * c_i) * F for unipotent E and F, invertible
+    with a leading matrix that is often singular; or one of these with a
+    zero row, with a row that is a jet times another, or (over an
+    extended kind) with leading coefficients 1 + e_a * root."""
+    zero, one = LaurentJet.zero(kind), LaurentJet.one(kind)
+    shape = rng.choice(("drawn", "factored", "factored", "zero row", "dependent", "divisor"))
+    if shape == "drawn":
+        rows = [[_engine_jet(kind, rng) for _ in range(n)] for _ in range(n)]
+    else:
+        def unipotent(lower):  # entries below (or above) the diagonal in t^0, ..., t^4
+            t2 = LaurentJet.t_power(kind, 2)
+            return JetMatrix.of([[one if i == j else _engine_jet(kind, rng, zero=0.4) * t2
+                                  if (i > j) == lower else zero for j in range(n)]
+                                 for i in range(n)])
+        diag = JetMatrix.diagonal([LaurentJet.t_power(
+            kind, rng.randint(-1, 2), random_scalar(kind, rng, nonzero=True)) for _ in range(n)])
+        rows = [list(row) for row in (unipotent(True) @ diag @ unipotent(False)).rows]
+    if shape == "zero row":
+        rows[rng.randrange(n)] = [zero] * n
+    elif shape == "dependent" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i] = [_engine_jet(kind, rng, zero=0) * x for x in rows[j]]
+    elif shape == "divisor" and kind.ext is not None:
+        root = Scalar.ext_gen(kind)
+        e = Scalar.one(kind) + Scalar.basis(kind, rng.randrange(kind.core_dim)) * root
+        rows[rng.randrange(n)][rng.randrange(n)] = LaurentJet(kind, -1, [e, random_scalar(kind, rng)])
+    return JetMatrix.of(rows)
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=str)
+def test_leading_coefficients_agree_with_elimination(kind):
+    # delta and field invertibility read off the leading matrix agree with
+    # the elimination at 2^B and the D + 1 points that every component
+    # took before; both paths, and singular matrices, are drawn
+    rng = Random(f"leading:{kind}")
+    paths, singular = {True: 0, False: 0}, 0
+    for _ in range(60):
+        # the D + 1 points of the reference cost dim^3 * D each, so larger
+        # kinds get smaller matrices
+        a = _leading_case(kind, rng, rng.randint(1, {1: 4, 2: 4, 4: 3}.get(kind.dim, 2)))
+        for comp in a._components():
+            paths[a._leading_unit(comp) is not None] += 1
+        assert a.field_invertible() is ref_field_invertible(a), a
+        try:
+            want = ref_det_valuation(a)
+        except NotInvertible as exc:
+            singular += 1
+            with pytest.raises(NotInvertible, match=f"^{exc}$"):
+                a.det_valuation()
+        else:
+            assert a.det_valuation() == want, a
+    assert paths[True] >= 20 and paths[False] >= 10 and singular >= 5, (paths, singular)
+
+
+def test_an_invertible_matrix_with_a_singular_leading_matrix_is_eliminated():
+    # [[1, 1], [1, 1 + t]] has leading matrix [[1, 1], [1, 1]] and det = t
+    a = mat([[1], [1]], [[1], [1, 1]])
+    assert a._leading_unit([0, 1]) is None
+    assert a.field_invertible() and a.det_valuation() == 1 == ref_det_valuation(a)
+    # its lower rows scaled by t^-1 and t^3: the lows are -1 and 3, and the
+    # leading matrix [[2, 1], [0, 1]] is a unit, so delta = 2 with no solve
+    b = JetMatrix.of([[LaurentJet.t_power(BASE, -1, 2), LaurentJet.t_power(BASE, -1)],
+                      [LaurentJet.t_power(BASE, 4), LaurentJet.t_power(BASE, 3)]])
+    assert b._leading_unit([0, 1]) == [-1, 3]
+    assert b.det_valuation() == 2 == ref_det_valuation(b)

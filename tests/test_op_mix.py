@@ -117,5 +117,17 @@ def test_a_revision_against_itself_gives_the_same_reports(committed, workload):
     op_p, op_c, op_ratio = map(float, PER_OP.fullmatch(lines[4]).groups())
     assert 0 < op_p <= p3 + 1e-3 and 0 < op_c <= float(sides[1][3]) + 1e-3
     assert op_ratio == pytest.approx(op_c / op_p, rel=0.05)  # of the printed, rounded times
-    assert len(lines) == 5  # no REPORTS DIFFER and no FAILED line
+    # then each op kind's median per cycle on both sides, and their ratio
+    assert lines[5] == "per kind (ms per cycle: parent median, change median, ratio change/parent)"
+    rows = [line.rsplit(maxsplit=3) for line in lines[6:]]
+    kinds = {"patterns": set(KINDS), "replay": set(SCENARIOS),
+             "corpus": {str(slot) for slot in range(19)}}[workload]  # a slot, then its shape
+    # one row per kind, and no REPORTS DIFFER or FAILED line after them
+    assert {kind.split()[0] for kind, *_ in rows} == kinds and len(rows) == len(kinds)
+    for _, kind_p, kind_c, kind_ratio in rows:
+        assert float(kind_p) > 0 and float(kind_c) > 0
+        assert float(kind_ratio) == pytest.approx(float(kind_c) / float(kind_p), rel=0.05, abs=2e-3)
+    # the median of two cycles is their mean, so the kinds sum to the cycle
+    for column, (_, median, *_) in zip((1, 2), sides):
+        assert sum(float(row[column]) for row in rows) == pytest.approx(float(median), abs=0.02)
 

@@ -324,6 +324,11 @@ def test_smat_invertible_matches_the_reference(kind):
         seen.add(want)
     assert seen == {True, False}
     assert smat_invertible(())  # the empty matrix is the unit of M_0
+    one, zero = Scalar.one(kind), Scalar.zero(kind)
+    # rows of another length than their count: once True, or an IndexError
+    for rows in ([[one, one]], [[one, zero, zero]], [[one], [zero, one]], [[one], [one]]):
+        with pytest.raises(SizeMismatch, match="^matrix must be square$"):
+            smat_invertible(rows)
     if kind not in SPLIT_KINDS:
         return
     # Block-diagonal after a permutation that scatters each block: a unit

@@ -30,12 +30,15 @@ into a temporary directory and imported as the package
 parent (REV) and the change (this checkout) run the same cycles in turn,
 the parent first in even cycles; each side's median cycle time and its
 quartiles, the ratio change/parent, the cycles the change won and a
-verdict are printed, and then each side's per-op median (the lower
+verdict are printed, then each side's per-op median (the lower
 median of every timed op's own time, as above) and their ratio
-change/parent.  The verdict applies the gain rule of
-``tools/bench_pairs.py`` both ways: "faster" (or "slower") when the
-change won (or lost) at least nine tenths of the cycles and the medians
-differ by more than the parent's quartile spread, else "unresolved".
+change/parent, and then a table of each op kind (query kind, scenario,
+or corpus slot) with each side's median time per cycle and their ratio
+change/parent, so a change shows where its saving lies.  The verdict
+applies the gain rule of ``tools/bench_pairs.py`` both ways: "faster"
+(or "slower") when the change won (or lost) at least nine tenths of the
+cycles and the medians differ by more than the parent's quartile
+spread, else "unresolved".
 ``--against`` needs two cycles, so that the quartiles exist.  The two
 sides' canonical op outputs must agree (an error by its class name), and
 the exit status is 1 if they differ or a change op fails its check.  Only
@@ -104,12 +107,13 @@ def import_revision(rev: str, dest: Path):
     return importlib.import_module("horders_against")
 
 
-def ab_cycle(source, cycle: int):
-    """(op, result, seconds) of each op of one cycle of ``source``."""
+def ab_cycle(source, cycle: int, slots: bool):
+    """(op, kind, result, seconds) of each op of one cycle of ``source``;
+    the kind is the op's key, after its slot in the cycle if ``slots``."""
     out = []
-    for i in range(cycle * source.cycle, (cycle + 1) * source.cycle):
-        op = source[i]
-        out.append((op, *_timed(op.run)))
+    for slot in range(source.cycle):
+        op = source[cycle * source.cycle + slot]
+        out.append((op, f"{slot:2d} {op.key}" if slots else op.key, *_timed(op.run)))
     return out
 
 
@@ -118,11 +122,13 @@ def against(workload: str, parent, change, workloads, seed: int, cycles: int, re
     sources = {"parent": make(parent, seed), "change": make(change, seed)}
     times: dict[str, list[float]] = {"parent": [], "change": []}
     per_op: dict[str, list[float]] = {"parent": [], "change": []}  # every timed op's own time
+    # per side and kind, the time of that kind's ops in each cycle
+    per_kind: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     problems = []
     for k in range(cycles + 1):  # cycle 0 warms both sides up, untimed
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        runs = {side: ab_cycle(sources[side], k) for side in order}
-        for (op, a, _), (_, b, _) in zip(runs["parent"], runs["change"]):
+        runs = {side: ab_cycle(sources[side], k, workload == "corpus") for side in order}
+        for (op, _, a, _), (_, _, b, _) in zip(runs["parent"], runs["change"]):
             if op.output(a) != op.output(b):
                 problems.append(f"REPORTS DIFFER: cycle {k}, {op.key}")
             if failure := op.check(b):
@@ -132,6 +138,11 @@ def against(workload: str, parent, change, workloads, seed: int, cycles: int, re
                 spent = [seconds for *_, seconds in runs[side]]
                 times[side].append(sum(spent))
                 per_op[side] += spent
+                sums: dict[str, float] = defaultdict(float)
+                for _, kind, _, seconds in runs[side]:
+                    sums[kind] += seconds
+                for kind, seconds in sums.items():
+                    per_kind[side].setdefault(kind, []).append(seconds)
     medians = {side: statistics.median(t) for side, t in times.items()}
     quartiles = {side: statistics.quantiles(t, n=4) for side, t in times.items()}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
@@ -150,6 +161,11 @@ def against(workload: str, parent, change, workloads, seed: int, cycles: int, re
     op_p, op_c = (statistics.median_low(per_op[side]) for side in ("parent", "change"))
     print(f"per-op median: parent {op_p * 1e3:.4f} ms, change {op_c * 1e3:.4f} ms, "
           f"ratio change/parent {op_c / op_p:.3f}")
+    print("per kind (ms per cycle: parent median, change median, ratio change/parent)")
+    width = max(map(len, per_kind["parent"]))
+    for kind, samples in per_kind["parent"].items():
+        kind_p, kind_c = statistics.median(samples), statistics.median(per_kind["change"][kind])
+        print(f"  {kind:<{width}}  {kind_p * 1e3:9.3f}  {kind_c * 1e3:9.3f}  {kind_c / kind_p:.3f}")
     for problem in problems:
         print(problem)
     return 1 if problems else 0
