@@ -26,10 +26,10 @@ intersection of the End L_c.  sigma is the adjoint of the form h(v, w)
 = tau(v) * a * w, as h(x * v, w) = h(v, sigma(x) * w); so sigma(End L)
 fixes the dual of L under h, {w : h(L, w) is integral} = a^-1 * L^v,
 that is sigma(End L) is in End(a^-1 * L^v).  With delta = v(det a), the
-valuation of the Dieudonne determinant (``JetMatrix.det_valuation``,
-read off the leading coefficients of a when they form a unit, else from
-one elimination; see the ``matrices`` module docstring), vol(a * M) =
-vol M + delta.  For each block b take the one c with S_c
+valuation of the Dieudonne determinant, vol(a * M) = vol M + delta;
+``JetMatrix._leading_delta`` reads delta off the leading coefficients of
+a when each component's form a unit (see the ``matrices`` module
+docstring).  For each block b take the one c with S_c
 = -S_b - delta mod n and k = (-S_b - delta - S_c) / n; the test asks
 v(a[i][j]) + k + [blk(j) < c] >= -[blk(i) < b] for every nonzero
 a[i][j], that is a * t^k * L_c in L_b^v.  Both sides have volume -S_b
@@ -43,9 +43,17 @@ with no a^-1.
 Every stable gauge passes it: sigma(Lambda) = Lambda makes the dual
 a^-1 * L_b^v of each L_b a Lambda-lattice (h(L, x * w) = h(sigma(x) * L,
 w)), and the Lambda-lattices are the t^k * L_c, whose volumes give c and
-k as above.  That decides only speed.  A gauge the test refuses takes
-the row-by-row pass below, which alone raises NotStable and names the
-failing generator; if it finds none, the gauge is stable.
+k as above.  Its delta is read off too: at b = 0 the equality reads
+a * t^k * L_c = L_0^v = D[[t]]^n, so w = a * t^k * diag(t^[blk(j) < c])
+is in GL_n(D[[t]]), and column j of a has least exponent -k - [blk(j) < c],
+with coefficients there column j of w(0), a unit.  As a = epsilon *
+tau(a), the leading matrix of a's rows is epsilon * tau(w(0)), a unit
+whose nonzero pattern lies in a's, so that of each component is a unit
+block of it.  A gauge whose delta is not read off is thus unstable or
+singular.  Both facts decide only speed: such a gauge, or one the test
+refuses, takes the row-by-row pass below, which alone raises
+NotInvertible or NotStable and names the failing generator; if it finds
+none, the gauge is stable.
 
 The row-by-row pass reads the involution on generators.  It sends the
 order generator t^P[i][j] * e_ij to the matrix with entries a^-1[k][j]
@@ -56,7 +64,7 @@ Stability is therefore the integer inequality v(a^-1[k][j]) + P[i][j] +
 v(a[i][l]) >= P[k][l] for all i, j, k, l, the min-plus statement
 V(a^-1) * P^T * V(a) >= P, decided in O(n^2) per row i: with w[k] the
 least v(a[i][l]) - P[k][l] over the nonzero a[i][l] (a zero row has
-raised NotInvertible in ``det_valuation``), (i, j) fails exactly when
+raised NotInvertible in ``inverse_valuations``), (i, j) fails exactly when
 v(a^-1[k][j]) + P[i][j] + w[k] < 0 for some k.  That sigma squares to
 the identity needs no check: tau(a) = epsilon * a gives tau(a^-1) =
 epsilon * a^-1, hence sigma(sigma(x)) = a^-1 * tau(a) * x * tau(a^-1) *
@@ -229,7 +237,7 @@ def _require_wellformed(spec: InvolutionSpec) -> tuple:
     least = _hermitian_blocks(a, spec.epsilon, sig)
     if least is None:
         raise NotEpsilonHermitian(f"tau(a) != {spec.epsilon:+d}*a")
-    if not _maps_chain_to_dual(sig, least, a.det_valuation()):
+    if (delta := a._leading_delta()) is None or not _maps_chain_to_dual(sig, least, delta):
         _require_stable(spec)
     return least
 
@@ -274,10 +282,10 @@ def wellformed(spec: InvolutionSpec) -> Diagnostics:
     """Check the gauge is epsilon-hermitian and invertible and that the
     twisted involution stabilises the order.  First failure wins.
 
-    Stability is read off the valuations of a and of its determinant,
-    and on a gauge that test refuses off the exact valuations of a^-1
-    (see the module docstring); sigma^2 = id follows from the hermitian
-    check.
+    Stability is read off the valuations of a and of delta = v(det a),
+    and on a gauge whose leading coefficients do not give delta, or that
+    test refuses, off the exact valuations of a^-1 (see the module
+    docstring); sigma^2 = id follows from the hermitian check.
     """
     try:
         spec._checked

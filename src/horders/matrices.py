@@ -18,29 +18,26 @@ the left-regular representation M(t) of a' over Q is an integer
 polynomial matrix.  One scale for all rows would multiply each row by
 the others' denominators and shift it by the spread of their lows,
 raising the row norms behind B and the spans behind D below.
-``det_valuation`` and ``field_invertible`` first read the leading matrix
-of each component (``_leading_unit``, below).  Only a component with a
-zero row or a singular leading matrix goes on: ``field_invertible``
-evaluates M at t = 1, ..., D + 1, and ``det_valuation``,
-``inverse_valuations`` and ``inverse`` read one elimination at X = 2^B,
-``_solve``.
+The leading matrix of each component (``_leading_unit``, below) serves
+``field_invertible`` and ``_leading_delta`` alone: only a component with
+a zero row or a singular leading matrix is evaluated at t = 1, ..., D + 1
+by the first and left undecided by the second.  ``inverse_valuations``
+and ``inverse`` read one elimination at X = 2^B, ``_solve``.
 
 The leading matrix decides most components with no elimination (units
 lift modulo the radical; Reiner, *Maximal Orders*, ch. 9).  Let low_i be
 the least exponent of a nonzero entry in row i of a component; then the
 scaled a' has polynomial entries, and a'(0) = diag(s_i) * A0, for A0 the
 matrix of the coefficients at t^low_i of each row i, a unit exactly when
-A0 is.  Evaluation at t = 0 is a ring map that commutes with the
-left-regular image, so det M(a')(0) = det M(a'(0)).  If A0 is a unit of
-M_r(K), K the scalar algebra, which ``smat_invertible`` decides exactly
-from its left-regular image, zero divisors of an extended kind included,
-that constant term is nonzero.  Then det M(a') != 0, so a is invertible
-over the Laurent field, and v(det M(a')) = 0, so the component adds
-sum(low_i) to delta (see below).  That constant term is the lowest
-base-X digit that the elimination reads, here computed on the small
-integers of A0 instead of at X = 2^B.  A leading matrix can be singular
-while a is not: [[1, 1], [1, 1 + t]] has leading matrix [[1, 1], [1, 1]]
-and det t.
+A0 is.  If A0 is a unit of M_r(K), K the scalar algebra, which
+``smat_invertible`` decides exactly from its left-regular image, zero
+divisors of an extended kind included, then a' is a unit of M_r(K[[t]]),
+as its constant term is.  So a is invertible over the Laurent field, and
+a = diag(t^low_i / s_i) * a' maps K[[t]]^r onto the lattice of the x
+with v(x_i) >= low_i: the component adds sum(low_i) to delta = v(det a),
+the volume change of the ``involutions`` module docstring.  A leading
+matrix can be singular while a is not: [[1, 1], [1, 1 + t]] has leading
+matrix [[1, 1], [1, 1]] and det t.
 
 The elimination at X = 2^B is exact.  Every minor of M has coefficients of
 absolute value at most P, the product over the rows of M of their
@@ -56,15 +53,9 @@ integers are exactly the coefficients of det(t) and y_kj(t).
 of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in
 [v * B, v * B + B).  So v(a^-1[k][j]) is the least valuation among the coordinates of
 y_kj minus v(det) minus low_j, and all-zero coordinates are an exactly
-zero entry (+infinity).  ``det_valuation`` stops after the elimination
-and reads the lowest digit of the pivot alone: v(det M) = dim * delta',
-for delta' the valuation of the Dieudonne determinant of a' over D((t)),
-since a -> det M is multiplicative, is 1 on elementary matrices, and on
-diag(d, 1, ..., 1), d = t^v * u with u a unit of D[[t]], is t^(dim * v)
-times a unit of Q[[t]].  Row i of a' is s_i * t^-low_i times row i of a,
-so the component adds v(det M) / dim + sum(low_i) to delta = v(det a).
+zero entry (+infinity).
 A 1 x 1 component [x] over an unextended kind needs no solve, here, in
-``det_valuation`` (which adds v(x)) or in ``field_invertible``; each
+``_leading_delta`` (which adds v(x)) or in ``field_invertible``; each
 reads x from ``_divided``.  That kind is a division algebra (Q;
 Q(sqrt(d)) with d square-free and negative; Hamilton's quaternions over
 Q, whose norm is positive definite), so a nonzero x has an inverse in
@@ -251,30 +242,16 @@ class JetMatrix:
             return any(_bareiss(m := left_regular(self.kind, [r[0] for r in _image(bounds, x)]),
                                 len(m)) for x in range(1, points + 1))
 
-        return all(starmap(nonsingular, self._divided(False)))
-
-    def det_valuation(self) -> int:
-        """The valuation of the Dieudonne determinant over the Laurent
-        field, summed over the components; raises NotInvertible for a
-        singular a.  See the module docstring."""
-        total = 0
-        for comp, x in self._divided(True):
-            if x is not None:
-                total += x.lowest_exp
-            elif (lows := self._leading_unit(comp)) is not None:
-                total += sum(lows)
-            else:
-                bounds, bits, det, _ = self._solve(comp)
-                total += (_lowest_digit(det, bits) // self.kind.dim
-                          + sum(low for _, _, low, *_ in bounds))
-        return total
+        return all(starmap(nonsingular, self._divided()))
 
     def inverse_valuations(self) -> list[list[int | None]]:
         """v(a^-1[k][j]), None for an exactly zero entry;
         raises NotInvertible for a singular a.  See the module docstring."""
+        if not all(any(x.coeffs for x in row) for row in self.rows):
+            raise NotInvertible(_SINGULAR)  # a zero row, found before any solve
         dim = self.kind.dim
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
-        for comp, x in self._divided(True):
+        for comp, x in self._divided():
             if x is not None:
                 (k,) = comp
                 out[k][k] = -x.lowest_exp
@@ -319,17 +296,26 @@ class JetMatrix:
             raise NotInvertible(_SINGULAR)
         return bounds, bits, det, rows
 
-    def _divided(self, nonzero: bool) -> Iterator[tuple[list[int], LaurentJet | None]]:
+    def _divided(self) -> Iterator[tuple[list[int], LaurentJet | None]]:
         """Each component of the nonzero pattern, with its entry x if it is
         1 x 1 over an unextended kind, else None.  That kind is a division
         algebra, so such a component needs no solve (see the module
-        docstring); if ``nonzero``, x = 0 raises NotInvertible."""
+        docstring); x = 0 is singular."""
         division = self.kind.ext is None
         for comp in self._components():
-            x = self.rows[comp[0]][comp[0]] if division and len(comp) == 1 else None
-            if nonzero and x is not None and not x.coeffs:
-                raise NotInvertible(_SINGULAR)
-            yield comp, x
+            yield comp, self.rows[comp[0]][comp[0]] if division and len(comp) == 1 else None
+
+    def _leading_delta(self) -> int | None:
+        """delta = v(det a), if every component gives it: v(x) for a
+        nonzero 1 x 1 [x] of ``_divided``, else sum(low_i) for a unit
+        leading matrix; None otherwise (see the module docstring)."""
+        total = 0
+        for comp, x in self._divided():
+            lows = self._leading_unit(comp) if x is None else [x.lowest_exp] if x.coeffs else None
+            if lows is None:
+                return None
+            total += sum(lows)
+        return total
 
     def _leading_unit(self, comp: list[int]) -> list[int] | None:
         """The row lows of a component whose leading matrix, the

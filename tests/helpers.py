@@ -6,9 +6,10 @@ from random import Random
 
 from horders import basechange
 from horders.errors import (Diagnostics, IndeterminateValuation, InsufficientPrecision,
-                            NotDivisible, NotInvertible, NotPeriodic, OK, SessionSyntaxError,
-                            SessionTypeError, failure)
-from horders.involutions import InvolutionSpec
+                            NotDivisible, NotInvertible, NotPeriodic, NotStable, OK,
+                            SessionSyntaxError, SessionTypeError, failure)
+from horders.involutions import (InvolutionSpec, _hermitian_blocks, _maps_chain_to_dual,
+                                 _require_stable)
 from horders.matrices import JetMatrix, _image, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
                             check_residue, pattern_of, radical_pattern, ss_iso_decide)
@@ -344,9 +345,18 @@ def ref_solve_valuations(a: JetMatrix) -> list[list[int | None]]:
 
 
 def ref_det_valuation(a: JetMatrix) -> int:
-    """``JetMatrix.det_valuation`` with every component eliminated at
-    X = 2^B, 1 x 1 ones and unit leading matrices included: the reference
-    for reading delta off the leading coefficients."""
+    """delta = v(det a), the valuation of the Dieudonne determinant over
+    the Laurent field, summed over the components, each eliminated at
+    X = 2^B; raises NotInvertible for a singular a.  The reference for
+    ``JetMatrix._leading_delta``, exact on every component.
+
+    The lowest base-X digit of the pivot is v(det M) for the left-regular
+    image M of the scaled a', and v(det M) = dim * delta' for delta' the
+    valuation of the Dieudonne determinant of a': a -> det M is
+    multiplicative, is 1 on elementary matrices, and on diag(d, 1, ...,
+    1), d = t^v * u with u a unit of D[[t]], is t^(dim * v) times a unit
+    of Q[[t]].  Row i of a' is s_i * t^-low_i times row i of a, so the
+    component adds v(det M) / dim + sum(low_i) to delta."""
     total = 0
     for comp in a._components():
         bounds, bits, det, _ = a._solve(comp)
@@ -368,6 +378,24 @@ def ref_field_invertible(a: JetMatrix) -> bool:
                    for x in range(1, points + 1)):
             return False
     return True
+
+
+def wellformed_by_elimination(spec: InvolutionSpec) -> Diagnostics:
+    """``wellformed`` with delta eliminated on every gauge: the hermitian
+    check, ``ref_det_valuation``, the chain test, and the row-by-row pass
+    only on a gauge the chain test refuses.  The reference for reading
+    delta off the leading coefficients and sending every other gauge
+    straight to the row-by-row pass."""
+    a, sig = spec.gauge, spec.order.sig
+    least = _hermitian_blocks(a, spec.epsilon, sig)
+    if least is None:
+        return failure("NotEpsilonHermitian", f"tau(a) != {spec.epsilon:+d}*a")
+    try:
+        if not _maps_chain_to_dual(sig, least, ref_det_valuation(a)):
+            _require_stable(spec)
+    except (NotInvertible, NotStable) as exc:
+        return failure(type(exc).__name__, str(exc))
+    return OK
 
 
 def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:

@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from horders import involutions
+from horders import involutions, matrices, scalars
 from horders.errors import (
     InsufficientPrecision,
     NotEpsilonHermitian,
@@ -46,6 +46,7 @@ from horders.orders import (
     DivisionSpec,
     Signature,
     contains,
+    pattern_of,
 )
 from horders.scalars import (
     BASE,
@@ -78,6 +79,7 @@ from helpers import (
     smat_is_zero,
     smat_mul,
     wellformed_by_adjugate,
+    wellformed_by_elimination,
     wellformed_by_products,
     wellformed_by_quadruples,
 )
@@ -589,15 +591,15 @@ def test_wellformed_matches_the_exact_adjugate():
     assert units > 100
 
 
-def _chain_gauge_spec(kind, rng):
-    # tau(u) * D * u over one to four blocks, n <= 12.  D is diagonal with
-    # t-powers stepping by one from block to block (up to two blocks) or
-    # antidiagonal over palindromic blocks, which reverses the chain; both
-    # are well formed for a unit u.  Half the time one entry of D (with
-    # its mirror) moves by t^(+-1) or t^(+-2), which plants a NotStable
-    # failure unless n = 1.  u is a block unit, or for n <= 4 a dense
-    # element.  The exact inverse of a dense gauge takes seconds at n = 10
-    # over quaternion, so quaternion gauges keep n <= 6.
+def _chain_monomial(kind, rng, plant=0.5):
+    # An order of one to four blocks, n <= 12, and a monomial gauge D on
+    # it.  D is diagonal with t-powers stepping by one from block to block
+    # (up to two blocks) or antidiagonal over palindromic blocks, which
+    # reverses the chain; both are well formed.  With probability plant
+    # one entry of D (with its mirror) moves by t^(+-1) or t^(+-2), which
+    # plants a NotStable failure unless n = 1.  The exact inverse of a
+    # dense gauge takes seconds at n = 10 over quaternion, so quaternion
+    # orders keep n <= 6.
     blocks = rng.randint(1, 4)
     if blocks == 1:
         parts = [rng.randint(1, 12)]
@@ -615,14 +617,21 @@ def _chain_gauge_spec(kind, rng):
     signs = [rng.choice([-1, 1]) for _ in range(n)]
     if anti:
         signs = [signs[min(i, n - 1 - i)] for i in range(n)]
-    if rng.random() < 0.5:
+    if rng.random() < plant:
         i, shift = rng.randrange(n), rng.choice([-2, -1, 1, 2])
         for m in {i, n - 1 - i} if anti else {i}:
             powers[m] += shift
     z = LaurentJet.zero(kind)
-    d = JetMatrix.of([[LaurentJet.t_power(kind, powers[i], signs[i])
-                       if j == (n - 1 - i if anti else i) else z for j in range(n)]
-                      for i in range(n)])
+    return a, JetMatrix.of([[LaurentJet.t_power(kind, powers[i], signs[i])
+                             if j == (n - 1 - i if anti else i) else z for j in range(n)]
+                            for i in range(n)])
+
+
+def _chain_gauge_spec(kind, rng):
+    # tau(u) * D * u for the D of ``_chain_monomial``, well formed for a
+    # unit u.  u is a block unit, or for n <= 4 a dense element.
+    a, d = _chain_monomial(kind, rng)
+    n = a.sig.n
     dense = n <= 4 and rng.random() < 0.5
     u = sample_element(a, rng, bound=1) if dense else sample_block_unit(a, rng, bound=1)
     return InvolutionSpec(a, u.conj_transpose() @ d @ u)
@@ -630,8 +639,9 @@ def _chain_gauge_spec(kind, rng):
 
 def _codes_matching_the_quadruple_loop(specs, monkeypatch) -> list:
     """The wellformed codes of specs, each with the code and detail of the
-    n^4 loop.  The row-by-row pass runs exactly on the NotStable gauges:
-    the chain test settles every stable one."""
+    n^4 loop.  The row-by-row pass runs exactly on the NotStable and
+    NotInvertible gauges: the chain test settles every stable one, and no
+    singular one has delta read off."""
     passes = []
     stable = involutions._require_stable
     monkeypatch.setattr(involutions, "_require_stable",
@@ -641,9 +651,80 @@ def _codes_matching_the_quadruple_loop(specs, monkeypatch) -> list:
         passes.clear()
         got, want = wellformed(spec), wellformed_by_quadruples(spec)
         assert (got.code, got.detail) == (want.code, want.detail)
-        assert bool(passes) == (got.code == "NotStable"), spec
+        assert bool(passes) == (got.code in ("NotStable", "NotInvertible")), spec
         codes.append(got.code)
     return codes
+
+
+def _elementary_product(a, rng) -> JetMatrix:
+    """A unit g of the order a: a diagonal of nonzero constants times 2n
+    elementary units 1 + c * t^(P[i][j] + m) * e_ij, i != j, c a nonzero
+    scalar and m in {0, 1}, whose inverses 1 - c * t^(P[i][j] + m) * e_ij
+    lie in the order too."""
+    kind, n = a.division.kind, a.sig.n
+    p = pattern_of(a.sig).entries
+    one, zero = LaurentJet.one(kind), LaurentJet.zero(kind)
+    g = JetMatrix.diagonal([LaurentJet.constant(kind, random_scalar(kind, rng, 2, nonzero=True))
+                            for _ in range(n)])
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        x = LaurentJet.t_power(kind, p[i][j] + rng.randint(0, 1),
+                               random_scalar(kind, rng, 1, nonzero=True))
+        g = g @ JetMatrix.of([[x if (r, c) == (i, j) else one if r == c else zero
+                               for c in range(n)] for r in range(n)])
+    return g
+
+
+def test_every_stable_conjugate_reads_delta_off_its_leading_matrices(monkeypatch):
+    # tau(g) * D * g is stable for the stable D of ``_chain_monomial`` and
+    # a unit g of the order, so by the module docstring's proof every
+    # component has a unit leading matrix: delta is read off, and the chain
+    # test passes with no elimination and no row-by-row pass
+    rng = Random(43)
+    real, sizes, passes = scalars._eliminate, [], []
+    monkeypatch.setattr(matrices, "_eliminate", lambda *args: sizes.append(1) or real(*args))
+    monkeypatch.setattr(scalars, "_eliminate", lambda *args: sizes.append(1) or real(*args))
+    stable = involutions._require_stable
+    monkeypatch.setattr(involutions, "_require_stable",
+                        lambda spec: passes.append(spec) or stable(spec))
+    specs = []
+    for case in range(150):
+        a, d = _chain_monomial((BASE, QUAD, QUATERNION)[case % 3], rng, plant=0)
+        g = _elementary_product(a, rng)
+        specs.append(InvolutionSpec(a, g.conj_transpose() @ d @ g))
+        assert wellformed(specs[-1]).ok, specs[-1]
+    assert sizes == [] and passes == []
+    assert {len(spec.order.sig.parts) for spec in specs} == {1, 2, 3, 4}
+    assert max(len(spec.gauge._components()[0]) for spec in specs) >= 8
+
+
+def test_wellformed_matches_the_elimination_of_delta():
+    # tau(g) * D * g with D from ``_chain_monomial``, half the time with an
+    # entry moved (NotStable unless n = 1) and a fifth of the time with an
+    # entry and its mirror zeroed (NotInvertible): sending every gauge
+    # whose delta is not read off straight to the row-by-row pass gives the
+    # diagnostics of eliminating delta on every gauge.  Quaternion orders
+    # keep n <= 4, as the reference eliminates each dense gauge twice.
+    rng = Random(47)
+    codes = []
+    for case in range(90):
+        kind = (BASE, QUAD, QUATERNION)[case % 3]
+        a, d = _chain_monomial(kind, rng)
+        while kind == QUATERNION and a.sig.n > 4:
+            a, d = _chain_monomial(kind, rng)
+        if rng.random() < 0.2:
+            rows = [list(row) for row in d.rows]
+            i = rng.randrange(a.sig.n)
+            j = next(j for j, x in enumerate(rows[i]) if x.coeffs)
+            rows[i][j] = rows[j][i] = LaurentJet.zero(kind)
+            d = JetMatrix.of(rows)
+        g = _elementary_product(a, rng)
+        spec = InvolutionSpec(a, g.conj_transpose() @ d @ g)
+        got, want = wellformed(spec), wellformed_by_elimination(spec)
+        assert (got.code, got.detail) == (want.code, want.detail), spec
+        codes.append(got.code)
+    assert codes.count(None) >= 20 and codes.count("NotStable") >= 20, codes
+    assert codes.count("NotInvertible") >= 10, codes
 
 
 def test_wellformed_matches_the_quadruple_loop(monkeypatch):

@@ -60,30 +60,37 @@ def test_invertible_past_the_roots_of_the_determinant(a, want):
 ])
 def test_singular(a):
     assert not a.field_invertible()
-    for valuations in (a.inverse_valuations, a.det_valuation):
+    assert a._leading_delta() is None
+    for valuations in (a.inverse_valuations, lambda: ref_det_valuation(a)):
         with pytest.raises(NotInvertible, match="^gauge is not invertible over the Laurent field$"):
             valuations()
 
 
-def test_det_valuation_is_the_least_exponent_of_the_leibniz_determinant():
+def test_delta_is_the_least_exponent_of_the_leibniz_determinant():
+    # the exact reference always, and the leading-matrix read-off when it
+    # gives a value
     rng = Random(67)
     shifted = JetMatrix.dsum(JetMatrix.diagonal([LaurentJet.t_power(BASE, 5)]), TWO_ROOTS)
     cases = [TWO_ROOTS, JetMatrix.dsum(ONE, TWO_ROOTS), shifted, CYCLE] + [
         JetMatrix.of([[random_jet(BASE, rng, lowest=-2, highest=2, bound=1)
                        for _ in range(n)] for _ in range(n)])
         for n in (rng.randint(1, 3) for _ in range(200))]
-    assert shifted.det_valuation() == 5
-    singular = 0
+    assert shifted._leading_delta() == 5 == ref_det_valuation(shifted)
+    singular = read = 0
     for a in cases:
         det = _poly_det([[{e.lowest_exp + k: c.parts[0] for k, c in enumerate(e.coeffs)}
                           for e in row] for row in a.rows])
+        delta = a._leading_delta()
         if not det:
             singular += 1
+            assert delta is None
             with pytest.raises(NotInvertible):
-                a.det_valuation()
+                ref_det_valuation(a)
         else:
-            assert a.det_valuation() == min(det)
-    assert 0 < singular < 100
+            assert ref_det_valuation(a) == min(det)
+            assert delta in (None, min(det))
+            read += delta is not None
+    assert 0 < singular < 100 and read >= 50, (singular, read)
 
 
 def test_first_difference_of_jets_alone_is_a_size_mismatch():
@@ -117,19 +124,34 @@ def test_matrix_guards(call, error, message):
 
 
 def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):
-    rng = Random(71)
-    drawn = [[random_jet(BASE, rng, lowest=0) for _ in range(6)] for _ in range(6)]
-    zero = [LaurentJet.zero(BASE)] * 6
-    cases = [(JetMatrix.of(drawn), True),
-             (JetMatrix.of([zero] + drawn[1:]), False),
-             (JetMatrix.of(drawn[:3] + [zero] + drawn[4:]), False),
-             (JetMatrix.dsum(mat([[], []], [[1], [1]]), JetMatrix.of(drawn)), False)]
+    # E * diag(1, ..., 1, t) * F, E with every entry on and below the
+    # diagonal 1 and F upper unipotent with drawn entries: det = t, and
+    # every row has a nonzero constant term, so the leading matrix is
+    # E(0) * diag(1, ..., 1, 0) * F(0), singular, and only the D + 1
+    # points decide it.  t * F has a unit leading matrix, F(0), and needs
+    # no point.
+    rng, n = Random(71), 6
+    one, zero = LaurentJet.one(BASE), LaurentJet.zero(BASE)
+    e = JetMatrix.of([[one if i >= j else zero for j in range(n)] for i in range(n)])
+    f = JetMatrix.of([[one if i == j else random_jet(BASE, rng, lowest=0) if i < j else zero
+                       for j in range(n)] for i in range(n)])
+    middle = JetMatrix.diagonal([one] * (n - 1) + [LaurentJet.t_power(BASE, 1)])
+    regular = e @ middle @ f
+    assert regular._components() == [list(range(n))]
+    assert regular._leading_unit(list(range(n))) is None
+    drawn, zeros = list(regular.rows), [zero] * n
+    t_f = JetMatrix.diagonal([LaurentJet.t_power(BASE, 1)] * n) @ f
+    cases = [(regular, True, True),
+             (JetMatrix.of([zeros] + drawn[1:]), False, False),
+             (JetMatrix.of(drawn[:3] + [zeros] + drawn[4:]), False, False),
+             (JetMatrix.dsum(mat([[], []], [[1], [1]]), regular), False, False),
+             (t_f, True, False)]
     real, calls = matrices._bareiss, []
     monkeypatch.setattr(matrices, "_bareiss", lambda *args: calls.append(1) or real(*args))
-    for a, want in cases:
+    for a, want, evaluated in cases:
         calls.clear()
         assert a.field_invertible() is want
-        assert bool(calls) is want
+        assert bool(calls) is evaluated
 
 
 def exact_jet(kind, rng) -> LaurentJet:
@@ -495,9 +517,11 @@ def test_every_solve_goes_through_one_elimination(monkeypatch):
 
     monkeypatch.setattr(matrices, "_eliminate", spy)
     monkeypatch.setattr(scalars, "_eliminate", spy)
-    # delta: only the component with a singular leading matrix is eliminated
-    assert a.det_valuation() == 2 and sizes == [2]
-    sizes.clear()
+    # delta is read off the 1 x 1 and the unit leading matrix alone; the
+    # singular leading matrix gives none, with no elimination
+    assert a._leading_delta() is None and sizes == []
+    assert JetMatrix.dsum(mat([[0, 1]]), mat([[1], [0, 1]], [[], [1]]))._leading_delta() == 1
+    assert sizes == []
     assert a.field_invertible() and sizes == []
     assert a.inverse_valuations() == [[-1, None, None, None, None], [None, 0, 1, None, None],
                                       [None, None, 0, None, None], [None] * 3 + [-1, -1],
@@ -551,35 +575,39 @@ def _leading_case(kind, rng, n) -> JetMatrix:
 def test_leading_coefficients_agree_with_elimination(kind):
     # delta and field invertibility read off the leading matrix agree with
     # the elimination at 2^B and the D + 1 points that every component
-    # took before; both paths, and singular matrices, are drawn
+    # took before; both paths, and singular matrices, are drawn.  delta is
+    # read off exactly when every component has a unit leading matrix (a
+    # nonzero 1 x 1 over an unextended kind has one)
     rng = Random(f"leading:{kind}")
     paths, singular = {True: 0, False: 0}, 0
     for _ in range(60):
         # the D + 1 points of the reference cost dim^3 * D each, so larger
         # kinds get smaller matrices
         a = _leading_case(kind, rng, rng.randint(1, {1: 4, 2: 4, 4: 3}.get(kind.dim, 2)))
-        for comp in a._components():
-            paths[a._leading_unit(comp) is not None] += 1
+        lows = [a._leading_unit(comp) for comp in a._components()]
+        for comp_lows in lows:
+            paths[comp_lows is not None] += 1
         assert a.field_invertible() is ref_field_invertible(a), a
+        delta = a._leading_delta()
+        assert delta == (None if None in lows else sum(map(sum, lows))), a
         try:
             want = ref_det_valuation(a)
-        except NotInvertible as exc:
+        except NotInvertible:
             singular += 1
-            with pytest.raises(NotInvertible, match=f"^{exc}$"):
-                a.det_valuation()
+            assert delta is None, a
         else:
-            assert a.det_valuation() == want, a
+            assert delta in (None, want), a
     assert paths[True] >= 20 and paths[False] >= 10 and singular >= 5, (paths, singular)
 
 
 def test_an_invertible_matrix_with_a_singular_leading_matrix_is_eliminated():
     # [[1, 1], [1, 1 + t]] has leading matrix [[1, 1], [1, 1]] and det = t
     a = mat([[1], [1]], [[1], [1, 1]])
-    assert a._leading_unit([0, 1]) is None
-    assert a.field_invertible() and a.det_valuation() == 1 == ref_det_valuation(a)
+    assert a._leading_unit([0, 1]) is None and a._leading_delta() is None
+    assert a.field_invertible() and ref_det_valuation(a) == 1
     # its lower rows scaled by t^-1 and t^3: the lows are -1 and 3, and the
     # leading matrix [[2, 1], [0, 1]] is a unit, so delta = 2 with no solve
     b = JetMatrix.of([[LaurentJet.t_power(BASE, -1, 2), LaurentJet.t_power(BASE, -1)],
                       [LaurentJet.t_power(BASE, 4), LaurentJet.t_power(BASE, 3)]])
     assert b._leading_unit([0, 1]) == [-1, 3]
-    assert b.det_valuation() == 2 == ref_det_valuation(b)
+    assert b._leading_delta() == 2 == ref_det_valuation(b)

@@ -9,7 +9,7 @@ from horders import matrices, scalars
 from horders.involutions import InvolutionSpec, wellformed
 from horders.matrices import JetMatrix
 from horders.orders import BlockOrder, DivisionSpec, Signature
-from horders.scalars import QUATERNION, LaurentJet, Scalar, smat_invertible
+from horders.scalars import QUATERNION, LaurentJet, Scalar
 
 
 def _quaternion(rng: Random) -> Scalar:
@@ -46,24 +46,46 @@ def test_a_dense_quaternion_gauge_is_wellformed_without_an_elimination(monkeypat
     assert sizes == []
 
 
-def test_a_singular_leading_matrix_is_eliminated_once_per_component(monkeypatch):
-    # three dense quaternion 4 x 4 components P * E * diag(1, 1, 1, t) * E^T * Q,
-    # E unipotent with every entry below the diagonal 1 and P, Q constant
-    # units: each leading matrix has rank 3, each det has valuation 1
-    rng, n, blocks = Random(4), 4, []
-    one, zero = LaurentJet.one(QUATERNION), LaurentJet.zero(QUATERNION)
-    e = JetMatrix.of([[one if i >= j else zero for j in range(n)] for i in range(n)])
+def test_a_refused_gauge_with_singular_leading_matrices_is_eliminated_once(monkeypatch):
+    # tau(u) * diag(1, 1, 1, t) * u on each of three 4 x 4 components, u a
+    # dense quaternion matrix with entries c0 + c1 * t: each leading matrix
+    # tau(c0) * diag(1, 1, 1, 0) * c0 has rank 3, so delta is not read off
+    # and the gauge goes straight to the row-by-row pass, whose
+    # inverse_valuations eliminates each component once
+    rng, n = Random(4), 4
+    one = LaurentJet.one(QUATERNION)
     middle = JetMatrix.diagonal([one] * (n - 1) + [LaurentJet.t_power(QUATERNION, 1)])
-    while len(blocks) < 3:
-        p, q = ([[_quaternion(rng) for _ in range(n)] for _ in range(n)] for _ in range(2))
-        if smat_invertible(p) and smat_invertible(q):
-            p, q = (JetMatrix.of([[LaurentJet.constant(QUATERNION, x) for x in row]
-                                  for row in m]) for m in (p, q))
-            blocks.append(p @ e @ middle @ e.conj_transpose() @ q)
+    blocks = []
+    for _ in range(3):
+        u = JetMatrix.of([[LaurentJet(QUATERNION, 0, [_quaternion(rng), _quaternion(rng)])
+                           for _ in range(n)] for _ in range(n)])
+        blocks.append(u.conj_transpose() @ middle @ u)
     a = JetMatrix.dsum(*blocks)
     assert all(a._leading_unit(comp) is None for comp in a._components())
+    spec = InvolutionSpec(BlockOrder(DivisionSpec("H", QUATERNION, 2, 1), Signature((a.n,))), a)
     sizes = _spy_eliminations(monkeypatch)
     start = time.perf_counter()
-    assert a.det_valuation() == 3
-    assert time.perf_counter() - start < 1
+    diagnostics = wellformed(spec)
+    assert time.perf_counter() - start < 2
+    assert (diagnostics.code, diagnostics.detail) == (
+        "NotStable", "generator t^0*e[1,1] leaves the order at entry 1,1")
     assert sizes == [n] * 3
+
+
+def test_a_zero_row_is_found_before_any_elimination(monkeypatch):
+    # tau(u) * u for a dense quaternion 6 x 6 u, and a zero 1 x 1 component:
+    # delta is not read off, so the gauge goes to the row-by-row pass, and
+    # inverse_valuations finds the zero row before it eliminates the dense
+    # component, which would take 0.6 s
+    rng, n = Random(6), 6
+    u = JetMatrix.of([[LaurentJet(QUATERNION, 0, [_quaternion(rng), _quaternion(rng)])
+                       for _ in range(n)] for _ in range(n)])
+    a = JetMatrix.dsum(u.conj_transpose() @ u, JetMatrix.diagonal([LaurentJet.zero(QUATERNION)]))
+    spec = InvolutionSpec(BlockOrder(DivisionSpec("H", QUATERNION, 2, 1), Signature((a.n,))), a)
+    sizes = _spy_eliminations(monkeypatch)
+    start = time.perf_counter()
+    diagnostics = wellformed(spec)
+    assert time.perf_counter() - start < 1
+    assert (diagnostics.code, diagnostics.detail) == (
+        "NotInvertible", "gauge is not invertible over the Laurent field")
+    assert sizes == []
