@@ -28,7 +28,7 @@ fixes the dual of L under h, {w : h(L, w) is integral} = a^-1 * L^v,
 that is sigma(End L) is in End(a^-1 * L^v).  With delta = v(det a), the
 valuation of the Dieudonne determinant, vol(a * M) = vol M + delta;
 ``JetMatrix._leading_delta`` reads delta off the leading coefficients of
-a when each component's form a unit (see the ``matrices`` module
+a when every component is a unit (see the ``matrices`` module
 docstring).  For each block b take the one c with S_c
 = -S_b - delta mod n and k = (-S_b - delta - S_c) / n; the test asks
 v(a[i][j]) + k + [blk(j) < c] >= -[blk(i) < b] for every nonzero
@@ -72,8 +72,8 @@ a = x.
 
 The valuations of a^-1 are exact: ``JetMatrix.inverse_valuations``
 reads them from one fraction-free elimination per connected component
-of the nonzero pattern of a (see the ``matrices`` module docstring),
-and a 1 x 1 component needs none.
+of the nonzero pattern of a (see the ``matrices`` module docstring);
+a 1 x 1 unit needs none, and a singular component raises before any.
 
 tau(a) = epsilon * a is compared in place, entry by entry for i <= j:
 tau(a)[i][j] = conj(a[j][i]), and conjugation keeps a coefficient's

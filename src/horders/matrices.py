@@ -18,15 +18,17 @@ the left-regular representation M(t) of a' over Q is an integer
 polynomial matrix.  One scale for all rows would multiply each row by
 the others' denominators and shift it by the spread of their lows,
 raising the row norms behind B and the spans behind D below.
-The leading matrix of each component (``_leading_unit``, below) serves
-``field_invertible`` and ``_leading_delta`` alone: only a component with
-a zero row or a singular leading matrix is evaluated at t = 1, ..., D + 1
-by the first and left undecided by the second.  ``inverse_valuations``
-and ``inverse`` read one elimination at X = 2^B, ``_solve``.
+``_readings`` reads each component once, off its leading coefficients:
+a unit (with its row lows) is invertible and adds their sum to delta, a
+singular one (an exactly zero row or column) makes a itself singular,
+and only an open one (neither) is evaluated at t = 1, ..., D + 1 by
+``field_invertible``, gives ``_leading_delta`` no delta and is solved,
+before any unit, by ``inverse_valuations``.  A solve is one elimination
+at X = 2^B, ``_solve``, which ``inverse`` makes for every component.
 
-The leading matrix decides most components with no elimination (units
-lift modulo the radical; Reiner, *Maximal Orders*, ch. 9).  Let low_i be
-the least exponent of a nonzero entry in row i of a component; then the
+The leading matrix decides the units with no elimination (units lift
+modulo the radical; Reiner, *Maximal Orders*, ch. 9).  Let low_i be the
+least exponent of a nonzero entry in row i of a component; then the
 scaled a' has polynomial entries, and a'(0) = diag(s_i) * A0, for A0 the
 matrix of the coefficients at t^low_i of each row i, a unit exactly when
 A0 is.  If A0 is a unit of M_r(K), K the scalar algebra, which
@@ -35,9 +37,16 @@ divisors of an extended kind included, then a' is a unit of M_r(K[[t]]),
 as its constant term is.  So a is invertible over the Laurent field, and
 a = diag(t^low_i / s_i) * a' maps K[[t]]^r onto the lattice of the x
 with v(x_i) >= low_i: the component adds sum(low_i) to delta = v(det a),
-the volume change of the ``involutions`` module docstring.  A leading
-matrix can be singular while a is not: [[1, 1], [1, 1 + t]] has leading
-matrix [[1, 1], [1, 1]] and det t.
+the volume change of the ``involutions`` module docstring.  A nonzero
+1 x 1 [x] over an unextended kind is a unit with no ``smat_invertible``:
+that kind is a division algebra (Q; Q(sqrt(d)) with d square-free and
+negative; Hamilton's quaternions over Q, whose norm is positive
+definite).  An extended kind can have zero divisors (quaternion+sqrt(-1)
+is M_2(Q(i))), so its 1 x 1 components are read like any other.  The
+inverse of a unit [x] has the inverse of x's lowest term as its lowest
+term, so v(x^-1) = -v(x) with no solve.  A leading matrix can be
+singular while a is not: [[1, 1], [1, 1 + t]] has leading matrix [[1,
+1], [1, 1]] and det t, so it is open.
 
 The elimination at X = 2^B is exact.  Every minor of M has coefficients of
 absolute value at most P, the product over the rows of M of their
@@ -53,20 +62,10 @@ integers are exactly the coefficients of det(t) and y_kj(t).
 of p(X) = X^v * (p_v + X * q), 0 < |p_v| < 2^B, lies in
 [v * B, v * B + B).  So v(a^-1[k][j]) is the least valuation among the coordinates of
 y_kj minus v(det) minus low_j, and all-zero coordinates are an exactly
-zero entry (+infinity).
-A 1 x 1 component [x] over an unextended kind needs no solve, here, in
-``_leading_delta`` (which adds v(x)) or in ``field_invertible``; each
-reads x from ``_divided``.  That kind is a division algebra (Q;
-Q(sqrt(d)) with d square-free and negative; Hamilton's quaternions over
-Q, whose norm is positive definite), so a nonzero x has an inverse in
-the Laurent field, and the inverse's lowest term is the inverse of x's
-lowest term, so v(x^-1) = -v(x); x = 0 is singular.  An extended kind
-can have zero divisors (quaternion+sqrt(-1) is M_2(Q(i))), so its
-components are read off the leading matrix or solved.  ``inverse``
-reads every digit.  a is a unit over the Laurent polynomials iff every
-det is a monomial c * t^v, that is iff det(X) = c * X^v with |c| < X/2;
-then a^-1[k][j] =
-y_kj(t) * s_j * t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
+zero entry (+infinity).  ``inverse`` reads every digit.  a is a unit
+over the Laurent polynomials iff every det is a monomial c * t^v, that
+is iff det(X) = c * X^v with |c| < X/2; then a^-1[k][j] = y_kj(t) * s_j
+* t^-(low_j + v) / c exactly.  Any other det raises NotInvertible.
 
 ``first_difference`` evaluates each distinct factor once at X = 2^B, so
 each side is s * t^low times a product of integer polynomial matrices.
@@ -115,7 +114,7 @@ digit of its coordinates.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, repeat
 from math import lcm, prod
 from operator import add, mul
 
@@ -218,43 +217,35 @@ class JetMatrix:
         return self.rows == other.rows
 
     def field_invertible(self) -> bool:
-        """Exact invertibility over the Laurent field.
-
-        Invertible iff every component is.  A 1 x 1 component [x] over an
-        unextended kind, a division algebra, is invertible iff x is not
-        zero (see the module docstring).  Any other component is
-        invertible if its leading matrix is a unit, and else iff its image
-        M(t) is: det M has degree at most D = dim * the sum of the row
-        spans, so it is nonzero iff it is nonzero at one of t = 1, ...,
-        D + 1.  An extended kind can have zero divisors, such as 1 + qi *
-        sqrt(-1), so its 1 x 1 components take that path too.
-        """
-        def nonsingular(comp: list[int], entry: LaurentJet | None) -> bool:
-            if entry is not None:
-                return bool(entry.coeffs)
-            if self._leading_unit(comp) is not None:
-                return True
-            bounds = self._row_bounds(comp)
-            _, _, _, spans, sizes, _ = zip(*bounds)
-            if not all(sizes):
-                return False  # an exactly zero row is singular at every point
-            points = self.kind.dim * sum(spans) + 1
-            return any(_bareiss(m := left_regular(self.kind, [r[0] for r in _image(bounds, x)]),
-                                len(m)) for x in range(1, points + 1))
-
-        return all(starmap(nonsingular, self._divided()))
+        """Exact invertibility over the Laurent field, per component as
+        ``_readings`` gives it: a unit is invertible, a singular one is not,
+        and an open one is iff its image M(t) is: det M has degree at most
+        D = dim * the sum of the row spans, so it is nonzero iff it is
+        nonzero at one of t = 1, ..., D + 1."""
+        for comp, lows in self._readings():
+            if lows == []:
+                return False
+            if lows is None:
+                bounds = self._row_bounds(comp)
+                points = self.kind.dim * sum(b[3] for b in bounds) + 1  # b[3]: span
+                if not any(_bareiss(m := left_regular(self.kind, [r[0] for r in _image(bounds, x)]),
+                                    len(m)) for x in range(1, points + 1)):
+                    return False
+        return True
 
     def inverse_valuations(self) -> list[list[int | None]]:
-        """v(a^-1[k][j]), None for an exactly zero entry;
-        raises NotInvertible for a singular a.  See the module docstring."""
-        if not all(any(x.coeffs for x in row) for row in self.rows):
-            raise NotInvertible(_SINGULAR)  # a zero row, found before any solve
+        """v(a^-1[k][j]), None for an exactly zero entry; raises NotInvertible
+        for a singular a.  A singular component raises before any solve, and
+        an open one is solved before the units; a 1 x 1 unit [x] needs none,
+        as v(x^-1) = -v(x).  See the module docstring."""
         dim = self.kind.dim
         out: list[list[int | None]] = [[None] * self.n for _ in range(self.n)]
-        for comp, x in self._divided():
-            if x is not None:
+        for comp, lows in self._readings():
+            if lows == []:
+                raise NotInvertible(_SINGULAR)
+            if lows and len(comp) == 1:
                 (k,) = comp
-                out[k][k] = -x.lowest_exp
+                out[k][k] = -lows[0]
                 continue
             bounds, bits, det, rows = self._solve(comp)
             vdet = _lowest_digit(det, bits)
@@ -296,41 +287,44 @@ class JetMatrix:
             raise NotInvertible(_SINGULAR)
         return bounds, bits, det, rows
 
-    def _divided(self) -> Iterator[tuple[list[int], LaurentJet | None]]:
-        """Each component of the nonzero pattern, with its entry x if it is
-        1 x 1 over an unextended kind, else None.  That kind is a division
-        algebra, so such a component needs no solve (see the module
-        docstring); x = 0 is singular."""
-        division = self.kind.ext is None
-        for comp in self._components():
-            yield comp, self.rows[comp[0]][comp[0]] if division and len(comp) == 1 else None
-
     def _leading_delta(self) -> int | None:
-        """delta = v(det a), if every component gives it: v(x) for a
-        nonzero 1 x 1 [x] of ``_divided``, else sum(low_i) for a unit
-        leading matrix; None otherwise (see the module docstring)."""
+        """delta = v(det a), the sum of the row lows of every component, if
+        each is a unit as ``_readings`` gives it; None otherwise (see the
+        module docstring)."""
         total = 0
-        for comp, x in self._divided():
-            lows = self._leading_unit(comp) if x is None else [x.lowest_exp] if x.coeffs else None
-            if lows is None:
+        for _, lows in self._readings():
+            if not lows:
                 return None
             total += sum(lows)
         return total
 
-    def _leading_unit(self, comp: list[int]) -> list[int] | None:
-        """The row lows of a component whose leading matrix, the
-        coefficients at t^low_i of each row i, is a unit over the scalars;
-        None if a row is zero or that matrix is singular.  Such a
-        component is invertible over the Laurent field and adds sum(low_i)
-        to delta (see the module docstring)."""
-        rows = [[self.rows[i][j] for j in comp] for i in comp]
-        lows = [min([x.lowest_exp for x in row if x.coeffs], default=None) for row in rows]
-        if None in lows:
-            return None
-        zero = Scalar.zero(self.kind)
-        lead = [[x.coeffs[0] if x.coeffs and x.lowest_exp == low else zero for x in row]
-                for row, low in zip(rows, lows)]
-        return lows if smat_invertible(lead) else None
+    def _readings(self) -> Iterator[tuple[list[int], list[int] | None]]:
+        """Each component with its reading (module docstring): its row lows
+        if it is a unit, [] if singular and None if open.  Singular ones
+        come before open ones, and open ones before the units a solve would
+        take.  A zero column makes the leading matrix singular, so it is
+        looked for only where that matrix is not a unit."""
+        division, opened, units = self.kind.ext is None, [], []
+        for comp in self._components():
+            x = self.rows[comp[0]][comp[0]]
+            if division and len(comp) == 1 and x.coeffs:  # a division algebra: x is a unit
+                yield comp, [x.lowest_exp]
+                continue
+            rows = [[self.rows[i][j] for j in comp] for i in comp]
+            lows = [min([x.lowest_exp for x in row if x.coeffs], default=None) for row in rows]
+            if None not in lows:
+                zero = Scalar.zero(self.kind)
+                lead = [[x.coeffs[0] if x.coeffs and x.lowest_exp == low else zero for x in row]
+                        for row, low in zip(rows, lows)]
+                if smat_invertible(lead):
+                    units.append((comp, lows))
+                    continue
+                if all(any(x.coeffs for x in col) for col in zip(*rows)):
+                    opened.append((comp, None))
+                    continue
+            yield comp, []
+        yield from opened
+        yield from units
 
     def _components(self) -> list[list[int]]:
         """Index sets of the connected components of the nonzero pattern."""
@@ -338,7 +332,7 @@ class JetMatrix:
         return _components(self.n, lambda i, j: rows[i][j].coeffs or rows[j][i].coeffs)
 
     def _row_bounds(self, comp: list[int]) -> list[tuple]:
-        # the _bounds of each row of a component, unpadded; a zero row has size 0
+        # the _bounds of each row of a component, unpadded
         return [_bounds(([self.rows[i][j] for j in comp],)) + ((),) for i in comp]
 
     def __str__(self) -> str:

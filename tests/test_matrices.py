@@ -57,6 +57,7 @@ def test_invertible_past_the_roots_of_the_determinant(a, want):
     # follows nonzero entries above and below the diagonal
     CYCLE,
     JetMatrix.of([list(col) for col in zip(*CYCLE.rows)]),
+    mat([[], [1]], [[], [1, 1]]),  # a zero column inside a connected component
 ])
 def test_singular(a):
     assert not a.field_invertible()
@@ -138,7 +139,7 @@ def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):
     middle = JetMatrix.diagonal([one] * (n - 1) + [LaurentJet.t_power(BASE, 1)])
     regular = e @ middle @ f
     assert regular._components() == [list(range(n))]
-    assert regular._leading_unit(list(range(n))) is None
+    assert list(regular._readings()) == [(list(range(n)), None)]  # open
     drawn, zeros = list(regular.rows), [zero] * n
     t_f = JetMatrix.diagonal([LaurentJet.t_power(BASE, 1)] * n) @ f
     cases = [(regular, True, True),
@@ -584,12 +585,12 @@ def test_leading_coefficients_agree_with_elimination(kind):
         # the D + 1 points of the reference cost dim^3 * D each, so larger
         # kinds get smaller matrices
         a = _leading_case(kind, rng, rng.randint(1, {1: 4, 2: 4, 4: 3}.get(kind.dim, 2)))
-        lows = [a._leading_unit(comp) for comp in a._components()]
+        lows = [comp_lows for _, comp_lows in a._readings()]
         for comp_lows in lows:
-            paths[comp_lows is not None] += 1
+            paths[bool(comp_lows)] += 1
         assert a.field_invertible() is ref_field_invertible(a), a
         delta = a._leading_delta()
-        assert delta == (None if None in lows else sum(map(sum, lows))), a
+        assert delta == (sum(map(sum, lows)) if all(lows) else None), a
         try:
             want = ref_det_valuation(a)
         except NotInvertible:
@@ -603,11 +604,11 @@ def test_leading_coefficients_agree_with_elimination(kind):
 def test_an_invertible_matrix_with_a_singular_leading_matrix_is_eliminated():
     # [[1, 1], [1, 1 + t]] has leading matrix [[1, 1], [1, 1]] and det = t
     a = mat([[1], [1]], [[1], [1, 1]])
-    assert a._leading_unit([0, 1]) is None and a._leading_delta() is None
+    assert list(a._readings()) == [([0, 1], None)] and a._leading_delta() is None
     assert a.field_invertible() and ref_det_valuation(a) == 1
     # its lower rows scaled by t^-1 and t^3: the lows are -1 and 3, and the
     # leading matrix [[2, 1], [0, 1]] is a unit, so delta = 2 with no solve
     b = JetMatrix.of([[LaurentJet.t_power(BASE, -1, 2), LaurentJet.t_power(BASE, -1)],
                       [LaurentJet.t_power(BASE, 4), LaurentJet.t_power(BASE, 3)]])
-    assert b._leading_unit([0, 1]) == [-1, 3]
+    assert list(b._readings()) == [([0, 1], [-1, 3])]
     assert b._leading_delta() == 2 == ref_det_valuation(b)
