@@ -119,9 +119,9 @@ from math import lcm, prod
 from operator import add, mul
 
 from .errors import InsufficientPrecision, NotInvertible, ScalarKindMismatch, SizeMismatch, record
-from .scalars import (LaurentJet, Q, Scalar, ScalarKind, _Accumulator, _bareiss, _components,
-                      _conj_parts, _eliminate, _mul_parts, _solutions, left_regular,
-                      smat_invertible)
+from .scalars import (LaurentJet, Q, Scalar, ScalarKind, _bareiss, _components, _conj_parts,
+                      _eliminate, _jet_of, _mul_parts, _rows_of, _solutions, _sum, _times,
+                      left_regular, smat_invertible)
 
 
 @record
@@ -190,21 +190,17 @@ class JetMatrix:
         return JetMatrix(self.kind, tuple(tuple(-a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
-        """Each entry is one accumulated sum of the products a[i][k] * b[k][j]
-        over the k with a[i][k] not zero."""
+        """Each entry is the ``_sum`` of the ``_times`` a[i][k] * b[k][j]
+        over the k with neither factor zero, every entry taken as a value
+        once, and built as a jet once."""
         self._check(other)
         kind = self.kind
-        cols = list(zip(*other.rows))
+        cols = [[_rows_of(b) for b in col] for col in zip(*other.rows)]
         out = []
         for row in self.rows:
-            kept = [(k, a) for k, a in enumerate(row) if a.coeffs]
-            out_row = []
-            for col in cols:
-                acc = _Accumulator(kind)
-                for k, a in kept:
-                    acc.add_product(a, col[k])
-                out_row.append(acc.jet(None))
-            out.append(tuple(out_row))
+            kept = [(k, _rows_of(a)) for k, a in enumerate(row) if a.coeffs]
+            out.append(tuple(_jet_of(kind, _sum(_times(kind, a, col[k]) for k, a in kept if col[k][0]))
+                             for col in cols))
         return JetMatrix(kind, tuple(out))
 
     def conj_transpose(self) -> "JetMatrix":

@@ -30,10 +30,16 @@ zero up to its precision has indeterminate valuation and is flagged,
 never silently treated as zero.  An exact jet that is not a monomial
 inverts to a jet known modulo ``t^DEFAULT_PRECISION`` above its
 valuation; ``DEFAULT_PRECISION`` is the constant 16, and nothing in the
-package changes it.  Jet sums and products, and each entry of a
-jet-matrix product, gather their terms on integers exponent by exponent,
-over the lcm of the denominators, and reduce each output coefficient
-once, so no partial product or partial sum is built as a scalar.
+package changes it.
+
+Laurent polynomials are computed as integer values ``(rows, scale,
+monomial)``: ``rows`` maps an exponent to numerators per basis index,
+all over ``scale``.  A monomial keeps its one row even when zero, any
+other value only its nonzero rows.  The literal reader builds values,
+``_rows_of`` takes a jet to one, ``_times`` convolves two, ``_sum`` adds
+them over the lcm of their scales, and ``_jet_of`` reduces each
+coefficient once: jet sums and products, ``@`` and the entries a
+witness check rebuilds build no partial result as a scalar.
 """
 
 from __future__ import annotations
@@ -559,7 +565,9 @@ class LaurentJet:
     coefficients are stripped and coefficients at exponents at or beyond
     the precision are dropped.  An empty window with finite precision is
     a jet that is zero up to that precision; an empty window with
-    ``precision=None`` is the exact zero polynomial.
+    ``precision=None`` is the exact zero polynomial.  ``lowest_exp`` and
+    ``precision`` are integers (``operator.index``): a float raises
+    TypeError.
     """
 
     kind: ScalarKind
@@ -569,13 +577,13 @@ class LaurentJet:
 
     def __init__(self, kind: ScalarKind, lowest_exp: int, coeffs: Sequence[Scalar],
                  precision: int | None = None):
-        coeffs = list(coeffs)
+        coeffs, lowest_exp = list(coeffs), index(lowest_exp)
         for c in coeffs:
             if c.kind is not kind and c.kind != kind:
                 raise ScalarKindMismatch(f"coefficient kind {c.kind} in a {kind} jet")
         if precision is not None:
-            keep = precision - lowest_exp
-            coeffs = coeffs[:max(keep, 0)]
+            precision = index(precision)
+            coeffs = coeffs[:max(precision - lowest_exp, 0)]
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo].is_zero():
             lo += 1
@@ -655,15 +663,8 @@ class LaurentJet:
 
     def __add__(self, other: "LaurentJet") -> "LaurentJet":
         self._check(other)
-        prec = _min_prec(self.precision, other.precision)
-        if not self.coeffs:
-            return LaurentJet(self.kind, other.lowest_exp, other.coeffs, prec)
-        if not other.coeffs:
-            return LaurentJet(self.kind, self.lowest_exp, self.coeffs, prec)
-        acc = _Accumulator(self.kind)
-        acc.add(self)
-        acc.add(other)
-        return acc.jet(prec)
+        return _jet_of(self.kind, _sum((_rows_of(self), _rows_of(other))),
+                       _min_prec(self.precision, other.precision))
 
     def __neg__(self) -> "LaurentJet":
         return LaurentJet(self.kind, self.lowest_exp, tuple(-c for c in self.coeffs), self.precision)
@@ -673,9 +674,8 @@ class LaurentJet:
 
     def __mul__(self, other: "LaurentJet") -> "LaurentJet":
         self._check(other)
-        acc = _Accumulator(self.kind)
-        acc.add_product(self, other)
-        return acc.jet(_product_precision(self, other))
+        return _jet_of(self.kind, _times(self.kind, _rows_of(self), _rows_of(other)),
+                       _product_precision(self, other))
 
     def conj(self) -> "LaurentJet":
         if self.kind.core == "base":  # the conjugation fixes every coefficient
@@ -761,46 +761,6 @@ class LaurentJet:
         return body
 
 
-class _Accumulator:
-    """A jet being summed: exponent -> (integer coordinates, denominator)
-    of its coefficient.  Terms are added on integers, unreduced, over the
-    lcm of the denominators; :meth:`jet` reduces each coefficient once."""
-
-    __slots__ = ("kind", "terms")
-
-    def __init__(self, kind: ScalarKind):
-        self.kind = kind
-        self.terms: dict[int, tuple[tuple[int, ...], int]] = {}
-
-    def add(self, x: LaurentJet) -> None:
-        terms = self.terms
-        for e, c in enumerate(x.coeffs, x.lowest_exp):
-            _add_term(terms, e, c.num, c.den)
-
-    def add_product(self, x: LaurentJet, y: LaurentJet) -> None:
-        kind, terms = self.kind, self.terms
-        ys = [(j, b.num, b.den) for j, b in enumerate(y.coeffs, y.lowest_exp) if any(b.num)]
-        for i, a in enumerate(x.coeffs, x.lowest_exp):
-            an, ad = a.num, a.den
-            if any(an):
-                for j, bn, bd in ys:
-                    _add_term(terms, i + j, _mul_parts(kind, an, bn), ad * bd)
-
-    def jet(self, precision: int | None) -> LaurentJet:
-        """The sum, truncated at ``precision``.  Every coefficient is of
-        ``kind`` already, so the window is canonical once the exponents
-        whose sum cancelled are left out of its ends."""
-        kind, terms = self.kind, self.terms
-        kept = {e: c for e, c in terms.items() if any(c[0]) and (precision is None or e < precision)}
-        if not kept:
-            return _jet(kind, 0 if precision is None else precision, (), precision)
-        lo = min(kept)
-        coeffs = [Scalar.zero(kind)] * (max(kept) - lo + 1)
-        for e, (num, den) in kept.items():
-            coeffs[e - lo] = _reduced(kind, num, den)
-        return _jet(kind, lo, tuple(coeffs), precision)
-
-
 def _jet(kind: ScalarKind, lowest_exp: int, window: tuple, precision: int | None) -> LaurentJet:
     # a LaurentJet whose window is already canonical
     x = object.__new__(LaurentJet)
@@ -811,18 +771,59 @@ def _jet(kind: ScalarKind, lowest_exp: int, window: tuple, precision: int | None
     return x
 
 
-def _add_term(terms: dict, e: int, num: tuple, den: int) -> None:
-    cur = terms.get(e)
-    if cur is None:
-        terms[e] = (num, den)
-        return
-    cnum, cden = cur
-    if cden == den:
-        terms[e] = (tuple(map(add, cnum, num)), den)
-    else:
-        g = gcd(cden, den)
-        f, h = den // g, cden // g
-        terms[e] = (tuple(x * f + y * h for x, y in zip(cnum, num)), cden * f)
+def _rows_of(x: LaurentJet) -> tuple:
+    """The jet x as a value: the numerators of its nonzero coefficients
+    over the lcm of their denominators, each rescaled only when its
+    denominator differs."""
+    scale = lcm(*[c.den for c in x.coeffs])
+    return {e: c.num if c.den == scale else tuple(scale // c.den * y for y in c.num)
+            for e, c in enumerate(x.coeffs, x.lowest_exp) if any(c.num)}, scale, False
+
+
+def _times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
+    """The product x * y of two values: their rows convolved, one
+    ``_mul_parts`` per pair of rows, over the product of their scales."""
+    (xr, xs, xm), (yr, ys, ym) = x, y
+    mono, out = xm and ym, {}
+    for e, a in xr.items():
+        for f, b in yr.items():
+            ab, row = _mul_parts(kind, a, b), out.get(e + f)
+            out[e + f] = ab if row is None else tuple(map(add, row, ab))
+    if not mono:
+        out = {e: row for e, row in out.items() if any(row)}
+    return out, xs * ys, mono
+
+
+def _sum(values) -> tuple:
+    """The sum of the values, in one pass: the rows read so far are
+    rescaled whenever a scale does not divide their lcm."""
+    out, scale = {}, 1
+    for rows, s, _ in values:
+        if scale % s:
+            m = s // gcd(scale, s)
+            scale *= m
+            out = {e: tuple(y * m for y in row) for e, row in out.items()}
+        f = scale // s
+        for e, row in rows.items():
+            if f != 1:
+                row = tuple(f * y for y in row)
+            cur = out.get(e)
+            out[e] = row if cur is None else tuple(map(add, cur, row))
+    return {e: row for e, row in out.items() if any(row)}, scale, False
+
+
+def _jet_of(kind: ScalarKind, value: tuple, precision: int | None = None) -> LaurentJet:
+    """The jet of a value, truncated at ``precision``: each nonzero row
+    below it reduced once, and zero between them, a canonical window."""
+    rows, scale, _ = value
+    kept = [e for e, row in rows.items() if any(row) and (precision is None or e < precision)]
+    if not kept:
+        return _jet(kind, 0 if precision is None else precision, (), precision)
+    lo = min(kept)
+    coeffs = [Scalar.zero(kind)] * (max(kept) - lo + 1)
+    for e in kept:
+        coeffs[e - lo] = _reduced(kind, tuple(rows[e]), scale)
+    return _jet(kind, lo, tuple(coeffs), precision)
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:

@@ -30,7 +30,6 @@ import time
 from collections.abc import Callable
 from itertools import islice
 from math import gcd, inf
-from operator import add
 
 from .basechange import becomes_iso_after_sh, descend_signature, sh_signature, verify_sh_pattern
 from .errors import (
@@ -62,8 +61,8 @@ from .orders import (
     ss_iso_decide,
     ss_iso_decide_fixed,
 )
-from .scalars import BASE, QUATERNION, LaurentJet, Scalar, ScalarKind, quadratic
-from .scalars import _jet, _mul_parts, _power, _reduced, exact_int, exact_str
+from .scalars import BASE, QUATERNION, LaurentJet, ScalarKind, quadratic
+from .scalars import _jet_of, _power, _reduced, _times, exact_int, exact_str
 from .witness import MODE_BASE, MODE_F, WitnessCheck, mode_etale, transport_check, verify_witness
 
 
@@ -170,28 +169,19 @@ class _Cursor:
 # Expressions
 
 
-# One reader, _parse_sum, reads a literal on integer rows: exponent ->
-# numerators per basis index, over one denominator, the scale.  The flat
-# atoms ``INT``, ``INT/INT``, ``t``, ``t^k``, ``qi``/``qj``/``qk`` and
-# ``sqrt(d)`` are read in place: c/den * e_u * t^k, with e_u * e_v = m *
-# e_r from ``kind.basis_products[u]``.  Each ``-`` before a factor flips
-# the sign of c.  Other factors are values (rows, scale, monomial),
-# multiplied by _times: a parenthesised sum, or an atom or such a sum
-# raised by _raised.  A monomial (atoms and their powers) keeps its one
-# row even when zero; other values keep only their nonzero rows.  Each
-# entry's jet is built once.
+# One reader, _parse_sum, reads a literal as a value (rows, scale,
+# monomial) of ``scalars``: exponent -> numerators per basis index, over
+# one denominator, the scale.  The flat atoms ``INT``, ``INT/INT``, ``t``,
+# ``t^k``, ``qi``/``qj``/``qk`` and ``sqrt(d)`` are read in place: c/den *
+# e_u * t^k, with e_u * e_v = m * e_r from ``kind.basis_products[u]``.
+# Each ``-`` before a factor flips the sign of c.  Other factors are
+# values, multiplied by ``scalars._times``: a parenthesised sum, or an
+# atom or such a sum raised by _raised.  ``scalars._jet_of`` builds each
+# entry's jet once.
 
 
 def _parse_expr(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
-    rows, scale, _ = _parse_sum(cur, kind)
-    kept = [e for e, row in rows.items() if any(row)]
-    if not kept:
-        return _jet(kind, 0, (), None)
-    lo = min(kept)
-    coeffs = [Scalar.zero(kind)] * (max(kept) - lo + 1)
-    for e in kept:  # each nonzero row reduced once, zero between them: a canonical window
-        coeffs[e - lo] = _reduced(kind, tuple(rows[e]), scale)
-    return _jet(kind, lo, tuple(coeffs), None)
+    return _jet_of(kind, _parse_sum(cur, kind))
 
 
 _QUAT_UNITS = {"qi": 1, "qj": 2, "qk": 3}
@@ -380,20 +370,6 @@ def _product(cur: _Cursor, kind: ScalarKind, x: tuple, y: tuple, star: int | Non
                 f"a product of about {exact_str(size)} bits in about {exact_str(work)} steps is "
                 f"above the literal limit {WORK_LIMIT}", cur.line, cur.col(star))
     return _times(kind, x, y)
-
-
-def _times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
-    """The product x * y of two values: their rows convolved, one
-    ``_mul_parts`` per pair of rows, over the product of their scales."""
-    (xr, xs, xm), (yr, ys, ym) = x, y
-    mono, out = xm and ym, {}
-    for e, a in xr.items():
-        for f, b in yr.items():
-            ab, row = _mul_parts(kind, a, b), out.get(e + f)
-            out[e + f] = ab if row is None else tuple(map(add, row, ab))
-    if not mono:
-        out = {e: row for e, row in out.items() if any(row)}
-    return out, xs * ys, mono
 
 
 def _raised(cur: _Cursor, kind: ScalarKind, x: tuple, caret: int) -> tuple:

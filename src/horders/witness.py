@@ -80,8 +80,8 @@ from .orders import (
     pattern_of,
     ss_iso_decide,
 )
-from .scalars import (BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, _Accumulator,
-                      quadratic, smat_invertible)
+from .scalars import (BASE, QUATERNION, LaurentJet, Q, Scalar, ScalarKind, _jet_of, _rows_of,
+                      _sum, _times, quadratic, smat_invertible)
 
 GENERIC_FIBER = "generic-fiber"
 BASE_RING = "base"
@@ -183,20 +183,19 @@ def _tau_row(u: JetMatrix, i: int, kind: ScalarKind) -> list[LaurentJet]:
 
 def _triple_entry(row, b: JetMatrix, c: JetMatrix, j: int) -> LaurentJet:
     """(row * b * c)[j] over the kind of ``row``, whose entries the entries
-    of b and c are promoted onto: entry l of row * b summed in one
-    accumulator, over the k with row[k] not zero, then one accumulated sum
-    of those entries times c[l][j], over the l with c[l][j] not zero."""
+    of b and c are promoted onto: entry l of row * b is the ``_sum`` of the
+    ``_times`` row[k] * b[k][l] over the k with row[k] not zero, kept as a
+    value, and the result the ``_sum`` of those values times c[l][j] over
+    the l with c[l][j] not zero, built as a jet once."""
     kind = row[0].kind
-    ks = [k for k, x in enumerate(row) if x.coeffs]
-    total = _Accumulator(kind)
+    xs = [(k, _rows_of(x)) for k, x in enumerate(row) if x.coeffs]
+    terms = []
     for l in range(c.n):
         y = c.entry(l, j)
         if y.coeffs:
-            acc = _Accumulator(kind)
-            for k in ks:
-                acc.add_product(row[k], _promote(b.entry(k, l), kind))
-            total.add_product(acc.jet(None), _promote(y, kind))
-    return total.jet(None)
+            xb = _sum(_times(kind, x, _rows_of(_promote(b.entry(k, l), kind))) for k, x in xs)
+            terms.append(_times(kind, xb, _rows_of(_promote(y, kind))))
+    return _jet_of(kind, _sum(terms))
 
 
 def verify_witness(w: WitnessCheck) -> Diagnostics:

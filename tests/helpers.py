@@ -942,7 +942,7 @@ def ref_parse_atom(cur: _Cursor, kind: ScalarKind) -> LaurentJet:
 def ref_times(kind: ScalarKind, x: tuple, y: tuple) -> tuple:
     """The literal reader's product of two values (rows, scale, monomial),
     their rows convolved coordinate by coordinate through
-    ``kind.basis_products``: the reference for ``session._times``."""
+    ``kind.basis_products``: the reference for ``scalars._times``."""
     (xr, xs, xm), (yr, ys, ym) = x, y
     table, dim, mono = kind.basis_products, kind.dim, xm and ym
     out = {min(xr) + min(yr): [0] * dim} if mono else {}

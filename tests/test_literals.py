@@ -8,7 +8,7 @@ import pytest
 
 from horders import session as session_module
 from horders.errors import HordersError, SessionSyntaxError, SessionTypeError
-from horders.scalars import BASE, QUATERNION, LaurentJet, quadratic
+from horders.scalars import BASE, QUATERNION, LaurentJet, _times, quadratic
 from horders.session import _Cursor, _parse_expr, parse_session, print_session
 
 from helpers import ref_parse_expr, ref_times
@@ -398,7 +398,7 @@ def test_products_of_values_match_the_coordinate_loop(kind):
     flags = Counter()
     for _ in range(300):
         x, y = value(), value()
-        got, want = session_module._times(kind, x, y), ref_times(kind, x, y)
+        got, want = _times(kind, x, y), ref_times(kind, x, y)
         assert ({e: tuple(r) for e, r in got[0].items()}, got[1], got[2]) == (
             {e: tuple(r) for e, r in want[0].items()}, want[1], want[2]), (x, y)
         flags[got[2], any(map(any, got[0].values()))] += 1

@@ -21,8 +21,11 @@ from horders.scalars import (
     LaurentJet,
     Scalar,
     ScalarKind,
-    _Accumulator,
     _components,
+    _jet_of,
+    _rows_of,
+    _sum,
+    _times,
     default_precision,
     left_regular,
     quadratic,
@@ -139,9 +142,17 @@ def test_a_scalar_has_exactly_dim_coordinates():
     lambda: LaurentJet.constant(BASE, 0.1),
     lambda: LaurentJet.t_power(BASE, 1, 0.5),
     lambda: LaurentJet.from_coeffs(BASE, 0, [1, 0.25]),
-], ids=["of", "init", "rational", "times", "constant", "t_power", "from_coeffs"])
+    lambda: LaurentJet.t_power(BASE, 1.5),
+    lambda: LaurentJet(BASE, 0.5, (Scalar.one(BASE),)),
+    lambda: LaurentJet.zero(BASE, 2.0),
+    lambda: LaurentJet.from_coeffs(BASE, 0, [1, 2], 1.5),
+], ids=["of", "init", "rational", "times", "constant", "t_power", "from_coeffs",
+        "exponent", "lowest_exp", "zero_precision", "precision"])
 def test_float_input_is_refused(make):
-    # Scalar.of(BASE, 0.1) used to store 3602879701896397/36028797018963968
+    # Scalar.of(BASE, 0.1) used to store 3602879701896397/36028797018963968;
+    # t_power(BASE, 1.5) printed as t^1.5, the matrix [[t^0.5]] read as
+    # invertible over the Laurent field, and a float precision failed in a
+    # slice, with no word of the float
     with pytest.raises(TypeError, match="float"):
         make()
 
@@ -455,25 +466,29 @@ def test_an_accumulated_jet_is_the_jet_the_constructor_builds(kind):
     rng = Random(47)
     zero = Scalar.zero(kind)
     for trial in range(60):
-        acc, sums = _Accumulator(kind), {}
+        values, sums = [], {}
 
         def added(e, c):
             sums[e] = sums.get(e, zero) + c
 
         for _ in range(rng.randint(0, 3)):
             x, y = kernel_jet(kind, rng), kernel_jet(kind, rng)
-            acc.add_product(x, y)
+            values.append(_times(kind, _rows_of(x), _rows_of(y)))
             for i, a in enumerate(x.coeffs, x.lowest_exp):
                 for j, b in enumerate(y.coeffs, y.lowest_exp):
                     added(i + j, a * b)
-        # terms that cancel below and above everything else, or alone
-        # (an exact zero); their denominators are not 1
+        # terms that cancel below and above everything else, or alone (an
+        # exact zero), read first over the scales 6 and 10: neither divides
+        # the other, so the sum rescales the rows it has read
         lo, hi = min(sums, default=0) - rng.randint(1, 3), max(sums, default=0) + rng.randint(1, 3)
         for e in (lo, hi) if trial % 5 else (lo,):
-            c = Scalar(kind, fraction_parts(kind, rng))
-            for term in (c, -c):
-                acc.add(LaurentJet.t_power(kind, e, term))
-                added(e, term)
+            v = [rng.randint(-4, 4) for _ in range(kind.dim)]
+            v[0] = v[0] or 1
+            values[:0] = [({e: tuple(3 * x for x in v)}, 6, True),
+                          ({e: tuple(-5 * x for x in v)}, 10, True)]
+            c = Scalar(kind, [Q(x, 2) for x in v])
+            added(e, c)
+            added(e, -c)
         precision = rng.choice((None, None, rng.randint(lo - 1, hi + 1)))
         if not sums:
             ref = LaurentJet(kind, 0, (), precision)
@@ -481,7 +496,7 @@ def test_an_accumulated_jet_is_the_jet_the_constructor_builds(kind):
             first = min(sums)
             ref = LaurentJet(kind, first, [sums.get(e, zero) for e in range(first, max(sums) + 1)],
                              precision)
-        got = acc.jet(precision)
+        got = _jet_of(kind, _sum(values), precision)
         assert got == ref
         assert type(got.coeffs) is tuple and all(c.kind is kind for c in got.coeffs)
 
@@ -489,6 +504,13 @@ def test_an_accumulated_jet_is_the_jet_the_constructor_builds(kind):
 def test_jet_sums_reduce_over_the_lcm_of_the_denominators():
     x = jet(BASE, -1, [Q(1, 6), Q(1, 4)])
     y = jet(BASE, -1, [Q(1, 10), Q(-1, 4), Q(2, 3)], 3)
+    assert _rows_of(x) == ({-1: (2,), 0: (3,)}, 12, False)
+    assert _rows_of(y) == ({-1: (6,), 0: (-15,), 1: (40,)}, 60, False)
+    # one denominator: each row is its coefficient's own numerators, not rescaled
+    same = jet(QUAD, 2, [Scalar(QUAD, (Q(1, 6), Q(5, 6))), 0, Scalar(QUAD, (Q(-7, 6), 0))])
+    assert all(row is c.num for row, c in zip(_rows_of(same)[0].values(), same.coeffs[::2]))
+    assert _sum([({0: (1,)}, 6, True), ({0: (1,), 1: (3,)}, 10, False)]) == (
+        {0: (8,), 1: (9,)}, 30, False)
     assert x + y == jet(BASE, -1, [Q(4, 15), 0, Q(2, 3)], 3)
     assert x * y == jet(BASE, -2, [Q(1, 60), Q(-1, 60), Q(7, 144), Q(1, 6)], 2)
 

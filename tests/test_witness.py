@@ -37,7 +37,7 @@ from horders.witness import (
     verify_witness,
 )
 
-from helpers import (entrywise, onto, random_jet, ref_identity_check, ref_transport_check,
+from helpers import (entrywise, onto, random_jet, ref_identity_check, ref_matmul, ref_transport_check,
                      ref_verify_witness, sample_block_unit, sample_element, single_entry, transport_by_samples)
 from test_scalars import REF_KINDS
 
@@ -915,7 +915,7 @@ def test_triple_entry_is_the_entry_of_the_triple_product(kind):
     for n in (1, 2, 3, 4):
         for _ in range(3):
             a, b, c = matrix(n), matrix(n), matrix(n)
-            abc = a @ b @ c
+            abc = ref_matmul(ref_matmul(a, b), c)
             for i in range(n):
                 for j in range(n):
                     assert _triple_entry(a.rows[i], b, c, j) == abc.entry(i, j)
