@@ -106,11 +106,12 @@ class ScalarKindMismatch(HordersError):
 
 
 class IndeterminateValuation(HordersError):
-    """The jet is zero up to its precision, so its valuation is unknown."""
+    """A zero jet has no valuation, degree or inverse."""
 
 
 class InsufficientPrecision(HordersError):
-    """The requested comparison or coefficient lies beyond the known precision."""
+    """A ``TruncatedJet`` where an exact value is needed, or a series
+    inverse that would carry no coefficients."""
 
 
 class NotInvertible(HordersError):

@@ -1,7 +1,7 @@
 """Square matrices of exact Laurent polynomials over a single scalar kind.
 
-A matrix refuses a truncated entry when it is built, so every question
-below is asked of exact entries, on one integer image (Kronecker
+A matrix refuses a ``TruncatedJet`` entry when it is built, so every
+question below is asked of exact entries, on one integer image (Kronecker
 substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
 8.4).  ``_bounds`` scales jet rows by s * t^-low, s the lcm of their
 denominators and low their lowest exponent, into integer polynomials of

@@ -1,4 +1,4 @@
-"""Exact scalar tower and truncated Laurent jets.
+"""Exact scalar tower and exact Laurent polynomials.
 
 Scalars live over one of three coefficient models: the rationals, an
 imaginary quadratic extension, or the (-1,-1)-quaternions over the
@@ -22,15 +22,14 @@ pattern: every intermediate entry is a minor of the input, so the
 integers stay small and every division is exact.  Every exact solve
 eliminates through ``_eliminate``; ``_solutions`` back-substitutes.
 
-A :class:`LaurentJet` is a truncated Laurent series over a single scalar
-kind: a dense coefficient window starting at ``lowest_exp`` together
-with the precision modulo ``t^precision`` to which the value is known.
-``precision=None`` marks an exact Laurent polynomial.  A jet that is
-zero up to its precision has indeterminate valuation and is flagged,
-never silently treated as zero.  An exact jet that is not a monomial
-inverts to a jet known modulo ``t^DEFAULT_PRECISION`` above its
-valuation; ``DEFAULT_PRECISION`` is the constant 16, and nothing in the
-package changes it.
+A :class:`LaurentJet` is an exact Laurent polynomial over a single
+scalar kind: a dense coefficient window starting at ``lowest_exp``.  It
+is a unit of the Laurent polynomials exactly when it is a monomial with
+an invertible coefficient, and only those invert.  The one truncated
+value is the :class:`TruncatedJet` that ``inverse(precision)`` returns,
+the reciprocal series of any jet with an invertible lowest coefficient
+known modulo ``t^precision``; it has no arithmetic, and no matrix or
+witness takes it.
 
 Laurent polynomials are computed as integer values ``(rows, scale,
 monomial)``: ``rows`` maps an exponent to numerators per basis index,
@@ -62,13 +61,10 @@ from .errors import (
 
 Q = Fraction
 
-#: Working precision used when inverting an exact, non-monomial jet; a
-#: constant, so no operation depends on process-wide state.
-DEFAULT_PRECISION = 16
-
 
 def default_precision() -> int:
-    return DEFAULT_PRECISION
+    """16, the precision ``perfbench`` prints; no operation reads it."""
+    return 16
 
 
 def _is_squarefree(n: int) -> bool:
@@ -559,89 +555,73 @@ def _power(x, k: int, product: Callable):
 
 @record
 class LaurentJet:
-    """Truncated Laurent series over one scalar kind.
+    """Exact Laurent polynomial over one scalar kind.
 
     The coefficient window is canonical: leading and trailing zero
-    coefficients are stripped and coefficients at exponents at or beyond
-    the precision are dropped.  An empty window with finite precision is
-    a jet that is zero up to that precision; an empty window with
-    ``precision=None`` is the exact zero polynomial.  ``lowest_exp`` and
-    ``precision`` are integers (``operator.index``): a float raises
+    coefficients are stripped, and zero is the empty window at exponent
+    0.  ``lowest_exp`` is an integer (``operator.index``): a float raises
     TypeError.
     """
 
     kind: ScalarKind
     lowest_exp: int
     coeffs: tuple[Scalar, ...]
-    precision: int | None
 
-    def __init__(self, kind: ScalarKind, lowest_exp: int, coeffs: Sequence[Scalar],
-                 precision: int | None = None):
+    is_exact = True
+
+    def __init__(self, kind: ScalarKind, lowest_exp: int, coeffs: Sequence[Scalar]):
         coeffs, lowest_exp = list(coeffs), index(lowest_exp)
         for c in coeffs:
             if c.kind is not kind and c.kind != kind:
                 raise ScalarKindMismatch(f"coefficient kind {c.kind} in a {kind} jet")
-        if precision is not None:
-            precision = index(precision)
-            coeffs = coeffs[:max(precision - lowest_exp, 0)]
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo].is_zero():
             lo += 1
         while lo < hi and coeffs[hi - 1].is_zero():
             hi -= 1
         window = tuple(coeffs[lo:hi])
-        start = lowest_exp + lo if window else (precision if precision is not None else 0)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lowest_exp", start)
+        object.__setattr__(self, "lowest_exp", lowest_exp + lo if window else 0)
         object.__setattr__(self, "coeffs", window)
-        object.__setattr__(self, "precision", precision)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(kind: ScalarKind, precision: int | None = None) -> "LaurentJet":
-        return LaurentJet(kind, 0, (), precision)
+    def zero(kind: ScalarKind) -> "LaurentJet":
+        return LaurentJet(kind, 0, ())
 
     @staticmethod
-    def constant(kind: ScalarKind, value, precision: int | None = None) -> "LaurentJet":
+    def constant(kind: ScalarKind, value) -> "LaurentJet":
         s = value if isinstance(value, Scalar) else Scalar.of(kind, value)
-        return LaurentJet(kind, 0, (s,), precision)
+        return LaurentJet(kind, 0, (s,))
 
     @staticmethod
     def one(kind: ScalarKind) -> "LaurentJet":
         return LaurentJet.constant(kind, 1)
 
     @staticmethod
-    def t_power(kind: ScalarKind, exp: int, coeff=1, precision: int | None = None) -> "LaurentJet":
+    def t_power(kind: ScalarKind, exp: int, coeff=1) -> "LaurentJet":
         s = coeff if isinstance(coeff, Scalar) else Scalar.of(kind, coeff)
-        return LaurentJet(kind, exp, (s,), precision)
+        return LaurentJet(kind, exp, (s,))
 
     @staticmethod
-    def from_coeffs(kind: ScalarKind, lowest_exp: int, values, precision: int | None = None) -> "LaurentJet":
+    def from_coeffs(kind: ScalarKind, lowest_exp: int, values) -> "LaurentJet":
         coeffs = [v if isinstance(v, Scalar) else Scalar.of(kind, v) for v in values]
-        return LaurentJet(kind, lowest_exp, coeffs, precision)
+        return LaurentJet(kind, lowest_exp, coeffs)
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Zero as far as the jet can tell (exactly zero if exact)."""
         return not self.coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return self.precision is None
 
     def valuation(self) -> int:
         if not self.coeffs:
-            raise IndeterminateValuation(
-                "jet is zero up to its precision; valuation is indeterminate")
+            raise IndeterminateValuation("zero jet has no valuation")
         return self.lowest_exp
 
     def valuation_floor(self) -> int | None:
-        """A proven lower bound for the valuation; None means +infinity."""
-        if self.coeffs:
-            return self.lowest_exp
-        return self.precision
+        """The valuation, or None for zero, whose valuation is +infinity."""
+        return self.lowest_exp if self.coeffs else None
 
     def degree(self) -> int:
         if not self.coeffs:
@@ -649,125 +629,128 @@ class LaurentJet:
         return self.lowest_exp + len(self.coeffs) - 1
 
     def coeff(self, exp: int) -> Scalar:
-        if self.precision is not None and exp >= self.precision:
-            raise InsufficientPrecision(
-                f"coefficient of t^{exp} is beyond precision {self.precision}")
         if self.coeffs and self.lowest_exp <= exp <= self.degree():
             return self.coeffs[exp - self.lowest_exp]
         return Scalar.zero(self.kind)
 
-    def _check(self, other: "LaurentJet") -> None:
-        _same_kind(self.kind, other.kind)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "LaurentJet") -> "LaurentJet":
-        self._check(other)
-        return _jet_of(self.kind, _sum((_rows_of(self), _rows_of(other))),
-                       _min_prec(self.precision, other.precision))
+        _same_kind(self.kind, other.kind)
+        return _jet_of(self.kind, _sum((_rows_of(self), _rows_of(other))))
 
     def __neg__(self) -> "LaurentJet":
-        return LaurentJet(self.kind, self.lowest_exp, tuple(-c for c in self.coeffs), self.precision)
+        return _jet(self.kind, self.lowest_exp, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "LaurentJet") -> "LaurentJet":
         return self + (-other)
 
     def __mul__(self, other: "LaurentJet") -> "LaurentJet":
-        self._check(other)
-        return _jet_of(self.kind, _times(self.kind, _rows_of(self), _rows_of(other)),
-                       _product_precision(self, other))
+        _same_kind(self.kind, other.kind)
+        return _jet_of(self.kind, _times(self.kind, _rows_of(self), _rows_of(other)))
 
     def conj(self) -> "LaurentJet":
         if self.kind.core == "base":  # the conjugation fixes every coefficient
             return self
-        return LaurentJet(self.kind, self.lowest_exp, tuple(c.conj() for c in self.coeffs), self.precision)
+        return _jet(self.kind, self.lowest_exp, tuple(c.conj() for c in self.coeffs))
 
-    def inverse(self, precision: int | None = None) -> "LaurentJet":
-        """Invert by the reciprocal recurrence (Knuth, TAOCP vol. 2, 4.7).
+    def inverse(self, precision: int | None = None) -> "LaurentJet | TruncatedJet":
+        """The inverse of a unit of the Laurent polynomials: a monomial
+        c * t^v with c invertible inverts to c^-1 * t^-v, and any other
+        jet raises NotInvertible.
 
-        Exact monomials with invertible coefficient invert exactly.
-        Otherwise the result precision is ``P - 2v`` where ``v`` is the
-        valuation and ``P`` the input precision (exact inputs use the
-        default working precision above their valuation).  An explicit
-        ``precision`` is capped at ``P - 2v``, beyond which a truncated
-        input does not determine its inverse.  With ``a_i`` the
-        coefficient of ``t^(v+i)``, the inverse has ``b_0 = a_0^-1`` and
+        With an integer ``precision`` P, a jet whose lowest coefficient is
+        invertible inverts as a series instead, by the reciprocal
+        recurrence (Knuth, TAOCP vol. 2, 4.7), to the :class:`TruncatedJet`
+        of its coefficients below t^P.  With ``a_i`` the coefficient of
+        ``t^(v+i)``, v the valuation, the inverse has ``b_0 = a_0^-1`` and
         ``b_k = -a_0^-1 * sum_{i=1..k} a_i * b_(k-i)`` at ``t^(k-v)``: this
         solves ``a * b = 1``, the two-sided inverse of a unit even over
-        quaternions and zero divisors.  It reads ``a_i`` only for
-        ``i < target + v <= P - v``, coefficients the jet knows, at a cost
-        of ``(target + v) * len(coeffs)`` scalar products.
+        quaternions and zero divisors, at a cost of ``(P + v) *
+        len(coeffs)`` scalar products.
         """
         if not self.coeffs:
-            raise IndeterminateValuation("cannot invert zero" if self.precision is None else
-                                         "cannot invert a jet that is zero to precision")
-        v = self.lowest_exp
-        a = self.coeffs
+            raise IndeterminateValuation("cannot invert zero")
+        kind, v, a = self.kind, self.lowest_exp, self.coeffs
         lead_inv = a[0].inverse()  # NotInvertible propagates
-        if len(a) == 1 and self.precision is None and precision is None:
-            return LaurentJet(self.kind, -v, (lead_inv,), None)
-        if self.precision is not None:
-            target = _min_prec(precision, self.precision - 2 * v)
-        else:
-            target = DEFAULT_PRECISION - v if precision is None else precision
-        if target + v <= 0:
+        if precision is None:
+            if len(a) > 1:
+                raise NotInvertible(f"jet {self} is not a unit over the Laurent polynomials: "
+                                    "it is not a monomial")
+            return _jet(kind, -v, (lead_inv,))
+        precision = index(precision)
+        if precision + v <= 0:
             raise InsufficientPrecision(
-                f"inverse of a valuation-{v} jet known modulo t^{self.precision} "
-                "would carry no coefficients")
-        b, zero = [lead_inv], Scalar.zero(self.kind)
-        for k in range(1, target + v):
+                f"inverse of a valuation-{v} jet modulo t^{precision} would carry no coefficients")
+        b, zero = [lead_inv], Scalar.zero(kind)
+        for k in range(1, precision + v):
             acc = sum((a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1)), zero)
             b.append(-(lead_inv * acc))
-        return LaurentJet(self.kind, -v, b, target)
+        return TruncatedJet(LaurentJet(kind, -v, b), precision)
 
     def __pow__(self, k: int) -> "LaurentJet":
-        """``k``-th power by repeated squaring; ``k < 0`` inverts first."""
+        """``k``-th power by repeated squaring, for an integer ``k``
+        (``operator.index``: a float raises TypeError); ``k < 0`` inverts
+        first, so only a monomial has a negative power."""
+        k = index(k)
         if k == 0:
             return LaurentJet.one(self.kind)
         return _power(self.inverse() if k < 0 else self, abs(k), mul)
 
     def onto(self, kind: ScalarKind) -> "LaurentJet":
         """This jet over ``kind``, an extension of its kind by a root."""
-        return LaurentJet(kind, self.lowest_exp, tuple(c.onto(kind) for c in self.coeffs),
-                          self.precision)
+        return _jet(kind, self.lowest_exp, tuple(c.onto(kind) for c in self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:
-            body = "0"
-        else:
-            pieces = []
-            for off, c in enumerate(self.coeffs):
-                if c.is_zero():
-                    continue
-                e = self.lowest_exp + off
-                cs = str(c)
-                composite = ("+" in cs) or (" " in cs) or ("*" in cs) or (cs.startswith("-") and e != 0)
-                if e == 0:
-                    term = f"({cs})" if ("+" in cs or " " in cs) else cs
+            return "0"
+        pieces = []
+        for off, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            e = self.lowest_exp + off
+            cs = str(c)
+            composite = ("+" in cs) or (" " in cs) or ("*" in cs) or (cs.startswith("-") and e != 0)
+            if e == 0:
+                term = f"({cs})" if ("+" in cs or " " in cs) else cs
+            else:
+                tpow = "t" if e == 1 else f"t^{e}"
+                if cs == "1":
+                    term = tpow
+                elif cs == "-1":
+                    term = f"-{tpow}"
                 else:
-                    tpow = "t" if e == 1 else f"t^{e}"
-                    if cs == "1":
-                        term = tpow
-                    elif cs == "-1":
-                        term = f"-{tpow}"
-                    else:
-                        term = f"({cs})*{tpow}" if composite else f"{cs}*{tpow}"
-                pieces.append(term)
-            body = pieces[0]
-            for term in pieces[1:]:
-                body += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        if self.precision is not None:
-            body += f" mod t^{self.precision}"
+                    term = f"({cs})*{tpow}" if composite else f"{cs}*{tpow}"
+            pieces.append(term)
+        body = pieces[0]
+        for term in pieces[1:]:
+            body += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return body
 
 
-def _jet(kind: ScalarKind, lowest_exp: int, window: tuple, precision: int | None) -> LaurentJet:
+@record
+class TruncatedJet:
+    """A Laurent series known modulo ``t^precision``, whose coefficients
+    below ``t^precision`` are those of ``jet``: what ``LaurentJet.inverse``
+    returns when given a precision.  It has no arithmetic, and a matrix or
+    a witness refuses it, as it is not exact."""
+
+    jet: LaurentJet
+    precision: int
+
+    is_exact = False
+    kind = property(lambda self: self.jet.kind)
+
+    def __str__(self) -> str:
+        return f"{self.jet} mod t^{self.precision}"
+
+
+def _jet(kind: ScalarKind, lowest_exp: int, window: tuple) -> LaurentJet:
     # a LaurentJet whose window is already canonical
     x = object.__new__(LaurentJet)
     object.__setattr__(x, "kind", kind)
     object.__setattr__(x, "lowest_exp", lowest_exp)
     object.__setattr__(x, "coeffs", window)
-    object.__setattr__(x, "precision", precision)
     return x
 
 
@@ -812,41 +795,15 @@ def _sum(values) -> tuple:
     return {e: row for e, row in out.items() if any(row)}, scale, False
 
 
-def _jet_of(kind: ScalarKind, value: tuple, precision: int | None = None) -> LaurentJet:
-    """The jet of a value, truncated at ``precision``: each nonzero row
-    below it reduced once, and zero between them, a canonical window."""
+def _jet_of(kind: ScalarKind, value: tuple) -> LaurentJet:
+    """The jet of a value: each nonzero row reduced once, and zero
+    between them, a canonical window."""
     rows, scale, _ = value
-    kept = [e for e, row in rows.items() if any(row) and (precision is None or e < precision)]
+    kept = [e for e, row in rows.items() if any(row)]
     if not kept:
-        return _jet(kind, 0 if precision is None else precision, (), precision)
+        return _jet(kind, 0, ())
     lo = min(kept)
     coeffs = [Scalar.zero(kind)] * (max(kept) - lo + 1)
     for e in kept:
         coeffs[e - lo] = _reduced(kind, tuple(rows[e]), scale)
-    return _jet(kind, lo, tuple(coeffs), precision)
-
-
-def _min_prec(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _product_precision(a: LaurentJet, b: LaurentJet) -> int | None:
-    # min over (valuation floor of one factor + precision of the other).
-    cands = []
-    if b.precision is not None:
-        fa = a.valuation_floor()
-        if fa is not None:
-            cands.append(fa + b.precision)
-        else:
-            return None  # a is exactly zero
-    if a.precision is not None:
-        fb = b.valuation_floor()
-        if fb is not None:
-            cands.append(fb + a.precision)
-        else:
-            return None
-    return min(cands) if cands else None
+    return _jet(kind, lo, tuple(coeffs))

@@ -5,8 +5,8 @@ tau(u) * a2 * u = alpha * a1 over a declared coefficient ring: the
 generic fibre (Laurent field), the base coefficient ring itself, or a
 quadratic etale extension of it.  When the identity holds and u is a
 unit of the declared ring, conjugation by u transports the first
-twisted involution to the second over that ring.  u and the gauges are
-matrices, so exact; a truncated alpha is refused when the witness is
+twisted involution to the second over that ring.  u, the gauges and
+alpha are exact; a ``TruncatedJet`` alpha is refused when the witness is
 built.
 
 Nothing is inverted and nothing is sampled: every question is an exact

@@ -13,9 +13,8 @@ from horders.involutions import (InvolutionSpec, _hermitian_blocks, _maps_chain_
 from horders.matrices import JetMatrix, _image, _lowest_digit
 from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature,
                             check_residue, pattern_of, radical_pattern, ss_iso_decide)
-from horders.scalars import BASE, DEFAULT_PRECISION, LaurentJet, Q, Scalar, ScalarKind
-from horders.scalars import (_bareiss, _min_prec, _product_precision, _solutions, exact_int,
-                             exact_str, left_regular)
+from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind, TruncatedJet
+from horders.scalars import _bareiss, _solutions, exact_int, exact_str, left_regular
 from horders.session import _Cursor
 from horders.witness import WitnessCheck, _is_central, _ring_checks
 
@@ -28,11 +27,11 @@ def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool =
 
 
 def random_jet(kind: ScalarKind, rng: Random, *, lowest: int = -2, highest: int = 3,
-               bound: int = 3, precision: int | None = None) -> LaurentJet:
+               bound: int = 3) -> LaurentJet:
     lo = rng.randint(lowest, highest - 1)
     width = rng.randint(1, 3)
     coeffs = [random_scalar(kind, rng, bound) for _ in range(width)]
-    return LaurentJet(kind, lo, coeffs, precision)
+    return LaurentJet(kind, lo, coeffs)
 
 
 def entrywise(fn, *mats: JetMatrix) -> JetMatrix:
@@ -112,21 +111,19 @@ def _window_coeff(x: LaurentJet, e: int) -> Scalar:
 
 
 def ref_jet_add(x: LaurentJet, y: LaurentJet) -> LaurentJet:
-    prec = _min_prec(x.precision, y.precision)
     if not x.coeffs:
-        return LaurentJet(x.kind, y.lowest_exp, y.coeffs, prec)
+        return y
     if not y.coeffs:
-        return LaurentJet(x.kind, x.lowest_exp, x.coeffs, prec)
+        return x
     lo = min(x.lowest_exp, y.lowest_exp)
     hi = max(x.degree(), y.degree()) + 1
     return LaurentJet(x.kind, lo, [_window_coeff(x, e) + _window_coeff(y, e)
-                                   for e in range(lo, hi)], prec)
+                                   for e in range(lo, hi)])
 
 
 def ref_jet_mul(x: LaurentJet, y: LaurentJet) -> LaurentJet:
-    prec = _product_precision(x, y)
     if not x.coeffs or not y.coeffs:
-        return LaurentJet.zero(x.kind, prec)
+        return LaurentJet.zero(x.kind)
     out = [Scalar.zero(x.kind)] * (len(x.coeffs) + len(y.coeffs) - 1)
     for i, a in enumerate(x.coeffs):
         if a.is_zero():
@@ -134,40 +131,105 @@ def ref_jet_mul(x: LaurentJet, y: LaurentJet) -> LaurentJet:
         for j, b in enumerate(y.coeffs):
             if not b.is_zero():
                 out[i + j] = out[i + j] + a * b
-    return LaurentJet(x.kind, x.lowest_exp + y.lowest_exp, out, prec)
+    return LaurentJet(x.kind, x.lowest_exp + y.lowest_exp, out)
 
 
-def jets_agree(x: LaurentJet, y: LaurentJet) -> bool:
-    """Equality up to the smaller precision of the two jets."""
-    if x.precision is None and y.precision is None:
-        return x == y
-    return not (x - y).coeffs
+# ---------------------------------------------------------------------------
+# Truncated series, for the references that invert past a pivot that is no
+# monomial: a series is an exact LaurentJet or a TruncatedJet, and a sum or
+# product is known as far as both operands determine it.
 
 
-# A matrix of jets that may be truncated is a list of rows: a JetMatrix
-# holds only exact entries, and the references below carry truncated
-# inverses through their products.
+def _series(x) -> tuple:
+    """(jet, precision) of a series; precision None when it is exact."""
+    return (x.jet, x.precision) if isinstance(x, TruncatedJet) else (x, None)
+
+
+def _truncated(jet: LaurentJet, precision: int | None):
+    """jet known modulo t^precision; jet itself when precision is None."""
+    if precision is None:
+        return jet
+    return TruncatedJet(LaurentJet(jet.kind, jet.lowest_exp,
+                                   jet.coeffs[:max(precision - jet.lowest_exp, 0)]), precision)
+
+
+def series_floor(x) -> int | None:
+    """A proven lower bound for the valuation of a series: its precision
+    when it is zero to that precision, None (+infinity) when exactly zero."""
+    jet, precision = _series(x)
+    return jet.lowest_exp if jet.coeffs else precision
+
+
+def series_add(x, y):
+    (a, p), (b, q) = _series(x), _series(y)
+    return _truncated(ref_jet_add(a, b), q if p is None else p if q is None else min(p, q))
+
+
+def series_neg(x):
+    jet, precision = _series(x)
+    return _truncated(-jet, precision)
+
+
+def series_mul(x, y):
+    """An exact zero factor gives an exact zero; otherwise the product is
+    known up to the least (valuation floor of one factor + precision of
+    the other)."""
+    (a, p), (b, q) = _series(x), _series(y)
+    if (p is None and not a.coeffs) or (q is None and not b.coeffs):
+        return LaurentJet.zero(a.kind)
+    known = [f + r for f, r in ((series_floor(x), q), (series_floor(y), p)) if r is not None]
+    return _truncated(ref_jet_mul(a, b), min(known, default=None))
+
+
+def series_conj(x):
+    jet, precision = _series(x)
+    return _truncated(jet.conj(), precision)
+
+
+def series_inverse(x):
+    """The inverse of a series of valuation v with an invertible lowest
+    coefficient: exact for an exact monomial, else known modulo t^(16 - v)
+    when x is exact and modulo t^(P - 2v), the most it determines, when x
+    is known modulo t^P."""
+    jet, precision = _series(x)
+    if precision is None and len(jet.coeffs) == 1:
+        return jet.inverse()
+    v = jet.lowest_exp
+    return jet.inverse(16 - v if precision is None else precision - 2 * v)
+
+
+def jets_agree(x, y) -> bool:
+    """Equality of two series up to the smaller of their precisions."""
+    (a, p), (b, q) = _series(x), _series(y)
+    known = q if p is None else p if q is None else min(p, q)
+    d = a - b
+    return not d.coeffs or (known is not None and d.lowest_exp >= known)
+
+
+# A matrix of series is a list of rows: a JetMatrix holds only exact
+# entries, and the references below carry truncated inverses through
+# their products.
 
 def rows_agree(a: list, b: list) -> bool:
     return all(jets_agree(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def rows_tau(a: list) -> list:
-    """The conjugate transpose of a matrix of jets."""
-    return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a))]
+    """The conjugate transpose of a matrix of series."""
+    return [[series_conj(a[j][i]) for j in range(len(a))] for i in range(len(a))]
 
 
 def ref_rows_mul(a: list, b: list) -> list:
-    """Entry by entry, a running jet sum of jet products, skipping the
-    exactly zero entries of a."""
+    """Entry by entry, a running series sum of series products, skipping
+    the exactly zero entries of a; on exact rows, the per-Scalar product."""
     rows = []
     for row in a:
         out = []
         for col in zip(*b):
             acc = LaurentJet.zero(row[0].kind)
             for x, y in zip(row, col):
-                if x.coeffs or not x.is_exact:
-                    acc = ref_jet_add(acc, ref_jet_mul(x, y))
+                if not x.is_exact or x.coeffs:
+                    acc = series_add(acc, series_mul(x, y))
             out.append(acc)
         rows.append(out)
     return rows
@@ -177,40 +239,31 @@ def ref_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
     return JetMatrix.of(ref_rows_mul(a.rows, b.rows))
 
 
-def ref_geometric_inverse(jet: LaurentJet, precision: int | None = None) -> LaurentJet:
-    """The unit part's inverse as the geometric series sum (-z)^k, with
-    z = lead^-1 * unit - 1, one jet product per term: the reference for
-    the coefficient recurrence in ``LaurentJet.inverse``."""
+def ref_geometric_inverse(jet: LaurentJet, precision: int) -> TruncatedJet:
+    """The inverse of jet modulo t^precision as the geometric series: the
+    unit part's inverse is the sum of (-z)^k, z = lead^-1 * unit - 1, one
+    exact jet product per term, each cut at t^(precision + v) for v the
+    valuation: the reference for the recurrence in ``LaurentJet.inverse``."""
     if not jet.coeffs:
-        raise IndeterminateValuation("cannot invert zero" if jet.precision is None else
-                                     "cannot invert a jet that is zero to precision")
-    v = jet.lowest_exp
-    lead = jet.coeffs[0]
-    lead_inv = lead.inverse()  # NotInvertible propagates
-    if len(jet.coeffs) == 1 and jet.precision is None and precision is None:
-        return LaurentJet(jet.kind, -v, (lead_inv,), None)
-    if jet.precision is not None:
-        target = _min_prec(precision, jet.precision - 2 * v)
-    else:
-        target = DEFAULT_PRECISION - v if precision is None else precision
-    unit_prec = target + v  # precision of the valuation-zero unit part
+        raise IndeterminateValuation("cannot invert zero")
+    v, kind, one = jet.lowest_exp, jet.kind, LaurentJet.one(jet.kind)
+    lead_inv = jet.coeffs[0].inverse()  # NotInvertible propagates
+    unit_prec = precision + v  # precision of the valuation-zero unit part
     if unit_prec <= 0:
         raise InsufficientPrecision(
-            f"inverse of a valuation-{v} jet known modulo t^{jet.precision} "
-            "would carry no coefficients")
-    unit = LaurentJet(jet.kind, 0, jet.coeffs, unit_prec)
-    z = LaurentJet(jet.kind, unit.lowest_exp, tuple(lead_inv * c for c in unit.coeffs),
-                   unit.precision) - LaurentJet.one(jet.kind)  # valuation >= 1
-    acc = LaurentJet.one(jet.kind)
-    term = LaurentJet.one(jet.kind)
+            f"inverse of a valuation-{v} jet modulo t^{precision} would carry no coefficients")
+
+    def cut(x: LaurentJet) -> LaurentJet:
+        return _truncated(x, unit_prec).jet
+
+    z = LaurentJet(kind, 0, [lead_inv * c for c in jet.coeffs]) - one  # valuation >= 1
+    acc = term = one
     for _ in range(unit_prec - 1):
-        term = -(term * z)
+        term = cut(-(term * z))
         if term.is_zero():
             break
         acc = acc + term
-    inv_unit = LaurentJet(acc.kind, acc.lowest_exp, tuple(c * lead_inv for c in acc.coeffs),
-                          acc.precision)
-    return LaurentJet(jet.kind, inv_unit.lowest_exp - v, inv_unit.coeffs, unit_prec - v)
+    return TruncatedJet(LaurentJet(kind, -v, [c * lead_inv for c in acc.coeffs]), precision)
 
 
 def sample_element(order: BlockOrder, rng: Random, *, radical: bool = False,
@@ -258,7 +311,7 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> list:
     The rows of a^-1, truncated where a pivot is not a monomial.
 
     Pivots need a determinate valuation and an invertible leading
-    coefficient (extended kinds can contain zero divisors).  Entries
+    coefficient (extended kinds can contain zero divisors).  Series
     that are zero to their precision are never pivots; a column left
     without a pivot raises InsufficientPrecision if it holds such an
     entry, unless a is singular over the Laurent field, and NotInvertible
@@ -270,14 +323,14 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> list:
     for col in range(n):
         best, best_inv, vague = None, None, False
         for r in range(col, n):
-            e = work[r][col]
-            if not e.coeffs:
-                vague = vague or not e.is_exact
+            floor = series_floor(work[r][col])
+            if not _series(work[r][col])[0].coeffs:
+                vague = vague or floor is not None
                 continue
-            if best is not None and e.valuation() >= work[best][col].valuation():
+            if best is not None and floor >= series_floor(work[best][col]):
                 continue
             try:
-                inv = e.inverse()
+                inv = series_inverse(work[r][col])
             except NotInvertible:
                 continue
             best, best_inv = r, inv
@@ -287,14 +340,12 @@ def ref_gauss_jordan_inverse(a: JetMatrix) -> list:
         if best is None:
             raise NotInvertible(f"no usable pivot in column {col}")
         work[col], work[best] = work[best], work[col]
-        work[col] = [best_inv * e for e in work[col]]
+        work[col] = [series_mul(best_inv, e) for e in work[col]]
         for r in range(n):
-            if r == col:
-                continue
             f = work[r][col]
-            if f.is_zero():
+            if r == col or not _series(f)[0].coeffs:
                 continue
-            work[r] = [e - f * p for e, p in zip(work[r], work[col])]
+            work[r] = [series_add(e, series_neg(series_mul(f, p))) for e, p in zip(work[r], work[col])]
     return [row[n:] for row in work]
 
 
@@ -418,7 +469,7 @@ def wellformed_by_products(spec: InvolutionSpec) -> Diagnostics:
             g = single_entry(kind, n, i, j, LaurentJet.t_power(kind, p[i][j]))
             image = ref_rows_mul(ref_rows_mul(ainv, g.conj_transpose().rows), a.rows)
             # as meets_pattern: an entry zero to its precision is read at that bound
-            floors = [[e.valuation_floor() for e in row] for row in image]
+            floors = [[series_floor(e) for e in row] for row in image]
             bad = next(((k, l) for k in range(n) for l in range(n)
                         if floors[k][l] is not None and floors[k][l] < p[k][l]), None)
             if bad is not None:

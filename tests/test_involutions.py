@@ -158,9 +158,10 @@ def test_sigma_on_the_bundled_gauge_stays_in_the_order():
 
 
 def test_gauge_inverse_at_low_precision_is_insufficient_precision():
-    # with each entry known to three coefficients, a Gauss-Jordan pivot
-    # would cancel to a jet known only to be zero modulo a power of t; a
-    # matrix holds exact entries only, so this one is refused when built
+    # a Gauss-Jordan pivot among truncated series can cancel to a series
+    # known only to be zero modulo a power of t; a matrix holds exact
+    # entries only, so a gauge of series known modulo t^3 (here the
+    # entries' inverses) is refused when built
     t = LaurentJet.t_power
     z = LaurentJet.zero(BASE)
     gauge = JetMatrix.of([
@@ -169,18 +170,18 @@ def test_gauge_inverse_at_low_precision_is_insufficient_precision():
         [z, t(BASE, -1, -2), t(BASE, -1, 2)],
     ])
     with pytest.raises(InsufficientPrecision, match="matrix entries are exact"):
-        entrywise(lambda e: LaurentJet(BASE, e.lowest_exp, e.coeffs, e.lowest_exp + 3)
-                  if e.coeffs else e, gauge)
+        entrywise(lambda e: e.inverse(3) if e.coeffs else e, gauge)
     assert gauge @ gauge.inverse() == JetMatrix.diagonal([LaurentJet.one(BASE)] * 3)
 
 
 def test_sigma_with_a_truncated_gauge_is_insufficient_precision():
-    # b = I is the known part of this gauge, but its exact completion
+    # this gauge is known modulo t^2, and its exact completion
     # [[1, t], [t, 1]] has the inverse (1 - t^2)^-1 * [[1, -t], [-t, 1]],
     # which is no Laurent polynomial
-    one, unknown, t = LaurentJet.one(BASE), LaurentJet.zero(BASE, 1), LaurentJet.t_power(BASE, 1)
+    one, t = LaurentJet.one(BASE), LaurentJet.t_power(BASE, 1)
+    known = LaurentJet.t_power(BASE, -1).inverse(2)  # t mod t^2
     with pytest.raises(InsufficientPrecision):
-        JetMatrix.of([[one, unknown], [unknown, one]])
+        JetMatrix.of([[one, known], [known, one]])
     spec = InvolutionSpec(order(1, 1), JetMatrix.of([[one, t], [t, one]]))
     with pytest.raises(NotInvertible, match="not a unit over the Laurent polynomials"):
         apply_sigma(spec, JetMatrix.diagonal([one] * 2))
@@ -934,7 +935,7 @@ def test_a_spec_shared_by_eight_threads_gives_equal_results():
 def test_truncated_gauge_is_insufficient_precision():
     # refused when the gauge is built, before any involution is declared
     with pytest.raises(InsufficientPrecision):
-        JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1], precision=4)])
+        JetMatrix.diagonal([LaurentJet.from_coeffs(BASE, 0, [1, 1]).inverse(4)])
 
 
 @pytest.mark.parametrize("epsilon", [1.0, -1.0])

@@ -155,11 +155,22 @@ def test_a_zero_row_is_singular_without_an_evaluation(monkeypatch):
         assert bool(calls) is evaluated
 
 
-def exact_jet(kind, rng) -> LaurentJet:
-    """``kernel_jet`` without its precision: a zero-to-precision jet
-    becomes an exact zero, a truncated one its exact window."""
-    x = kernel_jet(kind, rng)
-    return LaurentJet(kind, x.lowest_exp, x.coeffs)
+def test_an_open_component_is_evaluated_at_d_plus_one_points():
+    """[[1, 1], [1, 1 + t(t - 1)...(t - 6)]]: the leading matrix [[1, 1],
+    [1, 1]] is singular but no row is zero, so the component is open, and
+    D = 7 (the second row spans t^0..t^7).  det = t(t - 1)...(t - 6) is
+    nonzero, yet it vanishes at 6 of the points 1, ..., D + 1 = 8, so a
+    count of D - 1 points or of D // 2 reads the matrix singular.  A count
+    of D still passes, as det is nonzero at t = 7: a singular leading
+    matrix puts a root at t = 0, so no such det vanishes at D of the
+    points (ROADMAP item 16)."""
+    poly = [1]
+    for root in range(7):  # times (t - root), coefficients from t^0 up
+        poly = [a - root * b for a, b in zip([0] + poly, poly + [0])]
+    poly[0] += 1
+    a = mat([[1], [1]], [[1], poly])
+    assert list(a._readings()) == [([0, 1], None)]
+    assert a.field_invertible() and ref_field_invertible(a)
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
@@ -167,7 +178,7 @@ def test_matmul_matches_the_per_scalar_reference(kind):
     rng = Random(37)
     for _ in range(12):
         n = rng.randint(1, 3)
-        a, b = (JetMatrix(kind, tuple(tuple(exact_jet(kind, rng) for _ in range(n))
+        a, b = (JetMatrix(kind, tuple(tuple(kernel_jet(kind, rng) for _ in range(n))
                                       for _ in range(n))) for _ in range(2))
         assert a @ b == ref_matmul(a, b)
 

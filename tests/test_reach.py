@@ -28,7 +28,7 @@ UNENTERED = {
     "scalars": {"default_precision", "Scalar.one", "Scalar.__sub__", "Scalar.__neg__",
                 "Scalar.times", "Scalar.inverse", "_solutions", "LaurentJet.__add__",
                 "LaurentJet.__neg__", "LaurentJet.__sub__", "LaurentJet.inverse",
-                "LaurentJet.__pow__", "_min_prec"},
+                "LaurentJet.__pow__", "TruncatedJet.__str__"},
     "session": {"_Cursor.col", "_Cursor.at", "_width", "_size", "_work", "_multiplier_bits",
                 "_product", "_raised", "_Parser._validate_check.error",
                 "_format_arg", "print_session"},

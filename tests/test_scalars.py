@@ -16,11 +16,11 @@ from horders.errors import (
 )
 from horders.scalars import (
     BASE,
-    DEFAULT_PRECISION,
     QUATERNION,
     LaurentJet,
     Scalar,
     ScalarKind,
+    TruncatedJet,
     _components,
     _jet_of,
     _rows_of,
@@ -47,14 +47,15 @@ from helpers import (
     ref_mul,
     ref_norm,
     ref_str,
+    series_mul,
 )
 
 QUAD = quadratic(-1)
 KINDS = [BASE, QUAD, quadratic(-3), QUATERNION]
 
 
-def jet(kind, lowest, coeffs, precision=None):
-    return LaurentJet.from_coeffs(kind, lowest, coeffs, precision)
+def jet(kind, lowest, coeffs):
+    return LaurentJet.from_coeffs(kind, lowest, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def jet(kind, lowest, coeffs, precision=None):
 
 
 def test_the_default_precision_is_sixteen():
-    assert default_precision() == DEFAULT_PRECISION == 16
+    assert default_precision() == 16
 
 
 def test_rational_storage_is_canonical():
@@ -144,15 +145,18 @@ def test_a_scalar_has_exactly_dim_coordinates():
     lambda: LaurentJet.from_coeffs(BASE, 0, [1, 0.25]),
     lambda: LaurentJet.t_power(BASE, 1.5),
     lambda: LaurentJet(BASE, 0.5, (Scalar.one(BASE),)),
-    lambda: LaurentJet.zero(BASE, 2.0),
-    lambda: LaurentJet.from_coeffs(BASE, 0, [1, 2], 1.5),
+    lambda: LaurentJet.from_coeffs(BASE, 0, [1, 2]).inverse(1.5),
+    lambda: LaurentJet.from_coeffs(BASE, 0, [1, 2]) ** 0.0,
+    lambda: LaurentJet.from_coeffs(BASE, 0, [1, 2]) ** 2.0,
+    lambda: LaurentJet.t_power(BASE, 1) ** -1.0,
 ], ids=["of", "init", "rational", "times", "constant", "t_power", "from_coeffs",
-        "exponent", "lowest_exp", "zero_precision", "precision"])
+        "exponent", "lowest_exp", "precision", "power_zero", "power", "negative_power"])
 def test_float_input_is_refused(make):
     # Scalar.of(BASE, 0.1) used to store 3602879701896397/36028797018963968;
     # t_power(BASE, 1.5) printed as t^1.5, the matrix [[t^0.5]] read as
     # invertible over the Laurent field, and a float precision failed in a
-    # slice, with no word of the float
+    # slice with no word of the float; x ** 0.0 returned one, and x ** 2.0
+    # failed inside the repeated squaring
     with pytest.raises(TypeError, match="float"):
         make()
 
@@ -169,7 +173,7 @@ def test_float_input_is_refused(make):
      "scalar sqrt(-1) is not rational"),
     (lambda: LaurentJet(BASE, 0, [Scalar.one(QUAD)]), ScalarKindMismatch,
      "coefficient kind quadratic(-1) in a base jet"),
-    (lambda: LaurentJet.zero(BASE, 3).degree(), IndeterminateValuation, "zero jet has no degree"),
+    (lambda: LaurentJet.zero(BASE).degree(), IndeterminateValuation, "zero jet has no degree"),
 ])
 def test_scalar_guards(call, error, message):
     with pytest.raises(error) as err:
@@ -401,23 +405,21 @@ def test_basis_products_match_the_unit_vector_products(kind):
 
 
 def test_jet_addition_cancels():
-    a = jet(BASE, 1, [1, 1], 5)   # t + t^2
-    b = jet(BASE, 1, [-1], 4)     # -t
-    out = a + b
-    assert out == jet(BASE, 2, [1], 4)
-    assert out.precision == 4
+    a = jet(BASE, 1, [1, 1])   # t + t^2
+    b = jet(BASE, 1, [-1])     # -t
+    assert a + b == jet(BASE, 2, [1])
 
 
 def test_jet_addition_identity():
-    x = jet(BASE, -1, [2, 0, 3], 7)
+    x = jet(BASE, -1, [2, 0, 3])
     assert LaurentJet.zero(BASE) + x == x
 
 
 def test_jet_addition_at_high_exponent():
-    a = jet(BASE, 0, [1] + [0] * 14 + [1], 16)  # 1 + t^15 known mod t^16
+    a = jet(BASE, 0, [1] + [0] * 14 + [1])  # 1 + t^15
     b = LaurentJet.one(BASE)
     out = a + b
-    assert out == jet(BASE, 0, [2] + [0] * 14 + [1], 16)
+    assert out == jet(BASE, 0, [2] + [0] * 14 + [1])
 
 
 def test_jet_multiplication():
@@ -436,21 +438,18 @@ def test_jet_multiplication_noncommutative_scalars():
 
 
 def kernel_jet(kind, rng):
-    """An exact, truncated, zero-to-precision or exactly zero jet, from
-    exponent -4 up, with coefficients over differing denominators."""
-    shape = rng.choice(("exact", "exact", "truncated", "truncated", "zero", "exact zero"))
-    if shape == "zero":
-        return LaurentJet.zero(kind, rng.randint(-3, 5))
-    if shape == "exact zero":
+    """A jet from exponent -4 up, with coefficients over differing
+    denominators, or zero one time in five."""
+    if rng.random() < 0.2:
         return LaurentJet.zero(kind)
     lo = rng.randint(-4, 3)
     coeffs = [Scalar(kind, fraction_parts(kind, rng)) for _ in range(rng.randint(1, 5))]
-    return LaurentJet(kind, lo, coeffs, None if shape == "exact" else lo + rng.randint(0, 6))
+    return LaurentJet(kind, lo, coeffs)
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
 def test_jet_kernel_matches_the_per_scalar_reference(kind):
-    # jet equality compares the coefficient window and the precision
+    # jet equality compares the coefficient window
     rng = Random(31)
     for _ in range(80):
         x, y = kernel_jet(kind, rng), kernel_jet(kind, rng)
@@ -462,7 +461,7 @@ def test_jet_kernel_matches_the_per_scalar_reference(kind):
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
 def test_an_accumulated_jet_is_the_jet_the_constructor_builds(kind):
     # the reference sums reduced Scalars per exponent and lets the public
-    # constructor check kinds, strip zero ends and truncate
+    # constructor check kinds and strip zero ends
     rng = Random(47)
     zero = Scalar.zero(kind)
     for trial in range(60):
@@ -489,21 +488,16 @@ def test_an_accumulated_jet_is_the_jet_the_constructor_builds(kind):
             c = Scalar(kind, [Q(x, 2) for x in v])
             added(e, c)
             added(e, -c)
-        precision = rng.choice((None, None, rng.randint(lo - 1, hi + 1)))
-        if not sums:
-            ref = LaurentJet(kind, 0, (), precision)
-        else:
-            first = min(sums)
-            ref = LaurentJet(kind, first, [sums.get(e, zero) for e in range(first, max(sums) + 1)],
-                             precision)
-        got = _jet_of(kind, _sum(values), precision)
+        first = min(sums)
+        ref = LaurentJet(kind, first, [sums.get(e, zero) for e in range(first, max(sums) + 1)])
+        got = _jet_of(kind, _sum(values))
         assert got == ref
         assert type(got.coeffs) is tuple and all(c.kind is kind for c in got.coeffs)
 
 
 def test_jet_sums_reduce_over_the_lcm_of_the_denominators():
     x = jet(BASE, -1, [Q(1, 6), Q(1, 4)])
-    y = jet(BASE, -1, [Q(1, 10), Q(-1, 4), Q(2, 3)], 3)
+    y = jet(BASE, -1, [Q(1, 10), Q(-1, 4), Q(2, 3)])
     assert _rows_of(x) == ({-1: (2,), 0: (3,)}, 12, False)
     assert _rows_of(y) == ({-1: (6,), 0: (-15,), 1: (40,)}, 60, False)
     # one denominator: each row is its coefficient's own numerators, not rescaled
@@ -511,27 +505,34 @@ def test_jet_sums_reduce_over_the_lcm_of_the_denominators():
     assert all(row is c.num for row, c in zip(_rows_of(same)[0].values(), same.coeffs[::2]))
     assert _sum([({0: (1,)}, 6, True), ({0: (1,), 1: (3,)}, 10, False)]) == (
         {0: (8,), 1: (9,)}, 30, False)
-    assert x + y == jet(BASE, -1, [Q(4, 15), 0, Q(2, 3)], 3)
-    assert x * y == jet(BASE, -2, [Q(1, 60), Q(-1, 60), Q(7, 144), Q(1, 6)], 2)
-
-
-def test_jet_product_precision_contract():
-    a = jet(BASE, 1, [1], 5)    # t known mod t^5
-    b = jet(BASE, 2, [3], 9)    # 3t^2 known mod t^9
-    assert (a * b).precision == min(1 + 9, 2 + 5)
+    assert x + y == jet(BASE, -1, [Q(4, 15), 0, Q(2, 3)])
+    assert x * y == jet(BASE, -2, [Q(1, 60), Q(-1, 60), Q(7, 144), Q(1, 6)])
 
 
 def test_jet_inverse_geometric_series():
-    one_plus_t = jet(BASE, 0, [1, 1], 3)
-    assert one_plus_t.inverse() == jet(BASE, 0, [1, -1, 1], 3)
+    inv = jet(BASE, 0, [1, 1]).inverse(3)
+    assert inv == TruncatedJet(jet(BASE, 0, [1, -1, 1]), 3)
+    assert not inv.is_exact and inv.kind is BASE
+    assert str(inv) == "1 - t + t^2 mod t^3"
+    with pytest.raises(TypeError):
+        inv + inv  # a truncated series has no arithmetic
 
 
-def test_explicit_inverse_precision_is_capped_by_what_the_jet_knows():
-    x = jet(BASE, 0, [1, 1], 3)         # 1 + t known mod t^3
-    y = jet(BASE, 0, [1, 1, 0, 5])      # the exact 1 + t + 5t^3, which x agrees with
-    assert jets_agree(x, y)
-    assert x.inverse(10).precision == 3
-    assert jets_agree(x.inverse(10), y.inverse(10))
+def test_only_a_monomial_jet_inverts_exactly():
+    # 1 + t is a unit of the Laurent field, but no Laurent polynomial
+    # inverts it
+    x = jet(BASE, 0, [1, 1])
+    for call in (x.inverse, lambda: x ** -1):
+        with pytest.raises(NotInvertible,
+                           match=r"^jet 1 \+ t is not a unit over the Laurent polynomials"):
+            call()
+
+
+def test_a_series_inverse_reads_only_the_coefficients_below_its_precision():
+    x = jet(BASE, 0, [1, 1])         # 1 + t
+    y = jet(BASE, 0, [1, 1, 0, 5])   # 1 + t + 5t^3, which agrees with x modulo t^3
+    assert x.inverse(3) == y.inverse(3)
+    assert x.inverse(4) != y.inverse(4)
 
 
 def test_jet_inverse_monomial_is_exact():
@@ -543,45 +544,42 @@ def test_jet_inverse_monomial_is_exact():
 
 def test_jet_inverse_quaternion():
     qi = Scalar.basis(QUATERNION, 1)
-    a = jet(QUATERNION, 0, [Scalar.one(QUATERNION), qi], 3)  # 1 + qi*t
-    inv = a.inverse()
-    assert inv == jet(QUATERNION, 0, [Scalar.one(QUATERNION), -qi, Scalar.of(QUATERNION, -1)], 3)
-    product = a * inv
-    assert jets_agree(product, LaurentJet.one(QUATERNION))
+    a = jet(QUATERNION, 0, [Scalar.one(QUATERNION), qi])  # 1 + qi*t
+    inv = a.inverse(3)
+    assert inv == TruncatedJet(
+        jet(QUATERNION, 0, [Scalar.one(QUATERNION), -qi, Scalar.of(QUATERNION, -1)]), 3)
+    assert jets_agree(series_mul(a, inv), LaurentJet.one(QUATERNION))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_jet_inverse_round_trip(kind):
     rng = Random(23)
     for _ in range(100):
-        a = random_jet(kind, rng, precision=9)
+        a = random_jet(kind, rng)
         if a.is_zero():
             continue
-        assert jets_agree(a * a.inverse(), LaurentJet.one(kind))
+        assert jets_agree(series_mul(a, a.inverse(9)), LaurentJet.one(kind))
 
 
 @pytest.mark.parametrize("kind", REF_KINDS, ids=str)
 def test_jet_inverse_matches_the_geometric_series_reference(kind):
-    # the same coefficients exact and truncated at two precisions, inverted
-    # at the default precision and at explicit ones below and above the
-    # most the jet determines (P - 2v; DEFAULT_PRECISION - v when exact)
+    # at precisions from one that leaves no coefficient (-v, v the
+    # valuation) to the 16 that perfbench times
     rng = Random(43)
     for _ in range(12):
         lo = rng.randint(-3, 3)
         coeffs = [Scalar(kind, fraction_parts(kind, rng)) for _ in range(rng.randint(1, 5))]
         if kind in SPLIT_KINDS and rng.random() < 0.3:
             coeffs[0] = Scalar.ext_gen(kind) + Scalar.basis(kind, 1)  # a zero divisor
-        for prec in (None, lo + 2, lo + 7):
-            x = LaurentJet(kind, lo, coeffs, prec)
-            known = DEFAULT_PRECISION - x.lowest_exp if prec is None else prec - 2 * x.lowest_exp
-            for precision in (None, known - 3, known + 4):
-                try:
-                    want = ref_geometric_inverse(x, precision)
-                except (NotInvertible, IndeterminateValuation, InsufficientPrecision) as exc:
-                    with pytest.raises(type(exc)):
-                        x.inverse(precision)
-                    continue
-                assert x.inverse(precision) == want
+        x = LaurentJet(kind, lo, coeffs)
+        for precision in (-x.lowest_exp, 1 - x.lowest_exp, 5 - x.lowest_exp, 16):
+            try:
+                want = ref_geometric_inverse(x, precision)
+            except (NotInvertible, IndeterminateValuation, InsufficientPrecision) as exc:
+                with pytest.raises(type(exc)):
+                    x.inverse(precision)
+                continue
+            assert x.inverse(precision) == want
 
 
 def test_valuation_multiplicative_on_1000_random_jets():
@@ -597,19 +595,21 @@ def test_valuation_multiplicative_on_1000_random_jets():
         checked += 1
 
 
-def test_zero_to_precision_valuation_is_flagged():
-    z = LaurentJet.zero(BASE, precision=5)
-    assert z.is_zero() and not z.is_exact
-    with pytest.raises(IndeterminateValuation):
+def test_zero_has_no_valuation():
+    z = LaurentJet.zero(BASE)
+    assert z.is_zero() and z.is_exact
+    with pytest.raises(IndeterminateValuation, match="zero jet has no valuation"):
         z.valuation()
-    assert z.valuation_floor() == 5
+    assert z.valuation_floor() is None
+    with pytest.raises(IndeterminateValuation, match="cannot invert zero"):
+        z.inverse(4)
 
 
-def test_coeff_beyond_precision_is_refused():
-    a = jet(BASE, 0, [1], 2)
-    assert a.coeff(1) == Scalar.zero(BASE)
-    with pytest.raises(InsufficientPrecision):
-        a.coeff(2)
+def test_a_series_inverse_with_no_coefficients_is_refused():
+    # t^2 inverts to t^-2, so modulo t^-2 nothing of it is known
+    with pytest.raises(InsufficientPrecision,
+                       match=r"inverse of a valuation-2 jet modulo t\^-2 would carry no"):
+        jet(BASE, 2, [1, 1]).inverse(-2)
 
 
 def test_exact_zero_times_anything_is_exact_zero():
@@ -664,20 +664,20 @@ def test_monomial_powers_equal_repeated_products(kind):
 def test_jet_powers_equal_the_kfold_product(kind):
     rng = Random(41)
     for _ in range(30):
-        x = random_jet(kind, rng, precision=rng.choice([None, None, 2, 5]))
+        x = random_jet(kind, rng)
         k = rng.randint(-5, 9)
         try:
             want = kfold_power(x, k)
-        except (NotInvertible, IndeterminateValuation, InsufficientPrecision) as exc:
+        except (NotInvertible, IndeterminateValuation) as exc:
             with pytest.raises(type(exc)):
                 x ** k
             continue
         assert x ** k == want
 
 
-def test_huge_negative_power_takes_logarithmically_many_products(monkeypatch):
+def test_huge_powers_take_logarithmically_many_products(monkeypatch):
     k = 99999999
-    cap = DEFAULT_PRECISION + 2 * k.bit_length()  # the inverse, then square-and-multiply
+    cap = 2 * k.bit_length()  # square-and-multiply
     mul, calls = LaurentJet.__mul__, []
 
     def counted(a, b):
@@ -687,10 +687,11 @@ def test_huge_negative_power_takes_logarithmically_many_products(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(LaurentJet, "__mul__", counted)
-    power = jet(BASE, 0, [1, 1]) ** -k
-    # (1 + t)^-k = sum over j of (-1)^j * C(k + j - 1, j) * t^j
-    assert power == jet(BASE, 0, [(-1) ** j * math.comb(k + j - 1, j)
-                                  for j in range(DEFAULT_PRECISION)], DEFAULT_PRECISION)
+    x = jet(QUATERNION, -1, [Scalar.basis(QUATERNION, 2)])
+    assert x ** -k == LaurentJet.t_power(QUATERNION, k, Scalar.basis(QUATERNION, 2))
+    with pytest.raises(NotInvertible):  # before any product
+        jet(BASE, 0, [1, 1]) ** -k
+    assert len(calls) <= cap
 
 
 def test_huge_monomial_powers_are_direct():

@@ -193,7 +193,7 @@ def test_laurent_literals_parse():
     assert parse_session(print_session(s)) == s
 
 
-_TRUNCATED = LaurentJet.from_coeffs(BASE, 0, [1, 1], precision=3)  # 1 + t mod t^3
+_TRUNCATED = LaurentJet.from_coeffs(BASE, 0, [1, -1, 1]).inverse(3)  # 1 + t mod t^3
 _ONE = LaurentJet.one(BASE)
 _SESSION = ("division D = base s=1 t=1\norder A = block(D; 1)\n"
             "involution s on A : gauge diag(1) eps +1 conj none\n")

@@ -485,14 +485,13 @@ def test_invertibility_is_decided_beyond_t_equal_one():
 
 
 def test_inexact_inputs_are_refused():
-    # refused when built: u by JetMatrix, alpha by WitnessCheck
+    # refused when built: u by JetMatrix, alpha by WitnessCheck; each
+    # truncated value here is a series inverse modulo t^8
     spec1, spec2, w_fiber, _ = counterexample_pair()
-    with pytest.raises(InsufficientPrecision):
-        entrywise(lambda e: LaurentJet(e.kind, e.lowest_exp, e.coeffs, 8), w_fiber.u)
-    alpha = w_fiber.alpha
-    with pytest.raises(InsufficientPrecision):
-        WitnessCheck(w_fiber.u, LaurentJet(alpha.kind, alpha.lowest_exp, alpha.coeffs, 8),
-                     MODE_F, spec1, spec2)
+    with pytest.raises(InsufficientPrecision, match="matrix entries are exact"):
+        entrywise(lambda e: e.inverse(8) if e.coeffs else e, w_fiber.u)
+    with pytest.raises(InsufficientPrecision, match="alpha is an exact Laurent polynomial"):
+        WitnessCheck(w_fiber.u, w_fiber.alpha.inverse(8), MODE_F, spec1, spec2)
 
 
 # ---------------------------------------------------------------------------
