@@ -221,18 +221,40 @@ def in_radical(order: BlockOrder, x: JetMatrix) -> bool:
 def cyclic_normal_form(parts: Iterable[int]) -> tuple[int, ...]:
     """Lexicographically least rotation; canonical cyclic representative.
 
-    A rotation that starts above the least part m is greater than one
-    that starts with m, so only the rotations at the ``parts.count(m)``
-    positions that ``parts.index`` finds are compared, in order, each a
-    slice of parts + parts.  When the rotation at k equals the best one
-    so far, at j < k, parts is (k - j)-periodic: every later rotation at
-    k' equals the one at k' - (k - j), a start of m between j and k',
-    already compared."""
+    Above 64 parts the start k of the least rotation is found in O(n)
+    comparisons by Booth's failure function over parts + parts (K. S.
+    Booth, "Lexicographically least circular substrings", Inf. Process.
+    Lett. 10, 1980): ``fail[i]`` is the failure function of the candidate
+    twice[k:], and a mismatch that is less than the candidate's next part
+    moves k to the start of the matched suffix.  Up to 64 parts a scan
+    with no per-part Python loop is faster: a rotation that starts above
+    the least part m is greater than one that starts with m, so only the
+    rotations at the ``parts.count(m)`` positions that ``parts.index``
+    finds are compared, in order, each a slice of parts + parts.  When the
+    rotation at k equals the best one so far, at j < k, parts is
+    (k - j)-periodic: every later rotation at k' equals the one at
+    k' - (k - j), a start of m between j and k', already compared.  The
+    scan takes O(n) per tie, so O(n^2) on n ones and a 2."""
     parts = tuple(parts)
     if not parts:
         raise ValueError("empty tuple has no rotations")
     least = min(parts)
     n, k, twice = len(parts), parts.index(least), parts + parts
+    if n > 64:
+        fail, k = [-1] * (2 * n), 0
+        for j in range(1, 2 * n):
+            x, i = twice[j], fail[j - k - 1]
+            while i != -1 and x != twice[k + i + 1]:
+                if x < twice[k + i + 1]:
+                    k = j - i - 1
+                i = fail[i]
+            if x == twice[k + i + 1]:
+                fail[j - k] = i + 1
+            else:  # i == -1: x starts no match of the candidate
+                if x < twice[k]:
+                    k = j
+                fail[j - k] = -1
+        return twice[k:k + n]
     best = twice[k:k + n]
     for _ in range(parts.count(least) - 1):
         k = parts.index(least, k + 1)

@@ -447,6 +447,10 @@ def _parse_entries(cur: _Cursor, kind: ScalarKind, brackets: str) -> list[Lauren
 
 @record
 class CheckDecl:
+    """A check with its arguments resolved when it is parsed: ``args`` as
+    its runner takes them, ``kwargs`` its (keyword, value) pairs.  The
+    names it refers to are the ``refs`` of its Declaration."""
+
     name: str
     func: str
     args: tuple
@@ -678,8 +682,8 @@ class _Parser:
         cur.expect("expect")
         expected = self._parse_expected(cur)
         cur.done()
-        self._validate_check(cur, at, args, positions, kwargs)
-        decl = CheckDecl(name, func, tuple(args), tuple(kwargs), expected)
+        values = self._validate_check(cur, at, args, positions, kwargs)
+        decl = CheckDecl(name, func, values, tuple((key, v) for key, (_, v) in kwargs), expected)
         self.define(Declaration("check", name, decl,
                                 tuple(a[1] for a in args if a[0] == "ref")), cur)
 
@@ -715,8 +719,10 @@ class _Parser:
                                  cur.line, cur.col(cur.pos))
 
     def _validate_check(self, cur: _Cursor, at: int, args: list, positions: list,
-                        kwargs: list) -> None:
-        """Checks the arguments of the check named by token ``at``."""
+                        kwargs: list) -> tuple:
+        """The arguments of the check named by token ``at`` as its runner
+        takes them: each name's payload, an ``sorder`` as a SemisimpleOrder,
+        and each integer or tuple as read."""
         func = cur.tokens[at]
         check = _CHECKS[func]
 
@@ -725,6 +731,7 @@ class _Parser:
 
         if len(args) != len(check.params):
             raise error(f"takes {len(check.params)} arguments, got {len(args)}")
+        values = []
         for arg, pos, want in zip(args, positions, check.params):
             if want not in ("int", "tuple"):
                 if arg[0] != "ref":
@@ -735,10 +742,15 @@ class _Parser:
                     raise SessionTypeError(
                         f"{func} expects a block order, {arg[1]!r} is a product",
                         cur.line, cur.col(pos))
+                if want == "sorder" and not isinstance(payload, SemisimpleOrder):
+                    payload = SemisimpleOrder((payload,))
+                values.append(payload)
             elif arg[0] != want:
                 raise error(f"expects a {want} argument, got {arg[0]}")
             elif min(arg[1] if want == "tuple" else (arg[1],)) < 1:
-                raise error(f"expects positive integers, got {_format_arg(arg)}")
+                raise error(f"expects positive integers, got {_format_arg(arg[1])}")
+            else:
+                values.append(arg[1])
         keys = [key for key, _ in kwargs]
         for key, value in kwargs:
             if key not in check.keywords:
@@ -746,9 +758,10 @@ class _Parser:
             if keys.count(key) > 1:
                 raise error(f"repeats keyword {key!r}")
             if key == "block":
-                r = self.symbols[args[0][1]].payload.order.sig.r
+                r = values[0].order.sig.r
                 if value[0] != "int" or not 1 <= value[1] <= r:
                     raise error(f"block must be an integer in 1..{r}")
+        return tuple(values)
 
 
 def parse_session(text: str) -> Session:
@@ -785,12 +798,9 @@ def _format_tuple(tp: tuple[int, ...]) -> str:
     return "(" + ",".join(exact_str(x) for x in tp) + ")"
 
 
-def _format_arg(arg: tuple) -> str:
-    """The source text of a check argument ``("ref" | "int" | "tuple", value)``."""
-    kind, value = arg
-    if kind == "ref":
-        return value
-    return _format_tuple(value) if kind == "tuple" else exact_str(value)
+def _format_arg(value: int | tuple[int, ...]) -> str:
+    """The source text of a check's integer or tuple argument."""
+    return _format_tuple(value) if isinstance(value, tuple) else exact_str(value)
 
 
 def print_session(session: Session) -> str:
@@ -820,7 +830,9 @@ def print_session(session: Session) -> str:
                 f"mode {word} u {w.u} alpha {w.alpha}")
         elif decl.kind == "check":
             c: CheckDecl = decl.payload
-            rendered = [_format_arg(a) for a in c.args]
+            names = iter(decl.refs)
+            rendered = [_format_arg(a) if want in ("int", "tuple") else next(names)
+                        for a, want in zip(c.args, _CHECKS[c.func].params)]
             rendered += [f"{key}={_format_arg(value)}" for key, value in c.kwargs]
             lines.append(
                 f"check {decl.name} = {c.func}({', '.join(rendered)}) expect {c.expected}")
@@ -849,10 +861,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-
-def _as_semisimple(obj) -> SemisimpleOrder:
-    return obj if isinstance(obj, SemisimpleOrder) else SemisimpleOrder((obj,))
 
 
 def _verdict(value: bool, detail: str = "") -> tuple[str, str]:
@@ -914,18 +922,6 @@ _CHECKS = {
 }
 
 
-def _dispatch(table: dict, decl: CheckDecl) -> tuple[str, str]:
-    """Returns (actual, detail); ``table`` maps every declared name that
-    a check can refer to onto its payload."""
-    check = _CHECKS[decl.func]
-    args = []
-    for (kind, value), want in zip(decl.args, check.params):
-        if kind == "ref":
-            value = table[value]
-        args.append(_as_semisimple(value) if want == "sorder" else value)
-    return check.run(*args, **{key: value[1] for key, value in decl.kwargs})
-
-
 def run_session(session: Session, seed: int = 0) -> Report:
     """Run every check declaration in order, comparing against its
     expectation.  Any exception a check raises becomes its row
@@ -935,13 +931,11 @@ def run_session(session: Session, seed: int = 0) -> Report:
     ``seed`` has no effect, since every check is exact; it is still
     accepted because ``perfbench/workloads.py`` passes it.
     """
-    table = {**session.orders, **session.involutions, **session.witnesses,
-             **session.divisions}
     results = []
     for decl in session.checks:
         start = time.perf_counter()
         try:
-            actual, detail = _dispatch(table, decl)
+            actual, detail = _CHECKS[decl.func].run(*decl.args, **dict(decl.kwargs))
         except Exception as exc:
             actual, detail = f"error {type(exc).__name__}", str(exc)
         elapsed = time.perf_counter() - start

@@ -24,8 +24,9 @@ on the etale root while it is evaluated, so a verified witness builds no
 copy of u, tau(u) or the gauges.  Only an entry that a result needs as a
 polynomial is rebuilt as a jet, from entries promoted one by one: the
 first mismatching entry of tau(u) * a2 * u, printed in the
-IdentityMismatch detail, and W[p][q], whose product with conj(a) must be
-central in ``transport_check``.
+IdentityMismatch detail (by its bits alone above ``DETAIL_BITS``), and
+W[p][q], whose product with conj(a) must be central in
+``transport_check``.
 
 * Units lift modulo the Jacobson radical (Reiner, *Maximal Orders*,
   ch. 9), and a block order modulo its radical is the product of its
@@ -147,6 +148,22 @@ class WitnessCheck:
         return kind.extended(self.mode.d) if self.mode.ring == ETALE else kind
 
 
+# A diagnostic prints a Laurent polynomial in full only while each of its
+# numerators and denominators has at most DETAIL_BITS bits (about 310
+# digits); a larger one prints its t-range and the bits of its longest,
+# read off the bit lengths with no decimal digit built.
+DETAIL_BITS = 1 << 10
+
+
+def _shown(x: LaurentJet) -> str:
+    bits = max((max(c.den.bit_length(), *map(int.bit_length, c.num)) for c in x.coeffs),
+               default=0)
+    if bits <= DETAIL_BITS:
+        return str(x)
+    return (f"a Laurent polynomial in t^{x.lowest_exp}..t^{x.lowest_exp + len(x.coeffs) - 1} "
+            f"with integers of up to {bits} bits")
+
+
 def _promote(x, kind: ScalarKind):
     return x if x.kind is kind or x.kind == kind else x.onto(kind)
 
@@ -160,14 +177,14 @@ def _is_mode_coefficient(s: Scalar) -> bool:
 
 def _alpha_unit(w: WitnessCheck, alpha: LaurentJet) -> Diagnostics:
     if any(not _is_mode_coefficient(c) for c in alpha.coeffs):
-        return failure("NotUnit", f"alpha = {alpha} does not lie in the {w.mode} ring")
+        return failure("NotUnit", f"alpha = {_shown(alpha)} does not lie in the {w.mode} ring")
     if alpha.is_zero():
         return failure("NotUnit", "alpha is zero")
     v = alpha.valuation()
     if w.mode.ring == GENERIC_FIBER:
         return OK
     if v != 0:
-        return failure("NotUnit", f"alpha = {alpha} has valuation {v}, not a unit")
+        return failure("NotUnit", f"alpha = {_shown(alpha)} has valuation {v}, not a unit")
     return OK
 
 
@@ -223,8 +240,8 @@ def verify_witness(w: WitnessCheck) -> Diagnostics:
         return failure(
             "IdentityMismatch",
             f"tau(u)*a2*u != alpha*a1 at entry {i + 1},{j + 1}: "
-            f"{_triple_entry(_tau_row(u, i, kind), a2, u, j)} vs "
-            f"{_promote(alpha, kind) * _promote(a1.entry(i, j), kind)}")
+            f"{_shown(_triple_entry(_tau_row(u, i, kind), a2, u, j))} vs "
+            f"{_shown(_promote(alpha, kind) * _promote(a1.entry(i, j), kind))}")
 
     diag = _ring_checks(w, u, alpha)
     if diag.ok and (w.mode.ring != GENERIC_FIBER or a1.field_invertible()):
@@ -244,7 +261,8 @@ def _ring_checks(w: WitnessCheck, u: JetMatrix, alpha: LaurentJet) -> Diagnostic
         if not ok:
             return failure(
                 "NotContained",
-                f"u entry {bad[0] + 1},{bad[1] + 1} = {u.entry(*bad)} violates the order pattern")
+                f"u entry {bad[0] + 1},{bad[1] + 1} = {_shown(u.entry(*bad))} violates the "
+                "order pattern")
         for k, (start, size) in enumerate(zip(sig.block_starts(), sig.parts)):
             block = tuple(tuple(u.entry(i, j).coeff(0) for j in range(start, start + size))
                           for i in range(start, start + size))

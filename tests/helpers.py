@@ -851,6 +851,24 @@ def ref_cyclic_normal_form(parts) -> tuple[int, ...]:
     return min(parts[k:] + parts[:k] for k, p in enumerate(parts) if p == least)
 
 
+def scan_cyclic_normal_form(parts) -> tuple[int, ...]:
+    """The rotations at the positions of the least part, compared in
+    order until one equals the best so far (parts is then periodic): the
+    scan ``orders.cyclic_normal_form`` keeps up to 64 parts, O(n) per tie."""
+    parts = tuple(parts)
+    least = min(parts)
+    n, k, twice = len(parts), parts.index(least), parts + parts
+    best = twice[k:k + n]
+    for _ in range(parts.count(least) - 1):
+        k = parts.index(least, k + 1)
+        rotation = twice[k:k + n]
+        if rotation <= best:
+            if rotation == best:
+                break
+            best = rotation
+    return best
+
+
 def ref_descend_signature(parts: tuple[int, ...], s: int, t: int) -> Signature:
     """Descent tested part by part: the reference for
     ``basechange.descend_signature``, with the same errors in the same

@@ -31,7 +31,7 @@ from horders.orders import (
 )
 from horders.scalars import BASE, QUATERNION, LaurentJet
 
-from helpers import entrywise, sample_block_unit, sample_element
+from helpers import entrywise, sample_block_unit, sample_element, scan_cyclic_normal_form
 
 D = DivisionSpec("D")
 
@@ -438,6 +438,27 @@ def test_cyclic_normal_form_is_the_least_rotation_with_many_ties_and_periods():
         tied += parts.count(min(parts)) > 1
         periodic += any(parts[d:] + parts[:d] == parts for d in range(1, len(parts)))
     assert tied >= 2000 and periodic >= 1000, (tied, periodic)
+
+
+def test_the_least_rotation_above_64_parts_matches_the_tie_scan():
+    # 65 to 400 parts: a block of up to 70 parts over few values repeated,
+    # sometimes with one part changed, then rotated; Booth's failure
+    # function must pick the rotation that the scan of the ties picks
+    rng = Random(47)
+    tied = periodic = 0
+    for _ in range(600):
+        values = rng.choice([(1, 1, 1, 2), (1, 2, 3), (0, -1, 0, 2), (5,), (1, 2)])
+        block = [rng.choice(values) for _ in range(rng.randint(1, 70))]
+        parts = block * rng.randint(65 // len(block) + 1, 400 // len(block) + 1)
+        if rng.random() < 0.3:
+            parts[rng.randrange(len(parts))] = rng.choice(values)
+        k = rng.randrange(len(parts))
+        parts = tuple(parts[k:] + parts[:k])
+        assert len(parts) > 64
+        assert cyclic_normal_form(parts) == scan_cyclic_normal_form(parts), parts
+        tied += parts.count(min(parts)) > 1
+        periodic += any(parts[d:] + parts[:d] == parts for d in range(1, len(parts)))
+    assert tied >= 500 and periodic >= 300, (tied, periodic)
 
 
 @settings(deadline=None)

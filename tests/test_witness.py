@@ -23,6 +23,7 @@ from horders.scalars import (
     smat_invertible,
 )
 from horders.witness import (
+    DETAIL_BITS,
     MODE_BASE,
     MODE_F,
     SCENARIOS,
@@ -377,6 +378,31 @@ def test_the_packing_point_is_just_large_enough(m):
     diag = verify_witness(w)
     assert (diag.code, diag.detail) == (
         "IdentityMismatch", f"tau(u)*a2*u != alpha*a1 at entry 1,1: t vs {2 ** m}")
+
+
+@pytest.mark.parametrize("m", [DETAIL_BITS - 1, DETAIL_BITS])
+def test_a_detail_prints_a_laurent_polynomial_in_full_only_up_to_its_bit_bound(m):
+    # 2^m and 2^m * t have a numerator of m + 1 bits: printed in full at
+    # DETAIL_BITS bits, summarised one bit above it
+    c, one, zero = LaurentJet.constant(BASE, 2 ** m), LaurentJet.one(BASE), LaurentJet.zero(BASE)
+    ct = c * LaurentJet.t_power(BASE, 1)
+    shown = {0: str(c), 1: str(ct)} if m < DETAIL_BITS else {
+        k: f"a Laurent polynomial in t^{k}..t^{k} with integers of up to {m + 1} bits"
+        for k in (0, 1)}
+    a, a2 = (BlockOrder(DivisionSpec("D"), Signature(parts)) for parts in ((1,), (1, 1)))
+    mismatch = WitnessCheck(JetMatrix.diagonal([one]), one, MODE_F,
+                            InvolutionSpec(a, JetMatrix.diagonal([c])),
+                            InvolutionSpec(a, JetMatrix.diagonal([one])))
+    valuation = WitnessCheck(JetMatrix.diagonal([one]), ct, MODE_BASE,
+                             InvolutionSpec(a, JetMatrix.diagonal([one])),
+                             InvolutionSpec(a, JetMatrix.diagonal([ct])))
+    u = JetMatrix.of([[one, c], [zero, one]])  # entry 1,2 must lie in the radical
+    outside = WitnessCheck(u, one, MODE_BASE, InvolutionSpec(a2, u.conj_transpose() @ u),
+                           InvolutionSpec(a2, JetMatrix.diagonal([one, one])))
+    assert [verify_witness(w).describe() for w in (mismatch, valuation, outside)] == [
+        f"IdentityMismatch: tau(u)*a2*u != alpha*a1 at entry 1,1: 1 vs {shown[0]}",
+        f"NotUnit: alpha = {shown[1]} has valuation 1, not a unit",
+        f"NotContained: u entry 1,2 = {shown[0]} violates the order pattern"]
 
 
 def test_witness_checks_build_no_jet_matrix_product(monkeypatch):
