@@ -732,22 +732,14 @@ class LaurentJet:
 class TruncatedJet:
     """A Laurent series known modulo ``t^precision``, whose coefficients
     below ``t^precision`` are those of ``jet``: what ``LaurentJet.inverse``
-    returns when given a precision.  ``jet`` is cut at ``t^precision`` when
-    it is built, so two series equal modulo t^precision are equal.  It has
-    no arithmetic, and a matrix or a witness refuses it, as it is not
-    exact."""
+    returns when given a precision.  It has no arithmetic, and a matrix or
+    a witness refuses it, as it is not exact."""
 
     jet: LaurentJet
     precision: int
 
     is_exact = False
     kind = property(lambda self: self.jet.kind)
-
-    def __post_init__(self):
-        jet, keep = self.jet, self.precision - self.jet.lowest_exp
-        if keep < len(jet.coeffs):
-            object.__setattr__(self, "jet", LaurentJet(jet.kind, jet.lowest_exp,
-                                                       jet.coeffs[:max(keep, 0)]))
 
     def __str__(self) -> str:
         return f"{self.jet} mod t^{self.precision}"

@@ -148,20 +148,21 @@ class WitnessCheck:
         return kind.extended(self.mode.d) if self.mode.ring == ETALE else kind
 
 
-# A diagnostic prints a Laurent polynomial in full only while each of its
-# numerators and denominators has at most DETAIL_BITS bits (about 310
-# digits); a larger one prints its t-range and the bits of its longest,
-# read off the bit lengths with no decimal digit built.
+# A diagnostic prints a Laurent polynomial in full only while the bit
+# lengths of its numerators and denominators sum to at most DETAIL_BITS:
+# about 310 digits, over at most DETAIL_BITS / 2 terms, as a nonzero
+# coefficient has at least one bit above and one below.  A larger one
+# prints its t-range and that sum, read off the bit lengths with no
+# decimal digit built.
 DETAIL_BITS = 1 << 10
 
 
 def _shown(x: LaurentJet) -> str:
-    bits = max((max(c.den.bit_length(), *map(int.bit_length, c.num)) for c in x.coeffs),
-               default=0)
+    bits = sum(c.den.bit_length() + sum(map(int.bit_length, c.num)) for c in x.coeffs)
     if bits <= DETAIL_BITS:
         return str(x)
     return (f"a Laurent polynomial in t^{x.lowest_exp}..t^{x.lowest_exp + len(x.coeffs) - 1} "
-            f"with integers of up to {bits} bits")
+            f"with integers of {bits} bits in all")
 
 
 def _promote(x, kind: ScalarKind):

@@ -16,7 +16,7 @@ from horders.orders import (BlockOrder, DivisionSpec, SemisimpleOrder, Signature
 from horders.scalars import BASE, LaurentJet, Q, Scalar, ScalarKind, TruncatedJet
 from horders.scalars import _bareiss, _solutions, exact_int, exact_str, left_regular
 from horders.session import _Cursor
-from horders.witness import WitnessCheck, _is_central, _ring_checks
+from horders.witness import WitnessCheck, _is_central, _ring_checks, _shown
 
 
 def random_scalar(kind: ScalarKind, rng: Random, bound: int = 3, nonzero: bool = False) -> Scalar:
@@ -654,7 +654,8 @@ def promoted_operands(w: WitnessCheck) -> tuple:
 
 def ref_identity_check(w: WitnessCheck) -> Diagnostics:
     """The identity step of ``verify_witness``: OK, or IdentityMismatch at
-    the first differing entry with both jets in the detail."""
+    the first differing entry with both jets in the detail, each printed
+    as ``witness._shown`` prints it (its own test pins that bound)."""
     u, a1, a2, alpha = promoted_operands(w)
     lhs = u.conj_transpose() @ a2 @ u
     rhs = entrywise(lambda e: alpha * e, a1)
@@ -665,7 +666,7 @@ def ref_identity_check(w: WitnessCheck) -> Diagnostics:
     return failure(
         "IdentityMismatch",
         f"tau(u)*a2*u != alpha*a1 at entry {bad[0] + 1},{bad[1] + 1}: "
-        f"{lhs.entry(*bad)} vs {rhs.entry(*bad)}")
+        f"{_shown(lhs.entry(*bad))} vs {_shown(rhs.entry(*bad))}")
 
 
 def ref_verify_witness(w: WitnessCheck) -> Diagnostics:
@@ -849,24 +850,6 @@ def ref_cyclic_normal_form(parts) -> tuple[int, ...]:
         raise ValueError("empty tuple has no rotations")
     least = min(parts)
     return min(parts[k:] + parts[:k] for k, p in enumerate(parts) if p == least)
-
-
-def scan_cyclic_normal_form(parts) -> tuple[int, ...]:
-    """The rotations at the positions of the least part, compared in
-    order until one equals the best so far (parts is then periodic): the
-    scan ``orders.cyclic_normal_form`` keeps up to 64 parts, O(n) per tie."""
-    parts = tuple(parts)
-    least = min(parts)
-    n, k, twice = len(parts), parts.index(least), parts + parts
-    best = twice[k:k + n]
-    for _ in range(parts.count(least) - 1):
-        k = parts.index(least, k + 1)
-        rotation = twice[k:k + n]
-        if rotation <= best:
-            if rotation == best:
-                break
-            best = rotation
-    return best
 
 
 def ref_descend_signature(parts: tuple[int, ...], s: int, t: int) -> Signature:

@@ -296,8 +296,8 @@ def test_integers_past_the_string_limit_print_exactly(tmp_path, capsys):
     out, err = capsys.readouterr()
     # a detail prints an entry above witness.DETAIL_BITS by its bits, not its digits
     assert ("IdentityMismatch: tau(u)*a2*u != alpha*a1 at entry 2,2: 1 vs a Laurent "
-            f"polynomial in t^0..t^0 with integers of up to {(10 ** 5000).bit_length()} bits"
-            ) in out
+            f"polynomial in t^0..t^0 with integers of {(10 ** 5000).bit_length() + 1} bits in "
+            "all") in out
     assert err == ""
     assert main(["resinv", "--session", str(path), "--inv", "s1"]) == 0
     assert f"t^0 * [1, 0; 0, {BIG}]" in capsys.readouterr().out

@@ -31,7 +31,7 @@ from horders.orders import (
 )
 from horders.scalars import BASE, QUATERNION, LaurentJet
 
-from helpers import entrywise, sample_block_unit, sample_element, scan_cyclic_normal_form
+from helpers import entrywise, sample_block_unit, sample_element
 
 D = DivisionSpec("D")
 
@@ -419,46 +419,30 @@ def test_cyclic_normal_form_is_the_least_of_all_rotations():
         cyclic_normal_form(())
 
 
-def test_cyclic_normal_form_is_the_least_rotation_with_many_ties_and_periods():
-    # up to 40 parts: a short block over few values repeated, sometimes
-    # with one part changed, then rotated; zero and negative parts too
-    rng = Random(33)
+@pytest.mark.parametrize("seed, lo, hi, block_max, cases", [
+    (33, 1, 40, 8, 3000), (47, 65, 400, 70, 600)], ids=["short", "long"])
+def test_cyclic_normal_form_is_the_least_rotation_with_many_ties_and_periods(
+        seed, lo, hi, block_max, cases):
+    # lo to hi parts: a block of up to block_max parts over few values
+    # repeated, sometimes with one part changed, then rotated; zero and
+    # negative parts too
+    rng = Random(seed)
     tied = periodic = 0
-    for _ in range(3000):
+    for _ in range(cases):
         values = rng.choice([(1, 1, 1, 2), (1, 2, 3), (0, -1, 0, 2), (5,)])
-        block = [rng.choice(values) for _ in range(rng.randint(1, 8))]
-        parts = block * rng.randint(1, 40 // len(block))
+        block = [rng.choice(values) for _ in range(rng.randint(1, block_max))]
+        parts = block * rng.randint(-(-lo // len(block)), hi // len(block))
         if rng.random() < 0.3:
             parts[rng.randrange(len(parts))] = rng.choice(values)
         k = rng.randrange(len(parts))
         parts = tuple(parts[k:] + parts[:k])
         least = min(parts[j:] + parts[:j] for j in range(len(parts)))
+        assert lo <= len(parts) <= hi
         assert cyclic_normal_form(parts) == least, parts
         assert cyclic_normal_form(iter(parts)) == least
         tied += parts.count(min(parts)) > 1
         periodic += any(parts[d:] + parts[:d] == parts for d in range(1, len(parts)))
-    assert tied >= 2000 and periodic >= 1000, (tied, periodic)
-
-
-def test_the_least_rotation_above_64_parts_matches_the_tie_scan():
-    # 65 to 400 parts: a block of up to 70 parts over few values repeated,
-    # sometimes with one part changed, then rotated; Booth's failure
-    # function must pick the rotation that the scan of the ties picks
-    rng = Random(47)
-    tied = periodic = 0
-    for _ in range(600):
-        values = rng.choice([(1, 1, 1, 2), (1, 2, 3), (0, -1, 0, 2), (5,), (1, 2)])
-        block = [rng.choice(values) for _ in range(rng.randint(1, 70))]
-        parts = block * rng.randint(65 // len(block) + 1, 400 // len(block) + 1)
-        if rng.random() < 0.3:
-            parts[rng.randrange(len(parts))] = rng.choice(values)
-        k = rng.randrange(len(parts))
-        parts = tuple(parts[k:] + parts[:k])
-        assert len(parts) > 64
-        assert cyclic_normal_form(parts) == scan_cyclic_normal_form(parts), parts
-        tied += parts.count(min(parts)) > 1
-        periodic += any(parts[d:] + parts[:d] == parts for d in range(1, len(parts)))
-    assert tied >= 500 and periodic >= 300, (tied, periodic)
+    assert tied >= cases * 2 // 3 and periodic >= cases // 3, (tied, periodic)
 
 
 @settings(deadline=None)

@@ -30,8 +30,7 @@ UNENTERED = {
     "scalars": {"default_precision", "Scalar.one", "Scalar.__sub__", "Scalar.__neg__",
                 "Scalar.times", "Scalar.inverse", "_solutions", "LaurentJet.__add__",
                 "LaurentJet.__neg__", "LaurentJet.__sub__", "LaurentJet.inverse",
-                "LaurentJet.__pow__", "TruncatedJet.__post_init__",
-                "TruncatedJet.__str__"},
+                "LaurentJet.__pow__", "TruncatedJet.__str__"},
     "session": {"_Cursor.col", "_Cursor.at", "_width", "_size", "_work", "_multiplier_bits",
                 "_product", "_raised", "Session.divisions", "_Parser._validate_check.error",
                 "_format_arg", "print_session"},

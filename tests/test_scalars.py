@@ -518,15 +518,6 @@ def test_jet_inverse_geometric_series():
         inv + inv  # a truncated series has no arithmetic
 
 
-def test_a_truncated_jet_keeps_only_its_coefficients_below_the_precision():
-    cut = TruncatedJet(LaurentJet.t_power(BASE, 5), 2)
-    assert cut == TruncatedJet(LaurentJet.zero(BASE), 2)
-    assert str(cut) == "0 mod t^2"
-    # the window is canonical after the cut: 1 + 0*t, not 1 + 0*t + 3*t^2
-    assert TruncatedJet(jet(BASE, 0, [1, 0, 3]), 2).jet == LaurentJet.one(BASE)
-    assert TruncatedJet(jet(BASE, -1, [1, 2]), 5).jet == jet(BASE, -1, [1, 2])
-
-
 def test_only_a_monomial_jet_inverts_exactly():
     # 1 + t is a unit of the Laurent field, but no Laurent polynomial
     # inverts it

@@ -380,14 +380,24 @@ def test_the_packing_point_is_just_large_enough(m):
         "IdentityMismatch", f"tau(u)*a2*u != alpha*a1 at entry 1,1: t vs {2 ** m}")
 
 
-@pytest.mark.parametrize("m", [DETAIL_BITS - 1, DETAIL_BITS])
-def test_a_detail_prints_a_laurent_polynomial_in_full_only_up_to_its_bit_bound(m):
-    # 2^m and 2^m * t have a numerator of m + 1 bits: printed in full at
-    # DETAIL_BITS bits, summarised one bit above it
-    c, one, zero = LaurentJet.constant(BASE, 2 ** m), LaurentJet.one(BASE), LaurentJet.zero(BASE)
+def _ones(n: int) -> LaurentJet:
+    return LaurentJet(BASE, 0, [Scalar.one(BASE)] * n)
+
+
+# each value with the bits of its numerators and denominators in all: 2^m
+# has m + 1 bits above and 1 below, and 1 + t + ... + t^(n-1) has 2n
+@pytest.mark.parametrize("c, bits", [
+    (LaurentJet.constant(BASE, 2 ** (DETAIL_BITS - 2)), DETAIL_BITS),
+    (LaurentJet.constant(BASE, 2 ** (DETAIL_BITS - 1)), DETAIL_BITS + 1),
+    (_ones(DETAIL_BITS // 2), DETAIL_BITS),
+    (_ones(DETAIL_BITS // 2 + 1), DETAIL_BITS + 2)], ids=["one_term", "one_term_above",
+                                                          "many_terms", "many_terms_above"])
+def test_a_detail_prints_a_laurent_polynomial_in_full_only_up_to_its_bit_bound(c, bits):
+    one, zero = LaurentJet.one(BASE), LaurentJet.zero(BASE)
     ct = c * LaurentJet.t_power(BASE, 1)
-    shown = {0: str(c), 1: str(ct)} if m < DETAIL_BITS else {
-        k: f"a Laurent polynomial in t^{k}..t^{k} with integers of up to {m + 1} bits"
+    span = len(c.coeffs) - 1
+    shown = {0: str(c), 1: str(ct)} if bits <= DETAIL_BITS else {
+        k: f"a Laurent polynomial in t^{k}..t^{k + span} with integers of {bits} bits in all"
         for k in (0, 1)}
     a, a2 = (BlockOrder(DivisionSpec("D"), Signature(parts)) for parts in ((1,), (1, 1)))
     mismatch = WitnessCheck(JetMatrix.diagonal([one]), one, MODE_F,
@@ -399,10 +409,13 @@ def test_a_detail_prints_a_laurent_polynomial_in_full_only_up_to_its_bit_bound(m
     u = JetMatrix.of([[one, c], [zero, one]])  # entry 1,2 must lie in the radical
     outside = WitnessCheck(u, one, MODE_BASE, InvolutionSpec(a2, u.conj_transpose() @ u),
                            InvolutionSpec(a2, JetMatrix.diagonal([one, one])))
-    assert [verify_witness(w).describe() for w in (mismatch, valuation, outside)] == [
+    details = [verify_witness(w).describe() for w in (mismatch, valuation, outside)]
+    assert details == [
         f"IdentityMismatch: tau(u)*a2*u != alpha*a1 at entry 1,1: 1 vs {shown[0]}",
         f"NotUnit: alpha = {shown[1]} has valuation 1, not a unit",
         f"NotContained: u entry 1,2 = {shown[0]} violates the order pattern"]
+    # in full, a detail is at most about 310 digits or 512 terms of t long
+    assert max(map(len, details)) < (5000 if bits <= DETAIL_BITS else 200)
 
 
 def test_witness_checks_build_no_jet_matrix_product(monkeypatch):

@@ -15,10 +15,12 @@ the pytest node id of a test that must fail with it.  ``src``, ``tests``,
 temporary directory; each mutant replaces its old text there, which must
 occur exactly once in its file, runs its test with ``PYTHONPATH=src``
 and no bytecode written, and puts the file back.  A mutant is killed
-when its test fails or runs past ``TIMEOUT_S``; every test on the list
-must pass on the unmutated copy first.  Each mutant prints one
-line, ``killed``, ``SURVIVED`` or ``STALE`` (its old text does not occur
-exactly once), and a total follows.  The exit status is 1 if any mutant
+when its test fails, cannot be collected (a mutant that breaks an
+import) or runs past ``TIMEOUT_S``; every test on the list must pass on
+the unmutated copy first, so a test name that matches nothing stops the
+run there.  Each mutant prints one line, ``killed``, ``SURVIVED`` or
+``STALE`` (its old text does not occur exactly once), and a total
+follows.  The exit status is 1 if any mutant
 survives or is stale, so a list that no longer matches the code fails
 loudly instead of passing; 0 otherwise.  A change to a function a mutant
 names should run this script and update that mutant with it.
@@ -44,7 +46,8 @@ STABLE_DIAGONAL = f"{T_INV}::test_unbalanced_diagonal_gauge_is_not_stable"
 MULTI_BLOCK = f"{T_INV}::test_identity_gauge_fails_on_a_multi_block_order"
 JET_PRODUCTS = f"{T_MAT}::test_first_difference_matches_the_jet_products"
 D_PLUS_ONE = f"{T_MAT}::test_an_open_component_is_evaluated_at_d_plus_one_points"
-TIE_SCAN = "tests/test_orders.py::test_the_least_rotation_above_64_parts_matches_the_tie_scan"
+LEAST_ROTATION = ("tests/test_orders.py::"
+                  "test_cyclic_normal_form_is_the_least_rotation_with_many_ties_and_periods[long]")
 
 # (name, file, old text, new text, the test that must fail).  A mutant that
 # only makes a sufficient test stricter, or a pass slower, changes no
@@ -105,9 +108,9 @@ MUTANTS = [
      "points = self.kind.dim * sum(b[3] for b in bounds) - 1", D_PLUS_ONE),
     # Booth's failure function in cyclic_normal_form, above 64 parts
     ("booth-fail", "src/horders/orders.py", "                fail[j - k] = i + 1\n",
-     "                fail[j - k] = i\n", TIE_SCAN),
+     "                fail[j - k] = i\n", LEAST_ROTATION),
     ("booth-k", "src/horders/orders.py", "                    k = j - i - 1\n",
-     "                    k = j - i\n", TIE_SCAN),
+     "                    k = j - i\n", LEAST_ROTATION),
     # a check's sorder argument reaches its runner as a SemisimpleOrder
     ("sorder-wrap", "src/horders/session.py",
      'if want == "sorder" and not isinstance(payload, SemisimpleOrder):',
@@ -117,9 +120,6 @@ MUTANTS = [
     ("detail-bound", "src/horders/witness.py", "    if bits <= DETAIL_BITS:\n",
      "    if bits < DETAIL_BITS:\n",
      "tests/test_witness.py::test_a_detail_prints_a_laurent_polynomial_in_full_only_up_to_its_bit_bound"),
-    # a TruncatedJet keeps only its coefficients below t^precision
-    ("truncated-cut", SCA, "        if keep < len(jet.coeffs):\n", "        if keep < 0:\n",
-     "tests/test_scalars.py::test_a_truncated_jet_keeps_only_its_coefficients_below_the_precision"),
 ]
 
 
@@ -152,10 +152,9 @@ def run(mutants: list[tuple], work: Path) -> list[tuple[str, str]]:
             proc = pytest(work, test)
         finally:
             target.write_text(text, encoding="utf-8")
-        outcome = "killed" if proc is None or proc.returncode == 1 else "SURVIVED"
-        if proc is not None and proc.returncode not in (0, 1):  # no such test: a broken entry
-            outcome = "STALE"
-            print(proc.stdout[-2000:] + proc.stderr[-2000:], flush=True)
+        # every test ran and passed on the unmutated copy, so any other exit
+        # (a failure, or a module the mutant left unable to import) kills
+        outcome = "SURVIVED" if proc is not None and proc.returncode == 0 else "killed"
         outcomes.append((name, outcome))
         print(f"{outcome:<8} {name} ({test}, {time.perf_counter() - start:.1f} s)", flush=True)
     return outcomes
